@@ -55,7 +55,7 @@ def main() -> int:
             out = Path(args.out) / tag
             out.mkdir(parents=True, exist_ok=True)
             (out / "report.json").write_text(
-                json.dumps(report.to_json_dict(), indent=2) + "\n")
+                json.dumps(report.to_json_dict(), indent=2, allow_nan=False) + "\n")
     print("-" * len(header))
     print("catalog:", "all checks passed" if all_ok else "FAILURES above")
     return 0 if all_ok else 1

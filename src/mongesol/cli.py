@@ -56,13 +56,21 @@ class RunConfig:
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"unknown config sections: {sorted(unknown)}")
+        family_from_dict(raw["family"])  # malformed families fail here, not mid-run
+        try:
+            probes = int(raw.get("probes", 100))
+            seed = int(raw.get("seed", 0))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"probes and seed must be integers ({exc})") from None
+        if probes < 1:
+            raise ConfigError(f"probes must be at least 1, got {probes}")
         return cls(
             family_dict=raw["family"],
-            grid=raw.get("grid"),
+            grid=None if raw.get("grid") is None else _parse_grid(raw["grid"]),
             checks=raw.get("checks"),
             tolerances=dict(raw.get("tolerances") or {}),
-            probes=int(raw.get("probes", 100)),
-            seed=int(raw.get("seed", 0)),
+            probes=probes,
+            seed=seed,
             out=raw.get("out", "."),
             mutate=dict(raw.get("mutate") or {}),
         )
@@ -74,24 +82,36 @@ class RunConfig:
     def grid_spec(self, bundle) -> GridSpec:
         if self.grid is None:
             return GridSpec.for_bundle(bundle)
-        g = dict(self.grid)
-        rect = g.pop("rect", None)
-        if rect is not None:
-            x_lo, x_hi, z_lo, z_hi = (float(v) for v in rect)
-        else:
-            x_lo, x_hi, z_lo, z_hi = bundle.domain.rect
-            x_lo = float(g.pop("x_lo", x_lo))
-            x_hi = float(g.pop("x_hi", x_hi))
-            z_lo = float(g.pop("z_lo", z_lo))
-            z_hi = float(g.pop("z_hi", z_hi))
-        known = {"nx", "nz", "m", "fd_h"}
-        unknown = set(g) - known
-        if unknown:
-            raise ConfigError(f"unknown grid fields: {sorted(unknown)}")
-        return GridSpec(x_lo, x_hi, z_lo, z_hi,
-                        nx=int(g.get("nx", 21)), nz=int(g.get("nz", 21)),
-                        m=int(g.get("m", 2)),
-                        fd_h=None if g.get("fd_h") is None else float(g["fd_h"]))
+        rect = dict(zip(_RECT_KEYS, (float(v) for v in bundle.domain.rect)))
+        return GridSpec(**{**rect, **self.grid})
+
+
+_RECT_KEYS = ("x_lo", "x_hi", "z_lo", "z_hi")
+
+
+def _parse_grid(raw) -> dict:
+    """GridSpec keyword arguments from the grid section (``rect`` expanded)."""
+    if not isinstance(raw, dict):
+        raise ConfigError("grid must be a JSON object")
+    known = {"nx", "nz", "m", "fd_h"} | ({"rect"} if "rect" in raw else set(_RECT_KEYS))
+    unknown = set(raw) - known
+    if unknown:
+        raise ConfigError(f"unknown grid fields: {sorted(unknown)}")
+    try:
+        g = {key: float(raw[key]) for key in _RECT_KEYS if key in raw}
+        if "rect" in raw:
+            rect = [float(v) for v in raw["rect"]]
+            if len(rect) != 4:
+                raise ConfigError("grid rect must be [x_lo, x_hi, z_lo, z_hi]")
+            g.update(zip(_RECT_KEYS, rect))
+        g.update({key: int(raw[key]) for key in ("nx", "nz", "m") if key in raw})
+        if raw.get("fd_h") is not None:
+            g["fd_h"] = float(raw["fd_h"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"grid: malformed field value ({exc})") from None
+    if g.get("m", 2) < 2:
+        raise ConfigError(f"grid.m is the jet order and must be at least 2, got {g['m']}")
+    return g
 
 
 def _fmt(v) -> str:
@@ -101,7 +121,7 @@ def _fmt(v) -> str:
 def _write_report(report: ResidualReport, out_dir: Path):
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(
-        json.dumps(report.to_json_dict(), indent=2, sort_keys=False) + "\n"
+        json.dumps(report.to_json_dict(), indent=2, sort_keys=False, allow_nan=False) + "\n"
     )
     with (out_dir / "report.csv").open("w", newline="") as fh:
         csv.writer(fh).writerows(report.csv_rows())
@@ -242,8 +262,18 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _rejoin_values(argv: list[str]) -> list[str]:
+    """``--values TOK`` as ``--values=TOK``, so argparse keeps ``-0.5,-1`` as a value."""
+    out = []
+    tokens = iter(argv)
+    for tok in tokens:
+        nxt = next(tokens, None) if tok == "--values" else None
+        out.append(tok if nxt is None else f"--values={nxt}")
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_rejoin_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         config = RunConfig.load(args.config)
         config.tolerances.update(_parse_tol(args.tol))

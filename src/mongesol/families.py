@@ -1394,15 +1394,15 @@ def family_from_dict(d: dict):
             return DegenerateConfig(c_coeffs=tuple(d.pop("C")), g_coeffs=tuple(d.pop("G")),
                                     seed_a=float(d.pop("seed_a", 1.0)), **_rect_kw(d))
         if tag == "m3_sigma_const":
-            return SigmaConstConfig(nu=tuple(d.pop("nu")), A=float(d.pop("A", 1.0)),
+            return SigmaConstConfig(nu=_nu_pair(d), A=float(d.pop("A", 1.0)),
                                     k=float(d.pop("k", 1.0)), d1=float(d.pop("d1", 0.0)),
                                     d2=float(d.pop("d2", 0.0)), **_rect_kw(d))
         if tag == "m3_l1_const":
-            return L1ConstConfig(nu=tuple(d.pop("nu")), D=float(d.pop("D", 1.0)),
+            return L1ConstConfig(nu=_nu_pair(d), D=float(d.pop("D", 1.0)),
                                  k=float(d.pop("k", 1.0)),
                                  dtilde_mode=d.pop("dtilde_mode", "nu1_plus_nu2"), **_rect_kw(d))
         if tag == "m3_theta_const":
-            return ThetaConstConfig(nu=tuple(d.pop("nu")), E=float(d.pop("E", 1.0)),
+            return ThetaConstConfig(nu=_nu_pair(d), E=float(d.pop("E", 1.0)),
                                     k=float(d.pop("k", 1.0)), **_rect_kw(d))
         if tag == "m3_hodograph_example":
             return HodographExampleConfig(k=float(d.pop("k", 1.0)), alpha=float(d.pop("alpha", 1.0)),
@@ -1415,7 +1415,7 @@ def family_from_dict(d: dict):
                                      alpha2=float(d.pop("alpha2", 2.0)),
                                      c=None if c is None else float(c), **_rect_kw(d))
         if tag == "mn_theta_const":
-            return NThetaConstConfig(n=int(d.pop("n")), nu=tuple(d.pop("nu")),
+            return NThetaConstConfig(n=int(d.pop("n")), nu=_nu_pair(d),
                                      E=float(d.pop("E", 1.0)), k=float(d.pop("k", 0.1)),
                                      c=float(d.pop("c", 1.0)), cbar=float(d.pop("cbar", 1.0)),
                                      **_rect_kw(d))
@@ -1424,6 +1424,13 @@ def family_from_dict(d: dict):
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"family {tag!r}: malformed field value ({exc})") from None
     raise ConfigError(f"unknown family tag {tag!r}")
+
+
+def _nu_pair(d: dict) -> tuple:
+    nu = tuple(d.pop("nu"))
+    if len(nu) != 2 or not all(isinstance(v, (int, float)) for v in nu):
+        raise ValueError(f"nu must be a pair of numbers [nu1, nu2], got {list(nu)!r}")
+    return nu
 
 
 def _rect_kw(d: dict) -> dict:

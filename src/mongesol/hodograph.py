@@ -7,9 +7,13 @@ the quasilinear system becomes linear and is resolved by one potential
 * ``invert_hodograph`` - damped 2-D Newton recovering ``(b, c)`` from ``(x, z)``;
 * ``factorization_check`` - residuals of the slope/derivative matching;
 * ``schrodinger_solve`` - the zero-energy second-order ODE for the separable
-  ansatz, integrated with a fixed-step classical 4th-order scheme;
-* ``assemble_r_integral`` - superposition of separable modes with an
-  independent finite-difference residual check;
+  ansatz, integrated with a fixed-step classical 4th-order scheme,
+  vectorized over the separation constant ``k``: one pass advances every
+  node, the profile is sampled once, and the solutions have shape
+  ``np.shape(k) + (steps + 1,)``;
+* ``assemble_r_integral`` - superposition of separable modes (one batched
+  solve per call, node doubling included) with an independent
+  finite-difference residual check;
 * ``solve_implicit`` / ``implicit_jet`` - branch-tracked scalar solve of
   ``x + lam*z = F(lam)``, in values and in jets.
 """
@@ -188,9 +192,13 @@ def factorization_check(w_b, w_c, nu1, nu2):
 
 @dataclass(frozen=True)
 class OdeSolution:
-    """Two fundamental solutions of the zero-energy mode equation."""
+    """Two fundamental solutions of the zero-energy mode equation.
 
-    k: float
+    For an array ``k`` the solution arrays have shape ``np.shape(k) + (steps + 1,)``:
+    one row per node.
+    """
+
+    k: float | np.ndarray
     c_grid: np.ndarray
     w1: np.ndarray
     w1p: np.ndarray
@@ -209,14 +217,19 @@ class OdeSolution:
 
 def schrodinger_solve(
     w_c_profile: Callable[[np.ndarray], np.ndarray],
-    k: float,
+    k: float | np.ndarray,
     c_range: tuple[float, float],
     steps: int,
 ) -> OdeSolution:
     """Integrate ``w'' = k^2 W_c(c) w`` from initial data (1,0) and (0,1).
 
     Fixed-step classical 4th-order integrator; step count is the accuracy
-    knob (no adaptivity).  Non-finite profile values are an error.
+    knob (no adaptivity).  Vectorizes over ``k``: all nodes advance in one
+    ``(2, 2, K)`` state, and the solution arrays have shape
+    ``np.shape(k) + (steps + 1,)`` (views of one state history).  The profile
+    is called once per solve, on the stage points ``c``, ``c + h/2`` and
+    ``c + h`` of every step; each node's values equal a scalar-``k`` solve
+    bit for bit.  Non-finite profile values are an error.
     """
     if steps < 100:
         raise ValueError("schrodinger_solve needs at least 100 steps")
@@ -224,31 +237,32 @@ def schrodinger_solve(
     h = (c1 - c0) / steps
     grid = c0 + h * np.arange(steps + 1)
 
-    def pot(c):
-        v = k * k * np.asarray(w_c_profile(c), dtype=float)
-        if not np.all(np.isfinite(v)):
-            raise MongesolError(f"non-finite potential profile value at c={c!r}")
-        return v
+    kk = np.asarray(k, dtype=float).reshape(-1)
+    # stage points of step i: c_i, c_i + h/2, c_i + h (one flat sample, step-major)
+    stages = np.stack([grid[:-1], grid[:-1] + h / 2, grid[:-1] + h], axis=1).ravel()
+    prof = np.broadcast_to(np.asarray(w_c_profile(stages), dtype=float), stages.shape)
+    v = (kk * kk)[None, :] * prof[:, None]  # (3 * steps, K)
+    bad = ~np.all(np.isfinite(v), axis=1)
+    if np.any(bad):
+        raise MongesolError(f"non-finite potential profile value at c={stages[np.argmax(bad)]!r}")
+    v = v.reshape(steps, 3, kk.size)
 
-    # y = (w, w'), both fundamental solutions as columns
-    w = np.array([[1.0, 0.0], [0.0, 1.0]])
-    ws = np.empty((steps + 1, 2))
-    wps = np.empty((steps + 1, 2))
-    ws[0], wps[0] = w[0], w[1]
+    def f(vc, y):
+        return np.stack([y[1], vc * y[0]])
+
+    # y = (w, w') x (fundamental solution 1, 2) x nodes
+    ys = np.empty((steps + 1, 2, 2, kk.size))
+    ys[0] = np.eye(2)[:, :, None]
     for i in range(steps):
-        c = grid[i]
-
-        def f(cv, y):
-            return np.vstack([y[1], pot(cv) * y[0]])
-
-        y = np.vstack([ws[i], wps[i]])
-        k1 = f(c, y)
-        k2 = f(c + h / 2, y + h / 2 * k1)
-        k3 = f(c + h / 2, y + h / 2 * k2)
-        k4 = f(c + h, y + h * k3)
-        y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        ws[i + 1], wps[i + 1] = y[0], y[1]
-    return OdeSolution(k, grid, ws[:, 0], wps[:, 0], ws[:, 1], wps[:, 1])
+        y = ys[i]
+        k1 = f(v[i, 0], y)
+        k2 = f(v[i, 1], y + h / 2 * k1)
+        k3 = f(v[i, 1], y + h / 2 * k2)
+        k4 = f(v[i, 2], y + h * k3)
+        ys[i + 1] = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    shape = np.shape(k) + (steps + 1,)
+    w1, w2, w1p, w2p = (ys[:, a, b].T.reshape(shape) for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    return OdeSolution(k, grid, w1, w1p, w2, w2p)
 
 
 @dataclass(frozen=True)
@@ -290,22 +304,28 @@ def assemble_r_integral(
     if mode not in ("sum", "trapezoid"):
         raise ValueError(f"unknown quadrature mode {mode!r}")
 
-    def build(nodes):
-        weights = _weights(nodes, mode)
-        b = np.linspace(b_range[0], b_range[1], nb)
-        sols = [schrodinger_solve(w_c_profile, k, c_range, steps) for k in nodes]
-        c = sols[0].c_grid
+    # one solve covers both builds: the refinement keeps the original nodes
+    # at its even positions
+    refine = mode == "trapezoid" and len(k_nodes) >= 2
+    nodes = _midpoint_refine(k_nodes) if refine else k_nodes
+    sol = schrodinger_solve(w_c_profile, np.array(nodes), c_range, steps)
+    b = np.linspace(b_range[0], b_range[1], nb)
+    c = sol.c_grid
+
+    def build(ks, w1, w2):
         r = np.zeros((nb, c.size))
         rbb = np.zeros_like(r)
-        for wgt, k, sol in zip(weights, nodes, sols):
-            amp = wgt * (f1(k) * sol.w1 + f2(k) * sol.w2)  # shape (nc,)
+        for wgt, k, s1, s2 in zip(_weights(ks, mode), ks, w1, w2):
+            amp = wgt * (f1(k) * s1 + f2(k) * s2)  # shape (nc,)
             ekb = np.exp(k * b)[:, None]
             r += ekb * amp[None, :]
             rbb += (k * k) * ekb * amp[None, :]
-        drift = max(s.wronskian_drift for s in sols)
-        return b, c, r, rbb, drift
+        return r, rbb
 
-    b, c, r, rbb, drift = build(k_nodes)
+    rows = slice(None, None, 2 if refine else 1)
+    coarse = OdeSolution(sol.k[rows], c, sol.w1[rows], sol.w1p[rows], sol.w2[rows], sol.w2p[rows])
+    r, rbb = build(k_nodes, coarse.w1, coarse.w2)
+    drift = coarse.wronskian_drift
 
     # second derivative in c by a 7-point stencil on a strided subgrid; the
     # stride keeps the step near 1e-2 so stencil roundoff stays below 1e-10
@@ -318,9 +338,8 @@ def assemble_r_integral(
     resid = np.abs(rcc - np.asarray(w_c_profile(cs[3:-3]))[None, :] * rbbs[:, 3:-3])
 
     change = None
-    if mode == "trapezoid" and len(k_nodes) >= 2:
-        refined = _midpoint_refine(k_nodes)
-        _, _, r2, _, _ = build(refined)
+    if refine:
+        r2, _ = build(nodes, sol.w1, sol.w2)
         change = float(np.max(np.abs(r2 - r)))
         if change > doubling_tol * max(1.0, float(np.max(np.abs(r)))):
             raise QuadratureError(

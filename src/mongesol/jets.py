@@ -34,8 +34,6 @@ __all__ = [
     "jlog",
     "jpow",
     "jsqrt",
-    "jcosh",
-    "jsinh",
 ]
 
 
@@ -283,15 +281,3 @@ def jpow(a: Jet2, p) -> Jet2:
 
 def jsqrt(a: Jet2) -> Jet2:
     return jpow(a, 0.5)
-
-
-def jcosh(a: Jet2) -> Jet2:
-    ch, sh = np.cosh(a.value), np.sinh(a.value)
-    tk = [(ch if k % 2 == 0 else sh) / math.factorial(k) for k in range(a.m + 1)]
-    return compose_series(tk, a)
-
-
-def jsinh(a: Jet2) -> Jet2:
-    ch, sh = np.cosh(a.value), np.sinh(a.value)
-    tk = [(sh if k % 2 == 0 else ch) / math.factorial(k) for k in range(a.m + 1)]
-    return compose_series(tk, a)

@@ -109,7 +109,8 @@ class ResidualReport:
         return all(c.passed for c in self.checks.values())
 
     def to_json_dict(self) -> dict:
-        return {
+        """Strict-JSON form: non-finite floats become "inf"/"-inf"/"nan"."""
+        return _finite_json({
             "meta": self.meta,
             "passed": self.passed,
             "checks": {
@@ -123,7 +124,7 @@ class ResidualReport:
                 }
                 for name, c in self.checks.items()
             },
-        }
+        })
 
     def csv_rows(self) -> list[list[str]]:
         rows = [["check", "max_abs", "mean_abs", "argmax_x", "argmax_z", "tolerance", "passed"]]
@@ -137,6 +138,17 @@ class ResidualReport:
 
 def _fmt(v) -> str:
     return f"{float(v):.17g}"
+
+
+def _finite_json(obj):
+    """``obj`` with each non-finite float replaced by its ``str`` (which ``float`` parses)."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else str(obj)
+    if isinstance(obj, dict):
+        return {k: _finite_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_json(v) for v in obj]
+    return obj
 
 
 def _result(name, resid, x, z, tol, extra=None) -> CheckResult:

@@ -171,3 +171,51 @@ def test_malformed_json_exits_2(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{not json")
     assert main(["verify", "--config", str(p)]) == 2
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("section", [
+    {"grid": {"nx": "abc"}},
+    {"grid": {"m": 1}},
+    {"probes": 0},
+    {"family": {"family": "m3_sigma_const", "nu": [1], "A": 1.0, "k": 1.0}},
+], ids=["grid_nx_not_a_number", "grid_m_below_2", "probes_zero", "nu_single_value"])
+def test_malformed_config_field_exits_2(tmp_path, capsys, section):
+    cfg = _write(tmp_path, "bad.json", {
+        "family": {"family": "m3_sigma_const", "nu": [1, 2], "A": 1.0, "k": 1.0},
+        **section,
+    })
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "ob")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert not (tmp_path / "ob").exists()
+
+
+def test_sweep_negative_values_as_separate_token(tmp_path):
+    cfg = _write(tmp_path, "gen.json", {"family": {"family": "m3_general", "g": -1.0},
+                                        "grid": {"nx": 9, "nz": 9}})
+    out = tmp_path / "osn"
+    assert main(["sweep", "--config", cfg, "--param", "g",
+                 "--values", "-0.5,-1", "--out", str(out)]) == 0
+    rows = list(csv.reader((out / "sweep.csv").open()))
+    assert sorted({r[0] for r in rows[1:]}) == ["-0.5", "-1"]
+
+
+def test_domain_error_report_is_strict_json(tmp_path):
+    # sigma=-1 pushes the wf relation's log argument off its domain
+    cfg = _write(tmp_path, "wf.json", {
+        "family": {"family": "m3_sigma_const", "nu": [1, 2], "A": 1.0, "k": 1.0},
+        "checks": ["wf"],
+        "grid": {"nx": 9, "nz": 9},
+    })
+    out = tmp_path / "od"
+    assert main(["verify", "--config", cfg, "--out", str(out), "--mutate", "sigma=-1"]) == 1
+    wf = _strict_json((out / "report.json").read_text())["checks"]["wf"]
+    assert "error" in wf["extra"] and wf["passed"] is False
+    assert wf["max_abs"] == wf["mean_abs"] == "inf" and float(wf["max_abs"]) == np.inf
+    assert wf["argmax"] == ["nan", "nan"]

@@ -182,6 +182,118 @@ def test_schrodinger_rejects_few_steps_and_bad_profile():
                           1.0, (0.0, 1.0), steps=200)
 
 
+def _linear_profile(c):
+    return 1.0 + 0.5 * np.asarray(c, dtype=float)
+
+
+def _flat_profile(c):
+    return np.ones_like(np.asarray(c, dtype=float))
+
+
+@pytest.mark.parametrize("profile", [_flat_profile, _linear_profile], ids=["constant", "linear"])
+def test_schrodinger_array_k_equals_stacked_scalar_solves(profile):
+    ks = np.array([[0.0, 0.5, 1.0], [1.5, 2.0, 3.0]])
+    sol = schrodinger_solve(profile, ks, (0.0, 1.0), steps=300)
+    assert sol.c_grid.shape == (301,)
+    for name in ("w1", "w1p", "w2", "w2p"):
+        assert getattr(sol, name).shape == (2, 3, 301)
+        stacked = [getattr(schrodinger_solve(profile, float(k), (0.0, 1.0), steps=300), name)
+                   for k in ks.ravel()]
+        assert np.array_equal(getattr(sol, name), np.reshape(stacked, (2, 3, 301)))
+    scalar = schrodinger_solve(profile, 1.0, (0.0, 1.0), steps=300)
+    assert scalar.w1.shape == (301,) and scalar.k == 1.0
+    assert sol.wronskian_drift == max(
+        schrodinger_solve(profile, float(k), (0.0, 1.0), steps=300).wronskian_drift
+        for k in ks.ravel())
+
+
+def _rk4_reference(profile, k, c0, c1, steps):
+    """Plain per-step RK4 on [c0, c1], the profile evaluated point by point."""
+    h = (c1 - c0) / steps
+    y = np.eye(2)
+    out = [y]
+    for i in range(steps):
+        c = c0 + h * i
+
+        def f(cv, y):
+            return np.vstack([y[1], k * k * profile(cv) * y[0]])
+
+        k1 = f(c, y)
+        k2 = f(c + h / 2, y + h / 2 * k1)
+        k3 = f(c + h / 2, y + h / 2 * k2)
+        k4 = f(c + h, y + h * k3)
+        y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        out.append(y)
+    return np.array(out)
+
+
+def _quadratic_profile(c):
+    c = np.asarray(c, dtype=float)
+    return 1.3 - 0.9 * c + 3.7 * c * c
+
+
+@pytest.mark.parametrize("profile", [_flat_profile, _linear_profile, _quadratic_profile],
+                         ids=["constant", "linear", "quadratic"])
+def test_schrodinger_is_bitwise_the_per_step_scheme(profile):
+    ks = np.array([0.3, 1.1, 2.7, 12.5])
+    sol = schrodinger_solve(profile, ks, (-0.3, 1.1), steps=250)
+    for i, k in enumerate(ks):
+        ref = _rk4_reference(profile, float(k), -0.3, 1.1, 250)
+        assert np.array_equal(sol.w1[i], ref[:, 0, 0]) and np.array_equal(sol.w2[i], ref[:, 0, 1])
+        assert np.array_equal(sol.w1p[i], ref[:, 1, 0]) and np.array_equal(sol.w2p[i], ref[:, 1, 1])
+
+
+def test_schrodinger_samples_profile_once_per_solve():
+    calls = []
+
+    def counted(c):
+        calls.append(np.size(c))
+        return _linear_profile(c)
+
+    schrodinger_solve(counted, np.linspace(0.0, 2.0, 7), (0.0, 1.0), steps=400)
+    schrodinger_solve(counted, 1.0, (0.0, 1.0), steps=400)
+    assert calls == [3 * 400, 3 * 400]
+
+
+def test_schrodinger_nan_profile_raises_for_array_k():
+    with pytest.raises(MongesolError, match="non-finite potential"):
+        schrodinger_solve(lambda c: np.where(np.asarray(c) > 0.5, np.nan, 1.0),
+                          np.array([0.5, 1.0, 2.0]), (0.0, 1.0), steps=200)
+
+
+def _per_node_r(f1, f2, nodes, profile, nb, steps):
+    """R and the worst Wronskian drift from one scalar solve per node (trapezoid weights)."""
+    b = np.linspace(0.0, 1.0, nb)
+    diffs = np.diff(nodes)
+    weights = np.zeros(len(nodes))
+    weights[:-1] += diffs / 2
+    weights[1:] += diffs / 2
+    r = np.zeros((nb, steps + 1))
+    drift = 0.0
+    for wgt, k in zip(weights, nodes):
+        sol = schrodinger_solve(profile, k, (0.0, 1.0), steps)
+        amp = wgt * (f1(k) * sol.w1 + f2(k) * sol.w2)
+        r += np.exp(k * b)[:, None] * amp[None, :]
+        drift = max(drift, sol.wronskian_drift)
+    return r, drift
+
+
+def test_assemble_trapezoid_matches_per_node_reference():
+    f1 = lambda k: float(np.exp(-18 * (k - 1) ** 2))
+    f2 = lambda k: 0.3 * f1(k)
+    nodes = [float(k) for k in np.linspace(0.0, 2.0, 13)]
+    refined = [nodes[0]]
+    for a, b in zip(nodes[:-1], nodes[1:]):
+        refined.extend([(a + b) / 2, b])
+    res = assemble_r_integral(f1, f2, nodes, _linear_profile, (0.0, 1.0), (0.0, 1.0),
+                              nb=9, steps=400, mode="trapezoid")
+    r, drift = _per_node_r(f1, f2, nodes, _linear_profile, nb=9, steps=400)
+    r2, _ = _per_node_r(f1, f2, refined, _linear_profile, nb=9, steps=400)
+    assert np.array_equal(res.r_values, r)
+    assert res.wronskian_drift == drift
+    assert res.node_doubling_change == float(np.max(np.abs(r2 - r)))
+
+
 def test_assemble_single_mode_is_exact():
     res = assemble_r_integral(
         lambda k: 1.0, lambda k: 0.0, [1.0],
