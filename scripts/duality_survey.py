@@ -21,21 +21,10 @@ from mongesol import (
     duality_transform,
     four_function_residual,
     make_family,
+    sample_points,
 )
 
 FAMILIES = ("m3_sigma_const", "m3_l1_const", "m3_theta_const", "mn_theta_const")
-
-
-def sample(bundle, rng, count):
-    x_lo, x_hi, z_lo, z_hi = bundle.domain.rect
-    xs, zs = [], []
-    while len(xs) < count:
-        x = rng.uniform(x_lo, x_hi, 4 * count)
-        z = rng.uniform(z_lo, z_hi, 4 * count)
-        ok = bundle.domain.mask(x, z)
-        xs.extend(x[ok][: count - len(xs)])
-        zs.extend(z[ok][: count - len(zs)])
-    return np.array(xs), np.array(zs)
 
 
 def main() -> int:
@@ -48,7 +37,7 @@ def main() -> int:
     print(f"{'family':20s} {'original':>12s} {'symmetric':>12s} {'literal':>12s}  preserved by")
     for tag in FAMILIES:
         bundle = make_family(canonical_config(tag))
-        x, z = sample(bundle, rng, args.points)
+        x, z = sample_points(bundle, rng, args.points)
         base = float(np.max(np.abs(four_function_residual(bundle.quadruple, x, z))))
         row = {"original": base}
         for variant in ("symmetric", "literal"):

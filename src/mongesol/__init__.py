@@ -71,6 +71,7 @@ from .verifier import (
     reconstruct_u,
     richardson_ratio,
     run_suite,
+    sample_points,
 )
 
 __version__ = "0.1.0"

@@ -18,11 +18,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DomainError, MongesolError
-from .families import family_from_dict, make_family
+from .families import family_from_dict, family_to_dict, make_family
 from .verifier import (
     DEFAULT_TOLERANCES,
     GridSpec,
+    KNOWN_CHECKS,
     ResidualReport,
+    _fmt,
     admissible_grid,
     default_checks,
     run_suite,
@@ -64,15 +66,22 @@ class RunConfig:
             raise ConfigError(f"probes and seed must be integers ({exc})") from None
         if probes < 1:
             raise ConfigError(f"probes must be at least 1, got {probes}")
+        checks = raw.get("checks")
+        if checks is not None and not (isinstance(checks, list)
+                                       and all(c in KNOWN_CHECKS for c in checks)):
+            raise ConfigError(f"checks must be a list of names from {KNOWN_CHECKS}, got {checks!r}")
+        out = raw.get("out", ".")
+        if not isinstance(out, str):
+            raise ConfigError(f"out must be a directory path, got {out!r}")
         return cls(
             family_dict=raw["family"],
             grid=None if raw.get("grid") is None else _parse_grid(raw["grid"]),
-            checks=raw.get("checks"),
-            tolerances=dict(raw.get("tolerances") or {}),
+            checks=checks,
+            tolerances=_number_map(raw, "tolerances"),
             probes=probes,
             seed=seed,
-            out=raw.get("out", "."),
-            mutate=dict(raw.get("mutate") or {}),
+            out=out,
+            mutate=_number_map(raw, "mutate"),
         )
 
     def bundle(self):
@@ -87,6 +96,15 @@ class RunConfig:
 
 
 _RECT_KEYS = ("x_lo", "x_hi", "z_lo", "z_hi")
+
+
+def _number_map(raw: dict, section: str) -> dict:
+    """The ``name: number`` object of a config section, values kept as written."""
+    value = raw.get(section) or {}
+    if not isinstance(value, dict) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in value.values()):
+        raise ConfigError(f"{section} must be an object of name: number pairs, got {value!r}")
+    return dict(value)
 
 
 def _parse_grid(raw) -> dict:
@@ -112,10 +130,6 @@ def _parse_grid(raw) -> dict:
     if g.get("m", 2) < 2:
         raise ConfigError(f"grid.m is the jet order and must be at least 2, got {g['m']}")
     return g
-
-
-def _fmt(v) -> str:
-    return f"{float(v):.17g}"
 
 
 def _write_report(report: ResidualReport, out_dir: Path):
@@ -178,7 +192,7 @@ def cmd_sweep(config: RunConfig, param: str, values: list[float], out_dir: Path)
     if not values:
         raise ConfigError("sweep needs a nonempty values list")
     base = dict(config.family_dict)
-    if param not in base:
+    if param not in family_to_dict(family_from_dict(base)):
         raise ConfigError(
             f"family {base.get('family')!r} has no parameter {param!r} to sweep"
         )

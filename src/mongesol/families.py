@@ -15,6 +15,7 @@ one constituent function together with its antiderivative.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, ConvergenceError, DomainError, FoldError
 from .functional_eq import GeneralQuadruple, Quadruple, SlopeBranch
-from .hodograph import implicit_jet, solve_implicit
+from .hodograph import _univariate_on_jet, implicit_jet, solve_implicit
 from .jets import (
     Jet2,
     compose_series,
@@ -223,23 +224,9 @@ class _Primitive:
         base = self.value(a.value)
         if a.m == 0:
             return Jet2.constant(base, 0)
-        gj = self.integrand(_reseed(a.value, a.m - 1))
+        gj = self.integrand(jet_seed(a.value, 0.0, a.m - 1)[0])
         tk = [base] + [gj.c[k, 0] / (k + 1) for k in range(a.m)]
         return compose_series(tk, a)
-
-
-def _reseed(values, m):
-    tj, _ = jet_seed(values, 0.0, m)
-    return tj
-
-
-def _uni(f: JetFunc, values, m: int) -> Jet2:
-    """Univariate jet of f at the given centers."""
-    return f(_reseed(values, m))
-
-
-def _uni_value(f: JetFunc, values):
-    return _uni(f, values, 1).value
 
 
 def _scaled(f: JetFunc, s: float) -> JetFunc:
@@ -409,20 +396,6 @@ class NThetaConstConfig:
             raise ConfigError("mn_theta_const needs nonzero mode amplitudes c, cbar")
 
 
-FAMILY_TAGS = (
-    "trivial",
-    "m1_implicit",
-    "degenerate",
-    "m3_sigma_const",
-    "m3_l1_const",
-    "m3_theta_const",
-    "m3_hodograph_example",
-    "m3_general",
-    "m3_general_e0",
-    "mn_theta_const",
-)
-
-
 # ---------------------------------------------------------------------------
 # builders: polynomial-chain families
 # ---------------------------------------------------------------------------
@@ -545,8 +518,8 @@ def _build_degenerate(cfg: DegenerateConfig, scales) -> FieldBundle:
         z = np.asarray(z, dtype=float)
         a = np.broadcast_to(float(cfg.seed_a), np.broadcast_shapes(x.shape, z.shape)).copy()
         for _ in range(60):
-            sj = _uni(slope, a, 1)
-            gj = _uni(g_fn, a, 1)
+            tj = jet_seed(a, 0.0, 1)[0]
+            sj, gj = slope(tj), g_fn(tj)
             r = x + sj.value * z - gj.value
             if np.max(np.abs(r)) <= 1e-12 * max(1.0, float(np.max(np.abs(gj.value)))):
                 der = jet_partial(gj, 1, 0) - jet_partial(sj, 1, 0) * z
@@ -564,10 +537,10 @@ def _build_degenerate(cfg: DegenerateConfig, scales) -> FieldBundle:
         xj, zj = jet_seed(x, z, m)
         aj = Jet2.constant(a0, m)
         for _ in range(max(1, m.bit_length() + 1)):
-            sj = _compose_uni(slope, aj)
-            gj = _compose_uni(g_fn, aj)
-            sp = _compose_uni(slope, aj, 1)
-            gp = _compose_uni(g_fn, aj, 1)
+            sj = _univariate_on_jet(slope, aj)
+            gj = _univariate_on_jet(g_fn, aj)
+            sp = _univariate_on_jet(slope, aj, 1)
+            gp = _univariate_on_jet(g_fn, aj, 1)
             aj = aj - (xj + sj * zj - gj) / (sp * zj - gp)
         return aj
 
@@ -575,7 +548,7 @@ def _build_degenerate(cfg: DegenerateConfig, scales) -> FieldBundle:
         aj = a_jet(x, z, m)
         a1 = b_fn(aj)
         out = {
-            "a0": _compose_uni(c_fn, aj),
+            "a0": _univariate_on_jet(c_fn, aj),
             "a1": a1 * s1 if s1 != 1.0 else a1,
             "W": aj,
         }
@@ -611,15 +584,6 @@ def _build_degenerate(cfg: DegenerateConfig, scales) -> FieldBundle:
         config=cfg,
         mutations=dict(scales),
     )
-
-
-def _compose_uni(f: JetFunc, a: Jet2, derivative: int = 0) -> Jet2:
-    """Univariate function of a Jet2-valued argument."""
-    fj = _uni(f, a.value, a.m + derivative)
-    for _ in range(derivative):
-        fj = fj.dx()
-    tk = [fj.c[k, 0] for k in range(a.m + 1)]
-    return compose_series(tk, a)
 
 
 # ---------------------------------------------------------------------------
@@ -1019,12 +983,6 @@ def _quadratic_slope_jets(x, z, m):
     return (zj - disc) * 0.5, (zj + disc) * 0.5
 
 
-def _quadratic_seeds():
-    lo = lambda x, z: (z - np.sqrt(z * z + 4 * x)) / 2
-    hi = lambda x, z: (z + np.sqrt(z * z + 4 * x)) / 2
-    return lo, hi
-
-
 def _build_hodograph_example(cfg: HodographExampleConfig, scales) -> FieldBundle:
     k, al, be = float(cfg.k), float(cfg.alpha), float(cfg.beta)
     if k == 0 or al == 0:
@@ -1125,17 +1083,21 @@ def _ref_slope(rect):
     return -xc / zc
 
 
-def _build_general(cfg: GeneralNuConfig, scales) -> FieldBundle:
-    g = float(cfg.g)
-    if g >= 0:
-        h = complex(0.0, math.sqrt(g))
-    else:
-        h = math.sqrt(-g)
+def _two_slope_bundle(cfg, scales, cprime: JetFunc, cprime_arr, comp2: JetFunc,
+                      comp_m1: JetFunc, sigma: JetFunc, sigma_x, theta: JetFunc | None,
+                      theta_z, **bundle_kw) -> FieldBundle:
+    """Degree-3 bundle whose two slopes are the roots of ``s^2 - z*s - x``.
+
+    ``cprime`` is C'(s) on jets and ``cprime_arr`` on arrays; ``comp2`` and
+    ``comp_m1`` are closed forms of the integrals of s^2 C'(s) and s^-1 C'(s).
+    A family with vanishing theta_z passes ``theta=None``: no term is then
+    added to ``a0`` or ``f_z``.  ``bundle_kw`` holds the family's own fields.
+    """
     sth, ssg = scales.get("theta", 1.0), scales.get("sigma", 1.0)
     sc1, sc2 = scales.get("c1", 1.0), scales.get("c2", 1.0)
 
-    cprime = lambda sj: -(sj * sj + g).recip()
-    lo_seed, hi_seed = _quadratic_seeds()
+    lo_seed = lambda x, z: (z - np.sqrt(z * z + 4 * x)) / 2
+    hi_seed = lambda x, z: (z + np.sqrt(z * z + 4 * x)) / 2
     xc, zc = 0.5 * (cfg.rect[0] + cfg.rect[1]), 0.5 * (cfg.rect[2] + cfg.rect[3])
     ref1, ref2 = lo_seed(xc, zc), hi_seed(xc, zc)
     prims = {
@@ -1144,49 +1106,30 @@ def _build_general(cfg: GeneralNuConfig, scales) -> FieldBundle:
         for ref in (ref1, ref2)
     }
 
-    def comp2(nuj):  # integral of s^2 C'(s): -s - (h/2) log((s-h)/(s+h))
-        return -nuj - (h / 2) * jlog((nuj - h) / (nuj + h))
-
-    def comp_m1(nuj):  # integral of s^-1 C'(s)
-        n2j = nuj * nuj
-        return (-1.0 / (2 * g)) * (jlog(n2j) - jlog(n2j + g))
-
-    def theta(zj):
-        return zj * 1.0
-
-    def sigma(xj):
-        return (1.0 / g) * (jlog(xj) - jlog(xj + g))
-
     def fields(x, z, m):
         xj, zj = jet_seed(x, z, m)
         n1, n2 = _quadratic_slope_jets(x, z, m)
+        a0 = comp2(n1) * sc1 + comp2(n2) * sc2
         out = {
             "a2": prims[(0, ref1)](n1) * sc1 + prims[(0, ref2)](n2) * sc2,
             "a1": prims[(1, ref1)](n1) * sc1 + prims[(1, ref2)](n2) * sc2,
-            "a0": comp2(n1) * sc1 + comp2(n2) * sc2 + theta(zj) * sth,
+            "a0": a0 if theta is None else a0 + theta(zj) * sth,
             "W": comp_m1(n1) * sc1 + comp_m1(n2) * sc2 + sigma(xj) * ssg,
         }
         out["f"] = out["a0"]
         return out
 
-    theta_z = _scaled_arr(lambda z: np.ones(np.shape(np.asarray(z))), sth)
-    sigma_x = _scaled_arr(lambda x: 1.0 / (np.asarray(x, dtype=float)
-                                           * (np.asarray(x, dtype=float) + g)), ssg)
+    theta_z = _scaled_arr(theta_z, sth)
+    sigma_x = _scaled_arr(sigma_x, ssg)
     sq = lambda tj: tj * tj
     general = GeneralQuadruple(
         branch1=SlopeBranch(kind="implicit", theta=sq, seed=lo_seed,
-                            cprime=_scaled_arr(lambda s: -1.0 / (s * s + g), sc1)),
+                            cprime=_scaled_arr(cprime_arr, sc1)),
         branch2=SlopeBranch(kind="implicit", theta=sq, seed=hi_seed,
-                            cprime=_scaled_arr(lambda s: -1.0 / (s * s + g), sc2)),
+                            cprime=_scaled_arr(cprime_arr, sc2)),
         theta_z=theta_z,
         sigma_x=sigma_x,
     )
-
-    def wf_res(w, f):
-        if g < 0:
-            return np.exp(2 * g * w) * np.cosh(f / math.sqrt(-g)) ** 2 - 1.0
-        val = np.exp(2 * g * w) * np.cosh(f / h) ** 2
-        return np.abs(val) - 1.0
 
     def forms(x, z):
         x = np.asarray(x, dtype=float)
@@ -1195,12 +1138,48 @@ def _build_general(cfg: GeneralNuConfig, scales) -> FieldBundle:
         n1, n2 = (z - root) / 2, (z + root) / 2
         p1 = general.branch1.cprime(n1) / (-root)
         p2 = general.branch2.cprime(n2) / root
+        f_z = n1 ** 3 * p1 + n2 ** 3 * p2
         return {
             "f_x": n1 ** 2 * p1 + n2 ** 2 * p2,
-            "f_z": n1 ** 3 * p1 + n2 ** 3 * p2 + theta_z(z),
+            "f_z": f_z if theta is None else f_z + theta_z(z),
             "W_x": p1 / n1 + p2 / n2 + sigma_x(x),
             "W_z": p1 + p2,
         }
+
+    return FieldBundle(
+        family=cfg.tag,
+        n=3,
+        fields_fn=fields,
+        general_quadruple=general,
+        derivative_forms=forms,
+        config=cfg,
+        mutations=dict(scales),
+        **bundle_kw,
+    )
+
+
+def _build_general(cfg: GeneralNuConfig, scales) -> FieldBundle:
+    g = float(cfg.g)
+    if g >= 0:
+        h = complex(0.0, math.sqrt(g))
+    else:
+        h = math.sqrt(-g)
+
+    def comp2(nuj):  # integral of s^2 C'(s): -s - (h/2) log((s-h)/(s+h))
+        return -nuj - (h / 2) * jlog((nuj - h) / (nuj + h))
+
+    def comp_m1(nuj):  # integral of s^-1 C'(s)
+        n2j = nuj * nuj
+        return (-1.0 / (2 * g)) * (jlog(n2j) - jlog(n2j + g))
+
+    def sigma(xj):
+        return (1.0 / g) * (jlog(xj) - jlog(xj + g))
+
+    def wf_res(w, f):
+        if g < 0:
+            return np.exp(2 * g * w) * np.cosh(f / math.sqrt(-g)) ** 2 - 1.0
+        val = np.exp(2 * g * w) * np.cosh(f / h) ** 2
+        return np.abs(val) - 1.0
 
     habs = abs(h)
     domain = SafeDomain(
@@ -1214,19 +1193,21 @@ def _build_general(cfg: GeneralNuConfig, scales) -> FieldBundle:
                 ((z + np.sqrt(np.maximum(z * z + 4 * x, 0.0))) / 2) ** 2 + g) - EPS),
         ),
     )
-    return FieldBundle(
-        family=cfg.tag,
-        n=3,
+    return _two_slope_bundle(
+        cfg, scales,
+        cprime=lambda sj: -(sj * sj + g).recip(),
+        cprime_arr=lambda s: -1.0 / (s * s + g),
+        comp2=comp2,
+        comp_m1=comp_m1,
+        sigma=sigma,
+        sigma_x=lambda x: 1.0 / (np.asarray(x, dtype=float) * (np.asarray(x, dtype=float) + g)),
+        theta=lambda zj: zj * 1.0,
+        theta_z=lambda z: np.ones(np.shape(np.asarray(z))),
         params={"g": g},
         domain=domain,
         wf_relation="cosh",
         mutation_slots=("sigma", "theta", "c1", "c2"),
-        fields_fn=fields,
-        general_quadruple=general,
         wf_residual=wf_res,
-        derivative_forms=forms,
-        config=cfg,
-        mutations=dict(scales),
     )
 
 
@@ -1234,18 +1215,6 @@ def _build_general_e0(cfg: GeneralNuE0Config, scales) -> FieldBundle:
     a = float(cfg.a)
     a1, a2 = sorted((float(cfg.alpha1), float(cfg.alpha2)))
     c = a * a1 * a2
-    ssg = scales.get("sigma", 1.0)
-    sc1, sc2 = scales.get("c1", 1.0), scales.get("c2", 1.0)
-
-    cprime = lambda sj: (poly_jet((a1, 0, 0, 1.0), sj) * poly_jet((a2, 0, 0, 1.0), sj) * a).recip()
-    lo_seed, hi_seed = _quadratic_seeds()
-    xc, zc = 0.5 * (cfg.rect[0] + cfg.rect[1]), 0.5 * (cfg.rect[2] + cfg.rect[3])
-    ref1, ref2 = lo_seed(xc, zc), hi_seed(xc, zc)
-    prims = {
-        (r, ref): _Primitive(lambda sj, r=r: jpow(sj, r) * cprime(sj), ref=ref)
-        for r in (0, 1)
-        for ref in (ref1, ref2)
-    }
 
     def comp2(nuj):  # integral of s^2 C'(s), closed form in w = s^3
         wj = jpow(nuj, 3)
@@ -1262,31 +1231,6 @@ def _build_general_e0(cfg: GeneralNuE0Config, scales) -> FieldBundle:
     def sigma(xj):
         return (1.0 / (3 * c)) * jlog(jpow(xj, -3) * c + a)
 
-    def fields(x, z, m):
-        xj, zj = jet_seed(x, z, m)
-        n1, n2 = _quadratic_slope_jets(x, z, m)
-        out = {
-            "a0": comp2(n1) * sc1 + comp2(n2) * sc2,
-            "a1": prims[(1, ref1)](n1) * sc1 + prims[(1, ref2)](n2) * sc2,
-            "a2": prims[(0, ref1)](n1) * sc1 + prims[(0, ref2)](n2) * sc2,
-            "W": comp_m1(n1) * sc1 + comp_m1(n2) * sc2 + sigma(xj) * ssg,
-        }
-        out["f"] = out["a0"]
-        return out
-
-    sigma_x = _scaled_arr(
-        lambda x: -1.0 / (np.asarray(x, dtype=float) * (a * np.asarray(x, dtype=float) ** 3 + c)),
-        ssg,
-    )
-    sq = lambda tj: tj * tj
-    cfn = lambda s: 1.0 / (a * (s ** 3 + a1) * (s ** 3 + a2))
-    general = GeneralQuadruple(
-        branch1=SlopeBranch(kind="implicit", theta=sq, seed=lo_seed, cprime=_scaled_arr(cfn, sc1)),
-        branch2=SlopeBranch(kind="implicit", theta=sq, seed=hi_seed, cprime=_scaled_arr(cfn, sc2)),
-        theta_z=lambda z: np.zeros(np.shape(np.asarray(z))),
-        sigma_x=sigma_x,
-    )
-
     def wf_res(w, f):
         mu = 3 * a * (a2 - a1) * f
         t1 = a * (a2 - a1 * np.exp(-mu)) / (a2 - a1)
@@ -1294,20 +1238,6 @@ def _build_general_e0(cfg: GeneralNuE0Config, scales) -> FieldBundle:
         if np.any(np.real(t1) <= 0) or np.any(np.real(t2) <= 0):
             raise DomainError("two-log relation: log argument not positive")
         return 3 * c * (a2 - a1) * w - a2 * np.log(t1) + a1 * np.log(t2)
-
-    def forms(x, z):
-        x = np.asarray(x, dtype=float)
-        z = np.asarray(z, dtype=float)
-        root = np.sqrt(z * z + 4 * x)
-        n1, n2 = (z - root) / 2, (z + root) / 2
-        p1 = general.branch1.cprime(n1) / (-root)
-        p2 = general.branch2.cprime(n2) / root
-        return {
-            "f_x": n1 ** 2 * p1 + n2 ** 2 * p2,
-            "f_z": n1 ** 3 * p1 + n2 ** 3 * p2,
-            "W_x": p1 / n1 + p2 / n2 + sigma_x(x),
-            "W_z": p1 + p2,
-        }
 
     def q_vals(alpha, x, z):
         return -x ** 3 + alpha * (z ** 3 + 3 * x * z) + alpha ** 2
@@ -1323,19 +1253,23 @@ def _build_general_e0(cfg: GeneralNuE0Config, scales) -> FieldBundle:
             ("sigma_log_arg", lambda x, z: a + c * x ** -3.0 - EPS),
         ),
     )
-    return FieldBundle(
-        family=cfg.tag,
-        n=3,
+    return _two_slope_bundle(
+        cfg, scales,
+        cprime=lambda sj: (poly_jet((a1, 0, 0, 1.0), sj) * poly_jet((a2, 0, 0, 1.0), sj)
+                           * a).recip(),
+        cprime_arr=lambda s: 1.0 / (a * (s ** 3 + a1) * (s ** 3 + a2)),
+        comp2=comp2,
+        comp_m1=comp_m1,
+        sigma=sigma,
+        sigma_x=lambda x: -1.0 / (np.asarray(x, dtype=float)
+                                  * (a * np.asarray(x, dtype=float) ** 3 + c)),
+        theta=None,
+        theta_z=lambda z: np.zeros(np.shape(np.asarray(z))),
         params={"a": a, "alpha1": a1, "alpha2": a2, "c": c},
         domain=domain,
         wf_relation="two_log",
         mutation_slots=("sigma", "c1", "c2"),
-        fields_fn=fields,
-        general_quadruple=general,
         wf_residual=wf_res,
-        derivative_forms=forms,
-        config=cfg,
-        mutations=dict(scales),
     )
 
 
@@ -1343,26 +1277,35 @@ def _build_general_e0(cfg: GeneralNuE0Config, scales) -> FieldBundle:
 # dispatch, serialization, canonical parameter sets
 # ---------------------------------------------------------------------------
 
-_BUILDERS = {
-    "trivial": _build_trivial,
-    "m1_implicit": _build_m1,
-    "degenerate": _build_degenerate,
-    "m3_sigma_const": _build_sigma_const,
-    "m3_l1_const": _build_l1_const,
-    "m3_theta_const": _build_theta_const,
-    "m3_hodograph_example": _build_hodograph_example,
-    "m3_general": _build_general,
-    "m3_general_e0": _build_general_e0,
-    "mn_theta_const": _build_n_theta_const,
-}
+# tag -> (config class, builder, canonical parameters); a family is its config
+# class, its builder and one entry here
+_REGISTRY = {cls.tag: (cls, build, canonical) for cls, build, canonical in (
+    (TrivialConfig, _build_trivial,
+     dict(n=2, terms=(((1 + 0j), (0, 0, 1.0)), ((-1 + 0j), (0, 0, 1.0))))),
+    (M1ImplicitConfig, _build_m1, dict(f_coeffs=(0.0, 0.0, 0.0, 1.0), seed_lambda=1.2)),
+    (DegenerateConfig, _build_degenerate,
+     dict(c_coeffs=(0.0, 0.0, 1.0), g_coeffs=(0.0, 1.0), seed_a=2.0)),
+    (SigmaConstConfig, _build_sigma_const, dict(nu=(1.0, 2.0), A=1.0, k=1.0)),
+    (L1ConstConfig, _build_l1_const, dict(nu=(1.0, 2.0), D=1.0, k=1.0)),
+    (ThetaConstConfig, _build_theta_const, dict(nu=(1.0, 2.0), E=1.0, k=1.0)),
+    (HodographExampleConfig, _build_hodograph_example, dict(k=1.0, alpha=1.0, beta=2.0)),
+    (GeneralNuConfig, _build_general, dict(g=-1.0)),
+    (GeneralNuE0Config, _build_general_e0, dict(a=1.0, alpha1=1.0, alpha2=2.0)),
+    (NThetaConstConfig, _build_n_theta_const, dict(n=4, nu=(1.0, 2.0), E=1.0, k=0.1)),
+)}
+
+FAMILY_TAGS = tuple(_REGISTRY)
+
+
+def _entry(tag):
+    if isinstance(tag, str) and tag in _REGISTRY:
+        return _REGISTRY[tag]
+    raise ConfigError(f"unknown family tag {tag!r}")
 
 
 def make_family(cfg, mutations: dict | None = None) -> FieldBundle:
     """Build the field bundle for a family configuration."""
-    builder = _BUILDERS.get(cfg.tag)
-    if builder is None:
-        raise ConfigError(f"unknown family tag {cfg.tag!r}")
-    bundle = builder(cfg, dict(mutations or {}))
+    bundle = _entry(cfg.tag)[1](cfg, dict(mutations or {}))
     for name in bundle.mutations:
         if name not in bundle.mutation_slots:
             raise ConfigError(
@@ -1377,105 +1320,6 @@ def _num(v):
     return v
 
 
-def family_from_dict(d: dict):
-    """Parse the JSON form of a family configuration (tag field ``family``)."""
-    if not isinstance(d, dict) or "family" not in d:
-        raise ConfigError("family config must be an object with a 'family' tag")
-    d = dict(d)
-    tag = d.pop("family")
-    try:
-        if tag == "trivial":
-            terms = tuple((_num(lam), tuple(map(_num, coeffs))) for lam, coeffs in d.pop("terms"))
-            return TrivialConfig(n=int(d.pop("n")), terms=terms, **_rect_kw(d))
-        if tag == "m1_implicit":
-            return M1ImplicitConfig(f_coeffs=tuple(d.pop("F")),
-                                    seed_lambda=float(d.pop("seed_lambda", 1.0)), **_rect_kw(d))
-        if tag == "degenerate":
-            return DegenerateConfig(c_coeffs=tuple(d.pop("C")), g_coeffs=tuple(d.pop("G")),
-                                    seed_a=float(d.pop("seed_a", 1.0)), **_rect_kw(d))
-        if tag == "m3_sigma_const":
-            return SigmaConstConfig(nu=_nu_pair(d), A=float(d.pop("A", 1.0)),
-                                    k=float(d.pop("k", 1.0)), d1=float(d.pop("d1", 0.0)),
-                                    d2=float(d.pop("d2", 0.0)), **_rect_kw(d))
-        if tag == "m3_l1_const":
-            return L1ConstConfig(nu=_nu_pair(d), D=float(d.pop("D", 1.0)),
-                                 k=float(d.pop("k", 1.0)),
-                                 dtilde_mode=d.pop("dtilde_mode", "nu1_plus_nu2"), **_rect_kw(d))
-        if tag == "m3_theta_const":
-            return ThetaConstConfig(nu=_nu_pair(d), E=float(d.pop("E", 1.0)),
-                                    k=float(d.pop("k", 1.0)), **_rect_kw(d))
-        if tag == "m3_hodograph_example":
-            return HodographExampleConfig(k=float(d.pop("k", 1.0)), alpha=float(d.pop("alpha", 1.0)),
-                                          beta=float(d.pop("beta", 2.0)), **_rect_kw(d))
-        if tag == "m3_general":
-            return GeneralNuConfig(g=float(d.pop("g", -1.0)), **_rect_kw(d))
-        if tag == "m3_general_e0":
-            c = d.pop("c", None)
-            return GeneralNuE0Config(a=float(d.pop("a", 1.0)), alpha1=float(d.pop("alpha1", 1.0)),
-                                     alpha2=float(d.pop("alpha2", 2.0)),
-                                     c=None if c is None else float(c), **_rect_kw(d))
-        if tag == "mn_theta_const":
-            return NThetaConstConfig(n=int(d.pop("n")), nu=_nu_pair(d),
-                                     E=float(d.pop("E", 1.0)), k=float(d.pop("k", 0.1)),
-                                     c=float(d.pop("c", 1.0)), cbar=float(d.pop("cbar", 1.0)),
-                                     **_rect_kw(d))
-    except KeyError as exc:
-        raise ConfigError(f"family {tag!r}: missing required field {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"family {tag!r}: malformed field value ({exc})") from None
-    raise ConfigError(f"unknown family tag {tag!r}")
-
-
-def _nu_pair(d: dict) -> tuple:
-    nu = tuple(d.pop("nu"))
-    if len(nu) != 2 or not all(isinstance(v, (int, float)) for v in nu):
-        raise ValueError(f"nu must be a pair of numbers [nu1, nu2], got {list(nu)!r}")
-    return nu
-
-
-def _rect_kw(d: dict) -> dict:
-    out = {}
-    if "rect" in d:
-        rect = d.pop("rect")
-        if len(rect) != 4:
-            raise ConfigError("rect must be [x_lo, x_hi, z_lo, z_hi]")
-        out["rect"] = tuple(float(v) for v in rect)
-    if d:
-        raise ConfigError(f"unknown family config fields: {sorted(d)}")
-    return out
-
-
-def family_to_dict(cfg) -> dict:
-    """Inverse of :func:`family_from_dict`."""
-    out = {"family": cfg.tag, "rect": list(cfg.rect)}
-    if cfg.tag == "trivial":
-        out["n"] = cfg.n
-        out["terms"] = [
-            [_num_out(lam), [_num_out(c) for c in coeffs]] for lam, coeffs in cfg.terms
-        ]
-    elif cfg.tag == "m1_implicit":
-        out.update(F=list(cfg.f_coeffs), seed_lambda=cfg.seed_lambda)
-    elif cfg.tag == "degenerate":
-        out.update(C=list(cfg.c_coeffs), G=list(cfg.g_coeffs), seed_a=cfg.seed_a)
-    elif cfg.tag == "m3_sigma_const":
-        out.update(nu=list(cfg.nu), A=cfg.A, k=cfg.k, d1=cfg.d1, d2=cfg.d2)
-    elif cfg.tag == "m3_l1_const":
-        out.update(nu=list(cfg.nu), D=cfg.D, k=cfg.k, dtilde_mode=cfg.dtilde_mode)
-    elif cfg.tag == "m3_theta_const":
-        out.update(nu=list(cfg.nu), E=cfg.E, k=cfg.k)
-    elif cfg.tag == "m3_hodograph_example":
-        out.update(k=cfg.k, alpha=cfg.alpha, beta=cfg.beta)
-    elif cfg.tag == "m3_general":
-        out.update(g=cfg.g)
-    elif cfg.tag == "m3_general_e0":
-        out.update(a=cfg.a, alpha1=cfg.alpha1, alpha2=cfg.alpha2, c=cfg.c)
-    elif cfg.tag == "mn_theta_const":
-        out.update(n=cfg.n, nu=list(cfg.nu), E=cfg.E, k=cfg.k, c=cfg.c, cbar=cfg.cbar)
-    else:  # pragma: no cover
-        raise ConfigError(f"unknown family tag {cfg.tag!r}")
-    return out
-
-
 def _num_out(v):
     v = complex(v)
     if v.imag == 0:
@@ -1483,26 +1327,79 @@ def _num_out(v):
     return [v.real, v.imag]
 
 
+def _nu_pair(value) -> tuple:
+    nu = tuple(value)
+    if len(nu) != 2 or not all(isinstance(v, (int, float)) for v in nu):
+        raise ValueError(f"nu must be a pair of numbers [nu1, nu2], got {list(nu)!r}")
+    return nu
+
+
+def _numbers(value) -> tuple:
+    out = tuple(value)
+    if not all(isinstance(v, (int, float, complex)) for v in out):
+        raise ValueError(f"expected a list of numbers, got {list(out)!r}")
+    return out
+
+
+def _rect(value) -> tuple:
+    if len(value) != 4:
+        raise ConfigError("rect must be [x_lo, x_hi, z_lo, z_hi]")
+    return tuple(float(v) for v in value)
+
+
+# JSON keys that differ from the config field name
+_JSON_KEYS = {"f_coeffs": "F", "c_coeffs": "C", "g_coeffs": "G"}
+# JSON value -> field value, by field name first, then by annotated type
+_FIELD_PARSERS = {
+    "nu": _nu_pair,
+    "rect": _rect,
+    "terms": lambda terms: tuple((_num(lam), _numbers(map(_num, coeffs))) for lam, coeffs in terms),
+}
+_TYPE_PARSERS = {
+    "int": int,
+    "float": float,
+    "float | None": lambda v: None if v is None else float(v),
+    "str": lambda v: v,
+    "tuple": _numbers,
+}
+
+
+def family_from_dict(d: dict):
+    """Parse the JSON form of a family configuration (tag field ``family``)."""
+    if not isinstance(d, dict) or "family" not in d:
+        raise ConfigError("family config must be an object with a 'family' tag")
+    d = dict(d)
+    tag = d.pop("family")
+    cls = _entry(tag)[0]
+    kw = {}
+    try:
+        for f in dataclasses.fields(cls):
+            key = _JSON_KEYS.get(f.name, f.name)
+            if key in d:
+                kw[f.name] = (_FIELD_PARSERS.get(f.name) or _TYPE_PARSERS[f.type])(d.pop(key))
+            elif f.default is dataclasses.MISSING:
+                raise ConfigError(f"family {tag!r}: missing required field {key!r}")
+        if d:
+            raise ConfigError(f"unknown family config fields: {sorted(d)}")
+        return cls(**kw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"family {tag!r}: malformed field value ({exc})") from None
+
+
+def family_to_dict(cfg) -> dict:
+    """Inverse of :func:`family_from_dict`: ``family``, ``rect``, then the fields in order."""
+    out = {"family": cfg.tag, "rect": list(cfg.rect)}
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.name == "terms":
+            value = [[_num_out(lam), [_num_out(c) for c in coeffs]] for lam, coeffs in value]
+        elif f.type == "tuple":
+            value = list(value)
+        out[_JSON_KEYS.get(f.name, f.name)] = value
+    return out
+
+
 def canonical_config(tag: str):
     """The reference parameter set each family is verified with."""
-    if tag == "trivial":
-        return TrivialConfig(n=2, terms=(((1 + 0j), (0, 0, 1.0)), ((-1 + 0j), (0, 0, 1.0))))
-    if tag == "m1_implicit":
-        return M1ImplicitConfig(f_coeffs=(0.0, 0.0, 0.0, 1.0), seed_lambda=1.2)
-    if tag == "degenerate":
-        return DegenerateConfig(c_coeffs=(0.0, 0.0, 1.0), g_coeffs=(0.0, 1.0), seed_a=2.0)
-    if tag == "m3_sigma_const":
-        return SigmaConstConfig(nu=(1.0, 2.0), A=1.0, k=1.0)
-    if tag == "m3_l1_const":
-        return L1ConstConfig(nu=(1.0, 2.0), D=1.0, k=1.0)
-    if tag == "m3_theta_const":
-        return ThetaConstConfig(nu=(1.0, 2.0), E=1.0, k=1.0)
-    if tag == "m3_hodograph_example":
-        return HodographExampleConfig(k=1.0, alpha=1.0, beta=2.0)
-    if tag == "m3_general":
-        return GeneralNuConfig(g=-1.0)
-    if tag == "m3_general_e0":
-        return GeneralNuE0Config(a=1.0, alpha1=1.0, alpha2=2.0)
-    if tag == "mn_theta_const":
-        return NThetaConstConfig(n=4, nu=(1.0, 2.0), E=1.0, k=0.1)
-    raise ConfigError(f"unknown family tag {tag!r}")
+    cls, _, canonical = _entry(tag)
+    return cls(**canonical)

@@ -37,6 +37,7 @@ __all__ = [
     "richardson_ratio",
     "run_suite",
     "default_checks",
+    "sample_points",
 ]
 
 KNOWN_CHECKS = ("compat", "dependence", "wf", "eq5", "eq10", "reconstruct")
@@ -369,7 +370,7 @@ def _cumulative_simpson_cols(fv, wv, nodes, refine, j0):
 def check_equation(bundle: FieldBundle, rng: np.random.Generator, probes: int,
                    tol: float, which: str) -> CheckResult:
     """Constraint residual at random safe points (relative-normalized)."""
-    x, z = _sample_points(bundle, rng, probes)
+    x, z = sample_points(bundle, rng, probes)
     if which == "eq5":
         if bundle.quadruple is None:
             raise ConfigError(f"family {bundle.family!r} has no constant-slope quadruple (eq5)")
@@ -386,7 +387,8 @@ def check_equation(bundle: FieldBundle, rng: np.random.Generator, probes: int,
                    extra={"max_rel": float(np.max(np.abs(rel))), "probes": int(x.size)})
 
 
-def _sample_points(bundle: FieldBundle, rng: np.random.Generator, count: int):
+def sample_points(bundle: FieldBundle, rng: np.random.Generator, count: int):
+    """``count`` seeded uniform points of the bundle's rectangle inside its safe domain."""
     x_lo, x_hi, z_lo, z_hi = bundle.domain.rect
     xs: list[float] = []
     zs: list[float] = []

@@ -30,6 +30,7 @@ from mongesol.verifier import (
     reconstruct_u,
     richardson_ratio,
     run_suite,
+    sample_points,
 )
 
 RNG_SEED = 20260810
@@ -38,18 +39,6 @@ RNG_SEED = 20260810
 def _report(name: str, ok: bool, detail: str):
     print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
     assert ok, f"{name}: {detail}"
-
-
-def _samples(bundle, rng, count):
-    x_lo, x_hi, z_lo, z_hi = bundle.domain.rect
-    xs, zs = [], []
-    while len(xs) < count:
-        x = rng.uniform(x_lo, x_hi, 4 * count)
-        z = rng.uniform(z_lo, z_hi, 4 * count)
-        ok = bundle.domain.mask(x, z)
-        xs.extend(x[ok][: count - len(xs)])
-        zs.extend(z[ok][: count - len(zs)])
-    return np.array(xs), np.array(zs)
 
 
 def test_criterion_01_polynomial_superposition():
@@ -78,7 +67,7 @@ def test_criterion_02_degree_one_slope_equation():
     for coeffs, seed in (((0.0, 0.0, 0.0, 1.0), 1.2), ((0.25, 0.5, 0.0, 1.0), 1.0)):
         b = make_family(M1ImplicitConfig(f_coeffs=coeffs, seed_lambda=seed,
                                          rect=(1.0, 2.0, 0.1, 0.5)))
-        x, z = _samples(b, rng, 200)
+        x, z = sample_points(b, rng, 200)
         fl = b.eval_fields(x, z, 2)
         lam = fl["a0"]
         resid = np.abs(jet_partial(lam, 0, 1) - lam.value * jet_partial(lam, 1, 0))
@@ -111,7 +100,7 @@ def test_criterion_04_degenerate_slope():
     for c_coeffs in ((0.0, 1.0), (0.0, 0.0, 1.0)):
         b = make_family(DegenerateConfig(c_coeffs=c_coeffs, g_coeffs=(0.0, 1.0),
                                          seed_a=2.0, rect=(2.0, 4.0, 0.1, 0.6)))
-        x, z = _samples(b, rng, 100)
+        x, z = sample_points(b, rng, 100)
         fl = b.eval_fields(x, z, 2)
         a = fl["W"]
         cprime = np.polyder(np.poly1d(list(reversed(c_coeffs))))
@@ -168,7 +157,7 @@ def test_criterion_07_duality_variants():
     records = []
     for tag in ("m3_sigma_const", "m3_l1_const", "m3_theta_const"):
         b = make_family(canonical_config(tag))
-        x, z = _samples(b, rng, 50)
+        x, z = sample_points(b, rng, 50)
         passing = []
         for variant in ("symmetric", "literal"):
             r = float(np.max(np.abs(four_function_residual(

@@ -153,6 +153,16 @@ def test_sweep_curvature_parameter(tmp_path):
     assert len(wf_rows) == 3 and all(r[5] == "true" for r in wf_rows)
 
 
+def test_sweep_parameter_left_at_its_default(tmp_path):
+    cfg = _write(tmp_path, "sigma_default.json",
+                 {"family": {"family": "m3_sigma_const", "nu": [1, 2]}})
+    out = tmp_path / "osd"
+    assert main(["sweep", "--config", cfg, "--param", "A",
+                 "--values", "0.5,2", "--out", str(out)]) == 0
+    rows = list(csv.reader((out / "sweep.csv").open()))
+    assert sorted({r[0] for r in rows[1:]}) == ["0.5", "2"]
+
+
 def test_sweep_unknown_parameter_exits_2(sigma_cfg, tmp_path):
     assert main(["sweep", "--config", sigma_cfg, "--param", "Q",
                  "--values", "1", "--out", str(tmp_path / "oq")]) == 2
@@ -184,7 +194,17 @@ def _strict_json(text):
     {"grid": {"m": 1}},
     {"probes": 0},
     {"family": {"family": "m3_sigma_const", "nu": [1], "A": 1.0, "k": 1.0}},
-], ids=["grid_nx_not_a_number", "grid_m_below_2", "probes_zero", "nu_single_value"])
+    {"checks": 5},
+    {"tolerances": [1, 2]},
+    {"tolerances": {"wf": "abc"}},
+    {"mutate": "x"},
+    {"mutate": {"theta": "big"}},
+    {"out": 5},
+    {"family": {"family": "m1_implicit", "F": ["a", 1]}},
+], ids=["grid_nx_not_a_number", "grid_m_below_2", "probes_zero", "nu_single_value",
+        "checks_not_a_list", "tolerances_not_an_object", "tolerance_not_a_number",
+        "mutate_not_an_object", "mutate_factor_not_a_number", "out_not_a_path",
+        "coefficient_not_a_number"])
 def test_malformed_config_field_exits_2(tmp_path, capsys, section):
     cfg = _write(tmp_path, "bad.json", {
         "family": {"family": "m3_sigma_const", "nu": [1, 2], "A": 1.0, "k": 1.0},

@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mongesol.errors import ConfigError, DomainError
 from mongesol.families import (
@@ -8,8 +12,11 @@ from mongesol.families import (
     GeneralNuConfig,
     GeneralNuE0Config,
     HodographExampleConfig,
+    L1ConstConfig,
     M1ImplicitConfig,
+    NThetaConstConfig,
     SigmaConstConfig,
+    ThetaConstConfig,
     TrivialConfig,
     canonical_config,
     family_from_dict,
@@ -18,18 +25,7 @@ from mongesol.families import (
     trivial_random_symmetric,
 )
 from mongesol.jets import jet_partial
-
-
-def _sample(bundle, rng, count):
-    x_lo, x_hi, z_lo, z_hi = bundle.domain.rect
-    xs, zs = [], []
-    while len(xs) < count:
-        x = rng.uniform(x_lo, x_hi, 4 * count)
-        z = rng.uniform(z_lo, z_hi, 4 * count)
-        ok = bundle.domain.mask(x, z)
-        xs.extend(x[ok][: count - len(xs)])
-        zs.extend(z[ok][: count - len(zs)])
-    return np.array(xs), np.array(zs)
+from mongesol.verifier import sample_points
 
 
 # -- polynomial superposition family -----------------------------------------
@@ -49,7 +45,7 @@ def test_trivial_top_field_equals_bottom_any_degree():
     rng = np.random.default_rng(4)
     for n in (2, 3, 4):
         b = make_family(trivial_random_symmetric(n, 4, rng))
-        x, z = _sample(b, rng, 20)
+        x, z = sample_points(b, rng, 20)
         fl = b.eval_fields(x, z, 2)
         scale = max(1.0, float(np.max(np.abs(fl["a0"].value))))
         assert np.max(np.abs(fl["W"].value - fl["a0"].value)) <= 1e-12 * scale
@@ -81,7 +77,7 @@ def test_m1_zero_rhs_slope_field():
 def test_m1_classical_slope_equation():
     b = make_family(canonical_config("m1_implicit"))
     rng = np.random.default_rng(6)
-    x, z = _sample(b, rng, 50)
+    x, z = sample_points(b, rng, 50)
     fl = b.eval_fields(x, z, 2)
     lam = fl["a0"]
     resid = jet_partial(lam, 0, 1) - lam.value * jet_partial(lam, 1, 0)
@@ -110,7 +106,7 @@ def test_degenerate_characteristic_slope(c_coeffs):
                            rect=(2.0, 4.0, 0.1, 0.6))
     b = make_family(cfg)
     rng = np.random.default_rng(7)
-    x, z = _sample(b, rng, 40)
+    x, z = sample_points(b, rng, 40)
     fl = b.eval_fields(x, z, 2)
     a = fl["W"]
     cprime = np.polyder(np.poly1d(list(reversed(c_coeffs))))
@@ -124,7 +120,7 @@ def test_degenerate_characteristic_slope(c_coeffs):
 def test_sigma_const_quadruple_values():
     b = make_family(canonical_config("m3_sigma_const"))
     rng = np.random.default_rng(8)
-    x, z = _sample(b, rng, 20)
+    x, z = sample_points(b, rng, 20)
     sx, tz, p, qd = b.eval_quadruple(x, z)
     assert np.all(sx == b.params["A"])  # constant by construction
     assert np.all(np.isfinite(tz)) and np.all(np.isfinite(p)) and np.all(np.isfinite(qd))
@@ -133,7 +129,7 @@ def test_sigma_const_quadruple_values():
 def test_l1_const_quadruple_values():
     b = make_family(canonical_config("m3_l1_const"))
     rng = np.random.default_rng(9)
-    x, z = _sample(b, rng, 20)
+    x, z = sample_points(b, rng, 20)
     _, _, p, _ = b.eval_quadruple(x, z)
     assert np.all(p == b.params["D"])
 
@@ -141,7 +137,7 @@ def test_l1_const_quadruple_values():
 def test_theta_const_quadruple_values():
     b = make_family(canonical_config("m3_theta_const"))
     rng = np.random.default_rng(10)
-    x, z = _sample(b, rng, 20)
+    x, z = sample_points(b, rng, 20)
     _, tz, _, _ = b.eval_quadruple(x, z)
     assert np.all(tz == b.params["E"])
 
@@ -160,7 +156,7 @@ def test_derivative_forms_match_field_jets(tag):
     # the antiderivative route (fields) and the derivative route agree exactly
     b = make_family(canonical_config(tag))
     rng = np.random.default_rng(11)
-    x, z = _sample(b, rng, 25)
+    x, z = sample_points(b, rng, 25)
     fl = b.eval_fields(x, z, 2)
     df = b.derivative_forms(x, z)
     scale = max(1.0, float(np.max(np.abs(df["f_z"]))))
@@ -175,7 +171,7 @@ def test_wf_relations_hold_pointwise():
     for tag in ("trivial", "m3_sigma_const", "m3_l1_const", "m3_theta_const",
                 "m3_hodograph_example", "m3_general", "m3_general_e0"):
         b = make_family(canonical_config(tag))
-        x, z = _sample(b, rng, 30)
+        x, z = sample_points(b, rng, 30)
         fl = b.eval_fields(x, z, 2)
         resid = b.wf_residual(fl["W"].value, fl["f"].value)
         assert np.max(np.abs(resid)) <= 1e-9, tag
@@ -185,7 +181,7 @@ def test_hodograph_example_relation_spotcheck():
     # k=1, alpha=1, beta=2: exp(3W) + exp(-3f) = 2
     b = make_family(HodographExampleConfig(k=1.0, alpha=1.0, beta=2.0))
     rng = np.random.default_rng(13)
-    x, z = _sample(b, rng, 30)
+    x, z = sample_points(b, rng, 30)
     fl = b.eval_fields(x, z, 2)
     lhs = np.exp(3 * fl["W"].value) + np.exp(-3 * fl["f"].value)
     assert np.max(np.abs(lhs - 2.0)) <= 1e-9
@@ -194,7 +190,7 @@ def test_hodograph_example_relation_spotcheck():
 def test_general_cosh_relation_spotcheck():
     b = make_family(GeneralNuConfig(g=-1.0))
     rng = np.random.default_rng(14)
-    x, z = _sample(b, rng, 100)
+    x, z = sample_points(b, rng, 100)
     fl = b.eval_fields(x, z, 2)
     lhs = np.exp(2 * (-1.0) * fl["W"].value) * np.cosh(fl["f"].value) ** 2
     assert np.max(np.abs(lhs - 1.0)) <= 1e-9
@@ -222,7 +218,7 @@ def test_mutation_slots_validate():
         b.with_mutation("bogus", 1.1)
     same = b.with_mutation("theta", 1.0)
     rng = np.random.default_rng(15)
-    x, z = _sample(b, rng, 10)
+    x, z = sample_points(b, rng, 10)
     f0, f1 = b.eval_fields(x, z, 2), same.eval_fields(x, z, 2)
     assert np.max(np.abs(f0["f"].value - f1["f"].value)) == 0.0
 
@@ -243,10 +239,77 @@ def test_config_serialization_roundtrip():
         assert family_to_dict(back) == d
 
 
+_real = st.floats(-1e3, 1e3, allow_nan=False)
+_positive = st.floats(1e-3, 1e3)
+_nonzero = _real.filter(lambda v: v != 0)
+_pair = st.tuples(_real, _real)
+_rect = st.tuples(_real, _real, _real, _real)
+
+
+def _coeffs(min_size):
+    return st.lists(_real, min_size=min_size, max_size=5).map(tuple)
+
+
+@st.composite
+def _general_e0(draw):
+    a, alpha1 = draw(_positive), draw(_positive)
+    alpha2 = draw(_positive.filter(lambda v: v != alpha1))
+    c = draw(st.sampled_from([None, a * alpha1 * alpha2]))
+    return GeneralNuE0Config(a=a, alpha1=alpha1, alpha2=alpha2, c=c, rect=draw(_rect))
+
+
+# valid configs of every family (a new tag needs an entry here)
+CONFIGS = {
+    "trivial": st.builds(trivial_random_symmetric, st.integers(1, 6), st.integers(0, 3),
+                         st.integers(0, 2 ** 32 - 1).map(np.random.default_rng), rect=_rect),
+    "m1_implicit": st.builds(M1ImplicitConfig, f_coeffs=_coeffs(1), seed_lambda=_real,
+                             rect=_rect),
+    "degenerate": st.builds(DegenerateConfig, c_coeffs=_coeffs(2), g_coeffs=_coeffs(1),
+                            seed_a=_real, rect=_rect),
+    "m3_sigma_const": st.builds(SigmaConstConfig, nu=_pair, A=_real, k=_real, d1=_real,
+                                d2=_real, rect=_rect),
+    "m3_l1_const": st.builds(L1ConstConfig, nu=_pair, D=_real, k=_real,
+                             dtilde_mode=st.sampled_from(["nu1_plus_nu2", "nu2"]), rect=_rect),
+    "m3_theta_const": st.builds(ThetaConstConfig, nu=_pair, E=_real, k=_real, rect=_rect),
+    "m3_hodograph_example": st.builds(HodographExampleConfig, k=_real, alpha=_real, beta=_real,
+                                      rect=_rect),
+    "m3_general": st.builds(GeneralNuConfig, g=_nonzero, rect=_rect),
+    "m3_general_e0": _general_e0(),
+    "mn_theta_const": st.builds(NThetaConstConfig, n=st.integers(2, 8), nu=_pair, E=_real,
+                                k=_real, c=_nonzero, cbar=_nonzero, rect=_rect),
+}
+
+
+@pytest.mark.parametrize("tag", FAMILY_TAGS)
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_family_dict_roundtrip(tag, data):
+    cfg = data.draw(CONFIGS[tag])
+    assert family_from_dict(json.loads(json.dumps(family_to_dict(cfg)))) == cfg
+
+
+@pytest.mark.parametrize("tag, keys", [
+    ("trivial", ["n", "terms"]),
+    ("m1_implicit", ["F", "seed_lambda"]),
+    ("degenerate", ["C", "G", "seed_a"]),
+    ("m3_sigma_const", ["nu", "A", "k", "d1", "d2"]),
+    ("m3_l1_const", ["nu", "D", "k", "dtilde_mode"]),
+    ("m3_theta_const", ["nu", "E", "k"]),
+    ("m3_hodograph_example", ["k", "alpha", "beta"]),
+    ("m3_general", ["g"]),
+    ("m3_general_e0", ["a", "alpha1", "alpha2", "c"]),
+    ("mn_theta_const", ["n", "nu", "E", "k", "c", "cbar"]),
+])
+def test_canonical_json_key_order(tag, keys):
+    assert list(family_to_dict(canonical_config(tag))) == ["family", "rect"] + keys
+
+
 def test_family_from_dict_rejects_garbage():
     with pytest.raises(ConfigError):
         family_from_dict({"no_tag": 1})
     with pytest.raises(ConfigError):
         family_from_dict({"family": "unknown_tag"})
+    with pytest.raises(ConfigError):
+        family_from_dict({"family": ["m3_general"]})  # a tag that is not a string
     with pytest.raises(ConfigError):
         family_from_dict({"family": "m3_sigma_const", "nu": [1, 2], "bogus_field": 3})

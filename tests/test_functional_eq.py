@@ -11,18 +11,7 @@ from mongesol.functional_eq import (
     variable_slope_residual,
 )
 from mongesol.nu_algebra import NuPair
-
-
-def _sample(bundle, rng, count):
-    x_lo, x_hi, z_lo, z_hi = bundle.domain.rect
-    xs, zs = [], []
-    while len(xs) < count:
-        x = rng.uniform(x_lo, x_hi, 4 * count)
-        z = rng.uniform(z_lo, z_hi, 4 * count)
-        ok = bundle.domain.mask(x, z)
-        xs.extend(x[ok][: count - len(xs)])
-        zs.extend(z[ok][: count - len(zs)])
-    return np.array(xs), np.array(zs)
+from mongesol.verifier import sample_points
 
 
 def _zero_quadruple(n=3):
@@ -41,7 +30,7 @@ def test_all_zero_quadruple_solves():
 def test_sigma_const_quadruple_solves_at_random_points():
     b = make_family(canonical_config("m3_sigma_const"))
     rng = np.random.default_rng(17)
-    x, z = _sample(b, rng, 25)
+    x, z = sample_points(b, rng, 25)
     assert np.max(np.abs(four_function_residual(b.quadruple, x, z))) <= 1e-9
 
 
@@ -57,7 +46,7 @@ def test_perturbed_theta_breaks_the_constraint():
         n=q.n,
     )
     rng = np.random.default_rng(18)
-    x, z = _sample(b, rng, 25)
+    x, z = sample_points(b, rng, 25)
     assert np.max(np.abs(four_function_residual(bumped, x, z))) >= 1e-3
 
 
@@ -103,7 +92,7 @@ def test_ratio_form_is_delta_times_product_form():
 def test_ratio_form_solves_iff_product_form_solves():
     b = make_family(canonical_config("m3_l1_const"))
     rng = np.random.default_rng(8)
-    x, z = _sample(b, rng, 50)
+    x, z = sample_points(b, rng, 50)
     assert np.max(np.abs(ratio_form_residual(b.quadruple, x, z))) <= 1e-9
     assert np.max(np.abs(four_function_residual(b.quadruple, x, z))) <= 1e-9
 
@@ -130,7 +119,7 @@ def test_variable_slope_zero_solution():
         sigma_x=zero,
     )
     rng = np.random.default_rng(9)
-    x, z = _sample(b, rng, 10)
+    x, z = sample_points(b, rng, 10)
     assert np.max(np.abs(variable_slope_residual(g0, x, z))) == 0.0
 
 
@@ -138,7 +127,7 @@ def test_variable_slope_zero_solution():
 def test_variable_slope_families_solve(tag):
     b = make_family(canonical_config(tag))
     rng = np.random.default_rng(10)
-    x, z = _sample(b, rng, 40)
+    x, z = sample_points(b, rng, 40)
     assert np.max(np.abs(variable_slope_residual(b.general_quadruple, x, z))) <= 1e-9
 
 
@@ -160,7 +149,7 @@ def test_duality_is_an_involution(variant):
     q = b.quadruple
     qq = duality_transform(duality_transform(q, variant), variant)
     rng = np.random.default_rng(20)
-    x, z = _sample(b, rng, 20)
+    x, z = sample_points(b, rng, 20)
     t1 = x + q.nu.nu1 * z
     assert np.max(np.abs(qq.sigma_x(x) - q.sigma_x(x))) <= 1e-10
     assert np.max(np.abs(qq.theta_z(z) - q.theta_z(z))) <= 1e-10
@@ -172,7 +161,7 @@ def test_duality_symmetric_preserves_solutions_literal_does_not():
     records = {}
     for tag in ("m3_sigma_const", "m3_l1_const", "m3_theta_const"):
         b = make_family(canonical_config(tag))
-        x, z = _sample(b, rng, 30)
+        x, z = sample_points(b, rng, 30)
         for variant in ("symmetric", "literal"):
             r = np.max(np.abs(four_function_residual(
                 duality_transform(b.quadruple, variant), x, z)))
