@@ -60,6 +60,7 @@ from .jets import Jet2, compose_series, jet_partial, jet_seed, jexp, jlog, jpow,
 from .nu_algebra import LPair, NuPair, eval_l, line_jets
 from .verifier import (
     DEFAULT_TOLERANCES,
+    GridEval,
     GridSpec,
     ResidualReport,
     admissible_grid,

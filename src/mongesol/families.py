@@ -157,7 +157,8 @@ class FieldBundle:
         Families with an explicit top function use it; otherwise the value is
         looked up by sliding along x at fixed z until the bottom field
         matches, which is valid precisely because W and f are functionally
-        dependent.
+        dependent.  The slide reads values and d/dx only, so it runs on
+        order-1 jets; an iterate outside the safe domain is a DomainError.
         """
         tvals = np.asarray(tvals)
         if self.w_value_fn is not None:
@@ -166,17 +167,21 @@ class FieldBundle:
         z = np.broadcast_to(np.asarray(z_near, dtype=float), tvals.shape)
         scale = np.maximum(np.max(np.abs(tvals)), 1.0)
         for _ in range(40):
-            fj = self.fields_fn(x, z, 2)
+            outside = ~self.domain.mask(x, z)
+            if np.any(outside):
+                raise DomainError(
+                    f"w_of_f: slice inversion left the safe domain at "
+                    f"{int(np.count_nonzero(outside))} point(s)"
+                )
+            fj = self.fields_fn(x, z, 1)
             err = fj["f"].value - tvals
             if np.max(np.abs(err)) <= 1e-12 * scale:
-                break
+                return fj["W"].value
             fx = jet_partial(fj["f"], 1, 0)
             if np.any(np.abs(fx) < 1e-14):
                 raise ConvergenceError("w_of_f: flat bottom field along the slice")
-            x = x - (err / fx).real if not np.iscomplexobj(x) else x - err / fx
-        else:
-            raise ConvergenceError("w_of_f: slice inversion did not converge")
-        return self.fields_fn(x, z, 2)["W"].value
+            x = x - (err / fx).real
+        raise ConvergenceError("w_of_f: slice inversion did not converge")
 
 
 # ---------------------------------------------------------------------------
@@ -216,15 +221,16 @@ class _Primitive:
         half = (t - self.ref) / 2.0
         mid = (t + self.ref) / 2.0
         nodes = mid[..., None] + half[..., None] * _GAUSS_X  # (..., 48)
-        tj, _ = jet_seed(nodes, 0.0, 1)
-        vals = self.integrand(tj).value
+        # the sum reads values only, and a jet's value never depends on its order
+        vals = self.integrand(Jet2.constant(nodes, 0)).value
         return np.sum(vals * _GAUSS_W, axis=-1) * half
 
     def __call__(self, a: Jet2) -> Jet2:
         base = self.value(a.value)
         if a.m == 0:
             return Jet2.constant(base, 0)
-        gj = self.integrand(jet_seed(a.value, 0.0, a.m - 1)[0])
+        t = Jet2.constant(a.value, 0) if a.m == 1 else jet_seed(a.value, 0.0, a.m - 1)[0]
+        gj = self.integrand(t)
         tk = [base] + [gj.c[k, 0] / (k + 1) for k in range(a.m)]
         return compose_series(tk, a)
 
@@ -536,7 +542,7 @@ def _build_degenerate(cfg: DegenerateConfig, scales) -> FieldBundle:
         a0 = solve_a(x, z)
         xj, zj = jet_seed(x, z, m)
         aj = Jet2.constant(a0, m)
-        for _ in range(max(1, m.bit_length() + 1)):
+        for _ in range(max(3, m.bit_length() + 1)):  # as many passes at order 1 as at 2
             sj = _univariate_on_jet(slope, aj)
             gj = _univariate_on_jet(g_fn, aj)
             sp = _univariate_on_jet(slope, aj, 1)

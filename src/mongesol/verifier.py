@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -20,10 +21,11 @@ import numpy as np
 from .errors import ConfigError, DomainError, QuadratureError
 from .families import FieldBundle
 from .functional_eq import four_function_residual, variable_slope_residual
-from .jets import jet_partial
+from .jets import Jet2, jet_partial
 
 __all__ = [
     "GridSpec",
+    "GridEval",
     "CheckResult",
     "ResidualReport",
     "DEFAULT_TOLERANCES",
@@ -182,12 +184,35 @@ def admissible_grid(bundle: FieldBundle, grid: GridSpec):
     return x, z
 
 
+class GridEval:
+    """A bundle's admissible grid points and their field jets, shared by the grid checks.
+
+    Nothing is evaluated until a check first reads ``points`` or ``fields``;
+    then the points come from one :func:`admissible_grid` call and the jets
+    from one ``fields_fn`` call, however many checks read them.
+    """
+
+    def __init__(self, bundle: FieldBundle, grid: GridSpec):
+        self.bundle = bundle
+        self.grid = grid
+
+    @cached_property
+    def points(self) -> tuple[np.ndarray, np.ndarray]:
+        """Flat ``x, z`` of the admissible grid points, in C order of the grid."""
+        return admissible_grid(self.bundle, self.grid)
+
+    @cached_property
+    def fields(self) -> dict:
+        """Jets of order ``max(2, grid.m)`` at ``points``."""
+        return self.bundle.fields_fn(*self.points, max(2, self.grid.m))
+
+
 # ---------------------------------------------------------------------------
 # individual checks
 # ---------------------------------------------------------------------------
 
 
-def check_compatibility(bundle: FieldBundle, grid: GridSpec, tol: float) -> CheckResult:
+def check_compatibility(ev: GridEval, tol: float) -> CheckResult:
     """Residuals of the derivative chain, including the top link through W'.
 
     The top link compares d/dx of the last chain field against W'(a0) d/dz a0,
@@ -195,8 +220,7 @@ def check_compatibility(bundle: FieldBundle, grid: GridSpec, tol: float) -> Chec
     the x-route ratio W_x / (d/dx a0) otherwise (the z-route is the trivially
     exact chain identity and would have no teeth).
     """
-    x, z = admissible_grid(bundle, grid)
-    fl = bundle.eval_fields(x, z, grid.m)
+    bundle, (x, z), fl = ev.bundle, ev.points, ev.fields
     n = bundle.n
     worst = np.zeros(x.shape)
     per_link = {}
@@ -224,20 +248,18 @@ def check_compatibility(bundle: FieldBundle, grid: GridSpec, tol: float) -> Chec
     return _result("compat", worst, x, z, tol, extra=per_link)
 
 
-def check_dependence(bundle: FieldBundle, grid: GridSpec, tol: float) -> CheckResult:
+def check_dependence(ev: GridEval, tol: float) -> CheckResult:
     """Normalized Jacobian between the bottom and top fields."""
-    x, z = admissible_grid(bundle, grid)
-    fl = bundle.eval_fields(x, z, grid.m)
+    fl = ev.fields
     f_x, f_z = jet_partial(fl["f"], 1, 0), jet_partial(fl["f"], 0, 1)
     w_x, w_z = jet_partial(fl["W"], 1, 0), jet_partial(fl["W"], 0, 1)
     jac = f_x * w_z - f_z * w_x
     den = (np.sqrt(np.abs(f_x) ** 2 + np.abs(f_z) ** 2)
            * np.sqrt(np.abs(w_x) ** 2 + np.abs(w_z) ** 2) + 1e-30)
-    return _result("dependence", np.abs(jac) / den, x, z, tol)
+    return _result("dependence", np.abs(jac) / den, *ev.points, tol)
 
 
-def check_wf_relation(bundle: FieldBundle, grid: GridSpec, tol: float,
-                      quad_tol: float) -> list[CheckResult]:
+def check_wf_relation(ev: GridEval, tol: float, quad_tol: float) -> list[CheckResult]:
     """Pointwise residual of the tagged closed-form relation.
 
     When the family exposes its derivative-level forms, the bottom and top
@@ -245,46 +267,48 @@ def check_wf_relation(bundle: FieldBundle, grid: GridSpec, tol: float,
     lines and compared against the closed forms; a disagreement here flags a
     broken antiderivative rather than a broken family.
     """
+    bundle = ev.bundle
     if bundle.wf_residual is None:
         raise ConfigError(f"family {bundle.family!r} carries no W-f relation (tag is None)")
-    x, z = admissible_grid(bundle, grid)
-    fl = bundle.eval_fields(x, z, grid.m)
-    wv, fv = fl["W"].value, fl["f"].value
+    fl = ev.fields
     out = []
     try:
-        resid = bundle.wf_residual(wv, fv)
-        out.append(_result("wf", resid, x, z, tol, extra={"relation": bundle.wf_relation}))
+        resid = bundle.wf_residual(fl["W"].value, fl["f"].value)
+        out.append(_result("wf", resid, *ev.points, tol, extra={"relation": bundle.wf_relation}))
     except DomainError as exc:
         out.append(CheckResult("wf", math.inf, math.inf, (math.nan, math.nan), tol, False,
                                extra={"relation": bundle.wf_relation, "error": str(exc)}))
     if bundle.derivative_forms is not None:
-        out.append(_quadrature_crosscheck(bundle, grid, quad_tol))
+        out.append(_quadrature_crosscheck(ev, quad_tol))
     return out
 
 
-def _quadrature_crosscheck(bundle: FieldBundle, grid: GridSpec, tol: float) -> CheckResult:
+def _quadrature_crosscheck(ev: GridEval, tol: float) -> CheckResult:
     """Rebuild f and W by line quadrature of the derivative-level forms."""
+    bundle, grid, (x, z), fl = ev.bundle, ev.grid, ev.points, ev.fields
     xs, zs = grid.axes()
     xg, zg = np.meshgrid(xs, zs, indexing="ij")
-    ok = bundle.domain.mask(xg, zg)
-    if not np.any(ok):
-        raise DomainError("quadrature cross-check: no admissible grid points")
+    ij = np.searchsorted(xs, x), np.searchsorted(zs, z)  # the admissible points are grid nodes
+    ok = np.zeros(xg.shape, dtype=bool)
+    ok[ij] = True
+    f_grid = np.full(xg.shape, np.nan, dtype=fl["f"].value.dtype)
+    w_grid = np.full(xg.shape, np.nan, dtype=fl["W"].value.dtype)
+    f_grid[ij], w_grid[ij] = fl["f"].value, fl["W"].value
     # reference node: admissible point closest to the rectangle centre
     xc = 0.5 * (grid.x_lo + grid.x_hi)
     zc = 0.5 * (grid.z_lo + grid.z_hi)
     dist = np.where(ok, (xg - xc) ** 2 + (zg - zc) ** 2, np.inf)
     i0, j0 = np.unravel_index(int(np.argmin(dist)), dist.shape)
 
-    refine = 32
+    # Simpson sub-steps per cell: at least as fine as 32 per cell of a 21-node axis
+    refine = max(32, 2 * math.ceil(320 / (min(grid.nx, grid.nz) - 1)))
     fx_row, wx_row, row_ok = _row_forms(bundle, xs, zs[j0], refine)
     f_row, w_row = _cumulative_simpson(fx_row, wx_row, xs, refine, i0)
     fz_col, wz_col, col_ok = _col_forms(bundle, xs, zs, refine)
     f_col, w_col = _cumulative_simpson_cols(fz_col, wz_col, zs, refine, j0)
 
-    fl0 = bundle.fields_fn(np.array([xs[i0]]), np.array([zs[j0]]), 2)
-    f_ref, w_ref = fl0["f"].value[0], fl0["W"].value[0]
-    f_quad = f_ref + f_row[:, None] + f_col
-    w_quad = w_ref + w_row[:, None] + w_col
+    f_quad = f_grid[i0, j0] + f_row[:, None] + f_col
+    w_quad = w_grid[i0, j0] + w_row[:, None] + w_col
 
     # a target point is usable if its row segment to i0 and column segment are clean
     path_ok = np.zeros_like(ok)
@@ -299,9 +323,8 @@ def _quadrature_crosscheck(bundle: FieldBundle, grid: GridSpec, tol: float) -> C
     if not np.any(path_ok):
         raise DomainError("quadrature cross-check: no admissible integration paths")
 
-    fl = bundle.fields_fn(xg[path_ok], zg[path_ok], 2)
-    resid = np.maximum(np.abs(f_quad[path_ok] - fl["f"].value),
-                       np.abs(w_quad[path_ok] - fl["W"].value))
+    resid = np.maximum(np.abs(f_quad[path_ok] - f_grid[path_ok]),
+                       np.abs(w_quad[path_ok] - w_grid[path_ok]))
     return _result("wf_quadrature", resid, xg[path_ok], zg[path_ok], tol,
                    extra={"points": int(np.count_nonzero(path_ok))})
 
@@ -416,8 +439,7 @@ _FD_STENCILS = {
 }
 
 
-def reconstruct_u(bundle: FieldBundle, grid: GridSpec, tol: float,
-                  path_tol: float = 1e-6) -> CheckResult:
+def reconstruct_u(ev: GridEval, tol: float, path_tol: float = 1e-6) -> CheckResult:
     """Rebuild U by repeated line quadrature and check the original equation.
 
     The chain fields are the n-th mixed partials of U; integrating the pair
@@ -426,8 +448,10 @@ def reconstruct_u(bundle: FieldBundle, grid: GridSpec, tol: float,
     U in each direction and pushes the z-result through the family's top map,
     so the check is independent of the jets used to build the fields.  The
     finite-difference truncation budget C*h^2 is added to the tolerance and
-    recorded.
+    recorded.  Without ``fd_h`` the step is the grid spacing and the shared
+    jets of ``ev`` are used; with it, the refined grid is evaluated here.
     """
+    bundle, grid = ev.bundle, ev.grid
     n = bundle.n
     if n > 4:
         raise ConfigError("reconstruction supports degree n <= 4 (stencil table)")
@@ -442,7 +466,11 @@ def reconstruct_u(bundle: FieldBundle, grid: GridSpec, tol: float,
         raise DomainError("reconstruction needs a fully admissible rectangle; shrink the grid")
     hx, hz = xs[1] - xs[0], zs[1] - zs[0]
 
-    fl = bundle.eval_fields(xg, zg, 2)
+    if ev.grid.fd_h is None:
+        # the rectangle is fully admissible, so the flat points are the grid in C order
+        fl = {k: Jet2(j.m, j.c.reshape(j.c.shape[:2] + xg.shape)) for k, j in ev.fields.items()}
+    else:
+        fl = bundle.eval_fields(xg, zg, 2)
     levels = [_real_field(fl[f"a{j}"].value, f"a{j}") for j in range(n)]
     levels.append(_real_field(fl["W"].value, "W"))
 
@@ -529,10 +557,10 @@ def _fd_budget(bundle, fl, u, st, n, err_c, hx, hz, second):
 
 def richardson_ratio(bundle: FieldBundle, grid: GridSpec, tol: float) -> tuple[float, CheckResult, CheckResult]:
     """Residual ratio under halving the reconstruction step."""
-    coarse = reconstruct_u(bundle, grid, tol)
+    coarse = reconstruct_u(GridEval(bundle, grid), tol)
     fine_grid = GridSpec(grid.x_lo, grid.x_hi, grid.z_lo, grid.z_hi,
                          nx=2 * grid.nx - 1, nz=2 * grid.nz - 1, m=grid.m)
-    fine = reconstruct_u(bundle, fine_grid, tol)
+    fine = reconstruct_u(GridEval(bundle, fine_grid), tol)
     denom = fine.max_abs if fine.max_abs > 0 else 1e-300
     return coarse.max_abs / denom, coarse, fine
 
@@ -575,20 +603,24 @@ def run_suite(
             raise ConfigError(f"unknown check name {name!r}; known: {KNOWN_CHECKS}")
 
     rng = np.random.default_rng(seed)
+    ev = GridEval(bundle, grid)
     results: dict[str, CheckResult] = {}
     for name in checks:
         if name == "compat":
-            results[name] = check_compatibility(bundle, grid, tol["compat"])
+            results[name] = check_compatibility(ev, tol["compat"])
         elif name == "dependence":
-            results[name] = check_dependence(bundle, grid, tol["dependence"])
+            results[name] = check_dependence(ev, tol["dependence"])
         elif name == "wf":
-            for res in check_wf_relation(bundle, grid, tol["wf"], tol["wf_quadrature"]):
+            for res in check_wf_relation(ev, tol["wf"], tol["wf_quadrature"]):
                 results[res.name] = res
         elif name in ("eq5", "eq10"):
             results[name] = check_equation(bundle, rng, probes, tol[name], name)
         elif name == "reconstruct":
-            results[name] = reconstruct_u(bundle, grid, tol["reconstruct"],
-                                          tol["path_consistency"])
+            try:
+                results[name] = reconstruct_u(ev, tol["reconstruct"], tol["path_consistency"])
+            except QuadratureError as exc:
+                results[name] = CheckResult(name, math.inf, math.inf, (math.nan, math.nan),
+                                            tol["reconstruct"], False, extra={"error": str(exc)})
     meta = {
         "family": bundle.family,
         "params": bundle.params,

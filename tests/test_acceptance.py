@@ -22,6 +22,7 @@ from mongesol.families import (
 from mongesol.functional_eq import duality_transform, four_function_residual
 from mongesol.jets import jet_partial
 from mongesol.verifier import (
+    GridEval,
     GridSpec,
     check_compatibility,
     check_dependence,
@@ -49,9 +50,9 @@ def test_criterion_01_polynomial_superposition():
         cfg = trivial_random_symmetric(n, 5, rng)
         b = make_family(cfg)
         t0 = time.time()
-        grid = GridSpec.for_bundle(b, nx=101, nz=101)
-        compat = check_compatibility(b, grid, 1e-10)
-        recon = reconstruct_u(b, grid, 1e-6)
+        ev = GridEval(b, GridSpec.for_bundle(b, nx=101, nz=101))
+        compat = check_compatibility(ev, 1e-10)
+        recon = reconstruct_u(ev, 1e-6)
         dt = time.time() - t0
         ok = compat.max_abs <= 1e-10 and recon.passed and dt < 5.0
         details.append(f"n={n}: compat={compat.max_abs:.1e} recon={recon.max_abs:.1e}"
@@ -119,13 +120,13 @@ def test_criterion_05_degree_three_catalog():
     details = []
     for tag in M3_TAGS:
         b = make_family(canonical_config(tag))
-        grid = GridSpec.for_bundle(b, nx=21, nz=21)
+        ev = GridEval(b, GridSpec.for_bundle(b, nx=21, nz=21))
         rng = np.random.default_rng(RNG_SEED + 3)
         which = "eq5" if b.quadruple is not None else "eq10"
         eq = check_equation(b, rng, 100, 1e-9, which)
-        compat = check_compatibility(b, grid, 1e-9)
-        dep = check_dependence(b, grid, 1e-9)
-        wf_results = {r.name: r for r in check_wf_relation(b, grid, 1e-9, 1e-6)}
+        compat = check_compatibility(ev, 1e-9)
+        dep = check_dependence(ev, 1e-9)
+        wf_results = {r.name: r for r in check_wf_relation(ev, 1e-9, 1e-6)}
         ok = (eq.passed and compat.passed and dep.passed
               and wf_results["wf"].passed and wf_results["wf_quadrature"].passed)
         details.append(
@@ -144,7 +145,7 @@ def test_criterion_06_higher_degree_family():
         b = make_family(NThetaConstConfig(n=n, nu=(1.0, 2.0), E=1.0, k=k))
         rng = np.random.default_rng(RNG_SEED + 4)
         eq = check_equation(b, rng, 100, 1e-9, "eq5")
-        compat = check_compatibility(b, GridSpec.for_bundle(b, nx=21, nz=21), 1e-9)
+        compat = check_compatibility(GridEval(b, GridSpec.for_bundle(b, nx=21, nz=21)), 1e-9)
         ok = eq.passed and compat.passed
         details.append(f"n={n}: eq={eq.max_abs:.1e} compat={compat.max_abs:.1e}")
         assert ok, details[-1]

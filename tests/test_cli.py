@@ -163,6 +163,19 @@ def test_sweep_parameter_left_at_its_default(tmp_path):
     assert sorted({r[0] for r in rows[1:]}) == ["0.5", "2"]
 
 
+def test_sweep_coarse_grid_quadrature_passes(tmp_path):
+    cfg = _write(tmp_path, "sigma9.json", {
+        "family": {"family": "m3_sigma_const", "nu": [1, 2], "A": 1.0, "k": 1.0},
+        "grid": {"nx": 9, "nz": 9},
+    })
+    out = tmp_path / "os9"
+    assert main(["sweep", "--config", cfg, "--param", "A",
+                 "--values", "0.5", "--out", str(out)]) == 0
+    rows = list(csv.reader((out / "sweep.csv").open()))
+    quad = [r for r in rows[1:] if r[1] == "wf_quadrature"]
+    assert len(quad) == 1 and quad[0][5] == "true"
+
+
 def test_sweep_unknown_parameter_exits_2(sigma_cfg, tmp_path):
     assert main(["sweep", "--config", sigma_cfg, "--param", "Q",
                  "--values", "1", "--out", str(tmp_path / "oq")]) == 2
@@ -239,3 +252,20 @@ def test_domain_error_report_is_strict_json(tmp_path):
     assert "error" in wf["extra"] and wf["passed"] is False
     assert wf["max_abs"] == wf["mean_abs"] == "inf" and float(wf["max_abs"]) == np.inf
     assert wf["argmax"] == ["nan", "nan"]
+
+
+def test_reconstruct_quadrature_error_is_a_failed_check(tmp_path, capsys):
+    # a1 scaled alone breaks integrability: the two quadrature paths disagree
+    cfg = _write(tmp_path, "degen.json", {
+        "family": {"family": "degenerate", "rect": [2.0, 4.0, 0.1, 0.6],
+                   "C": [0.0, 0.0, 1.0], "G": [0.0, 1.0], "seed_a": 2.0},
+        "checks": ["compat", "dependence", "reconstruct"],
+        "grid": {"nx": 21, "nz": 21},
+    })
+    out = tmp_path / "oq"
+    assert main(["verify", "--config", cfg, "--out", str(out), "--mutate", "a1=1.1"]) == 1
+    assert capsys.readouterr().err == ""
+    rec = _strict_json((out / "report.json").read_text())["checks"]["reconstruct"]
+    assert rec["passed"] is False and rec["max_abs"] == "inf"
+    assert rec["extra"]["error"].startswith("quadrature path inconsistency")
+    assert (out / "report.csv").exists()

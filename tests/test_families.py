@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import numpy as np
@@ -23,9 +24,12 @@ from mongesol.families import (
     family_to_dict,
     make_family,
     trivial_random_symmetric,
+    _GAUSS_W,
+    _GAUSS_X,
+    _Primitive,
 )
-from mongesol.jets import jet_partial
-from mongesol.verifier import sample_points
+from mongesol.jets import jet_partial, jet_seed
+from mongesol.verifier import GridSpec, admissible_grid, sample_points
 
 
 # -- polynomial superposition family -----------------------------------------
@@ -229,6 +233,60 @@ def test_out_of_domain_evaluation_raises():
         b.eval_fields(np.array([1.0]), np.array([1.0]), 2)  # slope -x/z < 0
     with pytest.raises(ValueError):
         b.eval_fields(np.array([-2.0]), np.array([1.0]), 1)  # m >= 2 required
+
+
+@pytest.mark.parametrize("tag", FAMILY_TAGS)
+def test_order_one_jets_truncate_order_two(tag):
+    # the slice Newton of w_of_f reads order-1 jets in place of order-2 ones
+    b = make_family(canonical_config(tag))
+    x, z = admissible_grid(b, GridSpec.for_bundle(b))
+    lo, hi = b.fields_fn(x, z, 1), b.fields_fn(x, z, 2)
+    assert set(lo) == set(hi)
+    for name in hi:
+        for i, j in ((0, 0), (1, 0), (0, 1)):
+            assert np.array_equal(jet_partial(lo[name], i, j), jet_partial(hi[name], i, j)), \
+                (name, i, j)
+
+
+def _primitives(bundle):
+    """The ``_Primitive`` instances a bundle's fields_fn closes over."""
+    found = []
+    for v in inspect.getclosurevars(bundle.fields_fn).nonlocals.values():
+        found.extend(p for p in (v.values() if isinstance(v, dict) else [v])
+                     if isinstance(p, _Primitive))
+    return found
+
+
+def _order_one_value(prim, t):
+    """Gauss sum of ``prim`` over order-1 jets of the nodes (the reference route)."""
+    t = np.asarray(t, dtype=float)
+    half = (t - prim.ref) / 2.0
+    mid = (t + prim.ref) / 2.0
+    nodes = mid[..., None] + half[..., None] * _GAUSS_X
+    vals = prim.integrand(jet_seed(nodes, 0.0, 1)[0]).value
+    return np.sum(vals * _GAUSS_W, axis=-1) * half
+
+
+@pytest.mark.parametrize("tag,count", [("m3_hodograph_example", 2), ("m3_general", 4),
+                                       ("m3_general_e0", 4), ("degenerate", 1)])
+def test_primitive_values_equal_order_one_reference(tag, count):
+    prims = _primitives(make_family(canonical_config(tag)))
+    assert len(prims) == count
+    for prim in prims:
+        t = prim.ref * np.linspace(0.8, 1.2, 41)
+        ref = _order_one_value(prim, t)
+        assert np.all(np.isfinite(ref))
+        assert np.array_equal(prim.value(t), ref)
+
+
+def test_w_of_f_stays_in_the_safe_domain():
+    b = make_family(canonical_config("m3_general_e0"))
+    x0, x1, z0, z1 = b.domain.rect
+    xc, zc = np.array([(x0 + x1) / 2]), np.array([(z0 + z1) / 2])
+    fl = b.fields_fn(xc, zc, 2)
+    assert np.array_equal(b.w_of_f(fl["f"].value, xc, zc), fl["W"].value)
+    with pytest.raises(DomainError, match="w_of_f: slice inversion left the safe domain"):
+        b.w_of_f(fl["f"].value + 1.0, xc, zc)  # the slide crosses x = 0
 
 
 def test_config_serialization_roundtrip():

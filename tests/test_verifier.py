@@ -3,6 +3,7 @@ import pytest
 
 from mongesol.errors import ConfigError, DomainError
 from mongesol.families import (
+    FAMILY_TAGS,
     FieldBundle,
     SafeDomain,
     TrivialConfig,
@@ -12,11 +13,13 @@ from mongesol.families import (
 )
 from mongesol.jets import jet_seed
 from mongesol.verifier import (
+    GridEval,
     GridSpec,
     admissible_grid,
     check_compatibility,
     check_dependence,
     check_wf_relation,
+    default_checks,
     reconstruct_u,
     richardson_ratio,
     run_suite,
@@ -41,7 +44,7 @@ def test_dependence_maximally_independent_pair():
         xj, zj = jet_seed(x, z, m)
         return {"a0": xj, "W": zj, "f": xj}
 
-    res = check_dependence(_toy_bundle(fields), GridSpec(-1, 1, -1, 1, nx=7, nz=7), 1e-9)
+    res = check_dependence(GridEval(_toy_bundle(fields), GridSpec(-1, 1, -1, 1, nx=7, nz=7)), 1e-9)
     assert res.max_abs == pytest.approx(1.0)
     assert not res.passed
 
@@ -53,20 +56,20 @@ def test_dependence_functionally_dependent_pair():
         s = xj + zj
         return {"a0": s, "W": 2.0 * s, "f": s}
 
-    res = check_dependence(_toy_bundle(fields), GridSpec(-1, 1, -1, 1, nx=7, nz=7), 1e-9)
+    res = check_dependence(GridEval(_toy_bundle(fields), GridSpec(-1, 1, -1, 1, nx=7, nz=7)), 1e-9)
     assert res.max_abs <= 1e-15
 
 
 def test_compatibility_exact_for_polynomial_family():
     cfg = TrivialConfig(n=2, terms=((1.0, (0, 0, 0, 1.0)), (-1.0, (0, 0, 0, 1.0))))
     b = make_family(cfg)
-    res = check_compatibility(b, GridSpec.for_bundle(b), 1e-12)
+    res = check_compatibility(GridEval(b, GridSpec.for_bundle(b)), 1e-12)
     assert res.passed and res.max_abs <= 1e-12
 
 
 def test_compatibility_mutation_has_teeth():
     b = make_family(canonical_config("m3_sigma_const")).with_mutation("theta", 2.0)
-    res = check_compatibility(b, GridSpec.for_bundle(b), 1e-9)
+    res = check_compatibility(GridEval(b, GridSpec.for_bundle(b)), 1e-9)
     assert not res.passed
     assert res.max_abs >= 1e-3
     assert res.extra["link_top"] >= 1e-3  # the broken link is the top one
@@ -75,12 +78,12 @@ def test_compatibility_mutation_has_teeth():
 def test_wf_relation_requires_a_tag():
     b = make_family(canonical_config("mn_theta_const"))
     with pytest.raises(ConfigError):
-        check_wf_relation(b, GridSpec.for_bundle(b), 1e-9, 1e-6)
+        check_wf_relation(GridEval(b, GridSpec.for_bundle(b)), 1e-9, 1e-6)
 
 
 def test_wf_quadrature_crosscheck_close():
     b = make_family(canonical_config("m3_theta_const"))
-    results = check_wf_relation(b, GridSpec.for_bundle(b), 1e-9, 1e-6)
+    results = check_wf_relation(GridEval(b, GridSpec.for_bundle(b)), 1e-9, 1e-6)
     byname = {r.name: r for r in results}
     assert byname["wf"].passed
     assert byname["wf_quadrature"].passed
@@ -90,14 +93,14 @@ def test_wf_quadrature_crosscheck_close():
 def test_reconstruct_trivial_quadratic_is_exact():
     cfg = TrivialConfig(n=2, terms=((1.0, (0, 0, 1.0)), (-1.0, (0, 0, 1.0))))
     b = make_family(cfg)
-    res = reconstruct_u(b, GridSpec.for_bundle(b, nx=41, nz=41), 1e-10)
+    res = reconstruct_u(GridEval(b, GridSpec.for_bundle(b, nx=41, nz=41)), 1e-10)
     assert res.max_abs <= 1e-10
 
 
 def test_reconstruct_cubic_within_budgetless_tolerance():
     rng = np.random.default_rng(23)
     b = make_family(trivial_random_symmetric(3, 3, rng))
-    res = reconstruct_u(b, GridSpec.for_bundle(b, nx=101, nz=101), 1e-6)
+    res = reconstruct_u(GridEval(b, GridSpec.for_bundle(b, nx=101, nz=101)), 1e-6)
     assert res.max_abs <= 1e-6  # cubic data: stencil and trapezoid are exact
 
 
@@ -128,6 +131,39 @@ def test_run_suite_deterministic_for_fixed_seed():
     r1 = run_suite(b, grid, ["compat", "eq5"], seed=99)
     r2 = run_suite(b, grid, ["compat", "eq5"], seed=99)
     assert r1.to_json_dict() == r2.to_json_dict()
+
+
+@pytest.mark.parametrize("tag", FAMILY_TAGS)
+def test_shared_grid_checks_equal_checks_run_alone(tag):
+    b = make_family(canonical_config(tag))
+    grid = GridSpec.for_bundle(b, nx=21, nz=21)
+    checks = default_checks(b) + (["reconstruct"] if b.n <= 4 else [])
+    together = run_suite(b, grid, checks, seed=5).to_json_dict()["checks"]
+    alone = {}
+    for name in checks:
+        alone.update(run_suite(b, grid, [name], seed=5).to_json_dict()["checks"])
+    assert alone == together
+
+
+def test_run_suite_evaluates_the_grid_once():
+    b = make_family(canonical_config("m3_sigma_const"))
+    calls = []
+    fields_fn = b.fields_fn
+    b.fields_fn = lambda x, z, m: calls.append(m) or fields_fn(x, z, m)
+    grid = GridSpec.for_bundle(b)
+    run_suite(b, grid, ["eq5"])
+    assert calls == []
+    run_suite(b, grid, ["compat", "dependence", "wf", "eq5"])
+    assert calls == [2]
+
+
+def test_reconstruct_alone_needs_a_fully_admissible_rectangle():
+    b = make_family(canonical_config("m3_general"))
+    x_lo, x_hi, z_lo, z_hi = b.domain.rect
+    grid = GridSpec(x_lo - 2.0, x_hi, z_lo, z_hi)
+    assert admissible_grid(b, grid)[0].size < grid.nx * grid.nz
+    with pytest.raises(DomainError, match="fully admissible rectangle"):
+        run_suite(b, grid, ["reconstruct"])
 
 
 def test_admissible_grid_exhaustion():
