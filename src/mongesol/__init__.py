@@ -57,7 +57,7 @@ from .hodograph import (
     solve_implicit,
 )
 from .jets import Jet2, compose_series, jet_partial, jet_seed, jexp, jlog, jpow, jsqrt, poly_jet
-from .nu_algebra import LPair, NuPair, eval_l, line_jets
+from .nu_algebra import NuPair
 from .verifier import (
     DEFAULT_TOLERANCES,
     GridEval,

@@ -61,8 +61,8 @@ class RunConfig:
         family_from_dict(raw["family"])  # malformed families fail here, not mid-run
         try:
             probes = int(raw.get("probes", 100))
-            seed = int(raw.get("seed", 0))
-        except (TypeError, ValueError) as exc:
+            seed = _seed(int(raw.get("seed", 0)))
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"probes and seed must be integers ({exc})") from None
         if probes < 1:
             raise ConfigError(f"probes must be at least 1, got {probes}")
@@ -98,6 +98,13 @@ class RunConfig:
 _RECT_KEYS = ("x_lo", "x_hi", "z_lo", "z_hi")
 
 
+def _seed(seed: int) -> int:
+    """The probe-sampling seed; numpy takes only nonnegative ones."""
+    if seed < 0:
+        raise ConfigError(f"seed must be a nonnegative integer, got {seed}")
+    return seed
+
+
 def _number_map(raw: dict, section: str) -> dict:
     """The ``name: number`` object of a config section, values kept as written."""
     value = raw.get(section) or {}
@@ -125,7 +132,7 @@ def _parse_grid(raw) -> dict:
         g.update({key: int(raw[key]) for key in ("nx", "nz", "m") if key in raw})
         if raw.get("fd_h") is not None:
             g["fd_h"] = float(raw["fd_h"])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"grid: malformed field value ({exc})") from None
     if g.get("m", 2) < 2:
         raise ConfigError(f"grid.m is the jet order and must be at least 2, got {g['m']}")
@@ -146,7 +153,7 @@ def cmd_construct(config: RunConfig, out_dir: Path) -> int:
     bundle = config.bundle()
     grid = config.grid_spec(bundle)
     x, z = admissible_grid(bundle, grid)
-    fl = bundle.eval_fields(x, z, max(2, grid.m))
+    fl = bundle.fields_fn(x, z, max(2, grid.m))  # the points are admitted already
     names = [f"a{j}" for j in range(bundle.n)] + ["W", "f"]
     values = {name: np.asarray(fl[name].value) for name in names}
     complex_cols = any(
@@ -292,7 +299,7 @@ def main(argv=None) -> int:
         config = RunConfig.load(args.config)
         config.tolerances.update(_parse_tol(args.tol))
         if args.seed is not None:
-            config.seed = args.seed
+            config.seed = _seed(args.seed)
         if getattr(args, "mutate", None):
             config.mutate.update(_parse_mutate(args.mutate))
         out_dir = Path(args.out if args.out is not None else config.out)

@@ -107,9 +107,12 @@ class SafeDomain:
 
 @dataclass
 class FieldBundle:
-    """One configured family, evaluable everywhere on its safe domain."""
+    """One configured family, evaluable everywhere on its safe domain.
 
-    family: str
+    Builders fill in everything up to ``w_value_fn``; :func:`make_family`
+    stamps ``family``, ``config`` and ``mutations`` on the bundle it returns.
+    """
+
     n: int
     params: dict
     domain: SafeDomain
@@ -122,6 +125,7 @@ class FieldBundle:
     derivative_forms: Callable[[np.ndarray, np.ndarray], dict] | None = None
     wprime_fn: Callable[[np.ndarray, np.ndarray, dict], np.ndarray] | None = None
     w_value_fn: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None
+    family: str = ""
     config: object = None
     mutations: dict = field(default_factory=dict)
 
@@ -142,11 +146,6 @@ class FieldBundle:
         return q.sigma_x(xx), q.theta_z(zz), q.l1_prime(t1), q.l2_dot(t2)
 
     def with_mutation(self, name: str, factor: float) -> "FieldBundle":
-        if name not in self.mutation_slots:
-            raise ConfigError(
-                f"family {self.family!r} has no derivative function {name!r}; "
-                f"choose from {self.mutation_slots}"
-            )
         merged = dict(self.mutations)
         merged[name] = merged.get(name, 1.0) * float(factor)
         return make_family(self.config, mutations=merged)
@@ -432,7 +431,6 @@ def _build_trivial(cfg: TrivialConfig, scales) -> FieldBundle:
         return out
 
     return FieldBundle(
-        family=cfg.tag,
         n=n,
         params={"n": n, "terms": len(terms)},
         domain=SafeDomain(rect=tuple(cfg.rect)),
@@ -442,8 +440,6 @@ def _build_trivial(cfg: TrivialConfig, scales) -> FieldBundle:
         wf_residual=lambda w, f: w - f,
         wprime_fn=lambda x, z, fl: np.ones_like(np.asarray(fl["a0"].value).real),
         w_value_fn=lambda t, x, z: t,
-        config=cfg,
-        mutations=dict(scales),
     )
 
 
@@ -494,7 +490,6 @@ def _build_m1(cfg: M1ImplicitConfig, scales) -> FieldBundle:
         return np.abs(np.asarray(z, dtype=float) - np.polyval(fp[::-1], lam)) - 1e-8
 
     return FieldBundle(
-        family=cfg.tag,
         n=1,
         params={"f_coeffs": list(cfg.f_coeffs), "seed_lambda": cfg.seed_lambda},
         domain=SafeDomain(
@@ -506,8 +501,6 @@ def _build_m1(cfg: M1ImplicitConfig, scales) -> FieldBundle:
         fields_fn=fields,
         wprime_fn=lambda x, z, fl: 1.0 / fl["a0"].value,
         w_value_fn=lambda t, x, z: np.log(np.abs(t)),
-        config=cfg,
-        mutations=dict(scales),
     )
 
 
@@ -578,7 +571,6 @@ def _build_degenerate(cfg: DegenerateConfig, scales) -> FieldBundle:
         raise ConvergenceError("degenerate family: inversion of the bottom map stalled")
 
     return FieldBundle(
-        family=cfg.tag,
         n=2,
         params={"c_coeffs": list(cfg.c_coeffs), "g_coeffs": list(cfg.g_coeffs)},
         domain=SafeDomain(rect=tuple(cfg.rect), predicates=(("cprime_positive", pred_cprime),)),
@@ -587,8 +579,6 @@ def _build_degenerate(cfg: DegenerateConfig, scales) -> FieldBundle:
         fields_fn=fields,
         wprime_fn=wprime,
         w_value_fn=w_value,
-        config=cfg,
-        mutations=dict(scales),
     )
 
 
@@ -597,22 +587,14 @@ def _build_degenerate(cfg: DegenerateConfig, scales) -> FieldBundle:
 # ---------------------------------------------------------------------------
 
 
-def _line_fields(nu: NuPair, n: int, l1: JetFunc, l2: JetFunc, theta: JetFunc,
-                 sigma: JetFunc, d1: float, d2: float):
-    inv = 1.0 / nu.delta
-
+def _line_fields(q: Quadruple, l1: JetFunc, l2: JetFunc, theta: JetFunc, sigma: JetFunc):
     def fields(x, z, m):
         xj, zj = jet_seed(x, z, m)
-        l1j = l1(xj + nu.nu1 * zj + d1)
-        l2j = l2(xj + nu.nu2 * zj + d2)
-        out = {}
-        for j in range(n):
-            s = n - 1 - j
-            lj = (nu.nu2 ** s * l2j - nu.nu1 ** s * l1j) * inv
-            if j == 0:
-                lj = lj + theta(zj)
-            out[f"a{j}"] = lj
-        out["W"] = (l2j * (1.0 / nu.nu2) - l1j * (1.0 / nu.nu1)) * inv + sigma(xj)
+        l1j = l1(xj + q.nu.nu1 * zj + q.d1)
+        l2j = l2(xj + q.nu.nu2 * zj + q.d2)
+        out = {f"a{j}": q.nu.combine(q.n - 1 - j, l1j, l2j) for j in range(q.n)}
+        out["a0"] = out["a0"] + theta(zj)
+        out["W"] = q.nu.combine(-1, l1j, l2j) + sigma(xj)
         out["f"] = out["a0"]
         return out
 
@@ -620,52 +602,42 @@ def _line_fields(nu: NuPair, n: int, l1: JetFunc, l2: JetFunc, theta: JetFunc,
 
 
 def _line_derivative_forms(q: Quadruple):
-    nu1, nu2, delta, n = q.nu.nu1, q.nu.nu2, q.nu.delta, q.n
-
     def forms(x, z):
         xx, zz, t1, t2 = q.args(x, z)
         p = q.l1_prime(t1)
         qd = q.l2_dot(t2)
-        l = lambda s: (nu2 ** s * qd - nu1 ** s * p) / delta
         return {
-            "f_x": l(n - 1),
-            "f_z": l(n) + q.theta_z(zz),
-            "W_x": l(-1) + q.sigma_x(xx),
-            "W_z": l(0),
+            "f_x": q.nu.combine(q.n - 1, p, qd),
+            "f_z": q.nu.combine(q.n, p, qd) + q.theta_z(zz),
+            "W_x": q.nu.combine(-1, p, qd) + q.sigma_x(xx),
+            "W_z": q.nu.combine(0, p, qd),
         }
 
     return forms
 
 
-def _line_bundle(cfg, nu, n, l1, l2, theta, sigma, quad, wf_tag, wf_res, domain, scales,
+def _line_bundle(l1, l2, theta, sigma, quad, wf_tag, wf_res, domain, scales,
                  params) -> FieldBundle:
     sl1, sl2 = scales.get("l1", 1.0), scales.get("l2", 1.0)
     sth, ssg = scales.get("theta", 1.0), scales.get("sigma", 1.0)
-    quad = Quadruple(
+    quad = dataclasses.replace(
+        quad,
         sigma_x=_scaled_arr(quad.sigma_x, ssg),
         theta_z=_scaled_arr(quad.theta_z, sth),
         l1_prime=_scaled_arr(quad.l1_prime, sl1),
         l2_dot=_scaled_arr(quad.l2_dot, sl2),
-        nu=quad.nu,
-        n=quad.n,
-        d1=quad.d1,
-        d2=quad.d2,
     )
     return FieldBundle(
-        family=cfg.tag,
-        n=n,
+        n=quad.n,
         params=params,
         domain=domain,
         wf_relation=wf_tag,
         mutation_slots=("sigma", "theta", "l1", "l2"),
-        fields_fn=_line_fields(nu, n, _scaled(l1, sl1), _scaled(l2, sl2),
-                               _scaled(theta, sth), _scaled(sigma, ssg),
-                               quad.d1, quad.d2),
+        fields_fn=_line_fields(quad, _scaled(l1, sl1), _scaled(l2, sl2),
+                               _scaled(theta, sth), _scaled(sigma, ssg)),
         quadruple=quad,
         wf_residual=wf_res,
         derivative_forms=_line_derivative_forms(quad),
-        config=cfg,
-        mutations=dict(scales),
     )
 
 
@@ -749,7 +721,7 @@ def _build_sigma_const(cfg: SigmaConstConfig, scales) -> FieldBundle:
             ("theta_log_arg", pred_theta),
         ),
     )
-    return _line_bundle(cfg, nu, 3, l_fn(nu1, nu2), l_fn(nu2, nu1), theta, sigma, quad,
+    return _line_bundle(l_fn(nu1, nu2), l_fn(nu2, nu1), theta, sigma, quad,
                         "sigma_const", wf_res, domain, scales,
                         params={"nu": list(cfg.nu), "A": a, "k": k, "d1": d1, "d2": d2})
 
@@ -809,7 +781,7 @@ def _build_l1_const(cfg: L1ConstConfig, scales) -> FieldBundle:
             ("chain_log_arg", lambda x, z: np.exp(k * x) - nu2 ** 3 * np.exp(-k * nu2 * z) - EPS),
         ),
     )
-    return _line_bundle(cfg, nu, 3, l1, l2, theta, sigma, quad, "l1_const", wf_res, domain,
+    return _line_bundle(l1, l2, theta, sigma, quad, "l1_const", wf_res, domain,
                         scales, params={"nu": list(cfg.nu), "D": d, "k": k,
                                         "dtilde_mode": cfg.dtilde_mode})
 
@@ -895,7 +867,7 @@ def _build_theta_const(cfg: ThetaConstConfig, scales) -> FieldBundle:
             ("bottom_gradient", pred_slope_split),
         ),
     )
-    return _line_bundle(cfg, nu, 3, l_fn(nu1), l_fn(nu2), theta, sigma, quad, "theta_const",
+    return _line_bundle(l_fn(nu1), l_fn(nu2), theta, sigma, quad, "theta_const",
                         wf_res, domain, scales,
                         params={"nu": list(cfg.nu), "E": e, "k": k})
 
@@ -973,7 +945,7 @@ def _build_n_theta_const(cfg: NThetaConstConfig, scales) -> FieldBundle:
                                 - nu2 ** (n - 1) * cb * np.exp(p2 * x)) - EPS),
         ),
     )
-    return _line_bundle(cfg, nu, n, l1, l2, theta, sigma, quad, None, None, domain, scales,
+    return _line_bundle(l1, l2, theta, sigma, quad, None, None, domain, scales,
                         params={"n": n, "nu": list(cfg.nu), "E": e, "k": k, "c": cc, "cbar": cb})
 
 
@@ -1068,7 +1040,6 @@ def _build_hodograph_example(cfg: HodographExampleConfig, scales) -> FieldBundle
         ),
     )
     return FieldBundle(
-        family=cfg.tag,
         n=3,
         params={"k": k, "alpha": al, "beta": be},
         domain=domain,
@@ -1078,8 +1049,6 @@ def _build_hodograph_example(cfg: HodographExampleConfig, scales) -> FieldBundle
         general_quadruple=general,
         wf_residual=wf_res,
         derivative_forms=forms,
-        config=cfg,
-        mutations=dict(scales),
     )
 
 
@@ -1153,13 +1122,10 @@ def _two_slope_bundle(cfg, scales, cprime: JetFunc, cprime_arr, comp2: JetFunc,
         }
 
     return FieldBundle(
-        family=cfg.tag,
         n=3,
         fields_fn=fields,
         general_quadruple=general,
         derivative_forms=forms,
-        config=cfg,
-        mutations=dict(scales),
         **bundle_kw,
     )
 
@@ -1310,13 +1276,20 @@ def _entry(tag):
 
 
 def make_family(cfg, mutations: dict | None = None) -> FieldBundle:
-    """Build the field bundle for a family configuration."""
-    bundle = _entry(cfg.tag)[1](cfg, dict(mutations or {}))
-    for name in bundle.mutations:
+    """Build the field bundle for a family configuration.
+
+    ``mutations`` maps mutation slots to the factor that slot's derivative
+    function is scaled by; an unknown slot is a :class:`ConfigError`.
+    """
+    scales = dict(mutations or {})
+    bundle = _entry(cfg.tag)[1](cfg, scales)
+    for name in scales:
         if name not in bundle.mutation_slots:
             raise ConfigError(
-                f"family {cfg.tag!r} has no derivative function {name!r} to mutate"
+                f"family {cfg.tag!r} has no derivative function {name!r}; "
+                f"choose from {bundle.mutation_slots}"
             )
+    bundle.family, bundle.config, bundle.mutations = cfg.tag, cfg, scales
     return bundle
 
 
@@ -1388,7 +1361,7 @@ def family_from_dict(d: dict):
         if d:
             raise ConfigError(f"unknown family config fields: {sorted(d)}")
         return cls(**kw)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"family {tag!r}: malformed field value ({exc})") from None
 
 

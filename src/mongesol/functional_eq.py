@@ -69,11 +69,8 @@ def four_function_terms(q: Quadruple, x, z):
     t = q.theta_z(zz)
     p = q.l1_prime(t1)
     qd = q.l2_dot(t2)
-    nu1, nu2, delta = q.nu.nu1, q.nu.nu2, q.nu.delta
-    ln1 = (nu2 ** q.n * qd - nu1 ** q.n * p) / delta
-    lm1 = (qd / nu2 - p / nu1) / delta
-    coupling = (q.nu.box_n(q.n) / (nu1 * nu2)) * qd * p
-    return s * t, s * ln1, t * lm1, -coupling
+    coupling = (q.nu.box_n(q.n) / (q.nu.nu1 * q.nu.nu2)) * qd * p
+    return s * t, s * q.nu.combine(q.n, p, qd), t * q.nu.combine(-1, p, qd), -coupling
 
 
 def four_function_residual(q: Quadruple, x, z, relative: bool = False):

@@ -1,24 +1,19 @@
-"""Characteristic-slope constants and the two-line building blocks.
+"""The characteristic slope pair and its slope-weighted line combination.
 
-The constant-slope solution families are assembled from translates of two
-one-argument functions evaluated on the lines ``x + nu1*z + d1`` and
-``x + nu2*z + d2``.  This module holds the slope pair with its derived
-constants and the weighted combination ``l(s, k)`` whose x/z derivatives
-shift the indices by the chain rule.
+The constant-slope solution families are assembled from two one-argument
+functions evaluated on the lines ``x + nu1*z + d1`` and ``x + nu2*z + d2``.
+:class:`NuPair` holds the two slopes with their derived constants and the one
+combination :meth:`NuPair.combine` that every chain field, the top field, the
+derivative-level forms and the four-function terms are built from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from .errors import ConfigError
-from .jets import Jet2, jet_seed
 
-__all__ = ["NuPair", "LPair", "line_jets", "eval_l"]
-
-# one-argument function applied to a jet of its argument
-JetFunc = Callable[[Jet2], Jet2]
+__all__ = ["NuPair"]
 
 
 @dataclass(frozen=True)
@@ -56,41 +51,12 @@ class NuPair:
             raise ValueError("box_n takes a nonnegative integer")
         return sum(self.nu1 ** j * self.nu2 ** (n - 1 - j) for j in range(n))
 
+    def combine(self, s: int, a1, a2):
+        """``(nu2^s a2 - nu1^s a1) / (nu2 - nu1)`` for jets or arrays ``a1``, ``a2``.
 
-@dataclass(frozen=True)
-class LPair:
-    """The two line functions with their phase offsets.
-
-    ``l1`` and ``l2`` evaluate as univariate jets (closed-form evaluators or
-    truncated series both fit); derivatives of any order are recovered by jet
-    differentiation, so no separate derivative tables are needed.
-    """
-
-    l1: JetFunc
-    l2: JetFunc
-    d1: float = 0.0
-    d2: float = 0.0
-
-
-def line_jets(nu: NuPair, x, z, m: int, d1: float = 0.0, d2: float = 0.0):
-    """Jets of the two line coordinates ``x + nu_i z + d_i``."""
-    xj, zj = jet_seed(x, z, m)
-    return xj + nu.nu1 * zj + d1, xj + nu.nu2 * zj + d2
-
-
-def eval_l(s: int, k: int, lp: LPair, nu: NuPair, x, z, m: int = 2) -> Jet2:
-    """Jet of ``(nu2^s L2^(k) - nu1^s L1^(k)) / (nu2 - nu1)`` at ``(x, z)``.
-
-    ``k``-th derivatives of the line functions are taken by evaluating at
-    order ``m + k`` and differentiating the jets in x, which is exact because
-    each line has unit x-slope.
-    """
-    if k < 0:
-        raise ValueError("derivative count k must be nonnegative")
-    d1j, d2j = line_jets(nu, x, z, m + k, lp.d1, lp.d2)
-    a1 = lp.l1(d1j)
-    a2 = lp.l2(d2j)
-    for _ in range(k):
-        a1 = a1.dx()
-        a2 = a2.dx()
-    return (nu.nu2 ** s * a2 - nu.nu1 ** s * a1) * (1.0 / nu.delta)
+        ``a1`` belongs to the line of slope ``nu1`` and ``a2`` to that of
+        ``nu2``.  A negative power is taken as the reciprocal of the positive
+        one, so ``s = -1`` weighs by exactly ``1/nu``.
+        """
+        w1, w2 = (nu ** s if s >= 0 else 1.0 / nu ** -s for nu in (self.nu1, self.nu2))
+        return (w2 * a2 - w1 * a1) * (1.0 / self.delta)

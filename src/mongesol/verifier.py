@@ -470,7 +470,7 @@ def reconstruct_u(ev: GridEval, tol: float, path_tol: float = 1e-6) -> CheckResu
         # the rectangle is fully admissible, so the flat points are the grid in C order
         fl = {k: Jet2(j.m, j.c.reshape(j.c.shape[:2] + xg.shape)) for k, j in ev.fields.items()}
     else:
-        fl = bundle.eval_fields(xg, zg, 2)
+        fl = bundle.fields_fn(xg, zg, 2)  # the whole rectangle is admitted above
     levels = [_real_field(fl[f"a{j}"].value, f"a{j}") for j in range(n)]
     levels.append(_real_field(fl["W"].value, "W"))
 

@@ -1,10 +1,19 @@
+import contextlib
 import csv
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mongesol.cli import main
+from mongesol.families import SafeDomain
+from mongesol.verifier import DEFAULT_TOLERANCES
 
 
 def _write(tmp_path, name, obj):
@@ -214,10 +223,14 @@ def _strict_json(text):
     {"mutate": {"theta": "big"}},
     {"out": 5},
     {"family": {"family": "m1_implicit", "F": ["a", 1]}},
+    {"probes": float("inf")},
+    {"grid": {"nx": float("inf")}},
+    {"family": {"family": "mn_theta_const", "n": float("inf"), "nu": [1, 2]}},
 ], ids=["grid_nx_not_a_number", "grid_m_below_2", "probes_zero", "nu_single_value",
         "checks_not_a_list", "tolerances_not_an_object", "tolerance_not_a_number",
         "mutate_not_an_object", "mutate_factor_not_a_number", "out_not_a_path",
-        "coefficient_not_a_number"])
+        "coefficient_not_a_number", "probes_infinite", "grid_nx_infinite",
+        "family_degree_infinite"])
 def test_malformed_config_field_exits_2(tmp_path, capsys, section):
     cfg = _write(tmp_path, "bad.json", {
         "family": {"family": "m3_sigma_const", "nu": [1, 2], "A": 1.0, "k": 1.0},
@@ -269,3 +282,103 @@ def test_reconstruct_quadrature_error_is_a_failed_check(tmp_path, capsys):
     assert rec["passed"] is False and rec["max_abs"] == "inf"
     assert rec["extra"]["error"].startswith("quadrature path inconsistency")
     assert (out / "report.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+@pytest.mark.parametrize("route", ["config", "flag"])
+def test_negative_seed_exits_2(tmp_path, capsys, command, route):
+    cfg = _write(tmp_path, "seed.json", {
+        "family": {"family": "m3_sigma_const", "nu": [1, 2], "A": 1.0, "k": 1.0},
+        "grid": {"nx": 9, "nz": 9},
+        **({"seed": -3} if route == "config" else {}),
+    })
+    argv = [command, "--config", cfg, "--out", str(tmp_path / "os")]
+    if command == "sweep":
+        argv += ["--param", "A", "--values", "1"]
+    if route == "flag":
+        argv += ["--seed", "-1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: seed must be a nonnegative integer")
+    assert not (tmp_path / "os").exists()
+
+
+def test_admitted_points_are_not_checked_again(tmp_path, monkeypatch):
+    # construct and an fd_h reconstruct evaluate only points the safe-domain mask admitted
+    calls = []
+    require = SafeDomain.require
+    monkeypatch.setattr(SafeDomain, "require",
+                        lambda self, x, z: calls.append(np.size(x)) or require(self, x, z))
+    cfg = _write(tmp_path, "m1.json", {
+        "family": {"family": "m1_implicit", "F": [0.0, 0.0, 0.0, 1.0], "seed_lambda": 1.2},
+        "grid": {"nx": 9, "nz": 9, "fd_h": 0.01},
+        "checks": ["reconstruct"],
+    })
+    assert main(["construct", "--config", cfg, "--out", str(tmp_path / "oc")]) == 0
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "ov")]) == 0
+    assert calls == []
+
+
+_FUZZ_FAMILY = {"family": "m3_sigma_const", "nu": [1, 2], "A": 1.0, "k": 1.0}
+# wrong types and non-finite numbers; finite ones stay small, because a large
+# probe count or grid size is accepted and would be allocated
+_junk = st.one_of(st.text(max_size=3), st.booleans(), st.none(), st.floats(-3.0, 3.0),
+                  st.sampled_from([math.inf, -math.inf, math.nan]),
+                  st.lists(st.integers(-3, 3), max_size=2))
+_SLOTS = ["sigma", "theta", "l1", "l2"]
+# per field: values the loader accepts (negative mutation factors included) ...
+_VALID = {
+    "nx": st.integers(5, 9),
+    "nz": st.integers(5, 9),
+    "m": st.integers(2, 3),
+    "seed": st.integers(0, 5),
+    "probes": st.integers(1, 30),
+    "checks": st.lists(st.sampled_from(["compat", "dependence", "wf", "eq5", "reconstruct"]),
+                       max_size=4),
+    "tolerances": st.dictionaries(st.sampled_from(sorted(DEFAULT_TOLERANCES)),
+                                  st.floats(1e-12, 1.0), max_size=3),
+    "mutate": st.dictionaries(st.sampled_from(_SLOTS), st.floats(-2.0, 2.0), max_size=2),
+}
+# ... and out-of-range or mistyped ones (null or an empty value reads as unset in some sections)
+_INVALID = {
+    "nx": st.integers(-1, 4) | _junk,
+    "nz": st.integers(-1, 4) | _junk,
+    "m": st.integers(-1, 1) | _junk,
+    "seed": st.integers(-5, -1) | _junk,
+    "probes": st.integers(-2, 0) | _junk,
+    "checks": st.just(["eq10"]) | st.just(["bogus"]) | _junk,
+    "tolerances": _junk | st.dictionaries(st.sampled_from(sorted(DEFAULT_TOLERANCES) + ["bogus"]),
+                                          st.floats(-1.0, 0.0) | _junk, min_size=1, max_size=2),
+    "mutate": _junk | st.dictionaries(st.sampled_from(_SLOTS + ["bogus"]), _junk,
+                                      min_size=1, max_size=2),
+}
+_GRID_KEYS = ("nx", "nz", "m")
+
+
+@st.composite
+def _fuzz_configs(draw):
+    """A run config on at most 9x9 (nx and nz always set); half have one invalid field."""
+    bad = None if draw(st.booleans()) else draw(st.sampled_from(list(_INVALID)))
+    fields = {key: draw(_INVALID[key] if key == bad else valid)
+              for key, valid in _VALID.items()
+              if key in ("nx", "nz", bad) or draw(st.booleans())}
+    config = {key: v for key, v in fields.items() if key not in _GRID_KEYS}
+    config["grid"] = {key: v for key, v in fields.items() if key in _GRID_KEYS}
+    config["family"] = _FUZZ_FAMILY
+    return config
+
+
+@given(config=_fuzz_configs())
+@example(config={"family": _FUZZ_FAMILY, "grid": {"nx": 9, "nz": 9}, "seed": -3})
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_fuzzed_config_keeps_the_exit_contract(config):
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        path = Path(tmp) / "fuzz.json"
+        path.write_text(json.dumps(config))
+        out = Path(tmp) / "out"
+        code = main(["verify", "--config", str(path), "--out", str(out)])
+        assert code in (0, 1, 2, 3)
+        if code in (0, 1):
+            report = _strict_json((out / "report.json").read_text())
+            assert report["passed"] is (code == 0)

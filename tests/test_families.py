@@ -218,13 +218,22 @@ def test_invalid_parameters_are_config_errors():
 
 def test_mutation_slots_validate():
     b = make_family(canonical_config("m3_sigma_const"))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"choose from \('sigma', 'theta', 'l1', 'l2'\)"):
         b.with_mutation("bogus", 1.1)
     same = b.with_mutation("theta", 1.0)
     rng = np.random.default_rng(15)
     x, z = sample_points(b, rng, 10)
     f0, f1 = b.eval_fields(x, z, 2), same.eval_fields(x, z, 2)
     assert np.max(np.abs(f0["f"].value - f1["f"].value)) == 0.0
+
+
+def test_make_family_stamps_tag_config_and_mutations():
+    for tag in FAMILY_TAGS:
+        cfg = canonical_config(tag)
+        for mutations in (None, {}, {slot: 1.1 for slot in make_family(cfg).mutation_slots}):
+            b = make_family(cfg, mutations)
+            assert b.family == cfg.tag and b.config is cfg
+            assert b.mutations == (mutations or {}) and b.mutations is not mutations
 
 
 def test_out_of_domain_evaluation_raises():
