@@ -162,19 +162,16 @@ def cmd_construct(config: RunConfig, out_dir: Path) -> int:
     header = ["x", "z"]
     for name in names:
         header.extend([f"{name}_re", f"{name}_im"] if complex_cols else [name])
+    cols = [x, z]
+    for name in names:
+        v = values[name].ravel()
+        cols.extend([v.real, v.imag] if complex_cols else [v.real])
+    # what csv.writer emits for unquoted fields, one column conversion at a time
+    text = [[f"{v:.17g}" for v in col.tolist()] for col in cols]
     out_dir.mkdir(parents=True, exist_ok=True)
     with (out_dir / "fields.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(x.size):
-            row = [_fmt(x[i]), _fmt(z[i])]
-            for name in names:
-                v = values[name].ravel()[i]
-                if complex_cols:
-                    row.extend([_fmt(np.real(v)), _fmt(np.imag(v))])
-                else:
-                    row.append(_fmt(np.real(v)))
-            writer.writerow(row)
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(row) + "\r\n" for row in zip(*text))
     print(f"wrote {x.size} rows to {out_dir / 'fields.csv'}")
     return 0
 

@@ -74,7 +74,9 @@ class SafeDomain:
 
     A predicate maps point arrays to a margin; a point is admissible when
     every margin is positive.  Evaluating a bundle outside the admissible
-    set raises, it never returns silent non-finite values.
+    set raises, it never returns silent non-finite values.  ``x`` and ``z``
+    may be any two broadcastable arrays; a predicate may return a margin of
+    either's shape, and ``mask`` returns the broadcast shape.
     """
 
     rect: tuple[float, float, float, float]
@@ -111,6 +113,9 @@ class FieldBundle:
 
     Builders fill in everything up to ``w_value_fn``; :func:`make_family`
     stamps ``family``, ``config`` and ``mutations`` on the bundle it returns.
+    ``derivative_forms(x, z)`` takes broadcastable ``x`` and ``z``, as the
+    domain predicates do, and may return a form of the shape of either (an
+    x-only form on an (nx, 1, 1) column of x runs on nx values only).
     """
 
     n: int
@@ -201,14 +206,17 @@ def _poly_deriv(coeffs: Sequence, order: int = 1) -> tuple:
 
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(48)
+_BLOCK = 32768  # quadrature nodes per block of _Primitive.value: cache-sized temporaries
 
 
 class _Primitive:
     """Antiderivative of a jet-evaluable integrand, anchored at ``ref``.
 
     Values come from fixed Gauss-Legendre quadrature (the integrand is smooth
-    on every safe domain); jet coefficients integrate the integrand's own jet,
-    so all derivatives are exact.
+    on every safe domain), summed over blocks of at most ``_BLOCK`` nodes;
+    each value is its own row's sum, so the blocking moves no bit.  Jet
+    coefficients integrate the integrand's own jet, so all derivatives are
+    exact.
     """
 
     def __init__(self, integrand: JetFunc, ref: float):
@@ -217,6 +225,14 @@ class _Primitive:
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
+        rows = _BLOCK // _GAUSS_X.size
+        if t.size <= rows:
+            return self._gauss(t)
+        flat = t.ravel()
+        blocks = [self._gauss(flat[k:k + rows]) for k in range(0, flat.size, rows)]
+        return np.concatenate(blocks).reshape(t.shape)
+
+    def _gauss(self, t):
         half = (t - self.ref) / 2.0
         mid = (t + self.ref) / 2.0
         nodes = mid[..., None] + half[..., None] * _GAUSS_X  # (..., 48)

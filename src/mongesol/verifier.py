@@ -310,16 +310,7 @@ def _quadrature_crosscheck(ev: GridEval, tol: float) -> CheckResult:
     f_quad = f_grid[i0, j0] + f_row[:, None] + f_col
     w_quad = w_grid[i0, j0] + w_row[:, None] + w_col
 
-    # a target point is usable if its row segment to i0 and column segment are clean
-    path_ok = np.zeros_like(ok)
-    for i in range(len(xs)):
-        ri = row_ok[min(i, i0):max(i, i0) + 1] if i != i0 else np.array([True])
-        if not np.all(ri):
-            continue
-        for j in range(len(zs)):
-            cj = col_ok[i, min(j, j0):max(j, j0) + 1] if j != j0 else np.array([True])
-            if ok[i, j] and np.all(cj):
-                path_ok[i, j] = True
+    path_ok = _path_ok(ok, row_ok, col_ok, i0, j0)
     if not np.any(path_ok):
         raise DomainError("quadrature cross-check: no admissible integration paths")
 
@@ -327,6 +318,20 @@ def _quadrature_crosscheck(ev: GridEval, tol: float) -> CheckResult:
                        np.abs(w_quad[path_ok] - w_grid[path_ok]))
     return _result("wf_quadrature", resid, xg[path_ok], zg[path_ok], tol,
                    extra={"points": int(np.count_nonzero(path_ok))})
+
+
+def _clean_to(bad, k0):
+    """Along the last axis: no ``bad`` node between each index and ``k0``, both
+    included; index ``k0`` itself counts as clean whatever its flag."""
+    k = np.arange(bad.shape[-1])
+    lo, hi = np.minimum(k, k0), np.maximum(k, k0)
+    counts = np.cumsum(bad, axis=-1)
+    return (counts[..., hi] - counts[..., lo] + bad[..., lo] == 0) | (k == k0)
+
+
+def _path_ok(ok, row_ok, col_ok, i0, j0):
+    """Admissible nodes whose row segment to ``i0`` and column segment to ``j0`` are clean."""
+    return ok & _clean_to(~row_ok, i0)[:, None] & _clean_to(~col_ok, j0)
 
 
 def _fine_axis(nodes, refine):
@@ -353,8 +358,8 @@ def _row_forms(bundle, xs, z0, refine):
 
 def _col_forms(bundle, xs, zs, refine):
     fine = _fine_axis(zs, refine)  # (nz-1, r+1)
-    xg = xs[:, None, None] + 0.0 * fine[None, :, :]
-    zg = np.broadcast_to(fine[None, :, :], xg.shape)
+    # broadcast, not materialized: x-only predicates and forms run on nx values
+    xg, zg = xs[:, None, None] + 0.0, fine[None, :, :]
     okf = bundle.domain.mask(xg, zg)
     with np.errstate(all="ignore"):
         forms = bundle.derivative_forms(xg, zg)

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mongesol.cli import main
-from mongesol.families import SafeDomain
-from mongesol.verifier import DEFAULT_TOLERANCES
+from mongesol.cli import RunConfig, main
+from mongesol.families import FAMILY_TAGS, SafeDomain, canonical_config, family_to_dict
+from mongesol.verifier import DEFAULT_TOLERANCES, admissible_grid
 
 
 def _write(tmp_path, name, obj):
@@ -72,6 +72,52 @@ def test_construct_general_family_all_finite(tmp_path):
     rows = list(csv.reader((out / "fields.csv").open()))
     vals = np.array([[float(v) for v in r] for r in rows[1:]])
     assert np.all(np.isfinite(vals))
+
+
+def _fields_csv_by_row(config_path) -> bytes:
+    """fields.csv as ``csv.writer`` writes it, one numpy scalar at a time."""
+    config = RunConfig.load(config_path)
+    bundle = config.bundle()
+    grid = config.grid_spec(bundle)
+    x, z = admissible_grid(bundle, grid)
+    fl = bundle.fields_fn(x, z, max(2, grid.m))
+    names = [f"a{j}" for j in range(bundle.n)] + ["W", "f"]
+    values = {name: np.asarray(fl[name].value) for name in names}
+    complex_cols = any(
+        np.iscomplexobj(v) and np.max(np.abs(v.imag)) > 1e-12 for v in values.values()
+    )
+    fmt = lambda v: f"{float(v):.17g}"
+    header = ["x", "z"]
+    for name in names:
+        header.extend([f"{name}_re", f"{name}_im"] if complex_cols else [name])
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for i in range(x.size):
+        row = [fmt(x[i]), fmt(z[i])]
+        for name in names:
+            v = values[name].ravel()[i]
+            row.extend([fmt(np.real(v)), fmt(np.imag(v))] if complex_cols else [fmt(np.real(v))])
+        writer.writerow(row)
+    return buf.getvalue().encode()
+
+
+_COMPLEX_TRIVIAL = {"family": "trivial", "n": 2, "terms": [  # complex weights: _re/_im columns
+    [1.0, [0, 0, [0.5, 0.2], [1.0, 0.3]]],
+    [-1.0, [0, 0, 1.0, [0.0, -0.4]]],
+]}
+
+
+@pytest.mark.parametrize("family", [family_to_dict(canonical_config(t)) for t in FAMILY_TAGS]
+                         + [_COMPLEX_TRIVIAL], ids=list(FAMILY_TAGS) + ["trivial_complex"])
+def test_construct_fields_csv_bytes_equal_the_row_writer(family, tmp_path):
+    cfg = _write(tmp_path, "c.json", {"family": family, "grid": {"nx": 21, "nz": 21}})
+    out = tmp_path / "out"
+    assert main(["construct", "--config", cfg, "--out", str(out)]) == 0
+    text = (out / "fields.csv").read_bytes()
+    assert text == _fields_csv_by_row(cfg)
+    if family is _COMPLEX_TRIVIAL:
+        assert b"a0_re,a0_im" in text.split(b"\r\n")[0]
 
 
 def test_construct_empty_domain_exits_3(tmp_path):

@@ -28,6 +28,7 @@ from mongesol.families import (
     _GAUSS_X,
     _Primitive,
 )
+from mongesol import families
 from mongesol.jets import jet_partial, jet_seed
 from mongesol.verifier import GridSpec, admissible_grid, sample_points
 
@@ -286,6 +287,27 @@ def test_primitive_values_equal_order_one_reference(tag, count):
         ref = _order_one_value(prim, t)
         assert np.all(np.isfinite(ref))
         assert np.array_equal(prim.value(t), ref)
+
+
+@pytest.mark.parametrize("tag", ["degenerate", "m3_hodograph_example", "m3_general",
+                                 "m3_general_e0"])
+def test_blocked_primitive_values_equal_order_one_reference(tag, monkeypatch):
+    full = (81, 81)
+    # one row per block and a ragged 100-node block on 243 rows (81² of them
+    # would take seconds), then the default and a single block on 81²
+    cases = [(48, (3, 81)), (100, (3, 81)), (families._BLOCK, full),
+             (48 * (81 * 81 + 1), full)]
+    for prim in _primitives(make_family(canonical_config(tag))):
+        for block, shape in cases:
+            monkeypatch.setattr(families, "_BLOCK", block)
+            t = prim.ref * np.linspace(0.8, 1.2, np.prod(shape)).reshape(shape)
+            got = prim.value(t)
+            assert got.shape == shape
+            assert np.array_equal(got, _order_one_value(prim, t)), block
+            point = prim.value(prim.ref * 1.1)
+            assert np.shape(point) == ()
+            assert np.array_equal(point, _order_one_value(prim, prim.ref * 1.1))
+            assert prim.value(np.empty(0)).shape == (0,)
 
 
 def test_w_of_f_stays_in_the_safe_domain():

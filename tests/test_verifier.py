@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mongesol.errors import ConfigError, DomainError
 from mongesol.families import (
@@ -23,6 +25,9 @@ from mongesol.verifier import (
     reconstruct_u,
     richardson_ratio,
     run_suite,
+    _col_forms,
+    _fine_axis,
+    _path_ok,
 )
 
 
@@ -178,3 +183,58 @@ def test_grid_validation():
         GridSpec(0, 1, 0, 1, nx=3, nz=7)
     with pytest.raises(ConfigError):
         GridSpec(0, 1, 0, 1, fd_h=0.5)
+
+
+def _path_ok_loop(ok, row_ok, col_ok, i0, j0):
+    """The per-node loop ``_path_ok`` replaces, quirks included."""
+    path_ok = np.zeros_like(ok)
+    for i in range(ok.shape[0]):
+        ri = row_ok[min(i, i0):max(i, i0) + 1] if i != i0 else np.array([True])
+        if not np.all(ri):
+            continue
+        for j in range(ok.shape[1]):
+            cj = col_ok[i, min(j, j0):max(j, j0) + 1] if j != j0 else np.array([True])
+            if ok[i, j] and np.all(cj):
+                path_ok[i, j] = True
+    return path_ok
+
+
+@st.composite
+def _path_masks(draw):
+    nx, nz = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    bits = lambda n: np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    return (bits(nx * nz).reshape(nx, nz), bits(nx), bits(nx * nz).reshape(nx, nz),
+            draw(st.integers(0, nx - 1)), draw(st.integers(0, nz - 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_path_masks())
+def test_path_ok_equals_the_loop(masks):
+    assert np.array_equal(_path_ok(*masks), _path_ok_loop(*masks))
+
+
+def _col_forms_materialized(bundle, xs, zs, refine):
+    """``_col_forms`` on full (nx, nz-1, refine+1) point arrays."""
+    fine = _fine_axis(zs, refine)
+    xg = xs[:, None, None] + 0.0 * fine[None, :, :]
+    zg = np.broadcast_to(fine[None, :, :], xg.shape)
+    okf = bundle.domain.mask(xg, zg)
+    with np.errstate(all="ignore"):
+        forms = bundle.derivative_forms(xg, zg)
+    col_ok = np.ones((len(xs), len(zs)), dtype=bool)
+    col_ok[:, :-1] &= np.all(okf, axis=2)
+    col_ok[:, 1:] &= np.all(okf, axis=2)
+    return np.where(okf, forms["f_z"], 0.0), np.where(okf, forms["W_z"], 0.0), col_ok
+
+
+@pytest.mark.parametrize("tag", [t for t in FAMILY_TAGS
+                                 if make_family(canonical_config(t)).derivative_forms])
+@pytest.mark.parametrize("n", [21, 81])
+def test_broadcast_column_forms_are_bitwise_materialized(tag, n):
+    b = make_family(canonical_config(tag))
+    xs, zs = GridSpec.for_bundle(b, nx=n, nz=n).axes()
+    got = _col_forms(b, xs, zs, 32)
+    want = _col_forms_materialized(b, xs, zs, 32)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()
