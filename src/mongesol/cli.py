@@ -166,8 +166,9 @@ def cmd_construct(config: RunConfig, out_dir: Path) -> int:
     for name in names:
         v = values[name].ravel()
         cols.extend([v.real, v.imag] if complex_cols else [v.real])
-    # what csv.writer emits for unquoted fields, one column conversion at a time
-    text = [[f"{v:.17g}" for v in col.tolist()] for col in cols]
+    # what csv.writer emits for unquoted fields: one .tolist() per column, and
+    # lazy formatting, so only one row of text is held at a time
+    text = [map("{:.17g}".format, col.tolist()) for col in cols]
     out_dir.mkdir(parents=True, exist_ok=True)
     with (out_dir / "fields.csv").open("w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")

@@ -225,11 +225,8 @@ class _Primitive:
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
-        rows = _BLOCK // _GAUSS_X.size
-        if t.size <= rows:
-            return self._gauss(t)
-        flat = t.ravel()
-        blocks = [self._gauss(flat[k:k + rows]) for k in range(0, flat.size, rows)]
+        rows, flat = _BLOCK // _GAUSS_X.size, t.ravel()
+        blocks = [self._gauss(flat[k:k + rows]) for k in range(0, max(flat.size, 1), rows)]
         return np.concatenate(blocks).reshape(t.shape)
 
     def _gauss(self, t):

@@ -279,34 +279,24 @@ def _order_one_value(prim, t):
 
 @pytest.mark.parametrize("tag,count", [("m3_hodograph_example", 2), ("m3_general", 4),
                                        ("m3_general_e0", 4), ("degenerate", 1)])
-def test_primitive_values_equal_order_one_reference(tag, count):
+def test_primitive_values_equal_order_one_reference(tag, count, monkeypatch):
     prims = _primitives(make_family(canonical_config(tag)))
     assert len(prims) == count
+    # (_BLOCK, shape of t): the default, one row per block and a ragged 100-node
+    # block (on 3x81 points; on 81² they would take seconds), then the default
+    # and a single block on 81²
+    cases = [(families._BLOCK, (41,)), (48, (3, 81)), (100, (3, 81)),
+             (families._BLOCK, (81, 81)), (48 * (81 * 81 + 1), (81, 81))]
     for prim in prims:
-        t = prim.ref * np.linspace(0.8, 1.2, 41)
-        ref = _order_one_value(prim, t)
-        assert np.all(np.isfinite(ref))
-        assert np.array_equal(prim.value(t), ref)
-
-
-@pytest.mark.parametrize("tag", ["degenerate", "m3_hodograph_example", "m3_general",
-                                 "m3_general_e0"])
-def test_blocked_primitive_values_equal_order_one_reference(tag, monkeypatch):
-    full = (81, 81)
-    # one row per block and a ragged 100-node block on 243 rows (81² of them
-    # would take seconds), then the default and a single block on 81²
-    cases = [(48, (3, 81)), (100, (3, 81)), (families._BLOCK, full),
-             (48 * (81 * 81 + 1), full)]
-    for prim in _primitives(make_family(canonical_config(tag))):
         for block, shape in cases:
             monkeypatch.setattr(families, "_BLOCK", block)
-            t = prim.ref * np.linspace(0.8, 1.2, np.prod(shape)).reshape(shape)
-            got = prim.value(t)
-            assert got.shape == shape
-            assert np.array_equal(got, _order_one_value(prim, t)), block
-            point = prim.value(prim.ref * 1.1)
-            assert np.shape(point) == ()
-            assert np.array_equal(point, _order_one_value(prim, prim.ref * 1.1))
+            for t in (prim.ref * np.linspace(0.8, 1.2, np.prod(shape)).reshape(shape),
+                      prim.ref * 1.1):
+                ref = _order_one_value(prim, t)
+                assert np.all(np.isfinite(ref))
+                got = prim.value(t)
+                assert got.shape == np.shape(t)
+                assert np.array_equal(got, ref), block
             assert prim.value(np.empty(0)).shape == (0,)
 
 
