@@ -23,6 +23,7 @@ from .verifier import (
     DEFAULT_TOLERANCES,
     GridSpec,
     KNOWN_CHECKS,
+    MAX_POINTS,
     ResidualReport,
     _fmt,
     admissible_grid,
@@ -66,6 +67,8 @@ class RunConfig:
             raise ConfigError(f"probes and seed must be integers ({exc})") from None
         if probes < 1:
             raise ConfigError(f"probes must be at least 1, got {probes}")
+        if probes > MAX_POINTS:
+            raise ConfigError(f"probes must be at most {MAX_POINTS}, got {probes}")
         checks = raw.get("checks")
         if checks is not None and not (isinstance(checks, list)
                                        and all(c in KNOWN_CHECKS for c in checks)):
@@ -153,7 +156,7 @@ def cmd_construct(config: RunConfig, out_dir: Path) -> int:
     bundle = config.bundle()
     grid = config.grid_spec(bundle)
     x, z = admissible_grid(bundle, grid)
-    fl = bundle.fields_fn(x, z, max(2, grid.m))  # the points are admitted already
+    fl = bundle.fields_fn(x, z, 1)  # values only; the points are admitted already
     names = [f"a{j}" for j in range(bundle.n)] + ["W", "f"]
     values = {name: np.asarray(fl[name].value) for name in names}
     complex_cols = any(
@@ -167,12 +170,12 @@ def cmd_construct(config: RunConfig, out_dir: Path) -> int:
         v = values[name].ravel()
         cols.extend([v.real, v.imag] if complex_cols else [v.real])
     # what csv.writer emits for unquoted fields: one .tolist() per column, and
-    # lazy formatting, so only one row of text is held at a time
-    text = [map("{:.17g}".format, col.tolist()) for col in cols]
+    # rows formatted one at a time, so only one row of text is held at a time
+    row = ",".join(["%.17g"] * len(cols)) + "\r\n"
     out_dir.mkdir(parents=True, exist_ok=True)
     with (out_dir / "fields.csv").open("w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.writelines(",".join(row) + "\r\n" for row in zip(*text))
+        fh.writelines(row % cells for cells in zip(*(col.tolist() for col in cols)))
     print(f"wrote {x.size} rows to {out_dir / 'fields.csv'}")
     return 0
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -113,6 +114,9 @@ class FieldBundle:
 
     Builders fill in everything up to ``w_value_fn``; :func:`make_family`
     stamps ``family``, ``config`` and ``mutations`` on the bundle it returns.
+    ``fields_fn(x, z, m)`` returns a ``Mapping``, not necessarily a dict, from
+    ``a0 .. a{n-1}``, ``W`` and ``f`` to their order-``m`` jets; an entry may
+    be built only when it is first read (see :class:`_Fields`).
     ``derivative_forms(x, z)`` takes broadcastable ``x`` and ``z``, as the
     domain predicates do, and may return a form of the shape of either (an
     x-only form on an (nx, 1, 1) column of x runs on nx values only).
@@ -123,7 +127,7 @@ class FieldBundle:
     domain: SafeDomain
     wf_relation: str | None
     mutation_slots: tuple[str, ...]
-    fields_fn: Callable[[np.ndarray, np.ndarray, int], dict]
+    fields_fn: Callable[[np.ndarray, np.ndarray, int], Mapping[str, Jet2]]
     quadruple: Quadruple | None = None
     general_quadruple: GeneralQuadruple | None = None
     wf_residual: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
@@ -134,7 +138,7 @@ class FieldBundle:
     config: object = None
     mutations: dict = field(default_factory=dict)
 
-    def eval_fields(self, x, z, m: int = 2) -> dict:
+    def eval_fields(self, x, z, m: int = 2) -> Mapping[str, Jet2]:
         """Jets of a0..a{n-1}, W, f at the points; errors off-domain."""
         if m < 2:
             raise ValueError("eval_fields needs jet order m >= 2")
@@ -161,8 +165,9 @@ class FieldBundle:
         Families with an explicit top function use it; otherwise the value is
         looked up by sliding along x at fixed z until the bottom field
         matches, which is valid precisely because W and f are functionally
-        dependent.  The slide reads values and d/dx only, so it runs on
-        order-1 jets; an iterate outside the safe domain is a DomainError.
+        dependent.  The slide reads values and d/dx of f and W only, so it
+        runs on order-1 jets and never builds a lazy chain field; an iterate
+        outside the safe domain is a DomainError.
         """
         tvals = np.asarray(tvals)
         if self.w_value_fn is not None:
@@ -191,6 +196,31 @@ class FieldBundle:
 # ---------------------------------------------------------------------------
 # small building blocks
 # ---------------------------------------------------------------------------
+
+
+class _Fields(Mapping):
+    """What a ``fields_fn`` returns: field name -> jet.
+
+    An entry given as a zero-argument callable is built on its first read and
+    kept, so a reader of ``f`` and ``W`` alone (the ``w_of_f`` slide) never
+    pays for the chain fields.  A jet's value does not depend on when it is
+    built, so laziness moves no bit.
+    """
+
+    def __init__(self, **entries):
+        self._entries = entries
+
+    def __getitem__(self, name):
+        entry = self._entries[name]
+        if callable(entry):
+            entry = self._entries[name] = entry()
+        return entry
+
+    def __iter__(self):
+        return iter(self._entries)
+
+    def __len__(self):
+        return len(self._entries)
 
 
 def _poly_fn(coeffs: Sequence) -> JetFunc:
@@ -548,7 +578,7 @@ def _build_degenerate(cfg: DegenerateConfig, scales) -> FieldBundle:
         a0 = solve_a(x, z)
         xj, zj = jet_seed(x, z, m)
         aj = Jet2.constant(a0, m)
-        for _ in range(max(3, m.bit_length() + 1)):  # as many passes at order 1 as at 2
+        for _ in range(max(3, m.bit_length())):  # as in hodograph.implicit_jet
             sj = _univariate_on_jet(slope, aj)
             gj = _univariate_on_jet(g_fn, aj)
             sp = _univariate_on_jet(slope, aj, 1)
@@ -1000,14 +1030,14 @@ def _build_hodograph_example(cfg: HodographExampleConfig, scales) -> FieldBundle
     def fields(x, z, m):
         xj, zj = jet_seed(x, z, m)
         nuj = -xj / zj
-        out = {
-            "a2": prim0(nuj) * sc2,
-            "a1": prim1(nuj) * sc2,
-            "a0": comp2(nuj) * sc2 + theta(zj) * sth,
-            "W": comp_m1(nuj) * sc2 + sigma(xj) * ssg,
-        }
-        out["f"] = out["a0"]
-        return out
+        a0 = comp2(nuj) * sc2 + theta(zj) * sth
+        return _Fields(
+            a2=lambda: prim0(nuj) * sc2,
+            a1=lambda: prim1(nuj) * sc2,
+            a0=a0,
+            W=comp_m1(nuj) * sc2 + sigma(xj) * ssg,
+            f=a0,
+        )
 
     theta_z = _scaled_arr(lambda z: np.asarray(z, dtype=float) ** -4.0
                           / (k * np.asarray(z, dtype=float) ** -3.0 + be), sth)
@@ -1098,14 +1128,14 @@ def _two_slope_bundle(cfg, scales, cprime: JetFunc, cprime_arr, comp2: JetFunc,
         xj, zj = jet_seed(x, z, m)
         n1, n2 = _quadratic_slope_jets(x, z, m)
         a0 = comp2(n1) * sc1 + comp2(n2) * sc2
-        out = {
-            "a2": prims[(0, ref1)](n1) * sc1 + prims[(0, ref2)](n2) * sc2,
-            "a1": prims[(1, ref1)](n1) * sc1 + prims[(1, ref2)](n2) * sc2,
-            "a0": a0 if theta is None else a0 + theta(zj) * sth,
-            "W": comp_m1(n1) * sc1 + comp_m1(n2) * sc2 + sigma(xj) * ssg,
-        }
-        out["f"] = out["a0"]
-        return out
+        a0 = a0 if theta is None else a0 + theta(zj) * sth
+        return _Fields(
+            a2=lambda: prims[(0, ref1)](n1) * sc1 + prims[(0, ref2)](n2) * sc2,
+            a1=lambda: prims[(1, ref1)](n1) * sc1 + prims[(1, ref2)](n2) * sc2,
+            a0=a0,
+            W=comp_m1(n1) * sc1 + comp_m1(n2) * sc2 + sigma(xj) * ssg,
+            f=a0,
+        )
 
     theta_z = _scaled_arr(theta_z, sth)
     sigma_x = _scaled_arr(sigma_x, ssg)

@@ -100,13 +100,13 @@ def implicit_jet(f: Callable[[Jet2], Jet2], xj: Jet2, zj: Jet2, lam0) -> Jet2:
     """Jet of the implicit branch ``lam(x, z)`` with ``x + lam*z = F(lam)``.
 
     ``lam0`` are the already-solved values at the base points.  Newton in the
-    jet algebra doubles the correct nilpotent order each pass.  Orders 1 to 3
-    take the same three passes, so their common coefficients agree bitwise.
+    jet algebra doubles the correct nilpotent order each pass, so ``p``
+    passes from a value are exact to order ``2**p - 1``.  Orders 1 to 7 take
+    the same three passes, so their common coefficients agree bitwise.
     """
     m = xj.m
     lam = Jet2.constant(np.asarray(lam0), m)
-    passes = max(3, m.bit_length() + 1)
-    for _ in range(passes):
+    for _ in range(max(3, m.bit_length())):
         fj = _univariate_on_jet(f, lam)
         fpj = _univariate_on_jet(f, lam, derivative=1)
         g = xj + lam * zj - fj

@@ -106,6 +106,11 @@ class Jet2:
             return Jet2(self.m, self.c * np.asarray(other))
         self._check_order(other)
         m = self.m
+        if m == 0 and np.any(self.c):
+            # values only: what the loop below leaves, 0.0 + a*b, is a*b + 0.0
+            out = self.c * other.c
+            out += 0.0
+            return Jet2(0, out)
         shape = np.broadcast_shapes(self.shape, other.shape)
         out = np.zeros((m + 1, m + 1) + shape, dtype=np.result_type(self.c.dtype, other.c.dtype))
         for i in range(m + 1):
@@ -126,6 +131,9 @@ class Jet2:
         v = self.value
         if np.any(v == 0):
             raise ZeroDivisionError("jet reciprocal of a zero field value")
+        if self.m == 0:  # values only: the series below is empty and leaves 1 * (1/a)
+            inv = 1.0 / self.c
+            return Jet2(0, inv * np.ones((), inv.dtype))
         inv = 1.0 / v
         # 1/a = inv * sum_k N^k  with N = 1 - inv*a nilpotent
         n = Jet2(self.m, -(self.c * inv))

@@ -30,6 +30,7 @@ __all__ = [
     "ResidualReport",
     "DEFAULT_TOLERANCES",
     "KNOWN_CHECKS",
+    "MAX_POINTS",
     "admissible_grid",
     "check_compatibility",
     "check_dependence",
@@ -43,6 +44,10 @@ __all__ = [
 ]
 
 KNOWN_CHECKS = ("compat", "dependence", "wf", "eq5", "eq10", "reconstruct")
+
+# Most points one grid (the base grid or its fd_h refinement) or one probe set
+# may hold: 2**20 points of order-2 jets are a few hundred MB of temporaries.
+MAX_POINTS = 2 ** 20
 
 DEFAULT_TOLERANCES = {
     "compat": 1e-9,
@@ -58,7 +63,12 @@ DEFAULT_TOLERANCES = {
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Rectangular evaluation grid plus the jet/FD parameters."""
+    """Rectangular evaluation grid plus the jet/FD parameters.
+
+    The grid, and the finer grid of spacing ``fd_h`` that reconstruction
+    evaluates when ``fd_h`` is set, each hold at most ``MAX_POINTS`` points;
+    a larger one is a :class:`ConfigError`.
+    """
 
     x_lo: float
     x_hi: float
@@ -72,13 +82,34 @@ class GridSpec:
     def __post_init__(self):
         if self.nx < 5 or self.nz < 5:
             raise ConfigError("grid needs nx, nz >= 5")
-        if self.fd_h is not None and not (1e-6 <= self.fd_h <= 1e-2):
-            raise ConfigError("fd_h must lie in [1e-6, 1e-2]")
+        if self.nx * self.nz > MAX_POINTS:
+            raise ConfigError(f"grid of {self.nx}x{self.nz} points exceeds {MAX_POINTS} points")
+        if self.fd_h is not None:
+            if not (1e-6 <= self.fd_h <= 1e-2):
+                raise ConfigError("fd_h must lie in [1e-6, 1e-2]")
+            steps = ((self.x_hi - self.x_lo) / self.fd_h, (self.z_hi - self.z_lo) / self.fd_h)
+            if not all(map(math.isfinite, steps)):
+                raise ConfigError("fd_h needs a finite grid rectangle")
+            nx, nz = self._fd_shape()
+            if nx * nz > MAX_POINTS:
+                raise ConfigError(f"fd_h = {self.fd_h!r} refines the grid to {nx}x{nz} points, "
+                                  f"more than {MAX_POINTS}")
 
     @classmethod
     def for_bundle(cls, bundle: FieldBundle, nx: int = 21, nz: int = 21, **kw) -> "GridSpec":
         x_lo, x_hi, z_lo, z_hi = bundle.domain.rect
         return cls(x_lo, x_hi, z_lo, z_hi, nx=nx, nz=nz, **kw)
+
+    def _fd_shape(self) -> tuple[int, int]:
+        return (max(5, int(round((self.x_hi - self.x_lo) / self.fd_h)) + 1),
+                max(5, int(round((self.z_hi - self.z_lo) / self.fd_h)) + 1))
+
+    def fd_grid(self) -> "GridSpec":
+        """The grid reconstruction differences on: spacing ``fd_h``, or this grid."""
+        if self.fd_h is None:
+            return self
+        nx, nz = self._fd_shape()
+        return GridSpec(self.x_lo, self.x_hi, self.z_lo, self.z_hi, nx=nx, nz=nz, m=self.m)
 
     def axes(self):
         return (np.linspace(self.x_lo, self.x_hi, self.nx),
@@ -460,11 +491,7 @@ def reconstruct_u(ev: GridEval, tol: float, path_tol: float = 1e-6) -> CheckResu
     n = bundle.n
     if n > 4:
         raise ConfigError("reconstruction supports degree n <= 4 (stencil table)")
-    if grid.fd_h is not None:
-        grid = GridSpec(grid.x_lo, grid.x_hi, grid.z_lo, grid.z_hi,
-                        nx=max(5, int(round((grid.x_hi - grid.x_lo) / grid.fd_h)) + 1),
-                        nz=max(5, int(round((grid.z_hi - grid.z_lo) / grid.fd_h)) + 1),
-                        m=grid.m)
+    grid = grid.fd_grid()
     xs, zs = grid.axes()
     xg, zg = np.meshgrid(xs, zs, indexing="ij")
     if not np.all(bundle.domain.mask(xg, zg)):

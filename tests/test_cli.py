@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from mongesol.cli import RunConfig, main
 from mongesol.families import FAMILY_TAGS, SafeDomain, canonical_config, family_to_dict
-from mongesol.verifier import DEFAULT_TOLERANCES, admissible_grid
+from mongesol.verifier import DEFAULT_TOLERANCES, MAX_POINTS, admissible_grid
 
 
 def _write(tmp_path, name, obj):
@@ -111,11 +111,17 @@ _COMPLEX_TRIVIAL = {"family": "trivial", "n": 2, "terms": [  # complex weights: 
 @pytest.mark.parametrize("family", [family_to_dict(canonical_config(t)) for t in FAMILY_TAGS]
                          + [_COMPLEX_TRIVIAL], ids=list(FAMILY_TAGS) + ["trivial_complex"])
 def test_construct_fields_csv_bytes_equal_the_row_writer(family, tmp_path):
-    cfg = _write(tmp_path, "c.json", {"family": family, "grid": {"nx": 21, "nz": 21}})
-    out = tmp_path / "out"
-    assert main(["construct", "--config", cfg, "--out", str(out)]) == 0
-    text = (out / "fields.csv").read_bytes()
-    assert text == _fields_csv_by_row(cfg)
+    # the row writer reads order-max(2, m) jets, construct order-1 ones: the
+    # values, and so the bytes, must not depend on the jet order grid.m
+    texts = set()
+    for m in (2, 3, 4):
+        cfg = _write(tmp_path, f"c{m}.json", {"family": family, "grid": {"nx": 21, "nz": 21, "m": m}})
+        out = tmp_path / f"out{m}"
+        assert main(["construct", "--config", cfg, "--out", str(out)]) == 0
+        text = (out / "fields.csv").read_bytes()
+        assert text == _fields_csv_by_row(cfg), m
+        texts.add(text)
+    assert len(texts) == 1
     if family is _COMPLEX_TRIVIAL:
         assert b"a0_re,a0_im" in text.split(b"\r\n")[0]
 
@@ -272,11 +278,16 @@ def _strict_json(text):
     {"probes": float("inf")},
     {"grid": {"nx": float("inf")}},
     {"family": {"family": "mn_theta_const", "n": float("inf"), "nu": [1, 2]}},
+    {"probes": MAX_POINTS + 1},
+    {"grid": {"nx": 1025, "nz": 1025}},
+    {"grid": {"nx": 9, "nz": 9, "fd_h": 1e-3}, "checks": ["reconstruct"]},
+    {"grid": {"rect": [0.5, 1e308, 0.4, 2.0], "fd_h": 1e-2}},
 ], ids=["grid_nx_not_a_number", "grid_m_below_2", "probes_zero", "nu_single_value",
         "checks_not_a_list", "tolerances_not_an_object", "tolerance_not_a_number",
         "mutate_not_an_object", "mutate_factor_not_a_number", "out_not_a_path",
         "coefficient_not_a_number", "probes_infinite", "grid_nx_infinite",
-        "family_degree_infinite"])
+        "family_degree_infinite", "probes_above_cap", "grid_above_cap",
+        "fd_h_grid_above_cap", "fd_h_grid_infinite"])
 def test_malformed_config_field_exits_2(tmp_path, capsys, section):
     cfg = _write(tmp_path, "bad.json", {
         "family": {"family": "m3_sigma_const", "nu": [1, 2], "A": 1.0, "k": 1.0},
@@ -366,8 +377,8 @@ def test_admitted_points_are_not_checked_again(tmp_path, monkeypatch):
 
 
 _FUZZ_FAMILY = {"family": "m3_sigma_const", "nu": [1, 2], "A": 1.0, "k": 1.0}
-# wrong types and non-finite numbers; finite ones stay small, because a large
-# probe count or grid size is accepted and would be allocated
+# wrong types and non-finite numbers; finite ones stay small, because a probe
+# count or grid size up to verifier.MAX_POINTS is accepted and would be allocated
 _junk = st.one_of(st.text(max_size=3), st.booleans(), st.none(), st.floats(-3.0, 3.0),
                   st.sampled_from([math.inf, -math.inf, math.nan]),
                   st.lists(st.integers(-3, 3), max_size=2))

@@ -247,15 +247,39 @@ def test_out_of_domain_evaluation_raises():
 
 @pytest.mark.parametrize("tag", FAMILY_TAGS)
 def test_order_one_jets_truncate_order_two(tag):
-    # the slice Newton of w_of_f reads order-1 jets in place of order-2 ones
+    # the slice Newton of w_of_f and construct read order-1 jets in place of
+    # order-2 ones, and a grid.m up to 7 must not move them: every order from
+    # 1 to 7 truncates the order-7 jets bitwise
     b = make_family(canonical_config(tag))
     x, z = admissible_grid(b, GridSpec.for_bundle(b))
-    lo, hi = b.fields_fn(x, z, 1), b.fields_fn(x, z, 2)
-    assert set(lo) == set(hi)
-    for name in hi:
-        for i, j in ((0, 0), (1, 0), (0, 1)):
-            assert np.array_equal(jet_partial(lo[name], i, j), jet_partial(hi[name], i, j)), \
-                (name, i, j)
+    top = b.fields_fn(x, z, 7)
+    for m in range(1, 7):
+        lo = b.fields_fn(x, z, m)
+        assert set(lo) == set(top)
+        for name in top:
+            for i in range(m + 1):
+                for j in range(m + 1 - i):
+                    assert np.array_equal(lo[name].c[i, j], top[name].c[i, j]), (m, name, i, j)
+
+
+@pytest.mark.parametrize("tag", ["m3_general", "m3_general_e0", "m3_hodograph_example"])
+def test_w_of_f_builds_no_primitive(tag, monkeypatch):
+    # the slide reads f and W only; the Gauss-summed chain fields a1, a2 stay unbuilt
+    b = make_family(canonical_config(tag))
+    assert b.w_value_fn is None
+    x, z = admissible_grid(b, GridSpec.for_bundle(b, nx=9, nz=9))
+    step = 1e-3 * (b.domain.rect[1] - b.domain.rect[0])
+    near = b.domain.mask(x + step, z)
+    x, z = x[near], z[near]
+    calls = []
+    call = _Primitive.__call__
+    monkeypatch.setattr(_Primitive, "__call__", lambda self, a: calls.append(a.m) or call(self, a))
+    fl = b.fields_fn(x, z, 2)
+    w = b.w_of_f(fl["f"].value, x + step, z)  # slides back from x + step to x
+    assert calls == []
+    np.testing.assert_allclose(w, fl["W"].value, rtol=1e-9)
+    assert fl["a1"].m == fl["a2"].m == 2
+    assert calls == [2] * len(_primitives(b))
 
 
 def _primitives(bundle):

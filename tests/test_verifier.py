@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from mongesol.families import (
 )
 from mongesol.jets import jet_seed
 from mongesol.verifier import (
+    MAX_POINTS,
     GridEval,
     GridSpec,
     admissible_grid,
@@ -183,6 +186,14 @@ def test_grid_validation():
         GridSpec(0, 1, 0, 1, nx=3, nz=7)
     with pytest.raises(ConfigError):
         GridSpec(0, 1, 0, 1, fd_h=0.5)
+    # the point cap, on the grid and on its fd_h refinement (101 x 101 is under it)
+    assert GridSpec(0, 1, 0, 1, fd_h=0.01).fd_grid().meta()["nx"] == 101
+    with pytest.raises(ConfigError, match="exceeds"):
+        GridSpec(0, 1, 0, 1, nx=MAX_POINTS // 5 + 1, nz=5)
+    with pytest.raises(ConfigError, match="refines the grid to 10001x10001 points"):
+        GridSpec(0, 1, 0, 1, fd_h=1e-4)
+    with pytest.raises(ConfigError, match="finite grid rectangle"):
+        GridSpec(0, math.inf, 0, 1, fd_h=1e-2)
 
 
 def _path_ok_loop(ok, row_ok, col_ok, i0, j0):
