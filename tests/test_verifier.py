@@ -187,7 +187,7 @@ def test_grid_validation():
     with pytest.raises(ConfigError):
         GridSpec(0, 1, 0, 1, fd_h=0.5)
     # the point cap, on the grid and on its fd_h refinement (101 x 101 is under it)
-    assert GridSpec(0, 1, 0, 1, fd_h=0.01).fd_grid().meta()["nx"] == 101
+    assert GridSpec(0, 1, 0, 1, fd_h=0.01).fd_grid().nx == 101
     with pytest.raises(ConfigError, match="exceeds"):
         GridSpec(0, 1, 0, 1, nx=MAX_POINTS // 5 + 1, nz=5)
     with pytest.raises(ConfigError, match="refines the grid to 10001x10001 points"):
