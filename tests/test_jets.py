@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mongesol.errors import BranchCutError
@@ -236,12 +236,19 @@ def _order0_jets(draw, shape):
     return Jet2(0, c.reshape((1, 1) + shape))
 
 
-@given(st.data())
+@st.composite
+def _order0_pairs(draw):
+    shapes = draw(st.sampled_from([((), ()), ((3,), (3,)), ((3,), ()), ((), (2,)),
+                                   ((2, 1), (1, 3))]))
+    return tuple(draw(_order0_jets(s)) for s in shapes)
+
+
+# 0-d complex values: numpy's scalar product rounds differently from its array loop
+@example(pair=(Jet2(0, np.array([[94906265 + 1j]])), Jet2(0, np.array([[94906267 + 1j]]))))
+@given(pair=_order0_pairs())
 @settings(max_examples=150, deadline=None)
-def test_order_zero_mul_and_recip_equal_the_general_loop(data):
-    shapes = data.draw(st.sampled_from([((), ()), ((3,), (3,)), ((3,), ()), ((), (2,)),
-                                        ((2, 1), (1, 3))]))
-    a, b = (data.draw(_order0_jets(s)) for s in shapes)
+def test_order_zero_mul_and_recip_equal_the_general_loop(pair):
+    a, b = pair
     with np.errstate(all="ignore"):
         for x, y in ((a, b), (b, a)):
             got, want = (x * y).c, _loop_mul(x, y)
