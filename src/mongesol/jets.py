@@ -106,11 +106,6 @@ class Jet2:
             return Jet2(self.m, self.c * np.asarray(other))
         self._check_order(other)
         m = self.m
-        if m == 0 and np.any(self.c):
-            # values only: what the loop below leaves, 0.0 + a*b, is a*b + 0.0
-            # (the same operands, so 0-d values keep numpy's scalar arithmetic)
-            out = np.asarray(self.c[0, 0] * other.c[0, 0] + 0.0)
-            return Jet2(0, out.reshape((1, 1) + out.shape))
         shape = np.broadcast_shapes(self.shape, other.shape)
         out = np.zeros((m + 1, m + 1) + shape, dtype=np.result_type(self.c.dtype, other.c.dtype))
         for i in range(m + 1):
@@ -132,9 +127,6 @@ class Jet2:
         if np.any(v == 0):
             raise ZeroDivisionError("jet reciprocal of a zero field value")
         inv = 1.0 / v
-        if self.m == 0:  # values only: the series below is empty and leaves 1 * inv
-            out = np.asarray(inv * np.ones((), np.asarray(inv).dtype))
-            return Jet2(0, out.reshape((1, 1) + out.shape))
         # 1/a = inv * sum_k N^k  with N = 1 - inv*a nilpotent
         n = Jet2(self.m, -(self.c * inv))
         n.c[0, 0] = np.zeros_like(n.c[0, 0])
