@@ -95,7 +95,7 @@ class RunConfig:
         if self.grid is None:
             return GridSpec.for_bundle(bundle)
         rect = dict(zip(_RECT_KEYS, (float(v) for v in bundle.domain.rect)))
-        return GridSpec(**{**rect, **self.grid})
+        return GridSpec(**{**rect, **self.grid}).capped()
 
 
 _RECT_KEYS = ("x_lo", "x_hi", "z_lo", "z_hi")

@@ -45,8 +45,9 @@ __all__ = [
 
 KNOWN_CHECKS = ("compat", "dependence", "wf", "eq5", "eq10", "reconstruct")
 
-# Most points one grid (the base grid or its fd_h refinement) or one probe set
-# may hold: 2**20 points of order-2 jets are a few hundred MB of temporaries.
+# Most points a grid taken from a config (the base grid, or its fd_h refinement
+# when reconstruct evaluates it), richardson_ratio's finer grid, or one probe
+# set may hold: 2**20 points of order-2 jets are a few hundred MB of temporaries.
 MAX_POINTS = 2 ** 20
 
 DEFAULT_TOLERANCES = {
@@ -65,9 +66,8 @@ DEFAULT_TOLERANCES = {
 class GridSpec:
     """Rectangular evaluation grid plus the jet/FD parameters.
 
-    The grid, and the finer grid of spacing ``fd_h`` that reconstruction
-    evaluates when ``fd_h`` is set, each hold at most ``MAX_POINTS`` points;
-    a larger one is a :class:`ConfigError`.
+    Any size is accepted here; :meth:`capped` rejects a grid of more than
+    ``MAX_POINTS`` points, and :meth:`fd_grid` applies it to the refinement.
     """
 
     x_lo: float
@@ -82,34 +82,31 @@ class GridSpec:
     def __post_init__(self):
         if self.nx < 5 or self.nz < 5:
             raise ConfigError("grid needs nx, nz >= 5")
-        if self.nx * self.nz > MAX_POINTS:
-            raise ConfigError(f"grid of {self.nx}x{self.nz} points exceeds {MAX_POINTS} points")
-        if self.fd_h is not None:
-            if not (1e-6 <= self.fd_h <= 1e-2):
-                raise ConfigError("fd_h must lie in [1e-6, 1e-2]")
-            steps = ((self.x_hi - self.x_lo) / self.fd_h, (self.z_hi - self.z_lo) / self.fd_h)
-            if not all(map(math.isfinite, steps)):
-                raise ConfigError("fd_h needs a finite grid rectangle")
-            nx, nz = self._fd_shape()
-            if nx * nz > MAX_POINTS:
-                raise ConfigError(f"fd_h = {self.fd_h!r} refines the grid to {nx}x{nz} points, "
-                                  f"more than {MAX_POINTS}")
+        if self.fd_h is not None and not (1e-6 <= self.fd_h <= 1e-2):
+            raise ConfigError("fd_h must lie in [1e-6, 1e-2]")
 
     @classmethod
     def for_bundle(cls, bundle: FieldBundle, nx: int = 21, nz: int = 21, **kw) -> "GridSpec":
         x_lo, x_hi, z_lo, z_hi = bundle.domain.rect
         return cls(x_lo, x_hi, z_lo, z_hi, nx=nx, nz=nz, **kw)
 
-    def _fd_shape(self) -> tuple[int, int]:
-        return (max(5, int(round((self.x_hi - self.x_lo) / self.fd_h)) + 1),
-                max(5, int(round((self.z_hi - self.z_lo) / self.fd_h)) + 1))
+    def capped(self, what: str = "the grid has") -> "GridSpec":
+        """This grid, or a :class:`ConfigError` ``"<what> NXxNZ points, ..."``
+        if it holds more than ``MAX_POINTS`` points."""
+        if self.nx * self.nz > MAX_POINTS:
+            raise ConfigError(f"{what} {self.nx}x{self.nz} points, more than {MAX_POINTS}")
+        return self
 
     def fd_grid(self) -> "GridSpec":
-        """The grid reconstruction differences on: spacing ``fd_h``, or this grid."""
+        """The grid reconstruction differences on: spacing ``fd_h`` (capped), or this grid."""
         if self.fd_h is None:
             return self
-        nx, nz = self._fd_shape()
-        return GridSpec(self.x_lo, self.x_hi, self.z_lo, self.z_hi, nx=nx, nz=nz, m=self.m)
+        steps = ((self.x_hi - self.x_lo) / self.fd_h, (self.z_hi - self.z_lo) / self.fd_h)
+        if not all(map(math.isfinite, steps)):
+            raise ConfigError("fd_h needs a finite grid rectangle")
+        nx, nz = (max(5, int(round(s)) + 1) for s in steps)
+        return GridSpec(self.x_lo, self.x_hi, self.z_lo, self.z_hi, nx=nx, nz=nz,
+                        m=self.m).capped(f"fd_h = {self.fd_h!r} refines the grid to")
 
     def axes(self):
         return (np.linspace(self.x_lo, self.x_hi, self.nx),
@@ -588,10 +585,14 @@ def _fd_budget(bundle, fl, u, st, n, err_c, hx, hz, second):
 
 
 def richardson_ratio(bundle: FieldBundle, grid: GridSpec, tol: float) -> tuple[float, CheckResult, CheckResult]:
-    """Residual ratio under halving the reconstruction step."""
-    coarse = reconstruct_u(GridEval(bundle, grid), tol)
+    """Residual ratio under halving the reconstruction step.
+
+    The finer grid is capped at ``MAX_POINTS`` before either grid is evaluated.
+    """
     fine_grid = GridSpec(grid.x_lo, grid.x_hi, grid.z_lo, grid.z_hi,
-                         nx=2 * grid.nx - 1, nz=2 * grid.nz - 1, m=grid.m)
+                         nx=2 * grid.nx - 1, nz=2 * grid.nz - 1, m=grid.m).capped(
+        f"richardson_ratio halves the step of the {grid.nx}x{grid.nz} grid to")
+    coarse = reconstruct_u(GridEval(bundle, grid), tol)
     fine = reconstruct_u(GridEval(bundle, fine_grid), tol)
     denom = fine.max_abs if fine.max_abs > 0 else 1e-300
     return coarse.max_abs / denom, coarse, fine
@@ -633,6 +634,8 @@ def run_suite(
     for name in checks:
         if name not in KNOWN_CHECKS:
             raise ConfigError(f"unknown check name {name!r}; known: {KNOWN_CHECKS}")
+    if "reconstruct" in checks:
+        grid.fd_grid()  # an fd_h refinement above the cap fails before any check runs
 
     rng = np.random.default_rng(seed)
     ev = GridEval(bundle, grid)

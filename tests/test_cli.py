@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mongesol import verifier
 from mongesol.cli import RunConfig, main
 from mongesol.families import FAMILY_TAGS, SafeDomain, canonical_config, family_to_dict
 from mongesol.verifier import DEFAULT_TOLERANCES, MAX_POINTS, admissible_grid
@@ -281,7 +282,7 @@ def _strict_json(text):
     {"probes": MAX_POINTS + 1},
     {"grid": {"nx": 1025, "nz": 1025}},
     {"grid": {"nx": 9, "nz": 9, "fd_h": 1e-3}, "checks": ["reconstruct"]},
-    {"grid": {"rect": [0.5, 1e308, 0.4, 2.0], "fd_h": 1e-2}},
+    {"grid": {"rect": [0.5, 1e308, 0.4, 2.0], "fd_h": 1e-2}, "checks": ["reconstruct"]},
 ], ids=["grid_nx_not_a_number", "grid_m_below_2", "probes_zero", "nu_single_value",
         "checks_not_a_list", "tolerances_not_an_object", "tolerance_not_a_number",
         "mutate_not_an_object", "mutate_factor_not_a_number", "out_not_a_path",
@@ -297,6 +298,19 @@ def test_malformed_config_field_exits_2(tmp_path, capsys, section):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
     assert not (tmp_path / "ob").exists()
+
+
+def test_fd_h_cap_applies_only_when_reconstruct_refines(tmp_path, monkeypatch):
+    # fd_h = 1e-3 refines this family's rectangle past MAX_POINTS
+    config = {"family": {"family": "m3_sigma_const", "nu": [1, 2], "A": 1.0, "k": 1.0},
+              "grid": {"nx": 9, "nz": 9, "fd_h": 1e-3}}
+    cfg = _write(tmp_path, "fd.json", config)
+    assert main(["construct", "--config", cfg, "--out", str(tmp_path / "c")]) == 0
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 0
+    # with reconstruct, the refinement is refused before any other check runs
+    monkeypatch.setattr(verifier, "check_compatibility", lambda *a: pytest.fail("compat ran"))
+    cfg = _write(tmp_path, "fdr.json", {**config, "checks": ["compat", "reconstruct"]})
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
 
 
 def test_sweep_negative_values_as_separate_token(tmp_path):

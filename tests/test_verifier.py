@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mongesol import verifier
 from mongesol.errors import ConfigError, DomainError
 from mongesol.families import (
     FAMILY_TAGS,
@@ -186,14 +187,26 @@ def test_grid_validation():
         GridSpec(0, 1, 0, 1, nx=3, nz=7)
     with pytest.raises(ConfigError):
         GridSpec(0, 1, 0, 1, fd_h=0.5)
-    # the point cap, on the grid and on its fd_h refinement (101 x 101 is under it)
+    # the point cap holds where a grid is checked or refined, not on construction
+    big = GridSpec(0, 1, 0, 1, nx=MAX_POINTS // 5 + 1, nz=5)
+    with pytest.raises(ConfigError, match=f"the grid has {MAX_POINTS // 5 + 1}x5 points"):
+        big.capped()
+    assert GridSpec(0, 1, 0, 1, nx=MAX_POINTS // 5, nz=5).capped().nz == 5
     assert GridSpec(0, 1, 0, 1, fd_h=0.01).fd_grid().nx == 101
-    with pytest.raises(ConfigError, match="exceeds"):
-        GridSpec(0, 1, 0, 1, nx=MAX_POINTS // 5 + 1, nz=5)
+    fine = GridSpec(0, 1, 0, 1, fd_h=1e-4)
     with pytest.raises(ConfigError, match="refines the grid to 10001x10001 points"):
-        GridSpec(0, 1, 0, 1, fd_h=1e-4)
+        fine.fd_grid()
     with pytest.raises(ConfigError, match="finite grid rectangle"):
-        GridSpec(0, math.inf, 0, 1, fd_h=1e-2)
+        GridSpec(0, math.inf, 0, 1, fd_h=1e-2).fd_grid()
+
+
+def test_richardson_ratio_caps_its_finer_grid_up_front(monkeypatch):
+    b = make_family(canonical_config("trivial"))
+    grid = GridSpec.for_bundle(b, nx=1024, nz=1023).capped()  # just under the cap
+    monkeypatch.setattr(verifier, "reconstruct_u", lambda *a: pytest.fail("a grid was evaluated"))
+    with pytest.raises(ConfigError, match="richardson_ratio halves the step of the 1024x1023 "
+                                          "grid to 2047x2045 points, more than"):
+        richardson_ratio(b, grid, 1e-6)
 
 
 def _path_ok_loop(ok, row_ok, col_ok, i0, j0):
