@@ -11,7 +11,9 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -151,6 +153,46 @@ def _write_report(report: ResidualReport, out_dir: Path):
         csv.writer(fh).writerows(report.csv_rows())
 
 
+def _csv_rows(cols):
+    """The CSV rows of equal-length float columns: ``%.17g`` cells, ``\\r\\n`` ends.
+
+    These are the bytes ``csv.writer`` writes for the unquoted values, but
+    each distinct value is formatted once: a column whose bits equal an
+    earlier column's (``f`` is ``a0``) shares its text, and a column with at
+    most half as many distinct bit patterns as rows (the grid's x and z)
+    formats each pattern once.  Bits, not values, are compared, so ``-0.0``
+    and every NaN keep their own text.  The other columns go through one
+    ``%.17g`` row template.  Rows are made one at a time, so only one row of
+    text is held at a time.
+    """
+    groups = []  # (bits, positions of the columns with these bits)
+    for k, col in enumerate(cols):
+        bits = np.ascontiguousarray(col, dtype=float).view(np.int64)
+        same = next((g for g in groups if np.array_equal(g[0], bits)), None)
+        if same is None:
+            groups.append((bits, [k]))
+        else:
+            same[1].append(k)
+    spec, cells = ["%s"] * len(cols), [None] * len(cols)
+    for bits, members in groups:
+        srt = np.sort(bits)  # np.unique would hash, which is slower here
+        fresh = np.ones(srt.size, dtype=bool)
+        fresh[1:] = srt[1:] != srt[:-1]
+        uniq = srt[fresh]
+        if 2 * uniq.size <= bits.size:
+            texts = ["%.17g" % v for v in uniq.view(float).tolist()]
+            text = map(texts.__getitem__, np.searchsorted(uniq, bits).tolist())
+        elif len(members) > 1:
+            text = map("%.17g".__mod__, bits.view(float).tolist())
+        else:
+            spec[members[0]], cells[members[0]] = "%.17g", bits.view(float).tolist()
+            continue
+        for k, copy in zip(members, itertools.tee(text, len(members))):
+            cells[k] = copy
+    row = ",".join(spec) + "\r\n"
+    return (row % values for values in zip(*cells))
+
+
 def cmd_construct(config: RunConfig, out_dir: Path) -> int:
     """Evaluate the family's fields on the admissible grid into fields.csv."""
     bundle = config.bundle()
@@ -169,13 +211,10 @@ def cmd_construct(config: RunConfig, out_dir: Path) -> int:
     for name in names:
         v = values[name].ravel()
         cols.extend([v.real, v.imag] if complex_cols else [v.real])
-    # what csv.writer emits for unquoted fields: one .tolist() per column, and
-    # rows formatted one at a time, so only one row of text is held at a time
-    row = ",".join(["%.17g"] * len(cols)) + "\r\n"
     out_dir.mkdir(parents=True, exist_ok=True)
     with (out_dir / "fields.csv").open("w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.writelines(row % cells for cells in zip(*(col.tolist() for col in cols)))
+        fh.writelines(_csv_rows(cols))
     print(f"wrote {x.size} rows to {out_dir / 'fields.csv'}")
     return 0
 
@@ -238,8 +277,8 @@ def _parse_tol(pairs) -> dict:
             raise ConfigError(f"--tol {name}: {val!r} is not a number")
         if name not in DEFAULT_TOLERANCES:
             raise ConfigError(f"--tol: unknown tolerance name {name!r}")
-        if out[name] <= 0:
-            raise ConfigError(f"--tol {name}: tolerance must be positive")
+        if not (math.isfinite(out[name]) and out[name] > 0):
+            raise ConfigError(f"--tol {name}: tolerance must be positive and finite")
     return out
 
 

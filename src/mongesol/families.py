@@ -240,41 +240,43 @@ _BLOCK = 32768  # quadrature nodes per block of _Primitive.value: cache-sized te
 
 
 class _Primitive:
-    """Antiderivative of a jet-evaluable integrand, anchored at ``ref``.
+    """Antiderivatives of a jet-evaluable integrand's components, anchored at ``ref``.
 
-    Values come from fixed Gauss-Legendre quadrature (the integrand is smooth
-    on every safe domain), summed over blocks of at most ``_BLOCK`` nodes;
-    each value is its own row's sum, so the blocking moves no bit.  Jet
-    coefficients integrate the integrand's own jet, so all derivatives are
-    exact.
+    ``integrand`` maps a jet to a tuple of jets, one per component, so
+    components that share a factor (a weight times powers of s) evaluate it
+    once per node; ``value`` and ``__call__`` return one antiderivative per
+    component, in the same order.  Values come from fixed Gauss-Legendre
+    quadrature (the integrand is smooth on every safe domain), summed over
+    blocks of at most ``_BLOCK`` nodes; each value is its own row's sum, so
+    the blocking moves no bit.  Jet coefficients integrate each component's
+    own jet, so all derivatives are exact.
     """
 
-    def __init__(self, integrand: JetFunc, ref: float):
+    def __init__(self, integrand: Callable[[Jet2], tuple[Jet2, ...]], ref: float):
         self.integrand = integrand
         self.ref = float(ref)
 
-    def value(self, t):
+    def value(self, t) -> tuple[np.ndarray, ...]:
         t = np.asarray(t, dtype=float)
         rows, flat = _BLOCK // _GAUSS_X.size, t.ravel()
         blocks = [self._gauss(flat[k:k + rows]) for k in range(0, max(flat.size, 1), rows)]
-        return np.concatenate(blocks).reshape(t.shape)
+        return tuple(np.concatenate(parts).reshape(t.shape) for parts in zip(*blocks))
 
     def _gauss(self, t):
         half = (t - self.ref) / 2.0
         mid = (t + self.ref) / 2.0
         nodes = mid[..., None] + half[..., None] * _GAUSS_X  # (..., 48)
-        # the sum reads values only, and a jet's value never depends on its order
-        vals = self.integrand(Jet2.constant(nodes, 0)).value
-        return np.sum(vals * _GAUSS_W, axis=-1) * half
+        # the sums read values only, and a jet's value never depends on its order
+        return tuple(np.sum(g.value * _GAUSS_W, axis=-1) * half
+                     for g in self.integrand(Jet2.constant(nodes, 0)))
 
-    def __call__(self, a: Jet2) -> Jet2:
+    def __call__(self, a: Jet2) -> tuple[Jet2, ...]:
         base = self.value(a.value)
         if a.m == 0:
-            return Jet2.constant(base, 0)
+            return tuple(Jet2.constant(b, 0) for b in base)
         t = Jet2.constant(a.value, 0) if a.m == 1 else jet_seed(a.value, 0.0, a.m - 1)[0]
-        gj = self.integrand(t)
-        tk = [base] + [gj.c[k, 0] / (k + 1) for k in range(a.m)]
-        return compose_series(tk, a)
+        return tuple(compose_series([b] + [g.c[k, 0] / (k + 1) for k in range(a.m)], a)
+                     for b, g in zip(base, self.integrand(t)))
 
 
 def _scaled(f: JetFunc, s: float) -> JetFunc:
@@ -553,7 +555,7 @@ def _build_degenerate(cfg: DegenerateConfig, scales) -> FieldBundle:
     cp = _poly_deriv(cfg.c_coeffs)
     g_fn = _poly_fn(cfg.g_coeffs)
     slope = lambda aj: jsqrt(poly_jet(cp, aj))        # C_a^{1/2}
-    b_fn = _Primitive(slope, ref=cfg.seed_a)          # B with B' = C_a^{1/2}
+    b_fn = _Primitive(lambda aj: (slope(aj),), ref=cfg.seed_a)  # B with B' = C_a^{1/2}
 
     def solve_a(x, z):
         x = np.asarray(x, dtype=float)
@@ -588,7 +590,7 @@ def _build_degenerate(cfg: DegenerateConfig, scales) -> FieldBundle:
 
     def fields(x, z, m):
         aj = a_jet(x, z, m)
-        a1 = b_fn(aj)
+        a1, = b_fn(aj)
         out = {
             "a0": _univariate_on_jet(c_fn, aj),
             "a1": a1 * s1 if s1 != 1.0 else a1,
@@ -997,9 +999,8 @@ def _build_n_theta_const(cfg: NThetaConstConfig, scales) -> FieldBundle:
 # ---------------------------------------------------------------------------
 
 
-def _quadratic_slope_jets(x, z, m):
+def _quadratic_slope_jets(xj, zj):
     """Jets of the two slope fields solving ``slope^2 - z*slope - x = 0``."""
-    xj, zj = jet_seed(x, z, m)
     disc = jsqrt(zj * zj + 4.0 * xj)
     return (zj - disc) * 0.5, (zj + disc) * 0.5
 
@@ -1011,8 +1012,12 @@ def _build_hodograph_example(cfg: HodographExampleConfig, scales) -> FieldBundle
     sth, ssg, sc2 = scales.get("theta", 1.0), scales.get("sigma", 1.0), scales.get("c2", 1.0)
 
     cprime = lambda sj: (poly_jet((al, 0.0, 0.0, k), sj)).recip()   # 1/(k s^3 + alpha)
-    prim0 = _Primitive(cprime, ref=_ref_slope(cfg.rect))
-    prim1 = _Primitive(lambda sj: sj * cprime(sj), ref=_ref_slope(cfg.rect))
+
+    def chain_integrands(sj):  # C'(s) and s C'(s), one evaluation of C'
+        c = cprime(sj)
+        return c, sj * c
+
+    prim = _Primitive(chain_integrands, ref=_ref_slope(cfg.rect))
 
     def comp2(nuj):  # integral of s^2 C'(s), closed form
         return (1.0 / (3 * k)) * jlog(jpow(nuj, 3) * k + al)
@@ -1031,9 +1036,10 @@ def _build_hodograph_example(cfg: HodographExampleConfig, scales) -> FieldBundle
         xj, zj = jet_seed(x, z, m)
         nuj = -xj / zj
         a0 = comp2(nuj) * sc2 + theta(zj) * sth
+        chain = _Fields(pair=lambda: prim(nuj))  # (a2, a1) unscaled, built on first read
         return _Fields(
-            a2=lambda: prim0(nuj) * sc2,
-            a1=lambda: prim1(nuj) * sc2,
+            a2=lambda: chain["pair"][0] * sc2,
+            a1=lambda: chain["pair"][1] * sc2,
             a0=a0,
             W=comp_m1(nuj) * sc2 + sigma(xj) * ssg,
             f=a0,
@@ -1118,20 +1124,23 @@ def _two_slope_bundle(cfg, scales, cprime: JetFunc, cprime_arr, comp2: JetFunc,
     hi_seed = lambda x, z: (z + np.sqrt(z * z + 4 * x)) / 2
     xc, zc = 0.5 * (cfg.rect[0] + cfg.rect[1]), 0.5 * (cfg.rect[2] + cfg.rect[3])
     ref1, ref2 = lo_seed(xc, zc), hi_seed(xc, zc)
-    prims = {
-        (r, ref): _Primitive(lambda sj, r=r: jpow(sj, r) * cprime(sj), ref=ref)
-        for r in (0, 1)
-        for ref in (ref1, ref2)
-    }
+
+    def chain_integrands(sj):  # s^r C'(s) for r = 0, 1, one evaluation of C'
+        c = cprime(sj)
+        return jpow(sj, 0) * c, jpow(sj, 1) * c
+
+    prim1, prim2 = (_Primitive(chain_integrands, ref=ref) for ref in (ref1, ref2))
 
     def fields(x, z, m):
         xj, zj = jet_seed(x, z, m)
-        n1, n2 = _quadratic_slope_jets(x, z, m)
+        n1, n2 = _quadratic_slope_jets(xj, zj)
         a0 = comp2(n1) * sc1 + comp2(n2) * sc2
         a0 = a0 if theta is None else a0 + theta(zj) * sth
+        # per slope root, the unscaled (a2, a1) pair, built on first read
+        chain = _Fields(lo=lambda: prim1(n1), hi=lambda: prim2(n2))
         return _Fields(
-            a2=lambda: prims[(0, ref1)](n1) * sc1 + prims[(0, ref2)](n2) * sc2,
-            a1=lambda: prims[(1, ref1)](n1) * sc1 + prims[(1, ref2)](n2) * sc2,
+            a2=lambda: chain["lo"][0] * sc1 + chain["hi"][0] * sc2,
+            a1=lambda: chain["lo"][1] * sc1 + chain["hi"][1] * sc2,
             a0=a0,
             W=comp_m1(n1) * sc1 + comp_m1(n2) * sc2 + sigma(xj) * ssg,
             f=a0,
@@ -1322,9 +1331,13 @@ def make_family(cfg, mutations: dict | None = None) -> FieldBundle:
     """Build the field bundle for a family configuration.
 
     ``mutations`` maps mutation slots to the factor that slot's derivative
-    function is scaled by; an unknown slot is a :class:`ConfigError`.
+    function is scaled by; an unknown slot or a non-finite factor is a
+    :class:`ConfigError`.
     """
     scales = dict(mutations or {})
+    for name, factor in scales.items():
+        if not math.isfinite(factor):
+            raise ConfigError(f"mutation factor {name!r} must be finite, got {factor}")
     bundle = _entry(cfg.tag)[1](cfg, scales)
     for name in scales:
         if name not in bundle.mutation_slots:

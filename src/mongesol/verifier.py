@@ -628,8 +628,8 @@ def run_suite(
     for name in tol:
         if name not in DEFAULT_TOLERANCES:
             raise ConfigError(f"unknown tolerance name {name!r}")
-        if tol[name] <= 0:
-            raise ConfigError(f"tolerance {name!r} must be positive")
+        if not (math.isfinite(tol[name]) and tol[name] > 0):
+            raise ConfigError(f"tolerance {name!r} must be positive and finite, got {tol[name]}")
     checks = list(checks)
     for name in checks:
         if name not in KNOWN_CHECKS:

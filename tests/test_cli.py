@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import struct
 import tempfile
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mongesol import verifier
-from mongesol.cli import RunConfig, main
+from mongesol.cli import RunConfig, _csv_rows, main
 from mongesol.families import FAMILY_TAGS, SafeDomain, canonical_config, family_to_dict
 from mongesol.verifier import DEFAULT_TOLERANCES, MAX_POINTS, admissible_grid
 
@@ -127,6 +128,49 @@ def test_construct_fields_csv_bytes_equal_the_row_writer(family, tmp_path):
         assert b"a0_re,a0_im" in text.split(b"\r\n")[0]
 
 
+def _bits(v: float) -> int:
+    return struct.unpack("<q", struct.pack("<d", v))[0]
+
+
+# values whose text is easy to get wrong: signed zeros, NaNs with other sign
+# and payload bits, infinities, subnormals
+_CSV_SPECIAL = [0.0, -0.0, math.nan, -math.nan,
+                struct.unpack("<d", struct.pack("<q", 0x7ff8000000000001))[0],
+                math.inf, -math.inf, 5e-324, -1e-310, 0.1, 1.0]
+
+
+@st.composite
+def _csv_columns(draw):
+    """Equal-length float columns: some repeated, some copied, some with exactly
+    half or just over half as many distinct bit patterns as rows."""
+    n = draw(st.integers(1, 24))
+    cols = []
+    for _ in range(draw(st.integers(1, 6))):
+        if cols and draw(st.booleans()):
+            cols.append(cols[draw(st.integers(0, len(cols) - 1))].copy())  # a duplicated column
+            continue
+        d = draw(st.sampled_from(sorted({1, max(1, n // 2), min(n, n // 2 + 1), n}))
+                 | st.integers(1, n))
+        pool = draw(st.lists(st.sampled_from(_CSV_SPECIAL) | st.floats(), min_size=d, max_size=d,
+                             unique_by=_bits))
+        rest = draw(st.lists(st.integers(0, d - 1), min_size=n - d, max_size=n - d))
+        order = draw(st.permutations(range(n)))
+        cols.append(np.array(pool + [pool[i] for i in rest])[list(order)])
+    if len(cols) >= 2 and draw(st.booleans()):  # the strided halves of a complex column
+        joined = np.empty(n, dtype=complex)
+        joined.real, joined.imag = cols[-2], cols[-1]
+        cols[-2:] = [joined.real, joined.imag]
+    return cols
+
+
+@given(cols=_csv_columns())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_csv_rows_equal_the_row_template(cols):
+    row = ",".join(["%.17g"] * len(cols)) + "\r\n"
+    want = "".join(row % cells for cells in zip(*(col.tolist() for col in cols)))
+    assert "".join(_csv_rows(cols)) == want
+
+
 def test_construct_empty_domain_exits_3(tmp_path):
     cfg = _write(tmp_path, "empty.json", {
         "family": {"family": "m3_general", "g": -1.0},
@@ -193,6 +237,19 @@ def test_verify_tolerance_override(sigma_cfg, tmp_path):
                  "--tol", "compat=-1"]) == 2
     assert main(["verify", "--config", sigma_cfg, "--out", str(out),
                  "--tol", "nonsense=1e-3"]) == 2
+
+
+@pytest.mark.parametrize("flag", ["--tol", "--mutate"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+def test_non_finite_tol_or_mutate_flag_exits_2(sigma_cfg, tmp_path, capsys, flag, value):
+    # a NaN tolerance never fails a check and an infinite one always passes;
+    # an infinite mutation factor fills the fields with inf and nan
+    name = "compat" if flag == "--tol" else "sigma"
+    out = tmp_path / "onf"
+    assert main(["verify", "--config", sigma_cfg, "--out", str(out), flag, f"{name}={value}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_sweep_amplitude(sigma_cfg, tmp_path):
@@ -283,12 +340,18 @@ def _strict_json(text):
     {"grid": {"nx": 1025, "nz": 1025}},
     {"grid": {"nx": 9, "nz": 9, "fd_h": 1e-3}, "checks": ["reconstruct"]},
     {"grid": {"rect": [0.5, 1e308, 0.4, 2.0], "fd_h": 1e-2}, "checks": ["reconstruct"]},
+    {"tolerances": {"compat": math.nan}},
+    {"tolerances": {"compat": math.inf}},
+    {"mutate": {"sigma": math.inf}},
+    {"mutate": {"theta": -math.inf}},
+    {"mutate": {"theta": math.nan}},
 ], ids=["grid_nx_not_a_number", "grid_m_below_2", "probes_zero", "nu_single_value",
         "checks_not_a_list", "tolerances_not_an_object", "tolerance_not_a_number",
         "mutate_not_an_object", "mutate_factor_not_a_number", "out_not_a_path",
         "coefficient_not_a_number", "probes_infinite", "grid_nx_infinite",
         "family_degree_infinite", "probes_above_cap", "grid_above_cap",
-        "fd_h_grid_above_cap", "fd_h_grid_infinite"])
+        "fd_h_grid_above_cap", "fd_h_grid_infinite", "tolerance_nan", "tolerance_infinite",
+        "mutate_factor_infinite", "mutate_factor_minus_infinite", "mutate_factor_nan"])
 def test_malformed_config_field_exits_2(tmp_path, capsys, section):
     cfg = _write(tmp_path, "bad.json", {
         "family": {"family": "m3_sigma_const", "nu": [1, 2], "A": 1.0, "k": 1.0},
@@ -396,6 +459,8 @@ _FUZZ_FAMILY = {"family": "m3_sigma_const", "nu": [1, 2], "A": 1.0, "k": 1.0}
 _junk = st.one_of(st.text(max_size=3), st.booleans(), st.none(), st.floats(-3.0, 3.0),
                   st.sampled_from([math.inf, -math.inf, math.nan]),
                   st.lists(st.integers(-3, 3), max_size=2))
+# non-finite numbers; "1e400" stands for the JSON literal 1e400, which reads as inf
+_non_finite = st.sampled_from([math.inf, -math.inf, math.nan, "1e400"])
 _SLOTS = ["sigma", "theta", "l1", "l2"]
 # per field: values the loader accepts (negative mutation factors included) ...
 _VALID = {
@@ -419,8 +484,9 @@ _INVALID = {
     "probes": st.integers(-2, 0) | _junk,
     "checks": st.just(["eq10"]) | st.just(["bogus"]) | _junk,
     "tolerances": _junk | st.dictionaries(st.sampled_from(sorted(DEFAULT_TOLERANCES) + ["bogus"]),
-                                          st.floats(-1.0, 0.0) | _junk, min_size=1, max_size=2),
-    "mutate": _junk | st.dictionaries(st.sampled_from(_SLOTS + ["bogus"]), _junk,
+                                          st.floats(-1.0, 0.0) | _junk | _non_finite,
+                                          min_size=1, max_size=2),
+    "mutate": _junk | st.dictionaries(st.sampled_from(_SLOTS + ["bogus"]), _junk | _non_finite,
                                       min_size=1, max_size=2),
 }
 _GRID_KEYS = ("nx", "nz", "m")
@@ -439,17 +505,59 @@ def _fuzz_configs(draw):
     return config
 
 
+def _fuzz_json(config) -> str:
+    return json.dumps(config).replace('"1e400"', "1e400")
+
+
+def _has_non_finite(config) -> bool:
+    """Whether the config's tolerances or mutation factors hold a non-finite number."""
+    return any(isinstance(section, dict) and any(
+        v == "1e400" or (isinstance(v, float) and not math.isfinite(v)) for v in section.values())
+        for section in (config.get("tolerances"), config.get("mutate")))
+
+
 @given(config=_fuzz_configs())
 @example(config={"family": _FUZZ_FAMILY, "grid": {"nx": 9, "nz": 9}, "seed": -3})
+@example(config={"family": _FUZZ_FAMILY, "grid": {"nx": 9, "nz": 9},
+                 "tolerances": {"compat": "1e400"}})
+@example(config={"family": _FUZZ_FAMILY, "grid": {"nx": 9, "nz": 9}, "mutate": {"sigma": "1e400"}})
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_fuzzed_config_keeps_the_exit_contract(config):
     with tempfile.TemporaryDirectory() as tmp, \
             contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         path = Path(tmp) / "fuzz.json"
-        path.write_text(json.dumps(config))
+        path.write_text(_fuzz_json(config))
         out = Path(tmp) / "out"
         code = main(["verify", "--config", str(path), "--out", str(out)])
         assert code in (0, 1, 2, 3)
+        if _has_non_finite(config):
+            assert code == 2
         if code in (0, 1):
             report = _strict_json((out / "report.json").read_text())
             assert report["passed"] is (code == 0)
+
+
+@given(config=_fuzz_configs())
+@example(config={"family": _FUZZ_FAMILY, "grid": {"nx": 9, "nz": 9}, "mutate": {"theta": "1e400"}})
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_fuzzed_construct_keeps_the_exit_contract(config):
+    # construct writes no report, so it never exits 1; on exit 0, fields.csv
+    # holds one row of numbers per admissible grid point
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        path = Path(tmp) / "fuzz.json"
+        path.write_text(_fuzz_json(config))
+        out = Path(tmp) / "out"
+        code = main(["construct", "--config", str(path), "--out", str(out)])
+        assert code in (0, 2, 3)
+        if _has_non_finite({"mutate": config.get("mutate")}):
+            assert code == 2
+        if code == 0:
+            loaded = RunConfig.load(str(path))
+            bundle = loaded.bundle()
+            x, _ = admissible_grid(bundle, loaded.grid_spec(bundle))
+            rows = list(csv.reader((out / "fields.csv").open(newline="")))
+            assert rows[0][:2] == ["x", "z"] and len(rows) == 1 + x.size
+            assert all(len(r) == len(rows[0]) for r in rows[1:])
+            cells = np.array([[float(v) for v in r] for r in rows[1:]])
+            assert np.array_equal(cells[:, 0], x)

@@ -29,7 +29,7 @@ from mongesol.families import (
     _Primitive,
 )
 from mongesol import families
-from mongesol.jets import jet_partial, jet_seed
+from mongesol.jets import jet_partial, jet_seed, jpow, jsqrt, poly_jet
 from mongesol.verifier import GridSpec, admissible_grid, sample_points
 
 
@@ -278,7 +278,10 @@ def test_w_of_f_builds_no_primitive(tag, monkeypatch):
     w = b.w_of_f(fl["f"].value, x + step, z)  # slides back from x + step to x
     assert calls == []
     np.testing.assert_allclose(w, fl["W"].value, rtol=1e-9)
-    assert fl["a1"].m == fl["a2"].m == 2
+    # the first chain field read builds each slope root's (a2, a1) pair once
+    assert fl["a2"].m == 2
+    assert calls == [2] * len(_primitives(b))
+    assert fl["a1"].m == 2
     assert calls == [2] * len(_primitives(b))
 
 
@@ -292,36 +295,102 @@ def _primitives(bundle):
 
 
 def _order_one_value(prim, t):
-    """Gauss sum of ``prim`` over order-1 jets of the nodes (the reference route)."""
+    """Gauss sums of ``prim``'s components over order-1 jets of the nodes (the reference route)."""
     t = np.asarray(t, dtype=float)
     half = (t - prim.ref) / 2.0
     mid = (t + prim.ref) / 2.0
     nodes = mid[..., None] + half[..., None] * _GAUSS_X
-    vals = prim.integrand(jet_seed(nodes, 0.0, 1)[0]).value
-    return np.sum(vals * _GAUSS_W, axis=-1) * half
+    return tuple(np.sum(g.value * _GAUSS_W, axis=-1) * half
+                 for g in prim.integrand(jet_seed(nodes, 0.0, 1)[0]))
+
+
+# (_BLOCK, shape of t): the default, one row per block and a ragged 100-node
+# block (on 3x81 points; on 81² they would take seconds), then the default
+# and a single block on 81²
+_BLOCK_CASES = [(families._BLOCK, (41,)), (48, (3, 81)), (100, (3, 81)),
+                (families._BLOCK, (81, 81)), (48 * (81 * 81 + 1), (81, 81))]
 
 
 @pytest.mark.parametrize("tag,count", [("m3_hodograph_example", 2), ("m3_general", 4),
                                        ("m3_general_e0", 4), ("degenerate", 1)])
 def test_primitive_values_equal_order_one_reference(tag, count, monkeypatch):
+    # count: antiderivatives over all of the bundle's primitives
     prims = _primitives(make_family(canonical_config(tag)))
-    assert len(prims) == count
-    # (_BLOCK, shape of t): the default, one row per block and a ragged 100-node
-    # block (on 3x81 points; on 81² they would take seconds), then the default
-    # and a single block on 81²
-    cases = [(families._BLOCK, (41,)), (48, (3, 81)), (100, (3, 81)),
-             (families._BLOCK, (81, 81)), (48 * (81 * 81 + 1), (81, 81))]
+    assert sum(len(prim.value(prim.ref)) for prim in prims) == count
     for prim in prims:
-        for block, shape in cases:
+        for block, shape in _BLOCK_CASES:
             monkeypatch.setattr(families, "_BLOCK", block)
             for t in (prim.ref * np.linspace(0.8, 1.2, np.prod(shape)).reshape(shape),
                       prim.ref * 1.1):
                 ref = _order_one_value(prim, t)
-                assert np.all(np.isfinite(ref))
                 got = prim.value(t)
-                assert got.shape == np.shape(t)
-                assert np.array_equal(got, ref), block
-            assert prim.value(np.empty(0)).shape == (0,)
+                assert len(got) == len(ref)
+                for r, (g, want) in enumerate(zip(got, ref)):
+                    assert np.all(np.isfinite(want))
+                    assert g.shape == np.shape(t)
+                    assert np.array_equal(g, want), (block, r)
+            assert [v.shape for v in prim.value(np.empty(0))] == [(0,)] * len(ref)
+
+
+def _scalar_integrands(tag):
+    """Per component of the chain-field primitive, that component alone as an
+    integrand with its own evaluation of C' (the scalar reference)."""
+    cfg = canonical_config(tag)
+    if tag == "m3_hodograph_example":
+        k, al = float(cfg.k), float(cfg.alpha)
+        cprime = lambda sj: (poly_jet((al, 0.0, 0.0, k), sj)).recip()
+        return [cprime, lambda sj: sj * cprime(sj)]
+    if tag == "degenerate":
+        cp = families._poly_deriv(cfg.c_coeffs)
+        return [lambda aj: jsqrt(poly_jet(cp, aj))]
+    if tag == "m3_general":
+        g = float(cfg.g)
+        cprime = lambda sj: -(sj * sj + g).recip()
+    else:
+        a = float(cfg.a)
+        a1, a2 = sorted((float(cfg.alpha1), float(cfg.alpha2)))
+        cprime = lambda sj: (poly_jet((a1, 0, 0, 1.0), sj) * poly_jet((a2, 0, 0, 1.0), sj)
+                             * a).recip()
+    return [lambda sj, r=r: jpow(sj, r) * cprime(sj) for r in (0, 1)]
+
+
+@pytest.mark.parametrize("tag", ["m3_hodograph_example", "m3_general", "m3_general_e0",
+                                 "degenerate"])
+def test_fused_primitive_components_equal_scalar_primitives(tag, monkeypatch):
+    # each component of a primitive that evaluates C' once is bitwise the
+    # primitive of that component alone, in values and in every jet coefficient
+    refs = _scalar_integrands(tag)
+    for prim in _primitives(make_family(canonical_config(tag))):
+        alone = [_Primitive(lambda tj, f=f: (f(tj),), ref=prim.ref) for f in refs]
+        for block, shape in _BLOCK_CASES:
+            monkeypatch.setattr(families, "_BLOCK", block)
+            t = prim.ref * np.linspace(0.8, 1.2, np.prod(shape)).reshape(shape)
+            got = prim.value(t)
+            assert len(got) == len(refs)
+            for r, single in enumerate(alone):
+                assert np.array_equal(got[r], single.value(t)[0]), (block, r)
+        tj = jet_seed(t, 0.5 * t, 3)[0]  # 81² points, order 3
+        for r, (jet, single) in enumerate(zip(prim(tj), alone)):
+            want, = single(tj)
+            assert jet.m == want.m == 3
+            assert np.array_equal(jet.c, want.c), r
+
+
+@pytest.mark.parametrize("tag,components", [("m3_hodograph_example", 2), ("m3_general", 2),
+                                            ("m3_general_e0", 2), ("degenerate", 1)])
+def test_primitive_evaluates_its_integrand_once_per_gauss_block(tag, components, monkeypatch):
+    prims = _primitives(make_family(canonical_config(tag)))
+    monkeypatch.setattr(families, "_BLOCK", 100)  # two 48-node rows per block
+    for prim in prims:
+        calls = []
+        integrand = prim.integrand
+        monkeypatch.setattr(prim, "integrand", lambda tj: calls.append(tj.m) or integrand(tj))
+        t = prim.ref * np.linspace(0.9, 1.1, 7)
+        assert len(prim.value(t)) == components
+        assert calls == [0] * 4  # ceil(7 / 2) blocks
+        calls.clear()
+        assert len(prim(jet_seed(t, 0.0, 2)[0])) == components
+        assert calls == [0] * 4 + [1]  # the Gauss blocks, then one jet of the integrand
 
 
 def test_w_of_f_stays_in_the_safe_domain():

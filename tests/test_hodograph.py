@@ -121,19 +121,17 @@ def test_factorization_through_slope_construction():
     a, al1, al2 = 1.0, 1.0, 2.0
     cprime = lambda sj: (poly_jet((al1, 0, 0, 1.0), sj)
                          * poly_jet((al2, 0, 0, 1.0), sj) * a).recip()
-    prim = {
-        (r, ref): _Primitive(lambda sj, r=r: sj * cprime(sj) if r == 1
-                             else (cprime(sj) if r == 0 else sj * sj * cprime(sj)),
-                             ref=ref)
-        for r in (0, 1, 2) for ref in (0.6, 2.8)
-    }
+    # per reference slope, one primitive of (C', s C', s^2 C')
+    prim = {ref: _Primitive(lambda sj: (cprime(sj), sj * cprime(sj), sj * sj * cprime(sj)),
+                            ref=ref)
+            for ref in (0.6, 2.8)}
 
     def bc(n1, n2):
-        return (prim[(1, 0.6)].value(n1) + prim[(1, 2.8)].value(n2),
-                prim[(0, 0.6)].value(n1) + prim[(0, 2.8)].value(n2))
+        v1, v2 = prim[0.6].value(n1), prim[2.8].value(n2)
+        return v1[1] + v2[1], v1[0] + v2[0]
 
     def w(n1, n2):
-        return prim[(2, 0.6)].value(n1) + prim[(2, 2.8)].value(n2)
+        return prim[0.6].value(n1)[2] + prim[2.8].value(n2)[2]
 
     n1 = np.array([0.55, 0.60, 0.65])
     n2 = np.array([2.70, 2.80, 2.90])
