@@ -38,11 +38,11 @@ def main() -> int:
     for tag in FAMILIES:
         bundle = make_family(canonical_config(tag))
         x, z = sample_points(bundle, rng, args.points)
-        base = float(np.max(np.abs(four_function_residual(bundle.quadruple, x, z))))
+        base = float(np.max(np.abs(four_function_residual(bundle.quadruple, x, z)[0])))
         row = {"original": base}
         for variant in ("symmetric", "literal"):
             q = duality_transform(bundle.quadruple, variant)
-            row[variant] = float(np.max(np.abs(four_function_residual(q, x, z))))
+            row[variant] = float(np.max(np.abs(four_function_residual(q, x, z)[0])))
         keeps = [v for v in ("symmetric", "literal") if row[v] <= 1e-8]
         print(f"{tag:20s} {row['original']:>12.3e} {row['symmetric']:>12.3e} "
               f"{row['literal']:>12.3e}  {', '.join(keeps) or 'none'}")

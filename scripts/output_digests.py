@@ -1,0 +1,109 @@
+#!/usr/bin/env python3
+"""Digest every CLI output of a fixed job matrix, to compare two commits byte for byte.
+
+Prints one ``job exit sha256`` line per job.  The digest covers the job's
+stdout, its stderr and the name and bytes of every file it wrote
+(``fields.csv``, ``report.json``, ``report.csv``, ``sweep.csv``).  The jobs:
+
+- construct and verify (default checks plus reconstruct) of every family at
+  21x21 and 81x81, and at 21x21 with jet order ``grid.m`` 4;
+- verify at 21x21 with each mutation slot scaled by 1.1;
+- one five-value sweep per family with a numeric parameter, at 21x21;
+- a reconstruct with ``fd_h = 0.01`` per family;
+- construct and verify of a ``trivial`` family with complex fields, at
+  ``grid.m`` 2 and 4.
+
+Nothing is compared here: run it on each commit and diff the two outputs.
+
+Usage:
+  python scripts/output_digests.py > digests.txt
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import tempfile
+from pathlib import Path
+
+from mongesol import FAMILY_TAGS, canonical_config, default_checks, family_to_dict, make_family
+from mongesol.cli import main as cli_main
+
+SWEEPS = {
+    "m1_implicit": ("seed_lambda", "1.0,1.1,1.2,1.3,1.4"),
+    "degenerate": ("seed_a", "1.5,1.75,2.0,2.25,2.5"),
+    "m3_sigma_const": ("A", "0.5,0.875,1.25,1.625,2.0"),
+    "m3_l1_const": ("D", "0.5,0.875,1.25,1.625,2.0"),
+    "m3_theta_const": ("E", "0.5,0.875,1.25,1.625,2.0"),
+    "m3_hodograph_example": ("beta", "1.5,1.875,2.25,2.625,3.0"),
+    "m3_general": ("g", "-0.5,-1.0,-1.25,-1.5,-2.0"),
+    "m3_general_e0": ("a", "0.5,0.875,1.25,1.625,2.0"),
+    "mn_theta_const": ("E", "0.5,0.875,1.25,1.625,2.0"),
+}
+
+# quartics along the cube roots of unity 1 and exp(2 pi i / 3): complex chain fields
+COMPLEX_TRIVIAL = {"family": "trivial", "n": 3, "terms": [
+    [1.0, [0, 0, 0, 0, 1.0]], [[-0.5, 0.8660254037844386], [0, 0, 0, 0, 1.0]]]}
+
+
+def jobs():
+    """(job name, config object, extra CLI arguments after ``--config``)."""
+    for tag in FAMILY_TAGS:
+        bundle = make_family(canonical_config(tag))
+        family = family_to_dict(bundle.config)
+        checks = default_checks(bundle) + (["reconstruct"] if bundle.n <= 4 else [])
+        for n, m in ((21, 2), (81, 2), (21, 4)):
+            cfg = {"family": family, "grid": {"nx": n, "nz": n, "m": m}, "checks": checks}
+            for cmd in ("construct", "verify"):
+                yield f"{cmd}:{tag}:{n}:m{m}", cfg, (cmd,)
+        base = {"family": family, "grid": {"nx": 21, "nz": 21}}
+        for slot in bundle.mutation_slots:
+            yield f"mutate:{tag}:{slot}", base, ("verify", "--mutate", f"{slot}=1.1")
+        if tag in SWEEPS:
+            param, values = SWEEPS[tag]
+            yield f"sweep:{tag}", base, ("sweep", "--param", param, f"--values={values}")
+        fd = {"family": family, "grid": {"nx": 21, "nz": 21, "fd_h": 0.01},
+              "checks": ["reconstruct"]}
+        yield f"fd_h:{tag}", fd, ("verify",)
+    for m in (2, 4):
+        cfg = {"family": COMPLEX_TRIVIAL, "grid": {"nx": 21, "nz": 21, "m": m}}
+        for cmd in ("construct", "verify"):
+            yield f"{cmd}:trivial_complex:m{m}", cfg, (cmd,)
+
+
+def run_job(name: str, config: dict, args: tuple) -> tuple[int, str]:
+    """Run one job in the current directory; its exit code and output digest."""
+    work = Path(name.replace(":", "_"))
+    work.mkdir()
+    (work / "config.json").write_text(json.dumps(config))
+    out, err = io.StringIO(), io.StringIO()
+    argv = [args[0], "--config", str(work / "config.json"), "--out", str(work / "out"),
+            *args[1:]]
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    digest = hashlib.sha256()
+    for text in (out.getvalue(), err.getvalue()):
+        digest.update(text.encode() + b"\0")
+    for path in sorted((work / "out").glob("*")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return code, digest.hexdigest()
+
+
+def main() -> int:
+    start = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # relative output paths, so stdout does not name the temporary directory
+        try:
+            for name, config, cli_args in jobs():
+                code, digest = run_job(name, config, cli_args)
+                print(f"{name} {code} {digest}", flush=True)
+        finally:
+            os.chdir(start)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

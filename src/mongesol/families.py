@@ -16,7 +16,11 @@ one constituent function together with its antiderivative.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+import operator
+import sys
+from collections import namedtuple
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -272,8 +276,6 @@ class _Primitive:
 
     def __call__(self, a: Jet2) -> tuple[Jet2, ...]:
         base = self.value(a.value)
-        if a.m == 0:
-            return tuple(Jet2.constant(b, 0) for b in base)
         t = Jet2.constant(a.value, 0) if a.m == 1 else jet_seed(a.value, 0.0, a.m - 1)[0]
         return tuple(compose_series([b] + [g.c[k, 0] / (k + 1) for k in range(a.m)], a)
                      for b, g in zip(base, self.integrand(t)))
@@ -999,25 +1001,98 @@ def _build_n_theta_const(cfg: NThetaConstConfig, scales) -> FieldBundle:
 # ---------------------------------------------------------------------------
 
 
+# One slope root s(x, z) of the implicit line equation x + s*z = T(s): the
+# mutation slot of its C', s and the weight denominator T'(s) - z on arrays,
+# and T on jets.
+_SlopeRoot = namedtuple("_SlopeRoot", "slot seed denom line")
+
+
+def _total(terms):
+    """Sum over slope roots from the first term, so one root's sum is that term."""
+    return functools.reduce(operator.add, terms)
+
+
 def _quadratic_slope_jets(xj, zj):
     """Jets of the two slope fields solving ``slope^2 - z*slope - x = 0``."""
     disc = jsqrt(zj * zj + 4.0 * xj)
     return (zj - disc) * 0.5, (zj + disc) * 0.5
 
 
-def _build_hodograph_example(cfg: HodographExampleConfig, scales) -> FieldBundle:
-    k, al, be = float(cfg.k), float(cfg.alpha), float(cfg.beta)
-    if k == 0 or al == 0:
-        raise ConfigError("m3_hodograph_example requires nonzero k and alpha")
-    sth, ssg, sc2 = scales.get("theta", 1.0), scales.get("sigma", 1.0), scales.get("c2", 1.0)
+_QUADRATIC_ROOTS = (
+    _SlopeRoot("c1", seed=lambda x, z: (z - np.sqrt(z * z + 4 * x)) / 2,
+               denom=lambda x, z: -np.sqrt(z * z + 4 * x), line=lambda tj: tj * tj),
+    _SlopeRoot("c2", seed=lambda x, z: (z + np.sqrt(z * z + 4 * x)) / 2,
+               denom=lambda x, z: np.sqrt(z * z + 4 * x), line=lambda tj: tj * tj),
+)
 
-    cprime = lambda sj: (poly_jet((al, 0.0, 0.0, k), sj)).recip()   # 1/(k s^3 + alpha)
+
+def _slope_root_bundle(cfg, scales, roots: tuple[_SlopeRoot, ...], root_jets, cprime: JetFunc,
+                       cprime_arr, comp2: JetFunc, comp_m1: JetFunc, sigma: JetFunc, sigma_x,
+                       theta: JetFunc | None, theta_z, **bundle_kw) -> FieldBundle:
+    """Degree-3 bundle whose chain fields are sums over the slope roots ``roots``.
+
+    ``root_jets(xj, zj)`` gives the roots' jets.  Along each root, scaled by
+    its slot, a2, a1, a0 and W integrate s^r C'(s) for r = 0, 1, 2, -1: the
+    first two by Gauss quadrature, the last two by the closed forms ``comp2``
+    and ``comp_m1``.  ``theta=None`` adds no theta term.  One root is paired
+    with the constant slope 1, whose line function is absent.  ``bundle_kw``
+    holds the family's own fields.
+    """
+    sth, ssg = scales.get("theta", 1.0), scales.get("sigma", 1.0)
+    sc = [scales.get(root.slot, 1.0) for root in roots]
+    xc, zc = 0.5 * (cfg.rect[0] + cfg.rect[1]), 0.5 * (cfg.rect[2] + cfg.rect[3])
 
     def chain_integrands(sj):  # C'(s) and s C'(s), one evaluation of C'
         c = cprime(sj)
         return c, sj * c
 
-    prim = _Primitive(chain_integrands, ref=_ref_slope(cfg.rect))
+    prims = [_Primitive(chain_integrands, ref=root.seed(xc, zc)) for root in roots]
+
+    def fields(x, z, m):
+        xj, zj = jet_seed(x, z, m)
+        sjs = root_jets(xj, zj)
+        a0 = _total(comp2(sj) * c for sj, c in zip(sjs, sc))
+        a0 = a0 if theta is None else a0 + theta(zj) * sth
+        # per slope root, the unscaled (a2, a1) pair, built on first read
+        pairs = _Fields(**{root.slot: functools.partial(prim, sj)
+                           for root, prim, sj in zip(roots, prims, sjs)})
+        return _Fields(
+            a2=lambda: _total(pairs[root.slot][0] * c for root, c in zip(roots, sc)),
+            a1=lambda: _total(pairs[root.slot][1] * c for root, c in zip(roots, sc)),
+            a0=a0,
+            W=_total(comp_m1(sj) * c for sj, c in zip(sjs, sc)) + sigma(xj) * ssg,
+            f=a0,
+        )
+
+    theta_z = _scaled_arr(theta_z, sth)
+    sigma_x = _scaled_arr(sigma_x, ssg)
+    cprimes = [_scaled_arr(cprime_arr, c) for c in sc]
+    branches = tuple(SlopeBranch(kind="implicit", theta=root.line, seed=root.seed, cprime=cp)
+                     for root, cp in zip(roots, cprimes))
+    if len(branches) == 1:
+        branches = (SlopeBranch(kind="const", nu_const=1.0, lprime=None),) + branches
+    general = GeneralQuadruple(*branches, theta_z=theta_z, sigma_x=sigma_x)
+
+    def forms(x, z):
+        x, z = np.asarray(x, dtype=float), np.asarray(z, dtype=float)
+        s = [root.seed(x, z) for root in roots]
+        p = [cp(si) / root.denom(x, z) for root, cp, si in zip(roots, cprimes, s)]
+        f_z = _total(si ** 3 * pi for si, pi in zip(s, p))
+        return {
+            "f_x": _total(si ** 2 * pi for si, pi in zip(s, p)),
+            "f_z": f_z if theta is None else f_z + theta_z(z),
+            "W_x": _total(pi / si for si, pi in zip(s, p)) + sigma_x(x),
+            "W_z": _total(p),
+        }
+
+    return FieldBundle(n=3, fields_fn=fields, general_quadruple=general, derivative_forms=forms,
+                       **bundle_kw)
+
+
+def _build_hodograph_example(cfg: HodographExampleConfig, scales) -> FieldBundle:
+    k, al, be = float(cfg.k), float(cfg.alpha), float(cfg.beta)
+    if k == 0 or al == 0:
+        raise ConfigError("m3_hodograph_example requires nonzero k and alpha")
 
     def comp2(nuj):  # integral of s^2 C'(s), closed form
         return (1.0 / (3 * k)) * jlog(jpow(nuj, 3) * k + al)
@@ -1032,50 +1107,8 @@ def _build_hodograph_example(cfg: HodographExampleConfig, scales) -> FieldBundle
     def sigma(xj):
         return (1.0 / (3 * al)) * jlog(jpow(xj, -3) * al + be)
 
-    def fields(x, z, m):
-        xj, zj = jet_seed(x, z, m)
-        nuj = -xj / zj
-        a0 = comp2(nuj) * sc2 + theta(zj) * sth
-        chain = _Fields(pair=lambda: prim(nuj))  # (a2, a1) unscaled, built on first read
-        return _Fields(
-            a2=lambda: chain["pair"][0] * sc2,
-            a1=lambda: chain["pair"][1] * sc2,
-            a0=a0,
-            W=comp_m1(nuj) * sc2 + sigma(xj) * ssg,
-            f=a0,
-        )
-
-    theta_z = _scaled_arr(lambda z: np.asarray(z, dtype=float) ** -4.0
-                          / (k * np.asarray(z, dtype=float) ** -3.0 + be), sth)
-    sigma_x = _scaled_arr(lambda x: -np.asarray(x, dtype=float) ** -4.0
-                          / (al * np.asarray(x, dtype=float) ** -3.0 + be), ssg)
-
-    general = GeneralQuadruple(
-        branch1=SlopeBranch(kind="const", nu_const=1.0, lprime=None),
-        branch2=SlopeBranch(
-            kind="implicit",
-            theta=lambda tj: Jet2.constant(np.zeros(tj.shape), tj.m),
-            seed=lambda x, z: -x / z,
-            cprime=_scaled_arr(lambda s: 1.0 / (k * s ** 3 + al), sc2),
-        ),
-        theta_z=theta_z,
-        sigma_x=sigma_x,
-    )
-
     def wf_res(w, f):
         return np.exp(3 * al * w) + (al / k) * np.exp(-3 * k * f) - be / k
-
-    def forms(x, z):
-        x = np.asarray(x, dtype=float)
-        z = np.asarray(z, dtype=float)
-        s = -x / z
-        p2 = general.branch2.cprime(s) / (-z)
-        return {
-            "f_x": s ** 2 * p2,
-            "f_z": s ** 3 * p2 + theta_z(z),
-            "W_x": p2 / s + sigma_x(x),
-            "W_z": p2,
-        }
 
     domain = SafeDomain(
         rect=tuple(cfg.rect),
@@ -1088,97 +1121,25 @@ def _build_hodograph_example(cfg: HodographExampleConfig, scales) -> FieldBundle
             ("sigma_log_arg", lambda x, z: al * x ** -3.0 + be - EPS),
         ),
     )
-    return FieldBundle(
-        n=3,
+    # the slope field -x/z solves x + s*z = 0, a line function T = 0
+    root = _SlopeRoot("c2", seed=lambda x, z: -x / z, denom=lambda x, z: -z,
+                      line=lambda tj: Jet2.constant(np.zeros(tj.shape), tj.m))
+    return _slope_root_bundle(
+        cfg, scales, (root,),
+        root_jets=lambda xj, zj: (-xj / zj,),
+        cprime=lambda sj: (poly_jet((al, 0.0, 0.0, k), sj)).recip(),   # 1/(k s^3 + alpha)
+        cprime_arr=lambda s: 1.0 / (k * s ** 3 + al),
+        comp2=comp2,
+        comp_m1=comp_m1,
+        sigma=sigma,
+        sigma_x=lambda x: -x ** -4.0 / (al * x ** -3.0 + be),  # called on float arrays
+        theta=theta,
+        theta_z=lambda z: z ** -4.0 / (k * z ** -3.0 + be),
         params={"k": k, "alpha": al, "beta": be},
         domain=domain,
         wf_relation="hodograph_exp",
         mutation_slots=("sigma", "theta", "c2"),
-        fields_fn=fields,
-        general_quadruple=general,
         wf_residual=wf_res,
-        derivative_forms=forms,
-    )
-
-
-def _ref_slope(rect):
-    xc = 0.5 * (rect[0] + rect[1])
-    zc = 0.5 * (rect[2] + rect[3])
-    return -xc / zc
-
-
-def _two_slope_bundle(cfg, scales, cprime: JetFunc, cprime_arr, comp2: JetFunc,
-                      comp_m1: JetFunc, sigma: JetFunc, sigma_x, theta: JetFunc | None,
-                      theta_z, **bundle_kw) -> FieldBundle:
-    """Degree-3 bundle whose two slopes are the roots of ``s^2 - z*s - x``.
-
-    ``cprime`` is C'(s) on jets and ``cprime_arr`` on arrays; ``comp2`` and
-    ``comp_m1`` are closed forms of the integrals of s^2 C'(s) and s^-1 C'(s).
-    A family with vanishing theta_z passes ``theta=None``: no term is then
-    added to ``a0`` or ``f_z``.  ``bundle_kw`` holds the family's own fields.
-    """
-    sth, ssg = scales.get("theta", 1.0), scales.get("sigma", 1.0)
-    sc1, sc2 = scales.get("c1", 1.0), scales.get("c2", 1.0)
-
-    lo_seed = lambda x, z: (z - np.sqrt(z * z + 4 * x)) / 2
-    hi_seed = lambda x, z: (z + np.sqrt(z * z + 4 * x)) / 2
-    xc, zc = 0.5 * (cfg.rect[0] + cfg.rect[1]), 0.5 * (cfg.rect[2] + cfg.rect[3])
-    ref1, ref2 = lo_seed(xc, zc), hi_seed(xc, zc)
-
-    def chain_integrands(sj):  # s^r C'(s) for r = 0, 1, one evaluation of C'
-        c = cprime(sj)
-        return jpow(sj, 0) * c, jpow(sj, 1) * c
-
-    prim1, prim2 = (_Primitive(chain_integrands, ref=ref) for ref in (ref1, ref2))
-
-    def fields(x, z, m):
-        xj, zj = jet_seed(x, z, m)
-        n1, n2 = _quadratic_slope_jets(xj, zj)
-        a0 = comp2(n1) * sc1 + comp2(n2) * sc2
-        a0 = a0 if theta is None else a0 + theta(zj) * sth
-        # per slope root, the unscaled (a2, a1) pair, built on first read
-        chain = _Fields(lo=lambda: prim1(n1), hi=lambda: prim2(n2))
-        return _Fields(
-            a2=lambda: chain["lo"][0] * sc1 + chain["hi"][0] * sc2,
-            a1=lambda: chain["lo"][1] * sc1 + chain["hi"][1] * sc2,
-            a0=a0,
-            W=comp_m1(n1) * sc1 + comp_m1(n2) * sc2 + sigma(xj) * ssg,
-            f=a0,
-        )
-
-    theta_z = _scaled_arr(theta_z, sth)
-    sigma_x = _scaled_arr(sigma_x, ssg)
-    sq = lambda tj: tj * tj
-    general = GeneralQuadruple(
-        branch1=SlopeBranch(kind="implicit", theta=sq, seed=lo_seed,
-                            cprime=_scaled_arr(cprime_arr, sc1)),
-        branch2=SlopeBranch(kind="implicit", theta=sq, seed=hi_seed,
-                            cprime=_scaled_arr(cprime_arr, sc2)),
-        theta_z=theta_z,
-        sigma_x=sigma_x,
-    )
-
-    def forms(x, z):
-        x = np.asarray(x, dtype=float)
-        z = np.asarray(z, dtype=float)
-        root = np.sqrt(z * z + 4 * x)
-        n1, n2 = (z - root) / 2, (z + root) / 2
-        p1 = general.branch1.cprime(n1) / (-root)
-        p2 = general.branch2.cprime(n2) / root
-        f_z = n1 ** 3 * p1 + n2 ** 3 * p2
-        return {
-            "f_x": n1 ** 2 * p1 + n2 ** 2 * p2,
-            "f_z": f_z if theta is None else f_z + theta_z(z),
-            "W_x": p1 / n1 + p2 / n2 + sigma_x(x),
-            "W_z": p1 + p2,
-        }
-
-    return FieldBundle(
-        n=3,
-        fields_fn=fields,
-        general_quadruple=general,
-        derivative_forms=forms,
-        **bundle_kw,
     )
 
 
@@ -1217,8 +1178,8 @@ def _build_general(cfg: GeneralNuConfig, scales) -> FieldBundle:
                 ((z + np.sqrt(np.maximum(z * z + 4 * x, 0.0))) / 2) ** 2 + g) - EPS),
         ),
     )
-    return _two_slope_bundle(
-        cfg, scales,
+    return _slope_root_bundle(
+        cfg, scales, _QUADRATIC_ROOTS, root_jets=_quadratic_slope_jets,
         cprime=lambda sj: -(sj * sj + g).recip(),
         cprime_arr=lambda s: -1.0 / (s * s + g),
         comp2=comp2,
@@ -1277,8 +1238,8 @@ def _build_general_e0(cfg: GeneralNuE0Config, scales) -> FieldBundle:
             ("sigma_log_arg", lambda x, z: a + c * x ** -3.0 - EPS),
         ),
     )
-    return _two_slope_bundle(
-        cfg, scales,
+    return _slope_root_bundle(
+        cfg, scales, _QUADRATIC_ROOTS, root_jets=_quadratic_slope_jets,
         cprime=lambda sj: (poly_jet((a1, 0, 0, 1.0), sj) * poly_jet((a2, 0, 0, 1.0), sj)
                            * a).recip(),
         cprime_arr=lambda s: 1.0 / (a * (s ** 3 + a1) * (s ** 3 + a2)),
@@ -1336,7 +1297,7 @@ def make_family(cfg, mutations: dict | None = None) -> FieldBundle:
     """
     scales = dict(mutations or {})
     for name, factor in scales.items():
-        if not math.isfinite(factor):
+        if not abs(factor) <= sys.float_info.max:  # NaN, inf and a too large int fail too
             raise ConfigError(f"mutation factor {name!r} must be finite, got {factor}")
     bundle = _entry(cfg.tag)[1](cfg, scales)
     for name in scales:

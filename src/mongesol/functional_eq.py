@@ -73,25 +73,25 @@ def four_function_terms(q: Quadruple, x, z):
     return s * t, s * q.nu.combine(q.n, p, qd), t * q.nu.combine(-1, p, qd), -coupling
 
 
-def four_function_residual(q: Quadruple, x, z, relative: bool = False):
-    """Signed residual; zero iff the quadruple solves the constraint there.
-
-    With ``relative=True`` the residual is divided by the largest additive
-    term so large-field regions cannot mask failures.
-    """
-    terms = four_function_terms(q, x, z)
+def _residual_pair(terms):
+    """The sum of a constraint's four additive terms, and that sum divided by
+    the largest term, so large-field regions cannot mask failures."""
     r = terms[0] + terms[1] + terms[2] + terms[3]
-    if not relative:
-        return r
     scale = np.maximum.reduce([np.abs(t) for t in terms])
-    return r / np.maximum(scale, 1e-30)
+    return r, r / np.maximum(scale, 1e-30)
+
+
+def four_function_residual(q: Quadruple, x, z):
+    """Signed residual, and the residual over the largest of the four terms;
+    zero iff the quadruple solves the constraint there."""
+    return _residual_pair(four_function_terms(q, x, z))
 
 
 def ratio_form_residual(q: Quadruple, x, z, den_tol: float = 1e-8):
     """Cross-multiplied difference of the ratio form of the same constraint.
 
-    Equal to ``delta`` times :func:`four_function_residual` wherever both
-    denominators are healthy; vanishing denominators are an error.
+    Equal to ``delta`` times the residual of :func:`four_function_residual`
+    wherever both denominators are healthy; vanishing denominators are an error.
     """
     xx, zz, t1, t2 = q.args(x, z)
     s = q.sigma_x(xx)
@@ -196,8 +196,8 @@ class GeneralQuadruple:
     sigma_x: ArrFunc
 
 
-def variable_slope_residual(g: GeneralQuadruple, x, z, relative: bool = False):
-    """Residual of the variable-slope constraint at the points.
+def variable_slope_residual(g: GeneralQuadruple, x, z):
+    """Residual and relative residual of the variable-slope constraint at the points.
 
     Reduces exactly to :func:`four_function_residual` when both slopes are
     constant with weights ``-L1'/delta`` and ``L2'/delta``.
@@ -210,14 +210,9 @@ def variable_slope_residual(g: GeneralQuadruple, x, z, relative: bool = False):
     sg = g.sigma_x(x)
     delta = nu2 - nu1
     box = nu1 ** 2 + nu1 * nu2 + nu2 ** 2
-    terms = (
+    return _residual_pair((
         th * sg,
         sg * (nu1 ** 3 * p1 + nu2 ** 3 * p2),
         th * (p1 / nu1 + p2 / nu2),
         (delta ** 2 * box / (nu1 * nu2)) * p1 * p2,
-    )
-    r = terms[0] + terms[1] + terms[2] + terms[3]
-    if not relative:
-        return r
-    scale = np.maximum.reduce([np.abs(t) for t in terms])
-    return r / np.maximum(scale, 1e-30)
+    ))

@@ -58,9 +58,6 @@ class Jet2:
         c[0, 0] = value
         return cls(m, c)
 
-    def copy(self) -> "Jet2":
-        return Jet2(self.m, self.c.copy())
-
     # -- basic queries ------------------------------------------------------
 
     @property
@@ -158,17 +155,6 @@ class Jet2:
         for i in range(m + 1):
             for j in range(m + 1 - i):
                 out[i, j] = (i + 1) * self.c[i + 1, j]
-        return Jet2(m, out)
-
-    def dz(self) -> "Jet2":
-        """Jet of the z-derivative field (order drops by one)."""
-        if self.m < 1:
-            raise ValueError("cannot differentiate an order-0 jet")
-        m = self.m - 1
-        out = np.zeros((m + 1, m + 1) + self.shape, dtype=self.c.dtype)
-        for i in range(m + 1):
-            for j in range(m + 1 - i):
-                out[i, j] = (j + 1) * self.c[i, j + 1]
         return Jet2(m, out)
 
 

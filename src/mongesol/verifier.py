@@ -12,6 +12,7 @@ and aggregates everything into a deterministic :class:`ResidualReport`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
@@ -41,6 +42,7 @@ __all__ = [
     "run_suite",
     "default_checks",
     "sample_points",
+    "validate_tolerances",
 ]
 
 KNOWN_CHECKS = ("compat", "dependence", "wf", "eq5", "eq10", "reconstruct")
@@ -60,6 +62,16 @@ DEFAULT_TOLERANCES = {
     "reconstruct": 1e-6,
     "path_consistency": 1e-6,
 }
+
+
+def validate_tolerances(tolerances: dict) -> None:
+    """Raise :class:`ConfigError` unless every name is one of ``DEFAULT_TOLERANCES``
+    and every value is positive and finite."""
+    for name, value in tolerances.items():
+        if name not in DEFAULT_TOLERANCES:
+            raise ConfigError(f"unknown tolerance name {name!r}")
+        if not 0 < value <= sys.float_info.max:  # NaN, inf and a too large int fail too
+            raise ConfigError(f"tolerance {name!r} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -330,10 +342,12 @@ def _quadrature_crosscheck(ev: GridEval, tol: float) -> CheckResult:
 
     # Simpson sub-steps per cell: at least as fine as 32 per cell of a 21-node axis
     refine = max(32, 2 * math.ceil(320 / (min(grid.nx, grid.nz) - 1)))
-    fx_row, wx_row, row_ok = _row_forms(bundle, xs, zs[j0], refine)
-    f_row, w_row = _cumulative_simpson(fx_row, wx_row, xs, refine, i0)
-    fz_col, wz_col, col_ok = _col_forms(bundle, xs, zs, refine)
-    f_col, w_col = _cumulative_simpson_cols(fz_col, wz_col, zs, refine, j0)
+    fine_x, fine_z = _fine_axis(xs, refine), _fine_axis(zs, refine)
+    (f_row, w_row), row_ok = _line_quadrature(
+        bundle, fine_x, np.full_like(fine_x, zs[j0]), xs, refine, i0, ("f_x", "W_x"))
+    # columns broadcast, not materialized: x-only predicates and forms run on nx values
+    (f_col, w_col), col_ok = _line_quadrature(
+        bundle, xs[:, None, None] + 0.0, fine_z[None, :, :], zs, refine, j0, ("f_z", "W_z"))
 
     f_quad = f_grid[i0, j0] + f_row[:, None] + f_col
     w_quad = w_grid[i0, j0] + w_row[:, None] + w_col
@@ -368,59 +382,29 @@ def _fine_axis(nodes, refine):
     return nodes[:-1, None] + cells[:, None] * offs[None, :]  # (ncell, refine+1)
 
 
-def _row_forms(bundle, xs, z0, refine):
-    fine = _fine_axis(xs, refine)
-    zz = np.full_like(fine, z0)
-    okf = bundle.domain.mask(fine, zz)
+def _line_quadrature(bundle, x, z, nodes, refine, k0, keys):
+    """Cumulative Simpson integrals from node ``k0`` of the derivative forms ``keys``
+    along the last axis of the fine points ``x, z`` (``refine`` sub-steps per cell
+    of ``nodes``), and each node's admissibility: its cells lie in the domain."""
+    okf = bundle.domain.mask(x, z)
     with np.errstate(all="ignore"):
-        forms = bundle.derivative_forms(fine, zz)
-    # off-domain cells only feed paths that get filtered out; keep them from
-    # poisoning the cumulative sums with non-finite values
-    f_x = np.where(okf, forms["f_x"], 0.0)
-    w_x = np.where(okf, forms["W_x"], 0.0)
-    row_ok = np.ones(len(xs), dtype=bool)
-    row_ok[:-1] &= np.all(okf, axis=1)
-    row_ok[1:] &= np.all(okf, axis=1)
-    return f_x, w_x, row_ok
-
-
-def _col_forms(bundle, xs, zs, refine):
-    fine = _fine_axis(zs, refine)  # (nz-1, r+1)
-    # broadcast, not materialized: x-only predicates and forms run on nx values
-    xg, zg = xs[:, None, None] + 0.0, fine[None, :, :]
-    okf = bundle.domain.mask(xg, zg)
-    with np.errstate(all="ignore"):
-        forms = bundle.derivative_forms(xg, zg)
-    f_z = np.where(okf, forms["f_z"], 0.0)
-    w_z = np.where(okf, forms["W_z"], 0.0)
-    col_ok = np.ones((len(xs), len(zs)), dtype=bool)
-    col_ok[:, :-1] &= np.all(okf, axis=2)
-    col_ok[:, 1:] &= np.all(okf, axis=2)
-    return f_z, w_z, col_ok
-
-
-def _simpson_weights(refine):
-    w = np.ones(refine + 1)
+        forms = bundle.derivative_forms(x, z)
+    h = np.diff(nodes) / refine
+    w = np.ones(refine + 1)  # Simpson weights
     w[1:-1:2], w[2:-1:2] = 4.0, 2.0
-    return w / 3.0
-
-
-def _cumulative_simpson(fv, wv, nodes, refine, i0):
-    h = np.diff(nodes) / refine
-    w = _simpson_weights(refine)
-    cf = np.concatenate([[0.0], np.cumsum(np.sum(fv * w, axis=1) * h)])
-    cw = np.concatenate([[0.0], np.cumsum(np.sum(wv * w, axis=1) * h)])
-    return cf - cf[i0], cw - cw[i0]
-
-
-def _cumulative_simpson_cols(fv, wv, nodes, refine, j0):
-    h = np.diff(nodes) / refine
-    w = _simpson_weights(refine)
-    cf = np.concatenate([np.zeros((fv.shape[0], 1)),
-                         np.cumsum(np.sum(fv * w, axis=2) * h, axis=1)], axis=1)
-    cw = np.concatenate([np.zeros((wv.shape[0], 1)),
-                         np.cumsum(np.sum(wv * w, axis=2) * h, axis=1)], axis=1)
-    return cf - cf[:, j0:j0 + 1], cw - cw[:, j0:j0 + 1]
+    w /= 3.0
+    sums = []
+    for key in keys:
+        # off-domain cells only feed paths that get filtered out; keep them from
+        # poisoning the cumulative sums with non-finite values
+        cells = np.cumsum(np.sum(np.where(okf, forms[key], 0.0) * w, axis=-1) * h, axis=-1)
+        c = np.concatenate([np.zeros(cells.shape[:-1] + (1,)), cells], axis=-1)
+        sums.append(c - c[..., k0:k0 + 1])
+    cell_ok = np.all(okf, axis=-1)
+    node_ok = np.ones(cell_ok.shape[:-1] + (len(nodes),), dtype=bool)
+    node_ok[..., :-1] &= cell_ok
+    node_ok[..., 1:] &= cell_ok
+    return sums, node_ok
 
 
 def check_equation(bundle: FieldBundle, rng: np.random.Generator, probes: int,
@@ -430,13 +414,11 @@ def check_equation(bundle: FieldBundle, rng: np.random.Generator, probes: int,
     if which == "eq5":
         if bundle.quadruple is None:
             raise ConfigError(f"family {bundle.family!r} has no constant-slope quadruple (eq5)")
-        raw = four_function_residual(bundle.quadruple, x, z)
-        rel = four_function_residual(bundle.quadruple, x, z, relative=True)
+        raw, rel = four_function_residual(bundle.quadruple, x, z)
     elif which == "eq10":
         if bundle.general_quadruple is None:
             raise ConfigError(f"family {bundle.family!r} has no variable-slope quadruple (eq10)")
-        raw = variable_slope_residual(bundle.general_quadruple, x, z)
-        rel = variable_slope_residual(bundle.general_quadruple, x, z, relative=True)
+        raw, rel = variable_slope_residual(bundle.general_quadruple, x, z)
     else:
         raise ConfigError(f"unknown equation check {which!r}")
     return _result(which, raw, x, z, tol,
@@ -625,11 +607,7 @@ def run_suite(
     """Run the selected checks and assemble the report."""
     tol = dict(DEFAULT_TOLERANCES)
     tol.update(tolerances or {})
-    for name in tol:
-        if name not in DEFAULT_TOLERANCES:
-            raise ConfigError(f"unknown tolerance name {name!r}")
-        if not (math.isfinite(tol[name]) and tol[name] > 0):
-            raise ConfigError(f"tolerance {name!r} must be positive and finite, got {tol[name]}")
+    validate_tolerances(tol)
     checks = list(checks)
     for name in checks:
         if name not in KNOWN_CHECKS:

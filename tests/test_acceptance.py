@@ -162,7 +162,7 @@ def test_criterion_07_duality_variants():
         passing = []
         for variant in ("symmetric", "literal"):
             r = float(np.max(np.abs(four_function_residual(
-                duality_transform(b.quadruple, variant), x, z))))
+                duality_transform(b.quadruple, variant), x, z)[0])))
             if r <= 1e-8:
                 passing.append(variant)
         records.append(f"{tag}: preserves={passing or 'none'}")

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from mongesol import verifier
 from mongesol.cli import RunConfig, _csv_rows, main
+from mongesol.errors import ConfigError
 from mongesol.families import FAMILY_TAGS, SafeDomain, canonical_config, family_to_dict
 from mongesol.verifier import DEFAULT_TOLERANCES, MAX_POINTS, admissible_grid
 
@@ -313,6 +314,9 @@ def test_malformed_json_exits_2(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{not json")
     assert main(["verify", "--config", str(p)]) == 2
+    # an integer literal longer than Python's int conversion limit (4300 digits)
+    p.write_text('{"family": {"family": "m3_general"}, "probes": 1' + "0" * 5000 + "}")
+    assert main(["construct", "--config", str(p)]) == 2
 
 
 def _strict_json(text):
@@ -345,22 +349,33 @@ def _strict_json(text):
     {"mutate": {"sigma": math.inf}},
     {"mutate": {"theta": -math.inf}},
     {"mutate": {"theta": math.nan}},
+    {"tolerances": {"wf": -1}},
+    {"tolerances": {"bogus": 1e-3}},
+    {"tolerances": {"compat": 10 ** 400}},
+    {"mutate": {"sigma": 10 ** 400}},
 ], ids=["grid_nx_not_a_number", "grid_m_below_2", "probes_zero", "nu_single_value",
         "checks_not_a_list", "tolerances_not_an_object", "tolerance_not_a_number",
         "mutate_not_an_object", "mutate_factor_not_a_number", "out_not_a_path",
         "coefficient_not_a_number", "probes_infinite", "grid_nx_infinite",
         "family_degree_infinite", "probes_above_cap", "grid_above_cap",
         "fd_h_grid_above_cap", "fd_h_grid_infinite", "tolerance_nan", "tolerance_infinite",
-        "mutate_factor_infinite", "mutate_factor_minus_infinite", "mutate_factor_nan"])
+        "mutate_factor_infinite", "mutate_factor_minus_infinite", "mutate_factor_nan",
+        "tolerance_negative", "tolerance_unknown_name", "tolerance_integer_overflow",
+        "mutate_factor_integer_overflow"])
 def test_malformed_config_field_exits_2(tmp_path, capsys, section):
     cfg = _write(tmp_path, "bad.json", {
         "family": {"family": "m3_sigma_const", "nu": [1, 2], "A": 1.0, "k": 1.0},
         **section,
     })
-    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "ob")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and "Traceback" not in err
-    assert not (tmp_path / "ob").exists()
+    # construct reads no tolerance, but a config with a bad one is still refused
+    for command in ["verify"] + (["construct"] if "tolerances" in section else []):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "ob")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert not (tmp_path / "ob").exists()
+    if "tolerances" in section:
+        with pytest.raises(ConfigError):
+            RunConfig.load(cfg)
 
 
 def test_fd_h_cap_applies_only_when_reconstruct_refines(tmp_path, monkeypatch):
@@ -550,7 +565,7 @@ def test_fuzzed_construct_keeps_the_exit_contract(config):
         out = Path(tmp) / "out"
         code = main(["construct", "--config", str(path), "--out", str(out)])
         assert code in (0, 2, 3)
-        if _has_non_finite({"mutate": config.get("mutate")}):
+        if _has_non_finite(config):
             assert code == 2
         if code == 0:
             loaded = RunConfig.load(str(path))

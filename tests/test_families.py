@@ -286,11 +286,11 @@ def test_w_of_f_builds_no_primitive(tag, monkeypatch):
 
 
 def _primitives(bundle):
-    """The ``_Primitive`` instances a bundle's fields_fn closes over."""
+    """The ``_Primitive`` instances a bundle's fields_fn closes over, alone or in a list
+    (one per slope root)."""
     found = []
     for v in inspect.getclosurevars(bundle.fields_fn).nonlocals.values():
-        found.extend(p for p in (v.values() if isinstance(v, dict) else [v])
-                     if isinstance(p, _Primitive))
+        found.extend(p for p in (v if isinstance(v, list) else [v]) if isinstance(p, _Primitive))
     return found
 
 

@@ -7,6 +7,7 @@ from mongesol.functional_eq import (
     Quadruple,
     duality_transform,
     four_function_residual,
+    four_function_terms,
     ratio_form_residual,
     variable_slope_residual,
 )
@@ -24,14 +25,14 @@ def test_all_zero_quadruple_solves():
     q = _zero_quadruple()
     x = np.linspace(-2, 2, 11)
     z = np.linspace(-2, 2, 11)
-    assert np.max(np.abs(four_function_residual(q, x, z))) == 0.0
+    assert np.max(np.abs(four_function_residual(q, x, z)[0])) == 0.0
 
 
 def test_sigma_const_quadruple_solves_at_random_points():
     b = make_family(canonical_config("m3_sigma_const"))
     rng = np.random.default_rng(17)
     x, z = sample_points(b, rng, 25)
-    assert np.max(np.abs(four_function_residual(b.quadruple, x, z))) <= 1e-9
+    assert np.max(np.abs(four_function_residual(b.quadruple, x, z)[0])) <= 1e-9
 
 
 def test_perturbed_theta_breaks_the_constraint():
@@ -47,7 +48,20 @@ def test_perturbed_theta_breaks_the_constraint():
     )
     rng = np.random.default_rng(18)
     x, z = sample_points(b, rng, 25)
-    assert np.max(np.abs(four_function_residual(bumped, x, z))) >= 1e-3
+    assert np.max(np.abs(four_function_residual(bumped, x, z)[0])) >= 1e-3
+
+
+def test_residual_pair_is_the_term_sum_and_its_relative_form():
+    b = make_family(canonical_config("m3_sigma_const"))
+    q = b.quadruple
+    bumped = Quadruple(sigma_x=q.sigma_x, theta_z=lambda z: q.theta_z(z) + 0.1,
+                       l1_prime=q.l1_prime, l2_dot=q.l2_dot, nu=q.nu, n=q.n)
+    x, z = sample_points(b, np.random.default_rng(19), 25)
+    terms = four_function_terms(bumped, x, z)
+    raw, rel = four_function_residual(bumped, x, z)
+    assert np.array_equal(raw, terms[0] + terms[1] + terms[2] + terms[3])
+    assert np.array_equal(rel, raw / np.maximum.reduce([np.abs(t) for t in terms]))
+    assert np.min(np.abs(raw)) > 0
 
 
 def test_residual_bilinear_in_line_derivatives_when_ends_vanish():
@@ -59,8 +73,8 @@ def test_residual_bilinear_in_line_derivatives_when_ends_vanish():
                        l1_prime=lambda t: 2.0 * (np.cos(t) + 2),
                        l2_dot=lambda t: 5.0 * (t + 3), nu=nu)
     x, z = np.linspace(0, 1, 9), np.linspace(0, 1, 9)
-    r1 = four_function_residual(base, x, z)
-    r2 = four_function_residual(scaled, x, z)
+    r1 = four_function_residual(base, x, z)[0]
+    r2 = four_function_residual(scaled, x, z)[0]
     assert np.allclose(r2, 10.0 * r1, rtol=1e-12, atol=1e-12)
 
 
@@ -84,7 +98,7 @@ def test_ratio_form_is_delta_times_product_form():
     )
     rng = np.random.default_rng(7)
     x, z = rng.uniform(0.5, 2.0, 50), rng.uniform(0.5, 2.0, 50)
-    r5 = four_function_residual(q, x, z)
+    r5 = four_function_residual(q, x, z)[0]
     r6 = ratio_form_residual(q, x, z)
     assert np.max(np.abs(r6 - nu.delta * r5)) <= 1e-12 * np.max(np.abs(r6))
 
@@ -94,7 +108,7 @@ def test_ratio_form_solves_iff_product_form_solves():
     rng = np.random.default_rng(8)
     x, z = sample_points(b, rng, 50)
     assert np.max(np.abs(ratio_form_residual(b.quadruple, x, z))) <= 1e-9
-    assert np.max(np.abs(four_function_residual(b.quadruple, x, z))) <= 1e-9
+    assert np.max(np.abs(four_function_residual(b.quadruple, x, z)[0])) <= 1e-9
 
 
 def test_ratio_form_denominator_guard():
@@ -120,7 +134,7 @@ def test_variable_slope_zero_solution():
     )
     rng = np.random.default_rng(9)
     x, z = sample_points(b, rng, 10)
-    assert np.max(np.abs(variable_slope_residual(g0, x, z))) == 0.0
+    assert np.max(np.abs(variable_slope_residual(g0, x, z)[0])) == 0.0
 
 
 @pytest.mark.parametrize("tag", ["m3_hodograph_example", "m3_general", "m3_general_e0"])
@@ -128,7 +142,7 @@ def test_variable_slope_families_solve(tag):
     b = make_family(canonical_config(tag))
     rng = np.random.default_rng(10)
     x, z = sample_points(b, rng, 40)
-    assert np.max(np.abs(variable_slope_residual(b.general_quadruple, x, z))) <= 1e-9
+    assert np.max(np.abs(variable_slope_residual(b.general_quadruple, x, z)[0])) <= 1e-9
 
 
 def test_duality_constants_on_unit_quadruple():
@@ -164,7 +178,7 @@ def test_duality_symmetric_preserves_solutions_literal_does_not():
         x, z = sample_points(b, rng, 30)
         for variant in ("symmetric", "literal"):
             r = np.max(np.abs(four_function_residual(
-                duality_transform(b.quadruple, variant), x, z)))
+                duality_transform(b.quadruple, variant), x, z)[0]))
             records[(tag, variant)] = r
         assert records[(tag, "symmetric")] <= 1e-8
         assert records[(tag, "literal")] >= 1e-3

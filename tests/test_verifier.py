@@ -29,8 +29,8 @@ from mongesol.verifier import (
     reconstruct_u,
     richardson_ratio,
     run_suite,
-    _col_forms,
     _fine_axis,
+    _line_quadrature,
     _path_ok,
 )
 
@@ -237,28 +237,96 @@ def test_path_ok_equals_the_loop(masks):
     assert np.array_equal(_path_ok(*masks), _path_ok_loop(*masks))
 
 
-def _col_forms_materialized(bundle, xs, zs, refine):
-    """``_col_forms`` on full (nx, nz-1, refine+1) point arrays."""
+def _simpson_weights(refine):
+    w = np.ones(refine + 1)
+    w[1:-1:2], w[2:-1:2] = 4.0, 2.0
+    return w / 3.0
+
+
+def _row_quadrature_before(bundle, xs, z0, refine, i0):
+    """The row routines ``_line_quadrature`` replaced (forms, then Simpson sums), as they were."""
+    fine = _fine_axis(xs, refine)
+    zz = np.full_like(fine, z0)
+    okf = bundle.domain.mask(fine, zz)
+    with np.errstate(all="ignore"):
+        forms = bundle.derivative_forms(fine, zz)
+    f_x = np.where(okf, forms["f_x"], 0.0)
+    w_x = np.where(okf, forms["W_x"], 0.0)
+    row_ok = np.ones(len(xs), dtype=bool)
+    row_ok[:-1] &= np.all(okf, axis=1)
+    row_ok[1:] &= np.all(okf, axis=1)
+    h = np.diff(xs) / refine
+    w = _simpson_weights(refine)
+    cf = np.concatenate([[0.0], np.cumsum(np.sum(f_x * w, axis=1) * h)])
+    cw = np.concatenate([[0.0], np.cumsum(np.sum(w_x * w, axis=1) * h)])
+    return cf - cf[i0], cw - cw[i0], row_ok
+
+
+def _col_quadrature_before(bundle, xs, zs, refine, j0):
+    """The column routines ``_line_quadrature`` replaced, as they were, but on
+    materialized (nx, nz-1, refine+1) point arrays."""
     fine = _fine_axis(zs, refine)
     xg = xs[:, None, None] + 0.0 * fine[None, :, :]
     zg = np.broadcast_to(fine[None, :, :], xg.shape)
     okf = bundle.domain.mask(xg, zg)
     with np.errstate(all="ignore"):
         forms = bundle.derivative_forms(xg, zg)
+    f_z = np.where(okf, forms["f_z"], 0.0)
+    w_z = np.where(okf, forms["W_z"], 0.0)
     col_ok = np.ones((len(xs), len(zs)), dtype=bool)
     col_ok[:, :-1] &= np.all(okf, axis=2)
     col_ok[:, 1:] &= np.all(okf, axis=2)
-    return np.where(okf, forms["f_z"], 0.0), np.where(okf, forms["W_z"], 0.0), col_ok
+    h = np.diff(zs) / refine
+    w = _simpson_weights(refine)
+    cf = np.concatenate([np.zeros((f_z.shape[0], 1)),
+                         np.cumsum(np.sum(f_z * w, axis=2) * h, axis=1)], axis=1)
+    cw = np.concatenate([np.zeros((w_z.shape[0], 1)),
+                         np.cumsum(np.sum(w_z * w, axis=2) * h, axis=1)], axis=1)
+    return cf - cf[:, j0:j0 + 1], cw - cw[:, j0:j0 + 1], col_ok
 
 
 @pytest.mark.parametrize("tag", [t for t in FAMILY_TAGS
                                  if make_family(canonical_config(t)).derivative_forms])
 @pytest.mark.parametrize("n", [21, 81])
 def test_broadcast_column_forms_are_bitwise_materialized(tag, n):
+    # the line quadrature, called as _quadrature_crosscheck calls it (rows on
+    # materialized points, columns on a broadcast (nx, 1, 1) x), is bitwise the
+    # row and column routines it replaced, the columns taken on materialized points
+    # the rectangle widened by half its size on each side also crosses the
+    # domain's edges, where the masked cells and the admissibility count
     b = make_family(canonical_config(tag))
-    xs, zs = GridSpec.for_bundle(b, nx=n, nz=n).axes()
-    got = _col_forms(b, xs, zs, 32)
-    want = _col_forms_materialized(b, xs, zs, 32)
-    for g, w in zip(got, want):
-        assert g.shape == w.shape and g.dtype == w.dtype
-        assert g.tobytes() == w.tobytes()
+    x_lo, x_hi, z_lo, z_hi = b.domain.rect
+    dx, dz = (x_hi - x_lo) / 2, (z_hi - z_lo) / 2
+    wide = GridSpec(x_lo - dx, x_hi + dx, z_lo - dz, z_hi + dz, nx=n, nz=n)
+    edges = 0
+    for xs, zs in (GridSpec.for_bundle(b, nx=n, nz=n).axes(), wide.axes()):
+        fine_x, fine_z = _fine_axis(xs, 32), _fine_axis(zs, 32)
+        for i0, j0 in ((n // 2, n // 2), (0, n - 1), (n - 1, 3)):
+            with np.errstate(all="ignore"):  # predicates off the domain
+                sums, row_ok = _line_quadrature(b, fine_x, np.full_like(fine_x, zs[j0]), xs, 32,
+                                                i0, ("f_x", "W_x"))
+                want = _row_quadrature_before(b, xs, zs[j0], 32, i0)
+                cols, col_ok = _line_quadrature(b, xs[:, None, None] + 0.0, fine_z[None, :, :],
+                                                zs, 32, j0, ("f_z", "W_z"))
+                want += _col_quadrature_before(b, xs, zs, 32, j0)
+            edges += np.count_nonzero(~col_ok)
+            for g, w in zip((*sums, row_ok, *cols, col_ok), want):
+                assert g.shape == w.shape and g.dtype == w.dtype
+                assert g.tobytes() == w.tobytes(), (i0, j0)
+    assert edges > 0
+
+
+def test_eq10_solves_each_slope_branch_once(monkeypatch):
+    # check_equation reads the residual and its relative form from one pass,
+    # through the module global that perfbench wraps
+    b = make_family(canonical_config("m3_general"))
+    calls = []
+    resolve = type(b.general_quadruple.branch1).resolve
+    monkeypatch.setattr(type(b.general_quadruple.branch1), "resolve",
+                        lambda self, x, z: calls.append(x.size) or resolve(self, x, z))
+    residual = verifier.variable_slope_residual
+    monkeypatch.setattr(verifier, "variable_slope_residual",
+                        lambda *a: calls.append("residual") or residual(*a))
+    res = verifier.check_equation(b, np.random.default_rng(3), 20, 1e-9, "eq10")
+    assert calls == ["residual", 20, 20]
+    assert res.passed and 0 < res.extra["max_rel"] <= 1e-9
