@@ -14,6 +14,7 @@ stdout, its stderr and the name and bytes of every file it wrote
   ``grid.m`` 2 and 4.
 
 Nothing is compared here: run it on each commit and diff the two outputs.
+CI runs it twice, under different ``PYTHONHASHSEED`` values, and diffs those.
 
 Usage:
   python scripts/output_digests.py > digests.txt

@@ -9,6 +9,7 @@ failed (report still written), 2 configuration error, 3 safe-domain error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import itertools
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DomainError, MongesolError
-from .families import family_from_dict, family_to_dict, make_family
+from .families import family_from_dict, family_to_dict, json_number, make_family
 from .verifier import (
     GridSpec,
     KNOWN_CHECKS,
@@ -62,8 +63,8 @@ class RunConfig:
             raise ConfigError(f"unknown config sections: {sorted(unknown)}")
         family_from_dict(raw["family"])  # malformed families fail here, not mid-run
         try:
-            probes = int(raw.get("probes", 100))
-            seed = _seed(int(raw.get("seed", 0)))
+            probes = json_number(raw.get("probes", 100), int)
+            seed = _seed(json_number(raw.get("seed", 0), int))
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"probes and seed must be integers ({exc})") from None
         if probes < 1:
@@ -114,10 +115,10 @@ def _seed(seed: int) -> int:
 def _number_map(raw: dict, section: str) -> dict:
     """The ``name: number`` object of a config section, values kept as written."""
     value = raw.get(section) or {}
-    if not isinstance(value, dict) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in value.values()):
-        raise ConfigError(f"{section} must be an object of name: number pairs, got {value!r}")
-    return dict(value)
+    if isinstance(value, dict):
+        with contextlib.suppress(ValueError, OverflowError):
+            return {name: json_number(v) for name, v in value.items()}
+    raise ConfigError(f"{section} must be an object of name: finite number pairs, got {value!r}")
 
 
 def _parse_grid(raw) -> dict:
@@ -129,15 +130,15 @@ def _parse_grid(raw) -> dict:
     if unknown:
         raise ConfigError(f"unknown grid fields: {sorted(unknown)}")
     try:
-        g = {key: float(raw[key]) for key in _RECT_KEYS if key in raw}
+        g = {key: json_number(raw[key], float) for key in _RECT_KEYS if key in raw}
         if "rect" in raw:
-            rect = [float(v) for v in raw["rect"]]
+            rect = [json_number(v, float) for v in raw["rect"]]
             if len(rect) != 4:
                 raise ConfigError("grid rect must be [x_lo, x_hi, z_lo, z_hi]")
             g.update(zip(_RECT_KEYS, rect))
-        g.update({key: int(raw[key]) for key in ("nx", "nz", "m") if key in raw})
+        g.update({key: json_number(raw[key], int) for key in ("nx", "nz", "m") if key in raw})
         if raw.get("fd_h") is not None:
-            g["fd_h"] = float(raw["fd_h"])
+            g["fd_h"] = json_number(raw["fd_h"], float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"grid: malformed field value ({exc})") from None
     if g.get("m", 2) < 2:
@@ -220,13 +221,17 @@ def cmd_construct(config: RunConfig, out_dir: Path) -> int:
     return 0
 
 
+def _run_checks(config: RunConfig) -> ResidualReport:
+    """The report of the configured checks (the family's defaults if none) on its grid."""
+    bundle = config.bundle()
+    checks = config.checks if config.checks is not None else default_checks(bundle)
+    return run_suite(bundle, config.grid_spec(bundle), checks, tolerances=config.tolerances,
+                     seed=config.seed, probes=config.probes)
+
+
 def cmd_verify(config: RunConfig, out_dir: Path) -> int:
     """Run the configured checks; report always written, exit 0 iff all pass."""
-    bundle = config.bundle()
-    grid = config.grid_spec(bundle)
-    checks = config.checks if config.checks is not None else default_checks(bundle)
-    report = run_suite(bundle, grid, checks, tolerances=config.tolerances,
-                       seed=config.seed, probes=config.probes)
+    report = _run_checks(config)
     _write_report(report, out_dir)
     for name, res in report.checks.items():
         status = "pass" if res.passed else "FAIL"
@@ -239,7 +244,7 @@ def cmd_sweep(config: RunConfig, param: str, values: list[float], out_dir: Path)
     """Re-verify the family for each value of one numeric parameter."""
     if not values:
         raise ConfigError("sweep needs a nonempty values list")
-    base = dict(config.family_dict)
+    base = config.family_dict
     if param not in family_to_dict(family_from_dict(base)):
         raise ConfigError(
             f"family {base.get('family')!r} has no parameter {param!r} to sweep"
@@ -247,14 +252,7 @@ def cmd_sweep(config: RunConfig, param: str, values: list[float], out_dir: Path)
     rows = [["value", "check", "max_abs", "mean_abs", "tolerance", "passed"]]
     all_pass = True
     for v in values:
-        fd = dict(base)
-        fd[param] = v
-        sub = dataclasses.replace(config, family_dict=fd)
-        bundle = sub.bundle()
-        grid = sub.grid_spec(bundle)
-        checks = sub.checks if sub.checks is not None else default_checks(bundle)
-        report = run_suite(bundle, grid, checks, tolerances=sub.tolerances,
-                           seed=sub.seed, probes=sub.probes)
+        report = _run_checks(dataclasses.replace(config, family_dict={**base, param: v}))
         for name, res in report.checks.items():
             rows.append([_fmt(v), name, _fmt(res.max_abs), _fmt(res.mean_abs),
                          _fmt(res.tolerance), str(res.passed).lower()])
@@ -266,29 +264,17 @@ def cmd_sweep(config: RunConfig, param: str, values: list[float], out_dir: Path)
     return 0 if all_pass else 1
 
 
-def _parse_tol(pairs) -> dict:
+def _parse_pairs(flag: str, noun: str, pairs) -> dict:
+    """The ``NAME=NUMBER`` values of a repeatable flag (``noun`` names the number)."""
     out = {}
     for item in pairs or []:
         if "=" not in item:
-            raise ConfigError(f"--tol expects name=value, got {item!r}")
+            raise ConfigError(f"{flag} expects name={noun}, got {item!r}")
         name, _, val = item.partition("=")
         try:
             out[name] = float(val)
         except ValueError:
-            raise ConfigError(f"--tol {name}: {val!r} is not a number")
-    return out
-
-
-def _parse_mutate(pairs) -> dict:
-    out = {}
-    for item in pairs or []:
-        if "=" not in item:
-            raise ConfigError(f"--mutate expects name=factor, got {item!r}")
-        name, _, val = item.partition("=")
-        try:
-            out[name] = float(val)
-        except ValueError:
-            raise ConfigError(f"--mutate {name}: {val!r} is not a number")
+            raise ConfigError(f"{flag} {name}: {val!r} is not a number")
     return out
 
 
@@ -334,12 +320,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(_rejoin_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         config = RunConfig.load(args.config)
-        config.tolerances.update(_parse_tol(args.tol))
+        config.tolerances.update(_parse_pairs("--tol", "value", args.tol))
         validate_tolerances(config.tolerances)
         if args.seed is not None:
             config.seed = _seed(args.seed)
         if getattr(args, "mutate", None):
-            config.mutate.update(_parse_mutate(args.mutate))
+            config.mutate.update(_parse_pairs("--mutate", "factor", args.mutate))
         out_dir = Path(args.out if args.out is not None else config.out)
         if args.command == "construct":
             return cmd_construct(config, out_dir)
@@ -354,6 +340,9 @@ def main(argv=None) -> int:
         raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:  # a family parameter too large for float arithmetic
+        print(f"config error: a parameter overflows ({exc})", file=sys.stderr)
         return 2
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)

@@ -154,9 +154,7 @@ class FieldBundle:
         if self.quadruple is None:
             raise ConfigError(f"family {self.family!r} does not define a derivative quadruple")
         self.domain.require(x, z)
-        q = self.quadruple
-        xx, zz, t1, t2 = q.args(x, z)
-        return q.sigma_x(xx), q.theta_z(zz), q.l1_prime(t1), q.l2_dot(t2)
+        return self.quadruple.values(x, z)
 
     def with_mutation(self, name: str, factor: float) -> "FieldBundle":
         merged = dict(self.mutations)
@@ -650,13 +648,11 @@ def _line_fields(q: Quadruple, l1: JetFunc, l2: JetFunc, theta: JetFunc, sigma: 
 
 def _line_derivative_forms(q: Quadruple):
     def forms(x, z):
-        xx, zz, t1, t2 = q.args(x, z)
-        p = q.l1_prime(t1)
-        qd = q.l2_dot(t2)
+        s, t, p, qd = q.values(x, z)
         return {
             "f_x": q.nu.combine(q.n - 1, p, qd),
-            "f_z": q.nu.combine(q.n, p, qd) + q.theta_z(zz),
-            "W_x": q.nu.combine(-1, p, qd) + q.sigma_x(xx),
+            "f_z": q.nu.combine(q.n, p, qd) + t,
+            "W_x": q.nu.combine(-1, p, qd) + s,
             "W_z": q.nu.combine(0, p, qd),
         }
 
@@ -1310,10 +1306,22 @@ def make_family(cfg, mutations: dict | None = None) -> FieldBundle:
     return bundle
 
 
+def json_number(value, kind=None):
+    """A finite JSON int or float (never a bool or a string) as written, or converted by
+    ``kind``: ``int`` takes integral values only (9.0 reads as 9).  Raises ValueError, or
+    OverflowError for an int beyond the float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    if kind is int and value != int(value):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value if kind is None else kind(value)
+
+
 def _num(v):
-    if isinstance(v, (list, tuple)) and len(v) == 2 and all(isinstance(u, (int, float)) for u in v):
-        return complex(v[0], v[1])
-    return v
+    """A JSON number, or a ``[re, im]`` pair of them read as a complex."""
+    if isinstance(v, (list, tuple)) and len(v) == 2:
+        return complex(json_number(v[0]), json_number(v[1]))
+    return json_number(v)
 
 
 def _num_out(v):
@@ -1324,23 +1332,20 @@ def _num_out(v):
 
 
 def _nu_pair(value) -> tuple:
-    nu = tuple(value)
-    if len(nu) != 2 or not all(isinstance(v, (int, float)) for v in nu):
+    nu = _numbers(value)
+    if len(nu) != 2:
         raise ValueError(f"nu must be a pair of numbers [nu1, nu2], got {list(nu)!r}")
     return nu
 
 
 def _numbers(value) -> tuple:
-    out = tuple(value)
-    if not all(isinstance(v, (int, float, complex)) for v in out):
-        raise ValueError(f"expected a list of numbers, got {list(out)!r}")
-    return out
+    return tuple(map(json_number, value))
 
 
 def _rect(value) -> tuple:
     if len(value) != 4:
         raise ConfigError("rect must be [x_lo, x_hi, z_lo, z_hi]")
-    return tuple(float(v) for v in value)
+    return tuple(json_number(v, float) for v in value)
 
 
 # JSON keys that differ from the config field name
@@ -1349,12 +1354,12 @@ _JSON_KEYS = {"f_coeffs": "F", "c_coeffs": "C", "g_coeffs": "G"}
 _FIELD_PARSERS = {
     "nu": _nu_pair,
     "rect": _rect,
-    "terms": lambda terms: tuple((_num(lam), _numbers(map(_num, coeffs))) for lam, coeffs in terms),
+    "terms": lambda terms: tuple((_num(lam), tuple(map(_num, coeffs))) for lam, coeffs in terms),
 }
 _TYPE_PARSERS = {
-    "int": int,
-    "float": float,
-    "float | None": lambda v: None if v is None else float(v),
+    "int": lambda v: json_number(v, int),
+    "float": lambda v: json_number(v, float),
+    "float | None": lambda v: None if v is None else json_number(v, float),
     "str": lambda v: v,
     "tuple": _numbers,
 }

@@ -36,6 +36,8 @@ __all__ = [
 ]
 
 ArrFunc = Callable[[np.ndarray], np.ndarray]
+_RATIO_DEN_TOL = 1e-8  # smallest denominator ratio_form_residual divides by
+_SLOPE_CHECK_TOL = 1e-10  # largest line-equation defect SlopeBranch.resolve accepts
 
 
 @dataclass(frozen=True)
@@ -56,19 +58,17 @@ class Quadruple:
     d1: float = 0.0
     d2: float = 0.0
 
-    def args(self, x, z):
+    def values(self, x, z):
+        """``(sigma_x, theta_z, l1_prime, l2_dot)`` at the points, each at its own argument."""
         x = np.asarray(x, dtype=float)
         z = np.asarray(z, dtype=float)
-        return x, z, x + self.nu.nu1 * z + self.d1, x + self.nu.nu2 * z + self.d2
+        return (self.sigma_x(x), self.theta_z(z), self.l1_prime(x + self.nu.nu1 * z + self.d1),
+                self.l2_dot(x + self.nu.nu2 * z + self.d2))
 
 
 def four_function_terms(q: Quadruple, x, z):
     """The four additive terms of the constraint, separately."""
-    xx, zz, t1, t2 = q.args(x, z)
-    s = q.sigma_x(xx)
-    t = q.theta_z(zz)
-    p = q.l1_prime(t1)
-    qd = q.l2_dot(t2)
+    s, t, p, qd = q.values(x, z)
     coupling = (q.nu.box_n(q.n) / (q.nu.nu1 * q.nu.nu2)) * qd * p
     return s * t, s * q.nu.combine(q.n, p, qd), t * q.nu.combine(-1, p, qd), -coupling
 
@@ -87,21 +87,17 @@ def four_function_residual(q: Quadruple, x, z):
     return _residual_pair(four_function_terms(q, x, z))
 
 
-def ratio_form_residual(q: Quadruple, x, z, den_tol: float = 1e-8):
+def ratio_form_residual(q: Quadruple, x, z):
     """Cross-multiplied difference of the ratio form of the same constraint.
 
     Equal to ``delta`` times the residual of :func:`four_function_residual`
-    wherever both denominators are healthy; vanishing denominators are an error.
+    wherever both denominators are healthy; one below 1e-8 is an error.
     """
-    xx, zz, t1, t2 = q.args(x, z)
-    s = q.sigma_x(xx)
-    t = q.theta_z(zz)
-    p = q.l1_prime(t1)
-    qd = q.l2_dot(t2)
+    s, t, p, qd = q.values(x, z)
     nu1, nu2 = q.nu.nu1, q.nu.nu2
     den1 = p / nu1 - nu2 * s
     den2 = qd / nu2 - nu1 * s
-    if np.any(np.abs(den1) < den_tol) or np.any(np.abs(den2) < den_tol):
+    if np.any(np.abs(den1) < _RATIO_DEN_TOL) or np.any(np.abs(den2) < _RATIO_DEN_TOL):
         raise DomainError("ratio form: denominator smaller than tolerance")
     return (t + nu1 ** 2 * p) * den2 - (t + nu2 ** 2 * qd) * den1
 
@@ -162,7 +158,7 @@ class SlopeBranch:
     nu_const: float | None = None
     lprime: ArrFunc | None = None
 
-    def resolve(self, x, z, check_tol: float = 1e-10):
+    def resolve(self, x, z):
         """Slope values and weights ``P`` at the points; verifies the solve."""
         x = np.asarray(x, dtype=float)
         z = np.asarray(z, dtype=float)
@@ -178,8 +174,9 @@ class SlopeBranch:
         tj, _ = jet_seed(nu, 0.0, 1)
         thj = self.theta(tj)
         defect = np.abs(x + nu * z - thj.value)
-        if np.max(defect) > check_tol:
-            raise DomainError(f"slope solve defect {np.max(defect):.2e} above {check_tol:.0e}")
+        if np.max(defect) > _SLOPE_CHECK_TOL:
+            raise DomainError(
+                f"slope solve defect {np.max(defect):.2e} above {_SLOPE_CHECK_TOL:.0e}")
         qden = jet_partial(thj, 1, 0) - z
         if np.any(np.abs(qden) < 1e-10):
             raise DomainError("slope branch: theta'(nu) - z vanishes (caustic)")

@@ -39,22 +39,17 @@ __all__ = [
     "RIntegralResult",
 ]
 
+_IMPLICIT_TOL, _IMPLICIT_MAX_ITER, _FOLD_TOL = 1e-12, 60, 1e-8  # solve_implicit's Newton
+_HODOGRAPH_TOL, _HODOGRAPH_MAX_ITER = 1e-10, 50  # invert_hodograph's Newton
+_DOUBLING_TOL = 1e-6  # assemble_r_integral: largest relative change of R on node doubling
+
 
 # ---------------------------------------------------------------------------
 # implicit scalar solve: x + lam*z = F(lam)
 # ---------------------------------------------------------------------------
 
 
-def solve_implicit(
-    f: Callable[[Jet2], Jet2],
-    x,
-    z,
-    seed,
-    *,
-    tol: float = 1e-12,
-    max_iter: int = 60,
-    fold_tol: float = 1e-8,
-) -> np.ndarray:
+def solve_implicit(f: Callable[[Jet2], Jet2], x, z, seed) -> np.ndarray:
     """Root ``lam`` of ``x + lam*z - F(lam) = 0`` on the branch through ``seed``.
 
     ``f`` evaluates F as a univariate jet (the variable sits in the x slot).
@@ -72,10 +67,10 @@ def solve_implicit(
         return x + l * z - fj.value, z - jet_partial(fj, 1, 0)
 
     g, gp = residual(lam)
-    for _ in range(max_iter):
-        if np.max(np.abs(g)) <= tol:
+    for _ in range(_IMPLICIT_MAX_ITER):
+        if np.max(np.abs(g)) <= _IMPLICIT_TOL:
             break
-        if np.any(np.abs(gp) < fold_tol):
+        if np.any(np.abs(gp) < _FOLD_TOL):
             raise FoldError("implicit solve at a fold point: z - F'(lam) ~ 0")
         step = g / gp
         new = lam - step
@@ -90,8 +85,8 @@ def solve_implicit(
             gn, gpn = residual(new)
         lam, g, gp = new, gn, gpn
     else:
-        raise ConvergenceError(f"implicit solve: no convergence in {max_iter} iterations")
-    if np.any(np.abs(gp) < fold_tol):
+        raise ConvergenceError(f"implicit solve: no convergence in {_IMPLICIT_MAX_ITER} iterations")
+    if np.any(np.abs(gp) < _FOLD_TOL):
         raise FoldError("implicit solve converged onto a fold point (z = F'(lam))")
     return lam
 
@@ -131,15 +126,8 @@ def _univariate_on_jet(f: Callable[[Jet2], Jet2], a: Jet2, derivative: int = 0) 
 # ---------------------------------------------------------------------------
 
 
-def invert_hodograph(
-    r: Callable[[Jet2, Jet2], Jet2],
-    x: float,
-    z: float,
-    seed: tuple[float, float],
-    *,
-    tol: float = 1e-10,
-    max_iter: int = 50,
-) -> tuple[float, float]:
+def invert_hodograph(r: Callable[[Jet2, Jet2], Jet2], x: float, z: float,
+                     seed: tuple[float, float]) -> tuple[float, float]:
     """Solve ``R_c = x, R_b = z`` for ``(b, c)`` by damped Newton from ``seed``.
 
     Raises ``FoldError`` on a singular Jacobian (caustic) and
@@ -159,9 +147,9 @@ def invert_hodograph(
         return np.array([f1, f2], dtype=float), np.array([[j11, j12], [j21, j22]], dtype=float)
 
     fvec, jac = eval_point(b, c)
-    for _ in range(max_iter):
+    for _ in range(_HODOGRAPH_MAX_ITER):
         merit = abs(fvec[0]) + abs(fvec[1])
-        if merit <= tol:
+        if merit <= _HODOGRAPH_TOL:
             return b, c
         det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
         scale = max(abs(jac).max(), 1e-30)
@@ -178,7 +166,8 @@ def invert_hodograph(
         else:
             raise ConvergenceError("hodograph inversion: damping failed to reduce the merit")
         b, c, fvec, jac = nb, nc, nf, nj
-    raise ConvergenceError(f"hodograph inversion: no convergence in {max_iter} iterations")
+    raise ConvergenceError(
+        f"hodograph inversion: no convergence in {_HODOGRAPH_MAX_ITER} iterations")
 
 
 def factorization_check(w_b, w_c, nu1, nu2):
@@ -288,13 +277,13 @@ def assemble_r_integral(
     nb: int = 25,
     steps: int = 2000,
     mode: str = "sum",
-    doubling_tol: float = 1e-6,
 ) -> RIntegralResult:
     """Superpose separable modes into ``R(b, c)`` and check its equation.
 
     ``mode="sum"`` treats the nodes as a discrete superposition (unit
     weights); ``mode="trapezoid"`` integrates over the node grid and checks
-    convergence by doubling the nodes (failure raises ``QuadratureError``).
+    convergence by doubling the nodes (a change of R above ``_DOUBLING_TOL``
+    relative raises ``QuadratureError``).
     The reported residual differentiates R twice in c by central finite
     differences of the integrated modes, independently of the mode equation
     used to build them; the b derivatives are analytic.
@@ -342,7 +331,7 @@ def assemble_r_integral(
     if refine:
         r2, _ = build(nodes, sol.w1, sol.w2)
         change = float(np.max(np.abs(r2 - r)))
-        if change > doubling_tol * max(1.0, float(np.max(np.abs(r)))):
+        if change > _DOUBLING_TOL * max(1.0, float(np.max(np.abs(r)))):
             raise QuadratureError(
                 f"k-quadrature not converged: node doubling changed R by {change:.3e}"
             )

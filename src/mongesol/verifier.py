@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import Iterable
 
@@ -92,6 +92,9 @@ class GridSpec:
     fd_h: float | None = None  # None: reconstruction uses the grid spacing
 
     def __post_init__(self):
+        if not (self.x_lo < self.x_hi and self.z_lo < self.z_hi):  # NaN fails too
+            raise ConfigError("grid rectangle needs x_lo < x_hi and z_lo < z_hi, got "
+                              f"[{self.x_lo}, {self.x_hi}, {self.z_lo}, {self.z_hi}]")
         if self.nx < 5 or self.nz < 5:
             raise ConfigError("grid needs nx, nz >= 5")
         if self.fd_h is not None and not (1e-6 <= self.fd_h <= 1e-2):
@@ -99,8 +102,7 @@ class GridSpec:
 
     @classmethod
     def for_bundle(cls, bundle: FieldBundle, nx: int = 21, nz: int = 21, **kw) -> "GridSpec":
-        x_lo, x_hi, z_lo, z_hi = bundle.domain.rect
-        return cls(x_lo, x_hi, z_lo, z_hi, nx=nx, nz=nz, **kw)
+        return cls(*bundle.domain.rect, nx=nx, nz=nz, **kw)
 
     def capped(self, what: str = "the grid has") -> "GridSpec":
         """This grid, or a :class:`ConfigError` ``"<what> NXxNZ points, ..."``
@@ -110,25 +112,22 @@ class GridSpec:
         return self
 
     def fd_grid(self) -> "GridSpec":
-        """The grid reconstruction differences on: spacing ``fd_h`` (capped), or this grid."""
+        """The grid reconstruction differences on: ``fd_h`` apart (capped, order 2), or this one."""
         if self.fd_h is None:
             return self
         steps = ((self.x_hi - self.x_lo) / self.fd_h, (self.z_hi - self.z_lo) / self.fd_h)
         if not all(map(math.isfinite, steps)):
             raise ConfigError("fd_h needs a finite grid rectangle")
         nx, nz = (max(5, int(round(s)) + 1) for s in steps)
-        return GridSpec(self.x_lo, self.x_hi, self.z_lo, self.z_hi, nx=nx, nz=nz,
-                        m=self.m).capped(f"fd_h = {self.fd_h!r} refines the grid to")
+        return GridSpec(self.x_lo, self.x_hi, self.z_lo, self.z_hi, nx=nx, nz=nz).capped(
+            f"fd_h = {self.fd_h!r} refines the grid to")
 
     def axes(self):
         return (np.linspace(self.x_lo, self.x_hi, self.nx),
                 np.linspace(self.z_lo, self.z_hi, self.nz))
 
     def meta(self) -> dict:
-        return {
-            "x_lo": self.x_lo, "x_hi": self.x_hi, "z_lo": self.z_lo, "z_hi": self.z_hi,
-            "nx": self.nx, "nz": self.nz, "m": self.m, "fd_h": self.fd_h,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -209,6 +208,12 @@ def _result(name, resid, x, z, tol, extra=None) -> CheckResult:
         passed=bool(mx <= tol),
         extra=extra or {},
     )
+
+
+def _failed(name, tol, exc, **extra) -> CheckResult:
+    """The row of a check that raised ``exc``: infinite residuals, no argmax."""
+    return CheckResult(name, math.inf, math.inf, (math.nan, math.nan), tol, False,
+                       extra={**extra, "error": str(exc)})
 
 
 def admissible_grid(bundle: FieldBundle, grid: GridSpec):
@@ -316,8 +321,7 @@ def check_wf_relation(ev: GridEval, tol: float, quad_tol: float) -> list[CheckRe
         resid = bundle.wf_residual(fl["W"].value, fl["f"].value)
         out.append(_result("wf", resid, *ev.points, tol, extra={"relation": bundle.wf_relation}))
     except DomainError as exc:
-        out.append(CheckResult("wf", math.inf, math.inf, (math.nan, math.nan), tol, False,
-                               extra={"relation": bundle.wf_relation, "error": str(exc)}))
+        out.append(_failed("wf", tol, exc, relation=bundle.wf_relation))
     if bundle.derivative_forms is not None:
         out.append(_quadrature_crosscheck(ev, quad_tol))
     return out
@@ -463,25 +467,28 @@ def reconstruct_u(ev: GridEval, tol: float, path_tol: float = 1e-6) -> CheckResu
     U in each direction and pushes the z-result through the family's top map,
     so the check is independent of the jets used to build the fields.  The
     finite-difference truncation budget C*h^2 is added to the tolerance and
-    recorded.  Without ``fd_h`` the step is the grid spacing and the shared
-    jets of ``ev`` are used; with it, the refined grid is evaluated here.
+    recorded.  The jets are those of ``ev``, or with ``fd_h`` those of a
+    :class:`GridEval` of the refined grid.
     """
-    bundle, grid = ev.bundle, ev.grid
+    bundle = ev.bundle
     n = bundle.n
     if n > 4:
         raise ConfigError("reconstruction supports degree n <= 4 (stencil table)")
-    grid = grid.fd_grid()
-    xs, zs = grid.axes()
-    xg, zg = np.meshgrid(xs, zs, indexing="ij")
-    if not np.all(bundle.domain.mask(xg, zg)):
+    if ev.grid.fd_h is not None:
+        ev = GridEval(bundle, ev.grid.fd_grid())
+    grid = ev.grid
+    try:
+        full = ev.points[0].size == grid.nx * grid.nz
+    except DomainError as exc:
+        if type(exc) is not DomainError:  # a predicate's own error, a fold say
+            raise
+        full = False  # fewer than 10 points admitted
+    if not full:
         raise DomainError("reconstruction needs a fully admissible rectangle; shrink the grid")
-    hx, hz = xs[1] - xs[0], zs[1] - zs[0]
-
-    if ev.grid.fd_h is None:
-        # the rectangle is fully admissible, so the flat points are the grid in C order
-        fl = {k: Jet2(j.m, j.c.reshape(j.c.shape[:2] + xg.shape)) for k, j in ev.fields.items()}
-    else:
-        fl = bundle.fields_fn(xg, zg, 2)  # the whole rectangle is admitted above
+    # every point is admitted, so the flat points are the grid in C order
+    xg, zg = (p.reshape(grid.nx, grid.nz) for p in ev.points)
+    hx, hz = xg[1, 0] - xg[0, 0], zg[0, 1] - zg[0, 0]
+    fl = {k: Jet2(j.m, j.c.reshape(j.c.shape[:2] + xg.shape)) for k, j in ev.fields.items()}
     levels = [_real_field(fl[f"a{j}"].value, f"a{j}") for j in range(n)]
     levels.append(_real_field(fl["W"].value, "W"))
 
@@ -632,8 +639,7 @@ def run_suite(
             try:
                 results[name] = reconstruct_u(ev, tol["reconstruct"], tol["path_consistency"])
             except QuadratureError as exc:
-                results[name] = CheckResult(name, math.inf, math.inf, (math.nan, math.nan),
-                                            tol["reconstruct"], False, extra={"error": str(exc)})
+                results[name] = _failed(name, tol["reconstruct"], exc)
     meta = {
         "family": bundle.family,
         "params": bundle.params,

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -325,6 +326,9 @@ def _strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
+_SIGMA = {"family": "m3_sigma_const", "nu": [1, 2], "A": 1.0, "k": 1.0}
+
+
 @pytest.mark.parametrize("section", [
     {"grid": {"nx": "abc"}},
     {"grid": {"m": 1}},
@@ -353,6 +357,25 @@ def _strict_json(text):
     {"tolerances": {"bogus": 1e-3}},
     {"tolerances": {"compat": 10 ** 400}},
     {"mutate": {"sigma": 10 ** 400}},
+    {"grid": {"rect": [0.5, 2.5, 2.0, 0.4]}},
+    {"family": {**_SIGMA, "rect": [2.5, 0.5, 0.4, 2.0]}},
+    {"grid": {"rect": [0.5, 0.5, 0.4, 2.0]}},
+    {"grid": {"rect": [0.5, 2.5, math.nan, 2.0]}},
+    {"family": {**_SIGMA, "k": 1000}},
+    {"family": {**_SIGMA, "d2": 1000}},
+    {"family": {"family": "mn_theta_const", "n": 60, "nu": [1, 2]}},
+    {"family": {"family": "mn_theta_const", "n": 4, "nu": [1, 2], "k": 1000}},
+    {"family": {"family": "m3_general_e0", "alpha1": 1e300}},
+    {"probes": "12"},
+    {"grid": {"nx": "9"}},
+    {"family": {**_SIGMA, "A": "1.5"}},
+    {"family": {**_SIGMA, "nu": [True, 2]}},
+    {"grid": {"nx": 9.7}},
+    {"probes": 2.5},
+    {"seed": 1.5},
+    {"family": {"family": "trivial", "n": 2.5, "terms": [[1.0, [0, 0, 1.0]], [-1.0, [0, 0, 1.0]]]}},
+    {"seed": True},
+    {"family": {"family": "m3_hodograph_example", "beta": math.inf}},
 ], ids=["grid_nx_not_a_number", "grid_m_below_2", "probes_zero", "nu_single_value",
         "checks_not_a_list", "tolerances_not_an_object", "tolerance_not_a_number",
         "mutate_not_an_object", "mutate_factor_not_a_number", "out_not_a_path",
@@ -361,14 +384,17 @@ def _strict_json(text):
         "fd_h_grid_above_cap", "fd_h_grid_infinite", "tolerance_nan", "tolerance_infinite",
         "mutate_factor_infinite", "mutate_factor_minus_infinite", "mutate_factor_nan",
         "tolerance_negative", "tolerance_unknown_name", "tolerance_integer_overflow",
-        "mutate_factor_integer_overflow"])
+        "mutate_factor_integer_overflow", "rect_reversed", "family_rect_reversed",
+        "rect_zero_width", "rect_nan", "family_k_overflows", "family_d2_overflows",
+        "family_degree_overflows", "family_n_theta_k_overflows", "family_alpha1_overflows",
+        "probes_a_string", "grid_nx_a_string", "family_A_a_string", "family_nu_a_bool",
+        "grid_nx_fractional", "probes_fractional", "seed_fractional",
+        "family_degree_fractional", "seed_a_bool", "family_beta_infinite"])
 def test_malformed_config_field_exits_2(tmp_path, capsys, section):
-    cfg = _write(tmp_path, "bad.json", {
-        "family": {"family": "m3_sigma_const", "nu": [1, 2], "A": 1.0, "k": 1.0},
-        **section,
-    })
-    # construct reads no tolerance, but a config with a bad one is still refused
-    for command in ["verify"] + (["construct"] if "tolerances" in section else []):
+    cfg = _write(tmp_path, "bad.json", {"family": _SIGMA, **section})
+    # construct reads no tolerance, but a config with a bad one is still refused;
+    # the sections with checks are what only verify refuses (the fd_h refinement)
+    for command in ["verify"] + ([] if "checks" in section else ["construct"]):
         assert main([command, "--config", cfg, "--out", str(tmp_path / "ob")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
@@ -576,3 +602,66 @@ def test_fuzzed_construct_keeps_the_exit_contract(config):
             assert all(len(r) == len(rows[0]) for r in rows[1:])
             cells = np.array([[float(v) for v in r] for r in rows[1:]])
             assert np.array_equal(cells[:, 0], x)
+
+
+# junk for the numeric family fields: zero, large, overflowing, non-finite, mistyped
+_FIELD_JUNK = st.sampled_from([0, 1e3, -1e3, 1e300, -1e300, math.inf, math.nan, True, "1", 2.5])
+# the degree n stays small: with integer slopes a huge n is a big-int power, not an overflow
+_DEGREE_JUNK = st.sampled_from([-1, 2.5, True, "3", 60])
+_FLAG_NUMBERS = st.sampled_from(["1", "0", "-1e3", "1e300", "2.5", "3", "nan", "inf", "abc", ""])
+
+
+def _numeric_fields(tag):
+    return [f.name for f in dataclasses.fields(canonical_config(tag))
+            if f.type in ("int", "float", "float | None")]
+
+
+def _pairs(names):
+    """At most one ``NAME=NUMBER`` value of a repeatable flag, maybe malformed."""
+    pair = st.tuples(st.sampled_from(names), _FLAG_NUMBERS).map("=".join)
+    return st.lists(pair | st.sampled_from(["=1", "x=y=1"]), max_size=1)
+
+
+@st.composite
+def _fuzz_runs(draw):
+    """A verify or sweep command line on a 9x9 grid of a family with a junk parameter."""
+    tag = draw(st.sampled_from(FAMILY_TAGS))
+    fields = _numeric_fields(tag)
+    family = family_to_dict(canonical_config(tag))
+    name = draw(st.sampled_from(fields))
+    family[name] = draw(_DEGREE_JUNK if name == "n" else _FIELD_JUNK)
+    argv = ["--tol=" + p for p in draw(_pairs(sorted(DEFAULT_TOLERANCES) + ["bogus"]))]
+    if draw(st.booleans()):
+        values = ",".join(draw(st.lists(_FLAG_NUMBERS, min_size=1, max_size=3)))
+        param = draw(st.sampled_from(fields + ["bogus"]))
+        argv = ["sweep", "--param", param, "--values=" + values] + argv
+    else:
+        slots = ["sigma", "theta", "l1", "l2", "a0", "a1", "c1", "c2", "bogus"]
+        argv = ["verify"] + argv + ["--mutate=" + p for p in draw(_pairs(slots))]
+    return {"family": family, "grid": {"nx": 9, "nz": 9}}, argv
+
+
+def _junk_family(tag, **fields):
+    return {"family": {**family_to_dict(canonical_config(tag)), **fields},
+            "grid": {"nx": 9, "nz": 9}}
+
+
+@given(run=_fuzz_runs())
+@example(run=(_junk_family("m3_sigma_const", k=1e3), ["verify"]))
+@example(run=(_junk_family("mn_theta_const", n=60), ["sweep", "--param", "E", "--values=1"]))
+@example(run=(_junk_family("m3_general_e0", alpha1=1e300), ["verify"]))
+@settings(max_examples=37, deadline=None, derandomize=True)
+def test_fuzzed_family_and_flags_keep_the_exit_contract(run):
+    # exit 0/1/2/3 and nothing raised out of main, whatever the parameters and
+    # flags; a report (or sweep.csv) exactly on exit 0 or 1.  Floating-point
+    # warnings of junk parameters are not what this checks, so numpy keeps quiet.
+    config, argv = run
+    with tempfile.TemporaryDirectory() as tmp, np.errstate(all="ignore"), \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        path = Path(tmp) / "fuzz.json"
+        path.write_text(json.dumps(config))
+        out = Path(tmp) / "out"
+        code = main([argv[0], "--config", str(path), "--out", str(out), *argv[1:]])
+        assert code in (0, 1, 2, 3)
+        written = out / ("sweep.csv" if argv[0] == "sweep" else "report.json")
+        assert written.exists() is (code in (0, 1))

@@ -4,7 +4,9 @@ import pytest
 from mongesol.errors import DomainError
 from mongesol.families import canonical_config, make_family
 from mongesol.functional_eq import (
+    GeneralQuadruple,
     Quadruple,
+    SlopeBranch,
     duality_transform,
     four_function_residual,
     four_function_terms,
@@ -143,6 +145,25 @@ def test_variable_slope_families_solve(tag):
     rng = np.random.default_rng(10)
     x, z = sample_points(b, rng, 40)
     assert np.max(np.abs(variable_slope_residual(b.general_quadruple, x, z)[0])) <= 1e-9
+
+
+@pytest.mark.parametrize("mutations", [None, {"theta": 1.1}], ids=["solution", "theta_mutated"])
+@pytest.mark.parametrize("tag", ["m3_sigma_const", "m3_l1_const", "m3_theta_const"])
+def test_constant_slope_branches_reduce_to_the_four_function_residual(tag, mutations):
+    # two const branches weighted -L1'/delta and L2'/delta carry the quadruple's lines
+    b = make_family(canonical_config(tag), mutations=mutations)
+    q = b.quadruple
+    nu1, nu2, delta = q.nu.nu1, q.nu.nu2, q.nu.delta
+    g = GeneralQuadruple(
+        SlopeBranch(kind="const", nu_const=nu1, lprime=lambda t: q.l1_prime(t) / delta),
+        SlopeBranch(kind="const", nu_const=nu2, lprime=lambda t: -q.l2_dot(t) / delta),
+        theta_z=q.theta_z, sigma_x=q.sigma_x)
+    x, z = sample_points(b, np.random.default_rng(12), 40)
+    _, rel_variable = variable_slope_residual(g, x, z)
+    _, rel_constant = four_function_residual(q, x, z)
+    assert np.max(np.abs(rel_variable - rel_constant)) <= 1e-12
+    if mutations:
+        assert np.max(np.abs(rel_constant)) > 1e-3  # the mutation is seen by both
 
 
 def test_duality_constants_on_unit_quadruple():
