@@ -24,6 +24,7 @@ from .families import family_from_dict, family_to_dict, json_number, make_family
 from .verifier import (
     GridSpec,
     KNOWN_CHECKS,
+    MAX_ORDER,
     MAX_POINTS,
     ResidualReport,
     _fmt,
@@ -143,6 +144,8 @@ def _parse_grid(raw) -> dict:
         raise ConfigError(f"grid: malformed field value ({exc})") from None
     if g.get("m", 2) < 2:
         raise ConfigError(f"grid.m is the jet order and must be at least 2, got {g['m']}")
+    if g.get("m", 2) > MAX_ORDER:
+        raise ConfigError(f"grid.m is the jet order and must be at most {MAX_ORDER}, got {g['m']}")
     return g
 
 

@@ -62,10 +62,15 @@ __all__ = [
     "canonical_config",
     "trivial_random_symmetric",
     "FAMILY_TAGS",
+    "MAX_DEGREE",
 ]
 
 JetFunc = Callable[[Jet2], Jet2]
 EPS = 1e-6  # margin required of every log/denominator predicate
+
+# Highest degree n of the families that take one (trivial, mn_theta_const): the
+# trivial family builds n chain fields, about 0.06 MB each on a 21x21 grid.
+MAX_DEGREE = 64
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +284,11 @@ class _Primitive:
                      for b, g in zip(base, self.integrand(t)))
 
 
+def _factors(scales: dict, *slots: str) -> list[float]:
+    """The mutation factor of each slot; 1.0 for a slot not mutated."""
+    return [scales.get(slot, 1.0) for slot in slots]
+
+
 def _scaled(f: JetFunc, s: float) -> JetFunc:
     if s == 1.0:
         return f
@@ -308,6 +318,8 @@ class TrivialConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ConfigError("trivial family needs degree n >= 1")
+        if self.n > MAX_DEGREE:
+            raise ConfigError(f"trivial family degree n must be at most {MAX_DEGREE}, got {self.n}")
         if not self.terms:
             raise ConfigError("trivial family needs at least one term")
         for lam, _ in self.terms:
@@ -442,6 +454,8 @@ class NThetaConstConfig:
     def __post_init__(self):
         if self.n < 2:
             raise ConfigError("mn_theta_const needs degree n >= 2")
+        if self.n > MAX_DEGREE:
+            raise ConfigError(f"mn_theta_const degree n must be at most {MAX_DEGREE}, got {self.n}")
         if self.c == 0 or self.cbar == 0:
             raise ConfigError("mn_theta_const needs nonzero mode amplitudes c, cbar")
 
@@ -453,7 +467,7 @@ class NThetaConstConfig:
 
 def _build_trivial(cfg: TrivialConfig, scales) -> FieldBundle:
     n = cfg.n
-    s0 = scales.get("a0", 1.0)
+    s0, = _factors(scales, "a0")
     terms = [(complex(lam), tuple(map(complex, coeffs))) for lam, coeffs in cfg.terms]
     dn = [(lam, _poly_deriv(coeffs, n)) for lam, coeffs in terms]
 
@@ -510,7 +524,7 @@ def trivial_random_symmetric(n: int, degree: int, rng: np.random.Generator,
 
 
 def _build_m1(cfg: M1ImplicitConfig, scales) -> FieldBundle:
-    s0 = scales.get("a0", 1.0)
+    s0, = _factors(scales, "a0")
     f_fn = _poly_fn(cfg.f_coeffs)
     fp = _poly_deriv(cfg.f_coeffs)
 
@@ -550,7 +564,7 @@ def _build_m1(cfg: M1ImplicitConfig, scales) -> FieldBundle:
 
 
 def _build_degenerate(cfg: DegenerateConfig, scales) -> FieldBundle:
-    s1 = scales.get("a1", 1.0)
+    s1, = _factors(scales, "a1")
     c_fn = _poly_fn(cfg.c_coeffs)
     cp = _poly_deriv(cfg.c_coeffs)
     g_fn = _poly_fn(cfg.g_coeffs)
@@ -661,8 +675,7 @@ def _line_derivative_forms(q: Quadruple):
 
 def _line_bundle(l1, l2, theta, sigma, quad, wf_tag, wf_res, domain, scales,
                  params) -> FieldBundle:
-    sl1, sl2 = scales.get("l1", 1.0), scales.get("l2", 1.0)
-    sth, ssg = scales.get("theta", 1.0), scales.get("sigma", 1.0)
+    sl1, sl2, sth, ssg = _factors(scales, "l1", "l2", "theta", "sigma")
     quad = dataclasses.replace(
         quad,
         sigma_x=_scaled_arr(quad.sigma_x, ssg),
@@ -1034,8 +1047,7 @@ def _slope_root_bundle(cfg, scales, roots: tuple[_SlopeRoot, ...], root_jets, cp
     with the constant slope 1, whose line function is absent.  ``bundle_kw``
     holds the family's own fields.
     """
-    sth, ssg = scales.get("theta", 1.0), scales.get("sigma", 1.0)
-    sc = [scales.get(root.slot, 1.0) for root in roots]
+    sth, ssg, *sc = _factors(scales, "theta", "sigma", *(root.slot for root in roots))
     xc, zc = 0.5 * (cfg.rect[0] + cfg.rect[1]), 0.5 * (cfg.rect[2] + cfg.rect[3])
 
     def chain_integrands(sj):  # C'(s) and s C'(s), one evaluation of C'

@@ -31,6 +31,7 @@ __all__ = [
     "ResidualReport",
     "DEFAULT_TOLERANCES",
     "KNOWN_CHECKS",
+    "MAX_ORDER",
     "MAX_POINTS",
     "admissible_grid",
     "check_compatibility",
@@ -51,6 +52,11 @@ KNOWN_CHECKS = ("compat", "dependence", "wf", "eq5", "eq10", "reconstruct")
 # when reconstruct evaluates it), richardson_ratio's finer grid, or one probe
 # set may hold: 2**20 points of order-2 jets are a few hundred MB of temporaries.
 MAX_POINTS = 2 ** 20
+
+# Highest jet order grid.m a config may ask for.  An order-m jet holds
+# (m+1)^2 coefficient planes and a product adds C(m+4, 4) plane terms, so
+# the cost grows as m^4; the implicit jets are checked up to order 7.
+MAX_ORDER = 8
 
 DEFAULT_TOLERANCES = {
     "compat": 1e-9,

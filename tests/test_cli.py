@@ -14,10 +14,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mongesol import verifier
-from mongesol.cli import RunConfig, _csv_rows, main
+from mongesol.cli import RunConfig, _csv_rows, _parse_grid, main
 from mongesol.errors import ConfigError
-from mongesol.families import FAMILY_TAGS, SafeDomain, canonical_config, family_to_dict
-from mongesol.verifier import DEFAULT_TOLERANCES, MAX_POINTS, admissible_grid
+from mongesol.families import (
+    FAMILY_TAGS,
+    MAX_DEGREE,
+    SafeDomain,
+    canonical_config,
+    family_to_dict,
+)
+from mongesol.verifier import DEFAULT_TOLERANCES, MAX_ORDER, MAX_POINTS, admissible_grid
 
 
 def _write(tmp_path, name, obj):
@@ -376,6 +382,11 @@ _SIGMA = {"family": "m3_sigma_const", "nu": [1, 2], "A": 1.0, "k": 1.0}
     {"family": {"family": "trivial", "n": 2.5, "terms": [[1.0, [0, 0, 1.0]], [-1.0, [0, 0, 1.0]]]}},
     {"seed": True},
     {"family": {"family": "m3_hodograph_example", "beta": math.inf}},
+    {"grid": {"nx": 21, "nz": 21, "m": MAX_ORDER + 1}},
+    {"grid": {"nx": 21, "nz": 21, "m": 1000000}},
+    {"family": {"family": "trivial", "n": MAX_DEGREE + 1, "terms": [[1.0, [0, 0, 1.0]]]}},
+    {"family": {"family": "trivial", "n": 1000000, "terms": [[1.0, [0, 0, 1.0]]]}},
+    {"family": {"family": "mn_theta_const", "n": 1000000, "nu": [1, 2]}},
 ], ids=["grid_nx_not_a_number", "grid_m_below_2", "probes_zero", "nu_single_value",
         "checks_not_a_list", "tolerances_not_an_object", "tolerance_not_a_number",
         "mutate_not_an_object", "mutate_factor_not_a_number", "out_not_a_path",
@@ -389,7 +400,9 @@ _SIGMA = {"family": "m3_sigma_const", "nu": [1, 2], "A": 1.0, "k": 1.0}
         "family_degree_overflows", "family_n_theta_k_overflows", "family_alpha1_overflows",
         "probes_a_string", "grid_nx_a_string", "family_A_a_string", "family_nu_a_bool",
         "grid_nx_fractional", "probes_fractional", "seed_fractional",
-        "family_degree_fractional", "seed_a_bool", "family_beta_infinite"])
+        "family_degree_fractional", "seed_a_bool", "family_beta_infinite",
+        "grid_m_above_cap", "grid_m_a_million", "family_degree_above_cap",
+        "family_degree_a_million", "family_n_theta_degree_a_million"])
 def test_malformed_config_field_exits_2(tmp_path, capsys, section):
     cfg = _write(tmp_path, "bad.json", {"family": _SIGMA, **section})
     # construct reads no tolerance, but a config with a bad one is still refused;
@@ -402,6 +415,12 @@ def test_malformed_config_field_exits_2(tmp_path, capsys, section):
     if "tolerances" in section:
         with pytest.raises(ConfigError):
             RunConfig.load(cfg)
+
+
+def test_grid_order_cap_is_inclusive():
+    assert _parse_grid({"m": MAX_ORDER})["m"] == MAX_ORDER
+    with pytest.raises(ConfigError, match=f"at most {MAX_ORDER}"):
+        _parse_grid({"m": MAX_ORDER + 1})
 
 
 def test_fd_h_cap_applies_only_when_reconstruct_refines(tmp_path, monkeypatch):

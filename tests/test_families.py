@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from mongesol.errors import ConfigError, DomainError
 from mongesol.families import (
     FAMILY_TAGS,
+    MAX_DEGREE,
     DegenerateConfig,
     GeneralNuConfig,
     GeneralNuE0Config,
@@ -67,6 +68,17 @@ def test_trivial_conjugate_symmetry_gives_real_fields():
 def test_trivial_rejects_bad_slopes():
     with pytest.raises(ConfigError):
         TrivialConfig(n=3, terms=((2.0, (0, 1.0)),))
+
+
+def test_degree_is_capped_before_any_field_is_built():
+    # configs only: the cap is checked when the config is made, so nothing is built
+    assert TrivialConfig(n=MAX_DEGREE, terms=((1.0, (0, 1.0)),)).n == MAX_DEGREE
+    assert NThetaConstConfig(n=MAX_DEGREE, nu=(1.0, 2.0)).n == MAX_DEGREE
+    for n in (MAX_DEGREE + 1, 10 ** 6):
+        with pytest.raises(ConfigError, match=f"at most {MAX_DEGREE}"):
+            TrivialConfig(n=n, terms=((1.0, (0, 1.0)),))
+        with pytest.raises(ConfigError, match=f"at most {MAX_DEGREE}"):
+            NThetaConstConfig(n=n, nu=(1.0, 2.0))
 
 
 # -- degree-1 implicit family -------------------------------------------------

@@ -196,3 +196,195 @@ def test_array_payload_broadcasting():
         jet_seed(x[3], z[3], 2)[0]
     )
     assert f.value[3] == pytest.approx(single.value, rel=1e-15)
+
+
+# -- the kernel against a verbatim copy of the loops it replaced --------------
+# Each _old_* function is the implementation that the in-place kernel replaced,
+# kept as the oracle: every coefficient must match it bit for bit, signed zeros
+# and NaNs included, because the product's summation order and its skipping of
+# all-zero planes of the left factor are part of the jet contract.
+
+
+def _old_constant(value, m):
+    value = np.asarray(value)
+    c = np.zeros((m + 1, m + 1) + value.shape, dtype=np.result_type(value.dtype, np.float64))
+    c[0, 0] = value
+    return Jet2(m, c)
+
+
+def _old_add(self, other):  # the scalar path of Jet2.__add__
+    out = self.c.copy()
+    out = out.astype(np.result_type(out.dtype, np.asarray(other).dtype))
+    out[0, 0] = out[0, 0] + other
+    return Jet2(self.m, out)
+
+
+def _old_mul(self, other):
+    m = self.m
+    shape = np.broadcast_shapes(self.shape, other.shape)
+    out = np.zeros((m + 1, m + 1) + shape, dtype=np.result_type(self.c.dtype, other.c.dtype))
+    for i in range(m + 1):
+        for j in range(m + 1 - i):
+            a = self.c[i, j]
+            if not np.any(a):
+                continue
+            rest = m - i - j
+            for p in range(rest + 1):
+                for q in range(rest + 1 - p):
+                    out[i + p, j + q] += a * other.c[p, q]
+    return Jet2(m, out)
+
+
+def _old_recip(self):
+    v = self.value
+    inv = 1.0 / v
+    n = Jet2(self.m, -(self.c * inv))
+    n.c[0, 0] = np.zeros_like(n.c[0, 0])
+    acc = _old_constant(np.ones_like(inv), self.m)
+    for _ in range(self.m):
+        acc = _old_mul(acc, n)
+        acc.c[0, 0] = acc.c[0, 0] + 1.0
+    return Jet2(self.m, acc.c * inv)
+
+
+def _old_dx(self):
+    m = self.m - 1
+    out = np.zeros((m + 1, m + 1) + self.shape, dtype=self.c.dtype)
+    for i in range(m + 1):
+        for j in range(m + 1 - i):
+            out[i, j] = (i + 1) * self.c[i + 1, j]
+    return Jet2(m, out)
+
+
+def _old_seed(x0, z0, m):
+    xj = _old_constant(x0, m)
+    xj.c[1, 0] = np.ones_like(xj.c[0, 0])
+    zj = _old_constant(z0, m)
+    zj.c[0, 1] = np.ones_like(zj.c[0, 0])
+    return xj, zj
+
+
+def _old_compose_series(tk, a):
+    n = Jet2(a.m, a.c.copy())
+    n.c[0, 0] = np.zeros_like(n.c[0, 0])
+    acc = _old_constant(np.broadcast_to(np.asarray(tk[a.m]), a.shape).copy(), a.m)
+    for k in range(a.m - 1, -1, -1):
+        acc = _old_mul(acc, n)
+        acc.c[0, 0] = acc.c[0, 0] + tk[k]
+    return acc
+
+
+def _old_poly_jet(coeffs, a):
+    acc = _old_constant(np.broadcast_to(np.asarray(coeffs[-1]), a.shape).copy(), a.m)
+    for ck in reversed(coeffs[:-1]):
+        acc = _old_mul(acc, a)
+        acc.c[0, 0] = acc.c[0, 0] + ck
+    return acc
+
+
+def _assert_bitwise(new, old):
+    assert new.m == old.m
+    assert new.c.dtype == old.c.dtype and new.c.shape == old.c.shape
+    assert np.array_equal(new.c, old.c, equal_nan=True)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(new.c)), np.signbit(part(old.c)))
+
+
+def _sample(rng, m, shape, complex_):
+    """Triangle coefficients with whole zero and minus-zero planes and scattered signed zeros."""
+    size = (m + 1, m + 1) + shape
+    c = rng.standard_normal(size)
+    if complex_:
+        c = c + 1j * rng.standard_normal(size)
+    for i in range(m + 1):
+        for j in range(m + 1):
+            if i + j > m:
+                c[i, j] = 0.0
+            elif rng.random() < 0.3:  # an all-zero plane, +0 or -0 (np.any is false for both)
+                c[i, j] = rng.choice([0.0, -0.0])
+            else:
+                pick = rng.random(shape)
+                np.copyto(c[i, j, ...], 0.0, where=pick < 0.15)
+                np.copyto(c[i, j, ...], -0.0, where=pick > 0.85)
+    return Jet2(m, c)
+
+
+_SHAPES = [((5,), (5,)), ((4, 1), (1, 7)), ((), ()), ((), (3,)), ((0,), (0,))]
+_KINDS = [(False, False), (True, True), (False, True), (True, False)]  # complex self, other
+
+
+@pytest.mark.parametrize("m", range(6))
+@pytest.mark.parametrize("shapes", _SHAPES, ids=str)
+@pytest.mark.parametrize("kinds", _KINDS, ids=str)
+def test_mul_is_bitwise_the_old_loop(m, shapes, kinds):
+    rng = np.random.default_rng([m, len(shapes[0]), len(shapes[1]), *kinds])
+    for _ in range(4):
+        a = _sample(rng, m, shapes[0], kinds[0])
+        b = _sample(rng, m, shapes[1], kinds[1])
+        _assert_bitwise(a * b, _old_mul(a, b))
+        _assert_bitwise(b * a, _old_mul(b, a))
+        _assert_bitwise(a * -a, _old_mul(a, -a))  # -a: minus zeros off the triangle too
+
+
+@pytest.mark.parametrize("m", range(6))
+@pytest.mark.parametrize("shape", [(5,), (), (0,)], ids=str)
+@pytest.mark.parametrize("complex_", [False, True])
+def test_recip_compose_poly_add_dx_are_bitwise_the_old_code(m, shape, complex_):
+    rng = np.random.default_rng([m, len(shape), complex_])
+    for _ in range(3):
+        a = _sample(rng, m, shape, complex_)
+        a.c[0, 0] = 0.5 + rng.random(shape)  # a nonzero value, so recip is defined
+        _assert_bitwise(a.recip(), _old_recip(a))
+        tk = [_sample(rng, 0, shape, complex_).value for _ in range(m + 1)]
+        _assert_bitwise(compose_series(tk, a), _old_compose_series(tk, a))
+        floats = [float(t) for t in rng.standard_normal(m + 1)]
+        _assert_bitwise(compose_series(floats, a), _old_compose_series(floats, a))
+        coeffs = tuple(rng.standard_normal(4)) + (-0.0,)
+        _assert_bitwise(poly_jet(coeffs, a), _old_poly_jet(coeffs, a))
+        _assert_bitwise(poly_jet(coeffs[:1], a), _old_poly_jet(coeffs[:1], a))
+        for other in (2.5, -0.0, 1.5j, np.full(shape, -0.0), rng.standard_normal(shape)):
+            _assert_bitwise(a + other, _old_add(a, other))
+            _assert_bitwise(a - other, _old_add(a, -np.asarray(other)))
+        if m >= 1:
+            _assert_bitwise(a.dx(), _old_dx(a))
+            _assert_bitwise((-a).dx(), _old_dx(-a))
+    x0 = rng.standard_normal(shape) + (1j if complex_ else 0)
+    for new, old in zip(jet_seed(x0, -0.0, max(m, 1)), _old_seed(x0, -0.0, max(m, 1))):
+        _assert_bitwise(new, old)
+
+
+def test_dx_of_non_finite_coefficients_is_bitwise_the_old_loop():
+    for dtype in (float, complex):
+        c = np.zeros((4, 4), dtype=dtype)
+        c[1, 0], c[1, 1], c[2, 0], c[0, 2] = np.inf, np.nan, -np.inf, 3.0
+        if dtype is complex:
+            c[3, 0] = complex(np.inf, 1.0)
+        with np.errstate(invalid="ignore"):  # inf * (k + 0j) forms inf * 0 in the imaginary part
+            _assert_bitwise(Jet2(3, c).dx(), _old_dx(Jet2(3, c)))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_all_zero_planes_of_the_left_factor_are_skipped(bad):
+    # inf or nan in `other`, under planes of `self` that are all (signed) zero:
+    # multiplying such a plane would form 0 * inf = nan in the result
+    m = 3
+    a = Jet2.constant(np.array([2.0, -3.0]), m)
+    a.c[0, 1] = -0.0
+    b = _sample(np.random.default_rng(7), m, (2,), False)
+    b.c[1, 0] = bad
+    b.c[0, 2, 1] = bad
+    with np.errstate(invalid="ignore"):  # a kernel that multiplies zero planes fails below, not here
+        new = a * b
+    _assert_bitwise(new, _old_mul(a, b))
+    assert not np.isnan(new.c[2, 0]).any() and not np.isnan(new.c[1, 2]).any()
+
+
+def test_a_complex_constant_on_a_real_jet_keeps_numpy_assignment_casting():
+    # the constant term is updated in place only where the jet's dtype holds the
+    # sum; otherwise numpy's assignment casting applies, as it always did
+    a = _sample(np.random.default_rng(3), 2, (3,), False)
+    with pytest.warns(np.exceptions.ComplexWarning):
+        new = poly_jet((1.5j, 2.0), a)
+    with pytest.warns(np.exceptions.ComplexWarning):
+        old = _old_poly_jet((1.5j, 2.0), a)
+    _assert_bitwise(new, old)
