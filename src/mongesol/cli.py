@@ -11,9 +11,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import ctypes
 import dataclasses
 import itertools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -319,7 +321,30 @@ def _rejoin_values(argv: list[str]) -> list[str]:
     return out
 
 
+MMAP_THRESHOLD = 32 << 20  # glibc's M_MMAP_THRESHOLD, at its 64-bit maximum
+TRIM_THRESHOLD = 64 << 20  # glibc's M_TRIM_THRESHOLD
+
+
+def _pin_malloc_thresholds() -> None:
+    """Keep freed multi-MB temporaries in the heap instead of unmapping them.
+
+    glibc's dynamic mmap threshold unmaps each one and faults it in again:
+    about 50k minor faults per 81x81 verify pass, under 20 with both
+    thresholds pinned (either alone is worse than neither).  No-op off
+    Linux, without ``mallopt``, or when glibc's own variable is set.
+    """
+    if not sys.platform.startswith("linux") or any(
+            v in os.environ for v in ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_")):
+        return
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, MMAP_THRESHOLD)  # M_MMAP_THRESHOLD
+        mallopt(-1, TRIM_THRESHOLD)  # M_TRIM_THRESHOLD
+
+
 def main(argv=None) -> int:
+    _pin_malloc_thresholds()
     args = build_parser().parse_args(_rejoin_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         config = RunConfig.load(args.config)

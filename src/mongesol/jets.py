@@ -93,8 +93,8 @@ class Jet2:
             self._check_order(other)
             return Jet2(self.m, self.c + other.c)
         # copy, then convert: a lone astype keeps less data alive, yet through the
-        # order of malloc calls it raised the peak RSS of an 81x81 verify run by
-        # about 1.3 MB (x86_64 Linux, glibc, numpy 2.4)
+        # order of malloc calls it raises the peak RSS of an 81x81 verify run by
+        # about 1.8 MB, also under cli's pinned malloc thresholds (x86_64, glibc 2.36)
         out = self.c.copy().astype(np.promote_types(self.c.dtype, np.asarray(other).dtype))
         _add_to_value(out, other)
         return Jet2(self.m, out)

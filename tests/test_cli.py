@@ -1,10 +1,14 @@
 import contextlib
 import csv
+import ctypes
 import dataclasses
 import io
 import json
 import math
+import os
+import platform
 import struct
+import sys
 import tempfile
 from pathlib import Path
 
@@ -14,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mongesol import verifier
-from mongesol.cli import RunConfig, _csv_rows, _parse_grid, main
+from mongesol.cli import RunConfig, _csv_rows, _parse_grid, _pin_malloc_thresholds, main
 from mongesol.errors import ConfigError
 from mongesol.families import (
     FAMILY_TAGS,
@@ -233,6 +237,51 @@ def test_verify_byte_identical_reports(sigma_cfg, tmp_path):
     assert main(["verify", "--config", sigma_cfg, "--out", str(out2)]) == 0
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
     assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
+
+
+_MALLOC_VARS = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_")
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc"
+    or any(v in os.environ for v in _MALLOC_VARS),
+    reason="main pins glibc's malloc thresholds only on Linux glibc without MALLOC_*_ set")
+def test_a_repeated_81x81_verify_faults_in_almost_no_pages(tmp_path):
+    import resource  # Unix only
+
+    cfg = _write(tmp_path, "general81.json", {
+        "family": family_to_dict(canonical_config("m3_general")),
+        "grid": {"nx": 81, "nz": 81},
+    })
+    argv = ["verify", "--config", cfg, "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert main(argv) == 0
+    # about 6k with glibc's dynamic thresholds, under 10 with both pinned
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 500
+
+
+def test_pinning_malloc_thresholds_changes_no_output(sigma_cfg, tmp_path, monkeypatch):
+    def outputs():
+        out = tmp_path / "out"
+        assert main(["verify", "--config", sigma_cfg, "--out", str(out)]) == 0
+        return (out / "report.json").read_bytes(), (out / "report.csv").read_bytes()
+
+    first = outputs()
+    _pin_malloc_thresholds()
+    _pin_malloc_thresholds()
+    assert outputs() == first
+
+    def no_libc(name):
+        raise AssertionError(f"libc opened: {name!r}")
+
+    monkeypatch.setattr(ctypes, "CDLL", no_libc)
+    monkeypatch.setenv("MALLOC_TRIM_THRESHOLD_", "131072")  # glibc's default wins
+    _pin_malloc_thresholds()
+    assert outputs() == first
+    monkeypatch.delenv("MALLOC_TRIM_THRESHOLD_")
+    monkeypatch.setattr(sys, "platform", "win32")  # where ctypes.CDLL(None) raises TypeError
+    _pin_malloc_thresholds()
 
 
 def test_verify_tolerance_override(sigma_cfg, tmp_path):
