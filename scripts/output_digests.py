@@ -13,6 +13,11 @@ stdout, its stderr and the name and bytes of every file it wrote
 - construct and verify of a ``trivial`` family with complex fields, at
   ``grid.m`` 2 and 4.
 
+After the CLI jobs come the mode solver's lines, which print ``-`` in the
+exit column: the bytes of ``r_values`` from the two ``assemble_r_integral``
+calls of the ``mode_superposition`` benchmark workload, and of ``w1`` and
+``w2`` from one ``schrodinger_solve`` over a 2-D array of nodes.
+
 Nothing is compared here: run it on each commit and diff the two outputs.
 CI runs it twice, under different ``PYTHONHASHSEED`` values, and diffs those.
 
@@ -30,7 +35,10 @@ import os
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from mongesol import FAMILY_TAGS, canonical_config, default_checks, family_to_dict, make_family
+from mongesol import hodograph
 from mongesol.cli import main as cli_main
 
 SWEEPS = {
@@ -48,6 +56,26 @@ SWEEPS = {
 # quartics along the cube roots of unity 1 and exp(2 pi i / 3): complex chain fields
 COMPLEX_TRIVIAL = {"family": "trivial", "n": 3, "terms": [
     [1.0, [0, 0, 0, 0, 1.0]], [[-0.5, 0.8660254037844386], [0, 0, 0, 0, 1.0]]]}
+
+
+def _flat(c):
+    return np.ones_like(np.asarray(c, dtype=float))
+
+
+def _linear(c):
+    return 1.0 + 0.5 * np.asarray(c, dtype=float)
+
+
+# the assemble_r_integral calls of perfbench's mode_superposition workload
+MODE_CALLS = {
+    "mode:trapezoid": dict(
+        f1=lambda k: float(np.exp(-18.0 * (k - 1.0) ** 2)), f2=lambda k: 0.0,
+        k_nodes=[float(k) for k in np.linspace(0.0, 2.0, 13)], w_c_profile=_flat,
+        nb=15, steps=1000, mode="trapezoid"),
+    "mode:sum": dict(
+        f1=lambda k: 1.0, f2=lambda k: 0.3, k_nodes=[0.5, 1.0, 1.5, 2.0], w_c_profile=_linear,
+        nb=21, steps=2000, mode="sum"),
+}
 
 
 def jobs():
@@ -93,6 +121,17 @@ def run_job(name: str, config: dict, args: tuple) -> tuple[int, str]:
     return code, digest.hexdigest()
 
 
+def mode_digests():
+    """(name, sha256 of the array bytes) of the mode solver's outputs."""
+    for name, call in MODE_CALLS.items():
+        res = hodograph.assemble_r_integral(b_range=(0.0, 1.0), c_range=(0.0, 1.0), **call)
+        yield f"{name}:r_values", hashlib.sha256(res.r_values.tobytes()).hexdigest()
+    ks = np.array([[0.0, 0.5, 1.0], [1.5, 2.0, 3.0]])
+    sol = hodograph.schrodinger_solve(_linear, ks, (0.0, 1.0), steps=400)
+    for attr in ("w1", "w2"):
+        yield f"schrodinger:2d:{attr}", hashlib.sha256(getattr(sol, attr).tobytes()).hexdigest()
+
+
 def main() -> int:
     start = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -103,6 +142,8 @@ def main() -> int:
                 print(f"{name} {code} {digest}", flush=True)
         finally:
             os.chdir(start)
+    for name, digest in mode_digests():
+        print(f"{name} - {digest}", flush=True)
     return 0
 
 

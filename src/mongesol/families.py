@@ -154,13 +154,6 @@ class FieldBundle:
         self.domain.require(x, z)
         return self.fields_fn(np.asarray(x, dtype=float), np.asarray(z, dtype=float), m)
 
-    def eval_quadruple(self, x, z):
-        """Values (sigma_x, theta_z, L1', L2-dot) at the points."""
-        if self.quadruple is None:
-            raise ConfigError(f"family {self.family!r} does not define a derivative quadruple")
-        self.domain.require(x, z)
-        return self.quadruple.values(x, z)
-
     def with_mutation(self, name: str, factor: float) -> "FieldBundle":
         merged = dict(self.mutations)
         merged[name] = merged.get(name, 1.0) * float(factor)

@@ -9,8 +9,9 @@ the quasilinear system becomes linear and is resolved by one potential
 * ``schrodinger_solve`` - the zero-energy second-order ODE for the separable
   ansatz, integrated with a fixed-step classical 4th-order scheme,
   vectorized over the separation constant ``k``: one pass advances every
-  node, the profile is sampled once, and the solutions have shape
-  ``np.shape(k) + (steps + 1,)``;
+  node, the profile is sampled once, each stage is one product of the
+  reversed state with a precomputed ``(1, v)`` factor, and the solutions
+  have shape ``np.shape(k) + (steps + 1,)``;
 * ``assemble_r_integral`` - superposition of separable modes (one batched
   solve per call, node doubling included) with an independent
   finite-difference residual check;
@@ -20,6 +21,8 @@ the quasilinear system becomes linear and is resolved by one potential
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -219,11 +222,22 @@ def schrodinger_solve(
     ``np.shape(k) + (steps + 1,)`` (views of one state history).  The profile
     is called once per solve, on the stage points ``c``, ``c + h/2`` and
     ``c + h`` of every step; each node's values equal a scalar-``k`` solve
-    bit for bit.  Non-finite profile values are an error.
+    bit for bit.  Non-finite profile values are an error, and so are a
+    non-integral ``steps`` and a ``c_range`` without finite, distinct ends
+    (a decreasing range integrates backwards).
+
+    Each stage is ``y[::-1] * (1, v)``: the right side ``(w', v w)`` is the
+    state reversed along its first axis, times a factor whose first row is
+    1.0.  A product with 1.0 is exact for every float and a product of two
+    floats does not depend on their order, so this equals stacking
+    ``(w', v w)`` bit for bit, without building a new array per stage.
     """
+    steps = _count(steps, "steps")
     if steps < 100:
         raise ValueError("schrodinger_solve needs at least 100 steps")
     c0, c1 = float(c_range[0]), float(c_range[1])
+    if not math.isfinite(c1 - c0) or c1 == c0:  # a NaN or infinite end gives a non-finite span
+        raise ValueError(f"c_range needs finite ends with c1 != c0, got {c_range!r}")
     h = (c1 - c0) / steps
     grid = c0 + h * np.arange(steps + 1)
 
@@ -235,24 +249,33 @@ def schrodinger_solve(
     bad = ~np.all(np.isfinite(v), axis=1)
     if np.any(bad):
         raise MongesolError(f"non-finite potential profile value at c={stages[np.argmax(bad)]!r}")
-    v = v.reshape(steps, 3, kk.size)
-
-    def f(vc, y):
-        return np.stack([y[1], vc * y[0]])
+    # stage factors (1, v) per step and stage point: row 0 holds 1.0, row 1 v
+    vs = np.ones((steps, 3, 2, 1, kk.size))
+    vs[:, :, 1, 0] = v.reshape(steps, 3, kk.size)
 
     # y = (w, w') x (fundamental solution 1, 2) x nodes
     ys = np.empty((steps + 1, 2, 2, kk.size))
     ys[0] = np.eye(2)[:, :, None]
+    hh, h6 = h / 2, h / 6
     for i in range(steps):
         y = ys[i]
-        k1 = f(v[i, 0], y)
-        k2 = f(v[i, 1], y + h / 2 * k1)
-        k3 = f(v[i, 1], y + h / 2 * k2)
-        k4 = f(v[i, 2], y + h * k3)
-        ys[i + 1] = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        v0, v1, v2 = vs[i]
+        k1 = y[::-1] * v0
+        k2 = (y + hh * k1)[::-1] * v1
+        k3 = (y + hh * k2)[::-1] * v1
+        k4 = (y + h * k3)[::-1] * v2
+        np.add(y, h6 * (k1 + 2 * k2 + 2 * k3 + k4), out=ys[i + 1])
     shape = np.shape(k) + (steps + 1,)
     w1, w2, w1p, w2p = (ys[:, a, b].T.reshape(shape) for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)))
     return OdeSolution(k, grid, w1, w1p, w2, w2p)
+
+
+def _count(value, name: str) -> int:
+    """``value`` as an int; a float or other non-integral value is a ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -283,11 +306,16 @@ def assemble_r_integral(
     ``mode="sum"`` treats the nodes as a discrete superposition (unit
     weights); ``mode="trapezoid"`` integrates over the node grid and checks
     convergence by doubling the nodes (a change of R above ``_DOUBLING_TOL``
-    relative raises ``QuadratureError``).
+    relative, or a change that is not a number, raises ``QuadratureError``).
+    A non-finite amplitude ``f1(k)`` or ``f2(k)`` is a ``QuadratureError``
+    naming the node; ``nb`` must be an integer of at least 1.
     The reported residual differentiates R twice in c by central finite
     differences of the integrated modes, independently of the mode equation
     used to build them; the b derivatives are analytic.
     """
+    nb = _count(nb, "nb")
+    if nb < 1:
+        raise ValueError(f"nb must be at least 1, got {nb}")
     k_nodes = [float(k) for k in k_nodes]
     if not k_nodes:
         raise ValueError("k_nodes must be nonempty")
@@ -306,7 +334,11 @@ def assemble_r_integral(
         r = np.zeros((nb, c.size))
         rbb = np.zeros_like(r)
         for wgt, k, s1, s2 in zip(_weights(ks, mode), ks, w1, w2):
-            amp = wgt * (f1(k) * s1 + f2(k) * s2)  # shape (nc,)
+            a1, a2 = f1(k), f2(k)
+            if not (np.isfinite(a1) and np.isfinite(a2)):
+                raise QuadratureError(f"non-finite mode amplitude at k={k!r}: "
+                                      f"f1(k)={a1!r}, f2(k)={a2!r}")
+            amp = wgt * (a1 * s1 + a2 * s2)  # shape (nc,)
             ekb = np.exp(k * b)[:, None]
             r += ekb * amp[None, :]
             rbb += (k * k) * ekb * amp[None, :]
@@ -331,7 +363,7 @@ def assemble_r_integral(
     if refine:
         r2, _ = build(nodes, sol.w1, sol.w2)
         change = float(np.max(np.abs(r2 - r)))
-        if change > _DOUBLING_TOL * max(1.0, float(np.max(np.abs(r)))):
+        if not (change <= _DOUBLING_TOL * max(1.0, float(np.max(np.abs(r))))):
             raise QuadratureError(
                 f"k-quadrature not converged: node doubling changed R by {change:.3e}"
             )

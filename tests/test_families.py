@@ -138,7 +138,8 @@ def test_sigma_const_quadruple_values():
     b = make_family(canonical_config("m3_sigma_const"))
     rng = np.random.default_rng(8)
     x, z = sample_points(b, rng, 20)
-    sx, tz, p, qd = b.eval_quadruple(x, z)
+    b.domain.require(x, z)
+    sx, tz, p, qd = b.quadruple.values(x, z)
     assert np.all(sx == b.params["A"])  # constant by construction
     assert np.all(np.isfinite(tz)) and np.all(np.isfinite(p)) and np.all(np.isfinite(qd))
 
@@ -147,7 +148,8 @@ def test_l1_const_quadruple_values():
     b = make_family(canonical_config("m3_l1_const"))
     rng = np.random.default_rng(9)
     x, z = sample_points(b, rng, 20)
-    _, _, p, _ = b.eval_quadruple(x, z)
+    b.domain.require(x, z)
+    _, _, p, _ = b.quadruple.values(x, z)
     assert np.all(p == b.params["D"])
 
 
@@ -155,15 +157,14 @@ def test_theta_const_quadruple_values():
     b = make_family(canonical_config("m3_theta_const"))
     rng = np.random.default_rng(10)
     x, z = sample_points(b, rng, 20)
-    _, tz, _, _ = b.eval_quadruple(x, z)
+    b.domain.require(x, z)
+    _, tz, _, _ = b.quadruple.values(x, z)
     assert np.all(tz == b.params["E"])
 
 
 def test_quadruple_error_on_families_without_one():
     for tag in ("trivial", "m1_implicit", "degenerate", "m3_general"):
-        b = make_family(canonical_config(tag))
-        with pytest.raises(ConfigError):
-            b.eval_quadruple(np.array([0.0]), np.array([0.0]))
+        assert make_family(canonical_config(tag)).quadruple is None
 
 
 @pytest.mark.parametrize("tag", ["m3_sigma_const", "m3_l1_const", "m3_theta_const",

@@ -241,6 +241,62 @@ def test_schrodinger_is_bitwise_the_per_step_scheme(profile):
         assert np.array_equal(sol.w1p[i], ref[:, 1, 0]) and np.array_equal(sol.w2p[i], ref[:, 1, 1])
 
 
+def _stacked_rk4(profile, k, c_range, steps):
+    """The former loop of schrodinger_solve, kept as the oracle: every stage stacks (w', v w)."""
+    c0, c1 = float(c_range[0]), float(c_range[1])
+    h = (c1 - c0) / steps
+    grid = c0 + h * np.arange(steps + 1)
+    kk = np.asarray(k, dtype=float).reshape(-1)
+    stages = np.stack([grid[:-1], grid[:-1] + h / 2, grid[:-1] + h], axis=1).ravel()
+    prof = np.broadcast_to(np.asarray(profile(stages), dtype=float), stages.shape)
+    v = ((kk * kk)[None, :] * prof[:, None]).reshape(steps, 3, kk.size)
+
+    def f(vc, y):
+        return np.stack([y[1], vc * y[0]])
+
+    ys = np.empty((steps + 1, 2, 2, kk.size))
+    ys[0] = np.eye(2)[:, :, None]
+    for i in range(steps):
+        y = ys[i]
+        k1 = f(v[i, 0], y)
+        k2 = f(v[i, 1], y + h / 2 * k1)
+        k3 = f(v[i, 1], y + h / 2 * k2)
+        k4 = f(v[i, 2], y + h * k3)
+        ys[i + 1] = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return ys
+
+
+def _oscillatory_profile(c):
+    return -(1.0 + np.asarray(c, dtype=float) ** 2)
+
+
+@pytest.mark.parametrize("profile, ks, c_range, steps", [
+    (_flat_profile, np.linspace(0.0, 2.0, 25), (0.0, 1.0), 1000),
+    (_linear_profile, np.array([0.5, 1.0, 1.5, 2.0]), (0.0, 1.0), 2000),
+    (_oscillatory_profile, np.array([0.0, 0.7, 3.0, 11.0]), (1.2, -0.4), 500),
+], ids=["flat-25x1000", "linear-4x2000", "oscillatory-k0-reversed"])
+def test_schrodinger_is_bitwise_the_stacked_stage_loop(profile, ks, c_range, steps):
+    sol = schrodinger_solve(profile, ks, c_range, steps)
+    ref = _stacked_rk4(profile, ks, c_range, steps)
+    for name, (a, b) in {"w1": (0, 0), "w2": (0, 1), "w1p": (1, 0), "w2p": (1, 1)}.items():
+        got = getattr(sol, name)
+        assert got.shape == (ks.size, steps + 1)
+        assert got.tobytes() == np.ascontiguousarray(ref[:, a, b].T).tobytes(), name
+
+
+@pytest.mark.parametrize("c_range", [(0.5, 0.5), (0.0, np.nan), (np.nan, 1.0), (0.0, np.inf)])
+def test_schrodinger_rejects_degenerate_or_non_finite_c_range(c_range):
+    with pytest.raises(ValueError, match="c_range needs finite ends"):
+        schrodinger_solve(_flat_profile, 1.0, c_range, steps=200)
+
+
+def test_schrodinger_rejects_non_integral_steps():
+    with pytest.raises(ValueError, match="steps must be an integer"):
+        schrodinger_solve(_flat_profile, 1.0, (0.0, 1.0), steps=100.5)
+    sol = schrodinger_solve(_flat_profile, 1.0, (0.0, 1.0), steps=np.int64(200))
+    assert sol.w1.shape == (201,)
+
+
 def test_schrodinger_samples_profile_once_per_solve():
     calls = []
 
@@ -340,3 +396,54 @@ def test_assemble_trapezoid_nonconvergence_is_an_error():
             lambda c: np.ones_like(np.asarray(c)), (0.0, 1.0), (0.0, 1.0),
             nb=9, steps=600, mode="trapezoid",
         )
+
+
+def test_assemble_rejects_bad_arguments():
+    args = (lambda k: 1.0, lambda k: 0.0, [1.0], _flat_profile, (0.0, 1.0))
+    with pytest.raises(ValueError, match="c_range needs finite ends"):
+        assemble_r_integral(*args, (0.3, 0.3), nb=5, steps=200)
+    with pytest.raises(ValueError, match="c_range needs finite ends"):
+        assemble_r_integral(*args, (0.0, np.nan), nb=5, steps=200)
+    with pytest.raises(ValueError, match="steps must be an integer"):
+        assemble_r_integral(*args, (0.0, 1.0), nb=5, steps=100.5)
+    with pytest.raises(ValueError, match="nb must be at least 1"):
+        assemble_r_integral(*args, (0.0, 1.0), nb=0, steps=200)
+    with pytest.raises(ValueError, match="nb must be an integer"):
+        assemble_r_integral(*args, (0.0, 1.0), nb=5.0, steps=200)
+
+
+def test_assemble_reversed_c_range_still_works():
+    res = assemble_r_integral(lambda k: 1.0, lambda k: 0.0, [1.0], _flat_profile,
+                              (0.0, 1.0), (1.0, 0.0), nb=11, steps=1000)
+    assert res.c_grid[0] == 1.0 and res.c_grid[-1] == 0.0
+    bb, cc = np.meshgrid(res.b_grid, res.c_grid, indexing="ij")
+    # R = e^b cosh(c - 1) from the data (1, 0) at c = 1
+    assert np.max(np.abs(res.r_values - np.exp(bb) * np.cosh(cc - 1.0))) <= 1e-8
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_assemble_sum_rejects_non_finite_amplitude(bad):
+    with pytest.raises(QuadratureError, match=r"non-finite mode amplitude at k=1\.5"):
+        assemble_r_integral(lambda k: 1.0, lambda k: bad if k == 1.5 else 0.3,
+                            [0.5, 1.0, 1.5, 2.0], _linear_profile, (0.0, 1.0), (0.0, 1.0),
+                            nb=5, steps=200)
+
+
+def test_assemble_trapezoid_rejects_non_finite_amplitude_on_a_doubling_node():
+    # 0.25 is a midpoint node: only the node-doubling build meets the NaN, and a
+    # NaN change used to pass the doubling test
+    f1 = lambda k: np.nan if k == 0.25 else float(np.exp(-18 * (k - 1) ** 2))
+    with pytest.raises(QuadratureError, match=r"non-finite mode amplitude at k=0\.25"):
+        assemble_r_integral(f1, lambda k: 0.0, [float(k) for k in np.linspace(0.0, 2.0, 5)],
+                            _flat_profile, (0.0, 1.0), (0.0, 1.0), nb=5, steps=200,
+                            mode="trapezoid")
+
+
+def test_assemble_trapezoid_nan_doubling_change_is_an_error():
+    # finite amplitudes whose R overflows: both builds hold inf, so their change is NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(QuadratureError, match="not converged"):
+            assemble_r_integral(lambda k: 1e308, lambda k: 0.0,
+                                [float(k) for k in np.linspace(0.0, 2.0, 13)],
+                                _flat_profile, (0.0, 1.0), (0.0, 1.0), nb=5, steps=200,
+                                mode="trapezoid")
