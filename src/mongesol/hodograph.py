@@ -230,7 +230,7 @@ def schrodinger_solve(
     state reversed along its first axis, times a factor whose first row is
     1.0.  A product with 1.0 is exact for every float and a product of two
     floats does not depend on their order, so this equals stacking
-    ``(w', v w)`` bit for bit, without building a new array per stage.
+    ``(w', v w)`` bit for bit, without the copy that stacking makes per stage.
     """
     steps = _count(steps, "steps")
     if steps < 100:
