@@ -4,6 +4,15 @@ Configs are JSON, outputs are CSV/JSON with 17-significant-digit numbers so
 runs diff cleanly; probe sampling is seeded, so identical config plus seed
 gives byte-identical reports.  Exit codes: 0 all checks pass, 1 a check
 failed (report still written), 2 configuration error, 3 safe-domain error.
+
+``fields.csv`` holds the bytes of ``'%.17g' % v`` per cell, written without
+formatting each cell in Python.  A finite |v| in [1e-4, 1e16) (or a zero)
+is printed in fixed notation from its exact 17-digit significand: Dekker's
+error-free product gives |v| * 10**k as p + e exactly, and p + rint(e) is
+that product rounded to nearest, ties to even, which is what ``%.17g``
+prints.  Its digits, point, sign and separators are laid out as byte planes
+for ``_CSV_BLOCK`` cells at a time, so memory stays bounded for any table.
+Every other cell (|v| < 1e-4, |v| >= 1e16, nan, inf) is ``'%.17g' % v``.
 """
 
 from __future__ import annotations
@@ -13,7 +22,6 @@ import contextlib
 import csv
 import ctypes
 import dataclasses
-import itertools
 import json
 import os
 import sys
@@ -160,44 +168,112 @@ def _write_report(report: ResidualReport, out_dir: Path):
         csv.writer(fh).writerows(report.csv_rows())
 
 
-def _csv_rows(cols):
-    """The CSV rows of equal-length float columns: ``%.17g`` cells, ``\\r\\n`` ends.
+_CSV_BLOCK = 1 << 15  # cells per block of fields.csv text: bounded temporaries
+_CELL = 26  # bytes per cell: at most 24 of '%.17g' text, then ',' or '\r\n'
+_SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant
+_POW10 = np.concatenate(([1.0], np.cumprod(np.full(22, 10.0))))  # 10^0..10^22, all exact
+_POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+_TEXT_COL = np.arange(23, dtype=np.int8)[:, None]  # sign, then 22 of digits and point
+_DIGIT_RANK = np.arange(1, 18, dtype=np.int8)[:, None]
 
-    These are the bytes ``csv.writer`` writes for the unquoted values, but
-    each distinct value is formatted once: a column whose bits equal an
-    earlier column's (``f`` is ``a0``) shares its text, and a column with at
-    most half as many distinct bit patterns as rows (the grid's x and z)
-    formats each pattern once.  Bits, not values, are compared, so ``-0.0``
-    and every NaN keep their own text.  The other columns go through one
-    ``%.17g`` row template.  Rows are made one at a time, so only one row of
-    text is held at a time.
+
+def _significand(a, X):
+    """round(a * 10**(16 - X)) as int64, exact while it is at least 2**53.
+
+    Dekker's error-free product gives a * 10**k as p + e exactly (10**k is
+    an exact double for k <= 22).  Past 2**53 p is an even integer, so
+    p + rint(e) rounds to nearest with ties to even, as ``%.17g`` does.
     """
-    groups = []  # (bits, positions of the columns with these bits)
-    for k, col in enumerate(cols):
-        bits = np.ascontiguousarray(col, dtype=float).view(np.int64)
-        same = next((g for g in groups if np.array_equal(g[0], bits)), None)
-        if same is None:
-            groups.append((bits, [k]))
-        else:
-            same[1].append(k)
-    spec, cells = ["%s"] * len(cols), [None] * len(cols)
-    for bits, members in groups:
-        srt = np.sort(bits)  # np.unique would hash, which is slower here
-        fresh = np.ones(srt.size, dtype=bool)
-        fresh[1:] = srt[1:] != srt[:-1]
-        uniq = srt[fresh]
-        if 2 * uniq.size <= bits.size:
-            texts = ["%.17g" % v for v in uniq.view(float).tolist()]
-            text = map(texts.__getitem__, np.searchsorted(uniq, bits).tolist())
-        elif len(members) > 1:
-            text = map("%.17g".__mod__, bits.view(float).tolist())
-        else:
-            spec[members[0]], cells[members[0]] = "%.17g", bits.view(float).tolist()
-            continue
-        for k, copy in zip(members, itertools.tee(text, len(members))):
-            cells[k] = copy
-    row = ",".join(spec) + "\r\n"
-    return (row % values for values in zip(*cells))
+    t = a * _SPLIT
+    ah = t - (t - a)
+    al = a - ah
+    k = 16 - X
+    bh, bl = _POW10_HI.take(k), _POW10_LO.take(k)
+    p = a * _POW10.take(k)
+    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    return p.astype(np.int64) + np.rint(e).astype(np.int64)
+
+
+def _cell_text(v, last):
+    """The ``%.17g`` text of the cells ``v``, each ended by ``,`` or (``last``) ``\\r\\n``.
+
+    A finite |v| in [1e-4, 1e16) is written in fixed notation from its
+    17-digit significand D = round(|v| * 10**(16 - X)) in [1e16, 1e17),
+    X its decimal exponent; see ``_significand``.  X starts at
+    floor(log10|v|) and steps by one while D is out of range, which also
+    covers a carry to 1e17.  (log10 is one off only just below a power of
+    ten, and no double in this range lies within 8e-17, relative, below a
+    power of ten, so a wrong X never puts D in range.)  Zeros take this route
+    with D = 0.  The text is built plane by plane, one row per output byte
+    column with NUL for a dropped byte, and compacted by deleting the NULs.
+    Every other cell (tiny, huge, nan, inf) is formatted by ``'%.17g' %``.
+    """
+    n = v.size
+    m = np.abs(v)
+    fast = (m >= 1e-4) & (m < 1e16)
+    a = np.where(fast, m, 1.0)
+    X = np.floor(np.log10(a)).astype(np.int64)
+    D = _significand(a, X)
+    step = (D >= 10**17).astype(np.int64) - (D < 10**16)
+    while step.any():
+        i = np.flatnonzero(step)
+        X[i] += step[i]
+        D[i] = _significand(a[i], X[i])
+        step[i] = (D[i] >= 10**17).astype(np.int64) - (D[i] < 10**16)
+    D[~fast], X[~fast] = 0, 0
+    # T holds "0000" and the 17 digits as ASCII in its rows 2..22
+    hi = D // 10**8
+    q = np.empty((2, n), np.uint32)  # the top 9 and the low 8 digits
+    q[0], q[1] = hi, D - hi * 10**8
+    T = np.zeros((24, n), np.uint8)
+    for r in range(8):  # digits 8 - r and 16 - r, in rows 14 - r and 22 - r
+        q10 = q // 10
+        np.subtract(q, q10 * 10, out=T[14 - r:23 - r:8], casting="unsafe")
+        q = q10
+    T[6] = q[0]
+    last_digit = ((T[6:23] != 0) * _DIGIT_RANK).max(axis=0) - 1  # -1 for D = 0
+    T[2:6] = 48
+    T[6:23] += 48
+    # text column c holds T[c + 1] before the point at column X + 6, T[c] after it
+    X = X.astype(np.int8)
+    point = X + 6
+    ch = T[1:24] - T[0:23]
+    ch *= _TEXT_COL < point
+    ch += T[0:23]
+    ch += (_TEXT_COL == point) * (46 - ch)  # uint8 arithmetic wraps back to 46
+    first = np.minimum(X + 5, 5)  # "0.000" leads at X = -4, the first digit at X >= 0
+    end = np.where(last_digit > X, last_digit + 6, X + 5)  # no trailing zeros or bare point
+    out = np.zeros((_CELL, n), np.uint8)
+    np.multiply(ch, (_TEXT_COL >= first) & (_TEXT_COL <= end), out=out[:23])
+    out[0] = np.signbit(v) * np.uint8(45)
+    out[24] = 44 - 31 * last.view(np.uint8)
+    out[25] = 10 * last.view(np.uint8)
+    slow = np.flatnonzero(~fast & (v != 0))
+    if slow.size:
+        text = np.array(["%.17g" % x for x in v[slow].tolist()], dtype="S24")
+        out[:24, slow] = text.view(np.uint8).reshape(-1, 24).T
+    out = out[out.any(axis=1)]  # planes that are NUL in every cell add only work
+    return out.T.tobytes().translate(None, b"\0")
+
+
+def _csv_blocks(cols):
+    """The CSV rows of equal-length float columns as bytes, ``_CSV_BLOCK`` cells at a time.
+
+    The bytes are those of ``'%.17g'`` cells joined by ``,`` with ``\\r\\n``
+    row ends, which is what ``csv.writer`` writes for these values.
+    """
+    ncols = len(cols)
+    total = ncols * len(cols[0])
+    for i0 in range(0, total, _CSV_BLOCK):
+        i1 = min(total, i0 + _CSV_BLOCK)
+        r0, r1 = i0 // ncols, -(-i1 // ncols)
+        rows = np.empty((r1 - r0, ncols))
+        for j, col in enumerate(cols):
+            rows[:, j] = col[r0:r1]
+        cell = np.arange(i0, i1)
+        yield _cell_text(rows.ravel()[i0 - r0 * ncols:i1 - r0 * ncols],
+                         cell % ncols == ncols - 1)
 
 
 def cmd_construct(config: RunConfig, out_dir: Path) -> int:
@@ -219,9 +295,9 @@ def cmd_construct(config: RunConfig, out_dir: Path) -> int:
         v = values[name].ravel()
         cols.extend([v.real, v.imag] if complex_cols else [v.real])
     out_dir.mkdir(parents=True, exist_ok=True)
-    with (out_dir / "fields.csv").open("w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        fh.writelines(_csv_rows(cols))
+    with (out_dir / "fields.csv").open("wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
+        fh.writelines(_csv_blocks(cols))
     print(f"wrote {x.size} rows to {out_dir / 'fields.csv'}")
     return 0
 

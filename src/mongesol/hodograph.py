@@ -222,9 +222,9 @@ def schrodinger_solve(
     ``np.shape(k) + (steps + 1,)`` (views of one state history).  The profile
     is called once per solve, on the stage points ``c``, ``c + h/2`` and
     ``c + h`` of every step; each node's values equal a scalar-``k`` solve
-    bit for bit.  Non-finite profile values are an error, and so are a
+    bit for bit.  A non-finite node, non-finite profile values, a
     non-integral ``steps`` and a ``c_range`` without finite, distinct ends
-    (a decreasing range integrates backwards).
+    are errors (a decreasing range integrates backwards).
 
     Each stage is ``y[::-1] * (1, v)``: the right side ``(w', v w)`` is the
     state reversed along its first axis, times a factor whose first row is
@@ -242,13 +242,16 @@ def schrodinger_solve(
     grid = c0 + h * np.arange(steps + 1)
 
     kk = np.asarray(k, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(kk)):
+        raise ValueError(f"non-finite mode node k={float(kk[~np.isfinite(kk)][0])!r}")
     # stage points of step i: c_i, c_i + h/2, c_i + h (one flat sample, step-major)
     stages = np.stack([grid[:-1], grid[:-1] + h / 2, grid[:-1] + h], axis=1).ravel()
     prof = np.broadcast_to(np.asarray(w_c_profile(stages), dtype=float), stages.shape)
     v = (kk * kk)[None, :] * prof[:, None]  # (3 * steps, K)
     bad = ~np.all(np.isfinite(v), axis=1)
     if np.any(bad):
-        raise MongesolError(f"non-finite potential profile value at c={stages[np.argmax(bad)]!r}")
+        c_bad = float(stages[np.argmax(bad)])
+        raise MongesolError(f"non-finite potential profile value at c={c_bad!r}")
     # stage factors (1, v) per step and stage point: row 0 holds 1.0, row 1 v
     vs = np.ones((steps, 3, 2, 1, kk.size))
     vs[:, :, 1, 0] = v.reshape(steps, 3, kk.size)
@@ -308,7 +311,9 @@ def assemble_r_integral(
     convergence by doubling the nodes (a change of R above ``_DOUBLING_TOL``
     relative, or a change that is not a number, raises ``QuadratureError``).
     A non-finite amplitude ``f1(k)`` or ``f2(k)`` is a ``QuadratureError``
-    naming the node; ``nb`` must be an integer of at least 1.
+    naming the node, and so is an R or residual that is not finite (the
+    modes overflow); ``nb`` must be an integer of at least 1 and
+    ``b_range`` needs finite ends.
     The reported residual differentiates R twice in c by central finite
     differences of the integrated modes, independently of the mode equation
     used to build them; the b derivatives are analytic.
@@ -321,6 +326,8 @@ def assemble_r_integral(
         raise ValueError("k_nodes must be nonempty")
     if mode not in ("sum", "trapezoid"):
         raise ValueError(f"unknown quadrature mode {mode!r}")
+    if not all(math.isfinite(float(end)) for end in b_range):
+        raise ValueError(f"b_range needs finite ends, got {b_range!r}")
 
     # one solve covers both builds: the refinement keeps the original nodes
     # at its even positions
@@ -367,6 +374,10 @@ def assemble_r_integral(
             raise QuadratureError(
                 f"k-quadrature not converged: node doubling changed R by {change:.3e}"
             )
+    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(resid))):
+        raise QuadratureError(
+            f"R or its residual is not finite (max |R| = {np.max(np.abs(r)):.3e})"
+        )
 
     return RIntegralResult(
         b_grid=b,

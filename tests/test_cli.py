@@ -2,6 +2,7 @@ import contextlib
 import csv
 import ctypes
 import dataclasses
+import fractions
 import io
 import json
 import math
@@ -17,8 +18,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mongesol import verifier
-from mongesol.cli import RunConfig, _csv_rows, _parse_grid, _pin_malloc_thresholds, main
+from mongesol import cli, verifier
+from mongesol.cli import RunConfig, _csv_blocks, _parse_grid, _pin_malloc_thresholds, main
 from mongesol.errors import ConfigError
 from mongesol.families import (
     FAMILY_TAGS,
@@ -180,7 +181,58 @@ def _csv_columns(draw):
 def test_csv_rows_equal_the_row_template(cols):
     row = ",".join(["%.17g"] * len(cols)) + "\r\n"
     want = "".join(row % cells for cells in zip(*(col.tolist() for col in cols)))
-    assert "".join(_csv_rows(cols)) == want
+    assert b"".join(_csv_blocks(cols)) == want.encode()
+
+
+def _ulp_neighbours(x, steps=2):
+    """``x`` and its ``steps`` nearest doubles on each side."""
+    out = [x]
+    for toward in (-np.inf, np.inf):
+        y = x
+        for _ in range(steps):
+            y = np.nextafter(y, toward)
+            out.append(y)
+    return np.concatenate(out)
+
+
+def _exact_decimal_sweep():
+    """Doubles whose ``%.17g`` text is easy to get wrong, both signs."""
+    rng = np.random.default_rng(14)
+    mantissas = np.concatenate(([1.0, 1.5, 2 - 2.0**-52], 1 + rng.random(3)))
+    binary = np.ldexp(mantissas[:, None], np.arange(-1074, 1024)).ravel()  # every exponent
+    # 10^j and 2 ulps each side: the fast range's edges 1e-4 and 1e16, and the
+    # doubles just under a power of ten, where floor(log10) is one too high
+    tens = _ulp_neighbours(np.array([float(f"1e{j}") for j in range(-5, 18)]))
+    # every power of ten: some doubles next to one round up to it ("1e-14")
+    carries = _ulp_neighbours(np.array([float(f"1e{j}") for j in range(-323, 309)]), 1)
+    ties = []  # m / 2^(k+1) * 10^k = m 5^k / 2 is halfway between integers for odd m
+    for k in range(1, 21):
+        lo, hi = (math.ceil(fractions.Fraction(10)**(e - k) * 2**(k + 1)) for e in (16, 17))
+        m = 2 * rng.integers((lo + 1) // 2, min(hi, 2**53) // 2, 200) + 1  # odd, in [lo, hi)
+        ties.append(m / 2.0**(k + 1))
+    v = np.concatenate([binary, tens, carries, *ties])
+    return np.concatenate([v, -v])
+
+
+def test_csv_cells_equal_percent_17g_on_an_exact_decimal_sweep():
+    v = _exact_decimal_sweep()
+    got = b"".join(_csv_blocks([v])).split(b"\r\n")[:-1]
+    want = [b"%.17g" % x for x in v.tolist()]
+    wrong = [(x, g, w) for x, g, w in zip(v.tolist(), got, want) if g != w]
+    assert len(got) == len(want) and not wrong, wrong[:5]
+
+
+@pytest.mark.parametrize("family", [family_to_dict(canonical_config("m3_general")),
+                                    _COMPLEX_TRIVIAL], ids=["m3_general", "trivial_complex"])
+def test_fields_csv_bytes_do_not_depend_on_the_block(family, tmp_path, monkeypatch):
+    cfg = _write(tmp_path, "c.json", {"family": family, "grid": {"nx": 9, "nz": 7}})
+    texts = []
+    for block in (1, 7, cli._CSV_BLOCK):
+        monkeypatch.setattr(cli, "_CSV_BLOCK", block)
+        out = tmp_path / f"out{block}"
+        assert main(["construct", "--config", cfg, "--out", str(out)]) == 0
+        texts.append((out / "fields.csv").read_bytes())
+    assert texts[0] == texts[1] == texts[2] == _fields_csv_by_row(cfg)
 
 
 def test_construct_empty_domain_exits_3(tmp_path):

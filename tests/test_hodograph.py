@@ -447,3 +447,32 @@ def test_assemble_trapezoid_nan_doubling_change_is_an_error():
                                 [float(k) for k in np.linspace(0.0, 2.0, 13)],
                                 _flat_profile, (0.0, 1.0), (0.0, 1.0), nb=5, steps=200,
                                 mode="trapezoid")
+
+
+def test_schrodinger_non_finite_node_is_named_before_the_profile_is_sampled():
+    calls = []
+    profile = lambda c: calls.append(c) or np.ones_like(c)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match=rf"non-finite mode node k={bad!r}$"):
+            schrodinger_solve(profile, np.array([1.0, bad]), (0.0, 1.0), steps=200)
+    assert calls == []
+
+
+def test_schrodinger_profile_error_prints_c_as_a_float():
+    with pytest.raises(MongesolError, match=r"non-finite potential profile value at c=0\.0$"):
+        schrodinger_solve(lambda c: np.full_like(c, np.nan), 1.0, (0.0, 1.0), steps=200)
+
+
+@pytest.mark.parametrize("end", [np.nan, np.inf, -np.inf])
+def test_assemble_rejects_a_non_finite_b_range_end(end):
+    with pytest.raises(ValueError, match="b_range needs finite ends"):
+        assemble_r_integral(lambda k: 1.0, lambda k: 0.0, [1.0], _flat_profile,
+                            (0.0, end), (0.0, 1.0), nb=5, steps=200)
+
+
+def test_assemble_sum_overflowing_r_is_an_error():
+    # finite amplitudes whose R overflows to inf: the residual used to read nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(QuadratureError, match="R or its residual is not finite"):
+            assemble_r_integral(lambda k: 1e308, lambda k: 0.0, [0.5, 1.0, 1.5, 2.0],
+                                _linear_profile, (0.0, 1.0), (0.0, 1.0), nb=5, steps=200)
