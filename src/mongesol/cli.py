@@ -22,6 +22,7 @@ import contextlib
 import csv
 import ctypes
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -387,6 +388,12 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on the first :func:`main` call."""
+    return build_parser()
+
+
 def _rejoin_values(argv: list[str]) -> list[str]:
     """``--values TOK`` as ``--values=TOK``, so argparse keeps ``-0.5,-1`` as a value."""
     out = []
@@ -421,7 +428,7 @@ def _pin_malloc_thresholds() -> None:
 
 def main(argv=None) -> int:
     _pin_malloc_thresholds()
-    args = build_parser().parse_args(_rejoin_values(sys.argv[1:] if argv is None else list(argv)))
+    args = _parser().parse_args(_rejoin_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         config = RunConfig.load(args.config)
         config.tolerances.update(_parse_pairs("--tol", "value", args.tol))

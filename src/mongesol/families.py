@@ -159,7 +159,7 @@ class FieldBundle:
         merged[name] = merged.get(name, 1.0) * float(factor)
         return make_family(self.config, mutations=merged)
 
-    def w_of_f(self, tvals, x_near, z_near):
+    def w_of_f(self, tvals, x_near, z_near, jets=None):
         """The implied univariate map f -> W, evaluated at ``tvals``.
 
         Families with an explicit top function use it; otherwise the value is
@@ -167,7 +167,11 @@ class FieldBundle:
         matches, which is valid precisely because W and f are functionally
         dependent.  The slide reads values and d/dx of f and W only, so it
         runs on order-1 jets and never builds a lazy chain field; an iterate
-        outside the safe domain is a DomainError.
+        outside the safe domain is a DomainError.  ``jets``, if given, maps
+        ``f`` and ``W`` to their jets (order >= 1, shaped like ``tvals``) at
+        the admissible points ``x_near, z_near``: the first Newton step reads
+        them and evaluates nothing.  Their values and x-slopes are those of a
+        fresh order-1 evaluation, so the seed moves no bit.
         """
         tvals = np.asarray(tvals)
         if self.w_value_fn is not None:
@@ -175,14 +179,16 @@ class FieldBundle:
         x = np.array(np.broadcast_to(np.asarray(x_near, dtype=float), tvals.shape), copy=True)
         z = np.broadcast_to(np.asarray(z_near, dtype=float), tvals.shape)
         scale = np.maximum(np.max(np.abs(tvals)), 1.0)
+        fj = jets
         for _ in range(40):
-            outside = ~self.domain.mask(x, z)
-            if np.any(outside):
-                raise DomainError(
-                    f"w_of_f: slice inversion left the safe domain at "
-                    f"{int(np.count_nonzero(outside))} point(s)"
-                )
-            fj = self.fields_fn(x, z, 1)
+            if fj is None:
+                outside = ~self.domain.mask(x, z)
+                if np.any(outside):
+                    raise DomainError(
+                        f"w_of_f: slice inversion left the safe domain at "
+                        f"{int(np.count_nonzero(outside))} point(s)"
+                    )
+                fj = self.fields_fn(x, z, 1)
             err = fj["f"].value - tvals
             if np.max(np.abs(err)) <= 1e-12 * scale:
                 return fj["W"].value
@@ -190,6 +196,7 @@ class FieldBundle:
             if np.any(np.abs(fx) < 1e-14):
                 raise ConvergenceError("w_of_f: flat bottom field along the slice")
             x = x - (err / fx).real
+            fj = None
         raise ConvergenceError("w_of_f: slice inversion did not converge")
 
 

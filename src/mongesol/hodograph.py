@@ -223,8 +223,9 @@ def schrodinger_solve(
     is called once per solve, on the stage points ``c``, ``c + h/2`` and
     ``c + h`` of every step; each node's values equal a scalar-``k`` solve
     bit for bit.  A non-finite node, non-finite profile values, a
-    non-integral ``steps`` and a ``c_range`` without finite, distinct ends
-    are errors (a decreasing range integrates backwards).
+    ``k^2 W_c(c)`` that overflows, a non-integral ``steps`` and a ``c_range``
+    without finite, distinct ends are errors (a decreasing range integrates
+    backwards).
 
     Each stage is ``y[::-1] * (1, v)``: the right side ``(w', v w)`` is the
     state reversed along its first axis, times a factor whose first row is
@@ -247,11 +248,17 @@ def schrodinger_solve(
     # stage points of step i: c_i, c_i + h/2, c_i + h (one flat sample, step-major)
     stages = np.stack([grid[:-1], grid[:-1] + h / 2, grid[:-1] + h], axis=1).ravel()
     prof = np.broadcast_to(np.asarray(w_c_profile(stages), dtype=float), stages.shape)
-    v = (kk * kk)[None, :] * prof[:, None]  # (3 * steps, K)
-    bad = ~np.all(np.isfinite(v), axis=1)
+    bad = ~np.isfinite(prof)
     if np.any(bad):
         c_bad = float(stages[np.argmax(bad)])
         raise MongesolError(f"non-finite potential profile value at c={c_bad!r}")
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, by node and c
+        v = (kk * kk)[None, :] * prof[:, None]  # (3 * steps, K)
+    bad = ~np.isfinite(v)
+    if np.any(bad):
+        i, j = np.unravel_index(np.argmax(bad), bad.shape)
+        raise MongesolError(f"k^2 * W_c(c) overflows at node k={float(kk[j])!r}, "
+                            f"c={float(stages[i])!r}")
     # stage factors (1, v) per step and stage point: row 0 holds 1.0, row 1 v
     vs = np.ones((steps, 3, 2, 1, kk.size))
     vs[:, :, 1, 0] = v.reshape(steps, 3, kk.size)

@@ -20,7 +20,10 @@ and adds the terms ``a.c[i, j] * b.c[p, q]`` into it in place, one plane at a
 time, taking the planes of the left factor ``a`` in (i, j)-lexicographic
 order and skipping each plane of ``a`` that is all zero (+0 or -0).  So a
 skipped plane never forms ``0 * inf`` or ``0 * nan``, and a zero sum is +0.
-One reduction per product finds the nonzero planes.
+One reduction per product finds the nonzero planes.  A real order-0 jet has
+one plane, so its product, sum with a number and reciprocal are one numpy
+operation each, with the same bits (``+= 0.0`` turns a -0 product into the
++0 that the +0 start gives).
 """
 
 from __future__ import annotations
@@ -92,6 +95,8 @@ class Jet2:
         if isinstance(other, Jet2):
             self._check_order(other)
             return Jet2(self.m, self.c + other.c)
+        if self.m == 0 and _real(self.c, np.asarray(other)):
+            return Jet2(0, self.c + other)  # the value is the only coefficient
         # copy, then convert: a lone astype keeps less data alive, yet through the
         # order of malloc calls it raises the peak RSS of an 81x81 verify run by
         # about 1.8 MB, also under cli's pinned malloc thresholds (x86_64, glibc 2.36)
@@ -115,6 +120,10 @@ class Jet2:
             return Jet2(self.m, self.c * np.asarray(other))
         self._check_order(other)
         m, a, b = self.m, self.c, other.c
+        if m == 0 and _real(a, b) and a.any():
+            out = a * b
+            out += 0.0  # as the +0 start: a -0 product becomes +0
+            return Jet2(0, out)
         shape = a.shape[2:]
         if b.shape[2:] != shape:
             shape = np.broadcast_shapes(shape, b.shape[2:])
@@ -139,6 +148,8 @@ class Jet2:
         v = self.value
         if np.any(v == 0):
             raise ZeroDivisionError("jet reciprocal of a zero field value")
+        if self.m == 0 and _real(self.c):
+            return Jet2(0, 1.0 / self.c)
         inv = 1.0 / v
         # 1/a = inv * sum_k N^k  with N = 1 - inv*a nilpotent
         n = self.c * inv
@@ -230,6 +241,13 @@ def poly_jet(coeffs: Sequence, a: Jet2) -> Jet2:
         acc = acc * a
         _add_to_value(acc.c, ck)
     return acc
+
+
+def _real(*arrays) -> bool:
+    """All of ``arrays`` hold real floats.  Complex jets stay on the plane loop:
+    numpy's complex product bits depend on the array length (SIMD body or
+    scalar tail), so one whole-jet product could differ from the plane's."""
+    return all(a.dtype.kind == "f" for a in arrays)
 
 
 def _add_to_value(c: np.ndarray, v) -> None:

@@ -20,7 +20,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ConfigError, DomainError, QuadratureError
-from .families import FieldBundle
+from .families import _BLOCK, FieldBundle
 from .functional_eq import four_function_residual, variable_slope_residual
 from .jets import Jet2, jet_partial
 
@@ -334,7 +334,16 @@ def check_wf_relation(ev: GridEval, tol: float, quad_tol: float) -> list[CheckRe
 
 
 def _quadrature_crosscheck(ev: GridEval, tol: float) -> CheckResult:
-    """Rebuild f and W by line quadrature of the derivative-level forms."""
+    """Rebuild f and W by line quadrature of the derivative-level forms.
+
+    Each admissible node gets f and W at the reference node plus the integral
+    along its row to the reference column and then along its column.  The
+    columns run in blocks of about ``_BLOCK`` fine points (the Gauss
+    primitive's block size), so the temporaries stay a few grid arrays for
+    any grid; each form, mask and Simpson sum is per fine point or per
+    (column, cell) and each cumulative sum runs inside one column, so the
+    blocks move no bit.
+    """
     bundle, grid, (x, z), fl = ev.bundle, ev.grid, ev.points, ev.fields
     xs, zs = grid.axes()
     xg, zg = np.meshgrid(xs, zs, indexing="ij")
@@ -355,9 +364,15 @@ def _quadrature_crosscheck(ev: GridEval, tol: float) -> CheckResult:
     fine_x, fine_z = _fine_axis(xs, refine), _fine_axis(zs, refine)
     (f_row, w_row), row_ok = _line_quadrature(
         bundle, fine_x, np.full_like(fine_x, zs[j0]), xs, refine, i0, ("f_x", "W_x"))
-    # columns broadcast, not materialized: x-only predicates and forms run on nx values
-    (f_col, w_col), col_ok = _line_quadrature(
-        bundle, xs[:, None, None] + 0.0, fine_z[None, :, :], zs, refine, j0, ("f_z", "W_z"))
+    # columns broadcast, not materialized: x-only predicates and forms run on
+    # the block's x values
+    cols = max(1, _BLOCK // fine_z.size)
+    blocks = [_line_quadrature(bundle, xs[k:k + cols, None, None] + 0.0, fine_z[None, :, :],
+                               zs, refine, j0, ("f_z", "W_z"))
+              for k in range(0, xs.size, cols)]
+    sums, oks = zip(*blocks)
+    f_col, w_col = (np.concatenate(parts) for parts in zip(*sums))
+    col_ok = np.concatenate(oks)
 
     f_quad = f_grid[i0, j0] + f_row[:, None] + f_col
     w_quad = w_grid[i0, j0] + w_row[:, None] + w_col
@@ -395,7 +410,9 @@ def _fine_axis(nodes, refine):
 def _line_quadrature(bundle, x, z, nodes, refine, k0, keys):
     """Cumulative Simpson integrals from node ``k0`` of the derivative forms ``keys``
     along the last axis of the fine points ``x, z`` (``refine`` sub-steps per cell
-    of ``nodes``), and each node's admissibility: its cells lie in the domain."""
+    of ``nodes``), and each node's admissibility: its cells lie in the domain.
+    Lines along the leading axes are independent, so a caller may pass any
+    slice of them (a block of columns) and concatenate the results."""
     okf = bundle.domain.mask(x, z)
     with np.errstate(all="ignore"):
         forms = bundle.derivative_forms(x, z)
@@ -528,7 +545,9 @@ def reconstruct_u(ev: GridEval, tol: float, path_tol: float = 1e-6) -> CheckResu
     fdx = sum(c * u[i: u.shape[0] - (len(st) - 1 - i), w:-w] for i, c in enumerate(st)) / hx ** n
     fdz = sum(c * u[w:-w, i: u.shape[1] - (len(st) - 1 - i)] for i, c in enumerate(st)) / hz ** n
     xi, zi = xg[w:-w, w:-w], zg[w:-w, w:-w]
-    w_of = bundle.w_of_f(fdz.ravel(), xi.ravel(), zi.ravel()).reshape(fdz.shape)
+    # the shared jets at the interior nodes (views) seed the W(f) slide
+    inner = {k: Jet2(fl[k].m, fl[k].c[..., w:-w, w:-w]) for k in ("f", "W")}
+    w_of = bundle.w_of_f(fdz, xi, zi, inner)
     resid = np.abs(fdx - _real_field(w_of, "W(f)"))
 
     trunc, floor = _fd_budget(bundle, fl, u, st, n, err_c, hx, hz, second)

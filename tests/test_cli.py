@@ -418,6 +418,29 @@ def test_missing_config_exits_2(tmp_path):
     assert main(["verify", "--config", str(tmp_path / "nope.json")]) == 2
 
 
+def test_main_builds_one_parser_per_process(sigma_cfg, tmp_path, monkeypatch, capsys):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        out1, out2 = tmp_path / "o1", tmp_path / "o2"
+        assert main(["verify", "--config", sigma_cfg, "--out", str(out1), "--tol", "wf=1e-8"]) == 0
+        for argv in (["verify"], ["bogus"], ["verify", "--config", sigma_cfg, "--seed", "x"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "usage: mongesol" in capsys.readouterr().err
+        assert main(["verify", "--config", sigma_cfg, "--out", str(out2)]) == 0
+        assert built == [1]
+        # the reused parser keeps no flag of an earlier call
+        wf = [json.loads((o / "report.json").read_text())["checks"]["wf"]["tolerance"]
+              for o in (out1, out2)]
+        assert wf == [1e-8, DEFAULT_TOLERANCES["wf"]]
+    finally:
+        cli._parser.cache_clear()
+
+
 def test_malformed_json_exits_2(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{not json")

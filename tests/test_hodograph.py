@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -313,6 +316,19 @@ def test_schrodinger_nan_profile_raises_for_array_k():
     with pytest.raises(MongesolError, match="non-finite potential"):
         schrodinger_solve(lambda c: np.where(np.asarray(c) > 0.5, np.nan, 1.0),
                           np.array([0.5, 1.0, 2.0]), (0.0, 1.0), steps=200)
+
+
+@pytest.mark.parametrize("ks, profile, where", [
+    ([1.0, 1e200], _flat_profile, "k=1e+200, c=0.0"),  # k^2 alone overflows
+    ([1.0, 1e10], lambda c: np.full(np.shape(c), 1e300), "k=10000000000.0, c=0.0"),
+])
+def test_schrodinger_names_the_node_whose_product_overflows(ks, profile, where):
+    # every profile value is finite, so the profile is not to blame; numpy's
+    # overflow warning must not escape either (CI runs with it as an error)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(MongesolError, match=re.escape(f"overflows at node {where}")):
+            schrodinger_solve(profile, np.array(ks), (0.0, 1.0), steps=200)
 
 
 def _per_node_r(f1, f2, nodes, profile, nb, steps):

@@ -1,4 +1,6 @@
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -285,8 +287,10 @@ def _col_quadrature_before(bundle, xs, zs, refine, j0):
     return cf - cf[:, j0:j0 + 1], cw - cw[:, j0:j0 + 1], col_ok
 
 
-@pytest.mark.parametrize("tag", [t for t in FAMILY_TAGS
-                                 if make_family(canonical_config(t)).derivative_forms])
+_FORM_TAGS = [t for t in FAMILY_TAGS if make_family(canonical_config(t)).derivative_forms]
+
+
+@pytest.mark.parametrize("tag", _FORM_TAGS)
 @pytest.mark.parametrize("n", [21, 81])
 def test_broadcast_column_forms_are_bitwise_materialized(tag, n):
     # the line quadrature, called as _quadrature_crosscheck calls it (rows on
@@ -314,6 +318,66 @@ def test_broadcast_column_forms_are_bitwise_materialized(tag, n):
                 assert g.shape == w.shape and g.dtype == w.dtype
                 assert g.tobytes() == w.tobytes(), (i0, j0)
     assert edges > 0
+
+
+@pytest.mark.parametrize("tag", _FORM_TAGS)
+@pytest.mark.parametrize("n, cols", [(21, [21]), (81, [12] * 6 + [9]), (161, [6] * 26 + [5])])
+def test_column_blocks_are_bitwise_one_block(tag, n, cols, monkeypatch):
+    # the column quadrature of _quadrature_crosscheck runs on blocks of
+    # _BLOCK // (fine points of a column) columns; each form, mask and Simpson
+    # sum is per fine point or per (column, cell), so the residuals of every
+    # grid point equal those of one block holding all columns (81: the last
+    # block is partial)
+    b = make_family(canonical_config(tag))
+    ev = GridEval(b, GridSpec.for_bundle(b, nx=n, nz=n))
+    resids, blocks = [], []
+    result, line = verifier._result, verifier._line_quadrature
+    monkeypatch.setattr(verifier, "_result",
+                        lambda name, resid, *a, **kw: resids.append(resid) or result(name, resid, *a, **kw))
+    monkeypatch.setattr(verifier, "_line_quadrature",
+                        lambda bundle, x, *a: (x.ndim == 3 and blocks.append(x.shape[0]))
+                        or line(bundle, x, *a))
+    blocked = verifier._quadrature_crosscheck(ev, 1e-6)
+    assert blocks == cols
+    monkeypatch.setattr(verifier, "_BLOCK", 10 ** 9)
+    whole = verifier._quadrature_crosscheck(ev, 1e-6)
+    assert blocks[len(cols):] == [n]
+    assert blocked == whole
+    assert resids[0].dtype == resids[1].dtype and resids[0].tobytes() == resids[1].tobytes()
+
+
+def test_crosscheck_peak_memory_is_a_few_grid_arrays():
+    # the column blocks bound the check's temporaries: 22 grid arrays of
+    # float64 at 161x161, against about 307 for all columns at once
+    b = make_family(canonical_config("m3_general"))
+    ev = GridEval(b, GridSpec.for_bundle(b, nx=161, nz=161))
+    ev.fields  # the shared jets are not the check's own
+    tracemalloc.start()
+    try:
+        verifier._quadrature_crosscheck(ev, 1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * 161 * 161 * 8
+
+
+@pytest.mark.parametrize("tag", [t for t in FAMILY_TAGS
+                                 if make_family(canonical_config(t)).w_value_fn is None])
+@pytest.mark.parametrize("fd_h", [None, 1e-2])
+def test_seeded_w_of_f_gives_the_same_report(tag, fd_h):
+    # reconstruct seeds the W(f) slide with the shared jets at the interior
+    # nodes; the slide then evaluates one field set less, with the same bytes
+    b = make_family(canonical_config(tag))
+    grid = GridSpec.for_bundle(b, fd_h=fd_h)
+    orders = []
+    fields_fn, w_of_f = b.fields_fn, b.w_of_f
+    b.fields_fn = lambda x, z, m: orders.append(m) or fields_fn(x, z, m)
+    seeded = json.dumps(run_suite(b, grid, ["reconstruct"], seed=5).to_json_dict())
+    slides = orders.count(1)
+    b.w_of_f = lambda t, x, z, jets: w_of_f(t, x, z)
+    unseeded = json.dumps(run_suite(b, grid, ["reconstruct"], seed=5).to_json_dict())
+    assert orders.count(1) - slides == slides + 1
+    assert seeded == unseeded
 
 
 def test_eq10_solves_each_slope_branch_once(monkeypatch):
