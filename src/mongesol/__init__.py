@@ -50,9 +50,7 @@ from .hodograph import (
     OdeSolution,
     RIntegralResult,
     assemble_r_integral,
-    factorization_check,
     implicit_jet,
-    invert_hodograph,
     schrodinger_solve,
     solve_implicit,
 )

@@ -35,7 +35,6 @@ from .families import family_from_dict, family_to_dict, json_number, make_family
 from .verifier import (
     GridSpec,
     KNOWN_CHECKS,
-    MAX_ORDER,
     MAX_POINTS,
     ResidualReport,
     _fmt,
@@ -137,7 +136,7 @@ def _parse_grid(raw) -> dict:
     """GridSpec keyword arguments from the grid section (``rect`` expanded)."""
     if not isinstance(raw, dict):
         raise ConfigError("grid must be a JSON object")
-    known = {"nx", "nz", "m", "fd_h"} | ({"rect"} if "rect" in raw else set(_RECT_KEYS))
+    known = {"nx", "nz", "fd_h"} | ({"rect"} if "rect" in raw else set(_RECT_KEYS))
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"unknown grid fields: {sorted(unknown)}")
@@ -148,15 +147,11 @@ def _parse_grid(raw) -> dict:
             if len(rect) != 4:
                 raise ConfigError("grid rect must be [x_lo, x_hi, z_lo, z_hi]")
             g.update(zip(_RECT_KEYS, rect))
-        g.update({key: json_number(raw[key], int) for key in ("nx", "nz", "m") if key in raw})
+        g.update({key: json_number(raw[key], int) for key in ("nx", "nz") if key in raw})
         if raw.get("fd_h") is not None:
             g["fd_h"] = json_number(raw["fd_h"], float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"grid: malformed field value ({exc})") from None
-    if g.get("m", 2) < 2:
-        raise ConfigError(f"grid.m is the jet order and must be at least 2, got {g['m']}")
-    if g.get("m", 2) > MAX_ORDER:
-        raise ConfigError(f"grid.m is the jet order and must be at most {MAX_ORDER}, got {g['m']}")
     return g
 
 
@@ -327,10 +322,11 @@ def cmd_sweep(config: RunConfig, param: str, values: list[float], out_dir: Path)
     if not values:
         raise ConfigError("sweep needs a nonempty values list")
     base = config.family_dict
-    if param not in family_to_dict(family_from_dict(base)):
-        raise ConfigError(
-            f"family {base.get('family')!r} has no parameter {param!r} to sweep"
-        )
+    numeric = [name for name, v in family_to_dict(family_from_dict(base)).items()
+               if isinstance(v, (int, float)) and not isinstance(v, bool)]
+    if param not in numeric:
+        raise ConfigError(f"family {base.get('family')!r} has no numeric parameter {param!r} "
+                          f"to sweep; its numeric parameters are {numeric}")
     rows = [["value", "check", "max_abs", "mean_abs", "tolerance", "passed"]]
     all_pass = True
     for v in values:

@@ -372,7 +372,6 @@ class L1ConstConfig:
     nu: tuple
     D: float = 1.0
     k: float = 1.0
-    dtilde_mode: str = "nu1_plus_nu2"  # or "nu2": the alternative reading
     rect: tuple = (1.6, 3.0, 0.30, 0.70)
     tag = "m3_l1_const"
 
@@ -419,7 +418,6 @@ class GeneralNuE0Config:
     a: float = 1.0
     alpha1: float = 1.0
     alpha2: float = 2.0
-    c: float | None = None
     rect: tuple = (-2.5, -1.5, 3.4, 5.0)
     tag = "m3_general_e0"
 
@@ -430,12 +428,6 @@ class GeneralNuE0Config:
             raise ConfigError("m3_general_e0 requires alpha1 != alpha2")
         if self.alpha1 <= 0 or self.alpha2 <= 0:
             raise ConfigError("m3_general_e0 requires positive alpha1, alpha2")
-        if self.c is not None:
-            want = self.a * self.alpha1 * self.alpha2
-            if abs(self.c - want) > 1e-12 * max(1.0, abs(want)):
-                raise ConfigError(
-                    f"m3_general_e0: c must equal a*alpha1*alpha2 = {want!r} (got {self.c!r})"
-                )
 
 
 @dataclass(frozen=True)
@@ -714,7 +706,7 @@ def _build_sigma_const(cfg: SigmaConstConfig, scales) -> FieldBundle:
     zc = 0.5 * (cfg.rect[2] + cfg.rect[3]) + z0
     s_theta = 1.0 if (math.exp(k * nu1 * zc) - math.exp(k * nu2 * zc)) > 0 else -1.0
 
-    def l_fn(nu_own, nu_other):
+    def l_fn(nu_own):
         lin = a * nu1 * nu2
 
         def f(tj):
@@ -777,7 +769,7 @@ def _build_sigma_const(cfg: SigmaConstConfig, scales) -> FieldBundle:
             ("theta_log_arg", pred_theta),
         ),
     )
-    return _line_bundle(l_fn(nu1, nu2), l_fn(nu2, nu1), theta, sigma, quad,
+    return _line_bundle(l_fn(nu1), l_fn(nu2), theta, sigma, quad,
                         "sigma_const", wf_res, domain, scales,
                         params={"nu": list(cfg.nu), "A": a, "k": k, "d1": d1, "d2": d2})
 
@@ -788,12 +780,7 @@ def _build_l1_const(cfg: L1ConstConfig, scales) -> FieldBundle:
     d, k = float(cfg.D), float(cfg.k)
     if d == 0 or k == 0:
         raise ConfigError("m3_l1_const requires nonzero D and k")
-    if cfg.dtilde_mode == "nu1_plus_nu2":
-        dtil = d * (nu1 + nu2)
-    elif cfg.dtilde_mode == "nu2":
-        dtil = d * nu2
-    else:
-        raise ConfigError(f"unknown dtilde_mode {cfg.dtilde_mode!r}")
+    dtil = d * (nu1 + nu2)  # D~; the reading D~ = D*nu2 is no solution (README)
     if dtil == 0:
         raise ConfigError("m3_l1_const: the combined constant D~ vanishes")
 
@@ -838,8 +825,7 @@ def _build_l1_const(cfg: L1ConstConfig, scales) -> FieldBundle:
         ),
     )
     return _line_bundle(l1, l2, theta, sigma, quad, "l1_const", wf_res, domain,
-                        scales, params={"nu": list(cfg.nu), "D": d, "k": k,
-                                        "dtilde_mode": cfg.dtilde_mode})
+                        scales, params={"nu": list(cfg.nu), "D": d, "k": k})
 
 
 def _build_theta_const(cfg: ThetaConstConfig, scales) -> FieldBundle:
@@ -1371,8 +1357,6 @@ _FIELD_PARSERS = {
 _TYPE_PARSERS = {
     "int": lambda v: json_number(v, int),
     "float": lambda v: json_number(v, float),
-    "float | None": lambda v: None if v is None else json_number(v, float),
-    "str": lambda v: v,
     "tuple": _numbers,
 }
 

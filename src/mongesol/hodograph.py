@@ -4,8 +4,6 @@ The degree-two construction works in the transformed plane ``(b, c)`` where
 the quasilinear system becomes linear and is resolved by one potential
 ``R(b, c)`` with ``x = R_c``, ``z = R_b``.  This module provides:
 
-* ``invert_hodograph`` - damped 2-D Newton recovering ``(b, c)`` from ``(x, z)``;
-* ``factorization_check`` - residuals of the slope/derivative matching;
 * ``schrodinger_solve`` - the zero-energy second-order ODE for the separable
   ansatz, integrated with a fixed-step classical 4th-order scheme,
   vectorized over the separation constant ``k``: one pass advances every
@@ -32,8 +30,6 @@ from .errors import ConvergenceError, FoldError, MongesolError, QuadratureError
 from .jets import Jet2, compose_series, jet_partial, jet_seed
 
 __all__ = [
-    "invert_hodograph",
-    "factorization_check",
     "schrodinger_solve",
     "assemble_r_integral",
     "solve_implicit",
@@ -43,7 +39,6 @@ __all__ = [
 ]
 
 _IMPLICIT_TOL, _IMPLICIT_MAX_ITER, _FOLD_TOL = 1e-12, 60, 1e-8  # solve_implicit's Newton
-_HODOGRAPH_TOL, _HODOGRAPH_MAX_ITER = 1e-10, 50  # invert_hodograph's Newton
 _DOUBLING_TOL = 1e-6  # assemble_r_integral: largest relative change of R on node doubling
 
 
@@ -122,60 +117,6 @@ def _univariate_on_jet(f: Callable[[Jet2], Jet2], a: Jet2, derivative: int = 0) 
     # recompose: Taylor coefficients of f about a.value, Horner in (a - value)
     tk = [fj.c[k, 0] for k in range(a.m + 1)]
     return compose_series(tk, a)
-
-
-# ---------------------------------------------------------------------------
-# 2-D Newton inversion of the potential map
-# ---------------------------------------------------------------------------
-
-
-def invert_hodograph(r: Callable[[Jet2, Jet2], Jet2], x: float, z: float,
-                     seed: tuple[float, float]) -> tuple[float, float]:
-    """Solve ``R_c = x, R_b = z`` for ``(b, c)`` by damped Newton from ``seed``.
-
-    Raises ``FoldError`` on a singular Jacobian (caustic) and
-    ``ConvergenceError`` on iteration exhaustion.
-    """
-    b, c = float(seed[0]), float(seed[1])
-
-    def eval_point(bv, cv):
-        bj, cj = jet_seed(bv, cv, 2)
-        rj = r(bj, cj)
-        f1 = jet_partial(rj, 0, 1) - x   # R_c - x
-        f2 = jet_partial(rj, 1, 0) - z   # R_b - z
-        j11 = jet_partial(rj, 1, 1)      # d(R_c)/db
-        j12 = jet_partial(rj, 0, 2)      # d(R_c)/dc
-        j21 = jet_partial(rj, 2, 0)      # d(R_b)/db
-        j22 = jet_partial(rj, 1, 1)      # d(R_b)/dc
-        return np.array([f1, f2], dtype=float), np.array([[j11, j12], [j21, j22]], dtype=float)
-
-    fvec, jac = eval_point(b, c)
-    for _ in range(_HODOGRAPH_MAX_ITER):
-        merit = abs(fvec[0]) + abs(fvec[1])
-        if merit <= _HODOGRAPH_TOL:
-            return b, c
-        det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-        scale = max(abs(jac).max(), 1e-30)
-        if abs(det) < 1e-14 * scale * scale:
-            raise FoldError("hodograph inversion: singular Jacobian (fold caustic)")
-        step = np.linalg.solve(jac, fvec)
-        t = 1.0
-        for _ in range(40):
-            nb, nc = b - t * step[0], c - t * step[1]
-            nf, nj = eval_point(nb, nc)
-            if abs(nf[0]) + abs(nf[1]) < merit:
-                break
-            t /= 2
-        else:
-            raise ConvergenceError("hodograph inversion: damping failed to reduce the merit")
-        b, c, fvec, jac = nb, nc, nf, nj
-    raise ConvergenceError(
-        f"hodograph inversion: no convergence in {_HODOGRAPH_MAX_ITER} iterations")
-
-
-def factorization_check(w_b, w_c, nu1, nu2):
-    """Residual pair of the slope matching: ``(nu1+nu2-W_b, nu1*nu2+W_c)``."""
-    return nu1 + nu2 - w_b, nu1 * nu2 + w_c
 
 
 # ---------------------------------------------------------------------------

@@ -82,9 +82,6 @@ class Jet2:
     def shape(self):
         return self.c.shape[2:]
 
-    def __repr__(self):  # pragma: no cover - debugging aid
-        return f"Jet2(m={self.m}, value={self.value!r})"
-
     # -- ring operations ----------------------------------------------------
 
     def _check_order(self, other: "Jet2"):
@@ -167,12 +164,6 @@ class Jet2:
         if isinstance(other, Jet2):
             return self * other.recip()
         return Jet2(self.m, self.c / np.asarray(other))
-
-    def __rtruediv__(self, other):
-        return self.recip() * other
-
-    def __pow__(self, p):
-        return jpow(self, p)
 
     # -- calculus -----------------------------------------------------------
 

@@ -31,7 +31,6 @@ __all__ = [
     "ResidualReport",
     "DEFAULT_TOLERANCES",
     "KNOWN_CHECKS",
-    "MAX_ORDER",
     "MAX_POINTS",
     "admissible_grid",
     "check_compatibility",
@@ -52,11 +51,6 @@ KNOWN_CHECKS = ("compat", "dependence", "wf", "eq5", "eq10", "reconstruct")
 # when reconstruct evaluates it), richardson_ratio's finer grid, or one probe
 # set may hold: 2**20 points of order-2 jets are a few hundred MB of temporaries.
 MAX_POINTS = 2 ** 20
-
-# Highest jet order grid.m a config may ask for.  An order-m jet holds
-# (m+1)^2 coefficient planes and a product adds C(m+4, 4) plane terms, so
-# the cost grows as m^4; the implicit jets are checked up to order 7.
-MAX_ORDER = 8
 
 DEFAULT_TOLERANCES = {
     "compat": 1e-9,
@@ -82,7 +76,7 @@ def validate_tolerances(tolerances: dict) -> None:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Rectangular evaluation grid plus the jet/FD parameters.
+    """Rectangular evaluation grid plus the reconstruction's finite-difference step.
 
     Any size is accepted here; :meth:`capped` rejects a grid of more than
     ``MAX_POINTS`` points, and :meth:`fd_grid` applies it to the refinement.
@@ -94,7 +88,6 @@ class GridSpec:
     z_hi: float
     nx: int = 21
     nz: int = 21
-    m: int = 2
     fd_h: float | None = None  # None: reconstruction uses the grid spacing
 
     def __post_init__(self):
@@ -236,7 +229,7 @@ def admissible_grid(bundle: FieldBundle, grid: GridSpec):
 
 
 class GridEval:
-    """A bundle's admissible grid points and their field jets, shared by the grid checks.
+    """A bundle's admissible grid points and their order-2 field jets, shared by the grid checks.
 
     Nothing is evaluated until a check first reads ``points`` or ``fields``;
     then the points come from one :func:`admissible_grid` call and the jets
@@ -254,8 +247,8 @@ class GridEval:
 
     @cached_property
     def fields(self) -> dict:
-        """Jets of order ``max(2, grid.m)`` at ``points``."""
-        return self.bundle.fields_fn(*self.points, max(2, self.grid.m))
+        """Order-2 jets at ``points``: no check reads a partial above order 2."""
+        return self.bundle.fields_fn(*self.points, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +597,7 @@ def richardson_ratio(bundle: FieldBundle, grid: GridSpec, tol: float) -> tuple[f
     The finer grid is capped at ``MAX_POINTS`` before either grid is evaluated.
     """
     fine_grid = GridSpec(grid.x_lo, grid.x_hi, grid.z_lo, grid.z_hi,
-                         nx=2 * grid.nx - 1, nz=2 * grid.nz - 1, m=grid.m).capped(
+                         nx=2 * grid.nx - 1, nz=2 * grid.nz - 1).capped(
         f"richardson_ratio halves the step of the {grid.nx}x{grid.nz} grid to")
     coarse = reconstruct_u(GridEval(bundle, grid), tol)
     fine = reconstruct_u(GridEval(bundle, fine_grid), tol)

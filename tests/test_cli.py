@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mongesol import cli, verifier
-from mongesol.cli import RunConfig, _csv_blocks, _parse_grid, _pin_malloc_thresholds, main
+from mongesol.cli import RunConfig, _csv_blocks, _pin_malloc_thresholds, main
 from mongesol.errors import ConfigError
 from mongesol.families import (
     FAMILY_TAGS,
@@ -28,7 +28,7 @@ from mongesol.families import (
     canonical_config,
     family_to_dict,
 )
-from mongesol.verifier import DEFAULT_TOLERANCES, MAX_ORDER, MAX_POINTS, admissible_grid
+from mongesol.verifier import DEFAULT_TOLERANCES, MAX_POINTS, admissible_grid
 
 
 def _write(tmp_path, name, obj):
@@ -95,7 +95,7 @@ def _fields_csv_by_row(config_path) -> bytes:
     bundle = config.bundle()
     grid = config.grid_spec(bundle)
     x, z = admissible_grid(bundle, grid)
-    fl = bundle.fields_fn(x, z, max(2, grid.m))
+    fl = bundle.fields_fn(x, z, 2)
     names = [f"a{j}" for j in range(bundle.n)] + ["W", "f"]
     values = {name: np.asarray(fl[name].value) for name in names}
     complex_cols = any(
@@ -126,17 +126,13 @@ _COMPLEX_TRIVIAL = {"family": "trivial", "n": 2, "terms": [  # complex weights: 
 @pytest.mark.parametrize("family", [family_to_dict(canonical_config(t)) for t in FAMILY_TAGS]
                          + [_COMPLEX_TRIVIAL], ids=list(FAMILY_TAGS) + ["trivial_complex"])
 def test_construct_fields_csv_bytes_equal_the_row_writer(family, tmp_path):
-    # the row writer reads order-max(2, m) jets, construct order-1 ones: the
-    # values, and so the bytes, must not depend on the jet order grid.m
-    texts = set()
-    for m in (2, 3, 4):
-        cfg = _write(tmp_path, f"c{m}.json", {"family": family, "grid": {"nx": 21, "nz": 21, "m": m}})
-        out = tmp_path / f"out{m}"
-        assert main(["construct", "--config", cfg, "--out", str(out)]) == 0
-        text = (out / "fields.csv").read_bytes()
-        assert text == _fields_csv_by_row(cfg), m
-        texts.add(text)
-    assert len(texts) == 1
+    # the row writer reads order-2 jets, construct order-1 ones: the values,
+    # and so the bytes, must not depend on the jet order
+    cfg = _write(tmp_path, "c.json", {"family": family, "grid": {"nx": 21, "nz": 21}})
+    out = tmp_path / "out"
+    assert main(["construct", "--config", cfg, "--out", str(out)]) == 0
+    text = (out / "fields.csv").read_bytes()
+    assert text == _fields_csv_by_row(cfg)
     if family is _COMPLEX_TRIVIAL:
         assert b"a0_re,a0_im" in text.split(b"\r\n")[0]
 
@@ -404,9 +400,15 @@ def test_sweep_coarse_grid_quadrature_passes(tmp_path):
     assert len(quad) == 1 and quad[0][5] == "true"
 
 
-def test_sweep_unknown_parameter_exits_2(sigma_cfg, tmp_path):
-    assert main(["sweep", "--config", sigma_cfg, "--param", "Q",
+@pytest.mark.parametrize("param", ["Q", "family", "nu", "rect"])
+def test_sweep_unknown_parameter_exits_2(sigma_cfg, tmp_path, capsys, param):
+    # a field that is not a number (the tag, nu, rect) is no parameter to sweep
+    assert main(["sweep", "--config", sigma_cfg, "--param", param,
                  "--values", "1", "--out", str(tmp_path / "oq")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert f"no numeric parameter {param!r}" in err and "['A', 'k', 'd1', 'd2']" in err
+    assert not (tmp_path / "oq").exists()
 
 
 def test_sweep_empty_values_exits_2(sigma_cfg, tmp_path):
@@ -506,8 +508,11 @@ _SIGMA = {"family": "m3_sigma_const", "nu": [1, 2], "A": 1.0, "k": 1.0}
     {"family": {"family": "trivial", "n": 2.5, "terms": [[1.0, [0, 0, 1.0]], [-1.0, [0, 0, 1.0]]]}},
     {"seed": True},
     {"family": {"family": "m3_hodograph_example", "beta": math.inf}},
-    {"grid": {"nx": 21, "nz": 21, "m": MAX_ORDER + 1}},
+    {"grid": {"nx": 21, "nz": 21, "m": 9}},
     {"grid": {"nx": 21, "nz": 21, "m": 1000000}},
+    {"grid": {"nx": 21, "nz": 21, "m": 2}},
+    {"family": {**family_to_dict(canonical_config("m3_l1_const")), "dtilde_mode": "nu1_plus_nu2"}},
+    {"family": {**family_to_dict(canonical_config("m3_general_e0")), "c": 2.0}},
     {"family": {"family": "trivial", "n": MAX_DEGREE + 1, "terms": [[1.0, [0, 0, 1.0]]]}},
     {"family": {"family": "trivial", "n": 1000000, "terms": [[1.0, [0, 0, 1.0]]]}},
     {"family": {"family": "mn_theta_const", "n": 1000000, "nu": [1, 2]}},
@@ -525,7 +530,8 @@ _SIGMA = {"family": "m3_sigma_const", "nu": [1, 2], "A": 1.0, "k": 1.0}
         "probes_a_string", "grid_nx_a_string", "family_A_a_string", "family_nu_a_bool",
         "grid_nx_fractional", "probes_fractional", "seed_fractional",
         "family_degree_fractional", "seed_a_bool", "family_beta_infinite",
-        "grid_m_above_cap", "grid_m_a_million", "family_degree_above_cap",
+        "grid_m_above_cap", "grid_m_a_million", "grid_m_2", "family_l1_dtilde_mode",
+        "family_e0_c", "family_degree_above_cap",
         "family_degree_a_million", "family_n_theta_degree_a_million"])
 def test_malformed_config_field_exits_2(tmp_path, capsys, section):
     cfg = _write(tmp_path, "bad.json", {"family": _SIGMA, **section})
@@ -541,10 +547,18 @@ def test_malformed_config_field_exits_2(tmp_path, capsys, section):
             RunConfig.load(cfg)
 
 
-def test_grid_order_cap_is_inclusive():
-    assert _parse_grid({"m": MAX_ORDER})["m"] == MAX_ORDER
-    with pytest.raises(ConfigError, match=f"at most {MAX_ORDER}"):
-        _parse_grid({"m": MAX_ORDER + 1})
+@pytest.mark.parametrize("section, name", [
+    ({"grid": {"nx": 9, "nz": 9, "m": 2}}, "m"),
+    ({"family": {**family_to_dict(canonical_config("m3_l1_const")), "dtilde_mode": "nu2"}},
+     "dtilde_mode"),
+    ({"family": {**family_to_dict(canonical_config("m3_general_e0")), "c": 2.0}}, "c"),
+], ids=["grid_m", "l1_dtilde_mode", "e0_c"])
+def test_removed_config_field_is_named_unknown(tmp_path, capsys, section, name):
+    # the jet order, the D~ reading and e0's c are no longer config fields
+    cfg = _write(tmp_path, "old.json", {"family": _SIGMA, **section})
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "unknown" in err and f"[{name!r}]" in err
 
 
 def test_fd_h_cap_applies_only_when_reconstruct_refines(tmp_path, monkeypatch):
@@ -650,7 +664,6 @@ _SLOTS = ["sigma", "theta", "l1", "l2"]
 _VALID = {
     "nx": st.integers(5, 9),
     "nz": st.integers(5, 9),
-    "m": st.integers(2, 3),
     "seed": st.integers(0, 5),
     "probes": st.integers(1, 30),
     "checks": st.lists(st.sampled_from(["compat", "dependence", "wf", "eq5", "reconstruct"]),
@@ -663,7 +676,7 @@ _VALID = {
 _INVALID = {
     "nx": st.integers(-1, 4) | _junk,
     "nz": st.integers(-1, 4) | _junk,
-    "m": st.integers(-1, 1) | _junk,
+    "m": st.integers(-1, 9) | _junk,  # grid.m is no field: every value is refused
     "seed": st.integers(-5, -1) | _junk,
     "probes": st.integers(-2, 0) | _junk,
     "checks": st.just(["eq10"]) | st.just(["bogus"]) | _junk,
@@ -680,9 +693,9 @@ _GRID_KEYS = ("nx", "nz", "m")
 def _fuzz_configs(draw):
     """A run config on at most 9x9 (nx and nz always set); half have one invalid field."""
     bad = None if draw(st.booleans()) else draw(st.sampled_from(list(_INVALID)))
-    fields = {key: draw(_INVALID[key] if key == bad else valid)
-              for key, valid in _VALID.items()
-              if key in ("nx", "nz", bad) or draw(st.booleans())}
+    fields = {key: draw(_INVALID[key] if key == bad else _VALID[key])
+              for key in _INVALID
+              if key in ("nx", "nz", bad) or key in _VALID and draw(st.booleans())}
     config = {key: v for key, v in fields.items() if key not in _GRID_KEYS}
     config["grid"] = {key: v for key, v in fields.items() if key in _GRID_KEYS}
     config["family"] = _FUZZ_FAMILY
@@ -756,7 +769,7 @@ _FLAG_NUMBERS = st.sampled_from(["1", "0", "-1e3", "1e300", "2.5", "3", "nan", "
 
 def _numeric_fields(tag):
     return [f.name for f in dataclasses.fields(canonical_config(tag))
-            if f.type in ("int", "float", "float | None")]
+            if f.type in ("int", "float")]
 
 
 def _pairs(names):

@@ -227,7 +227,7 @@ def test_invalid_parameters_are_config_errors():
     with pytest.raises(ConfigError):
         GeneralNuE0Config(alpha1=1.0, alpha2=1.0)
     with pytest.raises(ConfigError):
-        GeneralNuE0Config(alpha1=1.0, alpha2=2.0, c=5.0)
+        family_from_dict({"family": "m3_general_e0", "c": 5.0})  # c = a*alpha1*alpha2 is no field
 
 
 def test_mutation_slots_validate():
@@ -261,8 +261,7 @@ def test_out_of_domain_evaluation_raises():
 @pytest.mark.parametrize("tag", FAMILY_TAGS)
 def test_order_one_jets_truncate_order_two(tag):
     # the slice Newton of w_of_f and construct read order-1 jets in place of
-    # order-2 ones, and a grid.m up to 7 must not move them: every order from
-    # 1 to 7 truncates the order-7 jets bitwise
+    # order-2 ones: every order from 1 to 7 truncates the order-7 jets bitwise
     b = make_family(canonical_config(tag))
     x, z = admissible_grid(b, GridSpec.for_bundle(b))
     top = b.fields_fn(x, z, 7)
@@ -439,8 +438,7 @@ def _coeffs(min_size):
 def _general_e0(draw):
     a, alpha1 = draw(_positive), draw(_positive)
     alpha2 = draw(_positive.filter(lambda v: v != alpha1))
-    c = draw(st.sampled_from([None, a * alpha1 * alpha2]))
-    return GeneralNuE0Config(a=a, alpha1=alpha1, alpha2=alpha2, c=c, rect=draw(_rect))
+    return GeneralNuE0Config(a=a, alpha1=alpha1, alpha2=alpha2, rect=draw(_rect))
 
 
 # valid configs of every family (a new tag needs an entry here)
@@ -453,8 +451,7 @@ CONFIGS = {
                             seed_a=_real, rect=_rect),
     "m3_sigma_const": st.builds(SigmaConstConfig, nu=_pair, A=_real, k=_real, d1=_real,
                                 d2=_real, rect=_rect),
-    "m3_l1_const": st.builds(L1ConstConfig, nu=_pair, D=_real, k=_real,
-                             dtilde_mode=st.sampled_from(["nu1_plus_nu2", "nu2"]), rect=_rect),
+    "m3_l1_const": st.builds(L1ConstConfig, nu=_pair, D=_real, k=_real, rect=_rect),
     "m3_theta_const": st.builds(ThetaConstConfig, nu=_pair, E=_real, k=_real, rect=_rect),
     "m3_hodograph_example": st.builds(HodographExampleConfig, k=_real, alpha=_real, beta=_real,
                                       rect=_rect),
@@ -478,11 +475,11 @@ def test_family_dict_roundtrip(tag, data):
     ("m1_implicit", ["F", "seed_lambda"]),
     ("degenerate", ["C", "G", "seed_a"]),
     ("m3_sigma_const", ["nu", "A", "k", "d1", "d2"]),
-    ("m3_l1_const", ["nu", "D", "k", "dtilde_mode"]),
+    ("m3_l1_const", ["nu", "D", "k"]),
     ("m3_theta_const", ["nu", "E", "k"]),
     ("m3_hodograph_example", ["k", "alpha", "beta"]),
     ("m3_general", ["g"]),
-    ("m3_general_e0", ["a", "alpha1", "alpha2", "c"]),
+    ("m3_general_e0", ["a", "alpha1", "alpha2"]),
     ("mn_theta_const", ["n", "nu", "E", "k", "c", "cbar"]),
 ])
 def test_canonical_json_key_order(tag, keys):

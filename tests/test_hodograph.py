@@ -7,9 +7,7 @@ import pytest
 from mongesol.errors import FoldError, MongesolError, QuadratureError
 from mongesol.hodograph import (
     assemble_r_integral,
-    factorization_check,
     implicit_jet,
-    invert_hodograph,
     schrodinger_solve,
     solve_implicit,
 )
@@ -53,67 +51,7 @@ def test_solve_implicit_fold_is_an_error():
         solve_implicit(f, -0.5, 1.0, seed=1.0)  # root lam = z = 1 is the fold
 
 
-# -- potential-map inversion --------------------------------------------------
-
-
-def test_invert_quadratic_potential():
-    r = lambda bj, cj: bj * bj * 0.5 + cj * cj * 0.5
-    b, c = invert_hodograph(r, x=0.3, z=0.7, seed=(0.0, 0.0))
-    assert b == pytest.approx(0.7, abs=1e-10)
-    assert c == pytest.approx(0.3, abs=1e-10)
-
-
-def test_invert_line_potential_matches_linear_resolution():
-    # quadratic ridge functions on the slope lines reduce to a 2x2 linear system
-    nu1, nu2 = 1.0, 2.0
-
-    def r(bj, cj):
-        u1 = bj - nu1 * cj
-        u2 = bj - nu2 * cj
-        return u1 * u1 * 0.5 + u2 * u2 * 0.5
-
-    for x0, z0 in [(0.5, 0.8), (-0.2, 1.1), (1.5, -0.4)]:
-        b, c = invert_hodograph(r, x0, z0, seed=(0.1, 0.1))
-        want = (x0 + nu1 * z0) / (nu1 - nu2)  # b - nu2 c on this potential
-        assert b - nu2 * c == pytest.approx(want, abs=1e-9)
-
-
-def test_invert_derivative_relations_oracle():
-    # implicit-function derivatives of the inverse map vs the closed formulas
-    def r(bj, cj):
-        return bj * bj * 0.5 + cj * cj * 0.5 + 0.2 * (bj * bj) * cj
-
-    x0, z0 = 0.4, 0.9
-    b0, c0 = invert_hodograph(r, x0, z0, seed=(0.5, 0.5))
-    bj, cj = jet_seed(b0, c0, 2)
-    rj = r(bj, cj)
-    x_b, x_c = jet_partial(rj, 1, 1), jet_partial(rj, 0, 2)
-    z_b, z_c = jet_partial(rj, 2, 0), jet_partial(rj, 1, 1)
-    det = x_b * z_c - x_c * z_b
-
-    h = 1e-5
-    bp, _ = invert_hodograph(r, x0 + h, z0, seed=(b0, c0))
-    bm, _ = invert_hodograph(r, x0 - h, z0, seed=(b0, c0))
-    _, cp = invert_hodograph(r, x0 + h, z0, seed=(b0, c0))
-    _, cm = invert_hodograph(r, x0 - h, z0, seed=(b0, c0))
-    bzp, czp = invert_hodograph(r, x0, z0 + h, seed=(b0, c0))
-    bzm, czm = invert_hodograph(r, x0, z0 - h, seed=(b0, c0))
-
-    assert (bp - bm) / (2 * h) == pytest.approx(z_c / det, abs=1e-8)
-    assert (cp - cm) / (2 * h) == pytest.approx(-z_b / det, abs=1e-8)
-    assert (bzp - bzm) / (2 * h) == pytest.approx(-x_c / det, abs=1e-8)
-    assert (czp - czm) / (2 * h) == pytest.approx(x_b / det, abs=1e-8)
-
-
-def test_invert_singular_jacobian_is_a_fold_error():
-    r = lambda bj, cj: bj * bj * 0.5  # no c-dependence anywhere
-    with pytest.raises(FoldError):
-        invert_hodograph(r, x=0.3, z=0.7, seed=(0.1, 0.1))
-
-
-def test_factorization_check_values():
-    assert factorization_check(3.0, -2.0, 1.0, 2.0) == (0.0, 0.0)
-    assert factorization_check(0.0, 0.0, 1.0, 2.0) == (3.0, 2.0)
+# -- slope matching -----------------------------------------------------------
 
 
 def test_factorization_through_slope_construction():
@@ -147,9 +85,9 @@ def test_factorization_through_slope_construction():
     det = b_n1 * c_n2 - b_n2 * c_n1
     w_b = (w_n1 * c_n2 - w_n2 * c_n1) / det
     w_c = (b_n1 * w_n2 - b_n2 * w_n1) / det
-    r1, r2 = factorization_check(w_b, w_c, n1, n2)
-    assert np.max(np.abs(r1)) <= 1e-8
-    assert np.max(np.abs(r2)) <= 1e-8
+    # the slopes are the roots of s^2 - W_b s - W_c: nu1 + nu2 = W_b, nu1 nu2 = -W_c
+    assert np.max(np.abs(n1 + n2 - w_b)) <= 1e-8
+    assert np.max(np.abs(n1 * n2 + w_c)) <= 1e-8
 
 
 # -- separable modes ----------------------------------------------------------
