@@ -10,7 +10,10 @@ stdout, its stderr and the name and bytes of every file it wrote
 - verify at 21x21 with each mutation slot scaled by 1.1;
 - one five-value sweep per family with a numeric parameter, at 21x21;
 - a reconstruct with ``fd_h = 0.01`` per family;
-- construct and verify of a ``trivial`` family with complex fields.
+- construct and verify of a ``trivial`` family with complex fields;
+- verify of every family at 81x81 with its default checks, which read no
+  second partial (appended after the jobs above, so their lines keep their
+  order).
 
 The jobs keep the ``:m2`` suffix of their names from when the matrix also
 ran at jet order 4, so lines stay comparable across commits.
@@ -102,6 +105,9 @@ def jobs():
     cfg = {"family": COMPLEX_TRIVIAL, "grid": {"nx": 21, "nz": 21}}
     for cmd in ("construct", "verify"):
         yield f"{cmd}:trivial_complex:m2", cfg, (cmd,)
+    for tag in FAMILY_TAGS:
+        family = family_to_dict(canonical_config(tag))
+        yield f"verify:{tag}:81:default", {"family": family, "grid": {"nx": 81, "nz": 81}}, ("verify",)
 
 
 def run_job(name: str, config: dict, args: tuple) -> tuple[int, str]:

@@ -277,7 +277,7 @@ def cmd_construct(config: RunConfig, out_dir: Path) -> int:
     bundle = config.bundle()
     grid = config.grid_spec(bundle)
     x, z = admissible_grid(bundle, grid)
-    fl = bundle.fields_fn(x, z, 1)  # values only; the points are admitted already
+    fl = bundle.fields_fn(x, z, 0)  # order 0: values only; the points are admitted already
     names = [f"a{j}" for j in range(bundle.n)] + ["W", "f"]
     values = {name: np.asarray(fl[name].value) for name in names}
     complex_cols = any(

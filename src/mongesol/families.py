@@ -124,11 +124,14 @@ class FieldBundle:
     Builders fill in everything up to ``w_value_fn``; :func:`make_family`
     stamps ``family``, ``config`` and ``mutations`` on the bundle it returns.
     ``fields_fn(x, z, m)`` returns a ``Mapping``, not necessarily a dict, from
-    ``a0 .. a{n-1}``, ``W`` and ``f`` to their order-``m`` jets; an entry may
-    be built only when it is first read (see :class:`_Fields`).
-    ``derivative_forms(x, z)`` takes broadcastable ``x`` and ``z``, as the
-    domain predicates do, and may return a form of the shape of either (an
-    x-only form on an (nx, 1, 1) column of x runs on nx values only).
+    ``a0 .. a{n-1}``, ``W`` and ``f`` to their order-``m`` jets, for any
+    ``m >= 0`` (order 0: values only); an entry may be built only when it is
+    first read (see :class:`_Fields`).  ``derivative_forms(x, z)`` returns a
+    ``Mapping`` from ``f_x``, ``f_z``, ``W_x``, ``W_z`` to arrays whose
+    entries, too, may be built on first read.  It takes broadcastable ``x``
+    and ``z``, as the domain predicates do, and may return a form of the
+    shape of either (an x-only form on an (nx, 1, 1) column of x runs on nx
+    values only).
     """
 
     n: int
@@ -140,7 +143,7 @@ class FieldBundle:
     quadruple: Quadruple | None = None
     general_quadruple: GeneralQuadruple | None = None
     wf_residual: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    derivative_forms: Callable[[np.ndarray, np.ndarray], dict] | None = None
+    derivative_forms: Callable[[np.ndarray, np.ndarray], Mapping[str, np.ndarray]] | None = None
     wprime_fn: Callable[[np.ndarray, np.ndarray, dict], np.ndarray] | None = None
     w_value_fn: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None
     family: str = ""
@@ -206,12 +209,14 @@ class FieldBundle:
 
 
 class _Fields(Mapping):
-    """What a ``fields_fn`` returns: field name -> jet.
+    """What a ``fields_fn`` returns (field name -> jet) or a ``derivative_forms``
+    (form name -> array).
 
     An entry given as a zero-argument callable is built on its first read and
     kept, so a reader of ``f`` and ``W`` alone (the ``w_of_f`` slide) never
-    pays for the chain fields.  A jet's value does not depend on when it is
-    built, so laziness moves no bit.
+    pays for the chain fields, nor a column of the quadrature cross-check for
+    the x-forms.  An entry's value does not depend on when it is built, so
+    laziness moves no bit.
     """
 
     def __init__(self, **entries):
@@ -279,7 +284,9 @@ class _Primitive:
 
     def __call__(self, a: Jet2) -> tuple[Jet2, ...]:
         base = self.value(a.value)
-        t = Jet2.constant(a.value, 0) if a.m == 1 else jet_seed(a.value, 0.0, a.m - 1)[0]
+        if a.m == 0:  # + 0.0 as compose_series's +0 start: a -0 value becomes +0
+            return tuple(Jet2.constant(b + 0.0, 0) for b in base)
+        t = jet_seed(a.value, 0.0, a.m - 1)[0]
         return tuple(compose_series([b] + [g.c[k, 0] / (k + 1) for k in range(a.m)], a)
                      for b, g in zip(base, self.integrand(t)))
 
@@ -655,12 +662,12 @@ def _line_fields(q: Quadruple, l1: JetFunc, l2: JetFunc, theta: JetFunc, sigma: 
 def _line_derivative_forms(q: Quadruple):
     def forms(x, z):
         s, t, p, qd = q.values(x, z)
-        return {
-            "f_x": q.nu.combine(q.n - 1, p, qd),
-            "f_z": q.nu.combine(q.n, p, qd) + t,
-            "W_x": q.nu.combine(-1, p, qd) + s,
-            "W_z": q.nu.combine(0, p, qd),
-        }
+        return _Fields(
+            f_x=lambda: q.nu.combine(q.n - 1, p, qd),
+            f_z=lambda: q.nu.combine(q.n, p, qd) + t,
+            W_x=lambda: q.nu.combine(-1, p, qd) + s,
+            W_z=lambda: q.nu.combine(0, p, qd),
+        )
 
     return forms
 
@@ -1071,13 +1078,17 @@ def _slope_root_bundle(cfg, scales, roots: tuple[_SlopeRoot, ...], root_jets, cp
         x, z = np.asarray(x, dtype=float), np.asarray(z, dtype=float)
         s = [root.seed(x, z) for root in roots]
         p = [cp(si) / root.denom(x, z) for root, cp, si in zip(roots, cprimes, s)]
-        f_z = _total(si ** 3 * pi for si, pi in zip(s, p))
-        return {
-            "f_x": _total(si ** 2 * pi for si, pi in zip(s, p)),
-            "f_z": f_z if theta is None else f_z + theta_z(z),
-            "W_x": _total(pi / si for si, pi in zip(s, p)) + sigma_x(x),
-            "W_z": _total(p),
-        }
+
+        def f_z():
+            total = _total(si ** 3 * pi for si, pi in zip(s, p))
+            return total if theta is None else total + theta_z(z)
+
+        return _Fields(
+            f_x=lambda: _total(si ** 2 * pi for si, pi in zip(s, p)),
+            f_z=f_z,
+            W_x=lambda: _total(pi / si for si, pi in zip(s, p)) + sigma_x(x),
+            W_z=lambda: _total(p),
+        )
 
     return FieldBundle(n=3, fields_fn=fields, general_quadruple=general, derivative_forms=forms,
                        **bundle_kw)

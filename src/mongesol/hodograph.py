@@ -94,7 +94,7 @@ def implicit_jet(f: Callable[[Jet2], Jet2], xj: Jet2, zj: Jet2, lam0) -> Jet2:
 
     ``lam0`` are the already-solved values at the base points.  Newton in the
     jet algebra doubles the correct nilpotent order each pass, so ``p``
-    passes from a value are exact to order ``2**p - 1``.  Orders 1 to 7 take
+    passes from a value are exact to order ``2**p - 1``.  Orders 0 to 7 take
     the same three passes, so their common coefficients agree bitwise.
     """
     m = xj.m

@@ -183,13 +183,15 @@ def jet_seed(x0, z0, m: int) -> tuple[Jet2, Jet2]:
 
     The x-jet carries ``c[0,0] = x0, c[1,0] = 1``; the z-jet analogously.
     ``x0`` and ``z0`` may be arrays of matching (broadcastable) shape.
+    At ``m = 0`` both are constant jets with no seed planes: values only.
     """
-    if m < 1:
-        raise ValueError("jet order must be at least 1")
+    if m < 0:
+        raise ValueError("jet order must be at least 0")
     xj = Jet2.constant(x0, m)
-    xj.c[1, 0] = 1
     zj = Jet2.constant(z0, m)
-    zj.c[0, 1] = 1
+    if m:
+        xj.c[1, 0] = 1
+        zj.c[0, 1] = 1
     return xj, zj
 
 

@@ -229,16 +229,21 @@ def admissible_grid(bundle: FieldBundle, grid: GridSpec):
 
 
 class GridEval:
-    """A bundle's admissible grid points and their order-2 field jets, shared by the grid checks.
+    """A bundle's admissible grid points and their field jets, shared by the grid checks.
 
     Nothing is evaluated until a check first reads ``points`` or ``fields``;
     then the points come from one :func:`admissible_grid` call and the jets
-    from one ``fields_fn`` call, however many checks read them.
+    from one ``fields_fn`` call, however many checks read them.  ``order``
+    is the jet order: 2 where reconstruct reads the grid (second partials),
+    1 where the checks read values and first partials only.  A coefficient
+    of order k depends on those of order <= k only, so the coefficients both
+    orders carry are the same bits.
     """
 
-    def __init__(self, bundle: FieldBundle, grid: GridSpec):
+    def __init__(self, bundle: FieldBundle, grid: GridSpec, order: int = 2):
         self.bundle = bundle
         self.grid = grid
+        self.order = order
 
     @cached_property
     def points(self) -> tuple[np.ndarray, np.ndarray]:
@@ -247,8 +252,8 @@ class GridEval:
 
     @cached_property
     def fields(self) -> dict:
-        """Order-2 jets at ``points``: no check reads a partial above order 2."""
-        return self.bundle.fields_fn(*self.points, 2)
+        """Jets of order ``order`` at ``points``."""
+        return self.bundle.fields_fn(*self.points, self.order)
 
 
 # ---------------------------------------------------------------------------
@@ -409,15 +414,16 @@ def _line_quadrature(bundle, x, z, nodes, refine, k0, keys):
     okf = bundle.domain.mask(x, z)
     with np.errstate(all="ignore"):
         forms = bundle.derivative_forms(x, z)
+        forms = [forms[key] for key in keys]  # each built on its first read
     h = np.diff(nodes) / refine
     w = np.ones(refine + 1)  # Simpson weights
     w[1:-1:2], w[2:-1:2] = 4.0, 2.0
     w /= 3.0
     sums = []
-    for key in keys:
+    for form in forms:
         # off-domain cells only feed paths that get filtered out; keep them from
         # poisoning the cumulative sums with non-finite values
-        cells = np.cumsum(np.sum(np.where(okf, forms[key], 0.0) * w, axis=-1) * h, axis=-1)
+        cells = np.cumsum(np.sum(np.where(okf, form, 0.0) * w, axis=-1) * h, axis=-1)
         c = np.concatenate([np.zeros(cells.shape[:-1] + (1,)), cells], axis=-1)
         sums.append(c - c[..., k0:k0 + 1])
     cell_ok = np.all(okf, axis=-1)
@@ -483,15 +489,15 @@ def reconstruct_u(ev: GridEval, tol: float, path_tol: float = 1e-6) -> CheckResu
     U in each direction and pushes the z-result through the family's top map,
     so the check is independent of the jets used to build the fields.  The
     finite-difference truncation budget C*h^2 is added to the tolerance and
-    recorded.  The jets are those of ``ev``, or with ``fd_h`` those of a
-    :class:`GridEval` of the refined grid.
+    recorded.  The jets are those of ``ev``, which must be of order 2, or
+    with ``fd_h`` those of an order-2 :class:`GridEval` of the refined grid.
     """
     bundle = ev.bundle
     n = bundle.n
     if n > 4:
         raise ConfigError("reconstruction supports degree n <= 4 (stencil table)")
     if ev.grid.fd_h is not None:
-        ev = GridEval(bundle, ev.grid.fd_grid())
+        ev = GridEval(bundle, ev.grid.fd_grid(), 2)
     grid = ev.grid
     try:
         full = ev.points[0].size == grid.nx * grid.nz
@@ -599,8 +605,8 @@ def richardson_ratio(bundle: FieldBundle, grid: GridSpec, tol: float) -> tuple[f
     fine_grid = GridSpec(grid.x_lo, grid.x_hi, grid.z_lo, grid.z_hi,
                          nx=2 * grid.nx - 1, nz=2 * grid.nz - 1).capped(
         f"richardson_ratio halves the step of the {grid.nx}x{grid.nz} grid to")
-    coarse = reconstruct_u(GridEval(bundle, grid), tol)
-    fine = reconstruct_u(GridEval(bundle, fine_grid), tol)
+    coarse = reconstruct_u(GridEval(bundle, grid, 2), tol)
+    fine = reconstruct_u(GridEval(bundle, fine_grid, 2), tol)
     denom = fine.max_abs if fine.max_abs > 0 else 1e-300
     return coarse.max_abs / denom, coarse, fine
 
@@ -641,7 +647,8 @@ def run_suite(
         grid.fd_grid()  # an fd_h refinement above the cap fails before any check runs
 
     rng = np.random.default_rng(seed)
-    ev = GridEval(bundle, grid)
+    # second partials only where reconstruct reads this grid, not its fd_h refinement
+    ev = GridEval(bundle, grid, 2 if "reconstruct" in checks and grid.fd_h is None else 1)
     results: dict[str, CheckResult] = {}
     for name in checks:
         if name == "compat":

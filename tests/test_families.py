@@ -274,6 +274,34 @@ def test_order_one_jets_truncate_order_two(tag):
                     assert np.array_equal(lo[name].c[i, j], top[name].c[i, j]), (m, name, i, j)
 
 
+# the complex trivial family of scripts/output_digests.py: quartics along 1 and exp(2 pi i / 3)
+_COMPLEX_TRIVIAL = {"family": "trivial", "n": 3, "terms": [
+    [1.0, [0, 0, 0, 0, 1.0]], [[-0.5, 0.8660254037844386], [0, 0, 0, 0, 1.0]]]}
+
+
+def _bytes(a):
+    a = np.asarray(a)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+@pytest.mark.parametrize("tag", FAMILY_TAGS + ("trivial_complex",))
+@pytest.mark.parametrize("n", [21, 81])
+def test_lower_orders_are_the_order_two_bytes(tag, n):
+    # a verify without reconstruct reads order-1 jets and construct reads
+    # order-0 values where both read order 2 before: byte for byte, so a
+    # signed zero counts
+    cfg = family_from_dict(_COMPLEX_TRIVIAL) if tag == "trivial_complex" else canonical_config(tag)
+    b = make_family(cfg)
+    x, z = admissible_grid(b, GridSpec.for_bundle(b, nx=n, nz=n))
+    two, one, zero = (b.fields_fn(x, z, m) for m in (2, 1, 0))
+    assert list(zero) == list(one) == list(two)
+    for name in two:
+        assert (zero[name].m, one[name].m, two[name].m) == (0, 1, 2)
+        for i, j in ((0, 0), (1, 0), (0, 1)):
+            assert _bytes(one[name].c[i, j]) == _bytes(two[name].c[i, j]), (name, i, j)
+        assert _bytes(zero[name].value) == _bytes(one[name].value), name
+
+
 @pytest.mark.parametrize("tag", ["m3_general", "m3_general_e0", "m3_hodograph_example"])
 def test_w_of_f_builds_no_primitive(tag, monkeypatch):
     # the slide reads f and W only; the Gauss-summed chain fields a1, a2 stay unbuilt

@@ -27,8 +27,12 @@ def test_seed_origin_minimal_order():
     xj, zj = jet_seed(0.0, 0.0, 1)
     assert xj.value == 0.0 and zj.value == 0.0
     assert xj.c[1, 0] == 1.0 and zj.c[0, 1] == 1.0
+    # order 0: constant jets, values only
+    xj, zj = jet_seed(np.array([0.5, -1.0]), 2.0, 0)
+    assert xj.m == zj.m == 0 and xj.c.shape == (1, 1, 2) and zj.c.shape == (1, 1)
+    assert xj.value.tolist() == [0.5, -1.0] and zj.value == 2.0
     with pytest.raises(ValueError):
-        jet_seed(0.0, 0.0, 0)
+        jet_seed(0.0, 0.0, -1)
 
 
 def test_seed_sum_linearity():

@@ -1,5 +1,7 @@
+import functools
 import json
 import math
+import operator
 import tracemalloc
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mongesol import verifier
+from mongesol import families, verifier
 from mongesol.errors import ConfigError, DomainError
 from mongesol.families import (
     FAMILY_TAGS,
@@ -165,7 +167,12 @@ def test_run_suite_evaluates_the_grid_once():
     run_suite(b, grid, ["eq5"])
     assert calls == []
     run_suite(b, grid, ["compat", "dependence", "wf", "eq5"])
-    assert calls == [2]
+    assert calls == [1]  # no check reads a second partial
+    calls.clear()
+    run_suite(b, grid, ["compat", "dependence", "wf", "eq5", "reconstruct"])
+    # reconstruct reads the grid's second partials; then the W(f) slide
+    # evaluates its own Newton iterates at order 1
+    assert calls[0] == 2 and calls[1:] == [1] * (len(calls) - 1)
 
 
 def test_reconstruct_alone_needs_a_fully_admissible_rectangle():
@@ -318,6 +325,62 @@ def test_broadcast_column_forms_are_bitwise_materialized(tag, n):
                 assert g.shape == w.shape and g.dtype == w.dtype
                 assert g.tobytes() == w.tobytes(), (i0, j0)
     assert edges > 0
+
+
+def _eager_forms(tag, b, x, z):
+    """The four derivative forms as one dict, each by its formula on arrays."""
+    x, z = np.asarray(x, dtype=float), np.asarray(z, dtype=float)
+    q = b.quadruple
+    if q is not None:
+        s, t, p, qd = q.values(x, z)
+        return {"f_x": q.nu.combine(q.n - 1, p, qd), "f_z": q.nu.combine(q.n, p, qd) + t,
+                "W_x": q.nu.combine(-1, p, qd) + s, "W_z": q.nu.combine(0, p, qd)}
+    g = b.general_quadruple
+    if tag == "m3_hodograph_example":  # one slope root, -x/z, beside the constant slope 1
+        branches, denoms = [g.branch2], [lambda x, z: -z]
+    else:
+        branches, denoms = [g.branch1, g.branch2], [r.denom for r in families._QUADRATIC_ROOTS]
+    s = [br.seed(x, z) for br in branches]
+    p = [br.cprime(si) / d(x, z) for br, d, si in zip(branches, denoms, s)]
+    total = lambda terms: functools.reduce(operator.add, terms)
+    f_z = total(si ** 3 * pi for si, pi in zip(s, p))
+    return {"f_x": total(si ** 2 * pi for si, pi in zip(s, p)),
+            "f_z": f_z if tag == "m3_general_e0" else f_z + g.theta_z(z),
+            "W_x": total(pi / si for si, pi in zip(s, p)) + g.sigma_x(x),
+            "W_z": total(p)}
+
+
+@pytest.mark.parametrize("tag", _FORM_TAGS)
+def test_lazy_forms_equal_the_eager_formulas(tag):
+    # derivative_forms builds each form on its first read; read alone or after
+    # the others, on grid points or on broadcast column points, a form is the
+    # bytes of its formula
+    b = make_family(canonical_config(tag))
+    grid = GridSpec.for_bundle(b)
+    xs, zs = grid.axes()
+    for x, z in (admissible_grid(b, grid), (xs[:, None, None] + 0.0, _fine_axis(zs, 32)[None])):
+        with np.errstate(all="ignore"):  # column points off the domain
+            want = _eager_forms(tag, b, x, z)
+            together = b.derivative_forms(x, z)
+            for key in reversed(want):
+                for got in (b.derivative_forms(x, z)[key], together[key]):
+                    assert got.dtype == want[key].dtype and got.shape == want[key].shape
+                    assert got.tobytes() == want[key].tobytes(), key
+        assert sorted(together) == sorted(want)
+
+
+@pytest.mark.parametrize("tag", _FORM_TAGS)
+def test_crosscheck_builds_only_the_forms_each_line_reads(tag):
+    # the row line reads f_x and W_x, each column block f_z and W_z; the
+    # forms a line does not read are never built
+    b = make_family(canonical_config(tag))
+    made = []
+    forms = b.derivative_forms
+    b.derivative_forms = lambda x, z: made.append((np.ndim(x), forms(x, z))) or made[-1][1]
+    verifier._quadrature_crosscheck(GridEval(b, GridSpec.for_bundle(b, nx=81, nz=81), 1), 1e-6)
+    built = [(ndim, sorted(k for k, v in f._entries.items() if not callable(v)))
+             for ndim, f in made]
+    assert built == [(2, ["W_x", "f_x"])] + [(3, ["W_z", "f_z"])] * 7
 
 
 @pytest.mark.parametrize("tag", _FORM_TAGS)
