@@ -151,9 +151,7 @@ class FieldBundle:
     mutations: dict = field(default_factory=dict)
 
     def eval_fields(self, x, z, m: int = 2) -> Mapping[str, Jet2]:
-        """Jets of a0..a{n-1}, W, f at the points; errors off-domain."""
-        if m < 2:
-            raise ValueError("eval_fields needs jet order m >= 2")
+        """Order-``m`` jets (any ``m >= 0``) of a0..a{n-1}, W, f at the points; errors off-domain."""
         self.domain.require(x, z)
         return self.fields_fn(np.asarray(x, dtype=float), np.asarray(z, dtype=float), m)
 
@@ -289,6 +287,25 @@ class _Primitive:
         t = jet_seed(a.value, 0.0, a.m - 1)[0]
         return tuple(compose_series([b] + [g.c[k, 0] / (k + 1) for k in range(a.m)], a)
                      for b, g in zip(base, self.integrand(t)))
+
+
+def _last_root(solve):
+    """``solve(x, z)`` keeping its last (read-only) root, keyed by the bytes of the
+    broadcast points: a mask's grid and its flat points, all admitted, share one
+    solve.  Another point set, a subset too, is solved again, since a root's bits
+    depend on the whole set (its iteration count).  A solve that raises keeps nothing."""
+    last = [None, None]  # key, root
+
+    def cached(x, z):
+        x, z = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(z, dtype=float))
+        key = (x.tobytes(), z.tobytes())
+        if key != last[0]:
+            root = np.asarray(solve(x, z))  # an array also at a single point
+            root.flags.writeable = False
+            last[:] = key, root
+        return last[1].reshape(x.shape)
+
+    return cached
 
 
 def _factors(scales: dict, *slots: str) -> list[float]:
@@ -527,8 +544,9 @@ def _build_m1(cfg: M1ImplicitConfig, scales) -> FieldBundle:
     f_fn = _poly_fn(cfg.f_coeffs)
     fp = _poly_deriv(cfg.f_coeffs)
 
+    @_last_root
     def lam_values(x, z):
-        return solve_implicit(f_fn, x, z, np.broadcast_to(cfg.seed_lambda, np.shape(x)))
+        return solve_implicit(f_fn, x, z, np.broadcast_to(cfg.seed_lambda, x.shape))
 
     def fields(x, z, m):
         xj, zj = jet_seed(x, z, m)
@@ -570,10 +588,9 @@ def _build_degenerate(cfg: DegenerateConfig, scales) -> FieldBundle:
     slope = lambda aj: jsqrt(poly_jet(cp, aj))        # C_a^{1/2}
     b_fn = _Primitive(lambda aj: (slope(aj),), ref=cfg.seed_a)  # B with B' = C_a^{1/2}
 
+    @_last_root
     def solve_a(x, z):
-        x = np.asarray(x, dtype=float)
-        z = np.asarray(z, dtype=float)
-        a = np.broadcast_to(float(cfg.seed_a), np.broadcast_shapes(x.shape, z.shape)).copy()
+        a = np.full(x.shape, float(cfg.seed_a))
         for _ in range(60):
             tj = jet_seed(a, 0.0, 1)[0]
             sj, gj = slope(tj), g_fn(tj)
@@ -594,10 +611,8 @@ def _build_degenerate(cfg: DegenerateConfig, scales) -> FieldBundle:
         xj, zj = jet_seed(x, z, m)
         aj = Jet2.constant(a0, m)
         for _ in range(max(3, m.bit_length())):  # as in hodograph.implicit_jet
-            sj = _univariate_on_jet(slope, aj)
-            gj = _univariate_on_jet(g_fn, aj)
-            sp = _univariate_on_jet(slope, aj, 1)
-            gp = _univariate_on_jet(g_fn, aj, 1)
+            sj, sp = _univariate_on_jet(slope, aj)
+            gj, gp = _univariate_on_jet(g_fn, aj)
             aj = aj - (xj + sj * zj - gj) / (sp * zj - gp)
         return aj
 
@@ -605,7 +620,7 @@ def _build_degenerate(cfg: DegenerateConfig, scales) -> FieldBundle:
         aj = a_jet(x, z, m)
         a1, = b_fn(aj)
         out = {
-            "a0": _univariate_on_jet(c_fn, aj),
+            "a0": _univariate_on_jet(c_fn, aj, derivative=False),
             "a1": a1 * s1 if s1 != 1.0 else a1,
             "W": aj,
         }
@@ -1245,9 +1260,9 @@ def _build_general_e0(cfg: GeneralNuE0Config, scales) -> FieldBundle:
     )
     return _slope_root_bundle(
         cfg, scales, _QUADRATIC_ROOTS, root_jets=_quadratic_slope_jets,
-        cprime=lambda sj: (poly_jet((a1, 0, 0, 1.0), sj) * poly_jet((a2, 0, 0, 1.0), sj)
-                           * a).recip(),
-        cprime_arr=lambda s: 1.0 / (a * (s ** 3 + a1) * (s ** 3 + a2)),
+        # C'(s) = 1 / (a (s^3 + alpha1)(s^3 + alpha2)), one cube per call
+        cprime=lambda sj: (((w := jpow(sj, 3)) + a1) * (w + a2) * a).recip(),
+        cprime_arr=lambda s: 1.0 / (a * ((w := s ** 3) + a1) * (w + a2)),
         comp2=comp2,
         comp_m1=comp_m1,
         sigma=sigma,

@@ -95,28 +95,33 @@ def implicit_jet(f: Callable[[Jet2], Jet2], xj: Jet2, zj: Jet2, lam0) -> Jet2:
     ``lam0`` are the already-solved values at the base points.  Newton in the
     jet algebra doubles the correct nilpotent order each pass, so ``p``
     passes from a value are exact to order ``2**p - 1``.  Orders 0 to 7 take
-    the same three passes, so their common coefficients agree bitwise.
+    the same three passes, so their common coefficients agree bitwise.  Each
+    pass evaluates F once, for both F(lam) and F'(lam).
     """
     m = xj.m
     lam = Jet2.constant(np.asarray(lam0), m)
     for _ in range(max(3, m.bit_length())):
-        fj = _univariate_on_jet(f, lam)
-        fpj = _univariate_on_jet(f, lam, derivative=1)
+        fj, fpj = _univariate_on_jet(f, lam)
         g = xj + lam * zj - fj
         gp = zj - fpj
         lam = lam - g / gp
     return lam
 
 
-def _univariate_on_jet(f: Callable[[Jet2], Jet2], a: Jet2, derivative: int = 0) -> Jet2:
-    """Apply a univariate jet-function to a Jet2-valued argument."""
-    tj, _ = jet_seed(a.value, 0.0, a.m + derivative)
-    fj = f(tj)
-    for _ in range(derivative):
-        fj = fj.dx()
-    # recompose: Taylor coefficients of f about a.value, Horner in (a - value)
-    tk = [fj.c[k, 0] for k in range(a.m + 1)]
-    return compose_series(tk, a)
+def _univariate_on_jet(f: Callable[[Jet2], Jet2], a: Jet2, derivative: bool = True):
+    """``(f(a), f'(a))`` for a univariate jet-function ``f`` and a jet ``a``.
+
+    One evaluation of ``f`` at order ``a.m + 1`` about ``a.value`` gives both
+    series: its coefficients of order <= ``a.m`` are an order-``a.m``
+    evaluation's bits.  ``derivative=False`` gives ``f(a)`` alone, at order ``a.m``.
+    """
+    m = a.m
+    fj = f(jet_seed(a.value, 0.0, m + derivative)[0])
+    # recompose: Taylor coefficients about a.value, Horner in (a - value)
+    value = compose_series([fj.c[k, 0] for k in range(m + 1)], a)
+    if not derivative:
+        return value
+    return value, compose_series([(k + 1) * fj.c[k + 1, 0] for k in range(m + 1)], a)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,10 @@ skipped plane never forms ``0 * inf`` or ``0 * nan``, and a zero sum is +0.
 One reduction per product finds the nonzero planes.  A real order-0 jet has
 one plane, so its product, sum with a number and reciprocal are one numpy
 operation each, with the same bits (``+= 0.0`` turns a -0 product into the
-+0 that the +0 start gives).
++0 that the +0 start gives); the product scans its left factor for all zeros
+only when the first entry is 0.  An order-0 constant is written once, with no
+zero fill, and ``compose_series`` at order 0 is that constant.  The
+reciprocal's zero test is one pass at any order.
 """
 
 from __future__ import annotations
@@ -67,7 +70,8 @@ class Jet2:
         """Jet of a field constant in x and z; ``value`` is broadcast to ``shape`` if given."""
         value = np.asarray(value)
         shape = value.shape if shape is None else shape
-        c = np.zeros((m + 1, m + 1) + shape, dtype=np.promote_types(value.dtype, np.float64))
+        alloc = np.empty if m == 0 else np.zeros  # order 0: the value is the only plane
+        c = alloc((m + 1, m + 1) + shape, dtype=np.promote_types(value.dtype, np.float64))
         c[0, 0] = value
         return cls(m, c)
 
@@ -117,7 +121,8 @@ class Jet2:
             return Jet2(self.m, self.c * np.asarray(other))
         self._check_order(other)
         m, a, b = self.m, self.c, other.c
-        if m == 0 and _real(a, b) and a.any():
+        # a nonzero first entry settles the all-zero scan without reading the rest
+        if m == 0 and _real(a, b) and a.size and (a.flat[0] or a.any()):
             out = a * b
             out += 0.0  # as the +0 start: a -0 product becomes +0
             return Jet2(0, out)
@@ -143,7 +148,7 @@ class Jet2:
     def recip(self) -> "Jet2":
         """Multiplicative inverse; the constant term must be nonzero."""
         v = self.value
-        if np.any(v == 0):
+        if not np.all(v):  # one pass, no `v == 0` temporary
             raise ZeroDivisionError("jet reciprocal of a zero field value")
         if self.m == 0 and _real(self.c):
             return Jet2(0, 1.0 / self.c)
@@ -216,9 +221,11 @@ def compose_series(tk: Sequence, a: Jet2) -> Jet2:
     """
     if len(tk) < a.m + 1:
         raise ValueError("series too short for the jet order")
+    acc = Jet2.constant(tk[a.m], a.m, a.shape)
+    if a.m == 0:  # no nilpotent part to build
+        return acc
     n = Jet2(a.m, a.c.copy())
     n.c[0, 0] = 0
-    acc = Jet2.constant(tk[a.m], a.m, a.shape)
     for k in range(a.m - 1, -1, -1):
         acc = acc * n
         _add_to_value(acc.c, tk[k])

@@ -1,4 +1,6 @@
+import contextlib
 import inspect
+import io
 import json
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mongesol.errors import ConfigError, DomainError
+from mongesol.errors import ConfigError, DomainError, FoldError
 from mongesol.families import (
     FAMILY_TAGS,
     MAX_DEGREE,
@@ -29,7 +31,7 @@ from mongesol.families import (
     _GAUSS_X,
     _Primitive,
 )
-from mongesol import families
+from mongesol import cli, families
 from mongesol.jets import jet_partial, jet_seed, jpow, jsqrt, poly_jet
 from mongesol.verifier import GridSpec, admissible_grid, sample_points
 
@@ -254,8 +256,16 @@ def test_out_of_domain_evaluation_raises():
     b = make_family(canonical_config("m3_hodograph_example"))
     with pytest.raises(DomainError):
         b.eval_fields(np.array([1.0]), np.array([1.0]), 2)  # slope -x/z < 0
+    # every order from 0 is accepted: order 1 is the order-1 truncation of order 2
+    x, z = np.array([-2.0]), np.array([1.0])
+    one, two = b.eval_fields(x, z, 1), b.eval_fields(x, z, 2)
+    assert list(one) == list(two)
+    for name in two:
+        assert one[name].m == 1
+        for i, j in ((0, 0), (1, 0), (0, 1)):
+            assert _bytes(one[name].c[i, j]) == _bytes(two[name].c[i, j]), (name, i, j)
     with pytest.raises(ValueError):
-        b.eval_fields(np.array([-2.0]), np.array([1.0]), 1)  # m >= 2 required
+        b.eval_fields(x, z, -1)  # jet_seed rejects a negative order
 
 
 @pytest.mark.parametrize("tag", FAMILY_TAGS)
@@ -300,6 +310,84 @@ def test_lower_orders_are_the_order_two_bytes(tag, n):
         for i, j in ((0, 0), (1, 0), (0, 1)):
             assert _bytes(one[name].c[i, j]) == _bytes(two[name].c[i, j]), (name, i, j)
         assert _bytes(zero[name].value) == _bytes(one[name].value), name
+
+
+def _spy_solve_implicit(monkeypatch):
+    """Record the shape of the points of every ``families.solve_implicit`` call."""
+    calls = []
+    solve = families.solve_implicit
+    monkeypatch.setattr(families, "solve_implicit",
+                        lambda f, x, z, seed: calls.append(np.shape(x)) or solve(f, x, z, seed))
+    return calls
+
+
+@pytest.mark.parametrize("command", ["construct", "verify"])
+def test_m1_solves_its_root_once_per_run(command, tmp_path, monkeypatch):
+    # the mask's two predicates and fields_fn share one Newton solve of the grid
+    calls = _spy_solve_implicit(monkeypatch)
+    cfg = tmp_path / "m1.json"
+    cfg.write_text(json.dumps({"family": family_to_dict(canonical_config("m1_implicit")),
+                               "grid": {"nx": 21, "nz": 21}}))
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert calls == [(21, 21)]
+
+
+def _root_solver(bundle):
+    """The cached root solver of an implicit family, as its first predicate calls it."""
+    pred = bundle.domain.predicates[0][1]
+    found = [v for k, v in inspect.getclosurevars(pred).nonlocals.items()
+             if k in ("lam_values", "solve_a")]
+    assert len(found) == 1
+    return found[0]
+
+
+@pytest.mark.parametrize("tag", ["m1_implicit", "degenerate"])
+def test_root_cache_is_keyed_by_the_points(tag, monkeypatch):
+    calls = _spy_solve_implicit(monkeypatch)
+    b = make_family(canonical_config(tag))
+    xs, zs = GridSpec.for_bundle(b).axes()
+    xg, zg = np.meshgrid(xs, zs, indexing="ij")
+    assert b.domain.mask(xg, zg).all()
+    solves = len(calls)
+    # the mask's grid and its flat points have the same bytes: one root for both
+    got = b.fields_fn(xg.ravel(), zg.ravel(), 1)
+    assert len(calls) == solves
+    fresh = make_family(canonical_config(tag)).fields_fn(xg.ravel(), zg.ravel(), 1)
+    for name in fresh:
+        assert _bytes(got[name].c) == _bytes(fresh[name].c), name
+    # a strict subset is solved again and gives a fresh bundle's bytes
+    sub = (slice(2, 17), slice(None, None, 2))
+    solves = len(calls)
+    got = b.fields_fn(xg[sub], zg[sub], 1)
+    if tag == "m1_implicit":
+        assert calls[solves:] == [xg[sub].shape]
+    fresh = make_family(canonical_config(tag)).fields_fn(xg[sub], zg[sub], 1)
+    for name in fresh:
+        assert _bytes(got[name].c) == _bytes(fresh[name].c), name
+    # the cached root is read-only, in every shape it is handed out in
+    solver = _root_solver(b)
+    for x, z in ((xg, zg), (xg.ravel(), zg.ravel()), (xs[:, None], zs[None, :]), (xs[3], zs[4])):
+        root = solver(x, z)
+        assert root.shape == np.broadcast_shapes(np.shape(x), np.shape(z))
+        assert not root.flags.writeable
+        with pytest.raises(ValueError):
+            root[...] = 1.0
+
+
+def test_a_failed_root_solve_is_not_cached(monkeypatch):
+    calls = _spy_solve_implicit(monkeypatch)
+    b = make_family(canonical_config("m1_implicit"))
+    solver = _root_solver(b)
+    # x + lam z = lam^3 folds at lam = 1, z = 3 (so x = -2); seeded at 1.2, Newton lands on it
+    x, z = np.array([1.0, -2.0000001]), np.array([0.5, 3.0])
+    for _ in range(2):
+        with pytest.raises(FoldError):
+            solver(x, z)
+    assert len(calls) == 2
+    good = solver(x[:1], z[:1])
+    assert len(calls) == 3 and np.isfinite(good).all()
 
 
 @pytest.mark.parametrize("tag", ["m3_general", "m3_general_e0", "m3_hodograph_example"])

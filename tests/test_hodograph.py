@@ -6,12 +6,13 @@ import pytest
 
 from mongesol.errors import FoldError, MongesolError, QuadratureError
 from mongesol.hodograph import (
+    _univariate_on_jet,
     assemble_r_integral,
     implicit_jet,
     schrodinger_solve,
     solve_implicit,
 )
-from mongesol.jets import Jet2, jet_partial, jet_seed, poly_jet
+from mongesol.jets import Jet2, compose_series, jet_partial, jet_seed, jlog, jsqrt, poly_jet
 
 
 # -- implicit scalar solve ----------------------------------------------------
@@ -49,6 +50,38 @@ def test_solve_implicit_fold_is_an_error():
     f = lambda lj: poly_jet((0.0, 0.0, 0.5), lj)
     with pytest.raises((FoldError, MongesolError)):
         solve_implicit(f, -0.5, 1.0, seed=1.0)  # root lam = z = 1 is the fold
+
+
+def _separate_evaluation(f, a, derivative):
+    """f(a) or f'(a) from its own evaluation of f: the route the pair replaced."""
+    fj = f(jet_seed(a.value, 0.0, a.m + derivative)[0])
+    for _ in range(derivative):
+        fj = fj.dx()
+    return compose_series([fj.c[k, 0] for k in range(a.m + 1)], a)
+
+
+_UNIVARIATE = {
+    "poly": lambda tj: poly_jet((0.5, -1.0, 0.25, 2.0), tj),
+    "sqrt_poly": lambda tj: jsqrt(poly_jet((1.0, 0.5, 0.25), tj)),
+    "t_log_poly": lambda tj: tj * jlog(poly_jet((0.5, 0.0, 1.0), tj)),
+}
+
+
+@pytest.mark.parametrize("m", range(4))
+@pytest.mark.parametrize("name", list(_UNIVARIATE))
+def test_univariate_pair_is_bitwise_the_two_separate_evaluations(m, name):
+    # one order-(m + 1) evaluation of f gives f(a) and f'(a) with the bits of
+    # an order-m evaluation and of a differentiated order-(m + 1) one
+    f = _UNIVARIATE[name]
+    x, z = np.meshgrid(np.linspace(0.3, 1.7, 9), np.linspace(-0.4, 0.6, 5))
+    xj, zj = jet_seed(x, z, m)
+    a = xj * xj * 0.5 + zj * 0.75 + 0.25
+    value, deriv = _univariate_on_jet(f, a)
+    alone = _univariate_on_jet(f, a, derivative=False)
+    for got, want in ((value, _separate_evaluation(f, a, 0)), (deriv, _separate_evaluation(f, a, 1)),
+                      (alone, _separate_evaluation(f, a, 0))):
+        assert got.m == want.m == m
+        assert got.c.dtype == want.c.dtype and got.c.tobytes() == want.c.tobytes()
 
 
 # -- slope matching -----------------------------------------------------------

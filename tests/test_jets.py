@@ -392,3 +392,48 @@ def test_a_complex_constant_on_a_real_jet_keeps_numpy_assignment_casting():
     with pytest.warns(np.exceptions.ComplexWarning):
         old = _old_poly_jet((1.5j, 2.0), a)
     _assert_bitwise(new, old)
+
+
+# -- order-0 fast paths: the bits of the general code --------------------------
+
+
+def _order0(values):
+    return Jet2(0, np.array(values, dtype=float)[None, None])
+
+
+@pytest.mark.parametrize("left,right", [
+    ([0.0, 1.5, -2.0, 3.0], [2.0, -0.0, np.inf, 0.5]),  # first entry 0, the others not
+    ([-0.0, 0.0, 2.0], [np.nan, 1.0, 3.0]),  # a live factor still forms 0 * nan
+    ([0.0, -0.0, 0.0], [np.inf, -np.inf, np.nan]),  # all zero: a skipped plane, +0
+    ([-1.0, 2.0, -0.0], [0.0, -0.0, 5.0]),  # -0 products become +0
+    ([-0.0], [-0.0]),
+    ([], []),  # empty: no first entry to read
+    ([], [2.0]),
+])
+def test_order_zero_product_is_bitwise_the_plane_loop(left, right):
+    a, b = _order0(left), _order0(right)
+    with np.errstate(invalid="ignore"):  # 0 * inf where a live factor forms it, as the loop does
+        got, want = a * b, _old_mul(a, b)
+    _assert_bitwise(got, want)
+    if not np.any(left):
+        assert np.array_equal(got.c, np.zeros_like(got.c)) and not np.signbit(got.c).any()
+
+
+@pytest.mark.parametrize("value", [0.0, -0.0, 0j, complex(-0.0, -0.0)])
+@pytest.mark.parametrize("m", range(3))
+def test_recip_of_a_zero_value_raises(value, m):
+    a = Jet2.constant(np.array([2.0, value, np.nan]), m)  # real for a real zero
+    with pytest.raises(ZeroDivisionError):
+        a.recip()
+    for nonzero in ([2.0, -0.5, np.nan], [2.0, 1j]):  # negative, nan or imaginary
+        b = Jet2.constant(np.array(nonzero), m)
+        _assert_bitwise(b.recip(), _old_recip(b))
+
+
+@pytest.mark.parametrize("value", [-0.0, 1.5, 2, 2.5j, [1.0, -0.0, 3.0]])
+def test_order_zero_constant_and_composition_are_the_old_bits(value):
+    for shape in (None, (3,), (2, 3)):
+        _assert_bitwise(Jet2.constant(value, 0, shape),
+                        _old_constant(np.broadcast_to(value, shape or np.shape(value)), 0))
+    a = Jet2.constant(np.array([0.5, -0.0, 2.0]), 0)
+    _assert_bitwise(compose_series([value], a), _old_compose_series([value], a))
