@@ -1044,16 +1044,17 @@ _QUADRATIC_ROOTS = (
 
 
 def _slope_root_bundle(cfg, scales, roots: tuple[_SlopeRoot, ...], root_jets, cprime: JetFunc,
-                       cprime_arr, comp2: JetFunc, comp_m1: JetFunc, sigma: JetFunc, sigma_x,
+                       cprime_arr, closed_forms, sigma: JetFunc, sigma_x,
                        theta: JetFunc | None, theta_z, **bundle_kw) -> FieldBundle:
     """Degree-3 bundle whose chain fields are sums over the slope roots ``roots``.
 
     ``root_jets(xj, zj)`` gives the roots' jets.  Along each root, scaled by
     its slot, a2, a1, a0 and W integrate s^r C'(s) for r = 0, 1, 2, -1: the
-    first two by Gauss quadrature, the last two by the closed forms ``comp2``
-    and ``comp_m1``.  ``theta=None`` adds no theta term.  One root is paired
-    with the constant slope 1, whose line function is absent.  ``bundle_kw``
-    holds the family's own fields.
+    first two by Gauss quadrature, the last two by the closed forms that
+    ``closed_forms(sj)`` returns as a pair, so that they share their powers
+    and logs of the slope jet.  ``theta=None`` adds no theta term.  One root
+    is paired with the constant slope 1, whose line function is absent.
+    ``bundle_kw`` holds the family's own fields.
     """
     sth, ssg, *sc = _factors(scales, "theta", "sigma", *(root.slot for root in roots))
     xc, zc = 0.5 * (cfg.rect[0] + cfg.rect[1]), 0.5 * (cfg.rect[2] + cfg.rect[3])
@@ -1067,7 +1068,8 @@ def _slope_root_bundle(cfg, scales, roots: tuple[_SlopeRoot, ...], root_jets, cp
     def fields(x, z, m):
         xj, zj = jet_seed(x, z, m)
         sjs = root_jets(xj, zj)
-        a0 = _total(comp2(sj) * c for sj, c in zip(sjs, sc))
+        comps = [closed_forms(sj) for sj in sjs]  # per root: (s^2, s^-1) integrals
+        a0 = _total(comp2 * c for (comp2, _), c in zip(comps, sc))
         a0 = a0 if theta is None else a0 + theta(zj) * sth
         # per slope root, the unscaled (a2, a1) pair, built on first read
         pairs = _Fields(**{root.slot: functools.partial(prim, sj)
@@ -1076,7 +1078,7 @@ def _slope_root_bundle(cfg, scales, roots: tuple[_SlopeRoot, ...], root_jets, cp
             a2=lambda: _total(pairs[root.slot][0] * c for root, c in zip(roots, sc)),
             a1=lambda: _total(pairs[root.slot][1] * c for root, c in zip(roots, sc)),
             a0=a0,
-            W=_total(comp_m1(sj) * c for sj, c in zip(sjs, sc)) + sigma(xj) * ssg,
+            W=_total(comp_m1 * c for (_, comp_m1), c in zip(comps, sc)) + sigma(xj) * ssg,
             f=a0,
         )
 
@@ -1114,12 +1116,10 @@ def _build_hodograph_example(cfg: HodographExampleConfig, scales) -> FieldBundle
     if k == 0 or al == 0:
         raise ConfigError("m3_hodograph_example requires nonzero k and alpha")
 
-    def comp2(nuj):  # integral of s^2 C'(s), closed form
-        return (1.0 / (3 * k)) * jlog(jpow(nuj, 3) * k + al)
-
-    def comp_m1(nuj):  # integral of s^-1 C'(s), closed form
+    def closed_forms(nuj):  # integrals of s^2 C'(s) and s^-1 C'(s), one cube
         nu3 = jpow(nuj, 3)
-        return (1.0 / (3 * al)) * (jlog(nu3) - jlog(nu3 * k + al))
+        bottom = jlog(nu3 * k + al)
+        return (1.0 / (3 * k)) * bottom, (1.0 / (3 * al)) * (jlog(nu3) - bottom)
 
     def theta(zj):
         return (-1.0 / (3 * k)) * jlog(jpow(zj, -3) * k + be)
@@ -1149,8 +1149,7 @@ def _build_hodograph_example(cfg: HodographExampleConfig, scales) -> FieldBundle
         root_jets=lambda xj, zj: (-xj / zj,),
         cprime=lambda sj: (poly_jet((al, 0.0, 0.0, k), sj)).recip(),   # 1/(k s^3 + alpha)
         cprime_arr=lambda s: 1.0 / (k * s ** 3 + al),
-        comp2=comp2,
-        comp_m1=comp_m1,
+        closed_forms=closed_forms,
         sigma=sigma,
         sigma_x=lambda x: -x ** -4.0 / (al * x ** -3.0 + be),  # called on float arrays
         theta=theta,
@@ -1170,12 +1169,10 @@ def _build_general(cfg: GeneralNuConfig, scales) -> FieldBundle:
     else:
         h = math.sqrt(-g)
 
-    def comp2(nuj):  # integral of s^2 C'(s): -s - (h/2) log((s-h)/(s+h))
-        return -nuj - (h / 2) * jlog((nuj - h) / (nuj + h))
-
-    def comp_m1(nuj):  # integral of s^-1 C'(s)
+    def closed_forms(nuj):  # integrals of s^2 C'(s), -s - (h/2) log((s-h)/(s+h)), and s^-1 C'(s)
         n2j = nuj * nuj
-        return (-1.0 / (2 * g)) * (jlog(n2j) - jlog(n2j + g))
+        return (-nuj - (h / 2) * jlog((nuj - h) / (nuj + h)),
+                (-1.0 / (2 * g)) * (jlog(n2j) - jlog(n2j + g)))
 
     def sigma(xj):
         return (1.0 / g) * (jlog(xj) - jlog(xj + g))
@@ -1202,8 +1199,7 @@ def _build_general(cfg: GeneralNuConfig, scales) -> FieldBundle:
         cfg, scales, _QUADRATIC_ROOTS, root_jets=_quadratic_slope_jets,
         cprime=lambda sj: -(sj * sj + g).recip(),
         cprime_arr=lambda s: -1.0 / (s * s + g),
-        comp2=comp2,
-        comp_m1=comp_m1,
+        closed_forms=closed_forms,
         sigma=sigma,
         sigma_x=lambda x: 1.0 / (np.asarray(x, dtype=float) * (np.asarray(x, dtype=float) + g)),
         theta=lambda zj: zj * 1.0,
@@ -1221,17 +1217,14 @@ def _build_general_e0(cfg: GeneralNuE0Config, scales) -> FieldBundle:
     a1, a2 = sorted((float(cfg.alpha1), float(cfg.alpha2)))
     c = a * a1 * a2
 
-    def comp2(nuj):  # integral of s^2 C'(s), closed form in w = s^3
+    def closed_forms(nuj):  # integrals of s^2 C'(s) and s^-1 C'(s), in w = s^3: one cube
         wj = jpow(nuj, 3)
-        return (1.0 / (3 * a * (a2 - a1))) * (jlog(wj + a1) - jlog(wj + a2))
-
-    def comp_m1(nuj):  # integral of s^-1 C'(s), partial fractions in w = s^3
-        wj = jpow(nuj, 3)
-        return (1.0 / (3 * a)) * (
-            jlog(wj) * (1.0 / (a1 * a2))
-            - jlog(wj + a1) * (1.0 / (a1 * (a2 - a1)))
-            + jlog(wj + a2) * (1.0 / (a2 * (a2 - a1)))
-        )
+        log1, log2 = jlog(wj + a1), jlog(wj + a2)
+        return ((1.0 / (3 * a * (a2 - a1))) * (log1 - log2),
+                (1.0 / (3 * a)) * (  # partial fractions
+                    jlog(wj) * (1.0 / (a1 * a2))
+                    - log1 * (1.0 / (a1 * (a2 - a1)))
+                    + log2 * (1.0 / (a2 * (a2 - a1)))))
 
     def sigma(xj):
         return (1.0 / (3 * c)) * jlog(jpow(xj, -3) * c + a)
@@ -1263,8 +1256,7 @@ def _build_general_e0(cfg: GeneralNuE0Config, scales) -> FieldBundle:
         # C'(s) = 1 / (a (s^3 + alpha1)(s^3 + alpha2)), one cube per call
         cprime=lambda sj: (((w := jpow(sj, 3)) + a1) * (w + a2) * a).recip(),
         cprime_arr=lambda s: 1.0 / (a * ((w := s ** 3) + a1) * (w + a2)),
-        comp2=comp2,
-        comp_m1=comp_m1,
+        closed_forms=closed_forms,
         sigma=sigma,
         sigma_x=lambda x: -1.0 / (np.asarray(x, dtype=float)
                                   * (a * np.asarray(x, dtype=float) ** 3 + c)),

@@ -5,11 +5,11 @@ the quasilinear system becomes linear and is resolved by one potential
 ``R(b, c)`` with ``x = R_c``, ``z = R_b``.  This module provides:
 
 * ``schrodinger_solve`` - the zero-energy second-order ODE for the separable
-  ansatz, integrated with a fixed-step classical 4th-order scheme,
-  vectorized over the separation constant ``k``: one pass advances every
-  node, the profile is sampled once, each stage is one product of the
-  reversed state with a precomputed ``(1, v)`` factor, and the solutions
-  have shape ``np.shape(k) + (steps + 1,)``;
+  ansatz, integrated with a fixed-step classical 4th-order scheme over an
+  array of separation constants ``k``: the profile is sampled once, a few
+  nodes step on Python floats and more advance together in one array
+  state (the same bits either way), and the solutions have shape
+  ``np.shape(k) + (steps + 1,)``;
 * ``assemble_r_integral`` - superposition of separable modes (one batched
   solve per call, node doubling included) with an independent
   finite-difference residual check;
@@ -40,6 +40,11 @@ __all__ = [
 
 _IMPLICIT_TOL, _IMPLICIT_MAX_ITER, _FOLD_TOL = 1e-12, 60, 1e-8  # solve_implicit's Newton
 _DOUBLING_TOL = 1e-6  # assemble_r_integral: largest relative change of R on node doubling
+# schrodinger_solve: most nodes for the scalar kernel.  Per RK4 step, the scalar
+# kernel takes about 0.72 us per node and the array kernel 8.6-10 us for 1 to
+# 25 nodes (1000 and 2000 steps; 2-core x86-64, Python 3.11, numpy 2.4): they
+# tie at about 13 nodes.
+_SCALAR_MAX_NODES = 12
 
 
 # ---------------------------------------------------------------------------
@@ -163,21 +168,29 @@ def schrodinger_solve(
     """Integrate ``w'' = k^2 W_c(c) w`` from initial data (1,0) and (0,1).
 
     Fixed-step classical 4th-order integrator; step count is the accuracy
-    knob (no adaptivity).  Vectorizes over ``k``: all nodes advance in one
-    ``(2, 2, K)`` state, and the solution arrays have shape
-    ``np.shape(k) + (steps + 1,)`` (views of one state history).  The profile
-    is called once per solve, on the stage points ``c``, ``c + h/2`` and
-    ``c + h`` of every step; each node's values equal a scalar-``k`` solve
-    bit for bit.  A non-finite node, non-finite profile values, a
-    ``k^2 W_c(c)`` that overflows, a non-integral ``steps`` and a ``c_range``
-    without finite, distinct ends are errors (a decreasing range integrates
-    backwards).
+    knob (no adaptivity).  Vectorizes over ``k``: the solution arrays have
+    shape ``np.shape(k) + (steps + 1,)``.  The profile is called once per
+    solve, on the stage points ``c``, ``c + h/2`` and ``c + h`` of every
+    step.  A non-finite or complex node, non-finite or complex profile
+    values, a ``k^2 W_c(c)`` that overflows, a mode that overflows, a
+    non-integral ``steps`` and a ``c_range`` without finite, distinct ends
+    are errors (a decreasing range integrates backwards).
 
-    Each stage is ``y[::-1] * (1, v)``: the right side ``(w', v w)`` is the
+    Two kernels run the same scheme, chosen by the node count.  Up to
+    ``_SCALAR_MAX_NODES`` nodes, ``_rk4_scalar`` steps each node and
+    fundamental solution on Python floats, at a cost that grows with the
+    nodes; above it ``_rk4_array`` advances all nodes in one ``(2, 2, K)``
+    state, whose numpy calls cost about the same per step at any node count
+    this small.  The two cost the same at about 13 nodes.  Each stage of the
+    array kernel is ``y[::-1] * (1, v)``: the right side ``(w', v w)`` is the
     state reversed along its first axis, times a factor whose first row is
-    1.0.  A product with 1.0 is exact for every float and a product of two
-    floats does not depend on their order, so this equals stacking
-    ``(w', v w)`` bit for bit, without the copy that stacking makes per stage.
+    1.0.  A product with 1.0 is exact and a product of two floats does not
+    depend on their order, so this equals stacking ``(w', v w)``, without
+    the copy that stacking makes per stage; the scalar kernel takes ``w'``
+    itself as that row.  A Python float is a C double, and each of its
+    operations is one IEEE operation with no fused multiply-add, so the two
+    kernels, which make the same operations in the same order, give the
+    same bits, and each node equals a scalar-``k`` solve.
     """
     steps = _count(steps, "steps")
     if steps < 100:
@@ -188,12 +201,17 @@ def schrodinger_solve(
     h = (c1 - c0) / steps
     grid = c0 + h * np.arange(steps + 1)
 
+    _reject_complex_nodes(k)
     kk = np.asarray(k, dtype=float).reshape(-1)
     if not np.all(np.isfinite(kk)):
         raise ValueError(f"non-finite mode node k={float(kk[~np.isfinite(kk)][0])!r}")
     # stage points of step i: c_i, c_i + h/2, c_i + h (one flat sample, step-major)
     stages = np.stack([grid[:-1], grid[:-1] + h / 2, grid[:-1] + h], axis=1).ravel()
-    prof = np.broadcast_to(np.asarray(w_c_profile(stages), dtype=float), stages.shape)
+    prof = np.broadcast_to(np.asarray(w_c_profile(stages)), stages.shape)
+    if np.iscomplexobj(prof):
+        c_bad = float(stages[_first_non_real(prof)])
+        raise MongesolError(f"complex potential profile value at c={c_bad!r}")
+    prof = prof.astype(float, copy=False)
     bad = ~np.isfinite(prof)
     if np.any(bad):
         c_bad = float(stages[np.argmax(bad)])
@@ -205,25 +223,75 @@ def schrodinger_solve(
         i, j = np.unravel_index(np.argmax(bad), bad.shape)
         raise MongesolError(f"k^2 * W_c(c) overflows at node k={float(kk[j])!r}, "
                             f"c={float(stages[i])!r}")
-    # stage factors (1, v) per step and stage point: row 0 holds 1.0, row 1 v
-    vs = np.ones((steps, 3, 2, 1, kk.size))
-    vs[:, :, 1, 0] = v.reshape(steps, 3, kk.size)
 
     # y = (w, w') x (fundamental solution 1, 2) x nodes
     ys = np.empty((steps + 1, 2, 2, kk.size))
     ys[0] = np.eye(2)[:, :, None]
-    hh, h6 = h / 2, h / 6
-    for i in range(steps):
-        y = ys[i]
-        v0, v1, v2 = vs[i]
-        k1 = y[::-1] * v0
-        k2 = (y + hh * k1)[::-1] * v1
-        k3 = (y + hh * k2)[::-1] * v1
-        k4 = (y + h * k3)[::-1] * v2
-        np.add(y, h6 * (k1 + 2 * k2 + 2 * k3 + k4), out=ys[i + 1])
+    if kk.size <= _SCALAR_MAX_NODES:
+        for j in range(kk.size):
+            vj = memoryview(np.ascontiguousarray(v[:, j]))
+            for b in (0, 1):
+                _rk4_scalar(vj, memoryview(ys[:, 0, b, j]), memoryview(ys[:, 1, b, j]), h)
+    else:
+        _rk4_array(v.reshape(steps, 3, kk.size), ys, h)
+    bad = ~np.isfinite(ys)
+    if np.any(bad):
+        i = np.argmax(bad.any(axis=(1, 2, 3)))
+        j = np.argmax(bad[i].any(axis=(0, 1)))
+        raise MongesolError(f"mode overflows at node k={float(kk[j])!r}, c={float(grid[i])!r}")
     shape = np.shape(k) + (steps + 1,)
     w1, w2, w1p, w2p = (ys[:, a, b].T.reshape(shape) for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)))
     return OdeSolution(k, grid, w1, w1p, w2, w2p)
+
+
+def _rk4_scalar(v: memoryview, ws: memoryview, ps: memoryview, h: float) -> None:
+    """One node's RK4 run on Python floats, from ``(w, w') = (ws[0], ps[0])``.
+
+    ``v`` holds ``k^2 W_c`` at the stage points, three per step; the run
+    writes w and w' after step ``i`` to ``ws[i]`` and ``ps[i]``.  Each line
+    is a component of the array kernel's stage, in its order of operations.
+    """
+    hh, h6 = h / 2, h / 6
+    w, p = ws[0], ps[0]
+    it = iter(v)
+    for i, (v0, v1, v2) in enumerate(zip(it, it, it), 1):
+        k1p = w * v0
+        k2w, k2p = p + hh * k1p, (w + hh * p) * v1
+        k3w, k3p = p + hh * k2p, (w + hh * k2w) * v1
+        k4w, k4p = p + h * k3p, (w + h * k3w) * v2
+        w, p = w + h6 * (p + 2 * k2w + 2 * k3w + k4w), p + h6 * (k1p + 2 * k2p + 2 * k3p + k4p)
+        ws[i] = w
+        ps[i] = p
+
+
+def _rk4_array(v: np.ndarray, ys: np.ndarray, h: float) -> None:
+    """All nodes' RK4 runs at once, from ``ys[0]``: ``v`` is ``(steps, 3, K)``."""
+    # stage factors (1, v) per step and stage point: row 0 holds 1.0, row 1 v
+    vs = np.ones(v.shape[:2] + (2, 1, v.shape[2]))
+    vs[:, :, 1, 0] = v
+    hh, h6 = h / 2, h / 6
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller names an overflowing mode
+        for i in range(v.shape[0]):
+            y = ys[i]
+            v0, v1, v2 = vs[i]
+            k1 = y[::-1] * v0
+            k2 = (y + hh * k1)[::-1] * v1
+            k3 = (y + hh * k2)[::-1] * v1
+            k4 = (y + h * k3)[::-1] * v2
+            np.add(y, h6 * (k1 + 2 * k2 + 2 * k3 + k4), out=ys[i + 1])
+
+
+def _first_non_real(a: np.ndarray) -> int:
+    """Flat index of the first entry of complex ``a`` with a nonzero imaginary part, else 0."""
+    return int(np.argmax(a.imag != 0))
+
+
+def _reject_complex_nodes(k) -> None:
+    """A complex node (complex-typed, as ``1+0j`` too) is a ValueError naming it, so
+    that no float conversion drops its imaginary part."""
+    kk = np.asarray(k)
+    if np.iscomplexobj(kk):
+        raise ValueError(f"complex mode node k={complex(kk.flat[_first_non_real(kk)])!r}")
 
 
 def _count(value, name: str) -> int:
@@ -274,6 +342,7 @@ def assemble_r_integral(
     nb = _count(nb, "nb")
     if nb < 1:
         raise ValueError(f"nb must be at least 1, got {nb}")
+    _reject_complex_nodes(k_nodes)
     k_nodes = [float(k) for k in k_nodes]
     if not k_nodes:
         raise ValueError("k_nodes must be nonempty")

@@ -413,6 +413,17 @@ def test_w_of_f_builds_no_primitive(tag, monkeypatch):
     assert calls == [2] * len(_primitives(b))
 
 
+@pytest.mark.parametrize("tag, roots", [("m3_general_e0", 2), ("m3_hodograph_example", 1)])
+def test_closed_forms_cube_each_slope_root_once(tag, roots, monkeypatch):
+    # a0 and W integrate s^2 C'(s) and s^-1 C'(s) along each root: one cube serves both
+    b = make_family(canonical_config(tag))
+    x, z = admissible_grid(b, GridSpec.for_bundle(b, nx=9, nz=9))
+    calls = []
+    monkeypatch.setattr(families, "jpow", lambda j, p: calls.append(p) or jpow(j, p))
+    fl = b.fields_fn(x, z, 2)
+    assert np.isfinite(fl["a0"].value).all() and np.isfinite(fl["W"].value).all()
+    assert calls.count(3) == roots
+
 def _primitives(bundle):
     """The ``_Primitive`` instances a bundle's fields_fn closes over, alone or in a list
     (one per slope root)."""

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from mongesol import hodograph
 from mongesol.errors import FoldError, MongesolError, QuadratureError
 from mongesol.hodograph import (
     _univariate_on_jet,
@@ -300,6 +301,112 @@ def test_schrodinger_names_the_node_whose_product_overflows(ks, profile, where):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(MongesolError, match=re.escape(f"overflows at node {where}")):
             schrodinger_solve(profile, np.array(ks), (0.0, 1.0), steps=200)
+
+
+# -- the scalar and the array RK4 kernel ---------------------------------------
+
+_SCALAR, _ARRAY = 10 ** 9, 0  # _SCALAR_MAX_NODES values that force each kernel
+_LIMIT = hodograph._SCALAR_MAX_NODES
+
+
+def _solve_with(monkeypatch, limit, *args):
+    monkeypatch.setattr(hodograph, "_SCALAR_MAX_NODES", limit)
+    return schrodinger_solve(*args)
+
+
+def _assert_same_bytes(a, b):
+    for name in ("w1", "w1p", "w2", "w2p"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+
+
+def _nodes(count):
+    """``count`` nodes on [-2, 3]; from three nodes on, the middle one is 0."""
+    ks = np.linspace(-2.0, 3.0, count)
+    if count >= 3:
+        ks[count // 2] = 0.0
+    return ks
+
+
+@pytest.mark.parametrize("count", [1, _LIMIT, _LIMIT + 1, 25])
+@pytest.mark.parametrize("steps", [100, 2000])
+@pytest.mark.parametrize("profile, c_range", [(_linear_profile, (0.0, 1.0)),
+                                              (_oscillatory_profile, (1.2, -0.4))],
+                         ids=["increasing", "decreasing"])
+def test_scalar_and_array_kernels_give_the_same_bytes(count, steps, profile, c_range,
+                                                      monkeypatch):
+    ks = _nodes(count)
+    scalar = _solve_with(monkeypatch, _SCALAR, profile, ks, c_range, steps)
+    array = _solve_with(monkeypatch, _ARRAY, profile, ks, c_range, steps)
+    _assert_same_bytes(scalar, array)
+    assert scalar.w1.shape == (count, steps + 1)
+
+
+@pytest.mark.parametrize("k", [np.outer([1.0, 0.3, -1.7], [0.0, -0.5, 1.0, 2.5, -3.0]), -1.25],
+                         ids=["2d", "scalar"])
+def test_kernels_agree_on_a_2d_and_a_scalar_k(k, monkeypatch):
+    scalar = _solve_with(monkeypatch, _SCALAR, _quadratic_profile, k, (-0.3, 1.1), 300)
+    array = _solve_with(monkeypatch, _ARRAY, _quadratic_profile, k, (-0.3, 1.1), 300)
+    _assert_same_bytes(scalar, array)
+    assert scalar.w1.shape == np.shape(k) + (301,)
+
+
+def test_each_node_is_a_single_node_solve_on_both_sides_of_the_limit():
+    # a single node runs the scalar kernel; LIMIT nodes run it too, LIMIT + 1 the array one
+    for count in (_LIMIT, _LIMIT + 1):
+        ks = _nodes(count)
+        sol = schrodinger_solve(_linear_profile, ks, (0.0, 1.0), 500)
+        for j, k in enumerate(ks):
+            one = schrodinger_solve(_linear_profile, float(k), (0.0, 1.0), 500)
+            for name in ("w1", "w1p", "w2", "w2p"):
+                assert getattr(sol, name)[j].tobytes() == getattr(one, name).tobytes(), (count, j)
+
+
+@pytest.mark.parametrize("limit", [_SCALAR, _ARRAY], ids=["scalar", "array"])
+def test_an_overflowing_mode_is_named_by_node_and_c(limit, monkeypatch):
+    # RK4's cosh(800 c) leaves the doubles before c = 1: an error naming the node and
+    # the first c, from either kernel, and no numpy warning
+    monkeypatch.setattr(hodograph, "_SCALAR_MAX_NODES", limit)
+    where = re.escape("mode overflows at node k=800.0, c=0.99")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(MongesolError, match=where):
+            schrodinger_solve(_flat_profile, np.array([1.0, 800.0]), (0.0, 1.0), 200)
+        with pytest.raises(MongesolError, match=where):
+            assemble_r_integral(lambda k: 1.0, lambda k: 0.0, [1.0, 800.0], _flat_profile,
+                                (0.0, 1.0), (0.0, 1.0), nb=5, steps=200)
+
+
+@pytest.mark.parametrize("ks, named", [
+    (np.array([1 + 2j]), "(1+2j)"),
+    (np.array([0.5, 1.0, 2 - 1e-300j]), "(2-1e-300j)"),
+    (np.array([1.0 + 0j]), "(1+0j)"),  # complex-typed, even when real in value
+    (3j, "3j"),
+], ids=["complex", "tiny-imaginary-part", "complex-typed", "scalar"])
+def test_a_complex_node_is_an_error_before_the_profile_is_sampled(ks, named):
+    # assemble_r_integral's float() of a numpy complex node used to drop its imaginary part
+    calls = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", np.exceptions.ComplexWarning)
+        with pytest.raises(ValueError, match=re.escape(f"complex mode node k={named}") + "$"):
+            schrodinger_solve(lambda c: calls.append(c) or np.ones_like(c), ks, (0.0, 1.0), 200)
+        with pytest.raises(ValueError, match=re.escape(f"complex mode node k={named}") + "$"):
+            assemble_r_integral(lambda k: 1.0, lambda k: 0.0, np.ravel(ks), calls.append,
+                                (0.0, 1.0), (0.0, 1.0), nb=5, steps=200)
+    assert calls == []
+
+
+@pytest.mark.parametrize("profile, where", [
+    (lambda c: np.where(c > 0.5, 1.0 + 0.25j, 1.0 + 0j), "c=0.5025"),
+    (lambda c: np.ones_like(c) + 0j, "c=0.0"),
+    (lambda c: 2j, "c=0.0"),
+], ids=["past-half", "complex-typed", "scalar"])
+def test_a_complex_profile_is_an_error_naming_its_c(profile, where):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", np.exceptions.ComplexWarning)
+        message = re.escape(f"complex potential profile value at {where}") + "$"
+        with pytest.raises(MongesolError, match=message):
+            schrodinger_solve(profile, np.array([0.5, 1.0]), (0.0, 1.0), 200)
 
 
 def _per_node_r(f1, f2, nodes, profile, nb, steps):
