@@ -164,7 +164,12 @@ def _write_report(report: ResidualReport, out_dir: Path):
         csv.writer(fh).writerows(report.csv_rows())
 
 
-_CSV_BLOCK = 1 << 15  # cells per block of fields.csv text: bounded temporaries
+# cells per block of fields.csv text: bounded temporaries.  In one verify_81 pass
+# of perfbench (x86-64, glibc 2.36), construct of trivial at 81x81 raises ru_maxrss
+# by about 7.1 MB at 2^15 cells, 3.1 MB at 2^14 and 1.1 MB at 2^13, while the text
+# of the ten canonical 81x81 tables took 84-100 ms at 2^14, 94-126 ms at 2^15 and
+# 88-106 ms at 2^13 (medians of 15 interleaved repetitions, three runs)
+_CSV_BLOCK = 1 << 14
 _CELL = 26  # bytes per cell: at most 24 of '%.17g' text, then ',' or '\r\n'
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant
 _POW10 = np.concatenate(([1.0], np.cumprod(np.full(22, 10.0))))  # 10^0..10^22, all exact

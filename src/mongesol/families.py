@@ -285,7 +285,7 @@ class _Primitive:
         if a.m == 0:  # + 0.0 as compose_series's +0 start: a -0 value becomes +0
             return tuple(Jet2.constant(b + 0.0, 0) for b in base)
         t = jet_seed(a.value, 0.0, a.m - 1)[0]
-        return tuple(compose_series([b] + [g.c[k, 0] / (k + 1) for k in range(a.m)], a)
+        return tuple(compose_series([b] + [g.plane(k, 0) / (k + 1) for k in range(a.m)], a)
                      for b, g in zip(base, self.integrand(t)))
 
 

@@ -45,6 +45,10 @@ _DOUBLING_TOL = 1e-6  # assemble_r_integral: largest relative change of R on nod
 # 25 nodes (1000 and 2000 steps; 2-core x86-64, Python 3.11, numpy 2.4): they
 # tie at about 13 nodes.
 _SCALAR_MAX_NODES = 12
+# schrodinger_solve: RK4 damps a decaying mode w'' = lam w, lam > 0, only while
+# h sqrt(lam) is at most this, the real root of 1 + z/2 + z^2/6 + z^3/24, negated
+# (on the imaginary axis, lam < 0, the bound is 2 sqrt(2), a little larger)
+_RK4_STEP_LIMIT = 2.785293563405282
 
 
 # ---------------------------------------------------------------------------
@@ -123,10 +127,10 @@ def _univariate_on_jet(f: Callable[[Jet2], Jet2], a: Jet2, derivative: bool = Tr
     m = a.m
     fj = f(jet_seed(a.value, 0.0, m + derivative)[0])
     # recompose: Taylor coefficients about a.value, Horner in (a - value)
-    value = compose_series([fj.c[k, 0] for k in range(m + 1)], a)
+    value = compose_series([fj.plane(k, 0) for k in range(m + 1)], a)
     if not derivative:
         return value
-    return value, compose_series([(k + 1) * fj.c[k + 1, 0] for k in range(m + 1)], a)
+    return value, compose_series([(k + 1) * fj.plane(k + 1, 0) for k in range(m + 1)], a)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +176,9 @@ def schrodinger_solve(
     shape ``np.shape(k) + (steps + 1,)``.  The profile is called once per
     solve, on the stage points ``c``, ``c + h/2`` and ``c + h`` of every
     step.  A non-finite or complex node, non-finite or complex profile
-    values, a ``k^2 W_c(c)`` that overflows, a mode that overflows, a
+    values, a ``k^2 W_c(c)`` that overflows, a step ``h`` with
+    ``|h| sqrt|k^2 W_c|`` beyond RK4's real-axis stability limit (about
+    2.785, where a decaying mode would grow), a mode that overflows, a
     non-integral ``steps`` and a ``c_range`` without finite, distinct ends
     are errors (a decreasing range integrates backwards).
 
@@ -223,6 +229,14 @@ def schrodinger_solve(
         i, j = np.unravel_index(np.argmax(bad), bad.shape)
         raise MongesolError(f"k^2 * W_c(c) overflows at node k={float(kk[j])!r}, "
                             f"c={float(stages[i])!r}")
+    top = _RK4_STEP_LIMIT / abs(h)
+    top *= top  # the bound on |k^2 W_c| (inf for a tiny h); two reductions settle it
+    if v.size and max(v.max(), -v.min()) > top:
+        i, j = np.unravel_index(np.argmax(np.abs(v) > top), v.shape)
+        raise MongesolError(
+            f"RK4 step too large at node k={float(kk[j])!r}, c={float(stages[i])!r}: "
+            f"h * sqrt|k^2 W_c| = {abs(h) * math.sqrt(abs(v[i, j])):.4g} exceeds the "
+            f"stability limit {_RK4_STEP_LIMIT:.4f}; use more steps")
 
     # y = (w, w') x (fundamental solution 1, 2) x nodes
     ys = np.empty((steps + 1, 2, 2, kk.size))

@@ -4,33 +4,61 @@ High-order mixed partials of composite scalar fields are obtained by carrying
 truncated Taylor expansions through every arithmetic step, so residual checks
 downstream are limited by roundoff, never by finite-difference truncation.
 
-A :class:`Jet2` stores the coefficients ``c[i, j]`` of
-``sum c[i,j] dx^i dz^j`` for ``i + j <= m``.  Coefficients are numpy arrays,
-so a single jet can carry the expansions of a whole grid of base points at
-once; all operations broadcast like numpy.
+A :class:`Jet2` of order ``m`` holds the coefficients of
+``sum c_ij dx^i dz^j`` over ``i + j <= m``.  Each coefficient is a numpy
+array over the base points (a *plane*), so one jet carries the expansions of
+a whole grid of points; all operations broadcast like numpy.
+
+Layout.  The ``T = (m+1)(m+2)/2`` planes of the triangle are packed into
+``c`` of shape ``(1, T) + points`` in (i, j)-lexicographic order:
+``(0,0), (0,1), .., (0,m), (1,0), .., (m,0)``; ``Jet2.plane(i, j)`` reads
+one.  A square ``(m+1, m+1)`` layout would also store the ``m(m+1)/2``
+planes with ``i + j > m``, which are always zero: at order 2 it holds 9
+planes for 6.  The leading unit axis keeps ``c[0, 0]`` the value plane,
+with the shape of the points, as it was in the square layout, so code
+that reads ``c[0, 0]`` or ``c.shape[2:]`` is indifferent to the layout.
 
 Univariate expansions reuse the same class with the second slot unused
 (seed the variable into the x slot); ``compose_series`` plugs a jet into a
 one-variable Taylor series, which is how user-supplied functions and the
 elementary functions below are applied to jets.
 
-Products are reproducible bit for bit.  A *plane* is one coefficient
-``c[i, j]`` over all base points.  ``a * b`` starts every output plane at +0
-and adds the terms ``a.c[i, j] * b.c[p, q]`` into it in place, one plane at a
-time, taking the planes of the left factor ``a`` in (i, j)-lexicographic
-order and skipping each plane of ``a`` that is all zero (+0 or -0).  So a
-skipped plane never forms ``0 * inf`` or ``0 * nan``, and a zero sum is +0.
-One reduction per product finds the nonzero planes.  A real order-0 jet has
-one plane, so its product, sum with a number and reciprocal are one numpy
-operation each, with the same bits (``+= 0.0`` turns a -0 product into the
-+0 that the +0 start gives); the product scans its left factor for all zeros
-only when the first entry is 0.  An order-0 constant is written once, with no
-zero fill, and ``compose_series`` at order 0 is that constant.  The
-reciprocal's zero test is one pass at any order.
+Products are reproducible bit for bit.  The reference is the plane loop:
+``a * b`` starts every output plane at +0 and adds the terms
+``a_ij * b_pq`` into it in place, taking the planes of the left factor
+``a`` in packed order and, for each, the planes of ``b`` in packed order;
+it skips each plane of ``a`` that is all zero (+0 or -0), so a skipped
+plane never forms ``0 * inf`` or ``0 * nan``, and a zero sum is +0.  One
+reduction per product finds the live planes, and none is needed when every
+plane of ``a`` has a nonzero first entry.
+
+The loop's first left plane is the value plane (0, 0), and its term
+``a_00 * b_pq`` is the first that output plane (p, q) gets, for every
+plane.  So when both factors are real and ``a``'s value plane is live,
+those T terms are one whole-jet step: ``out = a_00 * b``, then
+``out += 0.0`` for the +0 start (``x + 0`` is ``0 + x``: ``x``, except
+that a -0 becomes +0).  The loop then goes on from the second left plane,
+so every plane gets the same IEEE operations in the same order.  The one
+bit that can move is the sign of a nan that ``a_00 * b_pq`` makes from
+two nans: IEEE 754 leaves it open, and numpy's float loops take one
+operand's nan or the other's by the element's position in the loop, which
+the whole-jet step changes.  No output holds a nan sign.
+Points of lower rank are padded with unit axes so the plane axes line up.
+A dead value plane (the step would multiply it) and complex jets stay on
+the plane loop from its start: numpy's complex product bits depend on the
+array length (SIMD body or scalar tail), so one whole-jet product could
+differ from the plane's.
+
+A real order-0 jet has one plane, so its sum with a number and its
+reciprocal are one numpy operation each, with the same bits, and its
+product is that whole-jet step alone.  An order-0 constant is
+written once, with no zero fill, and ``compose_series`` at order 0 is that
+constant.  The reciprocal's zero test is one pass at any order.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Sequence
 
@@ -71,7 +99,7 @@ class Jet2:
         value = np.asarray(value)
         shape = value.shape if shape is None else shape
         alloc = np.empty if m == 0 else np.zeros  # order 0: the value is the only plane
-        c = alloc((m + 1, m + 1) + shape, dtype=np.promote_types(value.dtype, np.float64))
+        c = alloc((1, _n_planes(m)) + shape, dtype=np.promote_types(value.dtype, np.float64))
         c[0, 0] = value
         return cls(m, c)
 
@@ -85,6 +113,10 @@ class Jet2:
     @property
     def shape(self):
         return self.c.shape[2:]
+
+    def plane(self, i: int, j: int):
+        """The coefficient of ``dx^i dz^j`` over the points (``i + j <= m``), read as ``value`` reads (0, 0)."""
+        return self.c[0, _index(self.m, i, j)]
 
     # -- ring operations ----------------------------------------------------
 
@@ -121,26 +153,21 @@ class Jet2:
             return Jet2(self.m, self.c * np.asarray(other))
         self._check_order(other)
         m, a, b = self.m, self.c, other.c
-        # a nonzero first entry settles the all-zero scan without reading the rest
-        if m == 0 and _real(a, b) and a.size and (a.flat[0] or a.any()):
-            out = a * b
-            out += 0.0  # as the +0 start: a -0 product becomes +0
-            return Jet2(0, out)
-        shape = a.shape[2:]
-        if b.shape[2:] != shape:
-            shape = np.broadcast_shapes(shape, b.shape[2:])
-        out = np.zeros((m + 1, m + 1) + shape, dtype=np.promote_types(a.dtype, b.dtype))
-        live = a.any(axis=tuple(range(2, a.ndim))).tolist()
-        for i in range(m + 1):
-            for j in range(m + 1 - i):
-                if not live[i][j]:
-                    continue
-                aij = a[i, j]
-                rest = m - i - j
-                for p in range(rest + 1):
-                    for q in range(rest + 1 - p):
-                        o = out[i + p, j + q, ...]  # a view, also for 0-d points
-                        o += aij * b[p, q]
+        live = _live_planes(a)
+        plan = _mul_plan(m)
+        if live[0] and _real(a, b):
+            a, b, out = _first_terms(a, b)
+            plan = plan[len(live):]  # the first left plane's terms: one for each plane
+        else:
+            shape = a.shape[2:]
+            if b.shape[2:] != shape:
+                shape = np.broadcast_shapes(shape, b.shape[2:])
+            out = np.zeros(a.shape[:2] + shape, dtype=np.promote_types(a.dtype, b.dtype))
+        pa, pb, po = a[0], b[0], out[0]
+        for ka, kb, ko in plan:
+            if live[ka]:
+                o = po[ko, ...]  # a view, also for 0-d points
+                o += pa[ka] * pb[kb]
         return Jet2(m, out)
 
     __rmul__ = __mul__
@@ -177,16 +204,57 @@ class Jet2:
         if self.m < 1:
             raise ValueError("cannot differentiate an order-0 jet")
         m = self.m - 1
-        out = np.zeros((m + 1, m + 1) + self.shape, dtype=self.c.dtype)
-        for i in range(m + 1):
-            out[i, :m + 1 - i] = (i + 1) * self.c[i + 1, :m + 1 - i]
+        out = np.empty((1, _n_planes(m)) + self.shape, dtype=self.c.dtype)
+        for i in range(m + 1):  # row i of the result is row i + 1 of self, both contiguous
+            k, k1 = _index(m, i, 0), _index(self.m, i + 1, 0)
+            out[0, k:k + m + 1 - i] = (i + 1) * self.c[0, k1:k1 + m + 1 - i]
         return Jet2(m, out)
+
+
+def _n_planes(m: int) -> int:
+    """Planes of an order-``m`` jet: the triangle ``i + j <= m``."""
+    return (m + 1) * (m + 2) // 2
+
+
+def _index(m: int, i: int, j: int) -> int:
+    """Packed position of plane ``(i, j)``: rows ``0 .. i-1`` hold ``m+1, m, ..`` planes."""
+    return i * (m + 1) - i * (i - 1) // 2 + j
+
+
+@functools.lru_cache(maxsize=None)
+def _mul_plan(m: int) -> tuple:
+    """The plane loop's terms as (left, right, output) planes, in its order: the left
+    planes in packed order and, for each, the right planes in packed order."""
+    planes = [(i, j) for i in range(m + 1) for j in range(m + 1 - i)]
+    return tuple((ka, kb, _index(m, i + p, j + q))
+                 for ka, (i, j) in enumerate(planes)
+                 for kb, (p, q) in enumerate(planes) if i + p + j + q <= m)
+
+
+def _live_planes(a: np.ndarray) -> list:
+    """Per plane of ``a``: does it hold a nonzero entry?  When every plane's first
+    entry is nonzero, that settles it without reading the rest."""
+    planes = a[0]
+    if planes.size and planes[(slice(None),) + (0,) * (planes.ndim - 1)].all():
+        return [True] * len(planes)
+    return planes.any(axis=tuple(range(1, planes.ndim))).tolist()
+
+
+def _first_terms(a: np.ndarray, b: np.ndarray):
+    """``(a, b, out)``: ``out`` holds each plane's first term ``a_00 * b_pq`` after
+    the +0 start; ``a`` and ``b`` come back with points of the same rank."""
+    if a.ndim != b.ndim:  # unit axes in front of the lower-rank points
+        pad = (slice(None),) * 2 + (None,) * abs(a.ndim - b.ndim)
+        a, b = (a[pad], b) if a.ndim < b.ndim else (a, b[pad])
+    out = a[:, :1] * b
+    out += 0.0  # as the +0 start: a -0 product becomes +0
+    return a, b, out
 
 
 def jet_seed(x0, z0, m: int) -> tuple[Jet2, Jet2]:
     """Coordinate jets at base point ``(x0, z0)``.
 
-    The x-jet carries ``c[0,0] = x0, c[1,0] = 1``; the z-jet analogously.
+    The x-jet has value ``x0`` and plane (1, 0) equal to 1; the z-jet analogously.
     ``x0`` and ``z0`` may be arrays of matching (broadcastable) shape.
     At ``m = 0`` both are constant jets with no seed planes: values only.
     """
@@ -195,8 +263,8 @@ def jet_seed(x0, z0, m: int) -> tuple[Jet2, Jet2]:
     xj = Jet2.constant(x0, m)
     zj = Jet2.constant(z0, m)
     if m:
-        xj.c[1, 0] = 1
-        zj.c[0, 1] = 1
+        xj.c[0, _index(m, 1, 0)] = 1
+        zj.c[0, _index(m, 0, 1)] = 1
     return xj, zj
 
 
@@ -206,7 +274,7 @@ def jet_partial(a: Jet2, i: int, j: int):
         raise ValueError("partial orders must be nonnegative")
     if i + j > a.m:
         raise ValueError(f"partial ({i},{j}) exceeds jet order {a.m}")
-    return a.c[i, j] * (math.factorial(i) * math.factorial(j))
+    return a.plane(i, j) * (math.factorial(i) * math.factorial(j))
 
 
 # -- composition with one-variable series ------------------------------------

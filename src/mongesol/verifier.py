@@ -218,9 +218,9 @@ def _failed(name, tol, exc, **extra) -> CheckResult:
 def admissible_grid(bundle: FieldBundle, grid: GridSpec):
     """Flat arrays of the grid points inside the bundle's safe domain."""
     xs, zs = grid.axes()
-    xg, zg = np.meshgrid(xs, zs, indexing="ij")
-    ok = bundle.domain.mask(xg, zg)
-    x, z = xg[ok], zg[ok]
+    xg, zg = xs[:, None], zs[None, :]
+    ok = bundle.domain.mask(xg, zg)  # broadcast axes: an x-only predicate runs on nx values
+    x, z = np.broadcast_to(xg, ok.shape)[ok], np.broadcast_to(zg, ok.shape)[ok]
     if x.size < 10:
         raise DomainError(
             f"safe domain exhausted: only {x.size} admissible grid points (need >= 10)"

@@ -263,7 +263,7 @@ def test_out_of_domain_evaluation_raises():
     for name in two:
         assert one[name].m == 1
         for i, j in ((0, 0), (1, 0), (0, 1)):
-            assert _bytes(one[name].c[i, j]) == _bytes(two[name].c[i, j]), (name, i, j)
+            assert _bytes(one[name].plane(i, j)) == _bytes(two[name].plane(i, j)), (name, i, j)
     with pytest.raises(ValueError):
         b.eval_fields(x, z, -1)  # jet_seed rejects a negative order
 
@@ -281,7 +281,7 @@ def test_order_one_jets_truncate_order_two(tag):
         for name in top:
             for i in range(m + 1):
                 for j in range(m + 1 - i):
-                    assert np.array_equal(lo[name].c[i, j], top[name].c[i, j]), (m, name, i, j)
+                    assert np.array_equal(lo[name].plane(i, j), top[name].plane(i, j)), (m, name, i, j)
 
 
 # the complex trivial family of scripts/output_digests.py: quartics along 1 and exp(2 pi i / 3)
@@ -308,7 +308,7 @@ def test_lower_orders_are_the_order_two_bytes(tag, n):
     for name in two:
         assert (zero[name].m, one[name].m, two[name].m) == (0, 1, 2)
         for i, j in ((0, 0), (1, 0), (0, 1)):
-            assert _bytes(one[name].c[i, j]) == _bytes(two[name].c[i, j]), (name, i, j)
+            assert _bytes(one[name].plane(i, j)) == _bytes(two[name].plane(i, j)), (name, i, j)
         assert _bytes(zero[name].value) == _bytes(one[name].value), name
 
 

@@ -58,7 +58,7 @@ def _separate_evaluation(f, a, derivative):
     fj = f(jet_seed(a.value, 0.0, a.m + derivative)[0])
     for _ in range(derivative):
         fj = fj.dx()
-    return compose_series([fj.c[k, 0] for k in range(a.m + 1)], a)
+    return compose_series([fj.plane(k, 0) for k in range(a.m + 1)], a)
 
 
 _UNIVARIATE = {
@@ -364,17 +364,37 @@ def test_each_node_is_a_single_node_solve_on_both_sides_of_the_limit():
 
 @pytest.mark.parametrize("limit", [_SCALAR, _ARRAY], ids=["scalar", "array"])
 def test_an_overflowing_mode_is_named_by_node_and_c(limit, monkeypatch):
-    # RK4's cosh(800 c) leaves the doubles before c = 1: an error naming the node and
-    # the first c, from either kernel, and no numpy warning
+    # cosh(800 c) leaves the doubles before c = 1: an error naming the node and the
+    # first c, from either kernel, and no numpy warning (h k = 0.4, a stable step)
     monkeypatch.setattr(hodograph, "_SCALAR_MAX_NODES", limit)
-    where = re.escape("mode overflows at node k=800.0, c=0.99")
+    where = re.escape("mode overflows at node k=800.0, c=0.87")
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(MongesolError, match=where):
-            schrodinger_solve(_flat_profile, np.array([1.0, 800.0]), (0.0, 1.0), 200)
+            schrodinger_solve(_flat_profile, np.array([1.0, 800.0]), (0.0, 1.0), 2000)
         with pytest.raises(MongesolError, match=where):
             assemble_r_integral(lambda k: 1.0, lambda k: 0.0, [1.0, 800.0], _flat_profile,
-                                (0.0, 1.0), (0.0, 1.0), nb=5, steps=200)
+                                (0.0, 1.0), (0.0, 1.0), nb=5, steps=2000)
+
+
+@pytest.mark.parametrize("profile, c_range, where", [
+    (lambda c: -np.ones_like(c), (0.0, 1.0), "k=600.0, c=0.0"),  # oscillatory, h k = 3
+    (_flat_profile, (1.0, 0.0), "k=600.0, c=1.0"),  # growing and decaying, backwards
+    (lambda c: np.where(np.asarray(c) > 0.5, 1.0, 0.01), (0.0, 1.0), "k=600.0, c=0.5025"),
+])
+def test_an_rk4_unstable_step_is_named_by_node_and_c(profile, c_range, where):
+    # beyond h sqrt|k^2 W_c| = 2.785 RK4 amplifies every step: profile -1 at h k = 3
+    # gave |w1| = 2e35 and a Wronskian drift of 1e71 where this is now an error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(MongesolError, match=re.escape(f"RK4 step too large at node {where}:")):
+            schrodinger_solve(profile, np.array([1.0, 600.0, 700.0]), c_range, 200)
+        with pytest.raises(MongesolError, match=re.escape(f"RK4 step too large at node {where}:")):
+            assemble_r_integral(lambda k: 1.0, lambda k: 0.0, [1.0, 600.0], profile,
+                                (0.0, 1.0), c_range, nb=5, steps=200)
+    # just inside the limit: a solve, whose damping the drift reports
+    sol = schrodinger_solve(lambda c: -np.ones_like(c), 557.0, (0.0, 1.0), 200)
+    assert np.isfinite(sol.w1).all() and sol.wronskian_drift <= 1.0
 
 
 @pytest.mark.parametrize("ks, named", [

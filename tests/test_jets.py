@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mongesol import jets
 from mongesol.errors import BranchCutError
 from mongesol.jets import (
     Jet2,
@@ -19,14 +20,14 @@ from mongesol.jets import (
 
 def test_seed_coordinate_jets():
     xj, zj = jet_seed(2.0, 3.0, 2)
-    assert xj.c[0, 0] == 2.0 and xj.c[1, 0] == 1.0 and xj.c[0, 1] == 0.0
-    assert zj.c[0, 0] == 3.0 and zj.c[0, 1] == 1.0 and zj.c[1, 0] == 0.0
+    assert xj.value == 2.0 and xj.plane(1, 0) == 1.0 and xj.plane(0, 1) == 0.0
+    assert zj.value == 3.0 and zj.plane(0, 1) == 1.0 and zj.plane(1, 0) == 0.0
 
 
 def test_seed_origin_minimal_order():
     xj, zj = jet_seed(0.0, 0.0, 1)
     assert xj.value == 0.0 and zj.value == 0.0
-    assert xj.c[1, 0] == 1.0 and zj.c[0, 1] == 1.0
+    assert xj.plane(1, 0) == 1.0 and zj.plane(0, 1) == 1.0
     # order 0: constant jets, values only
     xj, zj = jet_seed(np.array([0.5, -1.0]), 2.0, 0)
     assert xj.m == zj.m == 0 and xj.c.shape == (1, 1, 2) and zj.c.shape == (1, 1)
@@ -38,13 +39,13 @@ def test_seed_origin_minimal_order():
 def test_seed_sum_linearity():
     xj, zj = jet_seed(1.0, 1.0, 3)
     s = xj + zj
-    assert s.c[0, 0] == 2.0 and s.c[1, 0] == 1.0 and s.c[0, 1] == 1.0
+    assert s.value == 2.0 and s.plane(1, 0) == 1.0 and s.plane(0, 1) == 1.0
 
 
 def test_mul_product_of_coordinates():
     xj, zj = jet_seed(2.0, 3.0, 2)
     p = xj * zj
-    assert p.c[0, 0] == 6.0 and p.c[1, 0] == 3.0 and p.c[0, 1] == 2.0 and p.c[1, 1] == 1.0
+    assert p.value == 6.0 and p.plane(1, 0) == 3.0 and p.plane(0, 1) == 2.0 and p.plane(1, 1) == 1.0
 
 
 def test_mul_identity():
@@ -58,7 +59,7 @@ def test_mul_identity():
 def test_mul_square_binomial():
     xj, _ = jet_seed(1.0, 0.0, 3)
     sq = xj * xj
-    assert sq.c[0, 0] == 1.0 and sq.c[1, 0] == 2.0 and sq.c[2, 0] == 1.0
+    assert sq.value == 1.0 and sq.plane(1, 0) == 2.0 and sq.plane(2, 0) == 1.0
 
 
 def test_mul_order_mismatch():
@@ -71,8 +72,8 @@ def test_mul_order_mismatch():
 def test_compose_exp_series():
     xj, _ = jet_seed(0.0, 0.0, 2)
     e = jexp(xj)
-    assert abs(e.c[0, 0] - 1.0) == 0 and abs(e.c[1, 0] - 1.0) == 0
-    assert abs(e.c[2, 0] - 0.5) == 0
+    assert abs(e.value - 1.0) == 0 and abs(e.plane(1, 0) - 1.0) == 0
+    assert abs(e.plane(2, 0) - 0.5) == 0
 
 
 def test_compose_identity_series():
@@ -152,9 +153,9 @@ def test_mul_matches_exact_convolution(terms_p, terms_q):
                 for s in range(m + 1 - r):
                     if i + j + r + s <= m:
                         exact[(i + r, j + s)] = exact.get((i + r, j + s), 0) + int(p[i, j]) * int(q[r, s])
-    prod = Jet2(m, p[..., None] * np.ones(1)) * Jet2(m, q[..., None] * np.ones(1))
+    prod = _pack(m, p[..., None] * np.ones(1)) * _pack(m, q[..., None] * np.ones(1))
     for (i, j), v in exact.items():
-        got = prod.c[i, j][0]
+        got = prod.plane(i, j)[0]
         assert got == pytest.approx(v, rel=1e-13, abs=1e-13)
 
 
@@ -206,7 +207,28 @@ def test_array_payload_broadcasting():
 # Each _old_* function is the implementation that the in-place kernel replaced,
 # kept as the oracle: every coefficient must match it bit for bit, signed zeros
 # and NaNs included, because the product's summation order and its skipping of
-# all-zero planes of the left factor are part of the jet contract.
+# all-zero planes of the left factor are part of the jet contract.  The oracles
+# run on the square layout of their time, coefficients ``c[i, j]`` of shape
+# ``(m + 1, m + 1) + points`` held in a Jet2 as a plain container: ``_sq``
+# gives them a packed jet's planes, and ``_assert_bitwise`` reads back the
+# triangle of their result.
+
+
+def _triangle(m):
+    return [(i, j) for i in range(m + 1) for j in range(m + 1 - i)]
+
+
+def _pack(m, square):
+    """The packed jet of square-layout coefficients; planes off the triangle are dropped."""
+    return Jet2(m, np.stack([square[i, j] for i, j in _triangle(m)])[None])
+
+
+def _sq(jet):
+    """The square layout of a packed jet, +0 off the triangle: an oracle's input."""
+    c = np.zeros((jet.m + 1, jet.m + 1) + jet.shape, dtype=jet.c.dtype)
+    for i, j in _triangle(jet.m):
+        c[i, j] = jet.plane(i, j)
+    return Jet2(jet.m, c)
 
 
 def _old_constant(value, m):
@@ -287,11 +309,13 @@ def _old_poly_jet(coeffs, a):
 
 
 def _assert_bitwise(new, old):
+    """Packed ``new`` holds the triangle of square-layout ``old``, bit for bit."""
     assert new.m == old.m
-    assert new.c.dtype == old.c.dtype and new.c.shape == old.c.shape
-    assert np.array_equal(new.c, old.c, equal_nan=True)
+    want = _pack(old.m, old.c).c
+    assert new.c.dtype == want.dtype and new.c.shape == want.shape
+    assert np.array_equal(new.c, want, equal_nan=True)
     for part in (np.real, np.imag):
-        assert np.array_equal(np.signbit(part(new.c)), np.signbit(part(old.c)))
+        assert np.array_equal(np.signbit(part(new.c)), np.signbit(part(want)))
 
 
 def _sample(rng, m, shape, complex_):
@@ -310,7 +334,7 @@ def _sample(rng, m, shape, complex_):
                 pick = rng.random(shape)
                 np.copyto(c[i, j, ...], 0.0, where=pick < 0.15)
                 np.copyto(c[i, j, ...], -0.0, where=pick > 0.85)
-    return Jet2(m, c)
+    return _pack(m, c)
 
 
 _SHAPES = [((5,), (5,)), ((4, 1), (1, 7)), ((), ()), ((), (3,)), ((0,), (0,))]
@@ -325,9 +349,9 @@ def test_mul_is_bitwise_the_old_loop(m, shapes, kinds):
     for _ in range(4):
         a = _sample(rng, m, shapes[0], kinds[0])
         b = _sample(rng, m, shapes[1], kinds[1])
-        _assert_bitwise(a * b, _old_mul(a, b))
-        _assert_bitwise(b * a, _old_mul(b, a))
-        _assert_bitwise(a * -a, _old_mul(a, -a))  # -a: minus zeros off the triangle too
+        _assert_bitwise(a * b, _old_mul(_sq(a), _sq(b)))
+        _assert_bitwise(b * a, _old_mul(_sq(b), _sq(a)))
+        _assert_bitwise(a * -a, _old_mul(_sq(a), _sq(-a)))
 
 
 @pytest.mark.parametrize("m", range(6))
@@ -338,20 +362,20 @@ def test_recip_compose_poly_add_dx_are_bitwise_the_old_code(m, shape, complex_):
     for _ in range(3):
         a = _sample(rng, m, shape, complex_)
         a.c[0, 0] = 0.5 + rng.random(shape)  # a nonzero value, so recip is defined
-        _assert_bitwise(a.recip(), _old_recip(a))
+        _assert_bitwise(a.recip(), _old_recip(_sq(a)))
         tk = [_sample(rng, 0, shape, complex_).value for _ in range(m + 1)]
-        _assert_bitwise(compose_series(tk, a), _old_compose_series(tk, a))
+        _assert_bitwise(compose_series(tk, a), _old_compose_series(tk, _sq(a)))
         floats = [float(t) for t in rng.standard_normal(m + 1)]
-        _assert_bitwise(compose_series(floats, a), _old_compose_series(floats, a))
+        _assert_bitwise(compose_series(floats, a), _old_compose_series(floats, _sq(a)))
         coeffs = tuple(rng.standard_normal(4)) + (-0.0,)
-        _assert_bitwise(poly_jet(coeffs, a), _old_poly_jet(coeffs, a))
-        _assert_bitwise(poly_jet(coeffs[:1], a), _old_poly_jet(coeffs[:1], a))
+        _assert_bitwise(poly_jet(coeffs, a), _old_poly_jet(coeffs, _sq(a)))
+        _assert_bitwise(poly_jet(coeffs[:1], a), _old_poly_jet(coeffs[:1], _sq(a)))
         for other in (2.5, -0.0, 1.5j, np.full(shape, -0.0), rng.standard_normal(shape)):
-            _assert_bitwise(a + other, _old_add(a, other))
-            _assert_bitwise(a - other, _old_add(a, -np.asarray(other)))
+            _assert_bitwise(a + other, _old_add(_sq(a), other))
+            _assert_bitwise(a - other, _old_add(_sq(a), -np.asarray(other)))
         if m >= 1:
-            _assert_bitwise(a.dx(), _old_dx(a))
-            _assert_bitwise((-a).dx(), _old_dx(-a))
+            _assert_bitwise(a.dx(), _old_dx(_sq(a)))
+            _assert_bitwise((-a).dx(), _old_dx(_sq(-a)))
     x0 = rng.standard_normal(shape) + (1j if complex_ else 0)
     for new, old in zip(jet_seed(x0, -0.0, max(m, 1)), _old_seed(x0, -0.0, max(m, 1))):
         _assert_bitwise(new, old)
@@ -364,7 +388,7 @@ def test_dx_of_non_finite_coefficients_is_bitwise_the_old_loop():
         if dtype is complex:
             c[3, 0] = complex(np.inf, 1.0)
         with np.errstate(invalid="ignore"):  # inf * (k + 0j) forms inf * 0 in the imaginary part
-            _assert_bitwise(Jet2(3, c).dx(), _old_dx(Jet2(3, c)))
+            _assert_bitwise(_pack(3, c).dx(), _old_dx(Jet2(3, c)))
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -373,14 +397,14 @@ def test_all_zero_planes_of_the_left_factor_are_skipped(bad):
     # multiplying such a plane would form 0 * inf = nan in the result
     m = 3
     a = Jet2.constant(np.array([2.0, -3.0]), m)
-    a.c[0, 1] = -0.0
+    a.plane(0, 1)[...] = -0.0
     b = _sample(np.random.default_rng(7), m, (2,), False)
-    b.c[1, 0] = bad
-    b.c[0, 2, 1] = bad
+    b.plane(1, 0)[...] = bad
+    b.plane(0, 2)[1] = bad
     with np.errstate(invalid="ignore"):  # a kernel that multiplies zero planes fails below, not here
         new = a * b
-    _assert_bitwise(new, _old_mul(a, b))
-    assert not np.isnan(new.c[2, 0]).any() and not np.isnan(new.c[1, 2]).any()
+    _assert_bitwise(new, _old_mul(_sq(a), _sq(b)))
+    assert not np.isnan(new.plane(2, 0)).any() and not np.isnan(new.plane(1, 2)).any()
 
 
 def test_a_complex_constant_on_a_real_jet_keeps_numpy_assignment_casting():
@@ -390,7 +414,7 @@ def test_a_complex_constant_on_a_real_jet_keeps_numpy_assignment_casting():
     with pytest.warns(np.exceptions.ComplexWarning):
         new = poly_jet((1.5j, 2.0), a)
     with pytest.warns(np.exceptions.ComplexWarning):
-        old = _old_poly_jet((1.5j, 2.0), a)
+        old = _old_poly_jet((1.5j, 2.0), _sq(a))
     _assert_bitwise(new, old)
 
 
@@ -413,7 +437,7 @@ def _order0(values):
 def test_order_zero_product_is_bitwise_the_plane_loop(left, right):
     a, b = _order0(left), _order0(right)
     with np.errstate(invalid="ignore"):  # 0 * inf where a live factor forms it, as the loop does
-        got, want = a * b, _old_mul(a, b)
+        got, want = a * b, _old_mul(_sq(a), _sq(b))
     _assert_bitwise(got, want)
     if not np.any(left):
         assert np.array_equal(got.c, np.zeros_like(got.c)) and not np.signbit(got.c).any()
@@ -427,7 +451,13 @@ def test_recip_of_a_zero_value_raises(value, m):
         a.recip()
     for nonzero in ([2.0, -0.5, np.nan], [2.0, 1j]):  # negative, nan or imaginary
         b = Jet2.constant(np.array(nonzero), m)
-        _assert_bitwise(b.recip(), _old_recip(b))
+        got, want = b.recip(), _old_recip(_sq(b))
+        # at the nan point every coefficient is a product of two nans, and which
+        # one's sign numpy keeps follows the array's length, so the layout: the
+        # other points are compared bit for bit, the nan point as all nan
+        ok = ~np.isnan(np.asarray(nonzero, dtype=complex))
+        _assert_bitwise(Jet2(m, got.c[..., ok]), Jet2(m, want.c[..., ok]))
+        assert np.isnan(got.c[..., ~ok]).all() and np.isnan(want.c[..., ~ok]).all()
 
 
 @pytest.mark.parametrize("value", [-0.0, 1.5, 2, 2.5j, [1.0, -0.0, 3.0]])
@@ -436,4 +466,147 @@ def test_order_zero_constant_and_composition_are_the_old_bits(value):
         _assert_bitwise(Jet2.constant(value, 0, shape),
                         _old_constant(np.broadcast_to(value, shape or np.shape(value)), 0))
     a = Jet2.constant(np.array([0.5, -0.0, 2.0]), 0)
-    _assert_bitwise(compose_series([value], a), _old_compose_series([value], a))
+    _assert_bitwise(compose_series([value], a), _old_compose_series([value], _sq(a)))
+
+
+# -- the packed layout and the whole-jet first left plane ----------------------
+
+
+@pytest.mark.parametrize("m", range(4))
+@pytest.mark.parametrize("shape", [(), (3,), (2, 3)], ids=str)
+def test_value_plane_has_the_shape_of_the_points(m, shape):
+    x = np.arange(1.0, 1.0 + np.prod(shape, dtype=int)).reshape(shape)
+    xj, zj = jet_seed(x, -x, m)
+    for jet in (xj, zj, xj * zj, xj + 1.0, jexp(zj)):
+        assert jet.c.shape == (1, (m + 1) * (m + 2) // 2) + shape
+        assert jet.c[0, 0].shape == shape and jet.shape == shape
+        assert _bytes(jet.c[0, 0]) == _bytes(jet.value)
+    assert _bytes(xj.value) == _bytes(x) and _bytes((xj * zj).value) == _bytes(x * -x)
+    for k, (i, j) in enumerate(_triangle(m)):  # (i, j)-lexicographic order
+        assert _bytes(xj.plane(i, j)) == _bytes(xj.c[0, k])
+
+
+def _bytes(a):
+    a = np.asarray(a)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+def _spy_first_terms(monkeypatch):
+    """Count the products whose first left plane runs as one whole-jet step."""
+    calls = []
+    first = jets._first_terms
+    monkeypatch.setattr(jets, "_first_terms", lambda a, b: calls.append(1) or first(a, b))
+    return calls
+
+
+def _kernel_sample(rng, m, shape, nan_value=False):
+    """Real coefficients whose value plane is live: +-0 and +-inf entries in every plane,
+    nan entries off the value plane (in it too with ``nan_value``), some planes dead."""
+    c = rng.standard_normal((m + 1, m + 1) + shape)
+    for i, j in _triangle(m):
+        plane = c[i, j, ...]
+        if (i, j) != (0, 0) and rng.random() < 0.2:
+            plane[...] = rng.choice([0.0, -0.0])  # a dead plane, +0 or -0
+            continue
+        special = [0.0, -0.0, np.inf, -np.inf] + ([np.nan] if (i, j) != (0, 0) or nan_value else [])
+        pick = rng.integers(0, 2 * len(special), size=shape)
+        for k, v in enumerate(special):
+            np.copyto(plane, v, where=pick == k)
+        if (i, j) == (0, 0) and plane.size:
+            plane.flat[0] = 1.0 + rng.random()  # a nonzero entry keeps the value plane live
+    return _pack(m, c)
+
+
+def _with_specials(rng, jet):
+    """``jet`` with scattered inf and nan entries."""
+    c = jet.c.copy()
+    np.copyto(c, np.inf, where=rng.random(c.shape) < 0.1)
+    np.copyto(c, -np.inf, where=rng.random(c.shape) < 0.05)
+    np.copyto(c, np.nan, where=rng.random(c.shape) < 0.1)
+    return Jet2(jet.m, c)
+
+
+_BROADCAST = [((6,), (1,)), ((1,), (6,)), ((4, 1), (1, 5)), ((1, 5), (4, 1)), ((), (3,)),
+              ((3,), ()), ((2, 3), (3,)), ((6,), (6,)), ((0,), (0,))]
+
+
+@pytest.mark.parametrize("m", range(5))
+@pytest.mark.parametrize("shapes", _BROADCAST, ids=str)
+def test_whole_first_left_plane_is_bitwise_the_plane_loop(m, shapes, monkeypatch):
+    # signed zeros, infinities and nans, dead planes in both factors and broadcast
+    # points: the same bits as the loop, nan signs too (no nan x nan first term)
+    calls = _spy_first_terms(monkeypatch)
+    rng = np.random.default_rng([m, *map(len, shapes), *shapes[0], *shapes[1]])
+    trials = 0
+    for trial in range(6):
+        a = _kernel_sample(rng, m, shapes[0])
+        b = _sample(rng, m, shapes[1], False)
+        if trial % 2:
+            b = _with_specials(rng, b)
+        with np.errstate(invalid="ignore", over="ignore"):
+            got, want = a * b, _old_mul(_sq(a), _sq(b))
+        _assert_bitwise(got, want)
+        trials += a.c.size > 0  # no entries: a dead value plane, the loop
+    assert len(calls) == trials
+
+
+@pytest.mark.parametrize("m", range(4))
+def test_a_nan_times_nan_first_term_keeps_every_other_bit(m, monkeypatch):
+    # a_00 * b_pq with both factors nan: IEEE 754 leaves the sign of the nan open,
+    # and numpy picks one operand's nan by its position in the loop, which the
+    # whole-jet step moves; the nans stay where they are and every other bit stays
+    calls = _spy_first_terms(monkeypatch)
+    rng = np.random.default_rng(m)
+    for _ in range(4):
+        a = _kernel_sample(rng, m, (37,), nan_value=True)
+        b = _with_specials(rng, _sample(rng, m, (37,), False))
+        with np.errstate(invalid="ignore"):
+            got, want = (a * b).c, _pack(m, _old_mul(_sq(a), _sq(b)).c).c
+        assert got.shape == want.shape and np.array_equal(got, want, equal_nan=True)
+        ok = ~np.isnan(want)
+        assert np.array_equal(np.signbit(got[ok]), np.signbit(want[ok]))
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("m", range(4))
+def test_products_whose_sum_is_minus_zero_start_at_plus_zero(m, monkeypatch):
+    # every term -0: the loop's +0 start makes each plane +0, so must the step
+    calls = _spy_first_terms(monkeypatch)
+    a = _pack(m, np.full((m + 1, m + 1, 3), -1.0))
+    b = _pack(m, np.full((m + 1, m + 1, 3), 0.0))
+    got = a * b
+    assert len(calls) == 1
+    _assert_bitwise(got, _old_mul(_sq(a), _sq(b)))
+    assert not np.signbit(got.c).any()
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+def test_mixed_magnitude_sums_keep_the_loop_order(m, monkeypatch):
+    # terms of very different sizes, so a sum in any other order rounds differently
+    calls = _spy_first_terms(monkeypatch)
+    rng = np.random.default_rng(m)
+    for _ in range(8):
+        scale = 10.0 ** rng.integers(-8, 9, size=(m + 1, m + 1, 16))
+        a = _pack(m, rng.standard_normal((m + 1, m + 1, 16)) * scale)
+        b = _pack(m, rng.standard_normal((m + 1, m + 1, 16)) * scale[::-1])
+        _assert_bitwise(a * b, _old_mul(_sq(a), _sq(b)))
+    assert len(calls) == 8
+
+
+@pytest.mark.parametrize("m", range(1, 4))
+def test_a_dead_value_plane_and_complex_jets_take_the_plane_loop(m, monkeypatch):
+    calls = _spy_first_terms(monkeypatch)
+    rng = np.random.default_rng(m)
+    b = _with_specials(rng, _kernel_sample(rng, m, (5,)))
+    n = _kernel_sample(rng, m, (5,))
+    n.c[0, 0] = np.array([0.0, -0.0, 0.0, -0.0, 0.0])  # as compose_series's nilpotent part
+    with np.errstate(invalid="ignore"):  # inf - inf where live planes meet, as in the loop
+        got, want = n * b, _old_mul(_sq(n), _sq(b))
+    _assert_bitwise(got, want)  # the dead value plane formed no 0 * inf
+    cx = _sample(rng, m, (5,), True)
+    cx.c[0, 0] = 1.0 + 0.5j
+    for left, right in ((cx, n), (n, cx), (cx, cx)):
+        with np.errstate(invalid="ignore"):
+            got, want = left * right, _old_mul(_sq(left), _sq(right))
+        _assert_bitwise(got, want)
+    assert calls == []
