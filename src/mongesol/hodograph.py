@@ -46,9 +46,11 @@ _DOUBLING_TOL = 1e-6  # assemble_r_integral: largest relative change of R on nod
 # tie at about 13 nodes.
 _SCALAR_MAX_NODES = 12
 # schrodinger_solve: RK4 damps a decaying mode w'' = lam w, lam > 0, only while
-# h sqrt(lam) is at most this, the real root of 1 + z/2 + z^2/6 + z^3/24, negated
-# (on the imaginary axis, lam < 0, the bound is 2 sqrt(2), a little larger)
+# h sqrt(lam) is at most this, the real root of 1 + z/2 + z^2/6 + z^3/24, negated;
+# it keeps an oscillating mode, lam < 0, from growing only while h sqrt(-lam) is
+# at most 2 sqrt(2), where the squared amplification 1 - y^6/72 + y^8/576 reaches 1
 _RK4_STEP_LIMIT = 2.785293563405282
+_RK4_OSC_STEP_LIMIT = 2.0 * math.sqrt(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +179,9 @@ def schrodinger_solve(
     solve, on the stage points ``c``, ``c + h/2`` and ``c + h`` of every
     step.  A non-finite or complex node, non-finite or complex profile
     values, a ``k^2 W_c(c)`` that overflows, a step ``h`` with
-    ``|h| sqrt|k^2 W_c|`` beyond RK4's real-axis stability limit (about
-    2.785, where a decaying mode would grow), a mode that overflows, a
+    ``|h| sqrt|k^2 W_c|`` beyond RK4's stability limit (about 2.785 where
+    ``W_c > 0``, on the real axis, where a decaying mode would grow; 2 sqrt(2)
+    where ``W_c < 0``, on the imaginary axis), a mode that overflows, a
     non-integral ``steps`` and a ``c_range`` without finite, distinct ends
     are errors (a decreasing range integrates backwards).
 
@@ -229,14 +232,16 @@ def schrodinger_solve(
         i, j = np.unravel_index(np.argmax(bad), bad.shape)
         raise MongesolError(f"k^2 * W_c(c) overflows at node k={float(kk[j])!r}, "
                             f"c={float(stages[i])!r}")
-    top = _RK4_STEP_LIMIT / abs(h)
-    top *= top  # the bound on |k^2 W_c| (inf for a tiny h); two reductions settle it
-    if v.size and max(v.max(), -v.min()) > top:
-        i, j = np.unravel_index(np.argmax(np.abs(v) > top), v.shape)
+    # the bounds on k^2 W_c above and below (+-inf for a tiny h); two reductions settle it
+    top, bottom = _RK4_STEP_LIMIT / abs(h), _RK4_OSC_STEP_LIMIT / abs(h)
+    top, bottom = top * top, -bottom * bottom  # a product overflows to inf, no error
+    if v.size and (v.max() > top or v.min() < bottom):
+        i, j = np.unravel_index(np.argmax((v > top) | (v < bottom)), v.shape)
+        limit = _RK4_STEP_LIMIT if v[i, j] > 0 else _RK4_OSC_STEP_LIMIT
         raise MongesolError(
             f"RK4 step too large at node k={float(kk[j])!r}, c={float(stages[i])!r}: "
             f"h * sqrt|k^2 W_c| = {abs(h) * math.sqrt(abs(v[i, j])):.4g} exceeds the "
-            f"stability limit {_RK4_STEP_LIMIT:.4f}; use more steps")
+            f"stability limit {limit:.4f}; use more steps")
 
     # y = (w, w') x (fundamental solution 1, 2) x nodes
     ys = np.empty((steps + 1, 2, 2, kk.size))

@@ -32,28 +32,26 @@ plane never forms ``0 * inf`` or ``0 * nan``, and a zero sum is +0.  One
 reduction per product finds the live planes, and none is needed when every
 plane of ``a`` has a nonzero first entry.
 
-The loop's first left plane is the value plane (0, 0), and its term
-``a_00 * b_pq`` is the first that output plane (p, q) gets, for every
-plane.  So when both factors are real and ``a``'s value plane is live,
-those T terms are one whole-jet step: ``out = a_00 * b``, then
-``out += 0.0`` for the +0 start (``x + 0`` is ``0 + x``: ``x``, except
-that a -0 becomes +0).  The loop then goes on from the second left plane,
-so every plane gets the same IEEE operations in the same order.  The one
-bit that can move is the sign of a nan that ``a_00 * b_pq`` makes from
-two nans: IEEE 754 leaves it open, and numpy's float loops take one
-operand's nan or the other's by the element's position in the loop, which
-the whole-jet step changes.  No output holds a nan sign.
-Points of lower rank are padded with unit axes so the plane axes line up.
-A dead value plane (the step would multiply it) and complex jets stay on
-the plane loop from its start: numpy's complex product bits depend on the
+A real order-0 product whose left factor is live is the loop's one term
+as one numpy product: ``out = a * b``, then ``out += 0.0`` for the +0
+start (``x + 0`` is ``0 + x``: ``x``, except that a -0 becomes +0).
+Complex jets stay on the loop: numpy's complex product bits depend on the
 array length (SIMD body or scalar tail), so one whole-jet product could
 differ from the plane's.
 
+One bit is not the square layout's: at a point where a jet's value is nan,
+the signs of the nan coefficients of ``recip`` above the value plane.  Each
+is a product of two nans in the last scaling ``acc * inv``, whose sign
+IEEE 754 leaves open; numpy's float loops keep one operand's nan or the
+other's by the element's place in one loop over the whole jet, and the
+packed layout moves those places.  No output holds a nan sign (``'%.17g'``
+writes ``nan`` for both).
+
 A real order-0 jet has one plane, so its sum with a number and its
-reciprocal are one numpy operation each, with the same bits, and its
-product is that whole-jet step alone.  An order-0 constant is
-written once, with no zero fill, and ``compose_series`` at order 0 is that
-constant.  The reciprocal's zero test is one pass at any order.
+reciprocal are one numpy operation each, with the same bits.  An order-0
+constant is written once, with no zero fill, and ``compose_series`` at
+order 0 is that constant.  The reciprocal's zero test is one pass at any
+order.
 """
 
 from __future__ import annotations
@@ -154,17 +152,16 @@ class Jet2:
         self._check_order(other)
         m, a, b = self.m, self.c, other.c
         live = _live_planes(a)
-        plan = _mul_plan(m)
-        if live[0] and _real(a, b):
-            a, b, out = _first_terms(a, b)
-            plan = plan[len(live):]  # the first left plane's terms: one for each plane
-        else:
-            shape = a.shape[2:]
-            if b.shape[2:] != shape:
-                shape = np.broadcast_shapes(shape, b.shape[2:])
-            out = np.zeros(a.shape[:2] + shape, dtype=np.promote_types(a.dtype, b.dtype))
+        if m == 0 and live[0] and _real(a, b):  # the loop's one term, as one product
+            out = a * b
+            out += 0.0  # as the +0 start: a -0 product becomes +0
+            return Jet2(0, out)
+        shape = a.shape[2:]
+        if b.shape[2:] != shape:
+            shape = np.broadcast_shapes(shape, b.shape[2:])
+        out = np.zeros(a.shape[:2] + shape, dtype=np.promote_types(a.dtype, b.dtype))
         pa, pb, po = a[0], b[0], out[0]
-        for ka, kb, ko in plan:
+        for ka, kb, ko in _mul_plan(m):
             if live[ka]:
                 o = po[ko, ...]  # a view, also for 0-d points
                 o += pa[ka] * pb[kb]
@@ -238,17 +235,6 @@ def _live_planes(a: np.ndarray) -> list:
     if planes.size and planes[(slice(None),) + (0,) * (planes.ndim - 1)].all():
         return [True] * len(planes)
     return planes.any(axis=tuple(range(1, planes.ndim))).tolist()
-
-
-def _first_terms(a: np.ndarray, b: np.ndarray):
-    """``(a, b, out)``: ``out`` holds each plane's first term ``a_00 * b_pq`` after
-    the +0 start; ``a`` and ``b`` come back with points of the same rank."""
-    if a.ndim != b.ndim:  # unit axes in front of the lower-rank points
-        pad = (slice(None),) * 2 + (None,) * abs(a.ndim - b.ndim)
-        a, b = (a[pad], b) if a.ndim < b.ndim else (a, b[pad])
-    out = a[:, :1] * b
-    out += 0.0  # as the +0 start: a -0 product becomes +0
-    return a, b, out
 
 
 def jet_seed(x0, z0, m: int) -> tuple[Jet2, Jet2]:

@@ -383,8 +383,9 @@ def test_an_overflowing_mode_is_named_by_node_and_c(limit, monkeypatch):
     (lambda c: np.where(np.asarray(c) > 0.5, 1.0, 0.01), (0.0, 1.0), "k=600.0, c=0.5025"),
 ])
 def test_an_rk4_unstable_step_is_named_by_node_and_c(profile, c_range, where):
-    # beyond h sqrt|k^2 W_c| = 2.785 RK4 amplifies every step: profile -1 at h k = 3
-    # gave |w1| = 2e35 and a Wronskian drift of 1e71 where this is now an error
+    # beyond h sqrt|k^2 W_c| = 2.785 (W_c > 0) or 2 sqrt(2) (W_c < 0) RK4 amplifies
+    # every step: profile -1 at h k = 3 gave |w1| = 2e35 and a Wronskian drift of
+    # 1e71 where this is now an error
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(MongesolError, match=re.escape(f"RK4 step too large at node {where}:")):
@@ -395,6 +396,25 @@ def test_an_rk4_unstable_step_is_named_by_node_and_c(profile, c_range, where):
     # just inside the limit: a solve, whose damping the drift reports
     sol = schrodinger_solve(lambda c: -np.ones_like(c), 557.0, (0.0, 1.0), 200)
     assert np.isfinite(sol.w1).all() and sol.wronskian_drift <= 1.0
+
+
+@pytest.mark.parametrize("sign, k, limit", [
+    (1.0, 278.0, None), (1.0, 279.0, "2.7853"),  # h k = 2.78, 2.79 on the real axis
+    (-1.0, 282.5, None), (-1.0, 283.0, "2.8284"),  # h k = 2.825, 2.83 on the imaginary axis
+])
+def test_the_rk4_step_limit_follows_the_sign_of_w_c(sign, k, limit):
+    # a decaying mode (W_c > 0) grows past h k = 2.785, an oscillating one (W_c < 0)
+    # only past 2 sqrt(2), where RK4's amplification on the imaginary axis passes 1
+    def run():  # 100 steps: the growing mode's cosh(k) stays finite
+        return schrodinger_solve(lambda c: np.full_like(c, sign), k, (0.0, 1.0), 100)
+    if limit is None:
+        sol = run()
+        assert np.isfinite(sol.w1).all() and np.isfinite(sol.w2p).all()
+        if sign < 0:
+            assert np.abs(sol.w1).max() <= 1.0 and sol.wronskian_drift <= 1.0
+    else:
+        with pytest.raises(MongesolError, match=re.escape(f"exceeds the stability limit {limit};")):
+            run()
 
 
 @pytest.mark.parametrize("ks, named", [

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mongesol import jets
 from mongesol.errors import BranchCutError
 from mongesol.jets import (
     Jet2,
@@ -207,7 +206,13 @@ def test_array_payload_broadcasting():
 # Each _old_* function is the implementation that the in-place kernel replaced,
 # kept as the oracle: every coefficient must match it bit for bit, signed zeros
 # and NaNs included, because the product's summation order and its skipping of
-# all-zero planes of the left factor are part of the jet contract.  The oracles
+# all-zero planes of the left factor are part of the jet contract.  One
+# exception came with the packed layout: at a point where a jet's value is nan,
+# the signs of the nan coefficients of its reciprocal above the value plane
+# (test_recip_of_a_zero_value_raises).  Each is a product of two nans in the
+# last scaling ``acc * inv``, IEEE 754 leaves such a sign open, and numpy's
+# float loops keep one operand's nan or the other's by the element's place in
+# one loop over the whole array, which the layout moves.  The oracles
 # run on the square layout of their time, coefficients ``c[i, j]`` of shape
 # ``(m + 1, m + 1) + points`` held in a Jet2 as a plain container: ``_sq``
 # gives them a packed jet's planes, and ``_assert_bitwise`` reads back the
@@ -452,11 +457,12 @@ def test_recip_of_a_zero_value_raises(value, m):
     for nonzero in ([2.0, -0.5, np.nan], [2.0, 1j]):  # negative, nan or imaginary
         b = Jet2.constant(np.array(nonzero), m)
         got, want = b.recip(), _old_recip(_sq(b))
-        # at the nan point every coefficient is a product of two nans, and which
-        # one's sign numpy keeps follows the array's length, so the layout: the
-        # other points are compared bit for bit, the nan point as all nan
+        # the one exception to the oracles' bits (see above): at the nan point the
+        # coefficients above the value plane are nan, their signs open; every other
+        # point and the value plane (1 * inv, one nan) are compared bit for bit
         ok = ~np.isnan(np.asarray(nonzero, dtype=complex))
         _assert_bitwise(Jet2(m, got.c[..., ok]), Jet2(m, want.c[..., ok]))
+        _assert_bitwise(Jet2(0, got.c[:, :1]), Jet2(0, want.c[:1, :1]))
         assert np.isnan(got.c[..., ~ok]).all() and np.isnan(want.c[..., ~ok]).all()
 
 
@@ -469,7 +475,7 @@ def test_order_zero_constant_and_composition_are_the_old_bits(value):
     _assert_bitwise(compose_series([value], a), _old_compose_series([value], _sq(a)))
 
 
-# -- the packed layout and the whole-jet first left plane ----------------------
+# -- the packed layout --------------------------------------------------------
 
 
 @pytest.mark.parametrize("m", range(4))
@@ -489,14 +495,6 @@ def test_value_plane_has_the_shape_of_the_points(m, shape):
 def _bytes(a):
     a = np.asarray(a)
     return a.dtype.str, a.shape, a.tobytes()
-
-
-def _spy_first_terms(monkeypatch):
-    """Count the products whose first left plane runs as one whole-jet step."""
-    calls = []
-    first = jets._first_terms
-    monkeypatch.setattr(jets, "_first_terms", lambda a, b: calls.append(1) or first(a, b))
-    return calls
 
 
 def _kernel_sample(rng, m, shape, nan_value=False):
@@ -527,75 +525,56 @@ def _with_specials(rng, jet):
 
 
 _BROADCAST = [((6,), (1,)), ((1,), (6,)), ((4, 1), (1, 5)), ((1, 5), (4, 1)), ((), (3,)),
-              ((3,), ()), ((2, 3), (3,)), ((6,), (6,)), ((0,), (0,))]
+              ((3,), ()), ((2, 3), (3,)), ((6,), (6,)), ((0,), (0,)), ((37,), (37,)),
+              ((37,), (1,)), ((1,), (37,)), ((5, 1), (1, 9)), ((), (37,)), ((3, 13), (13,))]
 
 
 @pytest.mark.parametrize("m", range(5))
 @pytest.mark.parametrize("shapes", _BROADCAST, ids=str)
-def test_whole_first_left_plane_is_bitwise_the_plane_loop(m, shapes, monkeypatch):
-    # signed zeros, infinities and nans, dead planes in both factors and broadcast
-    # points: the same bits as the loop, nan signs too (no nan x nan first term)
-    calls = _spy_first_terms(monkeypatch)
+def test_packed_product_is_bitwise_the_plane_loop(m, shapes):
+    # signed zeros, infinities and nans of both signs, dead planes in both factors,
+    # broadcast points and nans in the left value plane: the square layout's bits,
+    # nan signs included (a nan times a nan is a nan whose sign numpy picks by the
+    # element's place in the loop, so only the same products give the same signs)
     rng = np.random.default_rng([m, *map(len, shapes), *shapes[0], *shapes[1]])
-    trials = 0
-    for trial in range(6):
-        a = _kernel_sample(rng, m, shapes[0])
+    for trial in range(8):
+        nan_value = trial >= 4
+        a = _kernel_sample(rng, m, shapes[0], nan_value)
+        if nan_value and a.c.size:
+            a.c[0, 0, ...].flat[-1] = np.nan  # also where the points are one
         b = _sample(rng, m, shapes[1], False)
         if trial % 2:
             b = _with_specials(rng, b)
+        for jet in (a, b):  # nans of both signs, so a moved sign shows
+            jet.c[...] = np.copysign(jet.c, rng.choice([-1.0, 1.0], size=jet.c.shape))
         with np.errstate(invalid="ignore", over="ignore"):
             got, want = a * b, _old_mul(_sq(a), _sq(b))
         _assert_bitwise(got, want)
-        trials += a.c.size > 0  # no entries: a dead value plane, the loop
-    assert len(calls) == trials
 
 
 @pytest.mark.parametrize("m", range(4))
-def test_a_nan_times_nan_first_term_keeps_every_other_bit(m, monkeypatch):
-    # a_00 * b_pq with both factors nan: IEEE 754 leaves the sign of the nan open,
-    # and numpy picks one operand's nan by its position in the loop, which the
-    # whole-jet step moves; the nans stay where they are and every other bit stays
-    calls = _spy_first_terms(monkeypatch)
-    rng = np.random.default_rng(m)
-    for _ in range(4):
-        a = _kernel_sample(rng, m, (37,), nan_value=True)
-        b = _with_specials(rng, _sample(rng, m, (37,), False))
-        with np.errstate(invalid="ignore"):
-            got, want = (a * b).c, _pack(m, _old_mul(_sq(a), _sq(b)).c).c
-        assert got.shape == want.shape and np.array_equal(got, want, equal_nan=True)
-        ok = ~np.isnan(want)
-        assert np.array_equal(np.signbit(got[ok]), np.signbit(want[ok]))
-    assert len(calls) == 4
-
-
-@pytest.mark.parametrize("m", range(4))
-def test_products_whose_sum_is_minus_zero_start_at_plus_zero(m, monkeypatch):
-    # every term -0: the loop's +0 start makes each plane +0, so must the step
-    calls = _spy_first_terms(monkeypatch)
+def test_products_whose_sum_is_minus_zero_start_at_plus_zero(m):
+    # every term -0: the loop's +0 start makes each plane +0, at order 0 too
     a = _pack(m, np.full((m + 1, m + 1, 3), -1.0))
     b = _pack(m, np.full((m + 1, m + 1, 3), 0.0))
     got = a * b
-    assert len(calls) == 1
     _assert_bitwise(got, _old_mul(_sq(a), _sq(b)))
     assert not np.signbit(got.c).any()
 
 
 @pytest.mark.parametrize("m", range(1, 5))
-def test_mixed_magnitude_sums_keep_the_loop_order(m, monkeypatch):
+def test_mixed_magnitude_sums_keep_the_loop_order(m):
     # terms of very different sizes, so a sum in any other order rounds differently
-    calls = _spy_first_terms(monkeypatch)
     rng = np.random.default_rng(m)
     for _ in range(8):
         scale = 10.0 ** rng.integers(-8, 9, size=(m + 1, m + 1, 16))
         a = _pack(m, rng.standard_normal((m + 1, m + 1, 16)) * scale)
         b = _pack(m, rng.standard_normal((m + 1, m + 1, 16)) * scale[::-1])
         _assert_bitwise(a * b, _old_mul(_sq(a), _sq(b)))
-    assert len(calls) == 8
 
 
-@pytest.mark.parametrize("m", range(1, 4))
-def test_a_dead_value_plane_and_complex_jets_take_the_plane_loop(m, monkeypatch):
-    calls = _spy_first_terms(monkeypatch)
+@pytest.mark.parametrize("m", range(4))
+def test_a_dead_value_plane_and_complex_jets_take_the_plane_loop(m):
     rng = np.random.default_rng(m)
     b = _with_specials(rng, _kernel_sample(rng, m, (5,)))
     n = _kernel_sample(rng, m, (5,))
@@ -609,4 +588,3 @@ def test_a_dead_value_plane_and_complex_jets_take_the_plane_loop(m, monkeypatch)
         with np.errstate(invalid="ignore"):
             got, want = left * right, _old_mul(_sq(left), _sq(right))
         _assert_bitwise(got, want)
-    assert calls == []
