@@ -12,8 +12,13 @@ stdout, its stderr and the name and bytes of every file it wrote
 - a reconstruct with ``fd_h = 0.01`` per family;
 - construct and verify of a ``trivial`` family with complex fields;
 - verify of every family at 81x81 with its default checks, which read no
-  second partial (appended after the jobs above, so their lines keep their
-  order).
+  second partial;
+- construct and verify (default checks plus reconstruct) of ``m3_general``
+  at ``g = 1``, 21x21: the complex branch ``h = i*sqrt(g)``, which the
+  canonical ``g = -1`` never takes.
+
+The last two groups were appended after the jobs above them, so earlier
+lines keep their content and order.
 
 The jobs keep the ``:m2`` suffix of their names from when the matrix also
 ran at jet order 4, so lines stay comparable across commits.
@@ -23,8 +28,10 @@ exit column: the bytes of ``r_values`` from the two ``assemble_r_integral``
 calls of the ``mode_superposition`` benchmark workload, and of ``w1`` and
 ``w2`` from one ``schrodinger_solve`` over a 2-D array of nodes.
 
-Nothing is compared here: run it on each commit and diff the two outputs.
-CI runs it twice, under different ``PYTHONHASHSEED`` values, and diffs those.
+That makes 106 lines: 102 CLI jobs and four mode-solver arrays.  Nothing
+is compared here: run it on each commit and diff the two outputs.  CI runs
+it under two ``PYTHONHASHSEED`` values and under glibc's default malloc
+thresholds, and diffs those.
 
 Usage:
   python scripts/output_digests.py > digests.txt
@@ -42,7 +49,8 @@ from pathlib import Path
 
 import numpy as np
 
-from mongesol import FAMILY_TAGS, canonical_config, default_checks, family_to_dict, make_family
+from mongesol import (FAMILY_TAGS, GeneralNuConfig, canonical_config, default_checks,
+                      family_to_dict, make_family)
 from mongesol import hodograph
 from mongesol.cli import main as cli_main
 
@@ -108,6 +116,11 @@ def jobs():
     for tag in FAMILY_TAGS:
         family = family_to_dict(canonical_config(tag))
         yield f"verify:{tag}:81:default", {"family": family, "grid": {"nx": 81, "nz": 81}}, ("verify",)
+    bundle = make_family(GeneralNuConfig(g=1.0))
+    cfg = {"family": family_to_dict(bundle.config), "grid": {"nx": 21, "nz": 21},
+           "checks": default_checks(bundle) + ["reconstruct"]}
+    for cmd in ("construct", "verify"):
+        yield f"{cmd}:m3_general_g1:21", cfg, (cmd,)
 
 
 def run_job(name: str, config: dict, args: tuple) -> tuple[int, str]:

@@ -43,7 +43,6 @@ from .functional_eq import (
     SlopeBranch,
     duality_transform,
     four_function_residual,
-    ratio_form_residual,
     variable_slope_residual,
 )
 from .hodograph import (

@@ -83,8 +83,8 @@ class SafeDomain:
     """Rectangle plus exclusion predicates.
 
     A predicate maps point arrays to a margin; a point is admissible when
-    every margin is positive.  Evaluating a bundle outside the admissible
-    set raises, it never returns silent non-finite values.  ``x`` and ``z``
+    every margin is positive.  ``require`` raises for points outside the
+    admissible set, naming the predicate they violate.  ``x`` and ``z``
     may be any two broadcastable arrays; a predicate may return a margin of
     either's shape, and ``mask`` returns the broadcast shape.
     """
@@ -149,16 +149,6 @@ class FieldBundle:
     family: str = ""
     config: object = None
     mutations: dict = field(default_factory=dict)
-
-    def eval_fields(self, x, z, m: int = 2) -> Mapping[str, Jet2]:
-        """Order-``m`` jets (any ``m >= 0``) of a0..a{n-1}, W, f at the points; errors off-domain."""
-        self.domain.require(x, z)
-        return self.fields_fn(np.asarray(x, dtype=float), np.asarray(z, dtype=float), m)
-
-    def with_mutation(self, name: str, factor: float) -> "FieldBundle":
-        merged = dict(self.mutations)
-        merged[name] = merged.get(name, 1.0) * float(factor)
-        return make_family(self.config, mutations=merged)
 
     def w_of_f(self, tvals, x_near, z_near, jets=None):
         """The implied univariate map f -> W, evaluated at ``tvals``.
@@ -595,14 +585,11 @@ def _build_degenerate(cfg: DegenerateConfig, scales) -> FieldBundle:
             tj = jet_seed(a, 0.0, 1)[0]
             sj, gj = slope(tj), g_fn(tj)
             r = x + sj.value * z - gj.value
-            if np.max(np.abs(r)) <= 1e-12 * max(1.0, float(np.max(np.abs(gj.value)))):
-                der = jet_partial(gj, 1, 0) - jet_partial(sj, 1, 0) * z
-                if np.any(np.abs(der) < 1e-8):
-                    raise FoldError("degenerate family: fold point G'(a) - z*(C_a^1/2)'(a) ~ 0")
-                return a
             der = jet_partial(gj, 1, 0) - jet_partial(sj, 1, 0) * z
             if np.any(np.abs(der) < 1e-8):
-                raise FoldError("degenerate family: fold point during solve")
+                raise FoldError("degenerate family: fold point G'(a) - z*(C_a^1/2)'(a) ~ 0")
+            if np.max(np.abs(r)) <= 1e-12 * max(1.0, float(np.max(np.abs(gj.value)))):
+                return a
             a = a + r / der
         raise ConvergenceError("degenerate family: implicit solve did not converge")
 
@@ -1305,13 +1292,17 @@ def make_family(cfg, mutations: dict | None = None) -> FieldBundle:
 
     ``mutations`` maps mutation slots to the factor that slot's derivative
     function is scaled by; an unknown slot or a non-finite factor is a
-    :class:`ConfigError`.
+    :class:`ConfigError`, and so is a parameter whose derived constants
+    overflow float arithmetic while the family is built.
     """
     scales = dict(mutations or {})
     for name, factor in scales.items():
         if not abs(factor) <= sys.float_info.max:  # NaN, inf and a too large int fail too
             raise ConfigError(f"mutation factor {name!r} must be finite, got {factor}")
-    bundle = _entry(cfg.tag)[1](cfg, scales)
+    try:
+        bundle = _entry(cfg.tag)[1](cfg, scales)
+    except OverflowError as exc:
+        raise ConfigError(f"family {cfg.tag!r}: a parameter overflows ({exc})") from None
     for name in scales:
         if name not in bundle.mutation_slots:
             raise ConfigError(

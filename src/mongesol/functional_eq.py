@@ -30,13 +30,11 @@ __all__ = [
     "SlopeBranch",
     "four_function_residual",
     "four_function_terms",
-    "ratio_form_residual",
     "variable_slope_residual",
     "duality_transform",
 ]
 
 ArrFunc = Callable[[np.ndarray], np.ndarray]
-_RATIO_DEN_TOL = 1e-8  # smallest denominator ratio_form_residual divides by
 _SLOPE_CHECK_TOL = 1e-10  # largest line-equation defect SlopeBranch.resolve accepts
 
 
@@ -85,21 +83,6 @@ def four_function_residual(q: Quadruple, x, z):
     """Signed residual, and the residual over the largest of the four terms;
     zero iff the quadruple solves the constraint there."""
     return _residual_pair(four_function_terms(q, x, z))
-
-
-def ratio_form_residual(q: Quadruple, x, z):
-    """Cross-multiplied difference of the ratio form of the same constraint.
-
-    Equal to ``delta`` times the residual of :func:`four_function_residual`
-    wherever both denominators are healthy; one below 1e-8 is an error.
-    """
-    s, t, p, qd = q.values(x, z)
-    nu1, nu2 = q.nu.nu1, q.nu.nu2
-    den1 = p / nu1 - nu2 * s
-    den2 = qd / nu2 - nu1 * s
-    if np.any(np.abs(den1) < _RATIO_DEN_TOL) or np.any(np.abs(den2) < _RATIO_DEN_TOL):
-        raise DomainError("ratio form: denominator smaller than tolerance")
-    return (t + nu1 ** 2 * p) * den2 - (t + nu2 ** 2 * qd) * den1
 
 
 def duality_transform(q: Quadruple, variant: str = "symmetric") -> Quadruple:

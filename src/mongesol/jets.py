@@ -47,11 +47,18 @@ other's by the element's place in one loop over the whole jet, and the
 packed layout moves those places.  No output holds a nan sign (``'%.17g'``
 writes ``nan`` for both).
 
-A real order-0 jet has one plane, so its sum with a number and its
-reciprocal are one numpy operation each, with the same bits.  An order-0
-constant is written once, with no zero fill, and ``compose_series`` at
-order 0 is that constant.  The reciprocal's zero test is one pass at any
+A real order-0 jet has one plane, so its reciprocal is one numpy
+operation, with the same bits, and ``compose_series`` at order 0 is the
+constant jet of ``tk[0]``.  The reciprocal's zero test is one pass at any
 order.
+
+The other operand of ``+``, ``-``, ``*`` and ``/`` is a jet of the same
+order, a number, or an array with at most as many axes as the jet's
+points.  A sum with a number or an array is one new jet of the jet's
+shape: the operand is added into its value plane and the other planes are
+copied.  A product or quotient scales every plane and may broadcast the
+points.  An array with more axes would broadcast against the plane axis,
+so each of the four operations raises a ValueError for it.
 """
 
 from __future__ import annotations
@@ -96,9 +103,9 @@ class Jet2:
         """Jet of a field constant in x and z; ``value`` is broadcast to ``shape`` if given."""
         value = np.asarray(value)
         shape = value.shape if shape is None else shape
-        alloc = np.empty if m == 0 else np.zeros  # order 0: the value is the only plane
-        c = alloc((1, _n_planes(m)) + shape, dtype=np.promote_types(value.dtype, np.float64))
+        c = np.empty((1, _n_planes(m)) + shape, dtype=np.promote_types(value.dtype, np.float64))
         c[0, 0] = value
+        c[0, 1:] = 0
         return cls(m, c)
 
     # -- basic queries ------------------------------------------------------
@@ -122,17 +129,22 @@ class Jet2:
         if other.m != self.m:
             raise ValueError(f"jet order mismatch: {self.m} vs {other.m}")
 
+    def _operand(self, other) -> np.ndarray:
+        """``other`` as an array that scales every plane: at most as many axes as the points."""
+        other = np.asarray(other)
+        if other.ndim > self.c.ndim - 2:
+            raise ValueError(f"operand of shape {other.shape} has more axes than "
+                             f"the jet's points {self.shape}")
+        return other
+
     def __add__(self, other):
         if isinstance(other, Jet2):
             self._check_order(other)
             return Jet2(self.m, self.c + other.c)
-        if self.m == 0 and _real(self.c, np.asarray(other)):
-            return Jet2(0, self.c + other)  # the value is the only coefficient
-        # copy, then convert: a lone astype keeps less data alive, yet through the
-        # order of malloc calls it raises the peak RSS of an 81x81 verify run by
-        # about 1.8 MB, also under cli's pinned malloc thresholds (x86_64, glibc 2.36)
-        out = self.c.copy().astype(np.promote_types(self.c.dtype, np.asarray(other).dtype))
-        _add_to_value(out, other)
+        # one allocation: the sum into the value plane, then the other planes copied
+        out = np.empty(self.c.shape, dtype=np.promote_types(self.c.dtype, np.asarray(other).dtype))
+        np.add(self.c[0, 0, ...], other, out=out[0, 0, ...])
+        out[0, 1:] = self.c[0, 1:]
         return Jet2(self.m, out)
 
     __radd__ = __add__
@@ -148,7 +160,7 @@ class Jet2:
 
     def __mul__(self, other):
         if not isinstance(other, Jet2):
-            return Jet2(self.m, self.c * np.asarray(other))
+            return Jet2(self.m, self.c * self._operand(other))
         self._check_order(other)
         m, a, b = self.m, self.c, other.c
         live = _live_planes(a)
@@ -192,7 +204,7 @@ class Jet2:
     def __truediv__(self, other):
         if isinstance(other, Jet2):
             return self * other.recip()
-        return Jet2(self.m, self.c / np.asarray(other))
+        return Jet2(self.m, self.c / self._operand(other))
 
     # -- calculus -----------------------------------------------------------
 
@@ -282,7 +294,7 @@ def compose_series(tk: Sequence, a: Jet2) -> Jet2:
     n.c[0, 0] = 0
     for k in range(a.m - 1, -1, -1):
         acc = acc * n
-        _add_to_value(acc.c, tk[k])
+        acc.c = _add_to_value(acc.c, tk[k])
     return acc
 
 
@@ -293,7 +305,7 @@ def poly_jet(coeffs: Sequence, a: Jet2) -> Jet2:
     acc = Jet2.constant(coeffs[-1], a.m, a.shape)
     for ck in reversed(coeffs[:-1]):
         acc = acc * a
-        _add_to_value(acc.c, ck)
+        acc.c = _add_to_value(acc.c, ck)
     return acc
 
 
@@ -304,13 +316,16 @@ def _real(*arrays) -> bool:
     return all(a.dtype.kind == "f" for a in arrays)
 
 
-def _add_to_value(c: np.ndarray, v) -> None:
-    """``c[0, 0] = c[0, 0] + v``, in place where ``c``'s dtype holds the sum."""
+def _add_to_value(c: np.ndarray, v) -> np.ndarray:
+    """``c[0, 0] += v``, in place where ``c``'s dtype holds the sum, else (a complex
+    ``v`` on a real ``c``) in a promoted copy; returns the array written."""
     c00 = c[0, 0, ...]
     try:
         np.add(c00, v, out=c00)
-    except TypeError:  # e.g. a complex v on a real c: numpy's assignment casting applies
-        c[0, 0] = c00 + v
+    except TypeError:
+        c = c.astype(np.result_type(c, v))
+        c[0, 0] += v
+    return c
 
 
 def _off_cut(v, what: str):

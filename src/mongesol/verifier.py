@@ -499,13 +499,7 @@ def reconstruct_u(ev: GridEval, tol: float, path_tol: float = 1e-6) -> CheckResu
     if ev.grid.fd_h is not None:
         ev = GridEval(bundle, ev.grid.fd_grid(), 2)
     grid = ev.grid
-    try:
-        full = ev.points[0].size == grid.nx * grid.nz
-    except DomainError as exc:
-        if type(exc) is not DomainError:  # a predicate's own error, a fold say
-            raise
-        full = False  # fewer than 10 points admitted
-    if not full:
+    if ev.points[0].size != grid.nx * grid.nz:
         raise DomainError("reconstruction needs a fully admissible rectangle; shrink the grid")
     # every point is admitted, so the flat points are the grid in C order
     xg, zg = (p.reshape(grid.nx, grid.nz) for p in ev.points)

@@ -69,7 +69,7 @@ def test_criterion_02_degree_one_slope_equation():
         b = make_family(M1ImplicitConfig(f_coeffs=coeffs, seed_lambda=seed,
                                          rect=(1.0, 2.0, 0.1, 0.5)))
         x, z = sample_points(b, rng, 200)
-        fl = b.eval_fields(x, z, 2)
+        fl = b.fields_fn(x, z, 2)
         lam = fl["a0"]
         resid = np.abs(jet_partial(lam, 0, 1) - lam.value * jet_partial(lam, 1, 0))
         worst = max(worst, float(np.max(resid)))
@@ -102,7 +102,7 @@ def test_criterion_04_degenerate_slope():
         b = make_family(DegenerateConfig(c_coeffs=c_coeffs, g_coeffs=(0.0, 1.0),
                                          seed_a=2.0, rect=(2.0, 4.0, 0.1, 0.6)))
         x, z = sample_points(b, rng, 100)
-        fl = b.eval_fields(x, z, 2)
+        fl = b.fields_fn(x, z, 2)
         a = fl["W"]
         cprime = np.polyder(np.poly1d(list(reversed(c_coeffs))))
         resid = np.abs(jet_partial(a, 0, 1) - np.sqrt(cprime(a.value)) * jet_partial(a, 1, 0))
@@ -174,10 +174,11 @@ def test_criterion_08_mutation_sensitivity():
     """A 10% scale on any single derivative function fails some check."""
     details = []
     for tag in FAMILY_TAGS:
-        base = make_family(canonical_config(tag))
+        cfg = canonical_config(tag)
+        base = make_family(cfg)
         grid = GridSpec.for_bundle(base, nx=11, nz=11)
         for slot in base.mutation_slots:
-            b = base.with_mutation(slot, 1.1)
+            b = make_family(cfg, mutations={slot: 1.1})
             checks = ["compat", "dependence"]
             if b.wf_residual is not None:
                 checks.append("wf")

@@ -267,6 +267,31 @@ def test_verify_mutation_hook_fails_compat_and_eq5(sigma_cfg, tmp_path):
     assert report["meta"]["mutations"] == {"theta": 1.1}
 
 
+@pytest.mark.parametrize("g", [0.5, 1.0, 2.0])
+def test_m3_general_with_positive_g_passes_and_its_mutations_fail(tmp_path, g):
+    # g > 0 is the complex branch h = i*sqrt(g) of the closed forms and of the
+    # cosh relation; the canonical g = -1 never reaches it
+    family = {"family": "m3_general", "g": g}
+    for n in (21, 81):
+        cfg = _write(tmp_path, f"g{n}.json", {"family": family, "grid": {"nx": n, "nz": n}})
+        out = tmp_path / f"o{n}"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+        checks = json.loads((out / "report.json").read_text())["checks"]
+        assert list(checks) == ["compat", "dependence", "wf", "wf_quadrature", "eq10"]
+        assert checks["compat"]["max_abs"] <= 1e-14 and checks["wf_quadrature"]["max_abs"] <= 1e-13
+    if g != 1.0:
+        return
+    cfg = _write(tmp_path, "rec.json", {"family": family, "grid": {"nx": 21, "nz": 21},
+                                        "checks": ["reconstruct"]})
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "rec")]) == 0
+    cfg = _write(tmp_path, "g21.json", {"family": family, "grid": {"nx": 21, "nz": 21}})
+    for slot in ("sigma", "theta", "c1", "c2"):
+        out = tmp_path / f"m_{slot}"
+        assert main(["verify", "--config", cfg, "--out", str(out), "--mutate", f"{slot}=1.1"]) == 1
+        checks = json.loads((out / "report.json").read_text())["checks"]
+        assert not all(c["passed"] for c in checks.values()), slot
+
+
 def test_verify_single_check_subset(tmp_path):
     cfg = _write(tmp_path, "wfonly.json", {
         "family": {"family": "trivial", "n": 2,

@@ -44,7 +44,7 @@ def test_trivial_quadratic_constants():
     b = make_family(cfg)
     x = np.linspace(-0.5, 0.5, 9)
     z = np.linspace(-0.5, 0.5, 9)
-    fl = b.eval_fields(x, z, 2)
+    fl = b.fields_fn(x, z, 2)
     assert np.allclose(fl["a0"].value.real, 4.0, atol=1e-13)
     assert np.allclose(fl["W"].value.real, fl["a0"].value.real, atol=1e-13)
 
@@ -54,7 +54,7 @@ def test_trivial_top_field_equals_bottom_any_degree():
     for n in (2, 3, 4):
         b = make_family(trivial_random_symmetric(n, 4, rng))
         x, z = sample_points(b, rng, 20)
-        fl = b.eval_fields(x, z, 2)
+        fl = b.fields_fn(x, z, 2)
         scale = max(1.0, float(np.max(np.abs(fl["a0"].value))))
         assert np.max(np.abs(fl["W"].value - fl["a0"].value)) <= 1e-12 * scale
 
@@ -62,7 +62,7 @@ def test_trivial_top_field_equals_bottom_any_degree():
 def test_trivial_conjugate_symmetry_gives_real_fields():
     rng = np.random.default_rng(5)
     b = make_family(trivial_random_symmetric(3, 3, rng))
-    fl = b.eval_fields(np.array([1.0]), np.array([0.0]), 2)
+    fl = b.fields_fn(np.array([1.0]), np.array([0.0]), 2)
     for key in ("a0", "a1", "a2", "W"):
         assert np.max(np.abs(fl[key].value.imag)) <= 1e-12
 
@@ -89,7 +89,7 @@ def test_degree_is_capped_before_any_field_is_built():
 def test_m1_zero_rhs_slope_field():
     b = make_family(M1ImplicitConfig(f_coeffs=(0.0,), seed_lambda=-1.0,
                                      rect=(1.5, 2.5, 0.5, 1.5)))
-    fl = b.eval_fields(np.array([2.0]), np.array([1.0]), 2)
+    fl = b.fields_fn(np.array([2.0]), np.array([1.0]), 2)
     assert fl["a0"].value[0] == pytest.approx(-2.0, abs=1e-10)
 
 
@@ -97,7 +97,7 @@ def test_m1_classical_slope_equation():
     b = make_family(canonical_config("m1_implicit"))
     rng = np.random.default_rng(6)
     x, z = sample_points(b, rng, 50)
-    fl = b.eval_fields(x, z, 2)
+    fl = b.fields_fn(x, z, 2)
     lam = fl["a0"]
     resid = jet_partial(lam, 0, 1) - lam.value * jet_partial(lam, 1, 0)
     assert np.max(np.abs(resid)) <= 1e-8
@@ -112,7 +112,7 @@ def test_degenerate_identity_maps():
     b = make_family(cfg)
     x = np.linspace(0.3, 0.9, 5)
     z = np.linspace(0.1, 0.4, 5)
-    fl = b.eval_fields(x, z, 2)
+    fl = b.fields_fn(x, z, 2)
     # implicit scalar is x + z; both first derivatives are 1
     assert np.allclose(fl["W"].value, x + z, atol=1e-10)
     assert np.allclose(jet_partial(fl["W"], 1, 0), 1.0, atol=1e-10)
@@ -126,7 +126,7 @@ def test_degenerate_characteristic_slope(c_coeffs):
     b = make_family(cfg)
     rng = np.random.default_rng(7)
     x, z = sample_points(b, rng, 40)
-    fl = b.eval_fields(x, z, 2)
+    fl = b.fields_fn(x, z, 2)
     a = fl["W"]
     cprime = np.polyder(np.poly1d(list(reversed(c_coeffs))))
     resid = jet_partial(a, 0, 1) - np.sqrt(cprime(a.value)) * jet_partial(a, 1, 0)
@@ -177,7 +177,7 @@ def test_derivative_forms_match_field_jets(tag):
     b = make_family(canonical_config(tag))
     rng = np.random.default_rng(11)
     x, z = sample_points(b, rng, 25)
-    fl = b.eval_fields(x, z, 2)
+    fl = b.fields_fn(x, z, 2)
     df = b.derivative_forms(x, z)
     scale = max(1.0, float(np.max(np.abs(df["f_z"]))))
     assert np.max(np.abs(df["f_x"] - jet_partial(fl["f"], 1, 0))) <= 1e-11 * scale
@@ -192,7 +192,7 @@ def test_wf_relations_hold_pointwise():
                 "m3_hodograph_example", "m3_general", "m3_general_e0"):
         b = make_family(canonical_config(tag))
         x, z = sample_points(b, rng, 30)
-        fl = b.eval_fields(x, z, 2)
+        fl = b.fields_fn(x, z, 2)
         resid = b.wf_residual(fl["W"].value, fl["f"].value)
         assert np.max(np.abs(resid)) <= 1e-9, tag
 
@@ -202,7 +202,7 @@ def test_hodograph_example_relation_spotcheck():
     b = make_family(HodographExampleConfig(k=1.0, alpha=1.0, beta=2.0))
     rng = np.random.default_rng(13)
     x, z = sample_points(b, rng, 30)
-    fl = b.eval_fields(x, z, 2)
+    fl = b.fields_fn(x, z, 2)
     lhs = np.exp(3 * fl["W"].value) + np.exp(-3 * fl["f"].value)
     assert np.max(np.abs(lhs - 2.0)) <= 1e-9
 
@@ -211,7 +211,7 @@ def test_general_cosh_relation_spotcheck():
     b = make_family(GeneralNuConfig(g=-1.0))
     rng = np.random.default_rng(14)
     x, z = sample_points(b, rng, 100)
-    fl = b.eval_fields(x, z, 2)
+    fl = b.fields_fn(x, z, 2)
     lhs = np.exp(2 * (-1.0) * fl["W"].value) * np.cosh(fl["f"].value) ** 2
     assert np.max(np.abs(lhs - 1.0)) <= 1e-9
 
@@ -233,14 +233,28 @@ def test_invalid_parameters_are_config_errors():
 
 
 def test_mutation_slots_validate():
-    b = make_family(canonical_config("m3_sigma_const"))
+    cfg = canonical_config("m3_sigma_const")
+    b = make_family(cfg)
     with pytest.raises(ConfigError, match=r"choose from \('sigma', 'theta', 'l1', 'l2'\)"):
-        b.with_mutation("bogus", 1.1)
-    same = b.with_mutation("theta", 1.0)
+        make_family(cfg, mutations={"bogus": 1.1})
+    same = make_family(cfg, mutations={"theta": 1.0})
     rng = np.random.default_rng(15)
     x, z = sample_points(b, rng, 10)
-    f0, f1 = b.eval_fields(x, z, 2), same.eval_fields(x, z, 2)
+    f0, f1 = b.fields_fn(x, z, 2), same.fields_fn(x, z, 2)
     assert np.max(np.abs(f0["f"].value - f1["f"].value)) == 0.0
+
+
+@pytest.mark.parametrize("tag, params", [
+    ("m3_sigma_const", {"k": 1000}),
+    ("m3_sigma_const", {"d2": 1000}),
+    ("mn_theta_const", {"n": 60}),
+    ("mn_theta_const", {"k": 1000}),
+], ids=["sigma_k", "sigma_d2", "n_theta_n", "n_theta_k"])
+def test_a_builder_overflow_is_a_config_error(tag, params):
+    # the builder's math.exp overflows; every error the package raises is a MongesolError
+    cfg = family_from_dict({**family_to_dict(canonical_config(tag)), **params})
+    with pytest.raises(ConfigError, match=rf"family '{tag}': .*\(math range error\)"):
+        make_family(cfg)
 
 
 def test_make_family_stamps_tag_config_and_mutations():
@@ -254,18 +268,19 @@ def test_make_family_stamps_tag_config_and_mutations():
 
 def test_out_of_domain_evaluation_raises():
     b = make_family(canonical_config("m3_hodograph_example"))
-    with pytest.raises(DomainError):
-        b.eval_fields(np.array([1.0]), np.array([1.0]), 2)  # slope -x/z < 0
+    with pytest.raises(DomainError, match="'slope_positive' violated at 1 point"):
+        b.domain.require(np.array([1.0]), np.array([1.0]))  # slope -x/z < 0
     # every order from 0 is accepted: order 1 is the order-1 truncation of order 2
     x, z = np.array([-2.0]), np.array([1.0])
-    one, two = b.eval_fields(x, z, 1), b.eval_fields(x, z, 2)
+    b.domain.require(x, z)
+    one, two = b.fields_fn(x, z, 1), b.fields_fn(x, z, 2)
     assert list(one) == list(two)
     for name in two:
         assert one[name].m == 1
         for i, j in ((0, 0), (1, 0), (0, 1)):
             assert _bytes(one[name].plane(i, j)) == _bytes(two[name].plane(i, j)), (name, i, j)
     with pytest.raises(ValueError):
-        b.eval_fields(x, z, -1)  # jet_seed rejects a negative order
+        b.fields_fn(x, z, -1)  # jet_seed rejects a negative order
 
 
 @pytest.mark.parametrize("tag", FAMILY_TAGS)

@@ -10,7 +10,6 @@ from mongesol.functional_eq import (
     duality_transform,
     four_function_residual,
     four_function_terms,
-    ratio_form_residual,
     variable_slope_residual,
 )
 from mongesol.nu_algebra import NuPair
@@ -80,13 +79,12 @@ def test_residual_bilinear_in_line_derivatives_when_ends_vanish():
     assert np.allclose(r2, 10.0 * r1, rtol=1e-12, atol=1e-12)
 
 
-def test_ratio_form_constant_example():
-    nu = NuPair(1.0, 2.0)
-    zero = lambda t: np.zeros(np.shape(np.asarray(t)))
-    one = lambda t: np.ones(np.shape(np.asarray(t)))
-    q = Quadruple(sigma_x=zero, theta_z=zero, l1_prime=one, l2_dot=one, nu=nu)
-    # (0 + nu1^2)(1/nu2 - 0) - (0 + nu2^2)(1/nu1 - 0) = 1/2 - 4
-    assert ratio_form_residual(q, 0.3, 0.4) == pytest.approx(-3.5)
+def _ratio_form(q, x, z):
+    """The ratio form of the constraint, cross-multiplied: eq5's independent oracle,
+    ``delta`` times the four-function residual where both denominators are nonzero."""
+    s, t, p, qd = q.values(x, z)
+    nu1, nu2 = q.nu.nu1, q.nu.nu2
+    return (t + nu1 ** 2 * p) * (qd / nu2 - nu1 * s) - (t + nu2 ** 2 * qd) * (p / nu1 - nu2 * s)
 
 
 def test_ratio_form_is_delta_times_product_form():
@@ -101,7 +99,7 @@ def test_ratio_form_is_delta_times_product_form():
     rng = np.random.default_rng(7)
     x, z = rng.uniform(0.5, 2.0, 50), rng.uniform(0.5, 2.0, 50)
     r5 = four_function_residual(q, x, z)[0]
-    r6 = ratio_form_residual(q, x, z)
+    r6 = _ratio_form(q, x, z)
     assert np.max(np.abs(r6 - nu.delta * r5)) <= 1e-12 * np.max(np.abs(r6))
 
 
@@ -109,16 +107,8 @@ def test_ratio_form_solves_iff_product_form_solves():
     b = make_family(canonical_config("m3_l1_const"))
     rng = np.random.default_rng(8)
     x, z = sample_points(b, rng, 50)
-    assert np.max(np.abs(ratio_form_residual(b.quadruple, x, z))) <= 1e-9
+    assert np.max(np.abs(_ratio_form(b.quadruple, x, z))) <= 1e-9
     assert np.max(np.abs(four_function_residual(b.quadruple, x, z)[0])) <= 1e-9
-
-
-def test_ratio_form_denominator_guard():
-    nu = NuPair(1.0, 2.0)
-    zero = lambda t: np.zeros(np.shape(np.asarray(t)))
-    q = Quadruple(sigma_x=zero, theta_z=zero, l1_prime=zero, l2_dot=zero, nu=nu)
-    with pytest.raises(DomainError):
-        ratio_form_residual(q, 0.0, 0.0)
 
 
 def test_variable_slope_zero_solution():

@@ -1,3 +1,6 @@
+import operator
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -412,15 +415,41 @@ def test_all_zero_planes_of_the_left_factor_are_skipped(bad):
     assert not np.isnan(new.plane(2, 0)).any() and not np.isnan(new.plane(1, 2)).any()
 
 
-def test_a_complex_constant_on_a_real_jet_keeps_numpy_assignment_casting():
-    # the constant term is updated in place only where the jet's dtype holds the
-    # sum; otherwise numpy's assignment casting applies, as it always did
-    a = _sample(np.random.default_rng(3), 2, (3,), False)
-    with pytest.warns(np.exceptions.ComplexWarning):
-        new = poly_jet((1.5j, 2.0), a)
-    with pytest.warns(np.exceptions.ComplexWarning):
-        old = _old_poly_jet((1.5j, 2.0), _sq(a))
-    _assert_bitwise(new, old)
+def test_a_complex_constant_on_a_real_jet_promotes_the_jet():
+    # a complex coefficient under a real highest one: the sum is complex, no plane
+    # is cast back to real (which warned and dropped the imaginary part)
+    x = np.array([0.5, 1.0])
+    for m in range(3):
+        xj = jet_seed(x, np.zeros(2), m)[0]
+        want = xj + 1j
+        tk = [x + 1j, 1.0] + [0.0] * (m - 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = (poly_jet((1j, 1.0), xj), compose_series(tk[:m + 1], xj))
+        assert want.c.dtype == complex
+        for jet in got:
+            assert jet.c.dtype == complex
+            for i, j in _triangle(m):
+                assert _bytes(jet.plane(i, j)) == _bytes(want.plane(i, j)), (m, i, j)
+
+
+@pytest.mark.parametrize("m", range(3))
+def test_an_operand_with_more_axes_than_the_points_is_an_error(m):
+    # it would broadcast against the plane axis: (x * col) gave a value of [10, 20]
+    # and an x-plane of [30, 30] at order 1
+    xj = jet_seed(np.array([1.0, 2.0]), np.array([0.0, 0.0]), m)[0]
+    col = np.array([[10.0], [20.0], [30.0]])
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(ValueError):
+            op(xj, col)
+        with pytest.raises(ValueError):
+            op(Jet2.constant(2.0, m), col[0])  # 0-d points
+    for op in (operator.add, operator.sub, operator.mul):  # the reflected operations
+        with pytest.raises(ValueError):
+            op(col, xj)
+    # an operand with as many axes as the points is still taken
+    assert np.array_equal((xj * col[0]).value, [10.0, 20.0])
+    assert np.array_equal((xj + col[0]).value, [11.0, 12.0])
 
 
 # -- order-0 fast paths: the bits of the general code --------------------------

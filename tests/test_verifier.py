@@ -81,7 +81,7 @@ def test_compatibility_exact_for_polynomial_family():
 
 
 def test_compatibility_mutation_has_teeth():
-    b = make_family(canonical_config("m3_sigma_const")).with_mutation("theta", 2.0)
+    b = make_family(canonical_config("m3_sigma_const"), mutations={"theta": 2.0})
     res = check_compatibility(GridEval(b, GridSpec.for_bundle(b)), 1e-9)
     assert not res.passed
     assert res.max_abs >= 1e-3
@@ -182,6 +182,9 @@ def test_reconstruct_alone_needs_a_fully_admissible_rectangle():
     assert admissible_grid(b, grid)[0].size < grid.nx * grid.nz
     with pytest.raises(DomainError, match="fully admissible rectangle"):
         run_suite(b, grid, ["reconstruct"])
+    # fewer than 10 admitted points: admissible_grid's own error
+    with pytest.raises(DomainError, match="safe domain exhausted"):
+        run_suite(b, GridSpec(2.2, 2.4, 3.0, 4.0, nx=5, nz=5), ["reconstruct"])
 
 
 def test_admissible_grid_exhaustion():
