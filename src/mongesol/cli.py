@@ -3,7 +3,8 @@
 Configs are JSON, outputs are CSV/JSON with 17-significant-digit numbers so
 runs diff cleanly; probe sampling is seeded, so identical config plus seed
 gives byte-identical reports.  Exit codes: 0 all checks pass, 1 a check
-failed (report still written), 2 configuration error, 3 safe-domain error.
+failed (report still written), 2 configuration error (an unreadable
+config and an output that cannot be written included), 3 safe-domain error.
 
 ``fields.csv`` holds the bytes of ``'%.17g' % v`` per cell, written without
 formatting each cell in Python.  A finite |v| in [1e-4, 1e16) (or a zero)
@@ -64,6 +65,8 @@ class RunConfig:
             raw = json.loads(Path(path).read_text())
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}")
+        except OSError as exc:  # a directory, no read permission, ...
+            raise ConfigError(f"cannot read config {path}: {exc}") from None
         except ValueError as exc:  # also an integer literal over Python's digit limit
             raise ConfigError(f"config is not valid JSON: {exc}")
         if not isinstance(raw, dict) or "family" not in raw:
@@ -155,12 +158,23 @@ def _parse_grid(raw) -> dict:
     return g
 
 
+@contextlib.contextmanager
+def _output(path: Path, mode: str = "w", newline: str | None = None):
+    """``path`` opened for writing, its directory made first.  An ``OSError`` of
+    either step or of the writes is a ``ConfigError`` that names the path."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with path.open(mode, newline=newline) as fh:
+            yield fh
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
+
+
 def _write_report(report: ResidualReport, out_dir: Path):
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.json").write_text(
-        json.dumps(report.to_json_dict(), indent=2, sort_keys=False, allow_nan=False) + "\n"
-    )
-    with (out_dir / "report.csv").open("w", newline="") as fh:
+    with _output(out_dir / "report.json") as fh:
+        fh.write(json.dumps(report.to_json_dict(), indent=2, sort_keys=False,
+                            allow_nan=False) + "\n")
+    with _output(out_dir / "report.csv", newline="") as fh:
         csv.writer(fh).writerows(report.csv_rows())
 
 
@@ -295,8 +309,7 @@ def cmd_construct(config: RunConfig, out_dir: Path) -> int:
     for name in names:
         v = values[name].ravel()
         cols.extend([v.real, v.imag] if complex_cols else [v.real])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with (out_dir / "fields.csv").open("wb") as fh:
+    with _output(out_dir / "fields.csv", "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
         fh.writelines(_csv_blocks(cols))
     print(f"wrote {x.size} rows to {out_dir / 'fields.csv'}")
@@ -340,8 +353,7 @@ def cmd_sweep(config: RunConfig, param: str, values: list[float], out_dir: Path)
             rows.append([_fmt(v), name, _fmt(res.max_abs), _fmt(res.mean_abs),
                          _fmt(res.tolerance), str(res.passed).lower()])
             all_pass &= res.passed
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with (out_dir / "sweep.csv").open("w", newline="") as fh:
+    with _output(out_dir / "sweep.csv", newline="") as fh:
         csv.writer(fh).writerows(rows)
     print(f"wrote {len(rows) - 1} rows to {out_dir / 'sweep.csv'}")
     return 0 if all_pass else 1

@@ -235,7 +235,39 @@ def _poly_deriv(coeffs: Sequence, order: int = 1) -> tuple:
     return tuple(out)
 
 
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(48)
+# The 48-node Gauss-Legendre rule on [-1, 1]: its 24 positive nodes, ascending,
+# and their weights, as the shortest round-tripping literals of the bits that
+# numpy's leggauss(48) gives (numpy 2.4.6).  leggauss makes its rule exactly
+# symmetric, so the mirror below reproduces all 48 nodes and weights bit for bit,
+# with no eigensolve and no numpy.polynomial import at run time.
+_GAUSS_HALF = (
+    (0.03238017096286937, 0.06473769681268365),
+    (0.0970046992094627, 0.06446616443594982),
+    (0.1612223560688917, 0.06392423858464787),
+    (0.22476379039468905, 0.06311419228625373),
+    (0.28736248735545555, 0.06203942315989242),
+    (0.3487558862921607, 0.0607044391658936),
+    (0.4086864819907167, 0.059114839698395344),
+    (0.4669029047509584, 0.057277292100402916),
+    (0.523160974722233, 0.05519950369998403),
+    (0.5772247260839727, 0.05289018948519344),
+    (0.6288673967765136, 0.0503590355538542),
+    (0.6778723796326639, 0.04761665849249024),
+    (0.7240341309238146, 0.04467456085669423),
+    (0.7671590325157404, 0.04154508294346455),
+    (0.8070662040294426, 0.0382413510658305),
+    (0.8435882616243935, 0.034777222564770394),
+    (0.8765720202742479, 0.031167227832798097),
+    (0.9058791367155696, 0.027426509708357034),
+    (0.9313866907065543, 0.023570760839324047),
+    (0.9529877031604308, 0.019616160457356056),
+    (0.9705915925462473, 0.015579315722943226),
+    (0.9841245837228269, 0.011477234579234614),
+    (0.9935301722663508, 0.007327553901276135),
+    (0.9987710072524261, 0.0031533460523098414),
+)
+_GAUSS_X, _GAUSS_W = (np.concatenate((sign * half[::-1], half))  # nodes odd, weights even
+                      for sign, half in zip((-1.0, 1.0), np.array(_GAUSS_HALF).T))
 _BLOCK = 32768  # quadrature nodes per block of _Primitive.value: cache-sized temporaries
 
 

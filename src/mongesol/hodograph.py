@@ -51,6 +51,9 @@ _SCALAR_MAX_NODES = 12
 # at most 2 sqrt(2), where the squared amplification 1 - y^6/72 + y^8/576 reaches 1
 _RK4_STEP_LIMIT = 2.785293563405282
 _RK4_OSC_STEP_LIMIT = 2.0 * math.sqrt(2.0)
+# schrodinger_solve: steps per block of the array kernel's stage factors, which
+# would take twice the bytes of k^2 W_c if built for all steps at once
+_RK4_BLOCK = 128
 
 
 # ---------------------------------------------------------------------------
@@ -196,10 +199,13 @@ def schrodinger_solve(
     1.0.  A product with 1.0 is exact and a product of two floats does not
     depend on their order, so this equals stacking ``(w', v w)``, without
     the copy that stacking makes per stage; the scalar kernel takes ``w'``
-    itself as that row.  A Python float is a C double, and each of its
-    operations is one IEEE operation with no fused multiply-add, so the two
-    kernels, which make the same operations in the same order, give the
-    same bits, and each node equals a scalar-``k`` solve.
+    itself as that row.  The array kernel builds those factors for
+    ``_RK4_BLOCK`` steps at a time; ``k^2 W_c`` and the solution array stay
+    whole, as the checks above read all of ``k^2 W_c`` before any step.  A
+    Python float is a C double, and each of its operations is one IEEE
+    operation with no fused multiply-add, so the two kernels, which make the
+    same operations in the same order, give the same bits, and each node
+    equals a scalar-``k`` solve.
     """
     steps = _count(steps, "steps")
     if steps < 100:
@@ -284,20 +290,28 @@ def _rk4_scalar(v: memoryview, ws: memoryview, ps: memoryview, h: float) -> None
 
 
 def _rk4_array(v: np.ndarray, ys: np.ndarray, h: float) -> None:
-    """All nodes' RK4 runs at once, from ``ys[0]``: ``v`` is ``(steps, 3, K)``."""
-    # stage factors (1, v) per step and stage point: row 0 holds 1.0, row 1 v
-    vs = np.ones(v.shape[:2] + (2, 1, v.shape[2]))
-    vs[:, :, 1, 0] = v
+    """All nodes' RK4 runs at once, from ``ys[0]``: ``v`` is ``(steps, 3, K)``.
+
+    The stage factors ``(1, v)`` of ``_RK4_BLOCK`` steps at a time go into
+    one reused buffer, whose row 0 holds 1.0 throughout; ``v`` and ``ys``
+    stay whole.  Every step makes the same products in the same order at
+    any block size, so the blocking moves no bit.
+    """
+    steps, _, nodes = v.shape
+    # stage factors (1, v) per step of a block and stage point: row 0 holds 1.0, row 1 v
+    vs = np.ones((min(steps, _RK4_BLOCK), 3, 2, 1, nodes))
     hh, h6 = h / 2, h / 6
     with np.errstate(over="ignore", invalid="ignore"):  # the caller names an overflowing mode
-        for i in range(v.shape[0]):
-            y = ys[i]
-            v0, v1, v2 = vs[i]
-            k1 = y[::-1] * v0
-            k2 = (y + hh * k1)[::-1] * v1
-            k3 = (y + hh * k2)[::-1] * v1
-            k4 = (y + h * k3)[::-1] * v2
-            np.add(y, h6 * (k1 + 2 * k2 + 2 * k3 + k4), out=ys[i + 1])
+        for i0 in range(0, steps, _RK4_BLOCK):
+            block = vs[:min(_RK4_BLOCK, steps - i0)]
+            block[:, :, 1, 0] = v[i0:i0 + block.shape[0]]
+            for i, (v0, v1, v2) in enumerate(block, i0):
+                y = ys[i]
+                k1 = y[::-1] * v0
+                k2 = (y + hh * k1)[::-1] * v1
+                k3 = (y + hh * k2)[::-1] * v1
+                k4 = (y + h * k3)[::-1] * v2
+                np.add(y, h6 * (k1 + 2 * k2 + 2 * k3 + k4), out=ys[i + 1])
 
 
 def _first_non_real(a: np.ndarray) -> int:

@@ -441,8 +441,34 @@ def test_sweep_empty_values_exits_2(sigma_cfg, tmp_path):
                  "--values", "", "--out", str(tmp_path / "oz")]) == 2
 
 
-def test_missing_config_exits_2(tmp_path):
+def test_missing_config_exits_2(tmp_path, capsys):
     assert main(["verify", "--config", str(tmp_path / "nope.json")]) == 2
+    assert capsys.readouterr().err.startswith("config error: config file not found:")
+
+
+@pytest.mark.parametrize("command", ["construct", "verify", "sweep"])
+def test_a_directory_as_config_exits_2(tmp_path, capsys, command):
+    argv = [command, "--config", str(tmp_path), "--out", str(tmp_path / "out")]
+    assert main(argv + (["--param", "A", "--values", "1"] if command == "sweep" else [])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read config {tmp_path}:")
+    assert err.count("\n") == 1 and not (tmp_path / "out").exists()
+
+
+# a regular file as the output directory or as its parent: no write can succeed,
+# whoever runs the suite (a permission bit would not stop root)
+@pytest.mark.parametrize("below", [False, True], ids=["file", "file_parent"])
+@pytest.mark.parametrize("command, extra", [("construct", []), ("verify", []),
+                                            ("sweep", ["--param", "A", "--values", "1"])])
+def test_an_unwritable_output_directory_exits_2(sigma_cfg, tmp_path, capsys, command, extra,
+                                                below):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep")
+    out = blocker / "sub" if below else blocker
+    assert main([command, "--config", sigma_cfg, "--out", str(out)] + extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {out}") and err.count("\n") == 1
+    assert blocker.read_text() == "keep"
 
 
 def test_main_builds_one_parser_per_process(sigma_cfg, tmp_path, monkeypatch, capsys):

@@ -2,6 +2,10 @@ import contextlib
 import inspect
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +35,7 @@ from mongesol.families import (
     _GAUSS_X,
     _Primitive,
 )
+import mongesol
 from mongesol import cli, families
 from mongesol.jets import jet_partial, jet_seed, jpow, jsqrt, poly_jet
 from mongesol.verifier import GridSpec, admissible_grid, sample_points
@@ -438,6 +443,34 @@ def test_closed_forms_cube_each_slope_root_once(tag, roots, monkeypatch):
     fl = b.fields_fn(x, z, 2)
     assert np.isfinite(fl["a0"].value).all() and np.isfinite(fl["W"].value).all()
     assert calls.count(3) == roots
+
+
+def test_the_committed_gauss_rule_is_leggauss_48():
+    # exactly odd nodes and even weights, as leggauss makes them
+    assert np.array_equal(_GAUSS_X, -_GAUSS_X[::-1]) and np.array_equal(_GAUSS_W, _GAUSS_W[::-1])
+    assert np.all(np.diff(_GAUSS_X) > 0) and np.all(_GAUSS_W > 0)
+    # the table holds the bits of numpy 2.4.6; another numpy or LAPACK build may
+    # differ in the last bit, so the check against the installed one allows 1 ulp
+    for ours, theirs in zip((_GAUSS_X, _GAUSS_W), np.polynomial.legendre.leggauss(48)):
+        assert np.all((ours == theirs) | (np.nextafter(ours, theirs) == theirs))
+    # exact for x^k, k <= 95, up to the rounding of the 48 doubles themselves: in
+    # exact rational arithmetic they integrate x^2 with an error of 5.5e-15 and
+    # x^26 with 7.25e-15, the largest over k <= 95
+    for k in range(96):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(np.sum(_GAUSS_W * _GAUSS_X ** k) - exact) <= 1e-14, k
+
+
+def test_importing_the_cli_leaves_numpy_polynomial_unimported():
+    # numpy 1.x imports numpy.polynomial with numpy; numpy 2 loads it on first use
+    code = ("import sys, numpy; before = 'numpy.polynomial' in sys.modules; "
+            "import mongesol.cli; print(before, 'numpy.polynomial' in sys.modules)")
+    src = str(Path(mongesol.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    before, after = run.stdout.split()
+    assert before == "True" or after == "False"
+
 
 def _primitives(bundle):
     """The ``_Primitive`` instances a bundle's fields_fn closes over, alone or in a list

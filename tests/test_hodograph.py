@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -307,6 +308,7 @@ def test_schrodinger_names_the_node_whose_product_overflows(ks, profile, where):
 
 _SCALAR, _ARRAY = 10 ** 9, 0  # _SCALAR_MAX_NODES values that force each kernel
 _LIMIT = hodograph._SCALAR_MAX_NODES
+_BLOCK = hodograph._RK4_BLOCK  # steps per block of the array kernel's stage factors
 
 
 def _solve_with(monkeypatch, limit, *args):
@@ -329,7 +331,8 @@ def _nodes(count):
 
 
 @pytest.mark.parametrize("count", [1, _LIMIT, _LIMIT + 1, 25])
-@pytest.mark.parametrize("steps", [100, 2000])
+# steps: below one block, one block, a ragged third block, and many blocks
+@pytest.mark.parametrize("steps", [100, _BLOCK - 1, _BLOCK, 2 * _BLOCK + 3, 2000])
 @pytest.mark.parametrize("profile, c_range", [(_linear_profile, (0.0, 1.0)),
                                               (_oscillatory_profile, (1.2, -0.4))],
                          ids=["increasing", "decreasing"])
@@ -340,6 +343,22 @@ def test_scalar_and_array_kernels_give_the_same_bytes(count, steps, profile, c_r
     array = _solve_with(monkeypatch, _ARRAY, profile, ks, c_range, steps)
     _assert_same_bytes(scalar, array)
     assert scalar.w1.shape == (count, steps + 1)
+
+
+def test_the_array_kernel_keeps_its_stage_factors_to_one_block():
+    # 200 nodes x 2000 steps: the solution ys and k^2 W_c take 22.4 MB, and the
+    # traced peak is 25.3 MB (x86-64, numpy 2.4).  Stage factors for all steps
+    # at once took another 19.2 MB, a 43.0 MB peak.
+    ks, steps = np.linspace(0.0, 2.0, 200), 2000
+    whole = 8 * ks.size * (4 * (steps + 1) + 3 * steps)
+    assert ks.size > _LIMIT and steps > 4 * _BLOCK
+    tracemalloc.start()
+    try:
+        schrodinger_solve(_linear_profile, ks, (0.0, 1.0), steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * whole, peak
 
 
 @pytest.mark.parametrize("k", [np.outer([1.0, 0.3, -1.7], [0.0, -0.5, 1.0, 2.5, -3.0]), -1.25],
