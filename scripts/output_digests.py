@@ -9,7 +9,10 @@ stdout, its stderr and the name and bytes of every file it wrote
   21x21 and 81x81;
 - verify at 21x21 with each mutation slot scaled by 1.1;
 - one five-value sweep per family with a numeric parameter, at 21x21;
-- a reconstruct with ``fd_h = 0.01`` per family;
+- a reconstruct-only verify per family on the grid of spacing 0.01 over its
+  rectangle (``nx = round(span / 0.01) + 1``, 101x41 to 201x161).  These
+  ``reconstruct:<tag>:h0.01`` jobs stand where the ``fd_h:<tag>`` jobs of
+  the former ``grid.fd_h`` step stood, and report the same ``checks``;
 - construct and verify of a ``trivial`` family with complex fields;
 - verify of every family at 81x81 with its default checks, which read no
   second partial;
@@ -107,9 +110,10 @@ def jobs():
         if tag in SWEEPS:
             param, values = SWEEPS[tag]
             yield f"sweep:{tag}", base, ("sweep", "--param", param, f"--values={values}")
-        fd = {"family": family, "grid": {"nx": 21, "nz": 21, "fd_h": 0.01},
-              "checks": ["reconstruct"]}
-        yield f"fd_h:{tag}", fd, ("verify",)
+        x_lo, x_hi, z_lo, z_hi = bundle.domain.rect
+        fine = {"nx": round((x_hi - x_lo) / 0.01) + 1, "nz": round((z_hi - z_lo) / 0.01) + 1}
+        yield f"reconstruct:{tag}:h0.01", {"family": family, "grid": fine,
+                                           "checks": ["reconstruct"]}, ("verify",)
     cfg = {"family": COMPLEX_TRIVIAL, "grid": {"nx": 21, "nz": 21}}
     for cmd in ("construct", "verify"):
         yield f"{cmd}:trivial_complex:m2", cfg, (cmd,)

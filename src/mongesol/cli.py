@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DomainError, MongesolError
-from .families import family_from_dict, family_to_dict, json_number, make_family
+from .families import _rect, family_from_dict, family_to_dict, json_number, make_family
 from .verifier import (
     GridSpec,
     KNOWN_CHECKS,
@@ -86,9 +86,10 @@ class RunConfig:
         if probes > MAX_POINTS:
             raise ConfigError(f"probes must be at most {MAX_POINTS}, got {probes}")
         checks = raw.get("checks")
-        if checks is not None and not (isinstance(checks, list)
+        if checks is not None and not (isinstance(checks, list) and checks
                                        and all(c in KNOWN_CHECKS for c in checks)):
-            raise ConfigError(f"checks must be a list of names from {KNOWN_CHECKS}, got {checks!r}")
+            raise ConfigError(f"checks must be a nonempty list of names from {KNOWN_CHECKS}, "
+                              f"got {checks!r}")
         out = raw.get("out", ".")
         if not isinstance(out, str):
             raise ConfigError(f"out must be a directory path, got {out!r}")
@@ -110,10 +111,8 @@ class RunConfig:
         return make_family(cfg, mutations=self.mutate or None)
 
     def grid_spec(self, bundle) -> GridSpec:
-        if self.grid is None:
-            return GridSpec.for_bundle(bundle)
-        rect = dict(zip(_RECT_KEYS, (float(v) for v in bundle.domain.rect)))
-        return GridSpec(**{**rect, **self.grid}).capped()
+        rect = dict(zip(_RECT_KEYS, bundle.domain.rect))
+        return GridSpec(**{**rect, **(self.grid or {})}).capped()
 
 
 _RECT_KEYS = ("x_lo", "x_hi", "z_lo", "z_hi")
@@ -136,23 +135,15 @@ def _number_map(raw: dict, section: str) -> dict:
 
 
 def _parse_grid(raw) -> dict:
-    """GridSpec keyword arguments from the grid section (``rect`` expanded)."""
+    """GridSpec keyword arguments from the grid section's ``nx``, ``nz`` and ``rect``."""
     if not isinstance(raw, dict):
         raise ConfigError("grid must be a JSON object")
-    known = {"nx", "nz", "fd_h"} | ({"rect"} if "rect" in raw else set(_RECT_KEYS))
-    unknown = set(raw) - known
+    unknown = set(raw) - {"nx", "nz", "rect"}
     if unknown:
         raise ConfigError(f"unknown grid fields: {sorted(unknown)}")
     try:
-        g = {key: json_number(raw[key], float) for key in _RECT_KEYS if key in raw}
-        if "rect" in raw:
-            rect = [json_number(v, float) for v in raw["rect"]]
-            if len(rect) != 4:
-                raise ConfigError("grid rect must be [x_lo, x_hi, z_lo, z_hi]")
-            g.update(zip(_RECT_KEYS, rect))
+        g = dict(zip(_RECT_KEYS, _rect(raw["rect"]))) if "rect" in raw else {}
         g.update({key: json_number(raw[key], int) for key in ("nx", "nz") if key in raw})
-        if raw.get("fd_h") is not None:
-            g["fd_h"] = json_number(raw["fd_h"], float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"grid: malformed field value ({exc})") from None
     return g
@@ -345,6 +336,8 @@ def cmd_sweep(config: RunConfig, param: str, values: list[float], out_dir: Path)
     if param not in numeric:
         raise ConfigError(f"family {base.get('family')!r} has no numeric parameter {param!r} "
                           f"to sweep; its numeric parameters are {numeric}")
+    for v in values:  # a malformed value fails before the first suite runs
+        family_from_dict({**base, param: v})
     rows = [["value", "check", "max_abs", "mean_abs", "tolerance", "passed"]]
     all_pass = True
     for v in values:
@@ -451,6 +444,10 @@ def main(argv=None) -> int:
         if getattr(args, "mutate", None):
             config.mutate.update(_parse_pairs("--mutate", "factor", args.mutate))
         out_dir = Path(args.out if args.out is not None else config.out)
+        # before any work, and making nothing: no write below a regular file can succeed
+        existing = next((p for p in (out_dir, *out_dir.parents) if os.path.exists(p)), out_dir)
+        if not os.path.isdir(existing):
+            raise ConfigError(f"cannot write {out_dir}: {existing} is not a directory")
         if args.command == "construct":
             return cmd_construct(config, out_dir)
         if args.command == "verify":

@@ -104,11 +104,11 @@ class SafeDomain:
         x = np.asarray(x, dtype=float)
         z = np.asarray(z, dtype=float)
         for name, pred in self.predicates:
-            margin = np.asarray(pred(x, z))
-            if np.any(margin <= 0):
+            outside = ~(np.asarray(pred(x, z)) > 0)  # a NaN margin is outside, as in mask
+            if np.any(outside):
                 raise DomainError(
                     f"point outside safe domain: predicate {name!r} violated at "
-                    f"{int(np.count_nonzero(margin <= 0))} point(s)"
+                    f"{int(np.count_nonzero(outside))} point(s)"
                 )
 
 
@@ -158,11 +158,12 @@ class FieldBundle:
         matches, which is valid precisely because W and f are functionally
         dependent.  The slide reads values and d/dx of f and W only, so it
         runs on order-1 jets and never builds a lazy chain field; an iterate
-        outside the safe domain is a DomainError.  ``jets``, if given, maps
-        ``f`` and ``W`` to their jets (order >= 1, shaped like ``tvals``) at
-        the admissible points ``x_near, z_near``: the first Newton step reads
-        them and evaluates nothing.  Their values and x-slopes are those of a
-        fresh order-1 evaluation, so the seed moves no bit.
+        outside the safe domain is the DomainError of ``SafeDomain.require``.
+        ``jets``, if given, maps ``f`` and ``W`` to their jets (order >= 1,
+        shaped like ``tvals``) at the admissible points ``x_near, z_near``:
+        the first Newton step reads them and evaluates nothing.  Their values
+        and x-slopes are those of a fresh order-1 evaluation, so the seed
+        moves no bit.
         """
         tvals = np.asarray(tvals)
         if self.w_value_fn is not None:
@@ -173,12 +174,7 @@ class FieldBundle:
         fj = jets
         for _ in range(40):
             if fj is None:
-                outside = ~self.domain.mask(x, z)
-                if np.any(outside):
-                    raise DomainError(
-                        f"w_of_f: slice inversion left the safe domain at "
-                        f"{int(np.count_nonzero(outside))} point(s)"
-                    )
+                self.domain.require(x, z)
                 fj = self.fields_fn(x, z, 1)
             err = fj["f"].value - tvals
             if np.max(np.abs(err)) <= 1e-12 * scale:

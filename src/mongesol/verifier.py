@@ -47,9 +47,8 @@ __all__ = [
 
 KNOWN_CHECKS = ("compat", "dependence", "wf", "eq5", "eq10", "reconstruct")
 
-# Most points a grid taken from a config (the base grid, or its fd_h refinement
-# when reconstruct evaluates it), richardson_ratio's finer grid, or one probe
-# set may hold: 2**20 points of order-2 jets are a few hundred MB of temporaries.
+# Most points a grid taken from a config, richardson_ratio's finer grid, or one
+# probe set may hold: 2**20 points of order-2 jets are a few hundred MB of temporaries.
 MAX_POINTS = 2 ** 20
 
 DEFAULT_TOLERANCES = {
@@ -76,10 +75,10 @@ def validate_tolerances(tolerances: dict) -> None:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Rectangular evaluation grid plus the reconstruction's finite-difference step.
+    """Rectangular evaluation grid of ``nx`` by ``nz`` nodes, read by every grid check.
 
     Any size is accepted here; :meth:`capped` rejects a grid of more than
-    ``MAX_POINTS`` points, and :meth:`fd_grid` applies it to the refinement.
+    ``MAX_POINTS`` points.
     """
 
     x_lo: float
@@ -88,7 +87,6 @@ class GridSpec:
     z_hi: float
     nx: int = 21
     nz: int = 21
-    fd_h: float | None = None  # None: reconstruction uses the grid spacing
 
     def __post_init__(self):
         if not (self.x_lo < self.x_hi and self.z_lo < self.z_hi):  # NaN fails too
@@ -96,12 +94,10 @@ class GridSpec:
                               f"[{self.x_lo}, {self.x_hi}, {self.z_lo}, {self.z_hi}]")
         if self.nx < 5 or self.nz < 5:
             raise ConfigError("grid needs nx, nz >= 5")
-        if self.fd_h is not None and not (1e-6 <= self.fd_h <= 1e-2):
-            raise ConfigError("fd_h must lie in [1e-6, 1e-2]")
 
     @classmethod
-    def for_bundle(cls, bundle: FieldBundle, nx: int = 21, nz: int = 21, **kw) -> "GridSpec":
-        return cls(*bundle.domain.rect, nx=nx, nz=nz, **kw)
+    def for_bundle(cls, bundle: FieldBundle, nx: int = 21, nz: int = 21) -> "GridSpec":
+        return cls(*bundle.domain.rect, nx=nx, nz=nz)
 
     def capped(self, what: str = "the grid has") -> "GridSpec":
         """This grid, or a :class:`ConfigError` ``"<what> NXxNZ points, ..."``
@@ -109,17 +105,6 @@ class GridSpec:
         if self.nx * self.nz > MAX_POINTS:
             raise ConfigError(f"{what} {self.nx}x{self.nz} points, more than {MAX_POINTS}")
         return self
-
-    def fd_grid(self) -> "GridSpec":
-        """The grid reconstruction differences on: ``fd_h`` apart (capped, order 2), or this one."""
-        if self.fd_h is None:
-            return self
-        steps = ((self.x_hi - self.x_lo) / self.fd_h, (self.z_hi - self.z_lo) / self.fd_h)
-        if not all(map(math.isfinite, steps)):
-            raise ConfigError("fd_h needs a finite grid rectangle")
-        nx, nz = (max(5, int(round(s)) + 1) for s in steps)
-        return GridSpec(self.x_lo, self.x_hi, self.z_lo, self.z_hi, nx=nx, nz=nz).capped(
-            f"fd_h = {self.fd_h!r} refines the grid to")
 
     def axes(self):
         return (np.linspace(self.x_lo, self.x_hi, self.nx),
@@ -261,6 +246,17 @@ class GridEval:
 # ---------------------------------------------------------------------------
 
 
+def _require_runnable(bundle: FieldBundle, name: str) -> None:
+    """Raise :class:`ConfigError` if ``bundle`` lacks what check ``name`` reads."""
+    if name == "reconstruct" and bundle.n > 4:
+        raise ConfigError("reconstruction supports degree n <= 4 (stencil table)")
+    needs = {"wf": (bundle.wf_residual, "carries no W-f relation (tag is None)"),
+             "eq5": (bundle.quadruple, "has no constant-slope quadruple (eq5)"),
+             "eq10": (bundle.general_quadruple, "has no variable-slope quadruple (eq10)")}
+    if name in needs and needs[name][0] is None:
+        raise ConfigError(f"family {bundle.family!r} {needs[name][1]}")
+
+
 def check_compatibility(ev: GridEval, tol: float) -> CheckResult:
     """Residuals of the derivative chain, including the top link through W'.
 
@@ -317,8 +313,7 @@ def check_wf_relation(ev: GridEval, tol: float, quad_tol: float) -> list[CheckRe
     broken antiderivative rather than a broken family.
     """
     bundle = ev.bundle
-    if bundle.wf_residual is None:
-        raise ConfigError(f"family {bundle.family!r} carries no W-f relation (tag is None)")
+    _require_runnable(bundle, "wf")
     fl = ev.fields
     out = []
     try:
@@ -436,17 +431,14 @@ def _line_quadrature(bundle, x, z, nodes, refine, k0, keys):
 def check_equation(bundle: FieldBundle, rng: np.random.Generator, probes: int,
                    tol: float, which: str) -> CheckResult:
     """Constraint residual at random safe points (relative-normalized)."""
+    if which not in ("eq5", "eq10"):
+        raise ConfigError(f"unknown equation check {which!r}")
+    _require_runnable(bundle, which)
     x, z = sample_points(bundle, rng, probes)
     if which == "eq5":
-        if bundle.quadruple is None:
-            raise ConfigError(f"family {bundle.family!r} has no constant-slope quadruple (eq5)")
         raw, rel = four_function_residual(bundle.quadruple, x, z)
-    elif which == "eq10":
-        if bundle.general_quadruple is None:
-            raise ConfigError(f"family {bundle.family!r} has no variable-slope quadruple (eq10)")
-        raw, rel = variable_slope_residual(bundle.general_quadruple, x, z)
     else:
-        raise ConfigError(f"unknown equation check {which!r}")
+        raw, rel = variable_slope_residual(bundle.general_quadruple, x, z)
     return _result(which, raw, x, z, tol,
                    extra={"max_rel": float(np.max(np.abs(rel))), "probes": int(x.size)})
 
@@ -489,15 +481,12 @@ def reconstruct_u(ev: GridEval, tol: float, path_tol: float = 1e-6) -> CheckResu
     U in each direction and pushes the z-result through the family's top map,
     so the check is independent of the jets used to build the fields.  The
     finite-difference truncation budget C*h^2 is added to the tolerance and
-    recorded.  The jets are those of ``ev``, which must be of order 2, or
-    with ``fd_h`` those of an order-2 :class:`GridEval` of the refined grid.
+    recorded.  The jets are those of ``ev``, which must be of order 2; the
+    stencil step is its grid spacing, so a finer oracle takes a larger grid.
     """
     bundle = ev.bundle
     n = bundle.n
-    if n > 4:
-        raise ConfigError("reconstruction supports degree n <= 4 (stencil table)")
-    if ev.grid.fd_h is not None:
-        ev = GridEval(bundle, ev.grid.fd_grid(), 2)
+    _require_runnable(bundle, "reconstruct")
     grid = ev.grid
     if ev.points[0].size != grid.nx * grid.nz:
         raise DomainError("reconstruction needs a fully admissible rectangle; shrink the grid")
@@ -629,20 +618,22 @@ def run_suite(
     seed: int = 0,
     probes: int = 100,
 ) -> ResidualReport:
-    """Run the selected checks and assemble the report."""
+    """Run the selected checks on one :class:`GridEval` of ``grid`` and assemble the report.
+    An empty, unknown or unrunnable check list is a ConfigError before any check runs."""
     tol = dict(DEFAULT_TOLERANCES)
     tol.update(tolerances or {})
     validate_tolerances(tol)
     checks = list(checks)
+    if not checks:
+        raise ConfigError("no checks to run: checks must be a nonempty list")
     for name in checks:
         if name not in KNOWN_CHECKS:
             raise ConfigError(f"unknown check name {name!r}; known: {KNOWN_CHECKS}")
-    if "reconstruct" in checks:
-        grid.fd_grid()  # an fd_h refinement above the cap fails before any check runs
+        _require_runnable(bundle, name)
 
     rng = np.random.default_rng(seed)
-    # second partials only where reconstruct reads this grid, not its fd_h refinement
-    ev = GridEval(bundle, grid, 2 if "reconstruct" in checks and grid.fd_h is None else 1)
+    # second partials only where reconstruct reads the grid
+    ev = GridEval(bundle, grid, 2 if "reconstruct" in checks else 1)
     results: dict[str, CheckResult] = {}
     for name in checks:
         if name == "compat":

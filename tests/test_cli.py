@@ -460,8 +460,11 @@ def test_a_directory_as_config_exits_2(tmp_path, capsys, command):
 @pytest.mark.parametrize("below", [False, True], ids=["file", "file_parent"])
 @pytest.mark.parametrize("command, extra", [("construct", []), ("verify", []),
                                             ("sweep", ["--param", "A", "--values", "1"])])
-def test_an_unwritable_output_directory_exits_2(sigma_cfg, tmp_path, capsys, command, extra,
-                                                below):
+def test_an_unwritable_output_directory_exits_2(sigma_cfg, tmp_path, capsys, monkeypatch,
+                                                command, extra, below):
+    # refused before any work: no check runs and no grid is evaluated
+    monkeypatch.setattr(cli, "run_suite", lambda *a, **k: pytest.fail("a suite ran"))
+    monkeypatch.setattr(cli, "admissible_grid", lambda *a: pytest.fail("a grid was evaluated"))
     blocker = tmp_path / "blocker"
     blocker.write_text("keep")
     out = blocker / "sub" if below else blocker
@@ -529,8 +532,8 @@ _SIGMA = {"family": "m3_sigma_const", "nu": [1, 2], "A": 1.0, "k": 1.0}
     {"family": {"family": "mn_theta_const", "n": float("inf"), "nu": [1, 2]}},
     {"probes": MAX_POINTS + 1},
     {"grid": {"nx": 1025, "nz": 1025}},
-    {"grid": {"nx": 9, "nz": 9, "fd_h": 1e-3}, "checks": ["reconstruct"]},
-    {"grid": {"rect": [0.5, 1e308, 0.4, 2.0], "fd_h": 1e-2}, "checks": ["reconstruct"]},
+    {"grid": {"nx": 9, "nz": 9, "fd_h": 1e-3}},
+    {"grid": {"nx": 9, "nz": 9, "x_lo": 0.5}},
     {"tolerances": {"compat": math.nan}},
     {"tolerances": {"compat": math.inf}},
     {"mutate": {"sigma": math.inf}},
@@ -567,12 +570,13 @@ _SIGMA = {"family": "m3_sigma_const", "nu": [1, 2], "A": 1.0, "k": 1.0}
     {"family": {"family": "trivial", "n": MAX_DEGREE + 1, "terms": [[1.0, [0, 0, 1.0]]]}},
     {"family": {"family": "trivial", "n": 1000000, "terms": [[1.0, [0, 0, 1.0]]]}},
     {"family": {"family": "mn_theta_const", "n": 1000000, "nu": [1, 2]}},
+    {"checks": []},
 ], ids=["grid_nx_not_a_number", "grid_m_below_2", "probes_zero", "nu_single_value",
         "checks_not_a_list", "tolerances_not_an_object", "tolerance_not_a_number",
         "mutate_not_an_object", "mutate_factor_not_a_number", "out_not_a_path",
         "coefficient_not_a_number", "probes_infinite", "grid_nx_infinite",
         "family_degree_infinite", "probes_above_cap", "grid_above_cap",
-        "fd_h_grid_above_cap", "fd_h_grid_infinite", "tolerance_nan", "tolerance_infinite",
+        "grid_fd_h", "grid_x_lo", "tolerance_nan", "tolerance_infinite",
         "mutate_factor_infinite", "mutate_factor_minus_infinite", "mutate_factor_nan",
         "tolerance_negative", "tolerance_unknown_name", "tolerance_integer_overflow",
         "mutate_factor_integer_overflow", "rect_reversed", "family_rect_reversed",
@@ -583,12 +587,11 @@ _SIGMA = {"family": "m3_sigma_const", "nu": [1, 2], "A": 1.0, "k": 1.0}
         "family_degree_fractional", "seed_a_bool", "family_beta_infinite",
         "grid_m_above_cap", "grid_m_a_million", "grid_m_2", "family_l1_dtilde_mode",
         "family_e0_c", "family_degree_above_cap",
-        "family_degree_a_million", "family_n_theta_degree_a_million"])
+        "family_degree_a_million", "family_n_theta_degree_a_million", "checks_empty"])
 def test_malformed_config_field_exits_2(tmp_path, capsys, section):
     cfg = _write(tmp_path, "bad.json", {"family": _SIGMA, **section})
-    # construct reads no tolerance, but a config with a bad one is still refused;
-    # the sections with checks are what only verify refuses (the fd_h refinement)
-    for command in ["verify"] + ([] if "checks" in section else ["construct"]):
+    # construct reads no tolerance or check, but a config with a bad one is still refused
+    for command in ("verify", "construct"):
         assert main([command, "--config", cfg, "--out", str(tmp_path / "ob")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
@@ -600,29 +603,50 @@ def test_malformed_config_field_exits_2(tmp_path, capsys, section):
 
 @pytest.mark.parametrize("section, name", [
     ({"grid": {"nx": 9, "nz": 9, "m": 2}}, "m"),
+    ({"grid": {"nx": 9, "nz": 9, "fd_h": 0.01}}, "fd_h"),
+    ({"grid": {"rect": [0.5, 2.5, 0.4, 2.0], "x_lo": 0.5}}, "x_lo"),
     ({"family": {**family_to_dict(canonical_config("m3_l1_const")), "dtilde_mode": "nu2"}},
      "dtilde_mode"),
     ({"family": {**family_to_dict(canonical_config("m3_general_e0")), "c": 2.0}}, "c"),
-], ids=["grid_m", "l1_dtilde_mode", "e0_c"])
+], ids=["grid_m", "grid_fd_h", "grid_x_lo", "l1_dtilde_mode", "e0_c"])
 def test_removed_config_field_is_named_unknown(tmp_path, capsys, section, name):
-    # the jet order, the D~ reading and e0's c are no longer config fields
+    # the jet order, the finite-difference step, the rectangle's single keys,
+    # the D~ reading and e0's c are no longer config fields
     cfg = _write(tmp_path, "old.json", {"family": _SIGMA, **section})
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "unknown" in err and f"[{name!r}]" in err
 
 
-def test_fd_h_cap_applies_only_when_reconstruct_refines(tmp_path, monkeypatch):
-    # fd_h = 1e-3 refines this family's rectangle past MAX_POINTS
-    config = {"family": {"family": "m3_sigma_const", "nu": [1, 2], "A": 1.0, "k": 1.0},
-              "grid": {"nx": 9, "nz": 9, "fd_h": 1e-3}}
-    cfg = _write(tmp_path, "fd.json", config)
-    assert main(["construct", "--config", cfg, "--out", str(tmp_path / "c")]) == 0
-    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 0
-    # with reconstruct, the refinement is refused before any other check runs
-    monkeypatch.setattr(verifier, "check_compatibility", lambda *a: pytest.fail("compat ran"))
-    cfg = _write(tmp_path, "fdr.json", {**config, "checks": ["compat", "reconstruct"]})
-    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+@pytest.mark.parametrize("family, checks, message", [
+    ({"family": "mn_theta_const", "n": 5, "nu": [1, 2]},
+     ["compat", "dependence", "eq5", "reconstruct"], "reconstruction supports degree n <= 4"),
+    ({"family": "mn_theta_const", "n": 4, "nu": [1, 2]}, ["compat", "wf"], "no W-f relation"),
+    (_SIGMA, ["compat", "dependence", "eq10"], "no variable-slope quadruple (eq10)"),
+    ({"family": "m3_general", "g": -1.0}, ["dependence", "eq5"],
+     "no constant-slope quadruple (eq5)"),
+], ids=["reconstruct_n5", "wf_untagged", "eq10_constant_slope", "eq5_variable_slope"])
+def test_an_unrunnable_check_is_refused_before_any_check_runs(tmp_path, capsys, monkeypatch,
+                                                               family, checks, message):
+    for name in ("check_compatibility", "check_dependence", "check_equation"):
+        monkeypatch.setattr(verifier, name, lambda *a, name=name: pytest.fail(f"{name} ran"))
+    cfg = _write(tmp_path, "c.json", {"family": family, "grid": {"nx": 9, "nz": 9},
+                                      "checks": checks})
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_sweep_refuses_a_malformed_value_before_the_first_suite(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_suite", lambda *a, **k: pytest.fail("a suite ran"))
+    cfg = _write(tmp_path, "n.json", {"family": {"family": "mn_theta_const", "n": 4,
+                                                 "nu": [1, 2]}, "grid": {"nx": 9, "nz": 9}})
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", cfg, "--param", "n", "--values", "4,3,2,4.5",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: family 'mn_theta_const'")
+    assert not out.exists()
 
 
 def test_sweep_negative_values_as_separate_token(tmp_path):
@@ -687,14 +711,14 @@ def test_negative_seed_exits_2(tmp_path, capsys, command, route):
 
 
 def test_admitted_points_are_not_checked_again(tmp_path, monkeypatch):
-    # construct and an fd_h reconstruct evaluate only points the safe-domain mask admitted
+    # construct and reconstruct evaluate only points the safe-domain mask admitted
     calls = []
     require = SafeDomain.require
     monkeypatch.setattr(SafeDomain, "require",
                         lambda self, x, z: calls.append(np.size(x)) or require(self, x, z))
     cfg = _write(tmp_path, "m1.json", {
         "family": {"family": "m1_implicit", "F": [0.0, 0.0, 0.0, 1.0], "seed_lambda": 1.2},
-        "grid": {"nx": 9, "nz": 9, "fd_h": 0.01},
+        "grid": {"nx": 101, "nz": 41},  # spacing 0.01 on the rectangle [1, 2] x [0.1, 0.5]
         "checks": ["reconstruct"],
     })
     assert main(["construct", "--config", cfg, "--out", str(tmp_path / "oc")]) == 0
@@ -718,7 +742,7 @@ _VALID = {
     "seed": st.integers(0, 5),
     "probes": st.integers(1, 30),
     "checks": st.lists(st.sampled_from(["compat", "dependence", "wf", "eq5", "reconstruct"]),
-                       max_size=4),
+                       min_size=1, max_size=4),
     "tolerances": st.dictionaries(st.sampled_from(sorted(DEFAULT_TOLERANCES)),
                                   st.floats(1e-12, 1.0), max_size=3),
     "mutate": st.dictionaries(st.sampled_from(_SLOTS), st.floats(-2.0, 2.0), max_size=2),
@@ -730,7 +754,7 @@ _INVALID = {
     "m": st.integers(-1, 9) | _junk,  # grid.m is no field: every value is refused
     "seed": st.integers(-5, -1) | _junk,
     "probes": st.integers(-2, 0) | _junk,
-    "checks": st.just(["eq10"]) | st.just(["bogus"]) | _junk,
+    "checks": st.just(["eq10"]) | st.just(["bogus"]) | st.just([]) | _junk,
     "tolerances": _junk | st.dictionaries(st.sampled_from(sorted(DEFAULT_TOLERANCES) + ["bogus"]),
                                           st.floats(-1.0, 0.0) | _junk | _non_finite,
                                           min_size=1, max_size=2),

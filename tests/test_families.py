@@ -2,6 +2,7 @@ import contextlib
 import inspect
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from mongesol.families import (
     FAMILY_TAGS,
     MAX_DEGREE,
     DegenerateConfig,
+    SafeDomain,
     GeneralNuConfig,
     GeneralNuE0Config,
     HodographExampleConfig,
@@ -586,8 +588,24 @@ def test_w_of_f_stays_in_the_safe_domain():
     xc, zc = np.array([(x0 + x1) / 2]), np.array([(z0 + z1) / 2])
     fl = b.fields_fn(xc, zc, 2)
     assert np.array_equal(b.w_of_f(fl["f"].value, xc, zc), fl["W"].value)
-    with pytest.raises(DomainError, match="w_of_f: slice inversion left the safe domain"):
-        b.w_of_f(fl["f"].value + 1.0, xc, zc)  # the slide crosses x = 0
+    # the slide crosses x = 0, where the slopes turn complex
+    with pytest.raises(DomainError, match="predicate 'slopes_real' violated at 1 point"):
+        b.w_of_f(fl["f"].value + 1.0, xc, zc)
+
+
+@pytest.mark.parametrize("margin", [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-300, -1e-300])
+def test_mask_and_require_agree_on_every_margin(margin):
+    # a point is admissible exactly where every margin is > 0; NaN is not
+    domain = SafeDomain(rect=(0.0, 1.0, 0.0, 1.0),
+                        predicates=(("fixed", lambda x, z: np.full(np.shape(x), margin)),))
+    x = z = np.array([0.5])
+    admitted = bool(domain.mask(x, z)[0])
+    assert admitted is (margin > 0)
+    if admitted:
+        domain.require(x, z)
+    else:
+        with pytest.raises(DomainError, match="predicate 'fixed' violated at 1 point"):
+            domain.require(x, z)
 
 
 def test_config_serialization_roundtrip():

@@ -1,6 +1,5 @@
 import functools
 import json
-import math
 import operator
 import tracemalloc
 
@@ -136,6 +135,8 @@ def test_run_suite_rejects_unknown_names():
         run_suite(b, grid, ["compat"], tolerances={"compat": -1.0})
     with pytest.raises(ConfigError):
         run_suite(b, grid, ["eq5"])  # no quadruple on this family
+    with pytest.raises(ConfigError, match="nonempty"):
+        run_suite(b, grid, [])  # no check would pass on no data
 
 
 def test_run_suite_deterministic_for_fixed_seed():
@@ -197,19 +198,11 @@ def test_admissible_grid_exhaustion():
 def test_grid_validation():
     with pytest.raises(ConfigError):
         GridSpec(0, 1, 0, 1, nx=3, nz=7)
-    with pytest.raises(ConfigError):
-        GridSpec(0, 1, 0, 1, fd_h=0.5)
-    # the point cap holds where a grid is checked or refined, not on construction
+    # the point cap holds where a grid is checked, not on construction
     big = GridSpec(0, 1, 0, 1, nx=MAX_POINTS // 5 + 1, nz=5)
     with pytest.raises(ConfigError, match=f"the grid has {MAX_POINTS // 5 + 1}x5 points"):
         big.capped()
     assert GridSpec(0, 1, 0, 1, nx=MAX_POINTS // 5, nz=5).capped().nz == 5
-    assert GridSpec(0, 1, 0, 1, fd_h=0.01).fd_grid().nx == 101
-    fine = GridSpec(0, 1, 0, 1, fd_h=1e-4)
-    with pytest.raises(ConfigError, match="refines the grid to 10001x10001 points"):
-        fine.fd_grid()
-    with pytest.raises(ConfigError, match="finite grid rectangle"):
-        GridSpec(0, math.inf, 0, 1, fd_h=1e-2).fd_grid()
 
 
 def test_richardson_ratio_caps_its_finer_grid_up_front(monkeypatch):
@@ -429,12 +422,15 @@ def test_crosscheck_peak_memory_is_a_few_grid_arrays():
 
 @pytest.mark.parametrize("tag", [t for t in FAMILY_TAGS
                                  if make_family(canonical_config(t)).w_value_fn is None])
-@pytest.mark.parametrize("fd_h", [None, 1e-2])
-def test_seeded_w_of_f_gives_the_same_report(tag, fd_h):
+@pytest.mark.parametrize("h", [None, 1e-2])
+def test_seeded_w_of_f_gives_the_same_report(tag, h):
     # reconstruct seeds the W(f) slide with the shared jets at the interior
-    # nodes; the slide then evaluates one field set less, with the same bytes
+    # nodes; the slide then evaluates one field set less, with the same bytes.
+    # h: the grid of that spacing on the family's rectangle, else 21x21
     b = make_family(canonical_config(tag))
-    grid = GridSpec.for_bundle(b, fd_h=fd_h)
+    x_lo, x_hi, z_lo, z_hi = b.domain.rect
+    grid = GridSpec.for_bundle(b) if h is None else GridSpec.for_bundle(
+        b, nx=round((x_hi - x_lo) / h) + 1, nz=round((z_hi - z_lo) / h) + 1)
     orders = []
     fields_fn, w_of_f = b.fields_fn, b.w_of_f
     b.fields_fn = lambda x, z, m: orders.append(m) or fields_fn(x, z, m)
