@@ -13,6 +13,7 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import random
 
 import numpy as np
 
@@ -33,7 +34,7 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=7)
     args = ap.parse_args()
 
-    rng = np.random.default_rng(args.seed)
+    rng = random.Random(args.seed)
     print(f"{'family':20s} {'original':>12s} {'symmetric':>12s} {'literal':>12s}  preserved by")
     for tag in FAMILIES:
         bundle = make_family(canonical_config(tag))

@@ -106,8 +106,9 @@ class RunConfig:
             mutate=_number_map(raw, "mutate"),
         )
 
-    def bundle(self):
-        cfg = family_from_dict(self.family_dict)
+    def bundle(self, overrides: dict | None = None):
+        """The family's bundle, with ``overrides`` replacing family parameters."""
+        cfg = family_from_dict({**self.family_dict, **(overrides or {})})
         return make_family(cfg, mutations=self.mutate or None)
 
     def grid_spec(self, bundle) -> GridSpec:
@@ -119,7 +120,8 @@ _RECT_KEYS = ("x_lo", "x_hi", "z_lo", "z_hi")
 
 
 def _seed(seed: int) -> int:
-    """The probe-sampling seed; numpy takes only nonnegative ones."""
+    """The probe-sampling seed.  Negative ones are refused: ``random.Random`` seeds
+    with the absolute value of an int, so ``Random(-5)`` repeats ``Random(5)``."""
     if seed < 0:
         raise ConfigError(f"seed must be a nonnegative integer, got {seed}")
     return seed
@@ -307,9 +309,9 @@ def cmd_construct(config: RunConfig, out_dir: Path) -> int:
     return 0
 
 
-def _run_checks(config: RunConfig) -> ResidualReport:
-    """The report of the configured checks (the family's defaults if none) on its grid."""
-    bundle = config.bundle()
+def _run_checks(config: RunConfig, bundle) -> ResidualReport:
+    """The report of the configured checks (the family's defaults if none) on the
+    grid of ``bundle``, a bundle of ``config``'s family."""
     checks = config.checks if config.checks is not None else default_checks(bundle)
     return run_suite(bundle, config.grid_spec(bundle), checks, tolerances=config.tolerances,
                      seed=config.seed, probes=config.probes)
@@ -317,7 +319,7 @@ def _run_checks(config: RunConfig) -> ResidualReport:
 
 def cmd_verify(config: RunConfig, out_dir: Path) -> int:
     """Run the configured checks; report always written, exit 0 iff all pass."""
-    report = _run_checks(config)
+    report = _run_checks(config, config.bundle())
     _write_report(report, out_dir)
     for name, res in report.checks.items():
         status = "pass" if res.passed else "FAIL"
@@ -336,12 +338,12 @@ def cmd_sweep(config: RunConfig, param: str, values: list[float], out_dir: Path)
     if param not in numeric:
         raise ConfigError(f"family {base.get('family')!r} has no numeric parameter {param!r} "
                           f"to sweep; its numeric parameters are {numeric}")
-    for v in values:  # a malformed value fails before the first suite runs
-        family_from_dict({**base, param: v})
+    # every bundle before the first suite: a value any builder step refuses fails first
+    bundles = [config.bundle({param: v}) for v in values]
     rows = [["value", "check", "max_abs", "mean_abs", "tolerance", "passed"]]
     all_pass = True
-    for v in values:
-        report = _run_checks(dataclasses.replace(config, family_dict={**base, param: v}))
+    for v, bundle in zip(values, bundles):
+        report = _run_checks(config, bundle)
         for name, res in report.checks.items():
             rows.append([_fmt(v), name, _fmt(res.max_abs), _fmt(res.mean_abs),
                          _fmt(res.tolerance), str(res.passed).lower()])

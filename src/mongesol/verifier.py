@@ -12,9 +12,11 @@ and aggregates everything into a deterministic :class:`ResidualReport`.
 from __future__ import annotations
 
 import math
+import random
 import sys
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
+from itertools import repeat, starmap
 from typing import Iterable
 
 import numpy as np
@@ -428,9 +430,10 @@ def _line_quadrature(bundle, x, z, nodes, refine, k0, keys):
     return sums, node_ok
 
 
-def check_equation(bundle: FieldBundle, rng: np.random.Generator, probes: int,
+def check_equation(bundle: FieldBundle, rng: random.Random, probes: int,
                    tol: float, which: str) -> CheckResult:
-    """Constraint residual at random safe points (relative-normalized)."""
+    """Constraint residual at ``probes`` safe points drawn by :func:`sample_points`
+    from ``rng`` (relative-normalized)."""
     if which not in ("eq5", "eq10"):
         raise ConfigError(f"unknown equation check {which!r}")
     _require_runnable(bundle, which)
@@ -443,14 +446,26 @@ def check_equation(bundle: FieldBundle, rng: np.random.Generator, probes: int,
                    extra={"max_rel": float(np.max(np.abs(rel))), "probes": int(x.size)})
 
 
-def sample_points(bundle: FieldBundle, rng: np.random.Generator, count: int):
-    """``count`` seeded uniform points of the bundle's rectangle inside its safe domain."""
+def sample_points(bundle: FieldBundle, rng: random.Random, count: int):
+    """``count`` seeded uniform points of the bundle's rectangle inside its safe domain.
+
+    Each round draws ``count`` values of ``rng.random()`` for x, then ``count``
+    for z, maps them to the rectangle as ``lo + (hi - lo) * u`` and keeps the
+    admitted points in draw order, until ``count`` are kept.  Only ``random()``
+    is read, the part of :class:`random.Random` whose sequence Python keeps
+    for a given seed; any generator whose ``random()`` returns a float in
+    [0, 1) works, a ``numpy.random.Generator`` too.
+    """
     x_lo, x_hi, z_lo, z_hi = bundle.domain.rect
     xs: list[float] = []
     zs: list[float] = []
+
+    def batch(lo, hi):
+        return lo + (hi - lo) * np.fromiter(starmap(rng.random, repeat((), count)), float, count)
+
     for _ in range(200):
-        x = rng.uniform(x_lo, x_hi, count)
-        z = rng.uniform(z_lo, z_hi, count)
+        x = batch(x_lo, x_hi)
+        z = batch(z_lo, z_hi)
         ok = bundle.domain.mask(x, z)
         need = count - len(xs)
         xs.extend(x[ok][:need])
@@ -619,7 +634,10 @@ def run_suite(
     probes: int = 100,
 ) -> ResidualReport:
     """Run the selected checks on one :class:`GridEval` of ``grid`` and assemble the report.
-    An empty, unknown or unrunnable check list is a ConfigError before any check runs."""
+    An empty, unknown or unrunnable check list is a ConfigError before any check runs.
+    eq5 and eq10 draw ``probes`` points each, in check order, from one
+    ``random.Random(seed)``, so the probes of a seed do not depend on the
+    NumPy release."""
     tol = dict(DEFAULT_TOLERANCES)
     tol.update(tolerances or {})
     validate_tolerances(tol)
@@ -631,7 +649,7 @@ def run_suite(
             raise ConfigError(f"unknown check name {name!r}; known: {KNOWN_CHECKS}")
         _require_runnable(bundle, name)
 
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     # second partials only where reconstruct reads the grid
     ev = GridEval(bundle, grid, 2 if "reconstruct" in checks else 1)
     results: dict[str, CheckResult] = {}

@@ -9,6 +9,7 @@ import math
 import os
 import platform
 import struct
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -649,6 +650,19 @@ def test_sweep_refuses_a_malformed_value_before_the_first_suite(tmp_path, capsys
     assert not out.exists()
 
 
+def test_sweep_makes_every_bundle_before_the_first_suite(tmp_path, capsys, monkeypatch):
+    # k = 1000 passes family_from_dict; only make_family overflows on it
+    monkeypatch.setattr(cli, "run_suite", lambda *a, **k: pytest.fail("a suite ran"))
+    cfg = _write(tmp_path, "k.json", {"family": family_to_dict(canonical_config("m3_sigma_const")),
+                                      "grid": {"nx": 21, "nz": 21}})
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", cfg, "--param", "k", "--values", "1,1.5,1000",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: family 'm3_sigma_const': a parameter "
+                                              "overflows")
+    assert not out.exists()
+
+
 def test_sweep_negative_values_as_separate_token(tmp_path):
     cfg = _write(tmp_path, "gen.json", {"family": {"family": "m3_general", "g": -1.0},
                                         "grid": {"nx": 9, "nz": 9}})
@@ -689,6 +703,23 @@ def test_reconstruct_quadrature_error_is_a_failed_check(tmp_path, capsys):
     assert rec["passed"] is False and rec["max_abs"] == "inf"
     assert rec["extra"]["error"].startswith("quadrature path inconsistency")
     assert (out / "report.csv").exists()
+
+
+def test_a_verify_and_a_sweep_leave_numpy_random_unimported(tmp_path):
+    # numpy 1.x imports numpy.random with numpy; numpy 2 loads it on first use
+    cfg = _write(tmp_path, "s.json", {"family": family_to_dict(canonical_config("m3_sigma_const"))})
+    verify = ["verify", "--config", cfg, "--out", str(tmp_path / "v")]
+    sweep = ["sweep", "--config", cfg, "--param", "k", "--values", "1,1.5", "--out",
+             str(tmp_path / "s")]
+    code = ("import sys, numpy; before = 'numpy.random' in sys.modules; "
+            f"from mongesol.cli import main; codes = main({verify!r}), main({sweep!r}); "
+            "print(codes, before, 'numpy.random' in sys.modules)")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert "eq5" in run.stdout  # the default checks probe
+    codes, before, after = run.stdout.splitlines()[-1].rsplit(" ", 2)
+    assert codes == "(0, 0)" and (before == "True" or after == "False")
 
 
 @pytest.mark.parametrize("command", ["verify", "sweep"])

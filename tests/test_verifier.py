@@ -1,7 +1,9 @@
 import functools
 import json
 import operator
+import random
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -21,17 +23,20 @@ from mongesol.families import (
 )
 from mongesol.jets import jet_seed
 from mongesol.verifier import (
+    DEFAULT_TOLERANCES,
     MAX_POINTS,
     GridEval,
     GridSpec,
     admissible_grid,
     check_compatibility,
     check_dependence,
+    check_equation,
     check_wf_relation,
     default_checks,
     reconstruct_u,
     richardson_ratio,
     run_suite,
+    sample_points,
     _fine_axis,
     _line_quadrature,
     _path_ok,
@@ -140,11 +145,35 @@ def test_run_suite_rejects_unknown_names():
 
 
 def test_run_suite_deterministic_for_fixed_seed():
-    b = make_family(canonical_config("m3_sigma_const"))
-    grid = GridSpec.for_bundle(b)
-    r1 = run_suite(b, grid, ["compat", "eq5"], seed=99)
-    r2 = run_suite(b, grid, ["compat", "eq5"], seed=99)
-    assert r1.to_json_dict() == r2.to_json_dict()
+    for tag, eq in (("m3_sigma_const", "eq5"), ("m3_general", "eq10")):
+        b = make_family(canonical_config(tag))
+        grid = GridSpec.for_bundle(b)
+        r1 = run_suite(b, grid, ["compat", eq], seed=99)
+        r2 = run_suite(b, grid, ["compat", eq], seed=99)
+        assert r1.to_json_dict() == r2.to_json_dict()
+        # the probes are those of random.Random(seed)
+        alone = check_equation(b, random.Random(99), 100, DEFAULT_TOLERANCES[eq], eq)
+        assert r1.checks[eq] == alone
+
+
+@pytest.mark.parametrize("make_rng", [random.Random, np.random.default_rng], ids=["random", "numpy"])
+def test_sample_points_keeps_the_first_admitted_draws(make_rng):
+    # a disc in its square admits about 79% of the draws: the first round of 50 falls short
+    disc = SafeDomain(rect=(0.5, 2.5, 0.2, 2.2),
+                      predicates=(("disc", lambda x, z: 1 - (x - 1.5) ** 2 - (z - 1.2) ** 2),))
+    x_lo, x_hi, z_lo, z_hi = disc.rect
+    rng = make_rng(8)
+    xs, zs = [], []
+    while len(xs) < 50:
+        ux = [rng.random() for _ in range(50)]  # the x batch, then the z batch
+        uz = [rng.random() for _ in range(50)]
+        for u, w in zip(ux, uz):
+            x, z = x_lo + (x_hi - x_lo) * u, z_lo + (z_hi - z_lo) * w
+            if 1 - (x - 1.5) ** 2 - (z - 1.2) ** 2 > 0 and len(xs) < 50:
+                xs.append(x)
+                zs.append(z)
+    x, z = sample_points(types.SimpleNamespace(domain=disc), make_rng(8), 50)
+    assert x.tolist() == xs and z.tolist() == zs
 
 
 @pytest.mark.parametrize("tag", FAMILY_TAGS)
