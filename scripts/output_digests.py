@@ -18,9 +18,13 @@ stdout, its stderr and the name and bytes of every file it wrote
   second partial;
 - construct and verify (default checks plus reconstruct) of ``m3_general``
   at ``g = 1``, 21x21: the complex branch ``h = i*sqrt(g)``, which the
-  canonical ``g = -1`` never takes.
+  canonical ``g = -1`` never takes;
+- construct and verify (default checks, plus reconstruct where n <= 4) of
+  each constant-slope family at a second config (``OFF_CANONICAL``), 21x21:
+  other slopes and amplitudes, the (x0, z0) translation of nonzero phase
+  offsets, and degree 5, which no canonical config reaches.
 
-The last two groups were appended after the jobs above them, so earlier
+The last three groups were appended after the jobs above them, so earlier
 lines keep their content and order.
 
 The jobs keep the ``:m2`` suffix of their names from when the matrix also
@@ -31,7 +35,7 @@ exit column: the bytes of ``r_values`` from the two ``assemble_r_integral``
 calls of the ``mode_superposition`` benchmark workload, and of ``w1`` and
 ``w2`` from one ``schrodinger_solve`` over a 2-D array of nodes.
 
-That makes 106 lines: 102 CLI jobs and four mode-solver arrays.  Nothing
+That makes 114 lines: 110 CLI jobs and four mode-solver arrays.  Nothing
 is compared here: run it on each commit and diff the two outputs.  CI runs
 it under two ``PYTHONHASHSEED`` values and under glibc's default malloc
 thresholds, and diffs those.
@@ -53,7 +57,7 @@ from pathlib import Path
 import numpy as np
 
 from mongesol import (FAMILY_TAGS, GeneralNuConfig, canonical_config, default_checks,
-                      family_to_dict, make_family)
+                      family_from_dict, family_to_dict, make_family)
 from mongesol import hodograph
 from mongesol.cli import main as cli_main
 
@@ -72,6 +76,16 @@ SWEEPS = {
 # quartics along the cube roots of unity 1 and exp(2 pi i / 3): complex chain fields
 COMPLEX_TRIVIAL = {"family": "trivial", "n": 3, "terms": [
     [1.0, [0, 0, 0, 0, 1.0]], [[-0.5, 0.8660254037844386], [0, 0, 0, 0, 1.0]]]}
+
+
+# a second config of each constant-slope family, off the canonical nu = (1, 2)
+OFF_CANONICAL = (
+    {"family": "m3_sigma_const", "nu": [1.2, 2.5], "A": 1.3, "k": 0.8, "d1": 0.15, "d2": -0.1},
+    {"family": "m3_l1_const", "nu": [0.9, 1.7], "D": 1.2, "k": 1.1},
+    {"family": "m3_theta_const", "nu": [1.3, 2.2], "E": 0.8, "k": 1.2},
+    {"family": "mn_theta_const", "n": 5, "nu": [1.1, 1.9], "E": 1.3, "k": 0.07, "c": 0.8,
+     "cbar": 1.2},
+)
 
 
 def _flat(c):
@@ -125,6 +139,12 @@ def jobs():
            "checks": default_checks(bundle) + ["reconstruct"]}
     for cmd in ("construct", "verify"):
         yield f"{cmd}:m3_general_g1:21", cfg, (cmd,)
+    for family in OFF_CANONICAL:
+        bundle = make_family(family_from_dict(family))
+        checks = default_checks(bundle) + (["reconstruct"] if bundle.n <= 4 else [])
+        cfg = {"family": family, "grid": {"nx": 21, "nz": 21}, "checks": checks}
+        for cmd in ("construct", "verify"):
+            yield f"{cmd}:{bundle.family}:off_canonical:21", cfg, (cmd,)
 
 
 def run_job(name: str, config: dict, args: tuple) -> tuple[int, str]:

@@ -39,6 +39,7 @@ from .verifier import (
     MAX_POINTS,
     ResidualReport,
     _fmt,
+    _seed,
     admissible_grid,
     default_checks,
     run_suite,
@@ -117,14 +118,6 @@ class RunConfig:
 
 
 _RECT_KEYS = ("x_lo", "x_hi", "z_lo", "z_hi")
-
-
-def _seed(seed: int) -> int:
-    """The probe-sampling seed.  Negative ones are refused: ``random.Random`` seeds
-    with the absolute value of an int, so ``Random(-5)`` repeats ``Random(5)``."""
-    if seed < 0:
-        raise ConfigError(f"seed must be a nonnegative integer, got {seed}")
-    return seed
 
 
 def _number_map(raw: dict, section: str) -> dict:

@@ -675,36 +675,61 @@ def _build_degenerate(cfg: DegenerateConfig, scales) -> FieldBundle:
 # ---------------------------------------------------------------------------
 
 
-def _line_fields(q: Quadruple, l1: JetFunc, l2: JetFunc, theta: JetFunc, sigma: JetFunc):
-    def fields(x, z, m):
-        xj, zj = jet_seed(x, z, m)
-        l1j = l1(xj + q.nu.nu1 * zj + q.d1)
-        l2j = l2(xj + q.nu.nu2 * zj + q.d2)
-        out = {f"a{j}": q.nu.combine(q.n - 1 - j, l1j, l2j) for j in range(q.n)}
-        out["a0"] = out["a0"] + theta(zj)
-        out["W"] = q.nu.combine(-1, l1j, l2j) + sigma(xj)
-        out["f"] = out["a0"]
-        return out
+@dataclass(frozen=True)
+class _Row:
+    """One function of a constant-slope family, ``F(t) = scale * (a*u + b*log(sign *
+    (c0 + sum_i c_i exp(p_i u))))`` with ``u = t + shift`` (``None``: ``u = t``) and
+    ``exps = ((c_i, p_i), ...)``; a row with no ``exps`` has no log term.  ``jet``
+    gives F on jets, and ``margin``, the log argument less ``EPS`` on arrays, is the
+    row's safe-domain predicate, so each log argument is written once.
 
-    return fields
+    ``jet`` keeps the operation order of the closed forms the rows replaced: terms
+    summed in order (``x - c*y`` as ``x + (-c)*y``, bit for bit), c0 added last into
+    the value plane, then ``sign`` and ``scale`` as factors of their own; a factor of
+    exactly 1.0 is no product.  Each constant keeps its formula's float expression,
+    so no bit depends on the row form.
+    """
+
+    a: float
+    b: float = 0.0
+    exps: tuple = ()
+    c0: float = 0.0
+    sign: float = 1.0
+    scale: float = 1.0
+    shift: float | None = None
+
+    def at(self, t) -> "_Row":
+        """This row on the branch where its log argument is positive at ``t``
+        (math.exp: a parameter that overflows raises OverflowError)."""
+        u = t if self.shift is None else t + self.shift
+        arg = _total(c * math.exp(p * u) for c, p in self.exps) + self.c0
+        return dataclasses.replace(self, sign=1.0 if arg > 0 else -1.0)
+
+    def margin(self, t):
+        u = t if self.shift is None else t + self.shift
+        return self.sign * (_total(c * np.exp(p * u) for c, p in self.exps) + self.c0) - EPS
+
+    def jet(self, tj: Jet2) -> Jet2:
+        u = tj if self.shift is None else tj + self.shift
+        out = u * self.a
+        if self.exps:
+            arg = _total(_times(jexp(u * p), c) for c, p in self.exps)
+            if self.c0:
+                arg = arg + self.c0
+            out = out + jlog(_times(arg, self.sign)) * self.b
+        return _times(out, self.scale)
 
 
-def _line_derivative_forms(q: Quadruple):
-    def forms(x, z):
-        s, t, p, qd = q.values(x, z)
-        return _Fields(
-            f_x=lambda: q.nu.combine(q.n - 1, p, qd),
-            f_z=lambda: q.nu.combine(q.n, p, qd) + t,
-            W_x=lambda: q.nu.combine(-1, p, qd) + s,
-            W_z=lambda: q.nu.combine(0, p, qd),
-        )
-
-    return forms
+def _times(j: Jet2, c) -> Jet2:
+    return j if c == 1.0 else j * c
 
 
-def _line_bundle(l1, l2, theta, sigma, quad, wf_tag, wf_res, domain, scales,
-                 params) -> FieldBundle:
-    sl1, sl2, sth, ssg = _factors(scales, "l1", "l2", "theta", "sigma")
+def _line_bundle(rows, quad, wf_tag, wf_res, rect, scales, params, extra=()) -> FieldBundle:
+    """The bundle of a constant-slope family from its rows ``(l1, l2, theta, sigma)``,
+    its hand-written derivative quadruple and W-f relation, and the predicates
+    ``extra`` besides the margin of each row with a log term."""
+    factors = _factors(scales, "l1", "l2", "theta", "sigma")
+    sl1, sl2, sth, ssg = factors
     quad = dataclasses.replace(
         quad,
         sigma_x=_scaled_arr(quad.sigma_x, ssg),
@@ -712,17 +737,43 @@ def _line_bundle(l1, l2, theta, sigma, quad, wf_tag, wf_res, domain, scales,
         l1_prime=_scaled_arr(quad.l1_prime, sl1),
         l2_dot=_scaled_arr(quad.l2_dot, sl2),
     )
+    nu, n = quad.nu, quad.n
+    # each row's argument, on jets or arrays: the two lines, z and x
+    args = (lambda x, z: x + nu.nu1 * z + quad.d1, lambda x, z: x + nu.nu2 * z + quad.d2,
+            lambda x, z: z, lambda x, z: x)
+    jets = [_scaled(row.jet, s) for row, s in zip(rows, factors)]
+
+    def fields(x, z, m):
+        xj, zj = jet_seed(x, z, m)
+        l1j, l2j, thj, sgj = (f(arg(xj, zj)) for f, arg in zip(jets, args))
+        out = {f"a{j}": nu.combine(n - 1 - j, l1j, l2j) for j in range(n)}
+        out["a0"] = out["a0"] + thj
+        out["W"] = nu.combine(-1, l1j, l2j) + sgj
+        out["f"] = out["a0"]
+        return out
+
+    def forms(x, z):
+        s, t, p, qd = quad.values(x, z)
+        return _Fields(
+            f_x=lambda: nu.combine(n - 1, p, qd),
+            f_z=lambda: nu.combine(n, p, qd) + t,
+            W_x=lambda: nu.combine(-1, p, qd) + s,
+            W_z=lambda: nu.combine(0, p, qd),
+        )
+
+    names = ("line1_log_arg", "line2_log_arg", "theta_log_arg", "sigma_log_arg")
+    predicates = tuple((name, lambda x, z, row=row, arg=arg: row.margin(arg(x, z)))
+                       for name, row, arg in zip(names, rows, args) if row.exps)
     return FieldBundle(
-        n=quad.n,
+        n=n,
         params=params,
-        domain=domain,
+        domain=SafeDomain(rect=tuple(rect), predicates=predicates + tuple(extra)),
         wf_relation=wf_tag,
         mutation_slots=("sigma", "theta", "l1", "l2"),
-        fields_fn=_line_fields(quad, _scaled(l1, sl1), _scaled(l2, sl2),
-                               _scaled(theta, sth), _scaled(sigma, ssg)),
+        fields_fn=fields,
         quadruple=quad,
         wf_residual=wf_res,
-        derivative_forms=_line_derivative_forms(quad),
+        derivative_forms=forms,
     )
 
 
@@ -740,24 +791,11 @@ def _build_sigma_const(cfg: SigmaConstConfig, scales) -> FieldBundle:
     z0 = (d2 - d1) / delta
     x0 = d1 - nu1 * z0
 
-    zc = 0.5 * (cfg.rect[2] + cfg.rect[3]) + z0
-    s_theta = 1.0 if (math.exp(k * nu1 * zc) - math.exp(k * nu2 * zc)) > 0 else -1.0
-
-    def l_fn(nu_own):
-        lin = a * nu1 * nu2
-
-        def f(tj):
-            return lin * tj + (nu_own * atil / k) * jlog(1.0 - jexp(tj * (-k)) * (1.0 / atil))
-
-        return f
-
-    def theta(zj):
-        w = zj + z0
-        e1, e2 = jexp(w * (k * nu1)), jexp(w * (k * nu2))
-        return (a * nu1 ** 2 * nu2 ** 2) * w - (atil * box / k) * jlog((e1 - e2) * s_theta)
-
-    def sigma(xj):
-        return (xj + x0) * a
+    l1, l2 = (_Row(a * nu1 * nu2, nu_own * atil / k, ((-(1.0 / atil), -k),), 1.0)
+              for nu_own in (nu1, nu2))
+    theta = _Row(a * nu1 ** 2 * nu2 ** 2, -(atil * box / k), ((1.0, k * nu1), (-1.0, k * nu2)),
+                 shift=z0).at(0.5 * (cfg.rect[2] + cfg.rect[3]))
+    sigma = _Row(a, shift=x0)
 
     def theta_z(z):
         w = np.asarray(z, dtype=float) + z0
@@ -782,7 +820,7 @@ def _build_sigma_const(cfg: SigmaConstConfig, scales) -> FieldBundle:
     )
 
     cube = nu2 ** 3 - nu1 ** 3
-    s_rel = -s_theta
+    s_rel = -theta.sign
 
     def wf_res(w, f):
         om = (delta * k / atil) * w
@@ -791,23 +829,7 @@ def _build_sigma_const(cfg: SigmaConstConfig, scales) -> FieldBundle:
             raise DomainError("sigma-const relation: log argument not positive")
         return (delta * k / atil) * f + cube * np.log(arg) - nu1 ** 3 * om
 
-    def pred_line(nu_i, d_i):
-        return lambda x, z: 1.0 - np.exp(-k * (x + nu_i * z + d_i)) / atil - EPS
-
-    def pred_theta(x, z):
-        w = np.asarray(z, dtype=float) + z0
-        return s_theta * (np.exp(k * nu1 * w) - np.exp(k * nu2 * w)) - EPS
-
-    domain = SafeDomain(
-        rect=tuple(cfg.rect),
-        predicates=(
-            ("line1_log_arg", pred_line(nu1, d1)),
-            ("line2_log_arg", pred_line(nu2, d2)),
-            ("theta_log_arg", pred_theta),
-        ),
-    )
-    return _line_bundle(l_fn(nu1), l_fn(nu2), theta, sigma, quad,
-                        "sigma_const", wf_res, domain, scales,
+    return _line_bundle((l1, l2, theta, sigma), quad, "sigma_const", wf_res, cfg.rect, scales,
                         params={"nu": list(cfg.nu), "A": a, "k": k, "d1": d1, "d2": d2})
 
 
@@ -821,21 +843,12 @@ def _build_l1_const(cfg: L1ConstConfig, scales) -> FieldBundle:
     if dtil == 0:
         raise ConfigError("m3_l1_const: the combined constant D~ vanishes")
 
-    def l1(tj):
-        return tj * d
-
-    def l2(tj):
-        return tj * d + (d * (nu2 ** 2 - nu1 ** 2) / (k * nu2 ** 2)) * jlog(
-            1.0 - nu2 ** 3 * jexp(tj * (-k))
-        )
-
-    def theta(zj):
-        return (-d * box) * zj - (dtil / k) * jlog(jexp(zj * (-k * nu2)) - 1.0 / (nu2 * dtil))
-
-    def sigma(xj):
-        return (d * box / (nu1 * nu2 ** 3)) * xj - (dtil / (k * nu2 ** 3)) * jlog(
-            jexp(xj * k) - nu2 ** 2 / dtil
-        )
+    rows = (
+        _Row(d),
+        _Row(d, d * (nu2 ** 2 - nu1 ** 2) / (k * nu2 ** 2), ((-(nu2 ** 3), -k),), 1.0),
+        _Row(-d * box, -(dtil / k), ((1.0, -k * nu2),), -(1.0 / (nu2 * dtil))),
+        _Row(d * box / (nu1 * nu2 ** 3), -(dtil / (k * nu2 ** 3)), ((1.0, k),), -(nu2 ** 2 / dtil)),
+    )
 
     quad = Quadruple(
         sigma_x=lambda x: d / (nu1 * nu2)
@@ -852,17 +865,9 @@ def _build_l1_const(cfg: L1ConstConfig, scales) -> FieldBundle:
     def wf_res(w, f):
         return np.exp(-k * nu2 ** 3 * w / dtil) - nu2 ** 3 * np.exp(-k * f / dtil) - 1.0
 
-    domain = SafeDomain(
-        rect=tuple(cfg.rect),
-        predicates=(
-            ("sigma_log_arg", lambda x, z: np.exp(k * x) - nu2 ** 2 / dtil - EPS),
-            ("theta_log_arg", lambda x, z: np.exp(-k * nu2 * z) - 1.0 / (nu2 * dtil) - EPS),
-            ("line2_log_arg", lambda x, z: 1.0 - nu2 ** 3 * np.exp(-k * (x + nu2 * z)) - EPS),
-            ("chain_log_arg", lambda x, z: np.exp(k * x) - nu2 ** 3 * np.exp(-k * nu2 * z) - EPS),
-        ),
-    )
-    return _line_bundle(l1, l2, theta, sigma, quad, "l1_const", wf_res, domain,
-                        scales, params={"nu": list(cfg.nu), "D": d, "k": k})
+    chain = ("chain_log_arg", lambda x, z: np.exp(k * x) - nu2 ** 3 * np.exp(-k * nu2 * z) - EPS)
+    return _line_bundle(rows, quad, "l1_const", wf_res, cfg.rect, scales,
+                        params={"nu": list(cfg.nu), "D": d, "k": k}, extra=(chain,))
 
 
 def _build_theta_const(cfg: ThetaConstConfig, scales) -> FieldBundle:
@@ -877,21 +882,10 @@ def _build_theta_const(cfg: ThetaConstConfig, scales) -> FieldBundle:
     erho = float(np.real(erho))
     gam = 1.0 / erho
 
-    def l_fn(nu_i):
-        def f(tj):
-            return (-e / box) * tj - (e * rho / (k * nu_i ** 2)) * jlog(
-                jexp(tj * (k / nu_i)) + gam * nu_i
-            )
-
-        return f
-
-    def theta(zj):
-        return zj * e
-
-    def sigma(xj):
-        return (e / (nu1 ** 2 * nu2 ** 2)) * xj - (e * (nu1 + nu2) / (k * nu1 ** 2 * nu2 ** 2)) * jlog(
-            jexp(xj * (k / nu1)) * nu2 - jexp(xj * (k / nu2)) * nu1
-        )
+    l1, l2 = (_Row(-e / box, -(e * rho / (k * nu_i ** 2)), ((1.0, k / nu_i),), gam * nu_i)
+              for nu_i in (nu1, nu2))
+    sigma = _Row(e / (nu1 ** 2 * nu2 ** 2), -(e * (nu1 + nu2) / (k * nu1 ** 2 * nu2 ** 2)),
+                 ((nu2, k / nu1), (-nu1, k / nu2)))
 
     def lprime(nu_i):
         def f(t):
@@ -923,32 +917,11 @@ def _build_theta_const(cfg: ThetaConstConfig, scales) -> FieldBundle:
             raise DomainError("theta-const relation: log argument not positive")
         return psi - phi / nu1 ** 3 + inv_cube * np.log(arg)
 
-    def pred_sigma(x, z):
-        return nu2 * np.exp((k / nu1) * x) - nu1 * np.exp((k / nu2) * x) - EPS
-
-    def pred_u(x, z):
-        return np.exp((k / nu1) * (x + nu1 * z)) + gam * nu1 - EPS
-
-    def pred_v(x, z):
-        return np.exp((k / nu2) * (x + nu2 * z)) + gam * nu2 - EPS
-
-    def pred_slope_split(x, z):
-        u = np.exp((k / nu1) * (x + nu1 * z)) + gam * nu1
-        v = np.exp((k / nu2) * (x + nu2 * z)) + gam * nu2
-        return np.abs(u - v) - 1e-3
-
-    domain = SafeDomain(
-        rect=tuple(cfg.rect),
-        predicates=(
-            ("sigma_log_arg", pred_sigma),
-            ("line1_log_arg", pred_u),
-            ("line2_log_arg", pred_v),
-            ("bottom_gradient", pred_slope_split),
-        ),
-    )
-    return _line_bundle(l_fn(nu1), l_fn(nu2), theta, sigma, quad, "theta_const",
-                        wf_res, domain, scales,
-                        params={"nu": list(cfg.nu), "E": e, "k": k})
+    # the two line log arguments stay apart
+    split = ("bottom_gradient",
+             lambda x, z: np.abs(l1.margin(x + nu1 * z) - l2.margin(x + nu2 * z)) - 1e-3)
+    return _line_bundle((l1, l2, _Row(e), sigma), quad, "theta_const", wf_res, cfg.rect, scales,
+                        params={"nu": list(cfg.nu), "E": e, "k": k}, extra=(split,))
 
 
 def _build_n_theta_const(cfg: NThetaConstConfig, scales) -> FieldBundle:
@@ -961,32 +934,16 @@ def _build_n_theta_const(cfg: NThetaConstConfig, scales) -> FieldBundle:
     if bn == 0 or bn1 == 0:
         raise ConfigError("mn_theta_const: degenerate slope bracket (box_n vanishes)")
     p1, p2 = k * nu2 * bn1, k * nu1 * bn1
-
-    xc = 0.5 * (cfg.rect[0] + cfg.rect[1])
-    zc = 0.5 * (cfg.rect[2] + cfg.rect[3])
-    dc1, dc2 = xc + nu1 * zc, xc + nu2 * zc
-    arg1_ref = bn - nu1 ** n * nu2 * bn1 * cc * math.exp(p1 * dc1)
-    arg2_ref = bn - nu2 ** n * nu1 * bn1 * cb * math.exp(p2 * dc2)
-    args_ref = nu1 ** (n - 1) * cc * math.exp(p1 * xc) - nu2 ** (n - 1) * cb * math.exp(p2 * xc)
-    s1, s2, ss = (1.0 if v > 0 else -1.0 for v in (arg1_ref, arg2_ref, args_ref))
-
     g1 = (1.0 / bn - nu1 ** (1 - n)) / p1
     g2 = (1.0 / bn - nu2 ** (1 - n)) / p2
 
-    def l1(tj):
-        return ((-1.0 / bn) * tj + g1 * jlog((bn - nu1 ** n * nu2 * bn1 * cc * jexp(tj * p1)) * s1)) * e
-
-    def l2(tj):
-        return ((-1.0 / bn) * tj + g2 * jlog((bn - nu2 ** n * nu1 * bn1 * cb * jexp(tj * p2)) * s2)) * e
-
-    def theta(zj):
-        return zj * e
-
-    def sigma(xj):
-        return ((bn2 / (nu1 * nu2) ** (n - 1)) * xj
-                - (1.0 / (k * (nu1 * nu2) ** n)) * jlog(
-                    (jexp(xj * p1) * (nu1 ** (n - 1) * cc) - jexp(xj * p2) * (nu2 ** (n - 1) * cb)) * ss
-                )) * e
+    # each row on the branch of its log argument at the rectangle's centre
+    xc = 0.5 * (cfg.rect[0] + cfg.rect[1])
+    zc = 0.5 * (cfg.rect[2] + cfg.rect[3])
+    l1 = _Row(-1.0 / bn, g1, ((-(nu1 ** n * nu2 * bn1 * cc), p1),), bn, scale=e).at(xc + nu1 * zc)
+    l2 = _Row(-1.0 / bn, g2, ((-(nu2 ** n * nu1 * bn1 * cb), p2),), bn, scale=e).at(xc + nu2 * zc)
+    sigma = _Row(bn2 / (nu1 * nu2) ** (n - 1), -(1.0 / (k * (nu1 * nu2) ** n)),
+                 ((nu1 ** (n - 1) * cc, p1), (-(nu2 ** (n - 1) * cb), p2)), scale=e).at(xc)
 
     def l1_prime(t):
         t = np.asarray(t, dtype=float)
@@ -1011,20 +968,7 @@ def _build_n_theta_const(cfg: NThetaConstConfig, scales) -> FieldBundle:
         nu=nu,
         n=n,
     )
-
-    domain = SafeDomain(
-        rect=tuple(cfg.rect),
-        predicates=(
-            ("line1_log_arg",
-             lambda x, z: s1 * (bn - nu1 ** n * nu2 * bn1 * cc * np.exp(p1 * (x + nu1 * z))) - EPS),
-            ("line2_log_arg",
-             lambda x, z: s2 * (bn - nu2 ** n * nu1 * bn1 * cb * np.exp(p2 * (x + nu2 * z))) - EPS),
-            ("sigma_log_arg",
-             lambda x, z: ss * (nu1 ** (n - 1) * cc * np.exp(p1 * x)
-                                - nu2 ** (n - 1) * cb * np.exp(p2 * x)) - EPS),
-        ),
-    )
-    return _line_bundle(l1, l2, theta, sigma, quad, None, None, domain, scales,
+    return _line_bundle((l1, l2, _Row(e), sigma), quad, None, None, cfg.rect, scales,
                         params={"n": n, "nu": list(cfg.nu), "E": e, "k": k, "c": cc, "cbar": cb})
 
 

@@ -12,6 +12,7 @@ and aggregates everything into a deterministic :class:`ResidualReport`.
 from __future__ import annotations
 
 import math
+import operator
 import random
 import sys
 from dataclasses import asdict, dataclass, field
@@ -625,6 +626,16 @@ def default_checks(bundle: FieldBundle) -> list[str]:
     return checks
 
 
+def _seed(seed) -> int:
+    """The probe-sampling seed as a Python int, from any integer (a NumPy one too;
+    a float is a TypeError).  Negative ones are refused: ``random.Random`` seeds
+    with the absolute value of an int, so ``Random(-5)`` repeats ``Random(5)``."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ConfigError(f"seed must be a nonnegative integer, got {seed}")
+    return seed
+
+
 def run_suite(
     bundle: FieldBundle,
     grid: GridSpec,
@@ -637,7 +648,8 @@ def run_suite(
     An empty, unknown or unrunnable check list is a ConfigError before any check runs.
     eq5 and eq10 draw ``probes`` points each, in check order, from one
     ``random.Random(seed)``, so the probes of a seed do not depend on the
-    NumPy release."""
+    NumPy release; the seed is refused as ``_seed`` refuses it."""
+    seed = _seed(seed)
     tol = dict(DEFAULT_TOLERANCES)
     tol.update(tolerances or {})
     validate_tolerances(tol)

@@ -13,10 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mongesol.errors import ConfigError, DomainError, FoldError
+from mongesol.errors import BranchCutError, ConfigError, DomainError, FoldError
 from mongesol.families import (
     FAMILY_TAGS,
     MAX_DEGREE,
+    EPS,
     DegenerateConfig,
     SafeDomain,
     GeneralNuConfig,
@@ -191,6 +192,57 @@ def test_derivative_forms_match_field_jets(tag):
     assert np.max(np.abs(df["f_z"] - jet_partial(fl["f"], 0, 1))) <= 1e-11 * scale
     assert np.max(np.abs(df["W_x"] - jet_partial(fl["W"], 1, 0))) <= 1e-11 * scale
     assert np.max(np.abs(df["W_z"] - jet_partial(fl["W"], 0, 1))) <= 1e-11 * scale
+
+
+# a second config of each constant-slope family: other slopes and amplitudes,
+# nonzero phase offsets (a shifted sigma and theta) and another degree
+_OFF_CANONICAL = {
+    "m3_sigma_const": {"nu": [1.2, 2.5], "A": 1.3, "k": 0.8, "d1": 0.15, "d2": -0.1},
+    "m3_l1_const": {"nu": [0.9, 1.7], "D": 1.2, "k": 1.1},
+    "m3_theta_const": {"nu": [1.3, 2.2], "E": 0.8, "k": 1.2},
+    "mn_theta_const": {"n": 5, "nu": [1.1, 1.9], "E": 1.3, "k": 0.07, "c": 0.8, "cbar": 1.2},
+}
+_LINE_PREDICATES = {
+    "m3_sigma_const": ("line1_log_arg", "line2_log_arg", "theta_log_arg"),
+    "m3_l1_const": ("line2_log_arg", "theta_log_arg", "sigma_log_arg", "chain_log_arg"),
+    "m3_theta_const": ("line1_log_arg", "line2_log_arg", "sigma_log_arg", "bottom_gradient"),
+    "mn_theta_const": ("line1_log_arg", "line2_log_arg", "sigma_log_arg"),
+}
+_ROW_PREDICATES = ("line1_log_arg", "line2_log_arg", "theta_log_arg", "sigma_log_arg")
+
+
+@pytest.mark.parametrize("spread", [2, 8])
+@pytest.mark.parametrize("config", ["canonical", "off_canonical"])
+@pytest.mark.parametrize("tag", list(_LINE_PREDICATES))
+def test_line_family_row_predicates_guard_every_log(tag, config, spread):
+    # a row's predicate is its log argument less EPS: seeded points in a rectangle
+    # `spread` times the family's hit a log branch cut exactly where a row predicate
+    # reads an argument <= 0, and every point the mask admits evaluates
+    cfg = (canonical_config(tag) if config == "canonical"
+           else family_from_dict({"family": tag, **_OFF_CANONICAL[tag]}))
+    b = make_family(cfg)
+    assert tuple(name for name, _ in b.domain.predicates) == _LINE_PREDICATES[tag]
+    x_lo, x_hi, z_lo, z_hi = b.domain.rect
+    rng = np.random.default_rng(27)
+    half_x, half_z = spread * (x_hi - x_lo) / 2, spread * (z_hi - z_lo) / 2
+    x = rng.uniform((x_lo + x_hi) / 2 - half_x, (x_lo + x_hi) / 2 + half_x, 200)
+    z = rng.uniform((z_lo + z_hi) / 2 - half_z, (z_lo + z_hi) / 2 + half_z, 200)
+    ok = b.domain.mask(x, z)
+    assert ok.any()
+    b.fields_fn(x[ok], z[ok], 0)  # no BranchCutError
+    cut = np.zeros(x.shape, dtype=bool)
+    with np.errstate(all="ignore"):
+        for i in np.flatnonzero(~ok):
+            try:
+                b.fields_fn(x[i:i + 1], z[i:i + 1], 0)
+            except BranchCutError:
+                cut[i] = True
+        row_cut = np.zeros(x.shape, dtype=bool)
+        for name, pred in b.domain.predicates:
+            if name in _ROW_PREDICATES:
+                row_cut |= np.asarray(pred(x, z)) <= -EPS
+    assert np.array_equal(cut, row_cut)
+    assert cut.any() or spread == 2
 
 
 def test_wf_relations_hold_pointwise():

@@ -184,7 +184,7 @@ def test_duality_is_an_involution(variant):
 def test_duality_symmetric_preserves_solutions_literal_does_not():
     rng = np.random.default_rng(21)
     records = {}
-    for tag in ("m3_sigma_const", "m3_l1_const", "m3_theta_const"):
+    for tag in ("m3_sigma_const", "m3_l1_const", "m3_theta_const", "mn_theta_const"):
         b = make_family(canonical_config(tag))
         x, z = sample_points(b, rng, 30)
         for variant in ("symmetric", "literal"):

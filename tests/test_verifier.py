@@ -156,6 +156,20 @@ def test_run_suite_deterministic_for_fixed_seed():
         assert r1.checks[eq] == alone
 
 
+def test_run_suite_refuses_the_seeds_the_cli_refuses():
+    # random.Random would fold -5 onto 5 and take 2.5, and it refuses a NumPy integer
+    b = make_family(canonical_config("m3_sigma_const"))
+    grid = GridSpec.for_bundle(b, nx=9, nz=9)
+    with pytest.raises(ConfigError, match="seed must be a nonnegative integer, got -5"):
+        run_suite(b, grid, ["compat", "eq5"], seed=-5, probes=5)
+    with pytest.raises(TypeError):
+        run_suite(b, grid, ["compat", "eq5"], seed=2.5, probes=5)
+    five = run_suite(b, grid, ["compat", "eq5"], seed=5, probes=5)
+    numpy_five = run_suite(b, grid, ["compat", "eq5"], seed=np.int64(5), probes=5)
+    assert type(numpy_five.meta["seed"]) is int
+    assert json.dumps(numpy_five.to_json_dict()) == json.dumps(five.to_json_dict())
+
+
 @pytest.mark.parametrize("make_rng", [random.Random, np.random.default_rng], ids=["random", "numpy"])
 def test_sample_points_keeps_the_first_admitted_draws(make_rng):
     # a disc in its square admits about 79% of the draws: the first round of 50 falls short
