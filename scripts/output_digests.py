@@ -8,7 +8,9 @@ stdout, its stderr and the name and bytes of every file it wrote
 - construct and verify (default checks plus reconstruct) of every family at
   21x21 and 81x81;
 - verify at 21x21 with each mutation slot scaled by 1.1;
-- one five-value sweep per family with a numeric parameter, at 21x21;
+- one five-value sweep per family with a numeric parameter, at 21x21: the
+  parameters and values of the ``sweep_21`` benchmark workload (``SWEEPS``
+  of ``perfbench/workloads.py``);
 - a reconstruct-only verify per family on the grid of spacing 0.01 over its
   rectangle (``nx = round(span / 0.01) + 1``, 101x41 to 201x161).  These
   ``reconstruct:<tag>:h0.01`` jobs stand where the ``fd_h:<tag>`` jobs of
@@ -33,7 +35,10 @@ ran at jet order 4, so lines stay comparable across commits.
 After the CLI jobs come the mode solver's lines, which print ``-`` in the
 exit column: the bytes of ``r_values`` from the two ``assemble_r_integral``
 calls of the ``mode_superposition`` benchmark workload, and of ``w1`` and
-``w2`` from one ``schrodinger_solve`` over a 2-D array of nodes.
+``w2`` from one ``schrodinger_solve`` over a 2-D array of nodes, with that
+workload's linear profile.  Both tables are imported from
+``perfbench/workloads.py`` (read only), so the script and the benchmark run
+the same sweeps and mode calls.
 
 That makes 114 lines: 110 CLI jobs and four mode-solver arrays.  Nothing
 is compared here: run it on each commit and diff the two outputs.  CI runs
@@ -51,6 +56,7 @@ import hashlib
 import io
 import json
 import os
+import sys
 import tempfile
 from pathlib import Path
 
@@ -61,17 +67,11 @@ from mongesol import (FAMILY_TAGS, GeneralNuConfig, canonical_config, default_ch
 from mongesol import hodograph
 from mongesol.cli import main as cli_main
 
-SWEEPS = {
-    "m1_implicit": ("seed_lambda", "1.0,1.1,1.2,1.3,1.4"),
-    "degenerate": ("seed_a", "1.5,1.75,2.0,2.25,2.5"),
-    "m3_sigma_const": ("A", "0.5,0.875,1.25,1.625,2.0"),
-    "m3_l1_const": ("D", "0.5,0.875,1.25,1.625,2.0"),
-    "m3_theta_const": ("E", "0.5,0.875,1.25,1.625,2.0"),
-    "m3_hodograph_example": ("beta", "1.5,1.875,2.25,2.625,3.0"),
-    "m3_general": ("g", "-0.5,-1.0,-1.25,-1.5,-2.0"),
-    "m3_general_e0": ("a", "0.5,0.875,1.25,1.625,2.0"),
-    "mn_theta_const": ("E", "0.5,0.875,1.25,1.625,2.0"),
-}
+# the benchmark's job tables, read from its one copy
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import SWEEPS, build_jobs  # noqa: E402
+
+MODE_CALLS = {job.id: job.call for job in build_jobs("mode_superposition", None, 0)}
 
 # quartics along the cube roots of unity 1 and exp(2 pi i / 3): complex chain fields
 COMPLEX_TRIVIAL = {"family": "trivial", "n": 3, "terms": [
@@ -86,26 +86,6 @@ OFF_CANONICAL = (
     {"family": "mn_theta_const", "n": 5, "nu": [1.1, 1.9], "E": 1.3, "k": 0.07, "c": 0.8,
      "cbar": 1.2},
 )
-
-
-def _flat(c):
-    return np.ones_like(np.asarray(c, dtype=float))
-
-
-def _linear(c):
-    return 1.0 + 0.5 * np.asarray(c, dtype=float)
-
-
-# the assemble_r_integral calls of perfbench's mode_superposition workload
-MODE_CALLS = {
-    "mode:trapezoid": dict(
-        f1=lambda k: float(np.exp(-18.0 * (k - 1.0) ** 2)), f2=lambda k: 0.0,
-        k_nodes=[float(k) for k in np.linspace(0.0, 2.0, 13)], w_c_profile=_flat,
-        nb=15, steps=1000, mode="trapezoid"),
-    "mode:sum": dict(
-        f1=lambda k: 1.0, f2=lambda k: 0.3, k_nodes=[0.5, 1.0, 1.5, 2.0], w_c_profile=_linear,
-        nb=21, steps=2000, mode="sum"),
-}
 
 
 def jobs():
@@ -123,7 +103,8 @@ def jobs():
             yield f"mutate:{tag}:{slot}", base, ("verify", "--mutate", f"{slot}=1.1")
         if tag in SWEEPS:
             param, values = SWEEPS[tag]
-            yield f"sweep:{tag}", base, ("sweep", "--param", param, f"--values={values}")
+            yield f"sweep:{tag}", base, ("sweep", "--param", param,
+                                         "--values=" + ",".join(map(repr, values)))
         x_lo, x_hi, z_lo, z_hi = bundle.domain.rect
         fine = {"nx": round((x_hi - x_lo) / 0.01) + 1, "nz": round((z_hi - z_lo) / 0.01) + 1}
         yield f"reconstruct:{tag}:h0.01", {"family": family, "grid": fine,
@@ -171,7 +152,8 @@ def mode_digests():
         res = hodograph.assemble_r_integral(b_range=(0.0, 1.0), c_range=(0.0, 1.0), **call)
         yield f"{name}:r_values", hashlib.sha256(res.r_values.tobytes()).hexdigest()
     ks = np.array([[0.0, 0.5, 1.0], [1.5, 2.0, 3.0]])
-    sol = hodograph.schrodinger_solve(_linear, ks, (0.0, 1.0), steps=400)
+    linear = MODE_CALLS["mode:sum"]["w_c_profile"]
+    sol = hodograph.schrodinger_solve(linear, ks, (0.0, 1.0), steps=400)
     for attr in ("w1", "w2"):
         yield f"schrodinger:2d:{attr}", hashlib.sha256(getattr(sol, attr).tobytes()).hexdigest()
 

@@ -8,68 +8,13 @@ between them, the four-function constraint, and reconstruction of the
 underlying potential against a finite-difference oracle.
 """
 
-from .errors import (
-    BranchCutError,
-    ConfigError,
-    ConvergenceError,
-    DomainError,
-    FoldError,
-    MongesolError,
-    QuadratureError,
-)
-from .families import (
-    DegenerateConfig,
-    FieldBundle,
-    GeneralNuConfig,
-    GeneralNuE0Config,
-    HodographExampleConfig,
-    L1ConstConfig,
-    M1ImplicitConfig,
-    NThetaConstConfig,
-    SafeDomain,
-    SigmaConstConfig,
-    ThetaConstConfig,
-    TrivialConfig,
-    canonical_config,
-    family_from_dict,
-    family_to_dict,
-    make_family,
-    trivial_random_symmetric,
-    FAMILY_TAGS,
-)
-from .functional_eq import (
-    GeneralQuadruple,
-    Quadruple,
-    SlopeBranch,
-    duality_transform,
-    four_function_residual,
-    variable_slope_residual,
-)
-from .hodograph import (
-    OdeSolution,
-    RIntegralResult,
-    assemble_r_integral,
-    implicit_jet,
-    schrodinger_solve,
-    solve_implicit,
-)
-from .jets import Jet2, compose_series, jet_partial, jet_seed, jexp, jlog, jpow, jsqrt, poly_jet
-from .nu_algebra import NuPair
-from .verifier import (
-    DEFAULT_TOLERANCES,
-    GridEval,
-    GridSpec,
-    ResidualReport,
-    admissible_grid,
-    check_compatibility,
-    check_dependence,
-    check_equation,
-    check_wf_relation,
-    default_checks,
-    reconstruct_u,
-    richardson_ratio,
-    run_suite,
-    sample_points,
-)
+# each module's __all__ is the one list of its public names; cli is not imported
+from .errors import *
+from .families import *
+from .functional_eq import *
+from .hodograph import *
+from .jets import *
+from .nu_algebra import *
+from .verifier import *
 
 __version__ = "0.1.0"

@@ -431,33 +431,35 @@ def main(argv=None) -> int:
     _pin_malloc_thresholds()
     args = _parser().parse_args(_rejoin_values(sys.argv[1:] if argv is None else list(argv)))
     try:
-        config = RunConfig.load(args.config)
-        config.tolerances.update(_parse_pairs("--tol", "value", args.tol))
-        validate_tolerances(config.tolerances)
-        if args.seed is not None:
-            config.seed = _seed(args.seed)
-        if getattr(args, "mutate", None):
-            config.mutate.update(_parse_pairs("--mutate", "factor", args.mutate))
-        out_dir = Path(args.out if args.out is not None else config.out)
-        # before any work, and making nothing: no write below a regular file can succeed
-        existing = next((p for p in (out_dir, *out_dir.parents) if os.path.exists(p)), out_dir)
-        if not os.path.isdir(existing):
-            raise ConfigError(f"cannot write {out_dir}: {existing} is not a directory")
-        if args.command == "construct":
-            return cmd_construct(config, out_dir)
-        if args.command == "verify":
-            return cmd_verify(config, out_dir)
-        if args.command == "sweep":
-            try:
-                values = [float(v) for v in args.values.split(",") if v.strip() != ""]
-            except ValueError:
-                raise ConfigError(f"--values must be comma-separated numbers: {args.values!r}")
-            return cmd_sweep(config, args.param, values, out_dir)
-        raise ConfigError(f"unknown command {args.command!r}")
+        # a numpy overflow raises FloatingPointError, reported as a config error below
+        with np.errstate(over="raise"):
+            config = RunConfig.load(args.config)
+            config.tolerances.update(_parse_pairs("--tol", "value", args.tol))
+            validate_tolerances(config.tolerances)
+            if args.seed is not None:
+                config.seed = _seed(args.seed)
+            if getattr(args, "mutate", None):
+                config.mutate.update(_parse_pairs("--mutate", "factor", args.mutate))
+            out_dir = Path(args.out if args.out is not None else config.out)
+            # before any work, and making nothing: no write below a regular file can succeed
+            existing = next((p for p in (out_dir, *out_dir.parents) if os.path.exists(p)), out_dir)
+            if not os.path.isdir(existing):
+                raise ConfigError(f"cannot write {out_dir}: {existing} is not a directory")
+            if args.command == "construct":
+                return cmd_construct(config, out_dir)
+            if args.command == "verify":
+                return cmd_verify(config, out_dir)
+            if args.command == "sweep":
+                try:
+                    values = [float(v) for v in args.values.split(",") if v.strip() != ""]
+                except ValueError:
+                    raise ConfigError(f"--values must be comma-separated numbers: {args.values!r}")
+                return cmd_sweep(config, args.param, values, out_dir)
+            raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except OverflowError as exc:  # a family parameter too large for float arithmetic
+    except (OverflowError, FloatingPointError) as exc:  # a parameter too large for floats
         print(f"config error: a parameter overflows ({exc})", file=sys.stderr)
         return 2
     except DomainError as exc:

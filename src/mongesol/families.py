@@ -123,6 +123,8 @@ class FieldBundle:
 
     Builders fill in everything up to ``w_value_fn``; :func:`make_family`
     stamps ``family``, ``config`` and ``mutations`` on the bundle it returns.
+    The family's parameters are those of ``config`` (a report writes them
+    with :func:`family_to_dict`); the bundle keeps no second copy.
     ``fields_fn(x, z, m)`` returns a ``Mapping``, not necessarily a dict, from
     ``a0 .. a{n-1}``, ``W`` and ``f`` to their order-``m`` jets, for any
     ``m >= 0`` (order 0: values only); an entry may be built only when it is
@@ -135,7 +137,6 @@ class FieldBundle:
     """
 
     n: int
-    params: dict
     domain: SafeDomain
     wf_relation: str | None
     mutation_slots: tuple[str, ...]
@@ -525,7 +526,6 @@ def _build_trivial(cfg: TrivialConfig, scales) -> FieldBundle:
 
     return FieldBundle(
         n=n,
-        params={"n": n, "terms": len(terms)},
         domain=SafeDomain(rect=tuple(cfg.rect)),
         wf_relation="identity",
         mutation_slots=("a0",),
@@ -585,7 +585,6 @@ def _build_m1(cfg: M1ImplicitConfig, scales) -> FieldBundle:
 
     return FieldBundle(
         n=1,
-        params={"f_coeffs": list(cfg.f_coeffs), "seed_lambda": cfg.seed_lambda},
         domain=SafeDomain(
             rect=tuple(cfg.rect),
             predicates=(("slope_nonzero", pred_nonzero), ("fold_margin", pred_fold)),
@@ -660,7 +659,6 @@ def _build_degenerate(cfg: DegenerateConfig, scales) -> FieldBundle:
 
     return FieldBundle(
         n=2,
-        params={"c_coeffs": list(cfg.c_coeffs), "g_coeffs": list(cfg.g_coeffs)},
         domain=SafeDomain(rect=tuple(cfg.rect), predicates=(("cprime_positive", pred_cprime),)),
         wf_relation=None,
         mutation_slots=("a1",),
@@ -724,7 +722,7 @@ def _times(j: Jet2, c) -> Jet2:
     return j if c == 1.0 else j * c
 
 
-def _line_bundle(rows, quad, wf_tag, wf_res, rect, scales, params, extra=()) -> FieldBundle:
+def _line_bundle(rows, quad, wf_tag, wf_res, rect, scales, extra=()) -> FieldBundle:
     """The bundle of a constant-slope family from its rows ``(l1, l2, theta, sigma)``,
     its hand-written derivative quadruple and W-f relation, and the predicates
     ``extra`` besides the margin of each row with a log term."""
@@ -766,7 +764,6 @@ def _line_bundle(rows, quad, wf_tag, wf_res, rect, scales, params, extra=()) -> 
                        for name, row, arg in zip(names, rows, args) if row.exps)
     return FieldBundle(
         n=n,
-        params=params,
         domain=SafeDomain(rect=tuple(rect), predicates=predicates + tuple(extra)),
         wf_relation=wf_tag,
         mutation_slots=("sigma", "theta", "l1", "l2"),
@@ -829,8 +826,7 @@ def _build_sigma_const(cfg: SigmaConstConfig, scales) -> FieldBundle:
             raise DomainError("sigma-const relation: log argument not positive")
         return (delta * k / atil) * f + cube * np.log(arg) - nu1 ** 3 * om
 
-    return _line_bundle((l1, l2, theta, sigma), quad, "sigma_const", wf_res, cfg.rect, scales,
-                        params={"nu": list(cfg.nu), "A": a, "k": k, "d1": d1, "d2": d2})
+    return _line_bundle((l1, l2, theta, sigma), quad, "sigma_const", wf_res, cfg.rect, scales)
 
 
 def _build_l1_const(cfg: L1ConstConfig, scales) -> FieldBundle:
@@ -866,8 +862,7 @@ def _build_l1_const(cfg: L1ConstConfig, scales) -> FieldBundle:
         return np.exp(-k * nu2 ** 3 * w / dtil) - nu2 ** 3 * np.exp(-k * f / dtil) - 1.0
 
     chain = ("chain_log_arg", lambda x, z: np.exp(k * x) - nu2 ** 3 * np.exp(-k * nu2 * z) - EPS)
-    return _line_bundle(rows, quad, "l1_const", wf_res, cfg.rect, scales,
-                        params={"nu": list(cfg.nu), "D": d, "k": k}, extra=(chain,))
+    return _line_bundle(rows, quad, "l1_const", wf_res, cfg.rect, scales, extra=(chain,))
 
 
 def _build_theta_const(cfg: ThetaConstConfig, scales) -> FieldBundle:
@@ -921,7 +916,7 @@ def _build_theta_const(cfg: ThetaConstConfig, scales) -> FieldBundle:
     split = ("bottom_gradient",
              lambda x, z: np.abs(l1.margin(x + nu1 * z) - l2.margin(x + nu2 * z)) - 1e-3)
     return _line_bundle((l1, l2, _Row(e), sigma), quad, "theta_const", wf_res, cfg.rect, scales,
-                        params={"nu": list(cfg.nu), "E": e, "k": k}, extra=(split,))
+                        extra=(split,))
 
 
 def _build_n_theta_const(cfg: NThetaConstConfig, scales) -> FieldBundle:
@@ -968,8 +963,7 @@ def _build_n_theta_const(cfg: NThetaConstConfig, scales) -> FieldBundle:
         nu=nu,
         n=n,
     )
-    return _line_bundle((l1, l2, _Row(e), sigma), quad, None, None, cfg.rect, scales,
-                        params={"n": n, "nu": list(cfg.nu), "E": e, "k": k, "c": cc, "cbar": cb})
+    return _line_bundle((l1, l2, _Row(e), sigma), quad, None, None, cfg.rect, scales)
 
 
 # ---------------------------------------------------------------------------
@@ -1113,7 +1107,6 @@ def _build_hodograph_example(cfg: HodographExampleConfig, scales) -> FieldBundle
         sigma_x=lambda x: -x ** -4.0 / (al * x ** -3.0 + be),  # called on float arrays
         theta=theta,
         theta_z=lambda z: z ** -4.0 / (k * z ** -3.0 + be),
-        params={"k": k, "alpha": al, "beta": be},
         domain=domain,
         wf_relation="hodograph_exp",
         mutation_slots=("sigma", "theta", "c2"),
@@ -1163,7 +1156,6 @@ def _build_general(cfg: GeneralNuConfig, scales) -> FieldBundle:
         sigma_x=lambda x: 1.0 / (np.asarray(x, dtype=float) * (np.asarray(x, dtype=float) + g)),
         theta=lambda zj: zj * 1.0,
         theta_z=lambda z: np.ones(np.shape(np.asarray(z))),
-        params={"g": g},
         domain=domain,
         wf_relation="cosh",
         mutation_slots=("sigma", "theta", "c1", "c2"),
@@ -1221,7 +1213,6 @@ def _build_general_e0(cfg: GeneralNuE0Config, scales) -> FieldBundle:
                                   * (a * np.asarray(x, dtype=float) ** 3 + c)),
         theta=None,
         theta_z=lambda z: np.zeros(np.shape(np.asarray(z))),
-        params={"a": a, "alpha1": a1, "alpha2": a2, "c": c},
         domain=domain,
         wf_relation="two_log",
         mutation_slots=("sigma", "c1", "c2"),

@@ -23,7 +23,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ConfigError, DomainError, QuadratureError
-from .families import _BLOCK, FieldBundle
+from .families import _BLOCK, FieldBundle, family_to_dict
 from .functional_eq import four_function_residual, variable_slope_residual
 from .jets import Jet2, jet_partial
 
@@ -680,9 +680,11 @@ def run_suite(
                 results[name] = reconstruct_u(ev, tol["reconstruct"], tol["path_consistency"])
             except QuadratureError as exc:
                 results[name] = _failed(name, tol["reconstruct"], exc)
+    params = family_to_dict(bundle.config) if bundle.config is not None else {}
     meta = {
         "family": bundle.family,
-        "params": bundle.params,
+        # the family's config as its JSON form; meta.grid records the rectangle
+        "params": {k: v for k, v in params.items() if k not in ("family", "rect")},
         "mutations": bundle.mutations,
         "grid": grid.meta(),
         "seed": seed,

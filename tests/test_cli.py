@@ -12,6 +12,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -661,6 +662,33 @@ def test_sweep_makes_every_bundle_before_the_first_suite(tmp_path, capsys, monke
     assert capsys.readouterr().err.startswith("config error: family 'm3_sigma_const': a parameter "
                                               "overflows")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("tag, field, value, commands", [
+    ("m3_l1_const", "k", 1e20, ("construct", "verify")),
+    ("m3_theta_const", "k", 1e20, ("construct", "verify")),
+    ("m3_sigma_const", "k", -1e300, ("construct", "verify")),
+    ("m3_sigma_const", "d2", -1e300, ("construct", "verify")),
+    ("m1_implicit", "seed_lambda", 1e150, ("construct", "verify")),
+    ("m3_sigma_const", "A", 1e300, ("verify",)),
+    ("m3_l1_const", "D", 1e300, ("verify",)),
+    ("m3_theta_const", "E", 1e300, ("verify",)),
+    ("mn_theta_const", "E", 1e300, ("verify",)),
+    ("m3_general", "g", -1e-300, ("verify",)),
+])
+def test_a_numpy_overflow_is_a_config_error(tmp_path, capsys, tag, field, value, commands):
+    # these overflowed in numpy with RuntimeWarnings, then exited 3 (no admissible
+    # point, no convergence) or 1 (inf or nan residuals)
+    cfg = _write(tmp_path, "c.json", {"family": {**family_to_dict(canonical_config(tag)),
+                                                 field: value}, "grid": {"nx": 9, "nz": 9}})
+    for command in commands:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert not caught
+        err = capsys.readouterr().err
+        assert err.startswith("config error: a parameter overflows (") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
 
 
 def test_sweep_negative_values_as_separate_token(tmp_path):

@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import inspect
 import io
 import json
@@ -150,7 +151,7 @@ def test_sigma_const_quadruple_values():
     x, z = sample_points(b, rng, 20)
     b.domain.require(x, z)
     sx, tz, p, qd = b.quadruple.values(x, z)
-    assert np.all(sx == b.params["A"])  # constant by construction
+    assert np.all(sx == b.config.A)  # constant by construction
     assert np.all(np.isfinite(tz)) and np.all(np.isfinite(p)) and np.all(np.isfinite(qd))
 
 
@@ -160,7 +161,7 @@ def test_l1_const_quadruple_values():
     x, z = sample_points(b, rng, 20)
     b.domain.require(x, z)
     _, _, p, _ = b.quadruple.values(x, z)
-    assert np.all(p == b.params["D"])
+    assert np.all(p == b.config.D)
 
 
 def test_theta_const_quadruple_values():
@@ -169,7 +170,7 @@ def test_theta_const_quadruple_values():
     x, z = sample_points(b, rng, 20)
     b.domain.require(x, z)
     _, tz, _, _ = b.quadruple.values(x, z)
-    assert np.all(tz == b.params["E"])
+    assert np.all(tz == b.config.E)
 
 
 def test_quadruple_error_on_families_without_one():
@@ -408,6 +409,21 @@ def test_m1_solves_its_root_once_per_run(command, tmp_path, monkeypatch):
     assert calls == [(21, 21)]
 
 
+@pytest.mark.parametrize("family", [family_to_dict(canonical_config(t)) for t in FAMILY_TAGS]
+                         + [{"family": t, **c} for t, c in _OFF_CANONICAL.items()],
+                         ids=list(FAMILY_TAGS) + [f"{t}_off_canonical" for t in _OFF_CANONICAL])
+def test_report_params_read_back_to_the_verified_config(family, tmp_path):
+    # meta.params is the config as family_to_dict writes it, less family and rect:
+    # every field, degenerate's seed_a and trivial's terms included
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"family": family, "grid": {"nx": 21, "nz": 21}}))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    params = json.loads((tmp_path / "out" / "report.json").read_text())["meta"]["params"]
+    verified = family_from_dict(family)
+    assert family_from_dict({"family": verified.tag, "rect": verified.rect, **params}) == verified
+
+
 def _root_solver(bundle):
     """The cached root solver of an implicit family, as its first predicate calls it."""
     pred = bundle.domain.predicates[0][1]
@@ -513,6 +529,17 @@ def test_the_committed_gauss_rule_is_leggauss_48():
     for k in range(96):
         exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
         assert abs(np.sum(_GAUSS_W * _GAUSS_X ** k) - exact) <= 1e-14, k
+
+
+@pytest.mark.parametrize("module", ["errors", "families", "functional_eq", "hodograph", "jets",
+                                    "nu_algebra", "verifier"])
+def test_the_package_re_exports_each_module_s_public_names(module):
+    # each module's __all__ (errors has none: its public names) is the one list
+    mod = importlib.import_module(f"mongesol.{module}")
+    names = getattr(mod, "__all__", [name for name in vars(mod) if not name.startswith("_")])
+    assert names
+    for name in names:
+        assert getattr(mongesol, name) is getattr(mod, name), name
 
 
 def test_importing_the_cli_leaves_numpy_polynomial_unimported():

@@ -209,8 +209,8 @@ def test_one_argument_purity_of_constant_sigma_family():
     # dependence; rebuild it from the raw ratio at two different x and compare
     b = make_family(canonical_config("m3_sigma_const"))
     nu = b.quadruple.nu
-    a = b.params["A"]
-    k = b.params["k"]
+    a = b.config.A
+    k = b.config.k
     atil = nu.rho * a
     p = nu.nu2 ** 3 - nu.nu1 ** 3
 

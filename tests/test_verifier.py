@@ -47,7 +47,6 @@ def _toy_bundle(fields_fn, n=1):
     return FieldBundle(
         family="toy",
         n=n,
-        params={},
         domain=SafeDomain(rect=(-1.0, 1.0, -1.0, 1.0)),
         wf_relation=None,
         mutation_slots=(),
