@@ -6,6 +6,9 @@ optionally writes per-family reports.
 
 Usage:
   python scripts/run_catalog.py [--out reports/] [--seed 123] [--reconstruct]
+
+Without ``--seed`` the probes are drawn with ``run_suite``'s default seed,
+as the ``mongesol`` CLI draws them.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from mongesol import (
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default=None, help="write report.json per family here")
-    ap.add_argument("--seed", type=int, default=123)
+    ap.add_argument("--seed", type=int, default=None, help="probe seed (default: run_suite's)")
     ap.add_argument("--reconstruct", action="store_true",
                     help="also rebuild the underlying potential (degrees <= 4)")
     args = ap.parse_args()
@@ -44,7 +47,8 @@ def main() -> int:
         if args.reconstruct and bundle.n <= 4:
             checks = checks + ["reconstruct"]
         t0 = time.time()
-        report = run_suite(bundle, grid, checks, seed=args.seed)
+        seed = {} if args.seed is None else {"seed": args.seed}
+        report = run_suite(bundle, grid, checks, **seed)
         dt = time.time() - t0
         worst = max((r.max_abs / r.tolerance for r in report.checks.values()), default=0.0)
         status = "ok" if report.passed else "FAIL " + ",".join(

@@ -35,7 +35,6 @@ from .errors import ConfigError, DomainError, MongesolError
 from .families import _rect, family_from_dict, family_to_dict, json_number, make_family
 from .verifier import (
     GridSpec,
-    KNOWN_CHECKS,
     MAX_POINTS,
     ResidualReport,
     _fmt,
@@ -43,6 +42,7 @@ from .verifier import (
     admissible_grid,
     default_checks,
     run_suite,
+    validate_checks,
     validate_tolerances,
 )
 
@@ -56,9 +56,6 @@ class RunConfig:
     checks: list | None = None
     tolerances: dict = dataclasses.field(default_factory=dict)
     probes: int = 100
-    seed: int = 0
-    out: str = "."
-    mutate: dict = dataclasses.field(default_factory=dict)
 
     @classmethod
     def load(cls, path: str) -> "RunConfig":
@@ -72,28 +69,22 @@ class RunConfig:
             raise ConfigError(f"config is not valid JSON: {exc}")
         if not isinstance(raw, dict) or "family" not in raw:
             raise ConfigError("config must be a JSON object with a 'family' section")
-        known = {"family", "grid", "checks", "tolerances", "probes", "seed", "out", "mutate"}
+        known = {"family", "grid", "checks", "tolerances", "probes"}
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"unknown config sections: {sorted(unknown)}")
         family_from_dict(raw["family"])  # malformed families fail here, not mid-run
         try:
             probes = json_number(raw.get("probes", 100), int)
-            seed = _seed(json_number(raw.get("seed", 0), int))
         except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"probes and seed must be integers ({exc})") from None
+            raise ConfigError(f"probes must be an integer ({exc})") from None
         if probes < 1:
             raise ConfigError(f"probes must be at least 1, got {probes}")
         if probes > MAX_POINTS:
             raise ConfigError(f"probes must be at most {MAX_POINTS}, got {probes}")
         checks = raw.get("checks")
-        if checks is not None and not (isinstance(checks, list) and checks
-                                       and all(c in KNOWN_CHECKS for c in checks)):
-            raise ConfigError(f"checks must be a nonempty list of names from {KNOWN_CHECKS}, "
-                              f"got {checks!r}")
-        out = raw.get("out", ".")
-        if not isinstance(out, str):
-            raise ConfigError(f"out must be a directory path, got {out!r}")
+        if checks is not None:
+            validate_checks(checks)
         tolerances = _number_map(raw, "tolerances")
         validate_tolerances(tolerances)
         return cls(
@@ -102,15 +93,13 @@ class RunConfig:
             checks=checks,
             tolerances=tolerances,
             probes=probes,
-            seed=seed,
-            out=out,
-            mutate=_number_map(raw, "mutate"),
         )
 
-    def bundle(self, overrides: dict | None = None):
-        """The family's bundle, with ``overrides`` replacing family parameters."""
+    def bundle(self, mutations: dict | None = None, overrides: dict | None = None):
+        """The family's bundle, its derivative functions scaled by ``mutations``
+        and ``overrides`` replacing family parameters."""
         cfg = family_from_dict({**self.family_dict, **(overrides or {})})
-        return make_family(cfg, mutations=self.mutate or None)
+        return make_family(cfg, mutations=mutations)
 
     def grid_spec(self, bundle) -> GridSpec:
         rect = dict(zip(_RECT_KEYS, bundle.domain.rect))
@@ -277,9 +266,9 @@ def _csv_blocks(cols):
                          cell % ncols == ncols - 1)
 
 
-def cmd_construct(config: RunConfig, out_dir: Path) -> int:
+def cmd_construct(config: RunConfig, out_dir: Path, mutations: dict) -> int:
     """Evaluate the family's fields on the admissible grid into fields.csv."""
-    bundle = config.bundle()
+    bundle = config.bundle(mutations)
     grid = config.grid_spec(bundle)
     x, z = admissible_grid(bundle, grid)
     fl = bundle.fields_fn(x, z, 0)  # order 0: values only; the points are admitted already
@@ -302,17 +291,17 @@ def cmd_construct(config: RunConfig, out_dir: Path) -> int:
     return 0
 
 
-def _run_checks(config: RunConfig, bundle) -> ResidualReport:
+def _run_checks(config: RunConfig, bundle, seed: int) -> ResidualReport:
     """The report of the configured checks (the family's defaults if none) on the
     grid of ``bundle``, a bundle of ``config``'s family."""
     checks = config.checks if config.checks is not None else default_checks(bundle)
     return run_suite(bundle, config.grid_spec(bundle), checks, tolerances=config.tolerances,
-                     seed=config.seed, probes=config.probes)
+                     seed=seed, probes=config.probes)
 
 
-def cmd_verify(config: RunConfig, out_dir: Path) -> int:
+def cmd_verify(config: RunConfig, out_dir: Path, seed: int, mutations: dict) -> int:
     """Run the configured checks; report always written, exit 0 iff all pass."""
-    report = _run_checks(config, config.bundle())
+    report = _run_checks(config, config.bundle(mutations), seed)
     _write_report(report, out_dir)
     for name, res in report.checks.items():
         status = "pass" if res.passed else "FAIL"
@@ -321,7 +310,8 @@ def cmd_verify(config: RunConfig, out_dir: Path) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_sweep(config: RunConfig, param: str, values: list[float], out_dir: Path) -> int:
+def cmd_sweep(config: RunConfig, param: str, values: list[float], out_dir: Path,
+              seed: int, mutations: dict) -> int:
     """Re-verify the family for each value of one numeric parameter."""
     if not values:
         raise ConfigError("sweep needs a nonempty values list")
@@ -332,11 +322,11 @@ def cmd_sweep(config: RunConfig, param: str, values: list[float], out_dir: Path)
         raise ConfigError(f"family {base.get('family')!r} has no numeric parameter {param!r} "
                           f"to sweep; its numeric parameters are {numeric}")
     # every bundle before the first suite: a value any builder step refuses fails first
-    bundles = [config.bundle({param: v}) for v in values]
+    bundles = [config.bundle(mutations, {param: v}) for v in values]
     rows = [["value", "check", "max_abs", "mean_abs", "tolerance", "passed"]]
     all_pass = True
     for v, bundle in zip(values, bundles):
-        report = _run_checks(config, bundle)
+        report = _run_checks(config, bundle, seed)
         for name, res in report.checks.items():
             rows.append([_fmt(v), name, _fmt(res.max_abs), _fmt(res.mean_abs),
                          _fmt(res.tolerance), str(res.passed).lower()])
@@ -347,17 +337,17 @@ def cmd_sweep(config: RunConfig, param: str, values: list[float], out_dir: Path)
     return 0 if all_pass else 1
 
 
-def _parse_pairs(flag: str, noun: str, pairs) -> dict:
-    """The ``NAME=NUMBER`` values of a repeatable flag (``noun`` names the number)."""
+def _parse_mutations(pairs) -> dict:
+    """The ``NAME=FACTOR`` values of the repeatable ``--mutate`` flag."""
     out = {}
     for item in pairs or []:
         if "=" not in item:
-            raise ConfigError(f"{flag} expects name={noun}, got {item!r}")
+            raise ConfigError(f"--mutate expects name=factor, got {item!r}")
         name, _, val = item.partition("=")
         try:
             out[name] = float(val)
         except ValueError:
-            raise ConfigError(f"{flag} {name}: {val!r} is not a number")
+            raise ConfigError(f"--mutate {name}: {val!r} is not a number")
     return out
 
 
@@ -375,13 +365,10 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         sp = sub.add_parser(name, help=desc)
         sp.add_argument("--config", required=True, help="path to the JSON run config")
-        sp.add_argument("--out", default=None, help="output directory (default: config 'out')")
-        sp.add_argument("--tol", action="append", metavar="NAME=VAL",
-                        help="tolerance override, repeatable")
-        sp.add_argument("--seed", type=int, default=None, help="probe-sampling seed")
-        if name == "verify":
-            sp.add_argument("--mutate", action="append", metavar="NAME=FACTOR",
-                            help="scale one derivative function (sensitivity hook)")
+        sp.add_argument("--out", default=".", help="output directory (default: .)")
+        sp.add_argument("--seed", type=int, default=0, help="probe-sampling seed (default: 0)")
+        sp.add_argument("--mutate", action="append", metavar="NAME=FACTOR",
+                        help="scale one derivative function (sensitivity hook), repeatable")
         if name == "sweep":
             sp.add_argument("--param", required=True, help="family parameter to sweep")
             sp.add_argument("--values", required=True,
@@ -434,27 +421,23 @@ def main(argv=None) -> int:
         # a numpy overflow raises FloatingPointError, reported as a config error below
         with np.errstate(over="raise"):
             config = RunConfig.load(args.config)
-            config.tolerances.update(_parse_pairs("--tol", "value", args.tol))
-            validate_tolerances(config.tolerances)
-            if args.seed is not None:
-                config.seed = _seed(args.seed)
-            if getattr(args, "mutate", None):
-                config.mutate.update(_parse_pairs("--mutate", "factor", args.mutate))
-            out_dir = Path(args.out if args.out is not None else config.out)
+            seed = _seed(args.seed)
+            mutations = _parse_mutations(args.mutate)
+            out_dir = Path(args.out)
             # before any work, and making nothing: no write below a regular file can succeed
             existing = next((p for p in (out_dir, *out_dir.parents) if os.path.exists(p)), out_dir)
             if not os.path.isdir(existing):
                 raise ConfigError(f"cannot write {out_dir}: {existing} is not a directory")
             if args.command == "construct":
-                return cmd_construct(config, out_dir)
+                return cmd_construct(config, out_dir, mutations)
             if args.command == "verify":
-                return cmd_verify(config, out_dir)
+                return cmd_verify(config, out_dir, seed, mutations)
             if args.command == "sweep":
                 try:
                     values = [float(v) for v in args.values.split(",") if v.strip() != ""]
                 except ValueError:
                     raise ConfigError(f"--values must be comma-separated numbers: {args.values!r}")
-                return cmd_sweep(config, args.param, values, out_dir)
+                return cmd_sweep(config, args.param, values, out_dir, seed, mutations)
             raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

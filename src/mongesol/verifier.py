@@ -45,6 +45,7 @@ __all__ = [
     "run_suite",
     "default_checks",
     "sample_points",
+    "validate_checks",
     "validate_tolerances",
 ]
 
@@ -64,6 +65,17 @@ DEFAULT_TOLERANCES = {
     "reconstruct": 1e-6,
     "path_consistency": 1e-6,
 }
+
+
+def validate_checks(checks) -> None:
+    """Raise :class:`ConfigError` unless ``checks`` is a nonempty list of names
+    from ``KNOWN_CHECKS``, each named once (a report keeps one row per name)."""
+    if not (isinstance(checks, list) and checks and all(c in KNOWN_CHECKS for c in checks)):
+        raise ConfigError(f"checks must be a nonempty list of names from {KNOWN_CHECKS}, "
+                          f"got {checks!r}")
+    repeated = sorted({c for c in checks if checks.count(c) > 1})
+    if repeated:
+        raise ConfigError(f"checks must name each check once, got {repeated} more than once")
 
 
 def validate_tolerances(tolerances: dict) -> None:
@@ -645,8 +657,8 @@ def run_suite(
     probes: int = 100,
 ) -> ResidualReport:
     """Run the selected checks on one :class:`GridEval` of ``grid`` and assemble the report.
-    An empty, unknown or unrunnable check list is a ConfigError before any check runs.
-    eq5 and eq10 draw ``probes`` points each, in check order, from one
+    An empty, unknown, repeated or unrunnable check list is a ConfigError before any
+    check runs.  eq5 and eq10 draw ``probes`` points each, in check order, from one
     ``random.Random(seed)``, so the probes of a seed do not depend on the
     NumPy release; the seed is refused as ``_seed`` refuses it."""
     seed = _seed(seed)
@@ -654,11 +666,8 @@ def run_suite(
     tol.update(tolerances or {})
     validate_tolerances(tol)
     checks = list(checks)
-    if not checks:
-        raise ConfigError("no checks to run: checks must be a nonempty list")
+    validate_checks(checks)
     for name in checks:
-        if name not in KNOWN_CHECKS:
-            raise ConfigError(f"unknown check name {name!r}; known: {KNOWN_CHECKS}")
         _require_runnable(bundle, name)
 
     rng = random.Random(seed)

@@ -45,7 +45,6 @@ def trivial_cfg(tmp_path):
         "family": {"family": "trivial", "n": 2,
                    "terms": [[1.0, [0, 0, 1.0]], [-1.0, [0, 0, 1.0]]]},
         "grid": {"nx": 5, "nz": 5},
-        "seed": 7,
     })
 
 
@@ -55,7 +54,6 @@ def sigma_cfg(tmp_path):
         "family": {"family": "m3_sigma_const", "nu": [1, 2], "A": 1.0, "k": 1.0},
         "checks": ["compat", "dependence", "wf", "eq5"],
         "probes": 100,
-        "seed": 42,
     })
 
 
@@ -65,7 +63,6 @@ def sigma_full_cfg(tmp_path):
         "family": {"family": "m3_sigma_const", "nu": [1, 2], "A": 1.0, "k": 1.0},
         "checks": ["compat", "dependence", "wf", "eq5", "reconstruct"],
         "probes": 100,
-        "seed": 42,
     })
 
 
@@ -250,7 +247,7 @@ def test_equal_slopes_config_error(tmp_path):
 
 def test_verify_full_suite_passes(sigma_full_cfg, tmp_path, capsys):
     out = tmp_path / "ov"
-    assert main(["verify", "--config", sigma_full_cfg, "--out", str(out)]) == 0
+    assert main(["verify", "--config", sigma_full_cfg, "--out", str(out), "--seed", "42"]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["passed"] is True
     assert set(report["checks"]) == {"compat", "dependence", "wf", "wf_quadrature",
@@ -267,6 +264,21 @@ def test_verify_mutation_hook_fails_compat_and_eq5(sigma_cfg, tmp_path):
     assert report["checks"]["compat"]["passed"] is False
     assert report["checks"]["eq5"]["passed"] is False
     assert report["meta"]["mutations"] == {"theta": 1.1}
+
+
+def test_construct_and_sweep_take_the_mutation_hook(sigma_cfg, tmp_path):
+    # --mutate reaches every command, as the config's former mutate section did
+    fields = []
+    for argv in ([], ["--mutate", "theta=1.1"]):
+        out = tmp_path / f"c{len(argv)}"
+        assert main(["construct", "--config", sigma_cfg, "--out", str(out)] + argv) == 0
+        fields.append((out / "fields.csv").read_bytes())
+    assert fields[0] != fields[1]
+    out = tmp_path / "sm"
+    assert main(["sweep", "--config", sigma_cfg, "--param", "A", "--values", "0.5,2",
+                 "--out", str(out), "--mutate", "theta=1.1"]) == 1
+    rows = list(csv.reader((out / "sweep.csv").open()))
+    assert [r[5] for r in rows[1:] if r[1] == "compat"] == ["false", "false"]
 
 
 @pytest.mark.parametrize("g", [0.5, 1.0, 2.0])
@@ -292,6 +304,15 @@ def test_m3_general_with_positive_g_passes_and_its_mutations_fail(tmp_path, g):
         assert main(["verify", "--config", cfg, "--out", str(out), "--mutate", f"{slot}=1.1"]) == 1
         checks = json.loads((out / "report.json").read_text())["checks"]
         assert not all(c["passed"] for c in checks.values()), slot
+
+
+def test_the_readme_example_config_verifies(tmp_path, capsys):
+    # README.md's one JSON block, as written: the documented config cannot drift from the loader
+    _, block = (Path(__file__).resolve().parents[1] / "README.md").read_text().split("```json\n")
+    cfg = tmp_path / "readme.json"
+    cfg.write_text(block.split("```")[0])
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_verify_single_check_subset(tmp_path):
@@ -359,28 +380,35 @@ def test_pinning_malloc_thresholds_changes_no_output(sigma_cfg, tmp_path, monkey
     _pin_malloc_thresholds()
 
 
-def test_verify_tolerance_override(sigma_cfg, tmp_path):
+def test_verify_tolerance_override(tmp_path):
     out = tmp_path / "ot"
-    assert main(["verify", "--config", sigma_cfg, "--out", str(out),
-                 "--tol", "compat=1e-3"]) == 0
+    for compat, code in ((1e-3, 0), (-1, 2)):
+        cfg = _write(tmp_path, "tol.json", {"family": _SIGMA, "tolerances": {"compat": compat}})
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == code
     report = json.loads((out / "report.json").read_text())
     assert report["checks"]["compat"]["tolerance"] == 1e-3
-    assert main(["verify", "--config", sigma_cfg, "--out", str(out),
-                 "--tol", "compat=-1"]) == 2
-    assert main(["verify", "--config", sigma_cfg, "--out", str(out),
-                 "--tol", "nonsense=1e-3"]) == 2
+    cfg = _write(tmp_path, "tol.json", {"family": _SIGMA, "tolerances": {"nonsense": 1e-3}})
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
 
 
 @pytest.mark.parametrize("flag", ["--tol", "--mutate"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
 def test_non_finite_tol_or_mutate_flag_exits_2(sigma_cfg, tmp_path, capsys, flag, value):
-    # a NaN tolerance never fails a check and an infinite one always passes;
-    # an infinite mutation factor fills the fields with inf and nan
+    # an infinite mutation factor fills the fields with inf and nan; tolerances
+    # are set in the config only, so argparse refuses --tol whatever its value
     name = "compat" if flag == "--tol" else "sigma"
     out = tmp_path / "onf"
-    assert main(["verify", "--config", sigma_cfg, "--out", str(out), flag, f"{name}={value}"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and err.count("\n") == 1
+    argv = ["verify", "--config", sigma_cfg, "--out", str(out), flag, f"{name}={value}"]
+    if flag == "--tol":
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --tol" in err and "Traceback" not in err
+    else:
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -483,7 +511,7 @@ def test_main_builds_one_parser_per_process(sigma_cfg, tmp_path, monkeypatch, ca
     cli._parser.cache_clear()
     try:
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
-        assert main(["verify", "--config", sigma_cfg, "--out", str(out1), "--tol", "wf=1e-8"]) == 0
+        assert main(["verify", "--config", sigma_cfg, "--out", str(out1), "--seed", "5"]) == 0
         for argv in (["verify"], ["bogus"], ["verify", "--config", sigma_cfg, "--seed", "x"]):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
@@ -492,9 +520,8 @@ def test_main_builds_one_parser_per_process(sigma_cfg, tmp_path, monkeypatch, ca
         assert main(["verify", "--config", sigma_cfg, "--out", str(out2)]) == 0
         assert built == [1]
         # the reused parser keeps no flag of an earlier call
-        wf = [json.loads((o / "report.json").read_text())["checks"]["wf"]["tolerance"]
-              for o in (out1, out2)]
-        assert wf == [1e-8, DEFAULT_TOLERANCES["wf"]]
+        seeds = [json.loads((o / "report.json").read_text())["meta"]["seed"] for o in (out1, out2)]
+        assert seeds == [5, 0]
     finally:
         cli._parser.cache_clear()
 
@@ -517,6 +544,7 @@ def _strict_json(text):
 _SIGMA = {"family": "m3_sigma_const", "nu": [1, 2], "A": 1.0, "k": 1.0}
 
 
+# the mutate, out and seed cases: those sections are gone, and refused whatever they hold
 @pytest.mark.parametrize("section", [
     {"grid": {"nx": "abc"}},
     {"grid": {"m": 1}},
@@ -573,6 +601,7 @@ _SIGMA = {"family": "m3_sigma_const", "nu": [1, 2], "A": 1.0, "k": 1.0}
     {"family": {"family": "trivial", "n": 1000000, "terms": [[1.0, [0, 0, 1.0]]]}},
     {"family": {"family": "mn_theta_const", "n": 1000000, "nu": [1, 2]}},
     {"checks": []},
+    {"checks": ["eq5", "eq5", "compat", "compat"]},
 ], ids=["grid_nx_not_a_number", "grid_m_below_2", "probes_zero", "nu_single_value",
         "checks_not_a_list", "tolerances_not_an_object", "tolerance_not_a_number",
         "mutate_not_an_object", "mutate_factor_not_a_number", "out_not_a_path",
@@ -589,7 +618,8 @@ _SIGMA = {"family": "m3_sigma_const", "nu": [1, 2], "A": 1.0, "k": 1.0}
         "family_degree_fractional", "seed_a_bool", "family_beta_infinite",
         "grid_m_above_cap", "grid_m_a_million", "grid_m_2", "family_l1_dtilde_mode",
         "family_e0_c", "family_degree_above_cap",
-        "family_degree_a_million", "family_n_theta_degree_a_million", "checks_empty"])
+        "family_degree_a_million", "family_n_theta_degree_a_million", "checks_empty",
+        "checks_repeated"])
 def test_malformed_config_field_exits_2(tmp_path, capsys, section):
     cfg = _write(tmp_path, "bad.json", {"family": _SIGMA, **section})
     # construct reads no tolerance or check, but a config with a bad one is still refused
@@ -610,14 +640,19 @@ def test_malformed_config_field_exits_2(tmp_path, capsys, section):
     ({"family": {**family_to_dict(canonical_config("m3_l1_const")), "dtilde_mode": "nu2"}},
      "dtilde_mode"),
     ({"family": {**family_to_dict(canonical_config("m3_general_e0")), "c": 2.0}}, "c"),
-], ids=["grid_m", "grid_fd_h", "grid_x_lo", "l1_dtilde_mode", "e0_c"])
+    ({"seed": 42}, "seed"),
+    ({"out": "reports"}, "out"),
+    ({"mutate": {"theta": 1.1}}, "mutate"),
+], ids=["grid_m", "grid_fd_h", "grid_x_lo", "l1_dtilde_mode", "e0_c", "seed", "out", "mutate"])
 def test_removed_config_field_is_named_unknown(tmp_path, capsys, section, name):
     # the jet order, the finite-difference step, the rectangle's single keys,
-    # the D~ reading and e0's c are no longer config fields
+    # the D~ reading and e0's c are no longer config fields; the seed, the
+    # output directory and the mutations are flags only
     cfg = _write(tmp_path, "old.json", {"family": _SIGMA, **section})
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert "unknown" in err and f"[{name!r}]" in err
+    assert err.startswith("config error: unknown") and f"[{name!r}]" in err
+    assert err.count("\n") == 1 and not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("family, checks, message", [
@@ -753,6 +788,7 @@ def test_a_verify_and_a_sweep_leave_numpy_random_unimported(tmp_path):
 @pytest.mark.parametrize("command", ["verify", "sweep"])
 @pytest.mark.parametrize("route", ["config", "flag"])
 def test_negative_seed_exits_2(tmp_path, capsys, command, route):
+    # the seed is a flag only: a config that sets one is refused for that
     cfg = _write(tmp_path, "seed.json", {
         "family": {"family": "m3_sigma_const", "nu": [1, 2], "A": 1.0, "k": 1.0},
         "grid": {"nx": 9, "nz": 9},
@@ -765,7 +801,8 @@ def test_negative_seed_exits_2(tmp_path, capsys, command, route):
         argv += ["--seed", "-1"]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: seed must be a nonnegative integer")
+    assert err.startswith("config error: unknown config sections: ['seed']" if route == "config"
+                          else "config error: seed must be a nonnegative integer")
     assert not (tmp_path / "os").exists()
 
 
@@ -794,32 +831,35 @@ _junk = st.one_of(st.text(max_size=3), st.booleans(), st.none(), st.floats(-3.0,
 # non-finite numbers; "1e400" stands for the JSON literal 1e400, which reads as inf
 _non_finite = st.sampled_from([math.inf, -math.inf, math.nan, "1e400"])
 _SLOTS = ["sigma", "theta", "l1", "l2"]
-# per field: values the loader accepts (negative mutation factors included) ...
+# per field: values the loader accepts ...
 _VALID = {
     "nx": st.integers(5, 9),
     "nz": st.integers(5, 9),
-    "seed": st.integers(0, 5),
     "probes": st.integers(1, 30),
     "checks": st.lists(st.sampled_from(["compat", "dependence", "wf", "eq5", "reconstruct"]),
-                       min_size=1, max_size=4),
+                       min_size=1, max_size=4, unique=True),
     "tolerances": st.dictionaries(st.sampled_from(sorted(DEFAULT_TOLERANCES)),
                                   st.floats(1e-12, 1.0), max_size=3),
-    "mutate": st.dictionaries(st.sampled_from(_SLOTS), st.floats(-2.0, 2.0), max_size=2),
 }
 # ... and out-of-range or mistyped ones (null or an empty value reads as unset in some sections)
 _INVALID = {
     "nx": st.integers(-1, 4) | _junk,
     "nz": st.integers(-1, 4) | _junk,
     "m": st.integers(-1, 9) | _junk,  # grid.m is no field: every value is refused
-    "seed": st.integers(-5, -1) | _junk,
     "probes": st.integers(-2, 0) | _junk,
-    "checks": st.just(["eq10"]) | st.just(["bogus"]) | st.just([]) | _junk,
+    "checks": st.just(["eq10"]) | st.just(["bogus"]) | st.just([]) | st.just(["wf", "wf"]) | _junk,
     "tolerances": _junk | st.dictionaries(st.sampled_from(sorted(DEFAULT_TOLERANCES) + ["bogus"]),
                                           st.floats(-1.0, 0.0) | _junk | _non_finite,
                                           min_size=1, max_size=2),
-    "mutate": _junk | st.dictionaries(st.sampled_from(_SLOTS + ["bogus"]), _junk | _non_finite,
-                                      min_size=1, max_size=2),
 }
+# sections that are flags now: every value is refused, a well-formed one too
+_REMOVED = {
+    "seed": st.integers(-5, 5) | _junk,
+    "out": st.text(max_size=3) | _junk,
+    "mutate": _junk | st.dictionaries(st.sampled_from(_SLOTS + ["bogus"]),
+                                      st.floats(-2.0, 2.0) | _non_finite, min_size=1, max_size=2),
+}
+_INVALID.update(_REMOVED)
 _GRID_KEYS = ("nx", "nz", "m")
 
 
@@ -840,11 +880,12 @@ def _fuzz_json(config) -> str:
     return json.dumps(config).replace('"1e400"', "1e400")
 
 
-def _has_non_finite(config) -> bool:
-    """Whether the config's tolerances or mutation factors hold a non-finite number."""
-    return any(isinstance(section, dict) and any(
-        v == "1e400" or (isinstance(v, float) and not math.isfinite(v)) for v in section.values())
-        for section in (config.get("tolerances"), config.get("mutate")))
+def _must_exit_2(config) -> bool:
+    """Whether the config has a removed section, or a non-finite tolerance."""
+    tolerances = config.get("tolerances")
+    return any(key in config for key in _REMOVED) or isinstance(tolerances, dict) and any(
+        v == "1e400" or (isinstance(v, float) and not math.isfinite(v))
+        for v in tolerances.values())
 
 
 @given(config=_fuzz_configs())
@@ -861,7 +902,7 @@ def test_fuzzed_config_keeps_the_exit_contract(config):
         out = Path(tmp) / "out"
         code = main(["verify", "--config", str(path), "--out", str(out)])
         assert code in (0, 1, 2, 3)
-        if _has_non_finite(config):
+        if _must_exit_2(config):
             assert code == 2
         if code in (0, 1):
             report = _strict_json((out / "report.json").read_text())
@@ -881,7 +922,7 @@ def test_fuzzed_construct_keeps_the_exit_contract(config):
         out = Path(tmp) / "out"
         code = main(["construct", "--config", str(path), "--out", str(out)])
         assert code in (0, 2, 3)
-        if _has_non_finite(config):
+        if _must_exit_2(config):
             assert code == 2
         if code == 0:
             loaded = RunConfig.load(str(path))
@@ -920,14 +961,15 @@ def _fuzz_runs(draw):
     family = family_to_dict(canonical_config(tag))
     name = draw(st.sampled_from(fields))
     family[name] = draw(_DEGREE_JUNK if name == "n" else _FIELD_JUNK)
-    argv = ["--tol=" + p for p in draw(_pairs(sorted(DEFAULT_TOLERANCES) + ["bogus"]))]
+    slots = ["sigma", "theta", "l1", "l2", "a0", "a1", "c1", "c2", "bogus"]
+    argv = ["--mutate=" + p for p in draw(_pairs(slots))]
+    argv += ["--seed=" + s for s in draw(st.lists(st.sampled_from(["0", "7", "-1"]), max_size=1))]
     if draw(st.booleans()):
         values = ",".join(draw(st.lists(_FLAG_NUMBERS, min_size=1, max_size=3)))
         param = draw(st.sampled_from(fields + ["bogus"]))
         argv = ["sweep", "--param", param, "--values=" + values] + argv
     else:
-        slots = ["sigma", "theta", "l1", "l2", "a0", "a1", "c1", "c2", "bogus"]
-        argv = ["verify"] + argv + ["--mutate=" + p for p in draw(_pairs(slots))]
+        argv = ["verify"] + argv
     return {"family": family, "grid": {"nx": 9, "nz": 9}}, argv
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import importlib
+import importlib.util
 import inspect
 import io
 import json
@@ -43,6 +44,19 @@ import mongesol
 from mongesol import cli, families
 from mongesol.jets import jet_partial, jet_seed, jpow, jsqrt, poly_jet
 from mongesol.verifier import GridSpec, admissible_grid, sample_points
+
+
+def _load_script(name):
+    """``scripts/<name>.py`` as a module; its ``main`` does not run."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the digest script's job tables, read from its one copy
+_DIGESTS = _load_script("output_digests")
 
 
 # -- polynomial superposition family -----------------------------------------
@@ -197,12 +211,7 @@ def test_derivative_forms_match_field_jets(tag):
 
 # a second config of each constant-slope family: other slopes and amplitudes,
 # nonzero phase offsets (a shifted sigma and theta) and another degree
-_OFF_CANONICAL = {
-    "m3_sigma_const": {"nu": [1.2, 2.5], "A": 1.3, "k": 0.8, "d1": 0.15, "d2": -0.1},
-    "m3_l1_const": {"nu": [0.9, 1.7], "D": 1.2, "k": 1.1},
-    "m3_theta_const": {"nu": [1.3, 2.2], "E": 0.8, "k": 1.2},
-    "mn_theta_const": {"n": 5, "nu": [1.1, 1.9], "E": 1.3, "k": 0.07, "c": 0.8, "cbar": 1.2},
-}
+_OFF_CANONICAL = {family["family"]: family for family in _DIGESTS.OFF_CANONICAL}
 _LINE_PREDICATES = {
     "m3_sigma_const": ("line1_log_arg", "line2_log_arg", "theta_log_arg"),
     "m3_l1_const": ("line2_log_arg", "theta_log_arg", "sigma_log_arg", "chain_log_arg"),
@@ -220,7 +229,7 @@ def test_line_family_row_predicates_guard_every_log(tag, config, spread):
     # `spread` times the family's hit a log branch cut exactly where a row predicate
     # reads an argument <= 0, and every point the mask admits evaluates
     cfg = (canonical_config(tag) if config == "canonical"
-           else family_from_dict({"family": tag, **_OFF_CANONICAL[tag]}))
+           else family_from_dict(_OFF_CANONICAL[tag]))
     b = make_family(cfg)
     assert tuple(name for name, _ in b.domain.predicates) == _LINE_PREDICATES[tag]
     x_lo, x_hi, z_lo, z_hi = b.domain.rect
@@ -359,11 +368,6 @@ def test_order_one_jets_truncate_order_two(tag):
                     assert np.array_equal(lo[name].plane(i, j), top[name].plane(i, j)), (m, name, i, j)
 
 
-# the complex trivial family of scripts/output_digests.py: quartics along 1 and exp(2 pi i / 3)
-_COMPLEX_TRIVIAL = {"family": "trivial", "n": 3, "terms": [
-    [1.0, [0, 0, 0, 0, 1.0]], [[-0.5, 0.8660254037844386], [0, 0, 0, 0, 1.0]]]}
-
-
 def _bytes(a):
     a = np.asarray(a)
     return a.dtype.str, a.shape, a.tobytes()
@@ -375,7 +379,8 @@ def test_lower_orders_are_the_order_two_bytes(tag, n):
     # a verify without reconstruct reads order-1 jets and construct reads
     # order-0 values where both read order 2 before: byte for byte, so a
     # signed zero counts
-    cfg = family_from_dict(_COMPLEX_TRIVIAL) if tag == "trivial_complex" else canonical_config(tag)
+    cfg = (family_from_dict(_DIGESTS.COMPLEX_TRIVIAL) if tag == "trivial_complex"
+           else canonical_config(tag))
     b = make_family(cfg)
     x, z = admissible_grid(b, GridSpec.for_bundle(b, nx=n, nz=n))
     two, one, zero = (b.fields_fn(x, z, m) for m in (2, 1, 0))
@@ -410,7 +415,7 @@ def test_m1_solves_its_root_once_per_run(command, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("family", [family_to_dict(canonical_config(t)) for t in FAMILY_TAGS]
-                         + [{"family": t, **c} for t, c in _OFF_CANONICAL.items()],
+                         + list(_OFF_CANONICAL.values()),
                          ids=list(FAMILY_TAGS) + [f"{t}_off_canonical" for t in _OFF_CANONICAL])
 def test_report_params_read_back_to_the_verified_config(family, tmp_path):
     # meta.params is the config as family_to_dict writes it, less family and rect:

@@ -141,6 +141,8 @@ def test_run_suite_rejects_unknown_names():
         run_suite(b, grid, ["eq5"])  # no quadruple on this family
     with pytest.raises(ConfigError, match="nonempty"):
         run_suite(b, grid, [])  # no check would pass on no data
+    with pytest.raises(ConfigError, match=r"\['compat'\] more than once"):
+        run_suite(b, grid, ["compat", "wf", "compat"])  # a report keeps one row per name
 
 
 def test_run_suite_deterministic_for_fixed_seed():
