@@ -35,7 +35,6 @@ from .errors import ConfigError, DomainError, MongesolError
 from .families import _rect, family_from_dict, family_to_dict, json_number, make_family
 from .verifier import (
     GridSpec,
-    MAX_POINTS,
     ResidualReport,
     _fmt,
     _seed,
@@ -43,6 +42,7 @@ from .verifier import (
     default_checks,
     run_suite,
     validate_checks,
+    validate_probes,
     validate_tolerances,
 )
 
@@ -74,19 +74,11 @@ class RunConfig:
         if unknown:
             raise ConfigError(f"unknown config sections: {sorted(unknown)}")
         family_from_dict(raw["family"])  # malformed families fail here, not mid-run
-        try:
-            probes = json_number(raw.get("probes", 100), int)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"probes must be an integer ({exc})") from None
-        if probes < 1:
-            raise ConfigError(f"probes must be at least 1, got {probes}")
-        if probes > MAX_POINTS:
-            raise ConfigError(f"probes must be at most {MAX_POINTS}, got {probes}")
+        probes = validate_probes(raw.get("probes", 100))
         checks = raw.get("checks")
         if checks is not None:
             validate_checks(checks)
-        tolerances = _number_map(raw, "tolerances")
-        validate_tolerances(tolerances)
+        tolerances = validate_tolerances(raw.get("tolerances"))
         return cls(
             family_dict=raw["family"],
             grid=None if raw.get("grid") is None else _parse_grid(raw["grid"]),
@@ -107,15 +99,6 @@ class RunConfig:
 
 
 _RECT_KEYS = ("x_lo", "x_hi", "z_lo", "z_hi")
-
-
-def _number_map(raw: dict, section: str) -> dict:
-    """The ``name: number`` object of a config section, values kept as written."""
-    value = raw.get(section) or {}
-    if isinstance(value, dict):
-        with contextlib.suppress(ValueError, OverflowError):
-            return {name: json_number(v) for name, v in value.items()}
-    raise ConfigError(f"{section} must be an object of name: finite number pairs, got {value!r}")
 
 
 def _parse_grid(raw) -> dict:

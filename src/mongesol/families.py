@@ -40,6 +40,7 @@ from .jets import (
     jpow,
     jsqrt,
     poly_jet,
+    _times,
 )
 from .nu_algebra import NuPair
 
@@ -145,7 +146,7 @@ class FieldBundle:
     general_quadruple: GeneralQuadruple | None = None
     wf_residual: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     derivative_forms: Callable[[np.ndarray, np.ndarray], Mapping[str, np.ndarray]] | None = None
-    wprime_fn: Callable[[np.ndarray, np.ndarray, dict], np.ndarray] | None = None
+    wprime_fn: Callable[[Mapping[str, Jet2]], np.ndarray] | None = None
     w_value_fn: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None
     family: str = ""
     config: object = None
@@ -327,21 +328,9 @@ def _last_root(solve):
     return cached
 
 
-def _factors(scales: dict, *slots: str) -> list[float]:
-    """The mutation factor of each slot; 1.0 for a slot not mutated."""
-    return [scales.get(slot, 1.0) for slot in slots]
-
-
-def _scaled(f: JetFunc, s: float) -> JetFunc:
-    if s == 1.0:
-        return f
-    return lambda tj: f(tj) * s
-
-
-def _scaled_arr(f, s: float):
-    if s == 1.0:
-        return f
-    return lambda t: s * np.asarray(f(t))
+def _scaled(f, s: float):
+    """``f`` (on jets or arrays) scaled by the mutation factor ``s``; ``f`` if unmutated."""
+    return f if s == 1.0 else lambda t: f(t) * s
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +363,7 @@ class TrivialConfig:
 class M1ImplicitConfig:
     """Degree-1 family from the classical implicit slope solution."""
 
-    f_coeffs: tuple
+    F: tuple                 # F of the implicit slope equation x + lam*z = F(lam)
     seed_lambda: float = 1.0
     rect: tuple = (1.0, 2.0, 0.1, 0.5)
     tag = "m1_implicit"
@@ -384,14 +373,14 @@ class M1ImplicitConfig:
 class DegenerateConfig:
     """Degree-2 family where all chain fields ride one implicit scalar."""
 
-    c_coeffs: tuple          # the bottom map C (inverse of the top map)
-    g_coeffs: tuple          # right-hand side of the implicit equation
+    C: tuple                 # the bottom map C (inverse of the top map)
+    G: tuple                 # right-hand side of the implicit equation
     seed_a: float = 1.0
     rect: tuple = (2.0, 4.0, 0.1, 0.6)
     tag = "degenerate"
 
     def __post_init__(self):
-        if len(self.c_coeffs) < 2:
+        if len(self.C) < 2:
             raise ConfigError("degenerate family: C must be non-constant")
 
 
@@ -502,7 +491,7 @@ class NThetaConstConfig:
 
 def _build_trivial(cfg: TrivialConfig, scales) -> FieldBundle:
     n = cfg.n
-    s0, = _factors(scales, "a0")
+    s0 = scales.get("a0", 1.0)  # the mutation factor; 1.0 for a slot not mutated
     terms = [(complex(lam), tuple(map(complex, coeffs))) for lam, coeffs in cfg.terms]
     dn = [(lam, _poly_deriv(coeffs, n)) for lam, coeffs in terms]
 
@@ -514,9 +503,7 @@ def _build_trivial(cfg: TrivialConfig, scales) -> FieldBundle:
             acc = parts[0][1] * (parts[0][0] ** (n - j))
             for lam, pj in parts[1:]:
                 acc = acc + pj * (lam ** (n - j))
-            if j == 0 and s0 != 1.0:
-                acc = acc * s0
-            out[f"a{j}"] = acc
+            out[f"a{j}"] = _times(acc, s0) if j == 0 else acc
         w = parts[0][1]
         for _, pj in parts[1:]:
             w = w + pj
@@ -531,7 +518,7 @@ def _build_trivial(cfg: TrivialConfig, scales) -> FieldBundle:
         mutation_slots=("a0",),
         fields_fn=fields,
         wf_residual=lambda w, f: w - f,
-        wprime_fn=lambda x, z, fl: np.ones_like(np.asarray(fl["a0"].value).real),
+        wprime_fn=lambda fl: np.ones_like(np.asarray(fl["a0"].value).real),
         w_value_fn=lambda t, x, z: t,
     )
 
@@ -558,9 +545,9 @@ def trivial_random_symmetric(n: int, degree: int, rng: np.random.Generator,
 
 
 def _build_m1(cfg: M1ImplicitConfig, scales) -> FieldBundle:
-    s0, = _factors(scales, "a0")
-    f_fn = _poly_fn(cfg.f_coeffs)
-    fp = _poly_deriv(cfg.f_coeffs)
+    s0 = scales.get("a0", 1.0)
+    f_fn = _poly_fn(cfg.F)
+    fp = _poly_deriv(cfg.F)
 
     @_last_root
     def lam_values(x, z):
@@ -572,7 +559,7 @@ def _build_m1(cfg: M1ImplicitConfig, scales) -> FieldBundle:
         lamj = implicit_jet(f_fn, xj, zj, lam0)
         # log|.|: a valid antiderivative of 1/t on either half-line
         w = jlog(lamj * np.sign(lam0))
-        out = {"a0": lamj * s0 if s0 != 1.0 else lamj, "W": w}
+        out = {"a0": _times(lamj, s0), "W": w}
         out["f"] = out["a0"]
         return out
 
@@ -592,16 +579,16 @@ def _build_m1(cfg: M1ImplicitConfig, scales) -> FieldBundle:
         wf_relation=None,
         mutation_slots=("a0",),
         fields_fn=fields,
-        wprime_fn=lambda x, z, fl: 1.0 / fl["a0"].value,
+        wprime_fn=lambda fl: 1.0 / fl["a0"].value,
         w_value_fn=lambda t, x, z: np.log(np.abs(t)),
     )
 
 
 def _build_degenerate(cfg: DegenerateConfig, scales) -> FieldBundle:
-    s1, = _factors(scales, "a1")
-    c_fn = _poly_fn(cfg.c_coeffs)
-    cp = _poly_deriv(cfg.c_coeffs)
-    g_fn = _poly_fn(cfg.g_coeffs)
+    s1 = scales.get("a1", 1.0)
+    c_fn = _poly_fn(cfg.C)
+    cp = _poly_deriv(cfg.C)
+    g_fn = _poly_fn(cfg.G)
     slope = lambda aj: jsqrt(poly_jet(cp, aj))        # C_a^{1/2}
     b_fn = _Primitive(lambda aj: (slope(aj),), ref=cfg.seed_a)  # B with B' = C_a^{1/2}
 
@@ -635,7 +622,7 @@ def _build_degenerate(cfg: DegenerateConfig, scales) -> FieldBundle:
         a1, = b_fn(aj)
         out = {
             "a0": _univariate_on_jet(c_fn, aj, derivative=False),
-            "a1": a1 * s1 if s1 != 1.0 else a1,
+            "a1": _times(a1, s1),
             "W": aj,
         }
         out["f"] = out["a0"]
@@ -644,14 +631,14 @@ def _build_degenerate(cfg: DegenerateConfig, scales) -> FieldBundle:
     def pred_cprime(x, z):
         return np.polyval(cp[::-1], solve_a(x, z)) - EPS
 
-    def wprime(x, z, fl):
+    def wprime(fl):
         return 1.0 / np.polyval(cp[::-1], fl["W"].value)
 
     def w_value(t, x, z):
         # invert C at t, seeded by the already-solved scalar at the same point
         y = solve_a(x, z)
         for _ in range(60):
-            r = np.polyval(tuple(cfg.c_coeffs)[::-1], y) - t
+            r = np.polyval(tuple(cfg.C)[::-1], y) - t
             if np.max(np.abs(r)) <= 1e-12 * max(1.0, float(np.max(np.abs(t)))):
                 return y
             y = y - r / np.polyval(cp[::-1], y)
@@ -683,9 +670,8 @@ class _Row:
 
     ``jet`` keeps the operation order of the closed forms the rows replaced: terms
     summed in order (``x - c*y`` as ``x + (-c)*y``, bit for bit), c0 added last into
-    the value plane, then ``sign`` and ``scale`` as factors of their own; a factor of
-    exactly 1.0 is no product.  Each constant keeps its formula's float expression,
-    so no bit depends on the row form.
+    the value plane, then ``sign`` and ``scale`` as factors of their own.  Each
+    constant keeps its formula's float expression, so no bit depends on the row form.
     """
 
     a: float
@@ -709,35 +695,26 @@ class _Row:
 
     def jet(self, tj: Jet2) -> Jet2:
         u = tj if self.shift is None else tj + self.shift
-        out = u * self.a
+        out = _times(u, self.a)
         if self.exps:
-            arg = _total(_times(jexp(u * p), c) for c, p in self.exps)
+            arg = _total(_times(jexp(_times(u, p)), c) for c, p in self.exps)
             if self.c0:
                 arg = arg + self.c0
-            out = out + jlog(_times(arg, self.sign)) * self.b
+            out = out + _times(jlog(_times(arg, self.sign)), self.b)
         return _times(out, self.scale)
-
-
-def _times(j: Jet2, c) -> Jet2:
-    return j if c == 1.0 else j * c
 
 
 def _line_bundle(rows, quad, wf_tag, wf_res, rect, scales, extra=()) -> FieldBundle:
     """The bundle of a constant-slope family from its rows ``(l1, l2, theta, sigma)``,
     its hand-written derivative quadruple and W-f relation, and the predicates
     ``extra`` besides the margin of each row with a log term."""
-    factors = _factors(scales, "l1", "l2", "theta", "sigma")
-    sl1, sl2, sth, ssg = factors
-    quad = dataclasses.replace(
-        quad,
-        sigma_x=_scaled_arr(quad.sigma_x, ssg),
-        theta_z=_scaled_arr(quad.theta_z, sth),
-        l1_prime=_scaled_arr(quad.l1_prime, sl1),
-        l2_dot=_scaled_arr(quad.l2_dot, sl2),
-    )
+    factors = [scales.get(slot, 1.0) for slot in ("l1", "l2", "theta", "sigma")]
+    quad = dataclasses.replace(quad, **{form: _scaled(getattr(quad, form), s) for form, s in
+                                        zip(("l1_prime", "l2_dot", "theta_z", "sigma_x"), factors)})
     nu, n = quad.nu, quad.n
     # each row's argument, on jets or arrays: the two lines, z and x
-    args = (lambda x, z: x + nu.nu1 * z + quad.d1, lambda x, z: x + nu.nu2 * z + quad.d2,
+    args = (lambda x, z: x + _times(z, nu.nu1) + quad.d1,
+            lambda x, z: x + _times(z, nu.nu2) + quad.d2,
             lambda x, z: z, lambda x, z: x)
     jets = [_scaled(row.jet, s) for row, s in zip(rows, factors)]
 
@@ -1005,11 +982,13 @@ def _slope_root_bundle(cfg, scales, roots: tuple[_SlopeRoot, ...], root_jets, cp
     its slot, a2, a1, a0 and W integrate s^r C'(s) for r = 0, 1, 2, -1: the
     first two by Gauss quadrature, the last two by the closed forms that
     ``closed_forms(sj)`` returns as a pair, so that they share their powers
-    and logs of the slope jet.  ``theta=None`` adds no theta term.  One root
-    is paired with the constant slope 1, whose line function is absent.
-    ``bundle_kw`` holds the family's own fields.
+    and logs of the slope jet.  ``theta=None`` adds no theta term, nor its
+    mutation slot.  One root is paired with the constant slope 1, whose line
+    function is absent.  ``bundle_kw`` holds the family's own fields.
     """
-    sth, ssg, *sc = _factors(scales, "theta", "sigma", *(root.slot for root in roots))
+    root_slots = tuple(root.slot for root in roots)
+    slots = ("sigma",) + (() if theta is None else ("theta",)) + root_slots
+    sth, ssg, *sc = (scales.get(slot, 1.0) for slot in ("theta", "sigma") + root_slots)
     xc, zc = 0.5 * (cfg.rect[0] + cfg.rect[1]), 0.5 * (cfg.rect[2] + cfg.rect[3])
 
     def chain_integrands(sj):  # C'(s) and s C'(s), one evaluation of C'
@@ -1022,22 +1001,23 @@ def _slope_root_bundle(cfg, scales, roots: tuple[_SlopeRoot, ...], root_jets, cp
         xj, zj = jet_seed(x, z, m)
         sjs = root_jets(xj, zj)
         comps = [closed_forms(sj) for sj in sjs]  # per root: (s^2, s^-1) integrals
-        a0 = _total(comp2 * c for (comp2, _), c in zip(comps, sc))
-        a0 = a0 if theta is None else a0 + theta(zj) * sth
+        a0 = _total(_times(comp2, c) for (comp2, _), c in zip(comps, sc))
+        a0 = a0 if theta is None else a0 + _times(theta(zj), sth)
         # per slope root, the unscaled (a2, a1) pair, built on first read
         pairs = _Fields(**{root.slot: functools.partial(prim, sj)
                            for root, prim, sj in zip(roots, prims, sjs)})
         return _Fields(
-            a2=lambda: _total(pairs[root.slot][0] * c for root, c in zip(roots, sc)),
-            a1=lambda: _total(pairs[root.slot][1] * c for root, c in zip(roots, sc)),
+            a2=lambda: _total(_times(pairs[root.slot][0], c) for root, c in zip(roots, sc)),
+            a1=lambda: _total(_times(pairs[root.slot][1], c) for root, c in zip(roots, sc)),
             a0=a0,
-            W=_total(comp_m1 * c for (_, comp_m1), c in zip(comps, sc)) + sigma(xj) * ssg,
+            W=_total(_times(comp_m1, c) for (_, comp_m1), c in zip(comps, sc))
+            + _times(sigma(xj), ssg),
             f=a0,
         )
 
-    theta_z = _scaled_arr(theta_z, sth)
-    sigma_x = _scaled_arr(sigma_x, ssg)
-    cprimes = [_scaled_arr(cprime_arr, c) for c in sc]
+    theta_z = _scaled(theta_z, sth)
+    sigma_x = _scaled(sigma_x, ssg)
+    cprimes = [_scaled(cprime_arr, c) for c in sc]
     branches = tuple(SlopeBranch(kind="implicit", theta=root.line, seed=root.seed, cprime=cp)
                      for root, cp in zip(roots, cprimes))
     if len(branches) == 1:
@@ -1060,8 +1040,8 @@ def _slope_root_bundle(cfg, scales, roots: tuple[_SlopeRoot, ...], root_jets, cp
             W_z=lambda: _total(p),
         )
 
-    return FieldBundle(n=3, fields_fn=fields, general_quadruple=general, derivative_forms=forms,
-                       **bundle_kw)
+    return FieldBundle(n=3, mutation_slots=slots, fields_fn=fields, general_quadruple=general,
+                       derivative_forms=forms, **bundle_kw)
 
 
 def _build_hodograph_example(cfg: HodographExampleConfig, scales) -> FieldBundle:
@@ -1109,7 +1089,6 @@ def _build_hodograph_example(cfg: HodographExampleConfig, scales) -> FieldBundle
         theta_z=lambda z: z ** -4.0 / (k * z ** -3.0 + be),
         domain=domain,
         wf_relation="hodograph_exp",
-        mutation_slots=("sigma", "theta", "c2"),
         wf_residual=wf_res,
     )
 
@@ -1154,11 +1133,10 @@ def _build_general(cfg: GeneralNuConfig, scales) -> FieldBundle:
         closed_forms=closed_forms,
         sigma=sigma,
         sigma_x=lambda x: 1.0 / (np.asarray(x, dtype=float) * (np.asarray(x, dtype=float) + g)),
-        theta=lambda zj: zj * 1.0,
+        theta=lambda zj: zj,
         theta_z=lambda z: np.ones(np.shape(np.asarray(z))),
         domain=domain,
         wf_relation="cosh",
-        mutation_slots=("sigma", "theta", "c1", "c2"),
         wf_residual=wf_res,
     )
 
@@ -1215,7 +1193,6 @@ def _build_general_e0(cfg: GeneralNuE0Config, scales) -> FieldBundle:
         theta_z=lambda z: np.zeros(np.shape(np.asarray(z))),
         domain=domain,
         wf_relation="two_log",
-        mutation_slots=("sigma", "c1", "c2"),
         wf_residual=wf_res,
     )
 
@@ -1229,9 +1206,9 @@ def _build_general_e0(cfg: GeneralNuE0Config, scales) -> FieldBundle:
 _REGISTRY = {cls.tag: (cls, build, canonical) for cls, build, canonical in (
     (TrivialConfig, _build_trivial,
      dict(n=2, terms=(((1 + 0j), (0, 0, 1.0)), ((-1 + 0j), (0, 0, 1.0))))),
-    (M1ImplicitConfig, _build_m1, dict(f_coeffs=(0.0, 0.0, 0.0, 1.0), seed_lambda=1.2)),
+    (M1ImplicitConfig, _build_m1, dict(F=(0.0, 0.0, 0.0, 1.0), seed_lambda=1.2)),
     (DegenerateConfig, _build_degenerate,
-     dict(c_coeffs=(0.0, 0.0, 1.0), g_coeffs=(0.0, 1.0), seed_a=2.0)),
+     dict(C=(0.0, 0.0, 1.0), G=(0.0, 1.0), seed_a=2.0)),
     (SigmaConstConfig, _build_sigma_const, dict(nu=(1.0, 2.0), A=1.0, k=1.0)),
     (L1ConstConfig, _build_l1_const, dict(nu=(1.0, 2.0), D=1.0, k=1.0)),
     (ThetaConstConfig, _build_theta_const, dict(nu=(1.0, 2.0), E=1.0, k=1.0)),
@@ -1277,9 +1254,10 @@ def make_family(cfg, mutations: dict | None = None) -> FieldBundle:
 
 
 def json_number(value, kind=None):
-    """A finite JSON int or float (never a bool or a string) as written, or converted by
-    ``kind``: ``int`` takes integral values only (9.0 reads as 9).  Raises ValueError, or
-    OverflowError for an int beyond the float range."""
+    """A finite int or float (never a bool or a string; a NumPy scalar as the Python number
+    it holds) as written, or converted by ``kind``: ``int`` takes integral values only (9.0
+    reads as 9).  Raises ValueError, or OverflowError for an int beyond the float range."""
+    value = value.item() if isinstance(value, np.generic) else value
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
         raise ValueError(f"expected a finite number, got {value!r}")
     if kind is int and value != int(value):
@@ -1318,8 +1296,6 @@ def _rect(value) -> tuple:
     return tuple(json_number(v, float) for v in value)
 
 
-# JSON keys that differ from the config field name
-_JSON_KEYS = {"f_coeffs": "F", "c_coeffs": "C", "g_coeffs": "G"}
 # JSON value -> field value, by field name first, then by annotated type
 _FIELD_PARSERS = {
     "nu": _nu_pair,
@@ -1343,11 +1319,10 @@ def family_from_dict(d: dict):
     kw = {}
     try:
         for f in dataclasses.fields(cls):
-            key = _JSON_KEYS.get(f.name, f.name)
-            if key in d:
-                kw[f.name] = (_FIELD_PARSERS.get(f.name) or _TYPE_PARSERS[f.type])(d.pop(key))
+            if f.name in d:
+                kw[f.name] = (_FIELD_PARSERS.get(f.name) or _TYPE_PARSERS[f.type])(d.pop(f.name))
             elif f.default is dataclasses.MISSING:
-                raise ConfigError(f"family {tag!r}: missing required field {key!r}")
+                raise ConfigError(f"family {tag!r}: missing required field {f.name!r}")
         if d:
             raise ConfigError(f"unknown family config fields: {sorted(d)}")
         return cls(**kw)
@@ -1364,7 +1339,7 @@ def family_to_dict(cfg) -> dict:
             value = [[_num_out(lam), [_num_out(c) for c in coeffs]] for lam, coeffs in value]
         elif f.type == "tuple":
             value = list(value)
-        out[_JSON_KEYS.get(f.name, f.name)] = value
+        out[f.name] = value
     return out
 
 

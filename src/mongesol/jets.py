@@ -58,7 +58,13 @@ points.  A sum with a number or an array is one new jet of the jet's
 shape: the operand is added into its value plane and the other planes are
 copied.  A product or quotient scales every plane and may broadcast the
 points.  An array with more axes would broadcast against the plane axis,
-so each of the four operations raises a ValueError for it.
+so each of the four operations raises a ValueError for it.  Scaling by
+exactly 1.0 is the identity on real planes, bit for bit, so structural
+constants (mutation factors, row coefficients, slope weights) go through
+``_times``, which skips that product; ``Jet2.__mul__``, whose calls count
+jet products, keeps no such test.  (On complex planes ``v * 1.0`` is a full
+complex product, which can flip a zero part's sign; the complex digest jobs
+show that no output moves.)
 """
 
 from __future__ import annotations
@@ -309,10 +315,13 @@ def poly_jet(coeffs: Sequence, a: Jet2) -> Jet2:
     return acc
 
 
+def _times(v, c):
+    """``v * c`` for a jet or an array ``v``, and ``v`` itself when ``c`` is exactly 1.0."""
+    return v if c == 1.0 else v * c
+
+
 def _real(*arrays) -> bool:
-    """All of ``arrays`` hold real floats.  Complex jets stay on the plane loop:
-    numpy's complex product bits depend on the array length (SIMD body or
-    scalar tail), so one whole-jet product could differ from the plane's."""
+    """All of ``arrays`` hold real floats (complex jets stay on the plane loop)."""
     return all(a.dtype.kind == "f" for a in arrays)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConfigError
+from .jets import _times
 
 __all__ = ["NuPair"]
 
@@ -59,4 +60,4 @@ class NuPair:
         one, so ``s = -1`` weighs by exactly ``1/nu``.
         """
         w1, w2 = (nu ** s if s >= 0 else 1.0 / nu ** -s for nu in (self.nu1, self.nu2))
-        return (w2 * a2 - w1 * a1) * (1.0 / self.delta)
+        return _times(_times(a2, w2) - _times(a1, w1), 1.0 / self.delta)

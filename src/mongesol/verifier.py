@@ -11,11 +11,12 @@ and aggregates everything into a deterministic :class:`ResidualReport`.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import operator
 import random
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 from itertools import repeat, starmap
 from typing import Iterable
@@ -23,7 +24,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ConfigError, DomainError, QuadratureError
-from .families import _BLOCK, FieldBundle, family_to_dict
+from .families import _BLOCK, _TYPE_PARSERS, FieldBundle, family_to_dict, json_number
 from .functional_eq import four_function_residual, variable_slope_residual
 from .jets import Jet2, jet_partial
 
@@ -46,6 +47,7 @@ __all__ = [
     "default_checks",
     "sample_points",
     "validate_checks",
+    "validate_probes",
     "validate_tolerances",
 ]
 
@@ -78,22 +80,45 @@ def validate_checks(checks) -> None:
         raise ConfigError(f"checks must name each check once, got {repeated} more than once")
 
 
-def validate_tolerances(tolerances: dict) -> None:
-    """Raise :class:`ConfigError` unless every name is one of ``DEFAULT_TOLERANCES``
-    and every value is positive and finite."""
-    for name, value in tolerances.items():
+def validate_tolerances(tolerances) -> dict:
+    """``tolerances`` (none if falsy) with its numbers read by :func:`json_number`, or a
+    ConfigError unless it maps names of ``DEFAULT_TOLERANCES`` to positive finite numbers."""
+    tolerances, read = tolerances or {}, None
+    if isinstance(tolerances, dict):
+        with contextlib.suppress(ValueError, OverflowError):
+            read = {name: json_number(value) for name, value in tolerances.items()}
+    if read is None:
+        raise ConfigError("tolerances must be an object of name: finite number pairs, "
+                          f"got {tolerances!r}")
+    for name, value in read.items():
         if name not in DEFAULT_TOLERANCES:
             raise ConfigError(f"unknown tolerance name {name!r}")
-        if not 0 < value <= sys.float_info.max:  # NaN, inf and a too large int fail too
+        if not 0 < value <= sys.float_info.max:  # a too large int fails too
             raise ConfigError(f"tolerance {name!r} must be positive and finite, got {value}")
+    return read
+
+
+def validate_probes(probes) -> int:
+    """``probes`` read by :func:`json_number` as an int, or a ConfigError unless it is
+    from 1 to ``MAX_POINTS``."""
+    try:
+        probes = json_number(probes, int)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"probes must be an integer ({exc})") from None
+    if probes < 1:
+        raise ConfigError(f"probes must be at least 1, got {probes}")
+    if probes > MAX_POINTS:
+        raise ConfigError(f"probes must be at most {MAX_POINTS}, got {probes}")
+    return probes
 
 
 @dataclass(frozen=True)
 class GridSpec:
     """Rectangular evaluation grid of ``nx`` by ``nz`` nodes, read by every grid check.
 
-    Any size is accepted here; :meth:`capped` rejects a grid of more than
-    ``MAX_POINTS`` points.
+    Each field is read by :func:`json_number`, the rectangle as floats and ``nx``
+    and ``nz`` as ints.  Any size is accepted here; :meth:`capped` rejects a grid
+    of more than ``MAX_POINTS`` points.
     """
 
     x_lo: float
@@ -104,7 +129,12 @@ class GridSpec:
     nz: int = 21
 
     def __post_init__(self):
-        if not (self.x_lo < self.x_hi and self.z_lo < self.z_hi):  # NaN fails too
+        try:
+            for f in fields(self):  # as a family config reads a field of its type
+                object.__setattr__(self, f.name, _TYPE_PARSERS[f.type](getattr(self, f.name)))
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(f"grid: malformed field value ({exc})") from None
+        if not (self.x_lo < self.x_hi and self.z_lo < self.z_hi):
             raise ConfigError("grid rectangle needs x_lo < x_hi and z_lo < z_hi, got "
                               f"[{self.x_lo}, {self.x_hi}, {self.z_lo}, {self.z_hi}]")
         if self.nx < 5 or self.nz < 5:
@@ -291,7 +321,7 @@ def check_compatibility(ev: GridEval, tol: float) -> CheckResult:
     a_top_x = jet_partial(fl[f"a{n - 1}"], 1, 0)
     a0_z = jet_partial(fl["a0"], 0, 1)
     if bundle.wprime_fn is not None:
-        wp = bundle.wprime_fn(x, z, fl)
+        wp = bundle.wprime_fn(fl)
         r = np.abs(a_top_x - wp * a0_z)
         used = x.size
     else:
@@ -446,11 +476,11 @@ def _line_quadrature(bundle, x, z, nodes, refine, k0, keys):
 def check_equation(bundle: FieldBundle, rng: random.Random, probes: int,
                    tol: float, which: str) -> CheckResult:
     """Constraint residual at ``probes`` safe points drawn by :func:`sample_points`
-    from ``rng`` (relative-normalized)."""
+    from ``rng`` (relative-normalized); ``probes`` is read by :func:`validate_probes`."""
     if which not in ("eq5", "eq10"):
         raise ConfigError(f"unknown equation check {which!r}")
     _require_runnable(bundle, which)
-    x, z = sample_points(bundle, rng, probes)
+    x, z = sample_points(bundle, rng, validate_probes(probes))
     if which == "eq5":
         raw, rel = four_function_residual(bundle.quadruple, x, z)
     else:
@@ -560,7 +590,7 @@ def reconstruct_u(ev: GridEval, tol: float, path_tol: float = 1e-6) -> CheckResu
     w_of = bundle.w_of_f(fdz, xi, zi, inner)
     resid = np.abs(fdx - _real_field(w_of, "W(f)"))
 
-    trunc, floor = _fd_budget(bundle, fl, u, st, n, err_c, hx, hz, second)
+    trunc, floor = _fd_budget(fl, u, st, n, err_c, hx, hz, second)
     eff_tol = tol + trunc + floor
     out = _result("reconstruct", resid, xi, zi, eff_tol,
                   extra={"fd_budget": trunc, "fd_roundoff_floor": floor,
@@ -592,7 +622,7 @@ def _potential(gx, gz, hx, hz):
     return pot, float(np.max(np.abs(pot - alt)))
 
 
-def _fd_budget(bundle, fl, u, st, n, err_c, hx, hz, second):
+def _fd_budget(fl, u, st, n, err_c, hx, hz, second):
     """Error allowance of the oracle: stencil truncation, propagated trapezoid
     truncation, and the roundoff floor of dividing n-th differences by h^n."""
     wxx = float(np.max(np.abs(jet_partial(fl["W"], 2, 0))))
@@ -660,11 +690,11 @@ def run_suite(
     An empty, unknown, repeated or unrunnable check list is a ConfigError before any
     check runs.  eq5 and eq10 draw ``probes`` points each, in check order, from one
     ``random.Random(seed)``, so the probes of a seed do not depend on the
-    NumPy release; the seed is refused as ``_seed`` refuses it."""
+    NumPy release.  ``seed``, ``tolerances`` and ``probes`` are read by ``_seed``,
+    :func:`validate_tolerances` and :func:`validate_probes`."""
     seed = _seed(seed)
-    tol = dict(DEFAULT_TOLERANCES)
-    tol.update(tolerances or {})
-    validate_tolerances(tol)
+    tol = {**DEFAULT_TOLERANCES, **validate_tolerances(tolerances)}
+    probes = validate_probes(probes)
     checks = list(checks)
     validate_checks(checks)
     for name in checks:

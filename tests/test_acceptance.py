@@ -66,7 +66,7 @@ def test_criterion_02_degree_one_slope_equation():
     rng = np.random.default_rng(RNG_SEED + 1)
     worst = 0.0
     for coeffs, seed in (((0.0, 0.0, 0.0, 1.0), 1.2), ((0.25, 0.5, 0.0, 1.0), 1.0)):
-        b = make_family(M1ImplicitConfig(f_coeffs=coeffs, seed_lambda=seed,
+        b = make_family(M1ImplicitConfig(F=coeffs, seed_lambda=seed,
                                          rect=(1.0, 2.0, 0.1, 0.5)))
         x, z = sample_points(b, rng, 200)
         fl = b.fields_fn(x, z, 2)
@@ -99,7 +99,7 @@ def test_criterion_04_degenerate_slope():
     rng = np.random.default_rng(RNG_SEED + 2)
     worst = 0.0
     for c_coeffs in ((0.0, 1.0), (0.0, 0.0, 1.0)):
-        b = make_family(DegenerateConfig(c_coeffs=c_coeffs, g_coeffs=(0.0, 1.0),
+        b = make_family(DegenerateConfig(C=c_coeffs, G=(0.0, 1.0),
                                          seed_a=2.0, rect=(2.0, 4.0, 0.1, 0.6)))
         x, z = sample_points(b, rng, 100)
         fl = b.fields_fn(x, z, 2)

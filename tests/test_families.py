@@ -42,7 +42,7 @@ from mongesol.families import (
 )
 import mongesol
 from mongesol import cli, families
-from mongesol.jets import jet_partial, jet_seed, jpow, jsqrt, poly_jet
+from mongesol.jets import Jet2, jet_partial, jet_seed, jpow, jsqrt, poly_jet
 from mongesol.verifier import GridSpec, admissible_grid, sample_points
 
 
@@ -110,7 +110,7 @@ def test_degree_is_capped_before_any_field_is_built():
 
 
 def test_m1_zero_rhs_slope_field():
-    b = make_family(M1ImplicitConfig(f_coeffs=(0.0,), seed_lambda=-1.0,
+    b = make_family(M1ImplicitConfig(F=(0.0,), seed_lambda=-1.0,
                                      rect=(1.5, 2.5, 0.5, 1.5)))
     fl = b.fields_fn(np.array([2.0]), np.array([1.0]), 2)
     assert fl["a0"].value[0] == pytest.approx(-2.0, abs=1e-10)
@@ -130,7 +130,7 @@ def test_m1_classical_slope_equation():
 
 
 def test_degenerate_identity_maps():
-    cfg = DegenerateConfig(c_coeffs=(0.0, 1.0), g_coeffs=(0.0, 1.0), seed_a=1.0,
+    cfg = DegenerateConfig(C=(0.0, 1.0), G=(0.0, 1.0), seed_a=1.0,
                            rect=(0.2, 1.0, 0.1, 0.5))
     b = make_family(cfg)
     x = np.linspace(0.3, 0.9, 5)
@@ -144,7 +144,7 @@ def test_degenerate_identity_maps():
 
 @pytest.mark.parametrize("c_coeffs", [(0.0, 1.0), (0.0, 0.0, 1.0)])
 def test_degenerate_characteristic_slope(c_coeffs):
-    cfg = DegenerateConfig(c_coeffs=c_coeffs, g_coeffs=(0.0, 1.0), seed_a=2.0,
+    cfg = DegenerateConfig(C=c_coeffs, G=(0.0, 1.0), seed_a=2.0,
                            rect=(2.0, 4.0, 0.1, 0.6))
     b = make_family(cfg)
     rng = np.random.default_rng(7)
@@ -520,6 +520,34 @@ def test_closed_forms_cube_each_slope_root_once(tag, roots, monkeypatch):
     assert calls.count(3) == roots
 
 
+# jet products of one order-1 fields_fn call, every entry read, at 9x9: a product
+# by a structural constant of exactly 1.0 (a slope weight, a 1/delta, a row
+# coefficient, an unmutated slot's factor) is none
+_PRODUCTS_9X9 = {
+    "trivial": 6, "m1_implicit": 26, "degenerate": 42, "m3_sigma_const": 24,
+    "m3_l1_const": 18, "m3_theta_const": 21, "m3_hodograph_example": 31, "m3_general": 36,
+    "m3_general_e0": 55, "mn_theta_const": 28,
+}
+
+
+@pytest.mark.parametrize("tag", FAMILY_TAGS)
+def test_fields_fn_jet_products_are_pinned(tag, monkeypatch):
+    b = make_family(canonical_config(tag))
+    x, z = admissible_grid(b, GridSpec.for_bundle(b, nx=9, nz=9))
+    calls = []
+    mul = Jet2.__mul__
+
+    def counted(self, other):
+        calls.append(None)
+        return mul(self, other)
+
+    monkeypatch.setattr(Jet2, "__mul__", counted)
+    monkeypatch.setattr(Jet2, "__rmul__", counted)
+    fl = b.fields_fn(x, z, 1)
+    assert all(np.isfinite(fl[name].value).all() for name in fl)
+    assert len(calls) == _PRODUCTS_9X9[tag]
+
+
 def test_the_committed_gauss_rule_is_leggauss_48():
     # exactly odd nodes and even weights, as leggauss makes them
     assert np.array_equal(_GAUSS_X, -_GAUSS_X[::-1]) and np.array_equal(_GAUSS_W, _GAUSS_W[::-1])
@@ -614,7 +642,7 @@ def _scalar_integrands(tag):
         cprime = lambda sj: (poly_jet((al, 0.0, 0.0, k), sj)).recip()
         return [cprime, lambda sj: sj * cprime(sj)]
     if tag == "degenerate":
-        cp = families._poly_deriv(cfg.c_coeffs)
+        cp = families._poly_deriv(cfg.C)
         return [lambda aj: jsqrt(poly_jet(cp, aj))]
     if tag == "m3_general":
         g = float(cfg.g)
@@ -722,9 +750,9 @@ def _general_e0(draw):
 CONFIGS = {
     "trivial": st.builds(trivial_random_symmetric, st.integers(1, 6), st.integers(0, 3),
                          st.integers(0, 2 ** 32 - 1).map(np.random.default_rng), rect=_rect),
-    "m1_implicit": st.builds(M1ImplicitConfig, f_coeffs=_coeffs(1), seed_lambda=_real,
+    "m1_implicit": st.builds(M1ImplicitConfig, F=_coeffs(1), seed_lambda=_real,
                              rect=_rect),
-    "degenerate": st.builds(DegenerateConfig, c_coeffs=_coeffs(2), g_coeffs=_coeffs(1),
+    "degenerate": st.builds(DegenerateConfig, C=_coeffs(2), G=_coeffs(1),
                             seed_a=_real, rect=_rect),
     "m3_sigma_const": st.builds(SigmaConstConfig, nu=_pair, A=_real, k=_real, d1=_real,
                                 d2=_real, rect=_rect),

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mongesol.errors import ConfigError
-from mongesol.jets import jet_partial, jet_seed, jexp, poly_jet
+from mongesol.jets import Jet2, jet_partial, jet_seed, jexp, poly_jet
 from mongesol.nu_algebra import NuPair
 
 
@@ -158,3 +158,24 @@ def test_combine_jet_value_equals_array_combine(nu1, nu2, s):
     l1, l2 = _exp_pair()
     a1, a2 = l1(d1j), l2(d2j)
     assert np.array_equal(nu.combine(s, a1, a2).value, nu.combine(s, a1.value, a2.value))
+
+
+_entries = st.floats(allow_nan=False) | st.sampled_from([-0.0, 0.0, np.inf, -np.inf, np.nan, -np.nan])
+
+
+@given(st.integers(-2, 4), st.lists(st.tuples(_entries, _entries), min_size=1, max_size=12),
+       st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_combine_at_unit_slope_and_delta_equals_every_product(s, pairs, as_jets):
+    # with nu1 = 1 and delta = 1, combine forms no product by 1.0; its bits are
+    # those of the formula with every product formed, -0, inf and nan included
+    nu = NuPair(1.0, 2.0)
+    w1, w2 = (v ** s if s >= 0 else 1.0 / v ** -s for v in (nu.nu1, nu.nu2))
+    a1, a2 = (np.array(v) for v in zip(*pairs))
+    if as_jets:  # order-1 jets: the entries, reversed and negated, as the three planes
+        a1, a2 = (Jet2(1, np.stack([v, v[::-1], -v])[None]) for v in (a1, a2))
+    with np.errstate(all="ignore"):  # inf - inf and overflow are part of the draw
+        got, want = nu.combine(s, a1, a2), (w2 * a2 - w1 * a1) * (1.0 / nu.delta)
+    if as_jets:
+        got, want = got.c, want.c
+    assert got.dtype == want.dtype and np.array_equal(got.view(np.int64), want.view(np.int64))

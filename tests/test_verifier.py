@@ -171,6 +171,52 @@ def test_run_suite_refuses_the_seeds_the_cli_refuses():
     assert json.dumps(numpy_five.to_json_dict()) == json.dumps(five.to_json_dict())
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(tolerances={"compat": True}), "finite number pairs"),
+    (dict(tolerances={"compat": "1e-9"}), "finite number pairs"),
+    (dict(tolerances={"compat": np.float64(np.nan)}), "finite number pairs"),
+    (dict(tolerances="1e-9"), "finite number pairs"),
+    (dict(probes=0), "at least 1, got 0"),
+    (dict(probes=-3), "at least 1, got -3"),
+    (dict(probes=True), "must be an integer"),
+    (dict(probes=2.5), "must be an integer"),
+    (dict(probes="12"), "must be an integer"),
+    (dict(probes=MAX_POINTS + 1), f"at most {MAX_POINTS}"),
+], ids=["tolerance_bool", "tolerance_str", "tolerance_numpy_nan", "tolerances_str", "probes_zero",
+        "probes_negative", "probes_bool", "probes_fractional", "probes_str", "probes_above_cap"])
+def test_run_suite_refuses_the_settings_the_cli_refuses(kwargs, message):
+    # as RunConfig.load reads a config: finite real numbers, integral probes, no bool, no str
+    b = make_family(canonical_config("m3_sigma_const"))
+    with pytest.raises(ConfigError, match=message):
+        run_suite(b, GridSpec.for_bundle(b, nx=9, nz=9), ["compat", "eq5"], **kwargs)
+
+
+def test_check_equation_refuses_zero_probes():
+    # it would reduce an empty residual before the empty-data guard of its row
+    b = make_family(canonical_config("m3_sigma_const"))
+    with pytest.raises(ConfigError, match="probes must be at least 1, got 0"):
+        check_equation(b, random.Random(0), 0, DEFAULT_TOLERANCES["eq5"], "eq5")
+
+
+@pytest.mark.parametrize("nx", [21.5, True, "21", np.inf, np.float64(21.5)],
+                         ids=["fractional", "bool", "str", "infinite", "numpy_fractional"])
+def test_grid_spec_refuses_a_size_that_is_no_integer(nx):
+    with pytest.raises(ConfigError, match="grid: malformed field value"):
+        GridSpec(0.0, 1.0, 0.0, 1.0, nx=nx)
+
+
+def test_numpy_settings_give_the_report_of_python_numbers():
+    b = make_family(canonical_config("m3_sigma_const"))
+    checks = ["compat", "eq5"]
+    plain = run_suite(b, GridSpec(*b.domain.rect, nx=9, nz=9), checks,
+                      tolerances={"compat": 1e-3, "eq5": 1}, probes=5)
+    numpy = run_suite(b, GridSpec(*map(np.float64, b.domain.rect),
+                                  nx=np.int64(9), nz=np.int32(9)), checks,
+                      tolerances={"compat": np.float64(1e-3), "eq5": np.int64(1)}, probes=np.int64(5))
+    assert json.dumps(numpy.to_json_dict()) == json.dumps(plain.to_json_dict())
+    assert type(numpy.meta["probes"]) is int and type(numpy.meta["grid"]["nx"]) is int
+
+
 @pytest.mark.parametrize("make_rng", [random.Random, np.random.default_rng], ids=["random", "numpy"])
 def test_sample_points_keeps_the_first_admitted_draws(make_rng):
     # a disc in its square admits about 79% of the draws: the first round of 50 falls short
