@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DomainError, MongesolError
-from .families import _rect, family_from_dict, family_to_dict, json_number, make_family
+from .families import family_from_dict, family_to_dict, make_family
 from .verifier import (
     GridSpec,
     ResidualReport,
@@ -52,7 +52,7 @@ __all__ = ["main", "RunConfig", "cmd_construct", "cmd_verify", "cmd_sweep"]
 @dataclasses.dataclass
 class RunConfig:
     family_dict: dict
-    grid: dict | None = None
+    grid: GridSpec
     checks: list | None = None
     tolerances: dict = dataclasses.field(default_factory=dict)
     probes: int = 100
@@ -73,7 +73,7 @@ class RunConfig:
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-        family_from_dict(raw["family"])  # malformed families fail here, not mid-run
+        family = family_from_dict(raw["family"])  # malformed families fail here, not mid-run
         probes = validate_probes(raw.get("probes", 100))
         checks = raw.get("checks")
         if checks is not None:
@@ -81,7 +81,7 @@ class RunConfig:
         tolerances = validate_tolerances(raw.get("tolerances"))
         return cls(
             family_dict=raw["family"],
-            grid=None if raw.get("grid") is None else _parse_grid(raw["grid"]),
+            grid=_parse_grid({} if raw.get("grid") is None else raw["grid"], family.rect),
             checks=checks,
             tolerances=tolerances,
             probes=probes,
@@ -93,27 +93,22 @@ class RunConfig:
         cfg = family_from_dict({**self.family_dict, **(overrides or {})})
         return make_family(cfg, mutations=mutations)
 
-    def grid_spec(self, bundle) -> GridSpec:
-        rect = dict(zip(_RECT_KEYS, bundle.domain.rect))
-        return GridSpec(**{**rect, **(self.grid or {})}).capped()
 
-
-_RECT_KEYS = ("x_lo", "x_hi", "z_lo", "z_hi")
-
-
-def _parse_grid(raw) -> dict:
-    """GridSpec keyword arguments from the grid section's ``nx``, ``nz`` and ``rect``."""
+def _parse_grid(raw, rect) -> GridSpec:
+    """The run's capped grid: the section's ``nx``, ``nz`` and ``rect``, else the family's
+    ``rect`` (a sweep sets numeric parameters only, so each of its bundles has that one)."""
     if not isinstance(raw, dict):
         raise ConfigError("grid must be a JSON object")
     unknown = set(raw) - {"nx", "nz", "rect"}
     if unknown:
         raise ConfigError(f"unknown grid fields: {sorted(unknown)}")
+    rect = raw.get("rect", rect)
     try:
-        g = dict(zip(_RECT_KEYS, _rect(raw["rect"]))) if "rect" in raw else {}
-        g.update({key: json_number(raw[key], int) for key in ("nx", "nz") if key in raw})
-    except (TypeError, ValueError, OverflowError) as exc:
+        if len(rect) != 4:
+            raise ConfigError("rect must be [x_lo, x_hi, z_lo, z_hi]")
+    except TypeError as exc:
         raise ConfigError(f"grid: malformed field value ({exc})") from None
-    return g
+    return GridSpec(*rect, **{key: raw[key] for key in ("nx", "nz") if key in raw}).capped()
 
 
 @contextlib.contextmanager
@@ -252,8 +247,7 @@ def _csv_blocks(cols):
 def cmd_construct(config: RunConfig, out_dir: Path, mutations: dict) -> int:
     """Evaluate the family's fields on the admissible grid into fields.csv."""
     bundle = config.bundle(mutations)
-    grid = config.grid_spec(bundle)
-    x, z = admissible_grid(bundle, grid)
+    x, z = admissible_grid(bundle, config.grid)
     fl = bundle.fields_fn(x, z, 0)  # order 0: values only; the points are admitted already
     names = [f"a{j}" for j in range(bundle.n)] + ["W", "f"]
     values = {name: np.asarray(fl[name].value) for name in names}
@@ -275,10 +269,10 @@ def cmd_construct(config: RunConfig, out_dir: Path, mutations: dict) -> int:
 
 
 def _run_checks(config: RunConfig, bundle, seed: int) -> ResidualReport:
-    """The report of the configured checks (the family's defaults if none) on the
-    grid of ``bundle``, a bundle of ``config``'s family."""
+    """The report of the configured checks (the family's defaults if none) of
+    ``bundle``, a bundle of ``config``'s family, on ``config``'s grid."""
     checks = config.checks if config.checks is not None else default_checks(bundle)
-    return run_suite(bundle, config.grid_spec(bundle), checks, tolerances=config.tolerances,
+    return run_suite(bundle, config.grid, checks, tolerances=config.tolerances,
                      seed=seed, probes=config.probes)
 
 
@@ -327,6 +321,8 @@ def _parse_mutations(pairs) -> dict:
         if "=" not in item:
             raise ConfigError(f"--mutate expects name=factor, got {item!r}")
         name, _, val = item.partition("=")
+        if name in out:
+            raise ConfigError(f"--mutate must name each slot once, got {name!r} more than once")
         try:
             out[name] = float(val)
         except ValueError:
@@ -417,7 +413,7 @@ def main(argv=None) -> int:
                 return cmd_verify(config, out_dir, seed, mutations)
             if args.command == "sweep":
                 try:
-                    values = [float(v) for v in args.values.split(",") if v.strip() != ""]
+                    values = [float(v) for v in args.values.split(",")]
                 except ValueError:
                     raise ConfigError(f"--values must be comma-separated numbers: {args.values!r}")
                 return cmd_sweep(config, args.param, values, out_dir, seed, mutations)

@@ -333,6 +333,11 @@ def _scaled(f, s: float):
     return f if s == 1.0 else lambda t: f(t) * s
 
 
+def _centre(rect) -> tuple:
+    """The centre ``(x, z)`` of the rectangle ``(x_lo, x_hi, z_lo, z_hi)``."""
+    return 0.5 * (rect[0] + rect[1]), 0.5 * (rect[2] + rect[3])
+
+
 # ---------------------------------------------------------------------------
 # configs
 # ---------------------------------------------------------------------------
@@ -768,7 +773,7 @@ def _build_sigma_const(cfg: SigmaConstConfig, scales) -> FieldBundle:
     l1, l2 = (_Row(a * nu1 * nu2, nu_own * atil / k, ((-(1.0 / atil), -k),), 1.0)
               for nu_own in (nu1, nu2))
     theta = _Row(a * nu1 ** 2 * nu2 ** 2, -(atil * box / k), ((1.0, k * nu1), (-1.0, k * nu2)),
-                 shift=z0).at(0.5 * (cfg.rect[2] + cfg.rect[3]))
+                 shift=z0).at(_centre(cfg.rect)[1])
     sigma = _Row(a, shift=x0)
 
     def theta_z(z):
@@ -908,24 +913,21 @@ def _build_n_theta_const(cfg: NThetaConstConfig, scales) -> FieldBundle:
     p1, p2 = k * nu2 * bn1, k * nu1 * bn1
     g1 = (1.0 / bn - nu1 ** (1 - n)) / p1
     g2 = (1.0 / bn - nu2 ** (1 - n)) / p2
+    q = nu1 * nu2 * bn1
 
     # each row on the branch of its log argument at the rectangle's centre
-    xc = 0.5 * (cfg.rect[0] + cfg.rect[1])
-    zc = 0.5 * (cfg.rect[2] + cfg.rect[3])
+    xc, zc = _centre(cfg.rect)
     l1 = _Row(-1.0 / bn, g1, ((-(nu1 ** n * nu2 * bn1 * cc), p1),), bn, scale=e).at(xc + nu1 * zc)
     l2 = _Row(-1.0 / bn, g2, ((-(nu2 ** n * nu1 * bn1 * cb), p2),), bn, scale=e).at(xc + nu2 * zc)
     sigma = _Row(bn2 / (nu1 * nu2) ** (n - 1), -(1.0 / (k * (nu1 * nu2) ** n)),
                  ((nu1 ** (n - 1) * cc, p1), (-(nu2 ** (n - 1) * cb), p2)), scale=e).at(xc)
 
-    def l1_prime(t):
-        t = np.asarray(t, dtype=float)
-        ept = np.exp(p1 * t)
-        return e * (-1.0 / (nu1 * nu2 * bn1) + cc * ept) / (bn / (nu1 * nu2 * bn1) - nu1 ** (n - 1) * cc * ept)
+    def lprime(nu_own, c, p):  # l1' from (nu1, c, p1), l2-dot from (nu2, cbar, p2)
+        def f(t):
+            ept = np.exp(p * np.asarray(t, dtype=float))
+            return e * (-1.0 / q + c * ept) / (bn / q - nu_own ** (n - 1) * c * ept)
 
-    def l2_dot(t):
-        t = np.asarray(t, dtype=float)
-        ept = np.exp(p2 * t)
-        return e * (-1.0 / (nu1 * nu2 * bn1) + cb * ept) / (bn / (nu1 * nu2 * bn1) - nu2 ** (n - 1) * cb * ept)
+        return f
 
     def sigma_x(x):
         x = np.asarray(x, dtype=float)
@@ -935,8 +937,8 @@ def _build_n_theta_const(cfg: NThetaConstConfig, scales) -> FieldBundle:
     quad = Quadruple(
         sigma_x=sigma_x,
         theta_z=lambda z: np.full(np.shape(np.asarray(z)), e),
-        l1_prime=l1_prime,
-        l2_dot=l2_dot,
+        l1_prime=lprime(nu1, cc, p1),
+        l2_dot=lprime(nu2, cb, p2),
         nu=nu,
         n=n,
     )
@@ -989,7 +991,7 @@ def _slope_root_bundle(cfg, scales, roots: tuple[_SlopeRoot, ...], root_jets, cp
     root_slots = tuple(root.slot for root in roots)
     slots = ("sigma",) + (() if theta is None else ("theta",)) + root_slots
     sth, ssg, *sc = (scales.get(slot, 1.0) for slot in ("theta", "sigma") + root_slots)
-    xc, zc = 0.5 * (cfg.rect[0] + cfg.rect[1]), 0.5 * (cfg.rect[2] + cfg.rect[3])
+    xc, zc = _centre(cfg.rect)
 
     def chain_integrands(sj):  # C'(s) and s C'(s), one evaluation of C'
         c = cprime(sj)

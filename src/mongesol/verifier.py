@@ -81,9 +81,9 @@ def validate_checks(checks) -> None:
 
 
 def validate_tolerances(tolerances) -> dict:
-    """``tolerances`` (none if falsy) with its numbers read by :func:`json_number`, or a
+    """``tolerances`` (none if ``None``) with its numbers read by :func:`json_number`, or a
     ConfigError unless it maps names of ``DEFAULT_TOLERANCES`` to positive finite numbers."""
-    tolerances, read = tolerances or {}, None
+    tolerances, read = {} if tolerances is None else tolerances, None
     if isinstance(tolerances, dict):
         with contextlib.suppress(ValueError, OverflowError):
             read = {name: json_number(value) for name, value in tolerances.items()}
@@ -291,15 +291,20 @@ class GridEval:
 # ---------------------------------------------------------------------------
 
 
+# check -> the bundle field it reads, and what a family whose field is None lacks
+_NEEDS = {
+    "wf": ("wf_residual", "carries no W-f relation (tag is None)"),
+    "eq5": ("quadruple", "has no constant-slope quadruple (eq5)"),
+    "eq10": ("general_quadruple", "has no variable-slope quadruple (eq10)"),
+}
+
+
 def _require_runnable(bundle: FieldBundle, name: str) -> None:
     """Raise :class:`ConfigError` if ``bundle`` lacks what check ``name`` reads."""
     if name == "reconstruct" and bundle.n > 4:
         raise ConfigError("reconstruction supports degree n <= 4 (stencil table)")
-    needs = {"wf": (bundle.wf_residual, "carries no W-f relation (tag is None)"),
-             "eq5": (bundle.quadruple, "has no constant-slope quadruple (eq5)"),
-             "eq10": (bundle.general_quadruple, "has no variable-slope quadruple (eq10)")}
-    if name in needs and needs[name][0] is None:
-        raise ConfigError(f"family {bundle.family!r} {needs[name][1]}")
+    if name in _NEEDS and getattr(bundle, _NEEDS[name][0]) is None:
+        raise ConfigError(f"family {bundle.family!r} {_NEEDS[name][1]}")
 
 
 def check_compatibility(ev: GridEval, tol: float) -> CheckResult:
@@ -658,14 +663,9 @@ def richardson_ratio(bundle: FieldBundle, grid: GridSpec, tol: float) -> tuple[f
 
 
 def default_checks(bundle: FieldBundle) -> list[str]:
-    checks = ["compat", "dependence"]
-    if bundle.wf_residual is not None:
-        checks.append("wf")
-    if bundle.quadruple is not None:
-        checks.append("eq5")
-    if bundle.general_quadruple is not None:
-        checks.append("eq10")
-    return checks
+    """compat and dependence, then each of wf, eq5 and eq10 whose bundle field is set."""
+    return ["compat", "dependence"] + [
+        name for name, (attr, _) in _NEEDS.items() if getattr(bundle, attr) is not None]
 
 
 def _seed(seed) -> int:

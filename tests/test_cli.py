@@ -30,7 +30,7 @@ from mongesol.families import (
     canonical_config,
     family_to_dict,
 )
-from mongesol.verifier import DEFAULT_TOLERANCES, MAX_POINTS, admissible_grid
+from mongesol.verifier import DEFAULT_TOLERANCES, MAX_POINTS, GridSpec, admissible_grid
 
 
 def _write(tmp_path, name, obj):
@@ -92,8 +92,7 @@ def _fields_csv_by_row(config_path) -> bytes:
     """fields.csv as ``csv.writer`` writes it, one numpy scalar at a time."""
     config = RunConfig.load(config_path)
     bundle = config.bundle()
-    grid = config.grid_spec(bundle)
-    x, z = admissible_grid(bundle, grid)
+    x, z = admissible_grid(bundle, config.grid)
     fl = bundle.fields_fn(x, z, 2)
     names = [f"a{j}" for j in range(bundle.n)] + ["W", "f"]
     values = {name: np.asarray(fl[name].value) for name in names}
@@ -471,6 +470,25 @@ def test_sweep_empty_values_exits_2(sigma_cfg, tmp_path):
                  "--values", "", "--out", str(tmp_path / "oz")]) == 2
 
 
+@pytest.mark.parametrize("command, flags, named", [
+    ("verify", ["--mutate", "sigma=1.1", "--mutate", "sigma=1.0"], "'sigma' more than once"),
+    ("sweep", ["--param", "A", "--values", "1", "--mutate", "theta=1.1", "--mutate=theta=1.1"],
+     "'theta' more than once"),
+    ("sweep", ["--param", "A", "--values", "1,,2"], "--values"),
+    ("sweep", ["--param", "A", "--values", "1,2,"], "--values"),
+], ids=["mutate_slot_twice", "sweep_mutate_slot_twice", "values_empty_entry",
+        "values_trailing_comma"])
+def test_a_flag_entry_that_would_be_dropped_exits_2(sigma_cfg, tmp_path, capsys, monkeypatch,
+                                                    command, flags, named):
+    # the last factor of a slot named twice, or the values but an empty one, would run
+    monkeypatch.setattr(cli, "run_suite", lambda *a, **k: pytest.fail("a suite ran"))
+    out = tmp_path / "o"
+    assert main([command, "--config", sigma_cfg, "--out", str(out)] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and named in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_missing_config_exits_2(tmp_path, capsys):
     assert main(["verify", "--config", str(tmp_path / "nope.json")]) == 2
     assert capsys.readouterr().err.startswith("config error: config file not found:")
@@ -602,6 +620,10 @@ _SIGMA = {"family": "m3_sigma_const", "nu": [1, 2], "A": 1.0, "k": 1.0}
     {"family": {"family": "mn_theta_const", "n": 1000000, "nu": [1, 2]}},
     {"checks": []},
     {"checks": ["eq5", "eq5", "compat", "compat"]},
+    {"tolerances": False},
+    {"tolerances": 0},
+    {"tolerances": ""},
+    {"tolerances": []},
 ], ids=["grid_nx_not_a_number", "grid_m_below_2", "probes_zero", "nu_single_value",
         "checks_not_a_list", "tolerances_not_an_object", "tolerance_not_a_number",
         "mutate_not_an_object", "mutate_factor_not_a_number", "out_not_a_path",
@@ -619,7 +641,8 @@ _SIGMA = {"family": "m3_sigma_const", "nu": [1, 2], "A": 1.0, "k": 1.0}
         "grid_m_above_cap", "grid_m_a_million", "grid_m_2", "family_l1_dtilde_mode",
         "family_e0_c", "family_degree_above_cap",
         "family_degree_a_million", "family_n_theta_degree_a_million", "checks_empty",
-        "checks_repeated"])
+        "checks_repeated", "tolerances_false", "tolerances_zero", "tolerances_empty_str",
+        "tolerances_empty_list"])
 def test_malformed_config_field_exits_2(tmp_path, capsys, section):
     cfg = _write(tmp_path, "bad.json", {"family": _SIGMA, **section})
     # construct reads no tolerance or check, but a config with a bad one is still refused
@@ -684,6 +707,33 @@ def test_sweep_refuses_a_malformed_value_before_the_first_suite(tmp_path, capsys
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("config error: family 'mn_theta_const'")
     assert not out.exists()
+
+
+def test_sweep_refuses_a_grid_above_the_cap_before_any_bundle(tmp_path, capsys, monkeypatch):
+    # the run's grid is read and capped when the config loads, once for every value
+    monkeypatch.setattr(cli, "make_family", lambda *a, **k: pytest.fail("a bundle was made"))
+    cfg = _write(tmp_path, "big.json", {"family": _SIGMA, "grid": {"nx": 1025, "nz": 1025}})
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", cfg, "--param", "A", "--values", "0.5,2",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: the grid has 1025x1025 points, more than {MAX_POINTS}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tag", FAMILY_TAGS)
+def test_the_run_grid_is_the_family_rectangle_or_the_grid_rect(tmp_path, tag):
+    family = family_to_dict(canonical_config(tag))
+    loaded = RunConfig.load(_write(tmp_path, "c.json", {"family": family,
+                                                        "grid": {"nx": 9, "nz": 7}}))
+    assert loaded.grid == GridSpec.for_bundle(loaded.bundle(), 9, 7)
+    assert RunConfig.load(_write(tmp_path, "d.json", {"family": family})).grid == \
+        GridSpec.for_bundle(loaded.bundle())
+    x_lo, x_hi, z_lo, z_hi = family["rect"]
+    rect = [x_lo, (x_lo + x_hi) / 2, z_lo, (z_lo + z_hi) / 2]
+    loaded = RunConfig.load(_write(tmp_path, "e.json", {"family": family,
+                                                        "grid": {"rect": rect, "nx": 9}}))
+    assert loaded.grid == GridSpec(*rect, nx=9, nz=21)
 
 
 def test_sweep_makes_every_bundle_before_the_first_suite(tmp_path, capsys, monkeypatch):
@@ -927,7 +977,7 @@ def test_fuzzed_construct_keeps_the_exit_contract(config):
         if code == 0:
             loaded = RunConfig.load(str(path))
             bundle = loaded.bundle()
-            x, _ = admissible_grid(bundle, loaded.grid_spec(bundle))
+            x, _ = admissible_grid(bundle, loaded.grid)
             rows = list(csv.reader((out / "fields.csv").open(newline="")))
             assert rows[0][:2] == ["x", "z"] and len(rows) == 1 + x.size
             assert all(len(r) == len(rows[0]) for r in rows[1:])

@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import json
 import operator
@@ -176,19 +177,38 @@ def test_run_suite_refuses_the_seeds_the_cli_refuses():
     (dict(tolerances={"compat": "1e-9"}), "finite number pairs"),
     (dict(tolerances={"compat": np.float64(np.nan)}), "finite number pairs"),
     (dict(tolerances="1e-9"), "finite number pairs"),
+    (dict(tolerances=False), "finite number pairs"),
+    (dict(tolerances=0), "finite number pairs"),
+    (dict(tolerances=""), "finite number pairs"),
+    (dict(tolerances=[]), "finite number pairs"),
     (dict(probes=0), "at least 1, got 0"),
     (dict(probes=-3), "at least 1, got -3"),
     (dict(probes=True), "must be an integer"),
     (dict(probes=2.5), "must be an integer"),
     (dict(probes="12"), "must be an integer"),
     (dict(probes=MAX_POINTS + 1), f"at most {MAX_POINTS}"),
-], ids=["tolerance_bool", "tolerance_str", "tolerance_numpy_nan", "tolerances_str", "probes_zero",
-        "probes_negative", "probes_bool", "probes_fractional", "probes_str", "probes_above_cap"])
+], ids=["tolerance_bool", "tolerance_str", "tolerance_numpy_nan", "tolerances_str",
+        "tolerances_false", "tolerances_zero", "tolerances_empty_str", "tolerances_empty_list",
+        "probes_zero", "probes_negative", "probes_bool", "probes_fractional", "probes_str",
+        "probes_above_cap"])
 def test_run_suite_refuses_the_settings_the_cli_refuses(kwargs, message):
     # as RunConfig.load reads a config: finite real numbers, integral probes, no bool, no str
     b = make_family(canonical_config("m3_sigma_const"))
     with pytest.raises(ConfigError, match=message):
         run_suite(b, GridSpec.for_bundle(b, nx=9, nz=9), ["compat", "eq5"], **kwargs)
+
+
+@pytest.mark.parametrize("tag", FAMILY_TAGS)
+def test_default_checks_are_the_runnable_grid_and_probe_checks(tag):
+    # one table says what each check reads: the defaults are every check but
+    # reconstruct that the family can run, in KNOWN_CHECKS order
+    b = make_family(canonical_config(tag))
+    runnable = []
+    for name in verifier.KNOWN_CHECKS:
+        with contextlib.suppress(ConfigError):
+            verifier._require_runnable(b, name)
+            runnable.append(name)
+    assert default_checks(b) == [name for name in runnable if name != "reconstruct"]
 
 
 def test_check_equation_refuses_zero_probes():
