@@ -27,9 +27,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ConvergenceError, DomainError, FoldError
+from .errors import ConfigError, ConvergenceError, DomainError
 from .functional_eq import GeneralQuadruple, Quadruple, SlopeBranch
-from .hodograph import _univariate_on_jet, implicit_jet, solve_implicit
+from .hodograph import _FOLD_TOL, _univariate_on_jet, implicit_jet, solve_implicit
 from .jets import (
     Jet2,
     compose_series,
@@ -556,7 +556,7 @@ def _build_m1(cfg: M1ImplicitConfig, scales) -> FieldBundle:
 
     @_last_root
     def lam_values(x, z):
-        return solve_implicit(f_fn, x, z, np.broadcast_to(cfg.seed_lambda, x.shape))
+        return solve_implicit(f_fn, x, z, cfg.seed_lambda)
 
     def fields(x, z, m):
         xj, zj = jet_seed(x, z, m)
@@ -573,7 +573,7 @@ def _build_m1(cfg: M1ImplicitConfig, scales) -> FieldBundle:
 
     def pred_fold(x, z):
         lam = lam_values(x, z)
-        return np.abs(np.asarray(z, dtype=float) - np.polyval(fp[::-1], lam)) - 1e-8
+        return np.abs(np.asarray(z, dtype=float) - np.polyval(fp[::-1], lam)) - _FOLD_TOL
 
     return FieldBundle(
         n=1,
@@ -594,36 +594,15 @@ def _build_degenerate(cfg: DegenerateConfig, scales) -> FieldBundle:
     c_fn = _poly_fn(cfg.C)
     cp = _poly_deriv(cfg.C)
     g_fn = _poly_fn(cfg.G)
-    slope = lambda aj: jsqrt(poly_jet(cp, aj))        # C_a^{1/2}
+    slope = lambda aj: jsqrt(poly_jet(cp, aj))        # C_a^{1/2}: x + slope(a)*z = G(a)
     b_fn = _Primitive(lambda aj: (slope(aj),), ref=cfg.seed_a)  # B with B' = C_a^{1/2}
 
     @_last_root
     def solve_a(x, z):
-        a = np.full(x.shape, float(cfg.seed_a))
-        for _ in range(60):
-            tj = jet_seed(a, 0.0, 1)[0]
-            sj, gj = slope(tj), g_fn(tj)
-            r = x + sj.value * z - gj.value
-            der = jet_partial(gj, 1, 0) - jet_partial(sj, 1, 0) * z
-            if np.any(np.abs(der) < 1e-8):
-                raise FoldError("degenerate family: fold point G'(a) - z*(C_a^1/2)'(a) ~ 0")
-            if np.max(np.abs(r)) <= 1e-12 * max(1.0, float(np.max(np.abs(gj.value)))):
-                return a
-            a = a + r / der
-        raise ConvergenceError("degenerate family: implicit solve did not converge")
-
-    def a_jet(x, z, m):
-        a0 = solve_a(x, z)
-        xj, zj = jet_seed(x, z, m)
-        aj = Jet2.constant(a0, m)
-        for _ in range(max(3, m.bit_length())):  # as in hodograph.implicit_jet
-            sj, sp = _univariate_on_jet(slope, aj)
-            gj, gp = _univariate_on_jet(g_fn, aj)
-            aj = aj - (xj + sj * zj - gj) / (sp * zj - gp)
-        return aj
+        return solve_implicit(g_fn, x, z, cfg.seed_a, slope)
 
     def fields(x, z, m):
-        aj = a_jet(x, z, m)
+        aj = implicit_jet(g_fn, *jet_seed(x, z, m), solve_a(x, z), slope)
         a1, = b_fn(aj)
         out = {
             "a0": _univariate_on_jet(c_fn, aj, derivative=False),

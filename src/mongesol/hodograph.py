@@ -14,7 +14,7 @@ the quasilinear system becomes linear and is resolved by one potential
   solve per call, node doubling included) with an independent
   finite-difference residual check;
 * ``solve_implicit`` / ``implicit_jet`` - branch-tracked scalar solve of
-  ``x + lam*z = F(lam)``, in values and in jets.
+  ``x + S(lam)*z = F(lam)``, in values and in jets (S(lam) = lam by default).
 """
 
 from __future__ import annotations
@@ -57,16 +57,20 @@ _RK4_BLOCK = 128
 
 
 # ---------------------------------------------------------------------------
-# implicit scalar solve: x + lam*z = F(lam)
+# implicit scalar solve: x + S(lam)*z = F(lam)
 # ---------------------------------------------------------------------------
 
 
-def solve_implicit(f: Callable[[Jet2], Jet2], x, z, seed) -> np.ndarray:
-    """Root ``lam`` of ``x + lam*z - F(lam) = 0`` on the branch through ``seed``.
+def solve_implicit(f: Callable[[Jet2], Jet2], x, z, seed,
+                   slope: Callable[[Jet2], Jet2] | None = None) -> np.ndarray:
+    """Root ``lam`` of ``x + S(lam)*z - F(lam) = 0`` on the branch through ``seed``.
 
-    ``f`` evaluates F as a univariate jet (the variable sits in the x slot).
-    Damped Newton; a fold point (``z - F'(lam)`` vanishing at the root) is an
-    error, not a branch jump.  Vectorizes over arrays of points.
+    ``f`` evaluates F and ``slope`` evaluates S, each as a univariate jet (the
+    variable sits in the x slot); ``slope=None`` is S(lam) = lam, solved with
+    no evaluation of S and no product by S' = 1.  Damped Newton to an absolute
+    residual of ``_IMPLICIT_TOL``; a fold point (``S'(lam)*z - F'(lam)``
+    below ``_FOLD_TOL`` at an iterate) is an error, not a branch jump.
+    Vectorizes over arrays of points.
     """
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -76,14 +80,17 @@ def solve_implicit(f: Callable[[Jet2], Jet2], x, z, seed) -> np.ndarray:
     def residual(l):
         lj, _ = jet_seed(l, 0.0, 1)
         fj = f(lj)
-        return x + l * z - fj.value, z - jet_partial(fj, 1, 0)
+        if slope is None:
+            return x + l * z - fj.value, z - jet_partial(fj, 1, 0)
+        sj = slope(lj)
+        return x + sj.value * z - fj.value, jet_partial(sj, 1, 0) * z - jet_partial(fj, 1, 0)
 
     g, gp = residual(lam)
     for _ in range(_IMPLICIT_MAX_ITER):
         if np.max(np.abs(g)) <= _IMPLICIT_TOL:
             break
         if np.any(np.abs(gp) < _FOLD_TOL):
-            raise FoldError("implicit solve at a fold point: z - F'(lam) ~ 0")
+            raise FoldError("implicit solve at a fold point: S'(lam)*z - F'(lam) ~ 0")
         step = g / gp
         new = lam - step
         gn, gpn = residual(new)
@@ -99,25 +106,31 @@ def solve_implicit(f: Callable[[Jet2], Jet2], x, z, seed) -> np.ndarray:
     else:
         raise ConvergenceError(f"implicit solve: no convergence in {_IMPLICIT_MAX_ITER} iterations")
     if np.any(np.abs(gp) < _FOLD_TOL):
-        raise FoldError("implicit solve converged onto a fold point (z = F'(lam))")
+        raise FoldError("implicit solve converged onto a fold point (S'(lam)*z = F'(lam))")
     return lam
 
 
-def implicit_jet(f: Callable[[Jet2], Jet2], xj: Jet2, zj: Jet2, lam0) -> Jet2:
-    """Jet of the implicit branch ``lam(x, z)`` with ``x + lam*z = F(lam)``.
+def implicit_jet(f: Callable[[Jet2], Jet2], xj: Jet2, zj: Jet2, lam0,
+                 slope: Callable[[Jet2], Jet2] | None = None) -> Jet2:
+    """Jet of the implicit branch ``lam(x, z)`` with ``x + S(lam)*z = F(lam)``.
 
-    ``lam0`` are the already-solved values at the base points.  Newton in the
-    jet algebra doubles the correct nilpotent order each pass, so ``p``
-    passes from a value are exact to order ``2**p - 1``.  Orders 0 to 7 take
-    the same three passes, so their common coefficients agree bitwise.  Each
-    pass evaluates F once, for both F(lam) and F'(lam).
+    ``lam0`` are the already-solved values at the base points; ``f`` and
+    ``slope`` are as in ``solve_implicit``, and ``slope=None`` is S(lam) = lam.
+    Newton in the jet algebra doubles the correct nilpotent order each pass
+    (Griewank & Walther, *Evaluating Derivatives*, ch. 13), so ``p`` passes
+    from a value are exact to order ``2**p - 1``.  Orders 0 to 7 take the same
+    three passes, so their common coefficients agree bitwise.  Each pass
+    evaluates F once, for both F(lam) and F'(lam), and S likewise.
     """
     m = xj.m
     lam = Jet2.constant(np.asarray(lam0), m)
     for _ in range(max(3, m.bit_length())):
         fj, fpj = _univariate_on_jet(f, lam)
-        g = xj + lam * zj - fj
-        gp = zj - fpj
+        if slope is None:
+            g, gp = xj + lam * zj - fj, zj - fpj
+        else:
+            sj, spj = _univariate_on_jet(slope, lam)
+            g, gp = xj + sj * zj - fj, spj * zj - fpj
         lam = lam - g / gp
     return lam
 

@@ -397,7 +397,8 @@ def _spy_solve_implicit(monkeypatch):
     calls = []
     solve = families.solve_implicit
     monkeypatch.setattr(families, "solve_implicit",
-                        lambda f, x, z, seed: calls.append(np.shape(x)) or solve(f, x, z, seed))
+                        lambda f, x, z, seed, slope=None:
+                        calls.append(np.shape(x)) or solve(f, x, z, seed, slope))
     return calls
 
 
@@ -456,8 +457,7 @@ def test_root_cache_is_keyed_by_the_points(tag, monkeypatch):
     sub = (slice(2, 17), slice(None, None, 2))
     solves = len(calls)
     got = b.fields_fn(xg[sub], zg[sub], 1)
-    if tag == "m1_implicit":
-        assert calls[solves:] == [xg[sub].shape]
+    assert calls[solves:] == [xg[sub].shape]
     fresh = make_family(canonical_config(tag)).fields_fn(xg[sub], zg[sub], 1)
     for name in fresh:
         assert _bytes(got[name].c) == _bytes(fresh[name].c), name
@@ -471,12 +471,17 @@ def test_root_cache_is_keyed_by_the_points(tag, monkeypatch):
             root[...] = 1.0
 
 
-def test_a_failed_root_solve_is_not_cached(monkeypatch):
-    calls = _spy_solve_implicit(monkeypatch)
-    b = make_family(canonical_config("m1_implicit"))
-    solver = _root_solver(b)
+@pytest.mark.parametrize("tag, x, z", [
     # x + lam z = lam^3 folds at lam = 1, z = 3 (so x = -2); seeded at 1.2, Newton lands on it
-    x, z = np.array([1.0, -2.0000001]), np.array([0.5, 3.0])
+    ("m1_implicit", [1.0, -2.0000001], [0.5, 3.0]),
+    # x + sqrt(2a) z = a folds where sqrt(2a) = z: at z = 3, a = 4.5 and x = -4.5; below
+    # that x there is no root, and Newton from a = 2 runs into the fold
+    ("degenerate", [3.0, -4.5000001], [0.3, 3.0]),
+], ids=["m1_implicit", "degenerate"])
+def test_a_failed_root_solve_is_not_cached(tag, x, z, monkeypatch):
+    calls = _spy_solve_implicit(monkeypatch)
+    solver = _root_solver(make_family(canonical_config(tag)))
+    x, z = np.array(x), np.array(z)
     for _ in range(2):
         with pytest.raises(FoldError):
             solver(x, z)

@@ -54,6 +54,51 @@ def test_solve_implicit_fold_is_an_error():
         solve_implicit(f, -0.5, 1.0, seed=1.0)  # root lam = z = 1 is the fold
 
 
+# x + S(lam) z = F(lam) with a non-identity S, as degenerate's C_a^{1/2}
+_S = lambda tj: jsqrt(poly_jet((1.0, 0.5, 0.25), tj))
+_F = lambda tj: poly_jet((0.0, 1.0, 0.0, 0.2), tj)
+
+
+def _general_branch(m):
+    rng = np.random.default_rng(5)
+    x, z = rng.uniform(1.0, 2.0, 25), rng.uniform(0.1, 0.5, 25)
+    lam0 = solve_implicit(_F, x, z, seed=1.5, slope=_S)
+    return x, z, lam0, implicit_jet(_F, *jet_seed(x, z, m), lam0, slope=_S)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_implicit_jet_of_the_general_equation(m):
+    # x + S(lam) z = F(lam) gives lam_z = S(lam) lam_x, the S-weighted lam_z = lam lam_x
+    x, z, lam0, lam = _general_branch(m)
+    s_at = lambda t: _S(Jet2.constant(t, 0)).value
+    resid = x + s_at(lam0) * z - _F(Jet2.constant(lam0, 0)).value
+    assert np.max(np.abs(resid)) <= 1e-12
+    resid = jet_partial(lam, 0, 1) - s_at(lam.value) * jet_partial(lam, 1, 0)
+    assert np.max(np.abs(resid)) <= 1e-8
+    # the whole jet solves the equation, up to order m
+    xj, zj = jet_seed(x, z, m)
+    s, f = (_univariate_on_jet(h, lam, derivative=False) for h in (_S, _F))
+    assert np.max(np.abs((xj + s * zj - f).c)) <= 1e-10
+
+
+def test_general_implicit_jet_orders_agree_bitwise():
+    one, two = _general_branch(1)[3], _general_branch(2)[3]
+    for i, j in ((0, 0), (1, 0), (0, 1)):
+        assert one.plane(i, j).tobytes() == two.plane(i, j).tobytes(), (i, j)
+
+
+def test_slope_none_is_the_identity_slope_bitwise():
+    # slope=None skips S(lam) = lam and its products by S' = 1, which are exact
+    f = lambda lj: poly_jet((0.0, 0.0, 0.0, 1.0), lj)
+    rng = np.random.default_rng(3)
+    x, z = rng.uniform(1.0, 2.0, 25), rng.uniform(0.1, 0.5, 25)
+    lam0 = solve_implicit(f, x, z, seed=1.2)
+    assert lam0.tobytes() == solve_implicit(f, x, z, seed=1.2, slope=lambda t: t).tobytes()
+    xj, zj = jet_seed(x, z, 2)
+    got = implicit_jet(f, xj, zj, lam0, slope=lambda t: t)
+    assert got.c.tobytes() == implicit_jet(f, xj, zj, lam0).c.tobytes()
+
+
 def _separate_evaluation(f, a, derivative):
     """f(a) or f'(a) from its own evaluation of f: the route the pair replaced."""
     fj = f(jet_seed(a.value, 0.0, a.m + derivative)[0])
