@@ -31,10 +31,12 @@ from .errors import ConfigError, ConvergenceError, DomainError
 from .functional_eq import GeneralQuadruple, Quadruple, SlopeBranch
 from .hodograph import _FOLD_TOL, _univariate_on_jet, implicit_jet, solve_implicit
 from .jets import (
+    Jet1,
     Jet2,
     compose_series,
     jet_partial,
     jet_seed,
+    jet_seed1,
     jexp,
     jlog,
     jpow,
@@ -282,7 +284,7 @@ class _Primitive:
     own jet, so all derivatives are exact.
     """
 
-    def __init__(self, integrand: Callable[[Jet2], tuple[Jet2, ...]], ref: float):
+    def __init__(self, integrand: Callable[[Jet1], tuple[Jet1, ...]], ref: float):
         self.integrand = integrand
         self.ref = float(ref)
 
@@ -298,13 +300,13 @@ class _Primitive:
         nodes = mid[..., None] + half[..., None] * _GAUSS_X  # (..., 48)
         # the sums read values only, and a jet's value never depends on its order
         return tuple(np.sum(g.value * _GAUSS_W, axis=-1) * half
-                     for g in self.integrand(Jet2.constant(nodes, 0)))
+                     for g in self.integrand(jet_seed1(nodes, 0)))
 
     def __call__(self, a: Jet2) -> tuple[Jet2, ...]:
         base = self.value(a.value)
         if a.m == 0:  # + 0.0 as compose_series's +0 start: a -0 value becomes +0
             return tuple(Jet2.constant(b + 0.0, 0) for b in base)
-        t = jet_seed(a.value, 0.0, a.m - 1)[0]
+        t = jet_seed1(a.value, a.m - 1)
         return tuple(compose_series([b] + [g.plane(k, 0) / (k + 1) for k in range(a.m)], a)
                      for b, g in zip(base, self.integrand(t)))
 
@@ -1057,7 +1059,7 @@ def _build_hodograph_example(cfg: HodographExampleConfig, scales) -> FieldBundle
     )
     # the slope field -x/z solves x + s*z = 0, a line function T = 0
     root = _SlopeRoot("c2", seed=lambda x, z: -x / z, denom=lambda x, z: -z,
-                      line=lambda tj: Jet2.constant(np.zeros(tj.shape), tj.m))
+                      line=lambda tj: type(tj).constant(np.zeros(tj.shape), tj.m))
     return _slope_root_bundle(
         cfg, scales, (root,),
         root_jets=lambda xj, zj: (-xj / zj,),

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError
 from .hodograph import solve_implicit
-from .jets import Jet2, jet_partial, jet_seed
+from .jets import Jet1, jet_partial, jet_seed1
 from .nu_algebra import NuPair
 
 __all__ = [
@@ -136,7 +136,7 @@ class SlopeBranch:
 
     kind: str
     cprime: Callable[[np.ndarray], np.ndarray] | None = None
-    theta: Callable[[Jet2], Jet2] | None = None
+    theta: Callable[[Jet1], Jet1] | None = None
     seed: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     nu_const: float | None = None
     lprime: ArrFunc | None = None
@@ -154,8 +154,7 @@ class SlopeBranch:
             raise ValueError(f"unknown branch kind {self.kind!r}")
         seed = self.seed(x, z)
         nu = solve_implicit(self.theta, x, z, seed)
-        tj, _ = jet_seed(nu, 0.0, 1)
-        thj = self.theta(tj)
+        thj = self.theta(jet_seed1(nu, 1))
         defect = np.abs(x + nu * z - thj.value)
         if np.max(defect) > _SLOPE_CHECK_TOL:
             raise DomainError(

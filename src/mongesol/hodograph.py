@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, FoldError, MongesolError, QuadratureError
-from .jets import Jet2, compose_series, jet_partial, jet_seed
+from .jets import Jet1, Jet2, compose_series, jet_partial, jet_seed1
 
 __all__ = [
     "schrodinger_solve",
@@ -61,12 +61,12 @@ _RK4_BLOCK = 128
 # ---------------------------------------------------------------------------
 
 
-def solve_implicit(f: Callable[[Jet2], Jet2], x, z, seed,
-                   slope: Callable[[Jet2], Jet2] | None = None) -> np.ndarray:
+def solve_implicit(f: Callable[[Jet1], Jet1], x, z, seed,
+                   slope: Callable[[Jet1], Jet1] | None = None) -> np.ndarray:
     """Root ``lam`` of ``x + S(lam)*z - F(lam) = 0`` on the branch through ``seed``.
 
-    ``f`` evaluates F and ``slope`` evaluates S, each as a univariate jet (the
-    variable sits in the x slot); ``slope=None`` is S(lam) = lam, solved with
+    ``f`` evaluates F and ``slope`` evaluates S, each on a univariate jet
+    (a ``Jet1`` of order 1); ``slope=None`` is S(lam) = lam, solved with
     no evaluation of S and no product by S' = 1.  Damped Newton to an absolute
     residual of ``_IMPLICIT_TOL``; a fold point (``S'(lam)*z - F'(lam)``
     below ``_FOLD_TOL`` at an iterate) is an error, not a branch jump.
@@ -78,7 +78,7 @@ def solve_implicit(f: Callable[[Jet2], Jet2], x, z, seed,
     x, z = np.broadcast_to(x, lam.shape), np.broadcast_to(z, lam.shape)
 
     def residual(l):
-        lj, _ = jet_seed(l, 0.0, 1)
+        lj = jet_seed1(l, 1)
         fj = f(lj)
         if slope is None:
             return x + l * z - fj.value, z - jet_partial(fj, 1, 0)
@@ -110,8 +110,8 @@ def solve_implicit(f: Callable[[Jet2], Jet2], x, z, seed,
     return lam
 
 
-def implicit_jet(f: Callable[[Jet2], Jet2], xj: Jet2, zj: Jet2, lam0,
-                 slope: Callable[[Jet2], Jet2] | None = None) -> Jet2:
+def implicit_jet(f: Callable[[Jet1], Jet1], xj: Jet2, zj: Jet2, lam0,
+                 slope: Callable[[Jet1], Jet1] | None = None) -> Jet2:
     """Jet of the implicit branch ``lam(x, z)`` with ``x + S(lam)*z = F(lam)``.
 
     ``lam0`` are the already-solved values at the base points; ``f`` and
@@ -135,15 +135,16 @@ def implicit_jet(f: Callable[[Jet2], Jet2], xj: Jet2, zj: Jet2, lam0,
     return lam
 
 
-def _univariate_on_jet(f: Callable[[Jet2], Jet2], a: Jet2, derivative: bool = True):
+def _univariate_on_jet(f: Callable[[Jet1], Jet1], a: Jet2, derivative: bool = True):
     """``(f(a), f'(a))`` for a univariate jet-function ``f`` and a jet ``a``.
 
-    One evaluation of ``f`` at order ``a.m + 1`` about ``a.value`` gives both
-    series: its coefficients of order <= ``a.m`` are an order-``a.m``
-    evaluation's bits.  ``derivative=False`` gives ``f(a)`` alone, at order ``a.m``.
+    One evaluation of ``f`` on a ``Jet1`` of order ``a.m + 1`` about
+    ``a.value`` gives both series: its coefficients of order <= ``a.m`` are
+    an order-``a.m`` evaluation's bits.  ``derivative=False`` gives ``f(a)``
+    alone, at order ``a.m``.
     """
     m = a.m
-    fj = f(jet_seed(a.value, 0.0, m + derivative)[0])
+    fj = f(jet_seed1(a.value, m + derivative))
     # recompose: Taylor coefficients about a.value, Horner in (a - value)
     value = compose_series([fj.plane(k, 0) for k in range(m + 1)], a)
     if not derivative:

@@ -18,10 +18,21 @@ planes for 6.  The leading unit axis keeps ``c[0, 0]`` the value plane,
 with the shape of the points, as it was in the square layout, so code
 that reads ``c[0, 0]`` or ``c.shape[2:]`` is indifferent to the layout.
 
-Univariate expansions reuse the same class with the second slot unused
-(seed the variable into the x slot); ``compose_series`` plugs a jet into a
-one-variable Taylor series, which is how user-supplied functions and the
-elementary functions below are applied to jets.
+A univariate expansion is a :class:`Jet1`, seeded by ``jet_seed1``: a
+``Jet2`` subclass that stores the planes ``(k, 0)`` alone, as
+``(1, m+1) + points``, so an order-3 series holds 4 planes, not 10.  The
+plane count, plane index and product plan are class attributes, which
+``constant``, ``plane``, ``*``, ``recip`` and the functions below read
+through the jet's type: both layouts run the one plane loop.  A ``Jet1``
+holds the bits of the planes ``(k, 0)`` of the same operations on a
+bivariate jet seeded in the x slot.  There, the only terms that land in a
+plane ``(k, 0)`` are ``a_i0 * b_p0``, added in the univariate plan's order
+(left ``i``, then right ``p``, ascending); every other term lands in a
+z-plane, which the univariate layout does not store.  The layouts do not
+mix: ``+``, ``-``, ``*`` and ``/`` of a ``Jet1`` and a ``Jet2`` raise a
+ValueError.  ``compose_series`` plugs a jet into a one-variable Taylor
+series, which is how user-supplied functions and the elementary functions
+below are applied to jets.
 
 Products are reproducible bit for bit.  The reference is the plane loop:
 ``a * b`` starts every output plane at +0 and adds the terms
@@ -45,7 +56,12 @@ is a product of two nans in the last scaling ``acc * inv``, whose sign
 IEEE 754 leaves open; numpy's float loops keep one operand's nan or the
 other's by the element's place in one loop over the whole jet, and the
 packed layout moves those places.  No output holds a nan sign (``'%.17g'``
-writes ``nan`` for both).
+writes ``nan`` for both).  Between a ``Jet1`` and the planes ``(k, 0)`` of
+a bivariate jet, the same goes for every operation that runs one loop over
+the whole jet: ``recip``'s scalings (at complex points too, not only where
+the value is nan), a sum or difference of two jets, and a scaling by a
+number or an array, where nans meet in complex values or at broadcast
+points.  The plane loop of a product keeps every bit.
 
 A real order-0 jet has one plane, so its reciprocal is one numpy
 operation, with the same bits, and ``compose_series`` at order 0 is the
@@ -79,7 +95,9 @@ from .errors import BranchCutError
 
 __all__ = [
     "Jet2",
+    "Jet1",
     "jet_seed",
+    "jet_seed1",
     "jet_partial",
     "compose_series",
     "poly_jet",
@@ -98,6 +116,29 @@ class Jet2:
     # keep numpy from broadcasting over jets; arithmetic goes through our dunders
     __array_ufunc__ = None
 
+    # the layout, read through type(self): plane count, plane index and product plan
+    layout = "bivariate"
+
+    @staticmethod
+    def _n_planes(m: int) -> int:
+        """Planes of an order-``m`` jet: the triangle ``i + j <= m``."""
+        return (m + 1) * (m + 2) // 2
+
+    @staticmethod
+    def _index(m: int, i: int, j: int) -> int:
+        """Packed position of plane ``(i, j)``: rows ``0 .. i-1`` hold ``m+1, m, ..`` planes."""
+        return i * (m + 1) - i * (i - 1) // 2 + j
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def _mul_plan(m: int) -> tuple:
+        """The plane loop's terms as (left, right, output) planes, in its order: the left
+        planes in packed order and, for each, the right planes in packed order."""
+        planes = [(i, j) for i in range(m + 1) for j in range(m + 1 - i)]
+        return tuple((ka, kb, Jet2._index(m, i + p, j + q))
+                     for ka, (i, j) in enumerate(planes)
+                     for kb, (p, q) in enumerate(planes) if i + p + j + q <= m)
+
     def __init__(self, m: int, c: np.ndarray):
         self.m = int(m)
         self.c = c
@@ -109,7 +150,7 @@ class Jet2:
         """Jet of a field constant in x and z; ``value`` is broadcast to ``shape`` if given."""
         value = np.asarray(value)
         shape = value.shape if shape is None else shape
-        c = np.empty((1, _n_planes(m)) + shape, dtype=np.promote_types(value.dtype, np.float64))
+        c = np.empty((1, cls._n_planes(m)) + shape, dtype=np.promote_types(value.dtype, np.float64))
         c[0, 0] = value
         c[0, 1:] = 0
         return cls(m, c)
@@ -127,11 +168,13 @@ class Jet2:
 
     def plane(self, i: int, j: int):
         """The coefficient of ``dx^i dz^j`` over the points (``i + j <= m``), read as ``value`` reads (0, 0)."""
-        return self.c[0, _index(self.m, i, j)]
+        return self.c[0, self._index(self.m, i, j)]
 
     # -- ring operations ----------------------------------------------------
 
     def _check_order(self, other: "Jet2"):
+        if type(other) is not type(self):
+            raise ValueError(f"jet layout mismatch: {self.layout} vs {other.layout}")
         if other.m != self.m:
             raise ValueError(f"jet order mismatch: {self.m} vs {other.m}")
 
@@ -146,17 +189,17 @@ class Jet2:
     def __add__(self, other):
         if isinstance(other, Jet2):
             self._check_order(other)
-            return Jet2(self.m, self.c + other.c)
+            return type(self)(self.m, self.c + other.c)
         # one allocation: the sum into the value plane, then the other planes copied
         out = np.empty(self.c.shape, dtype=np.promote_types(self.c.dtype, np.asarray(other).dtype))
         np.add(self.c[0, 0, ...], other, out=out[0, 0, ...])
         out[0, 1:] = self.c[0, 1:]
-        return Jet2(self.m, out)
+        return type(self)(self.m, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet2(self.m, -self.c)
+        return type(self)(self.m, -self.c)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Jet2) else -np.asarray(other))
@@ -165,42 +208,43 @@ class Jet2:
         return (-self) + other
 
     def __mul__(self, other):
+        cls = type(self)
         if not isinstance(other, Jet2):
-            return Jet2(self.m, self.c * self._operand(other))
+            return cls(self.m, self.c * self._operand(other))
         self._check_order(other)
         m, a, b = self.m, self.c, other.c
         live = _live_planes(a)
         if m == 0 and live[0] and _real(a, b):  # the loop's one term, as one product
             out = a * b
             out += 0.0  # as the +0 start: a -0 product becomes +0
-            return Jet2(0, out)
+            return cls(0, out)
         shape = a.shape[2:]
         if b.shape[2:] != shape:
             shape = np.broadcast_shapes(shape, b.shape[2:])
         out = np.zeros(a.shape[:2] + shape, dtype=np.promote_types(a.dtype, b.dtype))
         pa, pb, po = a[0], b[0], out[0]
-        for ka, kb, ko in _mul_plan(m):
+        for ka, kb, ko in cls._mul_plan(m):
             if live[ka]:
                 o = po[ko, ...]  # a view, also for 0-d points
                 o += pa[ka] * pb[kb]
-        return Jet2(m, out)
+        return cls(m, out)
 
     __rmul__ = __mul__
 
     def recip(self) -> "Jet2":
         """Multiplicative inverse; the constant term must be nonzero."""
-        v = self.value
+        cls, v = type(self), self.value
         if not np.all(v):  # one pass, no `v == 0` temporary
             raise ZeroDivisionError("jet reciprocal of a zero field value")
         if self.m == 0 and _real(self.c):
-            return Jet2(0, 1.0 / self.c)
+            return cls(0, 1.0 / self.c)
         inv = 1.0 / v
         # 1/a = inv * sum_k N^k  with N = 1 - inv*a nilpotent
         n = self.c * inv
         np.negative(n, out=n)
         n[0, 0] = 0
-        n = Jet2(self.m, n)
-        acc = Jet2.constant(np.ones_like(inv), self.m)
+        n = cls(self.m, n)
+        acc = cls.constant(np.ones_like(inv), self.m)
         for _ in range(self.m):
             acc = acc * n
             _add_to_value(acc.c, 1.0)
@@ -210,7 +254,7 @@ class Jet2:
     def __truediv__(self, other):
         if isinstance(other, Jet2):
             return self * other.recip()
-        return Jet2(self.m, self.c / self._operand(other))
+        return type(self)(self.m, self.c / self._operand(other))
 
     # -- calculus -----------------------------------------------------------
 
@@ -219,31 +263,47 @@ class Jet2:
         if self.m < 1:
             raise ValueError("cannot differentiate an order-0 jet")
         m = self.m - 1
-        out = np.empty((1, _n_planes(m)) + self.shape, dtype=self.c.dtype)
+        out = np.empty((1, Jet2._n_planes(m)) + self.shape, dtype=self.c.dtype)
         for i in range(m + 1):  # row i of the result is row i + 1 of self, both contiguous
-            k, k1 = _index(m, i, 0), _index(self.m, i + 1, 0)
+            k, k1 = Jet2._index(m, i, 0), Jet2._index(self.m, i + 1, 0)
             out[0, k:k + m + 1 - i] = (i + 1) * self.c[0, k1:k1 + m + 1 - i]
         return Jet2(m, out)
 
 
-def _n_planes(m: int) -> int:
-    """Planes of an order-``m`` jet: the triangle ``i + j <= m``."""
-    return (m + 1) * (m + 2) // 2
+class Jet1(Jet2):
+    """One-variable Taylor expansion truncated at degree ``m``: the planes ``(k, 0)``.
 
+    ``c`` has shape ``(1, m+1) + points``.  Each operation gives the bits of
+    the planes ``(k, 0)`` of the same operation on a bivariate jet seeded in
+    the x slot (see the module notes), and it mixes with no bivariate jet.
+    """
 
-def _index(m: int, i: int, j: int) -> int:
-    """Packed position of plane ``(i, j)``: rows ``0 .. i-1`` hold ``m+1, m, ..`` planes."""
-    return i * (m + 1) - i * (i - 1) // 2 + j
+    __slots__ = ()
 
+    layout = "univariate"
 
-@functools.lru_cache(maxsize=None)
-def _mul_plan(m: int) -> tuple:
-    """The plane loop's terms as (left, right, output) planes, in its order: the left
-    planes in packed order and, for each, the right planes in packed order."""
-    planes = [(i, j) for i in range(m + 1) for j in range(m + 1 - i)]
-    return tuple((ka, kb, _index(m, i + p, j + q))
-                 for ka, (i, j) in enumerate(planes)
-                 for kb, (p, q) in enumerate(planes) if i + p + j + q <= m)
+    @staticmethod
+    def _n_planes(m: int) -> int:
+        return m + 1
+
+    @staticmethod
+    def _index(m: int, i: int, j: int) -> int:
+        if j:
+            raise ValueError(f"a univariate jet has no plane ({i}, {j})")
+        return i
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def _mul_plan(m: int) -> tuple:
+        """The bivariate plan's terms between planes ``(k, 0)``, in its order."""
+        return tuple((ka, kb, ka + kb) for ka in range(m + 1) for kb in range(m + 1 - ka))
+
+    def dx(self) -> "Jet1":
+        """Jet of the derivative series (order drops by one)."""
+        if self.m < 1:
+            raise ValueError("cannot differentiate an order-0 jet")
+        k = np.arange(1, self.m + 1).reshape((-1,) + (1,) * len(self.shape))
+        return Jet1(self.m - 1, k * self.c[:, 1:])
 
 
 def _live_planes(a: np.ndarray) -> list:
@@ -267,9 +327,19 @@ def jet_seed(x0, z0, m: int) -> tuple[Jet2, Jet2]:
     xj = Jet2.constant(x0, m)
     zj = Jet2.constant(z0, m)
     if m:
-        xj.c[0, _index(m, 1, 0)] = 1
-        zj.c[0, _index(m, 0, 1)] = 1
+        xj.c[0, Jet2._index(m, 1, 0)] = 1
+        zj.c[0, Jet2._index(m, 0, 1)] = 1
     return xj, zj
+
+
+def jet_seed1(t0, m: int) -> Jet1:
+    """Univariate jet of the variable at ``t0``: the x-jet of ``jet_seed`` less its z-planes."""
+    if m < 0:
+        raise ValueError("jet order must be at least 0")
+    tj = Jet1.constant(t0, m)
+    if m:
+        tj.c[0, 1] = 1
+    return tj
 
 
 def jet_partial(a: Jet2, i: int, j: int):
@@ -293,10 +363,10 @@ def compose_series(tk: Sequence, a: Jet2) -> Jet2:
     """
     if len(tk) < a.m + 1:
         raise ValueError("series too short for the jet order")
-    acc = Jet2.constant(tk[a.m], a.m, a.shape)
+    acc = type(a).constant(tk[a.m], a.m, a.shape)
     if a.m == 0:  # no nilpotent part to build
         return acc
-    n = Jet2(a.m, a.c.copy())
+    n = type(a)(a.m, a.c.copy())
     n.c[0, 0] = 0
     for k in range(a.m - 1, -1, -1):
         acc = acc * n
@@ -307,8 +377,8 @@ def compose_series(tk: Sequence, a: Jet2) -> Jet2:
 def poly_jet(coeffs: Sequence, a: Jet2) -> Jet2:
     """Evaluate a polynomial (ascending coefficients) on a jet, exactly."""
     if len(coeffs) == 0:
-        return Jet2.constant(np.zeros(a.shape), a.m)
-    acc = Jet2.constant(coeffs[-1], a.m, a.shape)
+        return type(a).constant(np.zeros(a.shape), a.m)
+    acc = type(a).constant(coeffs[-1], a.m, a.shape)
     for ck in reversed(coeffs[:-1]):
         acc = acc * a
         acc.c = _add_to_value(acc.c, ck)
@@ -372,7 +442,7 @@ def jpow(a: Jet2, p) -> Jet2:
     if isinstance(p, (int, np.integer)):
         p = int(p)
         if p == 0:
-            return Jet2.constant(np.ones(a.shape), a.m)
+            return type(a).constant(np.ones(a.shape), a.m)
         base = a if p > 0 else a.recip()
         out = base
         for _ in range(abs(p) - 1):

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -805,3 +806,66 @@ def test_family_from_dict_rejects_garbage():
         family_from_dict({"family": ["m3_general"]})  # a tag that is not a string
     with pytest.raises(ConfigError):
         family_from_dict({"family": "m3_sigma_const", "nu": [1, 2], "bogus_field": 3})
+
+
+def _spy_univariate(monkeypatch):
+    """Record ``(order, planes)`` of every jet that a one-variable function of
+    ``families`` receives: F and S of the implicit solves and jets, the a0 map
+    and the primitives' integrands."""
+    seen = []
+
+    def rec(fn):
+        def spied(a):
+            seen.append((a.m, a.c.shape[1]))
+            return fn(a)
+        return fn and spied
+
+    solve, ijet, on_jet = families.solve_implicit, families.implicit_jet, families._univariate_on_jet
+    init = _Primitive.__init__
+    monkeypatch.setattr(families, "solve_implicit", lambda f, x, z, seed, slope=None:
+                        solve(rec(f), x, z, seed, rec(slope)))
+    monkeypatch.setattr(families, "implicit_jet", lambda f, xj, zj, lam0, slope=None:
+                        ijet(rec(f), xj, zj, lam0, rec(slope)))
+    monkeypatch.setattr(families, "_univariate_on_jet", lambda f, a, derivative=True:
+                        on_jet(rec(f), a, derivative))
+    monkeypatch.setattr(_Primitive, "__init__", lambda self, integrand, ref:
+                        init(self, rec(integrand), ref))
+    return seen, rec
+
+
+def _admitted_points(bundle):
+    xs, zs = GridSpec.for_bundle(bundle).axes()
+    xg, zg = np.meshgrid(xs, zs, indexing="ij")
+    keep = bundle.domain.mask(xg, zg)
+    return xg[keep], zg[keep]
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("tag", ["m1_implicit", "degenerate"])
+def test_one_variable_functions_receive_univariate_jets(tag, m, monkeypatch):
+    # an order-k series holds k + 1 planes: no zero z-planes ride along
+    seen, _ = _spy_univariate(monkeypatch)
+    b = make_family(canonical_config(tag))
+    b.fields_fn(*_admitted_points(b), m)
+    assert {planes - order for order, planes in seen} == {1}
+    # the Newton solve at order 1, and the jet passes at order m + 1
+    assert {1, m + 1} <= {order for order, _ in seen}
+
+
+def test_the_primitive_integrand_receives_univariate_jets(monkeypatch):
+    seen, _ = _spy_univariate(monkeypatch)
+    b = make_family(canonical_config("m3_general"))
+    fields = b.fields_fn(*_admitted_points(b), 2)
+    fields["a2"], fields["a1"]  # the primitives, built on first read
+    # the Gauss pass reads values at order 0; the jet pass integrates order 1
+    assert sorted(set(seen)) == [(0, 1), (1, 2)]
+
+
+def test_the_eq10_slope_receives_univariate_jets(monkeypatch):
+    # the branch's Newton solve and its own defect check, both at order 1
+    seen, rec = _spy_univariate(monkeypatch)
+    b = make_family(canonical_config("m3_general"))
+    branch = b.general_quadruple.branch2
+    assert branch.kind == "implicit"
+    dataclasses.replace(branch, theta=rec(branch.theta)).resolve(*_admitted_points(b))
+    assert len(seen) > 1 and set(seen) == {(1, 2)}

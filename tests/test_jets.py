@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from mongesol.errors import BranchCutError
 from mongesol.jets import (
+    Jet1,
     Jet2,
     compose_series,
     jet_partial,
     jet_seed,
+    jet_seed1,
     jexp,
     jlog,
     jpow,
@@ -617,3 +619,156 @@ def test_a_dead_value_plane_and_complex_jets_take_the_plane_loop(m):
         with np.errstate(invalid="ignore"):
             got, want = left * right, _old_mul(_sq(left), _sq(right))
         _assert_bitwise(got, want)
+
+
+# -- the univariate layout -----------------------------------------------------
+
+
+def _uni_sample(rng, m, shape, complex_, value):
+    """Univariate coefficients with +-0, +-inf and nans of both signs in every plane,
+    in both parts of a complex entry, and some planes all zero.  ``value`` keeps
+    the value plane off zero ("nonzero", for a reciprocal) or off the branch cut
+    ("cut", for log and fractional powers); nans stay."""
+    parts = []
+    for _ in range(2 if complex_ else 1):
+        c = rng.standard_normal((1, m + 1) + shape)
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan]
+        pick = rng.integers(0, 2 * len(special), size=c.shape)
+        for k, v in enumerate(special):
+            np.copyto(c, v, where=pick == k)
+        parts.append(c)
+    if complex_:
+        c = np.empty(parts[0].shape, complex)
+        c.real, c.imag = parts
+    else:
+        c, = parts
+    for k in range(1, m + 1):
+        if rng.random() < 0.2:
+            c[0, k] = rng.choice([0.0, -0.0])  # a dead plane, +0 or -0
+    v = c[0, 0, ...]
+    if value == "nonzero":
+        np.copyto(v, 1.5, where=v == 0)
+    elif value == "cut":
+        np.copyto(v, 0.75, where=(v.real <= 0) & (v.imag == 0))
+    return Jet1(m, c)
+
+
+def _in_x_slot(u):
+    """The bivariate jet of univariate ``u``'s series in the x slot: z-planes +0."""
+    b = Jet2.constant(np.zeros(u.shape, u.c.dtype), u.m)
+    for k in range(u.m + 1):
+        b.plane(k, 0)[...] = u.plane(k, 0)
+    return b
+
+
+def _unsigned_nans(v):
+    """``v`` with every nan made +nan, part by part."""
+    v = np.array(v)
+    for part in (v.real, v.imag) if np.iscomplexobj(v) else (v,):
+        part[np.isnan(part)] = np.nan
+    return v
+
+
+def _assert_x_planes(got, want, nan_signs_free=False):
+    """Univariate ``got`` holds the bits of bivariate ``want``'s planes ``(k, 0)``;
+    with ``nan_signs_free``, a nan above the value plane may differ in sign."""
+    assert type(got) is Jet1 and type(want) is Jet2 and got.m == want.m
+    assert got.c.dtype == want.c.dtype and got.shape == want.shape
+    for k in range(got.m + 1):
+        g, w = got.plane(k, 0), want.plane(k, 0)
+        if k and nan_signs_free:
+            g, w = _unsigned_nans(g), _unsigned_nans(w)
+        assert np.array_equal(np.ascontiguousarray(g).view(np.int64),
+                              np.ascontiguousarray(w).view(np.int64)), f"plane ({k}, 0)"
+
+
+# name: (operation on jets a, b and a number or array s; the value planes it needs;
+#        does it run a loop over the whole jet: a sum or scaling, or recip's scalings)
+_UNIVARIATE_OPS = {
+    "a * b": (lambda a, b, s: a * b, None, False),
+    "a / b": (lambda a, b, s: a / b, "nonzero", True),
+    "recip": (lambda a, b, s: a.recip(), "nonzero", True),
+    "a + b": (lambda a, b, s: a + b, None, True),
+    "a - b": (lambda a, b, s: a - b, None, True),
+    "a + s": (lambda a, b, s: a + s, None, True),
+    "s + a": (lambda a, b, s: s + a, None, True),
+    "a - s": (lambda a, b, s: a - s, None, True),
+    "s - a": (lambda a, b, s: s - a, None, True),
+    "a * s": (lambda a, b, s: a * s, None, True),
+    "a / s": (lambda a, b, s: a / s, None, True),
+    "compose_series": (lambda a, b, s: compose_series([s] + [a.value[::-1]] * a.m, a), None, False),
+    "poly_jet": (lambda a, b, s: poly_jet([s, 2.0, -0.0, a.value[::-1]], a), None, False),
+    "jexp": (lambda a, b, s: jexp(a), None, False),
+    "jlog": (lambda a, b, s: jlog(a), "cut", False),
+    "jpow 3": (lambda a, b, s: jpow(a, 3), None, False),
+    "jpow -2": (lambda a, b, s: jpow(a, -2), "nonzero", True),
+    "jpow 0.5": (lambda a, b, s: jpow(a, 0.5), "cut", False),
+    "jsqrt": (lambda a, b, s: jsqrt(a), "cut", False),
+}
+_UNIVARIATE_SHAPES = [((7,), (7,)), ((3, 1), (1, 4)), ((37,), (1,)), ((1,), (6,)), ((0,), (0,))]
+
+
+@pytest.mark.parametrize("op", _UNIVARIATE_OPS)
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("m", range(5))
+def test_univariate_jets_hold_the_x_planes_of_bivariate_jets(op, complex_, m):
+    # every operation's planes (k, 0), compared as integers: -0 and nan signs included,
+    # except above the value plane after a loop over the whole jet, whose nan signs
+    # numpy picks by the element's place in that loop, which the layout moves (seen
+    # in recip, in complex sums and scalings, and in sums over broadcast points)
+    fn, value, whole = _UNIVARIATE_OPS[op]
+    rng = np.random.default_rng([m, complex_, *map(ord, op)])
+    for shapes in _UNIVARIATE_SHAPES:
+        for trial in range(3):
+            a, b = (_uni_sample(rng, m, shape, complex_, value) for shape in shapes)
+            s = (_uni_sample(rng, 0, shapes[0], complex_, "nonzero").value if trial
+                 else rng.choice([2.5, -0.0, np.inf, np.nan]) * (1 - 0.5j if complex_ else 1))
+            with np.errstate(all="ignore"):
+                got, want = fn(a, b, s), fn(_in_x_slot(a), _in_x_slot(b), s)
+            _assert_x_planes(got, want, nan_signs_free=whole)
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("m", range(1, 5))
+def test_univariate_dx_is_the_x_planes_of_the_bivariate_dx(complex_, m):
+    rng = np.random.default_rng([m, complex_])
+    a = _uni_sample(rng, m, (9,), complex_, None)
+    with np.errstate(all="ignore"):
+        _assert_x_planes(a.dx(), _in_x_slot(a).dx())
+    with pytest.raises(ValueError):
+        _uni_sample(rng, 0, (9,), complex_, None).dx()
+
+
+def test_univariate_seed_is_the_x_jet_of_jet_seed():
+    for m in range(4):
+        t0 = np.array([0.5, -0.0, 2.0])
+        _assert_x_planes(jet_seed1(t0, m), jet_seed(t0, 0.0, m)[0])
+        assert jet_seed1(t0, m).c.shape == (1, m + 1, 3)
+    with pytest.raises(ValueError):
+        jet_seed1(0.0, -1)
+
+
+_MIXED = [(lambda a, b: a + b), (lambda a, b: a - b), (lambda a, b: a * b), (lambda a, b: a / b)]
+
+
+@pytest.mark.parametrize("mix", _MIXED, ids=["+", "-", "*", "/"])
+@pytest.mark.parametrize("orders", [(2, 2), (2, 1)], ids=["same order", "same plane count"])
+def test_univariate_and_bivariate_jets_do_not_mix(mix, orders):
+    # order 2 univariate and order 1 bivariate jets both hold 3 planes
+    u = jet_seed1(np.array([1.0, 2.0]), orders[0])
+    b = jet_seed(np.array([1.0, 2.0]), 0.5, orders[1])[0]
+    assert u.c.shape == b.c.shape or orders[0] == orders[1]
+    for left, right in ((u, b), (b, u)):
+        with pytest.raises(ValueError, match="univariate") as err:
+            mix(left, right)
+        assert "bivariate" in str(err.value)
+
+
+def test_a_univariate_jet_has_no_z_planes():
+    u = jet_seed1(np.array([1.0, 2.0]), 2)
+    assert jet_partial(u, 2, 0).tolist() == [0.0, 0.0]
+    for i, j in ((0, 1), (1, 1)):
+        with pytest.raises(ValueError, match="no plane"):
+            u.plane(i, j)
+        with pytest.raises(ValueError, match="no plane"):
+            jet_partial(u, i, j)
