@@ -131,12 +131,14 @@ def _write_report(report: ResidualReport, out_dir: Path):
         csv.writer(fh).writerows(report.csv_rows())
 
 
-# cells per block of fields.csv text: bounded temporaries.  In one verify_81 pass
-# of perfbench (x86-64, glibc 2.36), construct of trivial at 81x81 raises ru_maxrss
-# by about 7.1 MB at 2^15 cells, 3.1 MB at 2^14 and 1.1 MB at 2^13, while the text
-# of the ten canonical 81x81 tables took 84-100 ms at 2^14, 94-126 ms at 2^15 and
-# 88-106 ms at 2^13 (medians of 15 interleaved repetitions, three runs)
-_CSV_BLOCK = 1 << 14
+# cells per block of fields.csv text: bounded temporaries.  In an in-process pass of
+# construct + verify of the ten canonical families at 81x81 (x86-64, glibc 2.36), the
+# first job, construct of trivial, raises ru_maxrss by 4.3-4.4 MB at 2^14 cells,
+# 2.3-2.4 MB at 2^13 and 1.3-1.4 MB at 2^12.  From 2^13 down no construct sets the
+# pass's high-water mark, 4.5-4.7 MB above the imports (5.1 MB at 2^14), and the text
+# of the ten tables took 75.7-97.5 ms at 2^13, 80.6-99.6 ms at 2^14 and 79.9-101.2 ms
+# at 2^12 (medians of 31 interleaved repetitions, two runs)
+_CSV_BLOCK = 1 << 13
 _CELL = 26  # bytes per cell: at most 24 of '%.17g' text, then ',' or '\r\n'
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant
 _POW10 = np.concatenate(([1.0], np.cumprod(np.full(22, 10.0))))  # 10^0..10^22, all exact

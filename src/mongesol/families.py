@@ -18,7 +18,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import operator
 import sys
 from collections import namedtuple
 from collections.abc import Mapping
@@ -42,6 +41,8 @@ from .jets import (
     jpow,
     jsqrt,
     poly_jet,
+    _Sum,
+    _sum,
     _times,
 )
 from .nu_algebra import NuPair
@@ -505,16 +506,14 @@ def _build_trivial(cfg: TrivialConfig, scales) -> FieldBundle:
     def fields(x, z, m):
         xj, zj = jet_seed(x, z, m)
         parts = [(lam, poly_jet(coeffs, xj + lam * zj)) for lam, coeffs in dn]
+        del xj, zj
         out = {}
         for j in range(n):
-            acc = parts[0][1] * (parts[0][0] ** (n - j))
-            for lam, pj in parts[1:]:
-                acc = acc + pj * (lam ** (n - j))
-            out[f"a{j}"] = _times(acc, s0) if j == 0 else acc
-        w = parts[0][1]
-        for _, pj in parts[1:]:
-            w = w + pj
-        out["W"] = w
+            acc = _Sum()
+            for lam, pj in parts:
+                acc.add_product(pj, lam ** (n - j))
+            out[f"a{j}"] = _times(acc.total, s0) if j == 0 else acc.total
+        out["W"] = _sum(pj for _, pj in parts)
         out["f"] = out["a0"]
         return out
 
@@ -672,22 +671,24 @@ class _Row:
         """This row on the branch where its log argument is positive at ``t``
         (math.exp: a parameter that overflows raises OverflowError)."""
         u = t if self.shift is None else t + self.shift
-        arg = _total(c * math.exp(p * u) for c, p in self.exps) + self.c0
+        arg = _sum(c * math.exp(p * u) for c, p in self.exps) + self.c0
         return dataclasses.replace(self, sign=1.0 if arg > 0 else -1.0)
 
     def margin(self, t):
         u = t if self.shift is None else t + self.shift
-        return self.sign * (_total(c * np.exp(p * u) for c, p in self.exps) + self.c0) - EPS
+        return self.sign * (_sum(c * np.exp(p * u) for c, p in self.exps) + self.c0) - EPS
 
     def jet(self, tj: Jet2) -> Jet2:
         u = tj if self.shift is None else tj + self.shift
-        out = _times(u, self.a)
-        if self.exps:
-            arg = _total(_times(jexp(_times(u, p)), c) for c, p in self.exps)
-            if self.c0:
-                arg = arg + self.c0
-            out = out + _times(jlog(_times(arg, self.sign)), self.b)
-        return _times(out, self.scale)
+        if not self.exps:
+            return _times(_times(u, self.a), self.scale)
+        arg = _sum(_times(jexp(_times(u, p)), c) for c, p in self.exps)
+        if self.c0:
+            arg = arg + self.c0
+        log_term = _times(jlog(_times(arg, self.sign)), self.b)
+        del arg
+        # the linear term only now, so that it is not held through the log's temporaries
+        return _times(_times(u, self.a) + log_term, self.scale)
 
 
 def _line_bundle(rows, quad, wf_tag, wf_res, rect, scales, extra=()) -> FieldBundle:
@@ -707,6 +708,7 @@ def _line_bundle(rows, quad, wf_tag, wf_res, rect, scales, extra=()) -> FieldBun
     def fields(x, z, m):
         xj, zj = jet_seed(x, z, m)
         l1j, l2j, thj, sgj = (f(arg(xj, zj)) for f, arg in zip(jets, args))
+        del xj, zj
         out = {f"a{j}": nu.combine(n - 1 - j, l1j, l2j) for j in range(n)}
         out["a0"] = out["a0"] + thj
         out["W"] = nu.combine(-1, l1j, l2j) + sgj
@@ -937,11 +939,6 @@ def _build_n_theta_const(cfg: NThetaConstConfig, scales) -> FieldBundle:
 _SlopeRoot = namedtuple("_SlopeRoot", "slot seed denom line")
 
 
-def _total(terms):
-    """Sum over slope roots from the first term, so one root's sum is that term."""
-    return functools.reduce(operator.add, terms)
-
-
 def _quadratic_slope_jets(xj, zj):
     """Jets of the two slope fields solving ``slope^2 - z*slope - x = 0``."""
     disc = jsqrt(zj * zj + 4.0 * xj)
@@ -983,19 +980,28 @@ def _slope_root_bundle(cfg, scales, roots: tuple[_SlopeRoot, ...], root_jets, cp
     def fields(x, z, m):
         xj, zj = jet_seed(x, z, m)
         sjs = root_jets(xj, zj)
-        comps = [closed_forms(sj) for sj in sjs]  # per root: (s^2, s^-1) integrals
-        a0 = _total(_times(comp2, c) for (comp2, _), c in zip(comps, sc))
-        a0 = a0 if theta is None else a0 + _times(theta(zj), sth)
+        # the seeds' own terms first, so that no seed is held through the closed forms
+        sg = _times(sigma(xj), ssg)
+        th = None if theta is None else _times(theta(zj), sth)
+        del xj, zj
+        a0, w = _Sum(), _Sum()
+        for sj, c in zip(sjs, sc):  # per root: the (s^2, s^-1) integrals, summed as they come
+            comp2, comp_m1 = closed_forms(sj)
+            a0.add(_times(comp2, c))
+            w.add(_times(comp_m1, c))
+        del comp2, comp_m1
+        if th is not None:
+            a0.add(th)
+        w.add(sg)
         # per slope root, the unscaled (a2, a1) pair, built on first read
         pairs = _Fields(**{root.slot: functools.partial(prim, sj)
                            for root, prim, sj in zip(roots, prims, sjs)})
         return _Fields(
-            a2=lambda: _total(_times(pairs[root.slot][0], c) for root, c in zip(roots, sc)),
-            a1=lambda: _total(_times(pairs[root.slot][1], c) for root, c in zip(roots, sc)),
-            a0=a0,
-            W=_total(_times(comp_m1, c) for (_, comp_m1), c in zip(comps, sc))
-            + _times(sigma(xj), ssg),
-            f=a0,
+            a2=lambda: _sum(_times(pairs[root.slot][0], c) for root, c in zip(roots, sc)),
+            a1=lambda: _sum(_times(pairs[root.slot][1], c) for root, c in zip(roots, sc)),
+            a0=a0.total,
+            W=w.total,
+            f=a0.total,
         )
 
     theta_z = _scaled(theta_z, sth)
@@ -1013,14 +1019,14 @@ def _slope_root_bundle(cfg, scales, roots: tuple[_SlopeRoot, ...], root_jets, cp
         p = [cp(si) / root.denom(x, z) for root, cp, si in zip(roots, cprimes, s)]
 
         def f_z():
-            total = _total(si ** 3 * pi for si, pi in zip(s, p))
+            total = _sum(si ** 3 * pi for si, pi in zip(s, p))
             return total if theta is None else total + theta_z(z)
 
         return _Fields(
-            f_x=lambda: _total(si ** 2 * pi for si, pi in zip(s, p)),
+            f_x=lambda: _sum(si ** 2 * pi for si, pi in zip(s, p)),
             f_z=f_z,
-            W_x=lambda: _total(pi / si for si, pi in zip(s, p)) + sigma_x(x),
-            W_z=lambda: _total(p),
+            W_x=lambda: _sum(pi / si for si, pi in zip(s, p)) + sigma_x(x),
+            W_z=lambda: _sum(p),
         )
 
     return FieldBundle(n=3, mutation_slots=slots, fields_fn=fields, general_quadruple=general,
@@ -1084,9 +1090,19 @@ def _build_general(cfg: GeneralNuConfig, scales) -> FieldBundle:
         h = math.sqrt(-g)
 
     def closed_forms(nuj):  # integrals of s^2 C'(s), -s - (h/2) log((s-h)/(s+h)), and s^-1 C'(s)
+        # built one log at a time, each operand dropped once read
         n2j = nuj * nuj
-        return (-nuj - (h / 2) * jlog((nuj - h) / (nuj + h)),
-                (-1.0 / (2 * g)) * (jlog(n2j) - jlog(n2j + g)))
+        shifted = n2j + g
+        log_n2 = jlog(n2j)
+        del n2j
+        comp_m1 = (-1.0 / (2 * g)) * (log_n2 - jlog(shifted))
+        del shifted, log_n2
+        inv = (nuj + h).recip()  # the quotient's reciprocal, before its numerator is made
+        ratio = (nuj - h) * inv
+        del inv
+        log_ratio = (h / 2) * jlog(ratio)
+        del ratio
+        return -nuj - log_ratio, comp_m1
 
     def sigma(xj):
         return (1.0 / g) * (jlog(xj) - jlog(xj + g))
@@ -1131,12 +1147,14 @@ def _build_general_e0(cfg: GeneralNuE0Config, scales) -> FieldBundle:
 
     def closed_forms(nuj):  # integrals of s^2 C'(s) and s^-1 C'(s), in w = s^3: one cube
         wj = jpow(nuj, 3)
-        log1, log2 = jlog(wj + a1), jlog(wj + a2)
-        return ((1.0 / (3 * a * (a2 - a1))) * (log1 - log2),
-                (1.0 / (3 * a)) * (  # partial fractions
-                    jlog(wj) * (1.0 / (a1 * a2))
-                    - log1 * (1.0 / (a1 * (a2 - a1)))
-                    + log2 * (1.0 / (a2 * (a2 - a1)))))
+        log1, log2, log_w = jlog(wj + a1), jlog(wj + a2), jlog(wj)
+        del wj
+        comp_m1 = (1.0 / (3 * a)) * (  # partial fractions
+            log_w * (1.0 / (a1 * a2))
+            - log1 * (1.0 / (a1 * (a2 - a1)))
+            + log2 * (1.0 / (a2 * (a2 - a1))))
+        del log_w
+        return (1.0 / (3 * a * (a2 - a1))) * (log1 - log2), comp_m1
 
     def sigma(xj):
         return (1.0 / (3 * c)) * jlog(jpow(xj, -3) * c + a)

@@ -125,14 +125,26 @@ def implicit_jet(f: Callable[[Jet1], Jet1], xj: Jet2, zj: Jet2, lam0,
     m = xj.m
     lam = Jet2.constant(np.asarray(lam0), m)
     for _ in range(max(3, m.bit_length())):
-        fj, fpj = _univariate_on_jet(f, lam)
-        if slope is None:
-            g, gp = xj + lam * zj - fj, zj - fpj
-        else:
-            sj, spj = _univariate_on_jet(slope, lam)
-            g, gp = xj + sj * zj - fj, spj * zj - fpj
-        lam = lam - g / gp
+        lam = lam - _newton_step(f, slope, xj, zj, lam)
     return lam
+
+
+def _newton_step(f, slope, xj: Jet2, zj: Jet2, lam: Jet2) -> Jet2:
+    """One pass of ``implicit_jet``'s Newton: ``g / g'`` at ``lam``.  Each of F, S, g
+    and g' is dropped once read, so a pass holds few jets beyond the step."""
+    fj, fpj = _univariate_on_jet(f, lam)
+    if slope is None:
+        g = xj + lam * zj - fj
+        del fj
+        gp = zj - fpj
+    else:
+        sj, spj = _univariate_on_jet(slope, lam)
+        g = xj + sj * zj - fj
+        del sj, fj
+        gp = spj * zj - fpj
+        del spj
+    del fpj
+    return g / gp
 
 
 def _univariate_on_jet(f: Callable[[Jet1], Jet1], a: Jet2, derivative: bool = True):

@@ -72,13 +72,21 @@ The other operand of ``+``, ``-``, ``*`` and ``/`` is a jet of the same
 order, a number, or an array with at most as many axes as the jet's
 points.  A sum with a number or an array is one new jet of the jet's
 shape: the operand is added into its value plane and the other planes are
-copied.  A product or quotient scales every plane and may broadcast the
-points.  An array with more axes would broadcast against the plane axis,
-so each of the four operations raises a ValueError for it.  Scaling by
-exactly 1.0 is the identity on real planes, bit for bit, so structural
-constants (mutation factors, row coefficients, slope weights) go through
-``_times``, which skips that product; ``Jet2.__mul__``, whose calls count
-jet products, keeps no such test.  (On complex planes ``v * 1.0`` is a full
+copied.  A difference is one ``np.subtract`` in the same way, with the bits
+of ``a + (-b)`` but for a nan's sign, and no negated copy of ``b``; where a
+real operand meets complex planes it stays ``a + (-b)``, because the
+operand's implicit +0 imaginary part turns a -0 into +0 when added to the
+negation but not when subtracted.  Jets are never summed in place:
+``_times(v, 1.0)`` is ``v`` itself, so ``+=`` could write into an operand.
+A sum of many jets goes through ``_Sum``, which adds each one after its
+first sum into that sum's own buffer, with the bits of the left fold.  A
+product or quotient scales every plane and may broadcast the points.  An
+array with more axes would broadcast against the plane axis, so each of
+the four operations raises a ValueError for it.  Scaling by exactly 1.0 is
+the identity on real planes, bit for bit, so structural constants
+(mutation factors, row coefficients, slope weights) go through ``_times``,
+which skips that product; ``Jet2.__mul__``, whose calls count jet
+products, keeps no such test.  (On complex planes ``v * 1.0`` is a full
 complex product, which can flip a zero part's sign; the complex digest jobs
 show that no output moves.)
 """
@@ -186,15 +194,19 @@ class Jet2:
                              f"the jet's points {self.shape}")
         return other
 
-    def __add__(self, other):
+    def _planewise(self, other, op):
+        """``op(self, other)`` for ``np.add`` or ``np.subtract``, in one allocation: plane
+        by plane with a jet, else into the value plane, with the other planes copied."""
         if isinstance(other, Jet2):
             self._check_order(other)
-            return type(self)(self.m, self.c + other.c)
-        # one allocation: the sum into the value plane, then the other planes copied
+            return type(self)(self.m, op(self.c, other.c))
         out = np.empty(self.c.shape, dtype=np.promote_types(self.c.dtype, np.asarray(other).dtype))
-        np.add(self.c[0, 0, ...], other, out=out[0, 0, ...])
+        op(self.c[0, 0, ...], other, out=out[0, 0, ...])
         out[0, 1:] = self.c[0, 1:]
         return type(self)(self.m, out)
+
+    def __add__(self, other):
+        return self._planewise(other, np.add)
 
     __radd__ = __add__
 
@@ -202,10 +214,14 @@ class Jet2:
         return type(self)(self.m, -self.c)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Jet2) else -np.asarray(other))
+        if np.iscomplexobj(self.c) and not np.iscomplexobj(other.c if isinstance(other, Jet2)
+                                                           else other):
+            # a real operand's implicit +0 imaginary part: -0 + 0 is +0, -0 - 0 is -0
+            return self + (-other if isinstance(other, Jet2) else -np.asarray(other))
+        return self._planewise(other, np.subtract)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return type(self)(self.m, _add_to_value(-self.c, other))
 
     def __mul__(self, other):
         cls = type(self)
@@ -388,6 +404,60 @@ def poly_jet(coeffs: Sequence, a: Jet2) -> Jet2:
 def _times(v, c):
     """``v * c`` for a jet or an array ``v``, and ``v`` itself when ``c`` is exactly 1.0."""
     return v if c == 1.0 else v * c
+
+
+class _Sum:
+    """A running sum ``t0 + t1 + ...`` of jets, added left to right.
+
+    ``total`` holds the bits of ``functools.reduce(operator.add, terms)``:
+    one term's sum is that term itself, the first sum of two is a new jet,
+    and each later jet is added into that sum's own buffer, in place, when
+    the buffer holds the sum's dtype and shape (else the sum is a new one
+    again).  So only buffers the sum made itself are ever written, never an
+    operand, also not a term that is an operand elsewhere (``_times(v, 1.0)
+    is v``).  Other terms (numbers, arrays) are added by ``+`` alone.  Read
+    ``total`` once the last term is in.
+    """
+
+    __slots__ = ("total", "_own")
+
+    def __init__(self):
+        self.total, self._own = None, False
+
+    def add(self, term) -> "_Sum":
+        if self.total is None:
+            self.total = term
+        elif not (self._own and _add_into(self.total, term)):
+            self.total, self._own = self.total + term, True
+        return self
+
+    def add_product(self, v, c) -> "_Sum":
+        """Add ``v * c``, a product the sum makes itself: the first is its buffer."""
+        if self.total is None:
+            self.total, self._own = v * c, True
+            return self
+        return self.add(v * c)
+
+
+def _sum(terms):
+    """``t0 + t1 + ...`` over an iterable of jets, numbers or arrays, by :class:`_Sum`."""
+    acc = _Sum()
+    for term in terms:
+        acc.add(term)
+    return acc.total
+
+
+def _add_into(total, term) -> bool:
+    """Add jet ``term`` into the buffer of jet ``total`` if both have one layout and
+    order and that buffer holds ``total + term``'s dtype and shape; return whether it did."""
+    if not (isinstance(total, Jet2) and type(term) is type(total) and term.m == total.m):
+        return False
+    buf, other = total.c, term.c
+    if (np.result_type(buf, other) != buf.dtype
+            or np.broadcast_shapes(buf.shape, other.shape) != buf.shape):
+        return False
+    np.add(buf, other, out=buf)
+    return True
 
 
 def _real(*arrays) -> bool:

@@ -54,7 +54,10 @@ __all__ = [
 KNOWN_CHECKS = ("compat", "dependence", "wf", "eq5", "eq10", "reconstruct")
 
 # Most points a grid taken from a config, richardson_ratio's finer grid, or one
-# probe set may hold: 2**20 points of order-2 jets are a few hundred MB of temporaries.
+# probe set may hold.  A 321x321 verify with reconstruct (order-2 jets) peaks at most
+# at 584 traced bytes per point over the canonical families (m3_general; 776 before
+# each field evaluation dropped its operands once read), so 2**20 points take about
+# 0.6 GB.
 MAX_POINTS = 2 ** 20
 
 DEFAULT_TOLERANCES = {

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +45,7 @@ from mongesol.families import (
 import mongesol
 from mongesol import cli, families
 from mongesol.jets import Jet2, jet_partial, jet_seed, jpow, jsqrt, poly_jet
-from mongesol.verifier import GridSpec, admissible_grid, sample_points
+from mongesol.verifier import GridEval, GridSpec, admissible_grid, sample_points
 
 
 def _load_script(name):
@@ -552,6 +553,39 @@ def test_fields_fn_jet_products_are_pinned(tag, monkeypatch):
     fl = b.fields_fn(x, z, 1)
     assert all(np.isfinite(fl[name].value).all() for name in fl)
     assert len(calls) == _PRODUCTS_9X9[tag]
+
+
+# tracemalloc peak, in MB, of one order-2 fields evaluation at 81x81 with every field
+# read, pinned at +5 %: the jets a family returns plus the temporaries of the step that
+# sets the peak, which stay few while the evaluation drops each operand once read
+# (hodograph._newton_step, the slope-root folds, the row jets) and sums into buffers of
+# its own (jets._Sum)
+_FIELD_PEAK_MB_81 = {
+    "trivial": 3.16, "m1_implicit": 2.63, "degenerate": 3.26, "m3_sigma_const": 3.42,
+    "m3_l1_const": 3.10, "m3_theta_const": 3.10, "m3_hodograph_example": 3.10,
+    "m3_general": 3.73, "m3_general_e0": 3.73, "mn_theta_const": 3.15,
+}
+
+
+@pytest.mark.parametrize("tag", FAMILY_TAGS)
+def test_the_field_evaluation_peak_is_pinned(tag):
+    bundle = make_family(canonical_config(tag))
+    ev = GridEval(bundle, GridSpec.for_bundle(bundle, nx=81, nz=81), 2)
+    ev.points  # the admissible grid (and an implicit family's roots) outside the trace
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fl = ev.fields
+        for name in fl:
+            fl[name]
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 1.05e6 * _FIELD_PEAK_MB_81[tag], f"{tag}: {peak / 1e6:.3f} MB"
 
 
 def test_the_committed_gauss_rule_is_leggauss_48():

@@ -1,3 +1,4 @@
+import functools
 import operator
 import warnings
 
@@ -19,6 +20,9 @@ from mongesol.jets import (
     jpow,
     jsqrt,
     poly_jet,
+    _Sum,
+    _sum,
+    _times,
 )
 
 
@@ -772,3 +776,118 @@ def test_a_univariate_jet_has_no_z_planes():
             u.plane(i, j)
         with pytest.raises(ValueError, match="no plane"):
             jet_partial(u, i, j)
+
+
+# -- differences and running sums ----------------------------------------------
+
+
+def _signed_sample(rng, cls, m, shape, complex_):
+    """Coefficients of a ``cls`` jet with +-0 and +-inf in every plane, in both parts of
+    a complex entry (no nans: ``a - b`` and ``a + (-b)`` may give a nan other signs)."""
+    special = np.array([0.0, -0.0, np.inf, -np.inf])
+    parts = []
+    for _ in range(2 if complex_ else 1):
+        c = rng.standard_normal((1, cls._n_planes(m)) + shape)
+        pick = rng.integers(0, 2 * len(special), size=c.shape)
+        np.copyto(c, special[pick % len(special)], where=pick < len(special))
+        parts.append(c)
+    if not complex_:
+        return cls(m, parts[0])
+    c = np.empty(parts[0].shape, complex)
+    c.real, c.imag = parts
+    return cls(m, c)
+
+
+def _same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                                       b.view(np.int64))
+
+
+@pytest.mark.parametrize("cls", [Jet2, Jet1])
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("m", range(4))
+def test_a_difference_has_the_bits_of_the_sum_of_the_negation(cls, complex_, m):
+    # one np.subtract gives what a + (-b) gave, signed zeros and inf - inf included
+    rng = np.random.default_rng([m, complex_, cls is Jet1])
+    for shapes in (((6,), (6,)), ((3, 1), (1, 4)), ((), ()), ((5,), (1,))):
+        a, b = (_signed_sample(rng, cls, m, shape, complex_) for shape in shapes)
+        s = _signed_sample(rng, cls, 0, shapes[0], complex_).value
+        r = _signed_sample(rng, cls, m, shapes[1], False)  # a real jet, on complex a too
+        with np.errstate(invalid="ignore"):  # inf - inf
+            pairs = [(a - b, a + (-b)), (b - a, b + (-a)), (a - a, a + (-a)),
+                     (a - r, a + (-r)), (r - a, r + (-a)),
+                     (a - s, a + (-s)), (a - 2.5, a + (-2.5)), (a - -0.0, a + 0.0),
+                     (s - a, (-a) + s), (-0.0 - a, (-a) + -0.0), (1.5j - a, (-a) + 1.5j)]
+        for got, want in pairs:
+            assert type(got) is cls and got.m == m
+            assert _same_bits(got.c, want.c)
+
+
+def _operand_terms(rng, shape=(5,)):
+    """Jets of one order: real and complex, one broadcasting over fewer points, and one
+    repeated, with a term that is an operand itself (``_times(v, 1.0) is v``)."""
+    a, b, c = (_signed_sample(rng, Jet2, 2, shape, False) for _ in range(3))
+    z = _signed_sample(rng, Jet2, 2, shape, True)
+    small = _signed_sample(rng, Jet2, 2, (1,), False)
+    assert _times(a, 1.0) is a
+    return [
+        [a],
+        [a, b],
+        [_times(a, 1.0), b, c, a, small],
+        [a, z, b, a],  # a complex term promotes the sum once, then it is added in place
+        [small, a, b],  # the first sum broadcasts to the points
+        [b, b, b, b],
+    ]
+
+
+def test_a_running_sum_has_the_bits_of_the_left_fold_and_writes_no_operand():
+    rng = np.random.default_rng(40)
+    for terms in _operand_terms(rng):
+        before = {id(t): t.c.copy() for t in terms}
+        with np.errstate(invalid="ignore"):  # inf - inf
+            want = functools.reduce(operator.add, terms)
+            got = _sum(terms)
+        assert _same_bits(got.c, want.c)
+        for t in terms:
+            assert _same_bits(t.c, before[id(t)])
+        if len(terms) == 1:
+            assert got is terms[0]  # one term's sum is that term
+    # each jet after the first sum is added into that sum's own buffer
+    a, b, c = (_signed_sample(rng, Jet2, 2, (4,), False) for _ in range(3))
+    acc = _Sum().add(a).add(b)
+    buf = acc.total.c
+    assert buf is not a.c and buf is not b.c
+    with np.errstate(invalid="ignore"):
+        acc.add(c).add(a)
+        want = ((a + b) + c) + a
+    assert acc.total.c is buf and _same_bits(buf, want.c)
+    # numbers and arrays are summed by + alone, with the same bits
+    arrays = [rng.standard_normal(4) for _ in range(4)]
+    copies = [v.copy() for v in arrays]
+    assert _same_bits(_sum(arrays), ((arrays[0] + arrays[1]) + arrays[2]) + arrays[3])
+    assert all(_same_bits(v, w) for v, w in zip(arrays, copies))
+    assert _sum(x for x in (0.5, 0.25, 2.0)) == 2.75
+
+
+def test_a_running_sum_of_products_makes_its_first_product_its_buffer():
+    rng = np.random.default_rng(41)
+    jets = [_signed_sample(rng, Jet2, 2, (5,), True) for _ in range(3)]
+    before = [j.c.copy() for j in jets]
+    scales = [1.0 + 0j, -1.0 + 0j, 0.5j]  # products by a complex 1 are made, not skipped
+    acc = _Sum()
+    with np.errstate(invalid="ignore"):  # inf * 0 in complex products, inf - inf
+        for v, c in zip(jets, scales):
+            acc.add_product(v, c)
+        want = functools.reduce(operator.add, (v * c for v, c in zip(jets, scales)))
+    assert all(acc.total is not v for v in jets)
+    assert _same_bits(acc.total.c, want.c)
+    assert all(_same_bits(j.c, c) for j, c in zip(jets, before))
+
+
+def test_a_running_sum_keeps_the_layout_and_order_checks():
+    u = jet_seed1(np.array([1.0, 2.0]), 2)
+    b = jet_seed(np.array([1.0, 2.0]), 0.5, 2)[0]
+    for terms in ([b, b, u], [b, b, jet_seed(1.0, 0.5, 1)[0]]):
+        with pytest.raises(ValueError, match="mismatch"):
+            _sum(terms)
