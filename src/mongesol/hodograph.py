@@ -52,7 +52,7 @@ _SCALAR_MAX_NODES = 12
 _RK4_STEP_LIMIT = 2.785293563405282
 _RK4_OSC_STEP_LIMIT = 2.0 * math.sqrt(2.0)
 # schrodinger_solve: steps per block of the array kernel's stage factors, which
-# would take twice the bytes of k^2 W_c if built for all steps at once
+# would take 48 bytes per node and step if built for all steps at once
 _RK4_BLOCK = 128
 
 
@@ -225,12 +225,18 @@ def schrodinger_solve(
     1.0.  A product with 1.0 is exact and a product of two floats does not
     depend on their order, so this equals stacking ``(w', v w)``, without
     the copy that stacking makes per stage; the scalar kernel takes ``w'``
-    itself as that row.  The array kernel builds those factors for
-    ``_RK4_BLOCK`` steps at a time; ``k^2 W_c`` and the solution array stay
-    whole, as the checks above read all of ``k^2 W_c`` before any step.  A
-    Python float is a C double, and each of its operations is one IEEE
-    operation with no fused multiply-add, so the two kernels, which make the
-    same operations in the same order, give the same bits, and each node
+    itself as that row.  Only the solution array is whole: ``k^2 W_c`` is
+    formed as the kernels read it, ``k^2 * W_c`` per node in the scalar
+    kernel and ``W_c * k^2`` for ``_RK4_BLOCK`` steps at a time in the array
+    kernel, the same products either way.  The overflow and step-limit
+    checks read the extremes of ``k^2`` and ``W_c``, which settle them
+    exactly (see ``_stage_factors_may_fail``); only when they fail is
+    ``k^2 W_c`` built whole, to name the first node and c at fault.  At 200
+    nodes and 2000 steps the traced peak is 14.5 MB, for a 12.8 MB
+    solution, where the whole ``k^2 W_c`` made it 25.3 MB (x86-64, numpy
+    2.4).  A Python float is a C double, and each of its operations is one
+    IEEE operation with no fused multiply-add, so the two kernels, which make
+    the same operations in the same order, give the same bits, and each node
     equals a scalar-``k`` solve.
     """
     steps = _count(steps, "steps")
@@ -257,34 +263,24 @@ def schrodinger_solve(
     if np.any(bad):
         c_bad = float(stages[np.argmax(bad)])
         raise MongesolError(f"non-finite potential profile value at c={c_bad!r}")
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below, by node and c
-        v = (kk * kk)[None, :] * prof[:, None]  # (3 * steps, K)
-    bad = ~np.isfinite(v)
-    if np.any(bad):
-        i, j = np.unravel_index(np.argmax(bad), bad.shape)
-        raise MongesolError(f"k^2 * W_c(c) overflows at node k={float(kk[j])!r}, "
-                            f"c={float(stages[i])!r}")
-    # the bounds on k^2 W_c above and below (+-inf for a tiny h); two reductions settle it
+    with np.errstate(over="ignore"):  # an overflowing k^2 is reported below, by node and c
+        ksq = kk * kk
+    # the bounds on k^2 W_c above and below (+-inf for a tiny h)
     top, bottom = _RK4_STEP_LIMIT / abs(h), _RK4_OSC_STEP_LIMIT / abs(h)
     top, bottom = top * top, -bottom * bottom  # a product overflows to inf, no error
-    if v.size and (v.max() > top or v.min() < bottom):
-        i, j = np.unravel_index(np.argmax((v > top) | (v < bottom)), v.shape)
-        limit = _RK4_STEP_LIMIT if v[i, j] > 0 else _RK4_OSC_STEP_LIMIT
-        raise MongesolError(
-            f"RK4 step too large at node k={float(kk[j])!r}, c={float(stages[i])!r}: "
-            f"h * sqrt|k^2 W_c| = {abs(h) * math.sqrt(abs(v[i, j])):.4g} exceeds the "
-            f"stability limit {limit:.4f}; use more steps")
+    if ksq.size and _stage_factors_may_fail(ksq, prof, top, bottom):
+        _check_stage_factors(ksq, prof, stages, kk, h, top, bottom)
 
     # y = (w, w') x (fundamental solution 1, 2) x nodes
     ys = np.empty((steps + 1, 2, 2, kk.size))
     ys[0] = np.eye(2)[:, :, None]
     if kk.size <= _SCALAR_MAX_NODES:
         for j in range(kk.size):
-            vj = memoryview(np.ascontiguousarray(v[:, j]))
+            vj = memoryview(ksq[j] * prof)
             for b in (0, 1):
                 _rk4_scalar(vj, memoryview(ys[:, 0, b, j]), memoryview(ys[:, 1, b, j]), h)
     else:
-        _rk4_array(v.reshape(steps, 3, kk.size), ys, h)
+        _rk4_array(prof.reshape(steps, 3), ksq, ys, h)
     bad = ~np.isfinite(ys)
     if np.any(bad):
         i = np.argmax(bad.any(axis=(1, 2, 3)))
@@ -315,22 +311,24 @@ def _rk4_scalar(v: memoryview, ws: memoryview, ps: memoryview, h: float) -> None
         ps[i] = p
 
 
-def _rk4_array(v: np.ndarray, ys: np.ndarray, h: float) -> None:
-    """All nodes' RK4 runs at once, from ``ys[0]``: ``v`` is ``(steps, 3, K)``.
+def _rk4_array(prof: np.ndarray, ksq: np.ndarray, ys: np.ndarray, h: float) -> None:
+    """All nodes' RK4 runs at once, from ``ys[0]``: ``prof`` holds ``W_c`` at the
+    stage points as ``(steps, 3)``, and ``ksq`` holds ``k^2`` per node.
 
-    The stage factors ``(1, v)`` of ``_RK4_BLOCK`` steps at a time go into
-    one reused buffer, whose row 0 holds 1.0 throughout; ``v`` and ``ys``
-    stay whole.  Every step makes the same products in the same order at
-    any block size, so the blocking moves no bit.
+    The stage factors ``(1, k^2 W_c)`` of ``_RK4_BLOCK`` steps at a time go
+    into one reused buffer, whose row 0 holds 1.0 throughout and whose row 1
+    is written as ``prof[block] * ksq``, the products the scalar kernel forms
+    per node; only ``ys`` is whole.  Every step makes the same products in
+    the same order at any block size, so the blocking moves no bit.
     """
-    steps, _, nodes = v.shape
-    # stage factors (1, v) per step of a block and stage point: row 0 holds 1.0, row 1 v
+    steps, nodes = prof.shape[0], ksq.size
+    # stage factors (1, k^2 W_c) per step of a block and stage point: row 0 holds 1.0
     vs = np.ones((min(steps, _RK4_BLOCK), 3, 2, 1, nodes))
     hh, h6 = h / 2, h / 6
     with np.errstate(over="ignore", invalid="ignore"):  # the caller names an overflowing mode
         for i0 in range(0, steps, _RK4_BLOCK):
             block = vs[:min(_RK4_BLOCK, steps - i0)]
-            block[:, :, 1, 0] = v[i0:i0 + block.shape[0]]
+            np.multiply(prof[i0:i0 + block.shape[0], :, None], ksq, out=block[:, :, 1, 0])
             for i, (v0, v1, v2) in enumerate(block, i0):
                 y = ys[i]
                 k1 = y[::-1] * v0
@@ -338,6 +336,45 @@ def _rk4_array(v: np.ndarray, ys: np.ndarray, h: float) -> None:
                 k3 = (y + hh * k2)[::-1] * v1
                 k4 = (y + h * k3)[::-1] * v2
                 np.add(y, h6 * (k1 + 2 * k2 + 2 * k3 + k4), out=ys[i + 1])
+
+
+def _stage_factors_may_fail(ksq: np.ndarray, prof: np.ndarray, top: float,
+                            bottom: float) -> bool:
+    """Whether some ``ksq[j] * prof[i]`` is not finite or leaves ``[bottom, top]``,
+    from the extremes of the two factors alone.
+
+    Exact, since ``ksq >= 0`` and a rounded product grows with each factor's
+    magnitude: some product is not finite exactly when ``max(ksq) * max|prof|``
+    is, the largest product is ``max(ksq) * max(prof)`` (``min(ksq) * max(prof)``
+    when every ``prof < 0``), and the smallest is ``max(ksq) * min(prof)``
+    (``min(ksq) * min(prof)`` when every ``prof > 0``).
+    """
+    kmin, kmax = ksq.min(), ksq.max()
+    pmin, pmax = prof.min(), prof.max()
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 is nan: not finite
+        most = kmax * max(-pmin, pmax)
+        vmax = (kmax if pmax >= 0 else kmin) * pmax
+        vmin = (kmax if pmin <= 0 else kmin) * pmin
+    return not np.isfinite(most) or vmax > top or vmin < bottom
+
+
+def _check_stage_factors(ksq, prof, stages, kk, h, top, bottom) -> None:
+    """Build ``v = k^2 W_c`` over every stage point and node, and raise for its first
+    non-finite entry, else for its first beyond the RK4 step limit, naming node and c."""
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, by node and c
+        v = ksq[None, :] * prof[:, None]  # (3 * steps, K)
+    bad = ~np.isfinite(v)
+    if np.any(bad):
+        i, j = np.unravel_index(np.argmax(bad), bad.shape)
+        raise MongesolError(f"k^2 * W_c(c) overflows at node k={float(kk[j])!r}, "
+                            f"c={float(stages[i])!r}")
+    if v.max() > top or v.min() < bottom:
+        i, j = np.unravel_index(np.argmax((v > top) | (v < bottom)), v.shape)
+        limit = _RK4_STEP_LIMIT if v[i, j] > 0 else _RK4_OSC_STEP_LIMIT
+        raise MongesolError(
+            f"RK4 step too large at node k={float(kk[j])!r}, c={float(stages[i])!r}: "
+            f"h * sqrt|k^2 W_c| = {abs(h) * math.sqrt(abs(v[i, j])):.4g} exceeds the "
+            f"stability limit {limit:.4f}; use more steps")
 
 
 def _first_non_real(a: np.ndarray) -> int:
@@ -418,9 +455,9 @@ def assemble_r_integral(
     b = np.linspace(b_range[0], b_range[1], nb)
     c = sol.c_grid
 
-    def build(ks, w1, w2):
+    def build(ks, w1, w2, rbb=None):
+        """R over the nodes ``ks``; R_bb is added into ``rbb`` when one is given."""
         r = np.zeros((nb, c.size))
-        rbb = np.zeros_like(r)
         for wgt, k, s1, s2 in zip(_weights(ks, mode), ks, w1, w2):
             a1, a2 = f1(k), f2(k)
             if not (np.isfinite(a1) and np.isfinite(a2)):
@@ -429,12 +466,14 @@ def assemble_r_integral(
             amp = wgt * (a1 * s1 + a2 * s2)  # shape (nc,)
             ekb = np.exp(k * b)[:, None]
             r += ekb * amp[None, :]
-            rbb += (k * k) * ekb * amp[None, :]
-        return r, rbb
+            if rbb is not None:
+                rbb += (k * k) * ekb * amp[None, :]
+        return r
 
     rows = slice(None, None, 2 if refine else 1)
     coarse = OdeSolution(sol.k[rows], c, sol.w1[rows], sol.w1p[rows], sol.w2[rows], sol.w2p[rows])
-    r, rbb = build(k_nodes, coarse.w1, coarse.w2)
+    rbb = np.zeros((nb, c.size))
+    r = build(k_nodes, coarse.w1, coarse.w2, rbb)
     drift = coarse.wronskian_drift
 
     # second derivative in c by a 7-point stencil on a strided subgrid; the
@@ -449,7 +488,7 @@ def assemble_r_integral(
 
     change = None
     if refine:
-        r2, _ = build(nodes, sol.w1, sol.w2)
+        r2 = build(nodes, sol.w1, sol.w2)
         change = float(np.max(np.abs(r2 - r)))
         if not (change <= _DOUBLING_TOL * max(1.0, float(np.max(np.abs(r))))):
             raise QuadratureError(

@@ -76,7 +76,10 @@ copied.  A difference is one ``np.subtract`` in the same way, with the bits
 of ``a + (-b)`` but for a nan's sign, and no negated copy of ``b``; where a
 real operand meets complex planes it stays ``a + (-b)``, because the
 operand's implicit +0 imaginary part turns a -0 into +0 when added to the
-negation but not when subtracted.  Jets are never summed in place:
+negation but not when subtracted.  Two jets whose points have different
+numbers of axes are summed, subtracted and multiplied alike, by numpy's
+broadcasting of the points: the planes of the one with fewer point axes
+get unit axes in front of its points.  Jets are never summed in place:
 ``_times(v, 1.0)`` is ``v`` itself, so ``+=`` could write into an operand.
 A sum of many jets goes through ``_Sum``, which adds each one after its
 first sum into that sum's own buffer, with the bits of the left fold.  A
@@ -199,7 +202,10 @@ class Jet2:
         by plane with a jet, else into the value plane, with the other planes copied."""
         if isinstance(other, Jet2):
             self._check_order(other)
-            return type(self)(self.m, op(self.c, other.c))
+            a, b = self.c, other.c
+            if a.ndim != b.ndim:  # line the point axes up, as a product does
+                a, b = _points_aligned(a, b.ndim), _points_aligned(b, a.ndim)
+            return type(self)(self.m, op(a, b))
         out = np.empty(self.c.shape, dtype=np.promote_types(self.c.dtype, np.asarray(other).dtype))
         op(self.c[0, 0, ...], other, out=out[0, 0, ...])
         out[0, 1:] = self.c[0, 1:]
@@ -453,11 +459,22 @@ def _add_into(total, term) -> bool:
     if not (isinstance(total, Jet2) and type(term) is type(total) and term.m == total.m):
         return False
     buf, other = total.c, term.c
-    if (np.result_type(buf, other) != buf.dtype
-            or np.broadcast_shapes(buf.shape, other.shape) != buf.shape):
+    if np.result_type(buf, other) != buf.dtype:
         return False
+    if other.shape != buf.shape:
+        points = buf.shape[2:]
+        if np.broadcast_shapes(points, other.shape[2:]) != points:
+            return False
+        other = _points_aligned(other, buf.ndim)
     np.add(buf, other, out=buf)
     return True
+
+
+def _points_aligned(c: np.ndarray, ndim: int) -> np.ndarray:
+    """Jet planes ``c`` with unit point axes put in front of its points, up to ``ndim``
+    axes in all, so that they broadcast against other planes as the points do."""
+    extra = ndim - c.ndim
+    return c.reshape(c.shape[:2] + (1,) * extra + c.shape[2:]) if extra > 0 else c
 
 
 def _real(*arrays) -> bool:

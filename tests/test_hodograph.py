@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mongesol import hodograph
 from mongesol.errors import FoldError, MongesolError, QuadratureError
@@ -349,6 +351,48 @@ def test_schrodinger_names_the_node_whose_product_overflows(ks, profile, where):
             schrodinger_solve(profile, np.array(ks), (0.0, 1.0), steps=200)
 
 
+def _whole_array_checks_raise(ksq, prof, top, bottom):
+    """The former checks on the whole ``k^2 W_c``, kept as the oracle: some product is not
+    finite, or some product is beyond the step limit above or below."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = ksq[None, :] * prof[:, None]
+    if not np.all(np.isfinite(v)):
+        return True
+    return bool(v.size and (v.max() > top or v.min() < bottom))
+
+
+_EDGE_FLOATS = [0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 1e154, 1e155, 1e200, -1e200,
+                1e300, -1e300, 1.7976931348623157e308]
+_gate_floats = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(-1e3, 1e3),
+                         st.floats(allow_nan=False, allow_infinity=False))
+
+
+@given(ks=st.lists(_gate_floats, min_size=1, max_size=5),
+       prof=st.lists(_gate_floats, min_size=1, max_size=7),
+       h=st.one_of(st.sampled_from([1e-300, -1e-300, 1e-160, 1e-3, -0.5, 2.0]),
+                   st.floats(1e-12, 10.0)))
+# k^2 overflows to inf next to a zero profile value (inf * 0 is nan), a -0.0
+# profile, an all-negative profile, and an h so small that top * top overflows
+@example(ks=[1.0, 1e200], prof=[1.0, 0.0, 2.0], h=0.01)
+@example(ks=[1e200], prof=[0.0, -0.0], h=0.01)
+@example(ks=[3.0, 0.0], prof=[-0.0, -0.0], h=0.5)
+@example(ks=[2.0, 300.0], prof=[-1.0, -0.25, -4.0], h=0.01)
+@example(ks=[0.5, 1.0], prof=[-1.0, -3.0], h=0.9)
+@example(ks=[1e150, 1.0], prof=[1e300, -1e300], h=1e-300)
+@example(ks=[1e10], prof=[1e-300, -2.0], h=1e-300)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_the_factor_gate_trips_exactly_when_the_whole_array_checks_raise(ks, prof, h):
+    kk, prof = np.array(ks), np.array(prof)
+    with np.errstate(over="ignore"):  # k = 1e200: k^2 is inf, as in schrodinger_solve
+        ksq = kk * kk
+    top, bottom = hodograph._RK4_STEP_LIMIT / abs(h), hodograph._RK4_OSC_STEP_LIMIT / abs(h)
+    top, bottom = top * top, -bottom * bottom
+    want = _whole_array_checks_raise(ksq, prof, top, bottom)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert hodograph._stage_factors_may_fail(ksq, prof, top, bottom) == want
+
+
 # -- the scalar and the array RK4 kernel ---------------------------------------
 
 _SCALAR, _ARRAY = 10 ** 9, 0  # _SCALAR_MAX_NODES values that force each kernel
@@ -391,11 +435,11 @@ def test_scalar_and_array_kernels_give_the_same_bytes(count, steps, profile, c_r
 
 
 def test_the_array_kernel_keeps_its_stage_factors_to_one_block():
-    # 200 nodes x 2000 steps: the solution ys and k^2 W_c take 22.4 MB, and the
-    # traced peak is 25.3 MB (x86-64, numpy 2.4).  Stage factors for all steps
-    # at once took another 19.2 MB, a 43.0 MB peak.
+    # 200 nodes x 2000 steps: the solution ys takes 12.8 MB, and the traced peak
+    # is 14.5 MB (x86-64, numpy 2.4).  A whole k^2 W_c made it 25.3 MB, and stage
+    # factors for all steps at once on top of that 43.0 MB.
     ks, steps = np.linspace(0.0, 2.0, 200), 2000
-    whole = 8 * ks.size * (4 * (steps + 1) + 3 * steps)
+    whole = 8 * ks.size * 4 * (steps + 1)
     assert ks.size > _LIMIT and steps > 4 * _BLOCK
     tracemalloc.start()
     try:

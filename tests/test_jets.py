@@ -870,6 +870,36 @@ def test_a_running_sum_has_the_bits_of_the_left_fold_and_writes_no_operand():
     assert _sum(x for x in (0.5, 0.25, 2.0)) == 2.75
 
 
+def _broadcast_jet(j, shape):
+    """``j`` with its planes broadcast to points of ``shape``, unit axes put in front."""
+    lead = (1,) * (len(shape) - len(j.shape))
+    return type(j)(j.m, np.broadcast_to(j.c.reshape(j.c.shape[:2] + lead + j.shape),
+                                        j.c.shape[:2] + shape))
+
+
+@pytest.mark.parametrize("cls", [Jet2, Jet1])
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("shapes", [((5,), ()), ((2, 3), (3,)), ((2, 3), ()), ((4, 1), (3,))])
+def test_jets_on_points_with_fewer_axes_add_subtract_and_sum_by_broadcasting(cls, complex_,
+                                                                            shapes):
+    # as a product does: (5,) points plus () points used to raise "operands could
+    # not be broadcast together with shapes (1,6,5) (1,6)", in either order
+    rng = np.random.default_rng([len(shapes[0]), len(shapes[1]), complex_, cls is Jet1])
+    a, b = (_signed_sample(rng, cls, 2, shape, complex_) for shape in shapes)
+    points = np.broadcast_shapes(*shapes)
+    wa, wb = _broadcast_jet(a, points), _broadcast_jet(b, points)
+    before = [a.c.copy(), b.c.copy()]
+    with np.errstate(invalid="ignore"):  # inf - inf
+        pairs = [(a + b, wa + wb), (b + a, wb + wa), (a - b, wa - wb), (b - a, wb - wa),
+                 (_sum([a * 1.5, a, b]), (wa * 1.5 + wa) + wb),
+                 (_sum([b * 1.5, b, a]), (wb * 1.5 + wb) + wa),
+                 (_sum([a, b, a, b]), ((wa + wb) + wa) + wb)]
+    for got, want in pairs:
+        assert type(got) is cls and got.shape == points
+        assert _same_bits(got.c, want.c)
+    assert _same_bits(a.c, before[0]) and _same_bits(b.c, before[1])
+
+
 def test_a_running_sum_of_products_makes_its_first_product_its_buffer():
     rng = np.random.default_rng(41)
     jets = [_signed_sample(rng, Jet2, 2, (5,), True) for _ in range(3)]
