@@ -433,7 +433,8 @@ def assemble_r_integral(
     ``b_range`` needs finite ends.
     The reported residual differentiates R twice in c by central finite
     differences of the integrated modes, independently of the mode equation
-    used to build them; the b derivatives are analytic.
+    used to build them; the b derivatives are analytic, and R_bb is summed
+    only on the columns that the stencil reads.
     """
     nb = _count(nb, "nb")
     if nb < 1:
@@ -455,8 +456,14 @@ def assemble_r_integral(
     b = np.linspace(b_range[0], b_range[1], nb)
     c = sol.c_grid
 
+    # the residual reads every stride-th c; the stride keeps the stencil step
+    # near 1e-2 so stencil roundoff stays below 1e-10
+    h_ode = c[1] - c[0]
+    stride = max(1, int(round(0.01 * (c[-1] - c[0]) / h_ode)))
+    cs = c[::stride]
+
     def build(ks, w1, w2, rbb=None):
-        """R over the nodes ``ks``; R_bb is added into ``rbb`` when one is given."""
+        """R over the nodes ``ks``; R_bb on ``cs`` is added into ``rbb`` when one is given."""
         r = np.zeros((nb, c.size))
         for wgt, k, s1, s2 in zip(_weights(ks, mode), ks, w1, w2):
             a1, a2 = f1(k), f2(k)
@@ -467,24 +474,21 @@ def assemble_r_integral(
             ekb = np.exp(k * b)[:, None]
             r += ekb * amp[None, :]
             if rbb is not None:
-                rbb += (k * k) * ekb * amp[None, :]
+                rbb += (k * k) * ekb * amp[None, ::stride]
         return r
 
     rows = slice(None, None, 2 if refine else 1)
     coarse = OdeSolution(sol.k[rows], c, sol.w1[rows], sol.w1p[rows], sol.w2[rows], sol.w2p[rows])
-    rbb = np.zeros((nb, c.size))
+    rbb = np.zeros((nb, cs.size))
     r = build(k_nodes, coarse.w1, coarse.w2, rbb)
     drift = coarse.wronskian_drift
 
-    # second derivative in c by a 7-point stencil on a strided subgrid; the
-    # stride keeps the step near 1e-2 so stencil roundoff stays below 1e-10
-    h_ode = c[1] - c[0]
-    stride = max(1, int(round(0.01 * (c[-1] - c[0]) / h_ode)))
-    cs, rs, rbbs = c[::stride], r[:, ::stride], rbb[:, ::stride]
+    # second derivative in c by a 7-point stencil on cs
+    rs = r[:, ::stride]
     h = cs[1] - cs[0]
     st = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / 180.0
     rcc = sum(coef * rs[:, i: rs.shape[1] - (6 - i)] for i, coef in enumerate(st)) / (h * h)
-    resid = np.abs(rcc - np.asarray(w_c_profile(cs[3:-3]))[None, :] * rbbs[:, 3:-3])
+    resid = np.abs(rcc - np.asarray(w_c_profile(cs[3:-3]))[None, :] * rbb[:, 3:-3])
 
     change = None
     if refine:

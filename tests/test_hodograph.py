@@ -558,20 +558,23 @@ def test_a_complex_profile_is_an_error_naming_its_c(profile, where):
 
 
 def _per_node_r(f1, f2, nodes, profile, nb, steps):
-    """R and the worst Wronskian drift from one scalar solve per node (trapezoid weights)."""
+    """R, R_bb on every c, the c grid and the worst Wronskian drift from one scalar
+    solve per node (trapezoid weights)."""
     b = np.linspace(0.0, 1.0, nb)
     diffs = np.diff(nodes)
     weights = np.zeros(len(nodes))
     weights[:-1] += diffs / 2
     weights[1:] += diffs / 2
     r = np.zeros((nb, steps + 1))
+    rbb = np.zeros((nb, steps + 1))
     drift = 0.0
     for wgt, k in zip(weights, nodes):
         sol = schrodinger_solve(profile, k, (0.0, 1.0), steps)
         amp = wgt * (f1(k) * sol.w1 + f2(k) * sol.w2)
         r += np.exp(k * b)[:, None] * amp[None, :]
+        rbb += (k * k) * np.exp(k * b)[:, None] * amp[None, :]
         drift = max(drift, sol.wronskian_drift)
-    return r, drift
+    return r, rbb, sol.c_grid, drift
 
 
 def test_assemble_trapezoid_matches_per_node_reference():
@@ -581,13 +584,23 @@ def test_assemble_trapezoid_matches_per_node_reference():
     refined = [nodes[0]]
     for a, b in zip(nodes[:-1], nodes[1:]):
         refined.extend([(a + b) / 2, b])
-    res = assemble_r_integral(f1, f2, nodes, _linear_profile, (0.0, 1.0), (0.0, 1.0),
-                              nb=9, steps=400, mode="trapezoid")
-    r, drift = _per_node_r(f1, f2, nodes, _linear_profile, nb=9, steps=400)
-    r2, _ = _per_node_r(f1, f2, refined, _linear_profile, nb=9, steps=400)
-    assert np.array_equal(res.r_values, r)
-    assert res.wronskian_drift == drift
-    assert res.node_doubling_change == float(np.max(np.abs(r2 - r)))
+    stencil = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / 180.0
+    for steps in (150, 400, 777):  # strides 2, 4 and 8, the last with a ragged last column
+        res = assemble_r_integral(f1, f2, nodes, _linear_profile, (0.0, 1.0), (0.0, 1.0),
+                                  nb=9, steps=steps, mode="trapezoid")
+        r, rbb, c, drift = _per_node_r(f1, f2, nodes, _linear_profile, nb=9, steps=steps)
+        r2 = _per_node_r(f1, f2, refined, _linear_profile, nb=9, steps=steps)[0]
+        assert np.array_equal(res.r_values, r)
+        assert res.wronskian_drift == drift
+        assert res.node_doubling_change == float(np.max(np.abs(r2 - r)))
+        # the residual from R_bb summed on every c, read on the stencil's columns
+        stride = max(1, int(round(0.01 * (c[-1] - c[0]) / (c[1] - c[0]))))
+        cs, rs, rbbs = c[::stride], r[:, ::stride], rbb[:, ::stride]
+        h = cs[1] - cs[0]
+        rcc = sum(coef * rs[:, i: rs.shape[1] - (6 - i)] for i, coef in enumerate(stencil))
+        resid = np.abs(rcc / (h * h) - _linear_profile(cs[3:-3]) * rbbs[:, 3:-3])
+        assert (res.residual_max, res.residual_mean) == \
+            (float(np.max(resid)), float(np.mean(resid))), steps
 
 
 def test_assemble_single_mode_is_exact():
