@@ -5,15 +5,6 @@ runs diff cleanly; probe sampling is seeded, so identical config plus seed
 gives byte-identical reports.  Exit codes: 0 all checks pass, 1 a check
 failed (report still written), 2 configuration error (an unreadable
 config and an output that cannot be written included), 3 safe-domain error.
-
-``fields.csv`` holds the bytes of ``'%.17g' % v`` per cell, written without
-formatting each cell in Python.  A finite |v| in [1e-4, 1e16) (or a zero)
-is printed in fixed notation from its exact 17-digit significand: Dekker's
-error-free product gives |v| * 10**k as p + e exactly, and p + rint(e) is
-that product rounded to nearest, ties to even, which is what ``%.17g``
-prints.  Its digits, point, sign and separators are laid out as byte planes
-for ``_CSV_BLOCK`` cells at a time, so memory stays bounded for any table.
-Every other cell (|v| < 1e-4, |v| >= 1e16, nan, inf) is ``'%.17g' % v``.
 """
 
 from __future__ import annotations
@@ -380,10 +371,15 @@ TRIM_THRESHOLD = 64 << 20  # glibc's M_TRIM_THRESHOLD
 def _pin_malloc_thresholds() -> None:
     """Keep freed multi-MB temporaries in the heap instead of unmapping them.
 
-    glibc's dynamic mmap threshold unmaps each one and faults it in again:
-    about 50k minor faults per 81x81 verify pass, under 20 with both
-    thresholds pinned (either alone is worse than neither).  No-op off
-    Linux, without ``mallopt``, or when glibc's own variable is set.
+    glibc's dynamic mmap threshold unmaps each one and faults it in again.
+    One in-process construct + verify pass of the ten canonical families at
+    81x81, the first in its process, took 79.7k minor faults and 0.22-0.25 s
+    of system time that way, and 690 faults and under 0.04 s with both
+    thresholds pinned (glibc 2.36, Python 3.11, numpy 2.4.6, 2-core x86-64).
+    No-op off Linux, without ``mallopt``, or when glibc's own variable is
+    set, which then takes precedence.  Only :func:`main` calls it, so
+    importing the library leaves the allocator alone; no output byte
+    depends on it.
     """
     if not sys.platform.startswith("linux") or any(
             v in os.environ for v in ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_")):

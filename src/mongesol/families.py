@@ -4,13 +4,26 @@ Each family is built as a :class:`FieldBundle`: point-evaluable jets of the
 derivative chain ``a0 .. a{n-1}``, the top field ``W`` and the bottom field
 ``f`` (an alias of ``a0``), together with the family's derivative quadruple
 or its variable-slope equivalent, the tagged closed-form W-f relation, and a
-safe domain with explicit predicates.
+safe domain whose predicates guard every logarithm argument and denominator,
+so that evaluation outside it is an error, never a NaN.
 
 Ground truth is the derivative level: every family stores closed forms for
 the derivative functions, and the antiderivatives used for ``f`` and ``W``
 were re-derived to match them exactly (the verifier cross-checks this by
 quadrature).  Mutated bundles, used to prove the checks have teeth, rescale
 one constituent function together with its antiderivative.
+
+Adding a family means three things here: a frozen config dataclass (its
+``tag`` and its parameters), a builder that turns a config into a
+:class:`FieldBundle`, and one ``_REGISTRY`` entry that ties the two to the
+family's canonical parameters.  The builder leaves the bundle's ``family``,
+``config`` and ``mutations`` unset: :func:`make_family` stamps them, and it
+rejects a mutation slot the bundle does not list.  ``FAMILY_TAGS``,
+:func:`canonical_config` and the JSON form (:func:`family_from_dict` /
+:func:`family_to_dict`) all follow from the registry: the JSON keys are the
+field names in dataclass order, after ``family`` and ``rect``.  A
+constant-slope family's builder makes its bundle with :func:`_line_bundle`,
+and a variable-slope family's with :func:`_slope_root_bundle`.
 """
 
 from __future__ import annotations
@@ -131,8 +144,9 @@ class FieldBundle:
     with :func:`family_to_dict`); the bundle keeps no second copy.
     ``fields_fn(x, z, m)`` returns a ``Mapping``, not necessarily a dict, from
     ``a0 .. a{n-1}``, ``W`` and ``f`` to their order-``m`` jets, for any
-    ``m >= 0`` (order 0: values only); an entry may be built only when it is
-    first read (see :class:`_Fields`).  ``derivative_forms(x, z)`` returns a
+    ``m >= 0`` (order 0: values only); readers index it by name and never
+    mutate it, and an entry may be built only when it is first read (see
+    :class:`_Fields`).  ``derivative_forms(x, z)`` returns a
     ``Mapping`` from ``f_x``, ``f_z``, ``W_x``, ``W_z`` to arrays whose
     entries, too, may be built on first read.  It takes broadcastable ``x``
     and ``z``, as the domain predicates do, and may return a form of the
@@ -240,7 +254,8 @@ def _poly_deriv(coeffs: Sequence, order: int = 1) -> tuple:
 # and their weights, as the shortest round-tripping literals of the bits that
 # numpy's leggauss(48) gives (numpy 2.4.6).  leggauss makes its rule exactly
 # symmetric, so the mirror below reproduces all 48 nodes and weights bit for bit,
-# with no eigensolve and no numpy.polynomial import at run time.
+# with no numpy.polynomial import at run time and no eigensolve, whose last bits
+# may differ between LAPACK builds.
 _GAUSS_HALF = (
     (0.03238017096286937, 0.06473769681268365),
     (0.0970046992094627, 0.06446616443594982),
@@ -351,7 +366,7 @@ class TrivialConfig:
     """Superposition over the n-th roots of unity; the top map is identity."""
 
     n: int
-    terms: tuple  # ((lam, coeffs), ...) with complex lam, polynomial coeffs
+    terms: tuple  # ((lam, coeffs), ...): real or complex lam, polynomial coeffs
     rect: tuple = (-0.8, 0.8, -0.8, 0.8)
     tag = "trivial"
 
@@ -500,8 +515,7 @@ class NThetaConstConfig:
 def _build_trivial(cfg: TrivialConfig, scales) -> FieldBundle:
     n = cfg.n
     s0 = scales.get("a0", 1.0)  # the mutation factor; 1.0 for a slot not mutated
-    terms = [(complex(lam), tuple(map(complex, coeffs))) for lam, coeffs in cfg.terms]
-    dn = [(lam, _poly_deriv(coeffs, n)) for lam, coeffs in terms]
+    dn = [(lam, _poly_deriv(coeffs, n)) for lam, coeffs in cfg.terms]
 
     def fields(x, z, m):
         xj, zj = jet_seed(x, z, m)
@@ -653,10 +667,10 @@ class _Row:
     gives F on jets, and ``margin``, the log argument less ``EPS`` on arrays, is the
     row's safe-domain predicate, so each log argument is written once.
 
-    ``jet`` keeps the operation order of the closed forms the rows replaced: terms
-    summed in order (``x - c*y`` as ``x + (-c)*y``, bit for bit), c0 added last into
-    the value plane, then ``sign`` and ``scale`` as factors of their own.  Each
-    constant keeps its formula's float expression, so no bit depends on the row form.
+    ``jet``'s order of operations sets its bits: terms summed in order (``x - c*y``
+    as ``x + (-c)*y``, bit for bit), c0 added last into the value plane, then
+    ``sign`` and ``scale`` as factors of their own; a builder computes each constant
+    with its formula's float expression.
     """
 
     a: float
@@ -693,8 +707,9 @@ class _Row:
 
 def _line_bundle(rows, quad, wf_tag, wf_res, rect, scales, extra=()) -> FieldBundle:
     """The bundle of a constant-slope family from its rows ``(l1, l2, theta, sigma)``,
-    its hand-written derivative quadruple and W-f relation, and the predicates
-    ``extra`` besides the margin of each row with a log term."""
+    its hand-written derivative quadruple (the route that wf_quadrature and eq5 read,
+    independent of the rows) and W-f relation, and the predicates ``extra`` besides
+    the margin of each row with a log term."""
     factors = [scales.get(slot, 1.0) for slot in ("l1", "l2", "theta", "sigma")]
     quad = dataclasses.replace(quad, **{form: _scaled(getattr(quad, form), s) for form, s in
                                         zip(("l1_prime", "l2_dot", "theta_z", "sigma_x"), factors)})
@@ -959,12 +974,17 @@ def _slope_root_bundle(cfg, scales, roots: tuple[_SlopeRoot, ...], root_jets, cp
     """Degree-3 bundle whose chain fields are sums over the slope roots ``roots``.
 
     ``root_jets(xj, zj)`` gives the roots' jets.  Along each root, scaled by
-    its slot, a2, a1, a0 and W integrate s^r C'(s) for r = 0, 1, 2, -1: the
-    first two by Gauss quadrature, the last two by the closed forms that
-    ``closed_forms(sj)`` returns as a pair, so that they share their powers
-    and logs of the slope jet.  ``theta=None`` adds no theta term, nor its
-    mutation slot.  One root is paired with the constant slope 1, whose line
-    function is absent.  ``bundle_kw`` holds the family's own fields.
+    its slot, a2, a1, a0 and W integrate s^r C'(s) for r = 0, 1, 2, -1, and
+    the root's derivative-level weight is C'(s) / (T'(s) - z).  a2 and a1
+    come from one :class:`_Primitive` per root, whose integrand gives C'(s)
+    and s C'(s) from one evaluation of C' per Gauss node; the first of the
+    two fields read builds the pair.  a0 and W come from the closed forms
+    that ``closed_forms(sj)`` returns as a pair, so that they share their
+    powers and logs of the slope jet.  Every sum over roots starts from its
+    first term, so a one-root family computes exactly what its own one-root
+    formulas would; its root is paired with the constant slope 1, whose line
+    function is absent.  ``theta=None`` adds no theta term, nor its mutation
+    slot.  ``bundle_kw`` holds the family's own fields.
     """
     root_slots = tuple(root.slot for root in roots)
     slots = ("sigma",) + (() if theta is None else ("theta",)) + root_slots
@@ -993,7 +1013,6 @@ def _slope_root_bundle(cfg, scales, roots: tuple[_SlopeRoot, ...], root_jets, cp
         if th is not None:
             a0.add(th)
         w.add(sg)
-        # per slope root, the unscaled (a2, a1) pair, built on first read
         pairs = _Fields(**{root.slot: functools.partial(prim, sj)
                            for root, prim, sj in zip(roots, prims, sjs)})
         return _Fields(
@@ -1206,7 +1225,7 @@ def _build_general_e0(cfg: GeneralNuE0Config, scales) -> FieldBundle:
 # class, its builder and one entry here
 _REGISTRY = {cls.tag: (cls, build, canonical) for cls, build, canonical in (
     (TrivialConfig, _build_trivial,
-     dict(n=2, terms=(((1 + 0j), (0, 0, 1.0)), ((-1 + 0j), (0, 0, 1.0))))),
+     dict(n=2, terms=((1.0, (0, 0, 1.0)), (-1.0, (0, 0, 1.0))))),
     (M1ImplicitConfig, _build_m1, dict(F=(0.0, 0.0, 0.0, 1.0), seed_lambda=1.2)),
     (DegenerateConfig, _build_degenerate,
      dict(C=(0.0, 0.0, 1.0), G=(0.0, 1.0), seed_a=2.0)),

@@ -6,10 +6,7 @@ the quasilinear system becomes linear and is resolved by one potential
 
 * ``schrodinger_solve`` - the zero-energy second-order ODE for the separable
   ansatz, integrated with a fixed-step classical 4th-order scheme over an
-  array of separation constants ``k``: the profile is sampled once, a few
-  nodes step on Python floats and more advance together in one array
-  state (the same bits either way), and the solutions have shape
-  ``np.shape(k) + (steps + 1,)``;
+  array of separation constants ``k``;
 * ``assemble_r_integral`` - superposition of separable modes (one batched
   solve per call, node doubling included) with an independent
   finite-difference residual check;
@@ -214,30 +211,16 @@ def schrodinger_solve(
     non-integral ``steps`` and a ``c_range`` without finite, distinct ends
     are errors (a decreasing range integrates backwards).
 
-    Two kernels run the same scheme, chosen by the node count.  Up to
-    ``_SCALAR_MAX_NODES`` nodes, ``_rk4_scalar`` steps each node and
-    fundamental solution on Python floats, at a cost that grows with the
-    nodes; above it ``_rk4_array`` advances all nodes in one ``(2, 2, K)``
-    state, whose numpy calls cost about the same per step at any node count
-    this small.  The two cost the same at about 13 nodes.  Each stage of the
-    array kernel is ``y[::-1] * (1, v)``: the right side ``(w', v w)`` is the
-    state reversed along its first axis, times a factor whose first row is
-    1.0.  A product with 1.0 is exact and a product of two floats does not
-    depend on their order, so this equals stacking ``(w', v w)``, without
-    the copy that stacking makes per stage; the scalar kernel takes ``w'``
-    itself as that row.  Only the solution array is whole: ``k^2 W_c`` is
-    formed as the kernels read it, ``k^2 * W_c`` per node in the scalar
-    kernel and ``W_c * k^2`` for ``_RK4_BLOCK`` steps at a time in the array
-    kernel, the same products either way.  The overflow and step-limit
-    checks read the extremes of ``k^2`` and ``W_c``, which settle them
-    exactly (see ``_stage_factors_may_fail``); only when they fail is
-    ``k^2 W_c`` built whole, to name the first node and c at fault.  At 200
-    nodes and 2000 steps the traced peak is 14.5 MB, for a 12.8 MB
-    solution, where the whole ``k^2 W_c`` made it 25.3 MB (x86-64, numpy
-    2.4).  A Python float is a C double, and each of its operations is one
+    Two kernels run the same scheme, chosen by the node count alone: up to
+    ``_SCALAR_MAX_NODES`` nodes ``_rk4_scalar`` steps each node on Python
+    floats, and above it ``_rk4_array`` advances all nodes in one array
+    state.  A Python float is a C double, and each of its operations is one
     IEEE operation with no fused multiply-add, so the two kernels, which make
     the same operations in the same order, give the same bits, and each node
-    equals a scalar-``k`` solve.
+    equals a scalar-``k`` solve.  Only the solution array is whole: the
+    kernels form ``k^2 W_c`` as they read it, and the overflow and
+    step-limit checks read only the extremes of ``k^2`` and ``W_c``
+    (``_stage_factors_may_fail``).
     """
     steps = _count(steps, "steps")
     if steps < 100:
@@ -315,11 +298,17 @@ def _rk4_array(prof: np.ndarray, ksq: np.ndarray, ys: np.ndarray, h: float) -> N
     """All nodes' RK4 runs at once, from ``ys[0]``: ``prof`` holds ``W_c`` at the
     stage points as ``(steps, 3)``, and ``ksq`` holds ``k^2`` per node.
 
-    The stage factors ``(1, k^2 W_c)`` of ``_RK4_BLOCK`` steps at a time go
-    into one reused buffer, whose row 0 holds 1.0 throughout and whose row 1
-    is written as ``prof[block] * ksq``, the products the scalar kernel forms
-    per node; only ``ys`` is whole.  Every step makes the same products in
-    the same order at any block size, so the blocking moves no bit.
+    Each stage is one product ``y[::-1] * (1, v)``: the right side
+    ``(w', v w)`` is the ``(2, 2, K)`` state reversed along its first axis,
+    times a factor whose first row is 1.0.  A product with 1.0 is exact and
+    a product of two floats does not depend on their order, so this equals
+    stacking ``(w', v w)``, without the copy that stacking makes per stage;
+    ``_rk4_scalar`` takes ``w'`` itself as that row.  The stage factors
+    ``(1, k^2 W_c)`` of ``_RK4_BLOCK`` steps at a time go into one reused
+    buffer, whose row 0 holds 1.0 throughout and whose row 1 is written as
+    ``prof[block] * ksq``, the products the scalar kernel forms per node;
+    only ``ys`` is whole.  Every step makes the same products in the same
+    order at any block size, so the blocking moves no bit.
     """
     steps, nodes = prof.shape[0], ksq.size
     # stage factors (1, k^2 W_c) per step of a block and stage point: row 0 holds 1.0

@@ -15,8 +15,7 @@ Layout.  The ``T = (m+1)(m+2)/2`` planes of the triangle are packed into
 one.  A square ``(m+1, m+1)`` layout would also store the ``m(m+1)/2``
 planes with ``i + j > m``, which are always zero: at order 2 it holds 9
 planes for 6.  The leading unit axis keeps ``c[0, 0]`` the value plane,
-with the shape of the points, as it was in the square layout, so code
-that reads ``c[0, 0]`` or ``c.shape[2:]`` is indifferent to the layout.
+with the shape of the points.
 
 A univariate expansion is a :class:`Jet1`, seeded by ``jet_seed1``: a
 ``Jet2`` subclass that stores the planes ``(k, 0)`` alone, as
@@ -39,9 +38,7 @@ Products are reproducible bit for bit.  The reference is the plane loop:
 ``a_ij * b_pq`` into it in place, taking the planes of the left factor
 ``a`` in packed order and, for each, the planes of ``b`` in packed order;
 it skips each plane of ``a`` that is all zero (+0 or -0), so a skipped
-plane never forms ``0 * inf`` or ``0 * nan``, and a zero sum is +0.  One
-reduction per product finds the live planes, and none is needed when every
-plane of ``a`` has a nonzero first entry.
+plane never forms ``0 * inf`` or ``0 * nan``, and a zero sum is +0.
 
 A real order-0 product whose left factor is live is the loop's one term
 as one numpy product: ``out = a * b``, then ``out += 0.0`` for the +0
@@ -50,18 +47,18 @@ Complex jets stay on the loop: numpy's complex product bits depend on the
 array length (SIMD body or scalar tail), so one whole-jet product could
 differ from the plane's.
 
-One bit is not the square layout's: at a point where a jet's value is nan,
-the signs of the nan coefficients of ``recip`` above the value plane.  Each
+A nan's sign is the one bit these rules leave open.  At a point where a
+jet's value is nan, each nan coefficient of ``recip`` above the value plane
 is a product of two nans in the last scaling ``acc * inv``, whose sign
 IEEE 754 leaves open; numpy's float loops keep one operand's nan or the
-other's by the element's place in one loop over the whole jet, and the
-packed layout moves those places.  No output holds a nan sign (``'%.17g'``
-writes ``nan`` for both).  Between a ``Jet1`` and the planes ``(k, 0)`` of
-a bivariate jet, the same goes for every operation that runs one loop over
-the whole jet: ``recip``'s scalings (at complex points too, not only where
-the value is nan), a sum or difference of two jets, and a scaling by a
-number or an array, where nans meet in complex values or at broadcast
-points.  The plane loop of a product keeps every bit.
+other's by the element's place in one loop over the whole jet, so a layout
+that moves those places may flip it.  Between a ``Jet1`` and the planes
+``(k, 0)`` of a bivariate jet, the same goes for every operation that runs
+one loop over the whole jet: ``recip``'s scalings (at complex points too,
+not only where the value is nan), a sum or difference of two jets, and a
+scaling by a number or an array, where nans meet in complex values or at
+broadcast points.  The plane loop of a product keeps every bit.  No output
+holds a nan sign (``'%.17g'`` writes ``nan`` for both).
 
 A real order-0 jet has one plane, so its reciprocal is one numpy
 operation, with the same bits, and ``compose_series`` at order 0 is the
@@ -70,23 +67,14 @@ order.
 
 The other operand of ``+``, ``-``, ``*`` and ``/`` is a jet of the same
 order, a number, or an array with at most as many axes as the jet's
-points.  A sum with a number or an array is one new jet of the jet's
-shape: the operand is added into its value plane and the other planes are
-copied.  A difference is one ``np.subtract`` in the same way, with the bits
-of ``a + (-b)`` but for a nan's sign, and no negated copy of ``b``; where a
-real operand meets complex planes it stays ``a + (-b)``, because the
-operand's implicit +0 imaginary part turns a -0 into +0 when added to the
-negation but not when subtracted.  Two jets whose points have different
-numbers of axes are summed, subtracted and multiplied alike, by numpy's
-broadcasting of the points: the planes of the one with fewer point axes
-get unit axes in front of its points.  Jets are never summed in place:
-``_times(v, 1.0)`` is ``v`` itself, so ``+=`` could write into an operand.
-A sum of many jets goes through ``_Sum``, which adds each one after its
-first sum into that sum's own buffer, with the bits of the left fold.  A
-product or quotient scales every plane and may broadcast the points.  An
-array with more axes would broadcast against the plane axis, so each of
-the four operations raises a ValueError for it.  Scaling by exactly 1.0 is
-the identity on real planes, bit for bit, so structural constants
+points; an array with more axes would broadcast against the plane axis,
+so each of the four operations raises a ValueError for it.  A difference
+has the bits of ``a + (-b)`` but for a nan's sign.  Two jets whose points
+have different numbers of axes are summed, subtracted and multiplied
+alike, by numpy's broadcasting of the points.  Jets are never summed in
+place: ``_times(v, 1.0)`` is ``v`` itself, so ``+=`` could write into an
+operand (a sum of many goes through :class:`_Sum`).  Scaling by exactly
+1.0 is the identity on real planes, bit for bit, so structural constants
 (mutation factors, row coefficients, slope weights) go through ``_times``,
 which skips that product; ``Jet2.__mul__``, whose calls count jet
 products, keeps no such test.  (On complex planes ``v * 1.0`` is a full
@@ -254,7 +242,7 @@ class Jet2:
     __rmul__ = __mul__
 
     def recip(self) -> "Jet2":
-        """Multiplicative inverse; the constant term must be nonzero."""
+        """Multiplicative inverse; a zero constant term (+0, -0 or a complex 0) raises."""
         cls, v = type(self), self.value
         if not np.all(v):  # one pass, no `v == 0` temporary
             raise ZeroDivisionError("jet reciprocal of a zero field value")

@@ -55,9 +55,8 @@ KNOWN_CHECKS = ("compat", "dependence", "wf", "eq5", "eq10", "reconstruct")
 
 # Most points a grid taken from a config, richardson_ratio's finer grid, or one
 # probe set may hold.  A 321x321 verify with reconstruct (order-2 jets) peaks at most
-# at 584 traced bytes per point over the canonical families (m3_general; 776 before
-# each field evaluation dropped its operands once read), so 2**20 points take about
-# 0.6 GB.
+# at 584 traced bytes per point over the canonical families (m3_general and
+# m3_general_e0), 312 without it (order 1), so 2**20 points take about 0.6 GB.
 MAX_POINTS = 2 ** 20
 
 DEFAULT_TOLERANCES = {
@@ -264,13 +263,14 @@ def admissible_grid(bundle: FieldBundle, grid: GridSpec):
 class GridEval:
     """A bundle's admissible grid points and their field jets, shared by the grid checks.
 
-    Nothing is evaluated until a check first reads ``points`` or ``fields``;
-    then the points come from one :func:`admissible_grid` call and the jets
-    from one ``fields_fn`` call, however many checks read them.  ``order``
-    is the jet order: 2 where reconstruct reads the grid (second partials),
-    1 where the checks read values and first partials only.  A coefficient
-    of order k depends on those of order <= k only, so the coefficients both
-    orders carry are the same bits.
+    Nothing is evaluated until a check first reads ``points`` or ``fields``
+    (an eq5 or eq10 run evaluates no grid); then the points come from one
+    :func:`admissible_grid` call and the jets from one ``fields_fn`` call,
+    however many checks read them.  ``order`` is the jet order: 2 where
+    reconstruct reads the grid (second partials), 1 where the checks read
+    values and first partials only.  A coefficient of order k depends on
+    those of order <= k only, so the coefficients both orders carry are the
+    same bits.
     """
 
     def __init__(self, bundle: FieldBundle, grid: GridSpec, order: int = 2):
@@ -316,7 +316,9 @@ def check_compatibility(ev: GridEval, tol: float) -> CheckResult:
     The top link compares d/dx of the last chain field against W'(a0) d/dz a0,
     with W' taken from the family's explicit top map when it has one and from
     the x-route ratio W_x / (d/dx a0) otherwise (the z-route is the trivially
-    exact chain identity and would have no teeth).
+    exact chain identity and would have no teeth).  The ratio is read only
+    where |f_x| > 1e-8 max|f_x|; where no point is left, the top link is
+    untested and the row fails, with ``extra.error``.
     """
     bundle, (x, z), fl = ev.bundle, ev.points, ev.fields
     n = bundle.n
@@ -342,6 +344,9 @@ def check_compatibility(ev: GridEval, tol: float) -> CheckResult:
         used = int(np.count_nonzero(keep))
     per_link["link_top"] = float(np.max(r)) if r.size else 0.0
     per_link["top_link_points"] = used
+    if used == 0:
+        return _failed("compat", tol, "top link: no point with |f_x| above 1e-8 max|f_x| "
+                       "to read W' = W_x / f_x at", **per_link)
     worst = np.maximum(worst, r)
     return _result("compat", worst, x, z, tol, extra=per_link)
 
@@ -384,11 +389,13 @@ def _quadrature_crosscheck(ev: GridEval, tol: float) -> CheckResult:
 
     Each admissible node gets f and W at the reference node plus the integral
     along its row to the reference column and then along its column.  The
-    columns run in blocks of about ``_BLOCK`` fine points (the Gauss
-    primitive's block size), so the temporaries stay a few grid arrays for
-    any grid; each form, mask and Simpson sum is per fine point or per
-    (column, cell) and each cumulative sum runs inside one column, so the
-    blocks move no bit.
+    columns run in blocks of ``max(1, _BLOCK // fine z points)``, about
+    ``_BLOCK`` fine points each (the Gauss primitive's block size: 12
+    columns of an 81x81 grid, all 21 of a 21x21 one), so the temporaries
+    stay a few grid arrays for any grid (a traced peak of 18 float grids at
+    161x161 for m3_general, against 241 with all columns in one call); each
+    form, mask and Simpson sum is per fine point or per (column, cell) and
+    each cumulative sum runs inside one column, so the blocks move no bit.
     """
     bundle, grid, (x, z), fl = ev.bundle, ev.grid, ev.points, ev.fields
     xs, zs = grid.axes()
@@ -704,7 +711,6 @@ def run_suite(
         _require_runnable(bundle, name)
 
     rng = random.Random(seed)
-    # second partials only where reconstruct reads the grid
     ev = GridEval(bundle, grid, 2 if "reconstruct" in checks else 1)
     results: dict[str, CheckResult] = {}
     for name in checks:

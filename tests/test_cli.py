@@ -8,6 +8,7 @@ import json
 import math
 import os
 import platform
+import re
 import struct
 import subprocess
 import sys
@@ -265,6 +266,24 @@ def test_verify_mutation_hook_fails_compat_and_eq5(sigma_cfg, tmp_path):
     assert report["meta"]["mutations"] == {"theta": 1.1}
 
 
+@pytest.mark.parametrize("family, mutate", [
+    # f = theta(z) and W = sigma(x): independent, and f_x is 0 everywhere
+    ({"family": "m3_sigma_const", "nu": [1, 2], "A": 1.0, "k": 1.0}, ["l1=0", "l2=0"]),
+    ({"family": "m3_hodograph_example"}, ["c2=0"]),
+])
+def test_compat_fails_where_the_top_link_keeps_no_point(family, mutate, tmp_path):
+    cfg = _write(tmp_path, "c.json", {"family": family, "grid": {"nx": 21, "nz": 21},
+                                      "checks": ["compat"]})
+    out = tmp_path / "o"
+    argv = ["verify", "--config", cfg, "--out", str(out)]
+    for slot in mutate:
+        argv += ["--mutate", slot]
+    assert main(argv) == 1
+    row = json.loads((out / "report.json").read_text())["checks"]["compat"]
+    assert row["passed"] is False and row["max_abs"] == "inf"
+    assert row["extra"]["top_link_points"] == 0 and "top link" in row["extra"]["error"]
+
+
 def test_construct_and_sweep_take_the_mutation_hook(sigma_cfg, tmp_path):
     # --mutate reaches every command, as the config's former mutate section did
     fields = []
@@ -312,6 +331,16 @@ def test_the_readme_example_config_verifies(tmp_path, capsys):
     cfg.write_text(block.split("```")[0])
     assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_the_readme_names_no_private_identifier():
+    # README is the user's overview: a private name's rules live in its docstring
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    spans = re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", readme, flags=re.S))
+    # a name component led by one underscore (`_Row`, `families._BLOCK`), not a dunder
+    # and not a subscript (`a^{k+1}_z`)
+    private = [span for span in spans if re.search(r"(?<![\w}])_(?!_)\w", span)]
+    assert private == []
 
 
 def test_verify_single_check_subset(tmp_path):

@@ -97,6 +97,23 @@ def test_trivial_rejects_bad_slopes():
         TrivialConfig(n=3, terms=((2.0, (0, 1.0)),))
 
 
+def test_canonical_trivial_runs_on_real_planes():
+    # real roots and weights keep the jets real, with the bits of a complex build's real parts
+    cfg = canonical_config("trivial")
+    as_complex = TrivialConfig(n=cfg.n, terms=tuple(
+        (complex(lam), tuple(map(complex, coeffs))) for lam, coeffs in cfg.terms))
+    real, ref = make_family(cfg), make_family(as_complex)
+    x, z = admissible_grid(real, GridSpec.for_bundle(real, nx=9, nz=9))
+    for m in (0, 1, 2):
+        got, want = real.fields_fn(x, z, m), ref.fields_fn(x, z, m)
+        for name in got:
+            assert got[name].c.dtype == np.float64, (m, name)
+            assert got[name].c.tobytes() == np.ascontiguousarray(want[name].c.real).tobytes()
+    # complex roots keep complex jets
+    fl = make_family(family_from_dict(_DIGESTS.COMPLEX_TRIVIAL)).fields_fn(x, z, 1)
+    assert all(np.iscomplexobj(jet.c) for jet in fl.values())
+
+
 def test_degree_is_capped_before_any_field_is_built():
     # configs only: the cap is checked when the config is made, so nothing is built
     assert TrivialConfig(n=MAX_DEGREE, terms=((1.0, (0, 1.0)),)).n == MAX_DEGREE
