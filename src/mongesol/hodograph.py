@@ -38,10 +38,11 @@ __all__ = [
 _IMPLICIT_TOL, _IMPLICIT_MAX_ITER, _FOLD_TOL = 1e-12, 60, 1e-8  # solve_implicit's Newton
 _DOUBLING_TOL = 1e-6  # assemble_r_integral: largest relative change of R on node doubling
 # schrodinger_solve: most nodes for the scalar kernel.  Per RK4 step, the scalar
-# kernel takes about 0.72 us per node and the array kernel 8.6-10 us for 1 to
-# 25 nodes (1000 and 2000 steps; 2-core x86-64, Python 3.11, numpy 2.4): they
-# tie at about 13 nodes.
-_SCALAR_MAX_NODES = 12
+# kernel takes about 0.72-0.78 us per node and the array kernel 11.8-12.3 us for
+# 13 to 17 nodes (1000 and 2000 steps; 2-core x86-64, Python 3.11, numpy 2.4):
+# at 2000 steps 15 nodes take 23.4 ms scalar and 23.5 ms array, 16 nodes 24.9 ms
+# and 24.9 ms, and 17 nodes 26.4 ms and 25.9 ms.
+_SCALAR_MAX_NODES = 15
 # schrodinger_solve: RK4 damps a decaying mode w'' = lam w, lam > 0, only while
 # h sqrt(lam) is at most this, the real root of 1 + z/2 + z^2/6 + z^3/24, negated;
 # it keeps an oscillating mode, lam < 0, from growing only while h sqrt(-lam) is
@@ -213,10 +214,11 @@ def schrodinger_solve(
 
     Two kernels run the same scheme, chosen by the node count alone: up to
     ``_SCALAR_MAX_NODES`` nodes ``_rk4_scalar`` steps each node on Python
-    floats, and above it ``_rk4_array`` advances all nodes in one array
-    state.  A Python float is a C double, and each of its operations is one
-    IEEE operation with no fused multiply-add, so the two kernels, which make
-    the same operations in the same order, give the same bits, and each node
+    floats, one call advancing the node's two solutions, and above it
+    ``_rk4_array`` advances all nodes in one array state.  A Python float is
+    a C double, and each of its operations is one IEEE operation with no
+    fused multiply-add, so the two kernels, which make the same operations
+    in the same order, give the same bits, and each node
     equals a scalar-``k`` solve.  Only the solution array is whole: the
     kernels form ``k^2 W_c`` as they read it, and the overflow and
     step-limit checks read only the extremes of ``k^2`` and ``W_c``
@@ -259,9 +261,8 @@ def schrodinger_solve(
     ys[0] = np.eye(2)[:, :, None]
     if kk.size <= _SCALAR_MAX_NODES:
         for j in range(kk.size):
-            vj = memoryview(ksq[j] * prof)
-            for b in (0, 1):
-                _rk4_scalar(vj, memoryview(ys[:, 0, b, j]), memoryview(ys[:, 1, b, j]), h)
+            w1, w1p, w2, w2p = (memoryview(ys[:, a, b, j]) for b in (0, 1) for a in (0, 1))
+            _rk4_scalar(memoryview(ksq[j] * prof), w1, w1p, w2, w2p, h)
     else:
         _rk4_array(prof.reshape(steps, 3), ksq, ys, h)
     bad = ~np.isfinite(ys)
@@ -274,24 +275,44 @@ def schrodinger_solve(
     return OdeSolution(k, grid, w1, w1p, w2, w2p)
 
 
-def _rk4_scalar(v: memoryview, ws: memoryview, ps: memoryview, h: float) -> None:
-    """One node's RK4 run on Python floats, from ``(w, w') = (ws[0], ps[0])``.
+def _rk4_scalar(v: memoryview, ws: memoryview, ps: memoryview, us: memoryview,
+                qs: memoryview, h: float) -> None:
+    """One node's RK4 runs on Python floats, from ``(w, w') = (ws[0], ps[0])`` and
+    ``(us[0], qs[0])``: both fundamental solutions in one pass over ``v``.
 
-    ``v`` holds ``k^2 W_c`` at the stage points, three per step; the run
-    writes w and w' after step ``i`` to ``ws[i]`` and ``ps[i]``.  Each line
-    is a component of the array kernel's stage, in its order of operations.
+    ``v`` holds ``k^2 W_c`` at the stage points, three per step; the runs
+    write w and w' after step ``i`` to ``ws[i]`` and ``ps[i]``, and to
+    ``us[i]`` and ``qs[i]``.  Each line is a component of the array kernel's
+    stage, in its order of operations.  The factor ``2.0`` gives the bits of
+    an int 2, which converts to it exactly, but CPython specialises a product
+    of two floats and not that of an int and a float.
     """
     hh, h6 = h / 2, h / 6
-    w, p = ws[0], ps[0]
+    w, p, u, q = ws[0], ps[0], us[0], qs[0]
     it = iter(v)
     for i, (v0, v1, v2) in enumerate(zip(it, it, it), 1):
         k1p = w * v0
-        k2w, k2p = p + hh * k1p, (w + hh * p) * v1
-        k3w, k3p = p + hh * k2p, (w + hh * k2w) * v1
-        k4w, k4p = p + h * k3p, (w + h * k3w) * v2
-        w, p = w + h6 * (p + 2 * k2w + 2 * k3w + k4w), p + h6 * (k1p + 2 * k2p + 2 * k3p + k4p)
+        k2w = p + hh * k1p
+        k2p = (w + hh * p) * v1
+        k3w = p + hh * k2p
+        k3p = (w + hh * k2w) * v1
+        k4w = p + h * k3p
+        k4p = (w + h * k3w) * v2
+        w = w + h6 * (p + 2.0 * k2w + 2.0 * k3w + k4w)
+        p = p + h6 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+        k1p = u * v0
+        k2w = q + hh * k1p
+        k2p = (u + hh * q) * v1
+        k3w = q + hh * k2p
+        k3p = (u + hh * k2w) * v1
+        k4w = q + h * k3p
+        k4p = (u + h * k3w) * v2
+        u = u + h6 * (q + 2.0 * k2w + 2.0 * k3w + k4w)
+        q = q + h6 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
         ws[i] = w
         ps[i] = p
+        us[i] = u
+        qs[i] = q
 
 
 def _rk4_array(prof: np.ndarray, ksq: np.ndarray, ys: np.ndarray, h: float) -> None:
@@ -308,12 +329,15 @@ def _rk4_array(prof: np.ndarray, ksq: np.ndarray, ys: np.ndarray, h: float) -> N
     buffer, whose row 0 holds 1.0 throughout and whose row 1 is written as
     ``prof[block] * ksq``, the products the scalar kernel forms per node;
     only ``ys`` is whole.  Every step makes the same products in the same
-    order at any block size, so the blocking moves no bit.
+    order at any block size, so the blocking moves no bit.  The step
+    constants ``h/2``, ``h``, ``h/6`` and ``2.0`` are ``(2, 2, K)`` arrays,
+    each filled with the one double, so that every stage multiplies arrays
+    of one shape and converts no Python scalar, with the same products.
     """
     steps, nodes = prof.shape[0], ksq.size
     # stage factors (1, k^2 W_c) per step of a block and stage point: row 0 holds 1.0
     vs = np.ones((min(steps, _RK4_BLOCK), 3, 2, 1, nodes))
-    hh, h6 = h / 2, h / 6
+    hh, hf, h6, two = (np.full((2, 2, nodes), c) for c in (h / 2, h, h / 6, 2.0))
     with np.errstate(over="ignore", invalid="ignore"):  # the caller names an overflowing mode
         for i0 in range(0, steps, _RK4_BLOCK):
             block = vs[:min(_RK4_BLOCK, steps - i0)]
@@ -323,8 +347,8 @@ def _rk4_array(prof: np.ndarray, ksq: np.ndarray, ys: np.ndarray, h: float) -> N
                 k1 = y[::-1] * v0
                 k2 = (y + hh * k1)[::-1] * v1
                 k3 = (y + hh * k2)[::-1] * v1
-                k4 = (y + h * k3)[::-1] * v2
-                np.add(y, h6 * (k1 + 2 * k2 + 2 * k3 + k4), out=ys[i + 1])
+                k4 = (y + hf * k3)[::-1] * v2
+                np.add(y, h6 * (k1 + two * k2 + two * k3 + k4), out=ys[i + 1])
 
 
 def _stage_factors_may_fail(ksq: np.ndarray, prof: np.ndarray, top: float,

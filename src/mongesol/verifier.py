@@ -318,7 +318,7 @@ def check_compatibility(ev: GridEval, tol: float) -> CheckResult:
     the x-route ratio W_x / (d/dx a0) otherwise (the z-route is the trivially
     exact chain identity and would have no teeth).  The ratio is read only
     where |f_x| > 1e-8 max|f_x|; where no point is left, the top link is
-    untested and the row fails, with ``extra.error``.
+    untested and the row fails, with ``extra.error`` and a ``link_top`` of nan.
     """
     bundle, (x, z), fl = ev.bundle, ev.points, ev.fields
     n = bundle.n
@@ -342,7 +342,7 @@ def check_compatibility(ev: GridEval, tol: float) -> CheckResult:
         r = np.zeros(x.shape)
         r[keep] = np.abs(a_top_x[keep] - (w_x[keep] / f_x[keep]) * a0_z[keep])
         used = int(np.count_nonzero(keep))
-    per_link["link_top"] = float(np.max(r)) if r.size else 0.0
+    per_link["link_top"] = float(np.max(r)) if used else math.nan
     per_link["top_link_points"] = used
     if used == 0:
         return _failed("compat", tol, "top link: no point with |f_x| above 1e-8 max|f_x| "
@@ -545,7 +545,8 @@ _FD_STENCILS = {
 }
 
 
-def reconstruct_u(ev: GridEval, tol: float, path_tol: float = 1e-6) -> CheckResult:
+def reconstruct_u(ev: GridEval, tol: float,
+                  path_tol: float = DEFAULT_TOLERANCES["path_consistency"]) -> CheckResult:
     """Rebuild U by repeated line quadrature and check the original equation.
 
     The chain fields are the n-th mixed partials of U; integrating the pair

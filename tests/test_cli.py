@@ -282,6 +282,7 @@ def test_compat_fails_where_the_top_link_keeps_no_point(family, mutate, tmp_path
     row = json.loads((out / "report.json").read_text())["checks"]["compat"]
     assert row["passed"] is False and row["max_abs"] == "inf"
     assert row["extra"]["top_link_points"] == 0 and "top link" in row["extra"]["error"]
+    assert row["extra"]["link_top"] == "nan"
 
 
 def test_construct_and_sweep_take_the_mutation_hook(sigma_cfg, tmp_path):

@@ -264,14 +264,19 @@ def test_schrodinger_is_bitwise_the_per_step_scheme(profile):
         assert np.array_equal(sol.w1p[i], ref[:, 1, 0]) and np.array_equal(sol.w2p[i], ref[:, 1, 1])
 
 
-def _stacked_rk4(profile, k, c_range, steps):
-    """The former loop of schrodinger_solve, kept as the oracle: every stage stacks (w', v w)."""
+def _stage_profile(profile, c_range, steps):
+    """The step h and the profile at schrodinger_solve's stage points, three per step."""
     c0, c1 = float(c_range[0]), float(c_range[1])
     h = (c1 - c0) / steps
     grid = c0 + h * np.arange(steps + 1)
-    kk = np.asarray(k, dtype=float).reshape(-1)
     stages = np.stack([grid[:-1], grid[:-1] + h / 2, grid[:-1] + h], axis=1).ravel()
-    prof = np.broadcast_to(np.asarray(profile(stages), dtype=float), stages.shape)
+    return h, np.broadcast_to(np.asarray(profile(stages), dtype=float), stages.shape)
+
+
+def _stacked_rk4(profile, k, c_range, steps):
+    """The former loop of schrodinger_solve, kept as the oracle: every stage stacks (w', v w)."""
+    h, prof = _stage_profile(profile, c_range, steps)
+    kk = np.asarray(k, dtype=float).reshape(-1)
     v = ((kk * kk)[None, :] * prof[:, None]).reshape(steps, 3, kk.size)
 
     def f(vc, y):
@@ -419,7 +424,36 @@ def _nodes(count):
     return ks
 
 
-@pytest.mark.parametrize("count", [1, _LIMIT, _LIMIT + 1, 25])
+def _old_rk4_scalar(v, ws, ps, h):
+    """The former scalar kernel, kept as the oracle: one solution per call, the factor 2 an int."""
+    hh, h6 = h / 2, h / 6
+    w, p = ws[0], ps[0]
+    it = iter(v)
+    for i, (v0, v1, v2) in enumerate(zip(it, it, it), 1):
+        k1p = w * v0
+        k2w, k2p = p + hh * k1p, (w + hh * p) * v1
+        k3w, k3p = p + hh * k2p, (w + hh * k2w) * v1
+        k4w, k4p = p + h * k3p, (w + h * k3w) * v2
+        w, p = w + h6 * (p + 2 * k2w + 2 * k3w + k4w), p + h6 * (k1p + 2 * k2p + 2 * k3p + k4p)
+        ws[i] = w
+        ps[i] = p
+
+
+def _old_scalar_solve(profile, ks, c_range, steps):
+    """schrodinger_solve's former scalar route, node by node and solution by solution."""
+    h, prof = _stage_profile(profile, c_range, steps)
+    ksq = ks * ks
+    ys = np.empty((steps + 1, 2, 2, ks.size))
+    ys[0] = np.eye(2)[:, :, None]
+    for j in range(ks.size):
+        vj = memoryview(ksq[j] * prof)
+        for b in (0, 1):
+            _old_rk4_scalar(vj, memoryview(ys[:, 0, b, j]), memoryview(ys[:, 1, b, j]), h)
+    return ys
+
+
+# 12 and 13 nodes, below the split, run the scalar kernel too
+@pytest.mark.parametrize("count", list(dict.fromkeys([1, 12, 13, _LIMIT, _LIMIT + 1, 25])))
 # steps: below one block, one block, a ragged third block, and many blocks
 @pytest.mark.parametrize("steps", [100, _BLOCK - 1, _BLOCK, 2 * _BLOCK + 3, 2000])
 @pytest.mark.parametrize("profile, c_range", [(_linear_profile, (0.0, 1.0)),
@@ -432,6 +466,9 @@ def test_scalar_and_array_kernels_give_the_same_bytes(count, steps, profile, c_r
     array = _solve_with(monkeypatch, _ARRAY, profile, ks, c_range, steps)
     _assert_same_bytes(scalar, array)
     assert scalar.w1.shape == (count, steps + 1)
+    old = _old_scalar_solve(profile, ks, c_range, steps)
+    for name, (a, b) in {"w1": (0, 0), "w1p": (1, 0), "w2": (0, 1), "w2p": (1, 1)}.items():
+        assert getattr(scalar, name).tobytes() == np.ascontiguousarray(old[:, a, b].T).tobytes(), name
 
 
 def test_the_array_kernel_keeps_its_stage_factors_to_one_block():
