@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DomainError, MongesolError
-from .families import family_from_dict, family_to_dict, make_family
+from .families import _rect, family_from_dict, family_to_dict, make_family
 from .verifier import (
     GridSpec,
     ResidualReport,
@@ -86,20 +86,18 @@ class RunConfig:
 
 
 def _parse_grid(raw, rect) -> GridSpec:
-    """The run's capped grid: the section's ``nx``, ``nz`` and ``rect``, else the family's
+    """The run's grid: the section's ``nx``, ``nz`` and ``rect``, else the family's
     ``rect`` (a sweep sets numeric parameters only, so each of its bundles has that one)."""
     if not isinstance(raw, dict):
         raise ConfigError("grid must be a JSON object")
     unknown = set(raw) - {"nx", "nz", "rect"}
     if unknown:
         raise ConfigError(f"unknown grid fields: {sorted(unknown)}")
-    rect = raw.get("rect", rect)
     try:
-        if len(rect) != 4:
-            raise ConfigError("rect must be [x_lo, x_hi, z_lo, z_hi]")
-    except TypeError as exc:
+        rect = _rect(raw.get("rect", rect))  # as a family's rect is read
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"grid: malformed field value ({exc})") from None
-    return GridSpec(*rect, **{key: raw[key] for key in ("nx", "nz") if key in raw}).capped()
+    return GridSpec(*rect, **{key: raw[key] for key in ("nx", "nz") if key in raw})
 
 
 @contextlib.contextmanager

@@ -28,6 +28,7 @@ and a variable-slope family's with :func:`_slope_root_bundle`.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import functools
 import math
@@ -244,9 +245,13 @@ def _poly_fn(coeffs: Sequence) -> JetFunc:
 
 
 def _poly_deriv(coeffs: Sequence, order: int = 1) -> tuple:
+    """The coefficients of the ``order``-th derivative; one that overflows to a
+    non-finite number is an OverflowError, as a Python float product gives none."""
     out = list(coeffs)
     for _ in range(order):
         out = [k * ck for k, ck in enumerate(out)][1:]
+    if not all(map(cmath.isfinite, out)):
+        raise OverflowError("a derivative coefficient of a polynomial is not finite")
     return tuple(out)
 
 

@@ -221,8 +221,8 @@ def schrodinger_solve(
     in the same order, give the same bits, and each node
     equals a scalar-``k`` solve.  Only the solution array is whole: the
     kernels form ``k^2 W_c`` as they read it, and the overflow and
-    step-limit checks read only the extremes of ``k^2`` and ``W_c``
-    (``_stage_factors_may_fail``).
+    step-limit checks (``_check_stage_factors``) read one product per
+    stage point, and the node products of an offending one alone.
     """
     steps = _count(steps, "steps")
     if steps < 100:
@@ -250,11 +250,8 @@ def schrodinger_solve(
         raise MongesolError(f"non-finite potential profile value at c={c_bad!r}")
     with np.errstate(over="ignore"):  # an overflowing k^2 is reported below, by node and c
         ksq = kk * kk
-    # the bounds on k^2 W_c above and below (+-inf for a tiny h)
-    top, bottom = _RK4_STEP_LIMIT / abs(h), _RK4_OSC_STEP_LIMIT / abs(h)
-    top, bottom = top * top, -bottom * bottom  # a product overflows to inf, no error
-    if ksq.size and _stage_factors_may_fail(ksq, prof, top, bottom):
-        _check_stage_factors(ksq, prof, stages, kk, h, top, bottom)
+    if ksq.size:
+        _check_stage_factors(ksq, prof, stages, kk, h)
 
     # y = (w, w') x (fundamental solution 1, 2) x nodes
     ys = np.empty((steps + 1, 2, 2, kk.size))
@@ -351,42 +348,36 @@ def _rk4_array(prof: np.ndarray, ksq: np.ndarray, ys: np.ndarray, h: float) -> N
                 np.add(y, h6 * (k1 + two * k2 + two * k3 + k4), out=ys[i + 1])
 
 
-def _stage_factors_may_fail(ksq: np.ndarray, prof: np.ndarray, top: float,
-                            bottom: float) -> bool:
-    """Whether some ``ksq[j] * prof[i]`` is not finite or leaves ``[bottom, top]``,
-    from the extremes of the two factors alone.
+def _check_stage_factors(ksq, prof, stages, kk, h) -> None:
+    """Raise for the first stage point, then node, whose ``k^2 W_c`` is not finite,
+    else for the first beyond the RK4 step limit, naming node and c.
 
-    Exact, since ``ksq >= 0`` and a rounded product grows with each factor's
-    magnitude: some product is not finite exactly when ``max(ksq) * max|prof|``
-    is, the largest product is ``max(ksq) * max(prof)`` (``min(ksq) * max(prof)``
-    when every ``prof < 0``), and the smallest is ``max(ksq) * min(prof)``
-    (``min(ksq) * min(prof)`` when every ``prof > 0``).
+    A stage point's product farthest from 0 is ``max(k^2) W_c``, since
+    ``k^2 >= 0`` and a rounded product grows with each factor's magnitude, and
+    the limits hold 0 between them.  So that one product per stage point finds
+    the first offending stage point exactly, and only its row of node products
+    is formed.
     """
-    kmin, kmax = ksq.min(), ksq.max()
-    pmin, pmax = prof.min(), prof.max()
+    # the bounds on k^2 W_c above and below (+-inf for a tiny h)
+    top, bottom = _RK4_STEP_LIMIT / abs(h), _RK4_OSC_STEP_LIMIT / abs(h)
+    top, bottom = top * top, -bottom * bottom  # a product overflows to inf, no error
     with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 is nan: not finite
-        most = kmax * max(-pmin, pmax)
-        vmax = (kmax if pmax >= 0 else kmin) * pmax
-        vmin = (kmax if pmin <= 0 else kmin) * pmin
-    return not np.isfinite(most) or vmax > top or vmin < bottom
-
-
-def _check_stage_factors(ksq, prof, stages, kk, h, top, bottom) -> None:
-    """Build ``v = k^2 W_c`` over every stage point and node, and raise for its first
-    non-finite entry, else for its first beyond the RK4 step limit, naming node and c."""
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below, by node and c
-        v = ksq[None, :] * prof[:, None]  # (3 * steps, K)
-    bad = ~np.isfinite(v)
+        far = ksq.max() * prof
+        bad = ~np.isfinite(far)
+        if np.any(bad):
+            i = np.argmax(bad)
+            j = np.argmax(~np.isfinite(ksq * prof[i]))
+            raise MongesolError(f"k^2 * W_c(c) overflows at node k={float(kk[j])!r}, "
+                                f"c={float(stages[i])!r}")
+    bad = (far > top) | (far < bottom)
     if np.any(bad):
-        i, j = np.unravel_index(np.argmax(bad), bad.shape)
-        raise MongesolError(f"k^2 * W_c(c) overflows at node k={float(kk[j])!r}, "
-                            f"c={float(stages[i])!r}")
-    if v.max() > top or v.min() < bottom:
-        i, j = np.unravel_index(np.argmax((v > top) | (v < bottom)), v.shape)
-        limit = _RK4_STEP_LIMIT if v[i, j] > 0 else _RK4_OSC_STEP_LIMIT
+        i = np.argmax(bad)
+        v = ksq * prof[i]
+        j = np.argmax((v > top) | (v < bottom))
+        limit = _RK4_STEP_LIMIT if v[j] > 0 else _RK4_OSC_STEP_LIMIT
         raise MongesolError(
             f"RK4 step too large at node k={float(kk[j])!r}, c={float(stages[i])!r}: "
-            f"h * sqrt|k^2 W_c| = {abs(h) * math.sqrt(abs(v[i, j])):.4g} exceeds the "
+            f"h * sqrt|k^2 W_c| = {abs(h) * math.sqrt(abs(v[j])):.4g} exceeds the "
             f"stability limit {limit:.4f}; use more steps")
 
 

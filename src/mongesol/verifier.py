@@ -53,10 +53,10 @@ __all__ = [
 
 KNOWN_CHECKS = ("compat", "dependence", "wf", "eq5", "eq10", "reconstruct")
 
-# Most points a grid taken from a config, richardson_ratio's finer grid, or one
-# probe set may hold.  A 321x321 verify with reconstruct (order-2 jets) peaks at most
-# at 584 traced bytes per point over the canonical families (m3_general and
-# m3_general_e0), 312 without it (order 1), so 2**20 points take about 0.6 GB.
+# Most points a GridSpec or one probe set may hold.  A 321x321 verify with
+# reconstruct (order-2 jets) peaks at most at 584 traced bytes per point over the
+# canonical families (m3_general and m3_general_e0), 312 without it (order 1), so
+# 2**20 points take about 0.6 GB.
 MAX_POINTS = 2 ** 20
 
 DEFAULT_TOLERANCES = {
@@ -119,8 +119,7 @@ class GridSpec:
     """Rectangular evaluation grid of ``nx`` by ``nz`` nodes, read by every grid check.
 
     Each field is read by :func:`json_number`, the rectangle as floats and ``nx``
-    and ``nz`` as ints.  Any size is accepted here; :meth:`capped` rejects a grid
-    of more than ``MAX_POINTS`` points.
+    and ``nz`` as ints.  A grid of more than ``MAX_POINTS`` points is refused.
     """
 
     x_lo: float
@@ -141,24 +140,16 @@ class GridSpec:
                               f"[{self.x_lo}, {self.x_hi}, {self.z_lo}, {self.z_hi}]")
         if self.nx < 5 or self.nz < 5:
             raise ConfigError("grid needs nx, nz >= 5")
+        if self.nx * self.nz > MAX_POINTS:
+            raise ConfigError(f"the grid has {self.nx}x{self.nz} points, more than {MAX_POINTS}")
 
     @classmethod
     def for_bundle(cls, bundle: FieldBundle, nx: int = 21, nz: int = 21) -> "GridSpec":
         return cls(*bundle.domain.rect, nx=nx, nz=nz)
 
-    def capped(self, what: str = "the grid has") -> "GridSpec":
-        """This grid, or a :class:`ConfigError` ``"<what> NXxNZ points, ..."``
-        if it holds more than ``MAX_POINTS`` points."""
-        if self.nx * self.nz > MAX_POINTS:
-            raise ConfigError(f"{what} {self.nx}x{self.nz} points, more than {MAX_POINTS}")
-        return self
-
     def axes(self):
         return (np.linspace(self.x_lo, self.x_hi, self.nx),
                 np.linspace(self.z_lo, self.z_hi, self.nz))
-
-    def meta(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -657,11 +648,11 @@ def _fd_budget(fl, u, st, n, err_c, hx, hz, second):
 def richardson_ratio(bundle: FieldBundle, grid: GridSpec, tol: float) -> tuple[float, CheckResult, CheckResult]:
     """Residual ratio under halving the reconstruction step.
 
-    The finer grid is capped at ``MAX_POINTS`` before either grid is evaluated.
+    The finer grid is made, and so refused above ``MAX_POINTS`` points, before
+    either grid is evaluated.
     """
     fine_grid = GridSpec(grid.x_lo, grid.x_hi, grid.z_lo, grid.z_hi,
-                         nx=2 * grid.nx - 1, nz=2 * grid.nz - 1).capped(
-        f"richardson_ratio halves the step of the {grid.nx}x{grid.nz} grid to")
+                         nx=2 * grid.nx - 1, nz=2 * grid.nz - 1)
     coarse = reconstruct_u(GridEval(bundle, grid, 2), tol)
     fine = reconstruct_u(GridEval(bundle, fine_grid, 2), tol)
     denom = fine.max_abs if fine.max_abs > 0 else 1e-300
@@ -735,7 +726,7 @@ def run_suite(
         # the family's config as its JSON form; meta.grid records the rectangle
         "params": {k: v for k, v in params.items() if k not in ("family", "rect")},
         "mutations": bundle.mutations,
-        "grid": grid.meta(),
+        "grid": asdict(grid),
         "seed": seed,
         "probes": probes,
         "checks": checks,

@@ -708,6 +708,87 @@ def test_removed_config_field_is_named_unknown(tmp_path, capsys, section, name):
     assert err.count("\n") == 1 and not (tmp_path / "o").exists()
 
 
+def _canonical(tag, drop=(), **fields):
+    family = family_to_dict(canonical_config(tag))
+    for name in drop:
+        del family[name]
+    return {**family, **fields}
+
+
+@pytest.mark.parametrize("config, flags, message", [
+    ([], [], "config must be a JSON object with a 'family' section"),
+    ({"family": _SIGMA, "grid": []}, [], "grid must be a JSON object"),
+    ({"family": _SIGMA, "grid": {"rect": [1, 2, 3]}}, [], "rect must be [x_lo, x_hi, z_lo, z_hi]"),
+    ({"family": _SIGMA, "grid": {"rect": 5}}, [],
+     "grid: malformed field value (object of type 'int' has no len())"),
+    ({"family": {**_SIGMA, "rect": [1, 2, 3]}}, [], "rect must be [x_lo, x_hi, z_lo, z_hi]"),
+    ({"family": _canonical("m3_sigma_const", drop=("nu",))}, [],
+     "family 'm3_sigma_const': missing required field 'nu'"),
+    ({"family": _canonical("trivial", terms=[])}, [], "trivial family needs at least one term"),
+    ({"family": _canonical("degenerate", C=[1.0])}, [], "degenerate family: C must be non-constant"),
+    ({"family": _canonical("m3_general_e0", a=-1)}, [],
+     "m3_general_e0 requires a > 0 on the real branch"),
+    ({"family": _canonical("m3_general_e0", alpha1=-1)}, [],
+     "m3_general_e0 requires positive alpha1, alpha2"),
+    ({"family": _canonical("mn_theta_const", n=1)}, [], "mn_theta_const needs degree n >= 2"),
+    ({"family": _canonical("mn_theta_const", c=0)}, [],
+     "mn_theta_const needs nonzero mode amplitudes c, cbar"),
+    ({"family": _canonical("mn_theta_const", k=0)}, [], "mn_theta_const requires nonzero E and k"),
+    ({"family": _canonical("mn_theta_const", n=2, nu=[1, -1])}, [],
+     "mn_theta_const: degenerate slope bracket (box_n vanishes)"),
+    ({"family": _canonical("m3_sigma_const", A=-1)}, [],
+     "m3_sigma_const real branch requires rho*A > 0"),
+    ({"family": _canonical("m3_l1_const", D=0)}, [], "m3_l1_const requires nonzero D and k"),
+    ({"family": _canonical("m3_l1_const", nu=[1, -1])}, [],
+     "m3_l1_const: the combined constant D~ vanishes"),
+    ({"family": _canonical("m3_theta_const", E=-1)}, [],
+     "m3_theta_const real branch requires E*rho > 0"),
+    ({"family": _SIGMA}, ["--mutate", "a0"], "--mutate expects name=factor, got 'a0'"),
+    ({"family": _SIGMA}, ["--mutate", "a0=x"], "--mutate a0: 'x' is not a number"),
+], ids=["config_a_list", "grid_a_list", "grid_rect_of_three", "grid_rect_a_number",
+        "family_rect_of_three", "sigma_without_nu", "trivial_without_terms",
+        "degenerate_constant_c", "e0_a_negative", "e0_alpha1_negative", "n_theta_degree_1",
+        "n_theta_c_zero", "n_theta_k_zero", "n_theta_bracket_vanishes", "sigma_A_negative",
+        "l1_D_zero", "l1_dtilde_vanishes", "theta_E_negative", "mutate_without_factor",
+        "mutate_factor_not_a_number"])
+def test_a_refused_input_prints_its_one_message_and_writes_nothing(tmp_path, capsys, config,
+                                                                   flags, message):
+    cfg = _write(tmp_path, "c.json", config)
+    out = tmp_path / "o"
+    assert main(["verify", "--config", cfg, "--out", str(out)] + flags) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+def test_a_report_path_that_is_a_directory_exits_2(sigma_cfg, tmp_path, capsys):
+    report = tmp_path / "o" / "report.json"
+    report.mkdir(parents=True)
+    assert main(["verify", "--config", sigma_cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (f"config error: cannot write {report}: "
+                                       f"[Errno 21] Is a directory: '{report}'\n")
+    assert list((tmp_path / "o").iterdir()) == [report] and not any(report.iterdir())
+
+
+@pytest.mark.parametrize("tag, fields", [
+    ("trivial", {"n": 3, "terms": [[1.0, [0, 0, 0, 1e308]]]}),
+    ("m1_implicit", {"F": [0.0, 0.0, 0.0, 1e308]}),
+    ("degenerate", {"C": [0.0, 0.0, 1e308]}),
+])
+def test_an_overflowing_polynomial_derivative_is_a_config_error(tmp_path, capsys, tag, fields):
+    # a Python float product overflows to inf with no error; unchecked, the trivial
+    # family's fields are constant inf, and compat and dependence pass on them
+    cfg = _write(tmp_path, "c.json", _junk_family(tag, **fields))
+    for command in ("construct", "verify"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert not caught
+        assert capsys.readouterr().err == (
+            f"config error: family {tag!r}: a parameter overflows "
+            "(a derivative coefficient of a polynomial is not finite)\n")
+        assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("family, checks, message", [
     ({"family": "mn_theta_const", "n": 5, "nu": [1, 2]},
      ["compat", "dependence", "eq5", "reconstruct"], "reconstruction supports degree n <= 4"),

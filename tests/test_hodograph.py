@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 import warnings
@@ -356,14 +357,27 @@ def test_schrodinger_names_the_node_whose_product_overflows(ks, profile, where):
             schrodinger_solve(profile, np.array(ks), (0.0, 1.0), steps=200)
 
 
-def _whole_array_checks_raise(ksq, prof, top, bottom):
-    """The former checks on the whole ``k^2 W_c``, kept as the oracle: some product is not
-    finite, or some product is beyond the step limit above or below."""
+def _whole_array_checks_raise(ksq, prof, stages, kk, h):
+    """The former checks on the whole ``k^2 W_c``, kept as the oracle: the message of its
+    first non-finite product, else of its first beyond the step limit above or below, in
+    stage-then-node order; ``None`` when no product is either."""
+    top, bottom = hodograph._RK4_STEP_LIMIT / abs(h), hodograph._RK4_OSC_STEP_LIMIT / abs(h)
+    top, bottom = top * top, -bottom * bottom
     with np.errstate(over="ignore", invalid="ignore"):
-        v = ksq[None, :] * prof[:, None]
-    if not np.all(np.isfinite(v)):
-        return True
-    return bool(v.size and (v.max() > top or v.min() < bottom))
+        v = ksq[None, :] * prof[:, None]  # (stage points, nodes)
+    bad = ~np.isfinite(v)
+    if np.any(bad):
+        i, j = np.unravel_index(np.argmax(bad), bad.shape)
+        return (f"k^2 * W_c(c) overflows at node k={float(kk[j])!r}, "
+                f"c={float(stages[i])!r}")
+    bad = (v > top) | (v < bottom)
+    if not np.any(bad):
+        return None
+    i, j = np.unravel_index(np.argmax(bad), bad.shape)
+    limit = hodograph._RK4_STEP_LIMIT if v[i, j] > 0 else hodograph._RK4_OSC_STEP_LIMIT
+    return (f"RK4 step too large at node k={float(kk[j])!r}, c={float(stages[i])!r}: "
+            f"h * sqrt|k^2 W_c| = {abs(h) * math.sqrt(abs(v[i, j])):.4g} exceeds the "
+            f"stability limit {limit:.4f}; use more steps")
 
 
 _EDGE_FLOATS = [0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 1e154, 1e155, 1e200, -1e200,
@@ -388,14 +402,18 @@ _gate_floats = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(-1e3, 1e3),
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_the_factor_gate_trips_exactly_when_the_whole_array_checks_raise(ks, prof, h):
     kk, prof = np.array(ks), np.array(prof)
+    stages = np.arange(prof.size) * 0.25  # distinct c per stage point, for the message
     with np.errstate(over="ignore"):  # k = 1e200: k^2 is inf, as in schrodinger_solve
         ksq = kk * kk
-    top, bottom = hodograph._RK4_STEP_LIMIT / abs(h), hodograph._RK4_OSC_STEP_LIMIT / abs(h)
-    top, bottom = top * top, -bottom * bottom
-    want = _whole_array_checks_raise(ksq, prof, top, bottom)
+    want = _whole_array_checks_raise(ksq, prof, stages, kk, h)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert hodograph._stage_factors_may_fail(ksq, prof, top, bottom) == want
+        if want is None:
+            hodograph._check_stage_factors(ksq, prof, stages, kk, h)
+        else:
+            with pytest.raises(MongesolError) as info:
+                hodograph._check_stage_factors(ksq, prof, stages, kk, h)
+            assert str(info.value) == want
 
 
 # -- the scalar and the array RK4 kernel ---------------------------------------

@@ -308,19 +308,20 @@ def test_admissible_grid_exhaustion():
 def test_grid_validation():
     with pytest.raises(ConfigError):
         GridSpec(0, 1, 0, 1, nx=3, nz=7)
-    # the point cap holds where a grid is checked, not on construction
-    big = GridSpec(0, 1, 0, 1, nx=MAX_POINTS // 5 + 1, nz=5)
+    # the point cap holds on construction, for a library grid as for a config's
     with pytest.raises(ConfigError, match=f"the grid has {MAX_POINTS // 5 + 1}x5 points"):
-        big.capped()
-    assert GridSpec(0, 1, 0, 1, nx=MAX_POINTS // 5, nz=5).capped().nz == 5
+        GridSpec(0, 1, 0, 1, nx=MAX_POINTS // 5 + 1, nz=5)
+    with pytest.raises(ConfigError) as info:
+        GridSpec(0, 1, 0, 1, nx=1025, nz=1025)
+    assert str(info.value) == f"the grid has 1025x1025 points, more than {MAX_POINTS}"
+    assert GridSpec(0, 1, 0, 1, nx=MAX_POINTS // 5, nz=5).nz == 5
 
 
 def test_richardson_ratio_caps_its_finer_grid_up_front(monkeypatch):
     b = make_family(canonical_config("trivial"))
-    grid = GridSpec.for_bundle(b, nx=1024, nz=1023).capped()  # just under the cap
+    grid = GridSpec.for_bundle(b, nx=1024, nz=1023)  # just under the cap
     monkeypatch.setattr(verifier, "reconstruct_u", lambda *a: pytest.fail("a grid was evaluated"))
-    with pytest.raises(ConfigError, match="richardson_ratio halves the step of the 1024x1023 "
-                                          "grid to 2047x2045 points, more than"):
+    with pytest.raises(ConfigError, match="the grid has 2047x2045 points, more than"):
         richardson_ratio(b, grid, 1e-6)
 
 
