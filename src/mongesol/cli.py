@@ -95,7 +95,7 @@ def _parse_grid(raw, rect) -> GridSpec:
         raise ConfigError(f"unknown grid fields: {sorted(unknown)}")
     try:
         rect = _rect(raw.get("rect", rect))  # as a family's rect is read
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"grid: malformed field value ({exc})") from None
     return GridSpec(*rect, **{key: raw[key] for key in ("nx", "nz") if key in raw})
 
@@ -407,13 +407,11 @@ def main(argv=None) -> int:
                 return cmd_construct(config, out_dir, mutations)
             if args.command == "verify":
                 return cmd_verify(config, out_dir, seed, mutations)
-            if args.command == "sweep":
-                try:
-                    values = [float(v) for v in args.values.split(",")]
-                except ValueError:
-                    raise ConfigError(f"--values must be comma-separated numbers: {args.values!r}")
-                return cmd_sweep(config, args.param, values, out_dir, seed, mutations)
-            raise ConfigError(f"unknown command {args.command!r}")
+            try:  # sweep, the one command left
+                values = [float(v) for v in args.values.split(",")]
+            except ValueError:
+                raise ConfigError(f"--values must be comma-separated numbers: {args.values!r}")
+            return cmd_sweep(config, args.param, values, out_dir, seed, mutations)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -816,7 +816,7 @@ def _build_sigma_const(cfg: SigmaConstConfig, scales) -> FieldBundle:
 
 def _build_l1_const(cfg: L1ConstConfig, scales) -> FieldBundle:
     nu = NuPair(*cfg.nu)
-    nu1, nu2, delta, box = nu.nu1, nu.nu2, nu.delta, nu.box3
+    nu1, nu2, box = nu.nu1, nu.nu2, nu.box3
     d, k = float(cfg.D), float(cfg.k)
     if d == 0 or k == 0:
         raise ConfigError("m3_l1_const requires nonzero D and k")
@@ -1131,11 +1131,8 @@ def _build_general(cfg: GeneralNuConfig, scales) -> FieldBundle:
     def sigma(xj):
         return (1.0 / g) * (jlog(xj) - jlog(xj + g))
 
-    def wf_res(w, f):
-        if g < 0:
-            return np.exp(2 * g * w) * np.cosh(f / math.sqrt(-g)) ** 2 - 1.0
-        val = np.exp(2 * g * w) * np.cosh(f / h) ** 2
-        return np.abs(val) - 1.0
+    def wf_res(w, f):  # the product is real and non-negative for g < 0, where abs keeps it
+        return np.abs(np.exp(2 * g * w) * np.cosh(f / h) ** 2) - 1.0
 
     habs = abs(h)
     domain = SafeDomain(
@@ -1311,21 +1308,32 @@ def _nu_pair(value) -> tuple:
     return nu
 
 
-def _numbers(value) -> tuple:
-    return tuple(map(json_number, value))
+def _numbers(value, read=json_number) -> tuple:
+    """The entries of a JSON list (or of a tuple, from a library caller), each read by
+    ``read``; any other value is a ValueError, raised before an entry is read."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"expected a list, got {value!r}")
+    return tuple(map(read, value))
 
 
 def _rect(value) -> tuple:
-    if len(value) != 4:
+    if not isinstance(value, (list, tuple)) or len(value) != 4:
         raise ConfigError("rect must be [x_lo, x_hi, z_lo, z_hi]")
-    return tuple(json_number(v, float) for v in value)
+    return _numbers(value, lambda v: json_number(v, float))
+
+
+def _term(term) -> tuple:
+    """One ``[lam, [coefficients]]`` entry of a ``terms`` list, each number read by ``_num``."""
+    if not isinstance(term, (list, tuple)) or len(term) != 2:
+        raise ValueError(f"a term must be [lam, [coefficients]], got {term!r}")
+    return _num(term[0]), _numbers(term[1], _num)
 
 
 # JSON value -> field value, by field name first, then by annotated type
 _FIELD_PARSERS = {
     "nu": _nu_pair,
     "rect": _rect,
-    "terms": lambda terms: tuple((_num(lam), tuple(map(_num, coeffs))) for lam, coeffs in terms),
+    "terms": lambda terms: _numbers(terms, _term),
 }
 _TYPE_PARSERS = {
     "int": lambda v: json_number(v, int),

@@ -66,8 +66,9 @@ def solve_implicit(f: Callable[[Jet1], Jet1], x, z, seed,
     ``f`` evaluates F and ``slope`` evaluates S, each on a univariate jet
     (a ``Jet1`` of order 1); ``slope=None`` is S(lam) = lam, solved with
     no evaluation of S and no product by S' = 1.  Damped Newton to an absolute
-    residual of ``_IMPLICIT_TOL``; a fold point (``S'(lam)*z - F'(lam)``
-    below ``_FOLD_TOL`` at an iterate) is an error, not a branch jump.
+    residual of ``_IMPLICIT_TOL``.  Each iterate, the returned root included,
+    gets one fold test before its convergence test: ``S'(lam)*z - F'(lam)``
+    below ``_FOLD_TOL`` is a ``FoldError``, not a branch jump.
     Vectorizes over arrays of points.
     """
     x = np.asarray(x, dtype=float)
@@ -85,10 +86,10 @@ def solve_implicit(f: Callable[[Jet1], Jet1], x, z, seed,
 
     g, gp = residual(lam)
     for _ in range(_IMPLICIT_MAX_ITER):
-        if np.max(np.abs(g)) <= _IMPLICIT_TOL:
-            break
         if np.any(np.abs(gp) < _FOLD_TOL):
             raise FoldError("implicit solve at a fold point: S'(lam)*z - F'(lam) ~ 0")
+        if np.max(np.abs(g)) <= _IMPLICIT_TOL:
+            break
         step = g / gp
         new = lam - step
         gn, gpn = residual(new)
@@ -103,8 +104,6 @@ def solve_implicit(f: Callable[[Jet1], Jet1], x, z, seed,
         lam, g, gp = new, gn, gpn
     else:
         raise ConvergenceError(f"implicit solve: no convergence in {_IMPLICIT_MAX_ITER} iterations")
-    if np.any(np.abs(gp) < _FOLD_TOL):
-        raise FoldError("implicit solve converged onto a fold point (S'(lam)*z = F'(lam))")
     return lam
 
 

@@ -24,7 +24,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ConfigError, DomainError, QuadratureError
-from .families import _BLOCK, _TYPE_PARSERS, FieldBundle, family_to_dict, json_number
+from .families import _BLOCK, _TYPE_PARSERS, FieldBundle, _centre, family_to_dict, json_number
 from .functional_eq import four_function_residual, variable_slope_residual
 from .jets import Jet2, jet_partial
 
@@ -177,17 +177,8 @@ class ResidualReport:
         return _finite_json({
             "meta": self.meta,
             "passed": self.passed,
-            "checks": {
-                name: {
-                    "max_abs": c.max_abs,
-                    "mean_abs": c.mean_abs,
-                    "argmax": list(c.argmax),
-                    "tolerance": c.tolerance,
-                    "passed": c.passed,
-                    "extra": c.extra,
-                }
-                for name, c in self.checks.items()
-            },
+            "checks": {name: {f.name: getattr(c, f.name) for f in fields(c)[1:]}
+                       for name, c in self.checks.items()},
         })
 
     def csv_rows(self) -> list[list[str]]:
@@ -398,8 +389,7 @@ def _quadrature_crosscheck(ev: GridEval, tol: float) -> CheckResult:
     w_grid = np.full(xg.shape, np.nan, dtype=fl["W"].value.dtype)
     f_grid[ij], w_grid[ij] = fl["f"].value, fl["W"].value
     # reference node: admissible point closest to the rectangle centre
-    xc = 0.5 * (grid.x_lo + grid.x_hi)
-    zc = 0.5 * (grid.z_lo + grid.z_hi)
+    xc, zc = _centre((grid.x_lo, grid.x_hi, grid.z_lo, grid.z_hi))
     dist = np.where(ok, (xg - xc) ** 2 + (zg - zc) ** 2, np.inf)
     i0, j0 = np.unravel_index(int(np.argmin(dist)), dist.shape)
 
@@ -421,10 +411,8 @@ def _quadrature_crosscheck(ev: GridEval, tol: float) -> CheckResult:
     f_quad = f_grid[i0, j0] + f_row[:, None] + f_col
     w_quad = w_grid[i0, j0] + w_row[:, None] + w_col
 
+    # holds at (i0, j0) at least: an admitted node, clean to itself
     path_ok = _path_ok(ok, row_ok, col_ok, i0, j0)
-    if not np.any(path_ok):
-        raise DomainError("quadrature cross-check: no admissible integration paths")
-
     resid = np.maximum(np.abs(f_quad[path_ok] - f_grid[path_ok]),
                        np.abs(w_quad[path_ok] - w_grid[path_ok]))
     return _result("wf_quadrature", resid, xg[path_ok], zg[path_ok], tol,

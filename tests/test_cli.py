@@ -9,6 +9,7 @@ import math
 import os
 import platform
 import re
+import runpy
 import struct
 import subprocess
 import sys
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mongesol import cli, verifier
+from mongesol import cli, hodograph, verifier
 from mongesol.cli import RunConfig, _csv_blocks, _pin_malloc_thresholds, main
 from mongesol.errors import ConfigError
 from mongesol.families import (
@@ -719,9 +720,19 @@ def _canonical(tag, drop=(), **fields):
     ([], [], "config must be a JSON object with a 'family' section"),
     ({"family": _SIGMA, "grid": []}, [], "grid must be a JSON object"),
     ({"family": _SIGMA, "grid": {"rect": [1, 2, 3]}}, [], "rect must be [x_lo, x_hi, z_lo, z_hi]"),
-    ({"family": _SIGMA, "grid": {"rect": 5}}, [],
-     "grid: malformed field value (object of type 'int' has no len())"),
+    ({"family": _SIGMA, "grid": {"rect": 5}}, [], "rect must be [x_lo, x_hi, z_lo, z_hi]"),
     ({"family": {**_SIGMA, "rect": [1, 2, 3]}}, [], "rect must be [x_lo, x_hi, z_lo, z_hi]"),
+    ({"family": {**_SIGMA, "rect": None}}, [], "rect must be [x_lo, x_hi, z_lo, z_hi]"),
+    ({"family": {**_SIGMA, "nu": 5}}, [],
+     "family 'm3_sigma_const': malformed field value (expected a list, got 5)"),
+    ({"family": {**_SIGMA, "nu": "ab"}}, [],
+     "family 'm3_sigma_const': malformed field value (expected a list, got 'ab')"),
+    ({"family": _canonical("m1_implicit", F="12")}, [],
+     "family 'm1_implicit': malformed field value (expected a list, got '12')"),
+    ({"family": _canonical("trivial", terms=5)}, [],
+     "family 'trivial': malformed field value (expected a list, got 5)"),
+    ({"family": _canonical("trivial", terms=[5])}, [],
+     "family 'trivial': malformed field value (a term must be [lam, [coefficients]], got 5)"),
     ({"family": _canonical("m3_sigma_const", drop=("nu",))}, [],
      "family 'm3_sigma_const': missing required field 'nu'"),
     ({"family": _canonical("trivial", terms=[])}, [], "trivial family needs at least one term"),
@@ -746,7 +757,9 @@ def _canonical(tag, drop=(), **fields):
     ({"family": _SIGMA}, ["--mutate", "a0"], "--mutate expects name=factor, got 'a0'"),
     ({"family": _SIGMA}, ["--mutate", "a0=x"], "--mutate a0: 'x' is not a number"),
 ], ids=["config_a_list", "grid_a_list", "grid_rect_of_three", "grid_rect_a_number",
-        "family_rect_of_three", "sigma_without_nu", "trivial_without_terms",
+        "family_rect_of_three", "family_rect_null", "nu_a_number", "nu_a_string",
+        "implicit_F_a_string", "trivial_terms_a_number", "trivial_term_a_number",
+        "sigma_without_nu", "trivial_without_terms",
         "degenerate_constant_c", "e0_a_negative", "e0_alpha1_negative", "n_theta_degree_1",
         "n_theta_c_zero", "n_theta_k_zero", "n_theta_bracket_vanishes", "sigma_A_negative",
         "l1_D_zero", "l1_dtilde_vanishes", "theta_E_negative", "mutate_without_factor",
@@ -758,6 +771,34 @@ def test_a_refused_input_prints_its_one_message_and_writes_nothing(tmp_path, cap
     assert main(["verify", "--config", cfg, "--out", str(out)] + flags) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
+
+
+def test_a_sweep_of_no_values_is_a_config_error(sigma_cfg, tmp_path):
+    # main reads at least one value from --values; a library caller may pass none
+    with pytest.raises(ConfigError) as info:
+        cli.cmd_sweep(RunConfig.load(sigma_cfg), "A", [], tmp_path / "o", 0, {})
+    assert str(info.value) == "sweep needs a nonempty values list"
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_solver_error_that_is_not_a_domain_error_exits_3(tmp_path, capsys, monkeypatch):
+    # the implicit solve of m1_implicit's slopes runs out of iterations
+    monkeypatch.setattr(hodograph, "_IMPLICIT_MAX_ITER", 1)
+    cfg = _write(tmp_path, "m1.json", {"family": family_to_dict(canonical_config("m1_implicit"))})
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == "error: implicit solve: no convergence in 1 iterations\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_the_module_runs_as_a_script(sigma_cfg, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["mongesol", "verify", "--config", sigma_cfg,
+                                      "--out", str(tmp_path / "o")])
+    # runpy runs a fresh copy of the module, and warns if one is loaded already
+    monkeypatch.delitem(sys.modules, "mongesol.cli")
+    with pytest.raises(SystemExit) as info:
+        runpy.run_module("mongesol.cli", run_name="__main__")
+    assert info.value.code == 0
+    assert capsys.readouterr().out.endswith(f"report: {tmp_path / 'o' / 'report.json'}\n")
 
 
 def test_a_report_path_that_is_a_directory_exits_2(sigma_cfg, tmp_path, capsys):

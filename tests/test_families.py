@@ -17,12 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mongesol.errors import BranchCutError, ConfigError, DomainError, FoldError
+from mongesol.errors import BranchCutError, ConfigError, ConvergenceError, DomainError, FoldError
 from mongesol.families import (
     FAMILY_TAGS,
     MAX_DEGREE,
     EPS,
     DegenerateConfig,
+    FieldBundle,
     SafeDomain,
     GeneralNuConfig,
     GeneralNuE0Config,
@@ -913,10 +914,41 @@ def test_the_primitive_integrand_receives_univariate_jets(monkeypatch):
 
 
 def test_the_eq10_slope_receives_univariate_jets(monkeypatch):
-    # the branch's Newton solve and its own defect check, both at order 1
+    # the branch's Newton solve and the evaluation of theta'(nu), both at order 1
     seen, rec = _spy_univariate(monkeypatch)
     b = make_family(canonical_config("m3_general"))
     branch = b.general_quadruple.branch2
     assert branch.kind == "implicit"
     dataclasses.replace(branch, theta=rec(branch.theta)).resolve(*_admitted_points(b))
     assert len(seen) > 1 and set(seen) == {(1, 2)}
+
+
+def _slice_bundle(f):
+    """A bundle with the bottom field ``f(x-jet, z-jet)``, top field x, and no w_value_fn."""
+    def fields(x, z, m):
+        xj, zj = jet_seed(x, z, m)
+        return {"f": f(xj, zj), "W": xj}
+    return FieldBundle(n=1, domain=SafeDomain(rect=(-2.0, 2.0, -2.0, 2.0)), wf_relation=None,
+                       mutation_slots=(), fields_fn=fields)
+
+
+def _degenerate_w_value(t):
+    b = make_family(canonical_config("degenerate"))
+    x, z = _admitted_points(b)
+    return b.w_value_fn(np.array([t]), x[:1], z[:1])
+
+
+@pytest.mark.parametrize("call, message", [
+    # f = z is flat along every slice of fixed z
+    (lambda: _slice_bundle(lambda xj, zj: zj).w_of_f(np.array([1.0]), [0.5], [0.5]),
+     "w_of_f: flat bottom field along the slice"),
+    # Newton on x^3 - 2x + 2 = 0 from x = 0 cycles 0 -> 1 -> 0, exactly
+    (lambda: _slice_bundle(lambda xj, zj: poly_jet((2.0, -2.0, 0.0, 1.0), xj)).w_of_f(
+        np.array([0.0]), [0.0], [0.5]), "w_of_f: slice inversion did not converge"),
+    # the canonical bottom map C(a) = a^2 takes no negative value
+    (lambda: _degenerate_w_value(-1.0), "degenerate family: inversion of the bottom map stalled"),
+], ids=["flat_slice", "cycling_slice", "degenerate_out_of_range"])
+def test_an_inversion_that_cannot_converge_is_a_convergence_error(call, message):
+    with pytest.raises(ConvergenceError) as info:
+        call()
+    assert str(info.value) == message

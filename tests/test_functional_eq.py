@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mongesol.errors import DomainError
+from mongesol.errors import DomainError, FoldError
 from mongesol.families import canonical_config, make_family
 from mongesol.functional_eq import (
     GeneralQuadruple,
@@ -12,6 +12,7 @@ from mongesol.functional_eq import (
     four_function_terms,
     variable_slope_residual,
 )
+from mongesol.jets import poly_jet
 from mongesol.nu_algebra import NuPair
 from mongesol.verifier import sample_points
 
@@ -202,6 +203,29 @@ def test_duality_zero_denominator_guard():
     d = duality_transform(q)
     with pytest.raises(DomainError):
         d.sigma_x(np.array([1.0]))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: duality_transform(_zero_quadruple(), "reversed"), "unknown duality variant 'reversed'"),
+    (lambda: SlopeBranch(kind="curved").resolve(1.0, 1.0), "unknown branch kind 'curved'"),
+], ids=["duality_variant", "branch_kind"])
+def test_an_unknown_variant_or_branch_kind_is_a_value_error(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_a_branch_that_folds_inside_the_points_is_a_fold_error():
+    # x + nu z = nu^2/2 folds where theta'(nu) = nu meets z: the root nu = 1 of the
+    # point (-0.5, 1) is on the fold, and the root nu = 2 of (1, 0.5) is regular
+    branch = SlopeBranch(kind="implicit", cprime=np.ones_like,
+                         theta=lambda tj: poly_jet((0.0, 0.0, 0.5), tj),
+                         seed=lambda x, z: np.ones(np.shape(x)))
+    nu, weight = branch.resolve(np.array([1.0]), np.array([0.5]))
+    assert nu.tolist() == [2.0] and weight.tolist() == [1.0 / 1.5]
+    with pytest.raises(FoldError) as info:
+        branch.resolve(np.array([1.0, -0.5]), np.array([0.5, 1.0]))
+    assert str(info.value) == "implicit solve at a fold point: S'(lam)*z - F'(lam) ~ 0"
 
 
 def test_one_argument_purity_of_constant_sigma_family():

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mongesol import hodograph
-from mongesol.errors import FoldError, MongesolError, QuadratureError
+from mongesol.errors import ConvergenceError, FoldError, MongesolError, QuadratureError
 from mongesol.hodograph import (
     _univariate_on_jet,
     assemble_r_integral,
@@ -17,7 +17,8 @@ from mongesol.hodograph import (
     schrodinger_solve,
     solve_implicit,
 )
-from mongesol.jets import Jet2, compose_series, jet_partial, jet_seed, jlog, jsqrt, poly_jet
+from mongesol.jets import (Jet2, compose_series, jet_partial, jet_seed, jet_seed1, jlog, jsqrt,
+                           poly_jet)
 
 
 # -- implicit scalar solve ----------------------------------------------------
@@ -51,10 +52,65 @@ def test_solve_implicit_cubic_slope_equation():
 
 
 def test_solve_implicit_fold_is_an_error():
-    # x + lam z = lam^2/2 folds where z = lam; aim straight at it
+    # x + lam z = lam^2/2 folds where z = lam; aim straight at it.  The seed is the
+    # root, and the fold test runs on every iterate before its convergence test
     f = lambda lj: poly_jet((0.0, 0.0, 0.5), lj)
-    with pytest.raises((FoldError, MongesolError)):
+    with pytest.raises(FoldError) as info:
         solve_implicit(f, -0.5, 1.0, seed=1.0)  # root lam = z = 1 is the fold
+    assert str(info.value) == "implicit solve at a fold point: S'(lam)*z - F'(lam) ~ 0"
+
+
+_coeff = st.floats(-2.0, 2.0)
+# a point: its root lam*, then its z (an offset from the fold if it is near one), the
+# near-fold flag and the seed's distance from lam*
+_point = st.tuples(st.floats(-2.0, 2.0), st.floats(-3.0, 3.0), st.booleans(),
+                   st.floats(-0.5, 0.5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(_coeff, _coeff, _coeff, _coeff),
+       st.none() | st.tuples(_coeff, _coeff, _coeff),
+       st.lists(_point, min_size=1, max_size=6), st.floats(-2e-8, 2e-8))
+@example((0.0, 0.0, 0.5, 0.0), None, [(1.0, 0.0, True, 0.0)], 0.0)  # seeded on the fold
+@example((0.0, 0.0, 0.5, 0.0), None, [(1.0, 0.0, True, 0.0)], 1.5e-8)  # root just off it
+@example((0.0, 0.0, 0.5, 0.0), None, [(1.0, 0.0, True, 0.3), (2.0, 1.0, False, 0.1)], 9e-9)
+@example((0.0, 1.0, 0.0, 0.2), (1.0, 0.5, 0.25), [(0.5, 0.0, True, 0.2)], 1.2e-8)
+def test_a_returned_root_meets_the_line_equation_and_keeps_off_the_fold(cf, cs, points, eps):
+    # what SlopeBranch.resolve relies on: whenever solve_implicit returns, each root
+    # solves x + S(lam) z = F(lam) to 1e-12 and keeps |S'(lam) z - F'(lam)| >= 1e-8,
+    # recomputed as resolve computes them; else the solve raises FoldError or
+    # ConvergenceError.  A near-fold point takes z with S'(lam*) z - F'(lam*) = eps.
+    f = lambda tj: poly_jet(cf, tj)
+    slope = None if cs is None else (lambda tj: poly_jet(cs, tj))
+    star = np.array([p[0] for p in points])
+    tj = jet_seed1(star, 1)
+    sj, fj = (tj if slope is None else slope(tj)), f(tj)
+    s_prime = jet_partial(sj, 1, 0)
+    near = np.array([p[2] for p in points]) & (np.abs(s_prime) >= 0.1)
+    z = np.where(near, (jet_partial(fj, 1, 0) + eps) / np.where(near, s_prime, 1.0),
+                 [p[1] for p in points])
+    x = fj.value - sj.value * z
+    try:
+        lam = solve_implicit(f, x, z, star + [p[3] for p in points], slope=slope)
+    except (FoldError, ConvergenceError):
+        return
+    thj = f(jet_seed1(lam, 1))
+    if slope is None:  # resolve's own two expressions
+        defect, qden = np.abs(x + lam * z - thj.value), jet_partial(thj, 1, 0) - z
+    else:
+        sj = slope(jet_seed1(lam, 1))
+        defect = np.abs(x + sj.value * z - thj.value)
+        qden = jet_partial(thj, 1, 0) - jet_partial(sj, 1, 0) * z
+    assert np.all(defect <= 1e-12) and np.all(np.abs(qden) >= 1e-8)
+
+
+def test_an_implicit_solve_out_of_iterations_is_a_convergence_error(monkeypatch):
+    # Newton reaches the root of the linear x + lam z = lam in one step, and only the
+    # next iterate's test would see it
+    monkeypatch.setattr(hodograph, "_IMPLICIT_MAX_ITER", 1)
+    with pytest.raises(ConvergenceError) as info:
+        solve_implicit(lambda lj: lj, 1.0, 0.5, seed=0.0)
+    assert str(info.value) == "implicit solve: no convergence in 1 iterations"
 
 
 # x + S(lam) z = F(lam) with a non-identity S, as degenerate's C_a^{1/2}
@@ -720,6 +776,10 @@ def test_assemble_rejects_bad_arguments():
         assemble_r_integral(*args, (0.0, 1.0), nb=0, steps=200)
     with pytest.raises(ValueError, match="nb must be an integer"):
         assemble_r_integral(*args, (0.0, 1.0), nb=5.0, steps=200)
+    with pytest.raises(ValueError, match="^unknown quadrature mode 'simpson'$"):
+        assemble_r_integral(*args, (0.0, 1.0), nb=5, steps=200, mode="simpson")
+    with pytest.raises(ValueError, match="^k_nodes must be nonempty$"):
+        assemble_r_integral(*args[:2], [], *args[3:], (0.0, 1.0), nb=5, steps=200)
 
 
 def test_assemble_reversed_c_range_still_works():

@@ -921,3 +921,24 @@ def test_a_running_sum_keeps_the_layout_and_order_checks():
     for terms in ([b, b, u], [b, b, jet_seed(1.0, 0.5, 1)[0]]):
         with pytest.raises(ValueError, match="mismatch"):
             _sum(terms)
+
+
+_XJ = jet_seed(np.array([1.0, 2.0]), np.array([0.5, 0.5]), 2)[0]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Jet2.constant(1.0, 0).dx(), "cannot differentiate an order-0 jet"),
+    (lambda: jet_partial(_XJ, -1, 1), "partial orders must be nonnegative"),
+    (lambda: compose_series([1.0, 2.0], _XJ), "series too short for the jet order"),
+], ids=["dx_of_order_0", "negative_partial", "short_series"])
+def test_a_refused_jet_operation_is_a_value_error(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("jet", [_XJ, jet_seed1(np.array([1.0, 2.0]), 2)], ids=["Jet2", "Jet1"])
+def test_the_empty_polynomial_is_the_zero_jet(jet):
+    zero = poly_jet((), jet)
+    assert type(zero) is type(jet) and zero.m == 2 and zero.shape == (2,)
+    assert zero.c.shape == jet.c.shape and not np.any(zero.c)

@@ -179,3 +179,9 @@ def test_combine_at_unit_slope_and_delta_equals_every_product(s, pairs, as_jets)
     if as_jets:
         got, want = got.c, want.c
     assert got.dtype == want.dtype and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_box_n_refuses_a_negative_degree():
+    with pytest.raises(ValueError) as info:
+        NuPair(1.0, 2.0).box_n(-1)
+    assert str(info.value) == "box_n takes a nonnegative integer"

@@ -350,7 +350,11 @@ def _path_masks(draw):
 @settings(max_examples=200, deadline=None)
 @given(_path_masks())
 def test_path_ok_equals_the_loop(masks):
-    assert np.array_equal(_path_ok(*masks), _path_ok_loop(*masks))
+    path_ok = _path_ok(*masks)
+    assert np.array_equal(path_ok, _path_ok_loop(*masks))
+    # the cross-check's reference node is admitted, so it always has its empty path
+    ok, _, _, i0, j0 = masks
+    assert path_ok[i0, j0] or not ok[i0, j0]
 
 
 def _simpson_weights(refine):
@@ -567,3 +571,23 @@ def test_eq10_solves_each_slope_branch_once(monkeypatch):
     res = verifier.check_equation(b, np.random.default_rng(3), 20, 1e-9, "eq10")
     assert calls == ["residual", 20, 20]
     assert res.passed and 0 < res.extra["max_rel"] <= 1e-9
+
+
+_NOWHERE = SafeDomain(rect=(-1.0, 1.0, -1.0, 1.0), predicates=(
+    ("nowhere", lambda x, z: np.full(np.broadcast_shapes(np.shape(x), np.shape(z)), -1.0)),))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: verifier._result("compat", np.array([]), np.array([]), np.array([]), 1e-9),
+     DomainError, "check 'compat': no admissible points to evaluate"),
+    (lambda: check_equation(_toy_bundle(None), random.Random(1), 5, 1e-9, "eq7"),
+     ConfigError, "unknown equation check 'eq7'"),
+    (lambda: sample_points(types.SimpleNamespace(domain=_NOWHERE), random.Random(1), 3),
+     DomainError, "could not sample 3 safe points (domain too thin)"),
+    (lambda: verifier._real_field(np.array([1.0, 1.0 + 1e-3j]), "W(f)"),
+     DomainError, "reconstruction needs real fields; W(f) has a large imaginary part"),
+], ids=["check_on_no_points", "unknown_equation_check", "domain_too_thin", "complex_field"])
+def test_a_refused_verification_step_raises_its_message(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
