@@ -761,7 +761,7 @@ def _line_bundle(rows, quad, wf_tag, wf_res, rect, scales, extra=()) -> FieldBun
 
 def _build_sigma_const(cfg: SigmaConstConfig, scales) -> FieldBundle:
     nu = NuPair(*cfg.nu)
-    nu1, nu2, delta, box = nu.nu1, nu.nu2, nu.delta, nu.box3
+    nu1, nu2, delta, box = nu.nu1, nu.nu2, nu.delta, nu.box_n(3)
     a, k, d1, d2 = float(cfg.A), float(cfg.k), float(cfg.d1), float(cfg.d2)
     if a == 0 or k == 0:
         raise ConfigError("m3_sigma_const requires nonzero A and k")
@@ -816,7 +816,7 @@ def _build_sigma_const(cfg: SigmaConstConfig, scales) -> FieldBundle:
 
 def _build_l1_const(cfg: L1ConstConfig, scales) -> FieldBundle:
     nu = NuPair(*cfg.nu)
-    nu1, nu2, box = nu.nu1, nu.nu2, nu.box3
+    nu1, nu2, box = nu.nu1, nu.nu2, nu.box_n(3)
     d, k = float(cfg.D), float(cfg.k)
     if d == 0 or k == 0:
         raise ConfigError("m3_l1_const requires nonzero D and k")
@@ -852,7 +852,7 @@ def _build_l1_const(cfg: L1ConstConfig, scales) -> FieldBundle:
 
 def _build_theta_const(cfg: ThetaConstConfig, scales) -> FieldBundle:
     nu = NuPair(*cfg.nu)
-    nu1, nu2, delta, box, rho = nu.nu1, nu.nu2, nu.delta, nu.box3, nu.rho
+    nu1, nu2, delta, box, rho = nu.nu1, nu.nu2, nu.delta, nu.box_n(3), nu.rho
     e, k = float(cfg.E), float(cfg.k)
     if e == 0 or k == 0:
         raise ConfigError("m3_theta_const requires nonzero E and k")
@@ -1031,10 +1031,10 @@ def _slope_root_bundle(cfg, scales, roots: tuple[_SlopeRoot, ...], root_jets, cp
     theta_z = _scaled(theta_z, sth)
     sigma_x = _scaled(sigma_x, ssg)
     cprimes = [_scaled(cprime_arr, c) for c in sc]
-    branches = tuple(SlopeBranch(kind="implicit", theta=root.line, seed=root.seed, cprime=cp)
+    branches = tuple(SlopeBranch(cprime=cp, theta=root.line, seed=root.seed)
                      for root, cp in zip(roots, cprimes))
     if len(branches) == 1:
-        branches = (SlopeBranch(kind="const", nu_const=1.0, lprime=None),) + branches
+        branches = (None,) + branches
     general = GeneralQuadruple(*branches, theta_z=theta_z, sigma_x=sigma_x)
 
     def forms(x, z):

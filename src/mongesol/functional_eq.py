@@ -1,15 +1,20 @@
 """Residuals of the four-function constraint and its invariance transform.
 
-A degree-n constant-slope family is pinned down by one constraint tying four
-one-argument functions with four distinct arguments,
+A degree-n family is pinned down by one constraint tying four one-argument
+functions with four distinct arguments.  In slope-weight form, with the two
+characteristic slopes ``nu1``, ``nu2``, their weights ``P1``, ``P2`` and
+``delta = nu2 - nu1``, it reads
 
-    sigma_x(x)*theta_z(z) + sigma_x*l(n,1) + theta_z*l(-1,1)
-        - (box_n/(nu1*nu2)) * L2'(x+nu2*z) * L1'(x+nu1*z)  =  0,
+    theta_z*sigma_x + sigma_x*(nu1^n P1 + nu2^n P2) + theta_z*(P1/nu1 + P2/nu2)
+        + (delta^2 box_n/(nu1*nu2)) * P1 * P2  =  0,
 
 which is the expanded zero-Jacobian condition between the top field and the
-bottom field of the derivative chain.  The variable-slope analogue replaces
-the line functions by slope-field weights solved from implicit line
-equations.  Both residuals and the reciprocal invariance map live here.
+bottom field of the derivative chain.  ``_constraint_terms`` evaluates it,
+and both residuals go through it.  A constant-slope family (eq5) has the
+weights ``P1 = -L1'(x+nu1*z)/delta`` and ``P2 = L2'(x+nu2*z)/delta``.  A
+variable-slope family (eq10) has slope fields solved from implicit line
+equations, each weighted by its branch (:class:`SlopeBranch`), at degree 3.
+The reciprocal invariance map of constant-slope quadruples lives here too.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import numpy as np
 from .errors import DomainError
 from .hodograph import solve_implicit
 from .jets import Jet1, jet_partial, jet_seed1
-from .nu_algebra import NuPair
+from .nu_algebra import NuPair, box
 
 __all__ = [
     "Quadruple",
@@ -63,11 +68,23 @@ class Quadruple:
                 self.l2_dot(x + self.nu.nu2 * z + self.d2))
 
 
+def _constraint_terms(n: int, theta_z, sigma_x, branch1, branch2):
+    """The four additive terms of the degree-``n`` constraint in slope-weight form,
+    each branch a pair ``(nu, P)`` of slopes and weights (numbers or arrays)."""
+    (nu1, p1), (nu2, p2) = branch1, branch2
+    coupling = (nu2 - nu1) ** 2 * box(n, nu1, nu2) / (nu1 * nu2)
+    return (theta_z * sigma_x,
+            sigma_x * (nu1 ** n * p1 + nu2 ** n * p2),
+            theta_z * (p1 / nu1 + p2 / nu2),
+            coupling * p1 * p2)
+
+
 def four_function_terms(q: Quadruple, x, z):
-    """The four additive terms of the constraint, separately."""
+    """The four additive terms of the constraint, separately: the slope-weight form
+    at the weights ``-L1'/delta`` and ``L2'/delta``."""
     s, t, p, qd = q.values(x, z)
-    coupling = (q.nu.box_n(q.n) / (q.nu.nu1 * q.nu.nu2)) * qd * p
-    return s * t, s * q.nu.combine(q.n, p, qd), t * q.nu.combine(-1, p, qd), -coupling
+    nu, delta = q.nu, q.nu.delta
+    return _constraint_terms(q.n, t, s, (nu.nu1, -p / delta), (nu.nu2, qd / delta))
 
 
 def _residual_pair(terms):
@@ -127,33 +144,20 @@ def _reciprocal_of(f: ArrFunc, const, name: str) -> ArrFunc:
 class SlopeBranch:
     """One characteristic branch of a variable-slope family.
 
-    ``kind="implicit"``: the slope field solves ``x + nu*z = theta(nu)`` and
-    the branch weight is ``C'(nu) / (theta'(nu) - z)``.
-    ``kind="const"``: the slope is a constant and the weight is ``-L'(x+nu*z)``
-    (``lprime=None`` means the line function is absent, weight 0).
+    The slope field solves ``x + nu*z = theta(nu)``, from the starting slopes
+    ``seed(x, z)``, and the branch weight is ``cprime(nu) / (theta'(nu) - z)``.
     """
 
-    kind: str
-    cprime: Callable[[np.ndarray], np.ndarray] | None = None
-    theta: Callable[[Jet1], Jet1] | None = None
-    seed: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    nu_const: float | None = None
-    lprime: ArrFunc | None = None
+    cprime: Callable[[np.ndarray], np.ndarray]
+    theta: Callable[[Jet1], Jet1]
+    seed: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     def resolve(self, x, z):
-        """Slope values and weights ``P`` at the points.  An implicit branch's slopes
-        are ``solve_implicit``'s roots: its tests bound their line-equation defect
-        and keep the weight's denominator ``theta'(nu) - z`` off zero (a fold is its
+        """Slope values and weights ``P`` at the points.  The slopes are
+        ``solve_implicit``'s roots: its tests bound their line-equation defect and
+        keep the weight's denominator ``theta'(nu) - z`` off zero (a fold is its
         ``FoldError``)."""
-        x = np.asarray(x, dtype=float)
-        z = np.asarray(z, dtype=float)
-        if self.kind == "const":
-            nu = np.full(np.broadcast_shapes(x.shape, z.shape), float(self.nu_const))
-            if self.lprime is None:
-                return nu, np.zeros_like(nu)
-            return nu, -self.lprime(x + self.nu_const * z)
-        if self.kind != "implicit":
-            raise ValueError(f"unknown branch kind {self.kind!r}")
+        x, z = np.asarray(x, dtype=float), np.asarray(z, dtype=float)
         nu = solve_implicit(self.theta, x, z, self.seed(x, z))
         qden = jet_partial(self.theta(jet_seed1(nu, 1)), 1, 0) - z
         return nu, self.cprime(nu) / qden
@@ -161,31 +165,23 @@ class SlopeBranch:
 
 @dataclass(frozen=True)
 class GeneralQuadruple:
-    """Variable-slope analogue of :class:`Quadruple`."""
+    """Variable-slope analogue of :class:`Quadruple`, at degree 3.
 
-    branch1: SlopeBranch
+    ``branch1=None`` is the constant slope 1 with no line function (weight 0),
+    which pairs the one root of a one-root family.
+    """
+
+    branch1: SlopeBranch | None
     branch2: SlopeBranch
     theta_z: ArrFunc
     sigma_x: ArrFunc
 
 
 def variable_slope_residual(g: GeneralQuadruple, x, z):
-    """Residual and relative residual of the variable-slope constraint at the points.
-
-    Reduces exactly to :func:`four_function_residual` when both slopes are
-    constant with weights ``-L1'/delta`` and ``L2'/delta``.
-    """
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    nu1, p1 = g.branch1.resolve(x, z)
-    nu2, p2 = g.branch2.resolve(x, z)
-    th = g.theta_z(z)
-    sg = g.sigma_x(x)
-    delta = nu2 - nu1
-    box = nu1 ** 2 + nu1 * nu2 + nu2 ** 2
-    return _residual_pair((
-        th * sg,
-        sg * (nu1 ** 3 * p1 + nu2 ** 3 * p2),
-        th * (p1 / nu1 + p2 / nu2),
-        (delta ** 2 * box / (nu1 * nu2)) * p1 * p2,
-    ))
+    """Residual and relative residual of the variable-slope constraint at the points."""
+    x, z = np.asarray(x, dtype=float), np.asarray(z, dtype=float)
+    shape = np.broadcast_shapes(x.shape, z.shape)
+    branch1 = ((np.full(shape, 1.0), np.zeros(shape)) if g.branch1 is None
+               else g.branch1.resolve(x, z))
+    branch2 = g.branch2.resolve(x, z)
+    return _residual_pair(_constraint_terms(3, g.theta_z(z), g.sigma_x(x), branch1, branch2))

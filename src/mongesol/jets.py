@@ -7,7 +7,7 @@ downstream are limited by roundoff, never by finite-difference truncation.
 A :class:`Jet2` of order ``m`` holds the coefficients of
 ``sum c_ij dx^i dz^j`` over ``i + j <= m``.  Each coefficient is a numpy
 array over the base points (a *plane*), so one jet carries the expansions of
-a whole grid of points; all operations broadcast like numpy.
+a whole grid of points.
 
 Layout.  The ``T = (m+1)(m+2)/2`` planes of the triangle are packed into
 ``c`` of shape ``(1, T) + points`` in (i, j)-lexicographic order:
@@ -56,9 +56,8 @@ that moves those places may flip it.  Between a ``Jet1`` and the planes
 ``(k, 0)`` of a bivariate jet, the same goes for every operation that runs
 one loop over the whole jet: ``recip``'s scalings (at complex points too,
 not only where the value is nan), a sum or difference of two jets, and a
-scaling by a number or an array, where nans meet in complex values or at
-broadcast points.  The plane loop of a product keeps every bit.  No output
-holds a nan sign (``'%.17g'`` writes ``nan`` for both).
+scaling by a number or an array.  The plane loop of a product keeps every
+bit.  No output holds a nan sign (``'%.17g'`` writes ``nan`` for both).
 
 A real order-0 jet has one plane, so its reciprocal is one numpy
 operation, with the same bits, and ``compose_series`` at order 0 is the
@@ -66,18 +65,17 @@ constant jet of ``tk[0]``.  The reciprocal's zero test is one pass at any
 order.
 
 The other operand of ``+``, ``-``, ``*`` and ``/`` is a jet of the same
-order, a number, or an array with at most as many axes as the jet's
-points; an array with more axes would broadcast against the plane axis,
-so each of the four operations raises a ValueError for it.  A difference
-has the bits of ``a + (-b)`` but for a nan's sign.  Two jets whose points
-have different numbers of axes are summed, subtracted and multiplied
-alike, by numpy's broadcasting of the points.  Jets are never summed in
-place: ``_times(v, 1.0)`` is ``v`` itself, so ``+=`` could write into an
-operand (a sum of many goes through :class:`_Sum`).  Scaling by exactly
-1.0 is the identity on real planes, bit for bit, so structural constants
-(mutation factors, row coefficients, slope weights) go through ``_times``,
-which skips that product; ``Jet2.__mul__``, whose calls count jet
-products, keeps no such test.  (On complex planes ``v * 1.0`` is a full
+layout, order and point shape, or a number, or an array with at most as
+many axes as the jet's points, which broadcasts against the points.  Each
+of the four operations raises a ValueError for a jet on other points, and
+for an array with more axes, which would broadcast against the plane axis.
+A difference takes ``np.subtract`` where a sum takes ``np.add``.  Jets are
+never summed in place: ``_times(v, 1.0)`` is ``v`` itself, so ``+=`` could
+write into an operand (a sum of many goes through :class:`_Sum`).  Scaling
+by exactly 1.0 is the identity on real planes, bit for bit, so structural
+constants (mutation factors, row coefficients, slope weights) go through
+``_times``, which skips that product; ``Jet2.__mul__``, whose calls count
+jet products, keeps no such test.  (On complex planes ``v * 1.0`` is a full
 complex product, which can flip a zero part's sign; the complex digest jobs
 show that no output moves.)
 """
@@ -176,6 +174,8 @@ class Jet2:
             raise ValueError(f"jet layout mismatch: {self.layout} vs {other.layout}")
         if other.m != self.m:
             raise ValueError(f"jet order mismatch: {self.m} vs {other.m}")
+        if other.shape != self.shape:
+            raise ValueError(f"jet point shape mismatch: {self.shape} vs {other.shape}")
 
     def _operand(self, other) -> np.ndarray:
         """``other`` as an array that scales every plane: at most as many axes as the points."""
@@ -190,10 +190,7 @@ class Jet2:
         by plane with a jet, else into the value plane, with the other planes copied."""
         if isinstance(other, Jet2):
             self._check_order(other)
-            a, b = self.c, other.c
-            if a.ndim != b.ndim:  # line the point axes up, as a product does
-                a, b = _points_aligned(a, b.ndim), _points_aligned(b, a.ndim)
-            return type(self)(self.m, op(a, b))
+            return type(self)(self.m, op(self.c, other.c))
         out = np.empty(self.c.shape, dtype=np.promote_types(self.c.dtype, np.asarray(other).dtype))
         op(self.c[0, 0, ...], other, out=out[0, 0, ...])
         out[0, 1:] = self.c[0, 1:]
@@ -208,10 +205,6 @@ class Jet2:
         return type(self)(self.m, -self.c)
 
     def __sub__(self, other):
-        if np.iscomplexobj(self.c) and not np.iscomplexobj(other.c if isinstance(other, Jet2)
-                                                           else other):
-            # a real operand's implicit +0 imaginary part: -0 + 0 is +0, -0 - 0 is -0
-            return self + (-other if isinstance(other, Jet2) else -np.asarray(other))
         return self._planewise(other, np.subtract)
 
     def __rsub__(self, other):
@@ -228,10 +221,7 @@ class Jet2:
             out = a * b
             out += 0.0  # as the +0 start: a -0 product becomes +0
             return cls(0, out)
-        shape = a.shape[2:]
-        if b.shape[2:] != shape:
-            shape = np.broadcast_shapes(shape, b.shape[2:])
-        out = np.zeros(a.shape[:2] + shape, dtype=np.promote_types(a.dtype, b.dtype))
+        out = np.zeros(a.shape, dtype=np.promote_types(a.dtype, b.dtype))
         pa, pb, po = a[0], b[0], out[0]
         for ka, kb, ko in cls._mul_plan(m):
             if live[ka]:
@@ -329,7 +319,8 @@ def jet_seed(x0, z0, m: int) -> tuple[Jet2, Jet2]:
     """Coordinate jets at base point ``(x0, z0)``.
 
     The x-jet has value ``x0`` and plane (1, 0) equal to 1; the z-jet analogously.
-    ``x0`` and ``z0`` may be arrays of matching (broadcastable) shape.
+    ``x0`` and ``z0`` may be arrays of one shape, the points' (jets on
+    different points do not combine).
     At ``m = 0`` both are constant jets with no seed planes: values only.
     """
     if m < 0:
@@ -442,27 +433,16 @@ def _sum(terms):
 
 
 def _add_into(total, term) -> bool:
-    """Add jet ``term`` into the buffer of jet ``total`` if both have one layout and
-    order and that buffer holds ``total + term``'s dtype and shape; return whether it did."""
-    if not (isinstance(total, Jet2) and type(term) is type(total) and term.m == total.m):
+    """Add jet ``term`` into the buffer of jet ``total`` if both have one layout, order
+    and point shape and that buffer holds ``total + term``'s dtype; return whether it did."""
+    if not (isinstance(total, Jet2) and type(term) is type(total) and term.m == total.m
+            and term.shape == total.shape):
         return False
     buf, other = total.c, term.c
     if np.result_type(buf, other) != buf.dtype:
         return False
-    if other.shape != buf.shape:
-        points = buf.shape[2:]
-        if np.broadcast_shapes(points, other.shape[2:]) != points:
-            return False
-        other = _points_aligned(other, buf.ndim)
     np.add(buf, other, out=buf)
     return True
-
-
-def _points_aligned(c: np.ndarray, ndim: int) -> np.ndarray:
-    """Jet planes ``c`` with unit point axes put in front of its points, up to ``ndim``
-    axes in all, so that they broadcast against other planes as the points do."""
-    extra = ndim - c.ndim
-    return c.reshape(c.shape[:2] + (1,) * extra + c.shape[2:]) if extra > 0 else c
 
 
 def _real(*arrays) -> bool:

@@ -918,7 +918,6 @@ def test_the_eq10_slope_receives_univariate_jets(monkeypatch):
     seen, rec = _spy_univariate(monkeypatch)
     b = make_family(canonical_config("m3_general"))
     branch = b.general_quadruple.branch2
-    assert branch.kind == "implicit"
     dataclasses.replace(branch, theta=rec(branch.theta)).resolve(*_admitted_points(b))
     assert len(seen) > 1 and set(seen) == {(1, 2)}
 

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mongesol.errors import DomainError, FoldError
 from mongesol.families import canonical_config, make_family
 from mongesol.functional_eq import (
-    GeneralQuadruple,
     Quadruple,
     SlopeBranch,
+    _constraint_terms,
     duality_transform,
     four_function_residual,
     four_function_terms,
@@ -138,23 +140,77 @@ def test_variable_slope_families_solve(tag):
     assert np.max(np.abs(variable_slope_residual(b.general_quadruple, x, z)[0])) <= 1e-9
 
 
+# -- the one constraint against the two formulas it replaced -------------------
+
+
+def _old_eq5_terms(n, nu1, nu2, s, t, p, qd):
+    """The four-function form: eq5's own formula before both residuals shared one."""
+    nu = NuPair(nu1, nu2)
+    bracket = sum(nu1 ** j * nu2 ** (n - 1 - j) for j in range(n))
+    coupling = (bracket / (nu1 * nu2)) * qd * p
+    return s * t, s * nu.combine(n, p, qd), t * nu.combine(-1, p, qd), -coupling
+
+
+def _old_eq10_terms(nu1, p1, nu2, p2, th, sg):
+    """eq10's own formula before both residuals shared one, at degree 3."""
+    delta = nu2 - nu1
+    box = nu1 ** 2 + nu1 * nu2 + nu2 ** 2
+    return (th * sg, sg * (nu1 ** 3 * p1 + nu2 ** 3 * p2), th * (p1 / nu1 + p2 / nu2),
+            (delta ** 2 * box / (nu1 * nu2)) * p1 * p2)
+
+
+_slope = st.one_of(st.floats(-3.0, -0.2), st.floats(0.2, 3.0))
+
+
+@given(_slope, _slope, st.integers(2, 8), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_the_slope_weight_form_at_constant_slopes_is_the_four_function_form(nu1, nu2, n, seed):
+    if abs(nu2 - nu1) < 0.05:
+        return
+    # within 8 eps of the sum of the magnitudes of the products summed (at most 4.7
+    # eps in 20,000 random draws); the sums inside the second and third terms may
+    # cancel, so against the largest term alone the forms differ by up to 71 eps
+    s, t, p, qd = np.random.default_rng(seed).uniform(-2.0, 2.0, (4, 64))
+    delta = nu2 - nu1
+    p1, p2 = -p / delta, qd / delta
+    new = _constraint_terms(n, t, s, (nu1, p1), (nu2, p2))
+    old = _old_eq5_terms(n, nu1, nu2, s, t, p, qd)
+    scale = (np.abs(s * t) + np.abs(s) * (np.abs(nu1 ** n * p1) + np.abs(nu2 ** n * p2))
+             + np.abs(t) * (np.abs(p1 / nu1) + np.abs(p2 / nu2)) + np.abs(new[3]))
+    assert np.all(np.abs(sum(new) - sum(old)) <= 8 * np.finfo(float).eps * scale)
+
+
 @pytest.mark.parametrize("mutations", [None, {"theta": 1.1}], ids=["solution", "theta_mutated"])
 @pytest.mark.parametrize("tag", ["m3_sigma_const", "m3_l1_const", "m3_theta_const"])
 def test_constant_slope_branches_reduce_to_the_four_function_residual(tag, mutations):
-    # two const branches weighted -L1'/delta and L2'/delta carry the quadruple's lines
+    # the slope-weight form at weights -L1'/delta and L2'/delta is eq5's four-function form
     b = make_family(canonical_config(tag), mutations=mutations)
     q = b.quadruple
-    nu1, nu2, delta = q.nu.nu1, q.nu.nu2, q.nu.delta
-    g = GeneralQuadruple(
-        SlopeBranch(kind="const", nu_const=nu1, lprime=lambda t: q.l1_prime(t) / delta),
-        SlopeBranch(kind="const", nu_const=nu2, lprime=lambda t: -q.l2_dot(t) / delta),
-        theta_z=q.theta_z, sigma_x=q.sigma_x)
     x, z = sample_points(b, np.random.default_rng(12), 40)
-    _, rel_variable = variable_slope_residual(g, x, z)
-    _, rel_constant = four_function_residual(q, x, z)
-    assert np.max(np.abs(rel_variable - rel_constant)) <= 1e-12
+    old = _old_eq5_terms(q.n, q.nu.nu1, q.nu.nu2, *q.values(x, z))
+    rel_old = sum(old) / np.maximum.reduce([np.abs(term) for term in old])
+    _, rel = four_function_residual(q, x, z)
+    assert np.max(np.abs(rel - rel_old)) <= 1e-12
     if mutations:
-        assert np.max(np.abs(rel_constant)) > 1e-3  # the mutation is seen by both
+        assert np.max(np.abs(rel)) > 1e-3  # the mutation is seen by both
+
+
+@pytest.mark.parametrize("tag", ["m3_hodograph_example", "m3_general", "m3_general_e0"])
+def test_eq10_is_bitwise_its_former_formula(tag):
+    # one root beside the constant slope 1 (branch1 None), or two roots
+    b = make_family(canonical_config(tag))
+    g = b.general_quadruple
+    assert (g.branch1 is None) == (tag == "m3_hodograph_example")
+    x, z = sample_points(b, np.random.default_rng(13), 40)
+    if g.branch1 is None:
+        nu1, p1 = np.full(x.shape, 1.0), np.zeros(x.shape)
+    else:
+        nu1, p1 = g.branch1.resolve(x, z)
+    old = _old_eq10_terms(nu1, p1, *g.branch2.resolve(x, z), g.theta_z(z), g.sigma_x(x))
+    raw_old = old[0] + old[1] + old[2] + old[3]
+    rel_old = raw_old / np.maximum(np.maximum.reduce([np.abs(term) for term in old]), 1e-30)
+    for got, want in zip(variable_slope_residual(g, x, z), (raw_old, rel_old)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_duality_constants_on_unit_quadruple():
@@ -207,8 +263,7 @@ def test_duality_zero_denominator_guard():
 
 @pytest.mark.parametrize("call, message", [
     (lambda: duality_transform(_zero_quadruple(), "reversed"), "unknown duality variant 'reversed'"),
-    (lambda: SlopeBranch(kind="curved").resolve(1.0, 1.0), "unknown branch kind 'curved'"),
-], ids=["duality_variant", "branch_kind"])
+], ids=["duality_variant"])
 def test_an_unknown_variant_or_branch_kind_is_a_value_error(call, message):
     with pytest.raises(ValueError) as info:
         call()
@@ -218,7 +273,7 @@ def test_an_unknown_variant_or_branch_kind_is_a_value_error(call, message):
 def test_a_branch_that_folds_inside_the_points_is_a_fold_error():
     # x + nu z = nu^2/2 folds where theta'(nu) = nu meets z: the root nu = 1 of the
     # point (-0.5, 1) is on the fold, and the root nu = 2 of (1, 0.5) is regular
-    branch = SlopeBranch(kind="implicit", cprime=np.ones_like,
+    branch = SlopeBranch(cprime=np.ones_like,
                          theta=lambda tj: poly_jet((0.0, 0.0, 0.5), tj),
                          seed=lambda x, z: np.ones(np.shape(x)))
     nu, weight = branch.resolve(np.array([1.0]), np.array([0.5]))

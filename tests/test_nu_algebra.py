@@ -5,20 +5,20 @@ from hypothesis import strategies as st
 
 from mongesol.errors import ConfigError
 from mongesol.jets import Jet2, jet_partial, jet_seed, jexp, poly_jet
-from mongesol.nu_algebra import NuPair
+from mongesol.nu_algebra import NuPair, box
 
 
 def test_derived_constants_basic():
     nu = NuPair(1.0, 2.0)
     assert nu.delta == 1.0
-    assert nu.box3 == 7.0
+    assert nu.box_n(3) == 7.0
     assert nu.rho == pytest.approx(6.0 / 7.0)
 
 
 def test_derived_constants_symmetric_pair():
     nu = NuPair(-1.0, 1.0)
     assert nu.delta == 2.0
-    assert nu.box3 == 1.0
+    assert nu.box_n(3) == 1.0
     assert nu.rho == 0.0
 
 
@@ -27,7 +27,7 @@ def test_box_n_geometric_sum():
     assert nu.box_n(4) == pytest.approx(15.0)  # (16-1)/1 = 1+2+4+8
     assert nu.box_n(1) == 1.0
     assert nu.box_n(2) == nu.nu1 + nu.nu2
-    assert nu.box_n(3) == nu.box3
+    assert nu.box_n(3) == nu.nu1 ** 2 + nu.nu1 * nu.nu2 + nu.nu2 ** 2
 
 
 def test_degenerate_pairs_rejected():
@@ -47,6 +47,18 @@ def test_box_identity_delta_times_box(nu1, nu2, n):
         return
     nu = NuPair(nu1, nu2)
     assert nu.delta * nu.box_n(n) == pytest.approx(nu2 ** n - nu1 ** n, rel=1e-12, abs=1e-12)
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 8))
+@settings(max_examples=40, deadline=None)
+def test_box_of_slope_arrays(seed, n):
+    # eq10's bracket of two slope fields: at degree 3 the bits of nu1^2 + nu1 nu2 + nu2^2
+    nu1, nu2 = np.random.default_rng(seed).uniform(-3.0, 3.0, (2, 50))
+    assert box(3, nu1, nu2).tobytes() == (nu1 ** 2 + nu1 * nu2 + nu2 ** 2).tobytes()
+    far = np.abs(nu2 - nu1) > 0.1
+    got = box(n, nu1, nu2)[far]
+    want = ((nu2 ** n - nu1 ** n) / (nu2 - nu1))[far]
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * 3.0 ** n)
 
 
 def _line_jets(nu, x, z, m, d1=0.0, d2=0.0):
@@ -184,4 +196,4 @@ def test_combine_at_unit_slope_and_delta_equals_every_product(s, pairs, as_jets)
 def test_box_n_refuses_a_negative_degree():
     with pytest.raises(ValueError) as info:
         NuPair(1.0, 2.0).box_n(-1)
-    assert str(info.value) == "box_n takes a nonnegative integer"
+    assert str(info.value) == "box takes a nonnegative integer"
